@@ -53,9 +53,24 @@ const RATIOS: &[(&str, &str, &str)] = &[
         "inference/prefill_matmul/t64",
     ),
     (
-        "rows_parallel_speedup_2880",
-        "inference/matvec_2880x2880/packed",
-        "inference/matvec_2880x2880/rows_parallel",
+        "decode_batch_speedup_b1",
+        "inference/decode_batch/step_b1",
+        "inference/decode_batch/batch_b1",
+    ),
+    (
+        "decode_batch_speedup_b4",
+        "inference/decode_batch/step_b4",
+        "inference/decode_batch/batch_b4",
+    ),
+    (
+        "decode_batch_speedup_b16",
+        "inference/decode_batch/step_b16",
+        "inference/decode_batch/batch_b16",
+    ),
+    (
+        "decode_batch_speedup_b64",
+        "inference/decode_batch/step_b64",
+        "inference/decode_batch/batch_b64",
     ),
     (
         "prefix_prefill_speedup_share90",

@@ -33,6 +33,11 @@ pub const PREFILL_MATMUL_TOKENS: usize = 64;
 /// knob); `per_token` is the seed-style `step_with` loop baseline.
 pub const PREFILL_PANEL_SWEEP: &[usize] = &[1, 4, 16, 64];
 
+/// Batch sizes of the batched-decode sweep: `step_b{B}` runs `B`
+/// `step_with` calls, `batch_b{B}` one `step_batch_with` over the same `B`
+/// sequences. Both produce bit-identical logits and KV.
+pub const DECODE_BATCH_SWEEP: &[usize] = &[1, 4, 16, 64];
+
 /// Tokens processed per iteration of each labelled benchmark, used to
 /// convert mean ns/iter into tokens/s. Benchmarks not listed here (the
 /// kernel micro-benchmarks) time one matvec per iteration and have no
@@ -47,6 +52,14 @@ pub const TOKENS_PER_ITER: &[(&str, usize)] = &[
     ("inference/prefill_matmul/t4", PREFILL_MATMUL_TOKENS),
     ("inference/prefill_matmul/t16", PREFILL_MATMUL_TOKENS),
     ("inference/prefill_matmul/t64", PREFILL_MATMUL_TOKENS),
+    ("inference/decode_batch/step_b1", 1),
+    ("inference/decode_batch/batch_b1", 1),
+    ("inference/decode_batch/step_b4", 4),
+    ("inference/decode_batch/batch_b4", 4),
+    ("inference/decode_batch/step_b16", 16),
+    ("inference/decode_batch/batch_b16", 16),
+    ("inference/decode_batch/step_b64", 64),
+    ("inference/decode_batch/batch_b64", 64),
     // Every sharing level submits the same 512 prompt tokens, so
     // tokens/s here reads as *effective* prefill throughput: the paged
     // radix cache serves matched positions without recomputing them.
@@ -252,7 +265,7 @@ pub fn inference_suite(c: &mut Criterion) {
     // unembeds every prompt token) or panelled through the matmul
     // kernels at width T. All five produce bit-identical KV and logits.
     let big = prefill_bench_weights();
-    let big_model = Transformer::new(big);
+    let big_model = Transformer::new(big.clone());
     let big_vocab = big_model.config().vocab_size as u32;
     let sweep_prompt: Vec<u32> = (0..PREFILL_MATMUL_TOKENS as u32)
         .map(|i| (i * 7 + 1) % big_vocab)
@@ -281,6 +294,54 @@ pub fn inference_suite(c: &mut Criterion) {
                     true,
                 );
                 scratch.logits()[0]
+            })
+        });
+    }
+    g.finish();
+
+    // Batched-decode sweep on the same larger model: B sequences at
+    // different short contexts each take one decode step, either as B
+    // `step_with` calls or as one `step_batch_with`. Every iteration
+    // starts from clones of the same prefilled states, so the work per
+    // iteration is constant.
+    let machine = DataflowExecutor::new(big);
+    let widest = DECODE_BATCH_SWEEP.iter().copied().max().unwrap_or(0);
+    let mut scratches: Vec<_> = (0..widest).map(|_| machine.new_scratch()).collect();
+    let base_states: Vec<_> = scratches
+        .iter_mut()
+        .enumerate()
+        .map(|(s, scratch)| {
+            let prompt: Vec<u32> = (0..8 + s as u32 % 5)
+                .map(|i| (s as u32 * 131 + i * 7 + 1) % big_vocab)
+                .collect();
+            let mut state = machine.new_state();
+            machine.prefill_with(&prompt, &mut state, scratch, true);
+            state
+        })
+        .collect();
+    let next: Vec<u32> = scratches
+        .iter()
+        .map(|s| Sampler::Greedy.sample(s.logits()))
+        .collect();
+    let mut g = c.benchmark_group("inference/decode_batch");
+    g.sample_size(samples);
+    for &batch in DECODE_BATCH_SWEEP {
+        g.bench_function(format!("step_b{batch}"), |b| {
+            b.iter(|| {
+                let mut states = base_states[..batch].to_vec();
+                for ((state, scratch), &tok) in states.iter_mut().zip(&mut scratches).zip(&next) {
+                    machine.step_with(black_box(tok), state, scratch);
+                }
+                scratches[batch - 1].logits()[0]
+            })
+        });
+        g.bench_function(format!("batch_b{batch}"), |b| {
+            b.iter(|| {
+                let mut states = base_states[..batch].to_vec();
+                let mut rows: Vec<_> = states.iter_mut().collect();
+                let mut arenas: Vec<_> = scratches[..batch].iter_mut().collect();
+                machine.step_batch_with(black_box(&next[..batch]), &mut rows, &mut arenas);
+                scratches[batch - 1].logits()[0]
             })
         });
     }
@@ -353,19 +414,6 @@ pub fn inference_suite(c: &mut Criterion) {
             out[0]
         })
     });
-    // Row-partitioned decode matvec: 2880×2880 (8.3M cells) clears
-    // `ROWS_PARALLEL_MIN_WORK`, so with the `parallel` feature and a
-    // multi-core host the four fixed splits run on worker threads (on a
-    // single core they run inline); the deterministic reduction keeps the
-    // output bit-identical either way, so this ratio reads as split
-    // overhead on 1-core runners and as speedup on multi-core ones.
-    let mut partials = vec![0.0f32; kernels::ROW_SPLITS * cols];
-    g.bench_function("rows_parallel", |b| {
-        b.iter(|| {
-            kernels::matvec_rows_parallel_into(black_box(&x), &big, &mut out, &mut partials);
-            out[0]
-        })
-    });
     g.bench_function("naive", |b| {
         b.iter(|| tensor::vec_mat(black_box(&x), &big_dense, cols)[0])
     });
@@ -387,7 +435,7 @@ mod tests {
         }
         assert!(labels.contains(&"inference/matvec_wq/packed"));
         assert!(labels.contains(&"inference/matvec_wq/naive"));
-        assert!(labels.contains(&"inference/matvec_2880x2880/rows_parallel"));
+        assert!(labels.contains(&"inference/matvec_2880x2880/packed"));
         assert!(c.results().iter().all(|&(_, ns)| ns > 0.0));
     }
 

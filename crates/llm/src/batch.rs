@@ -10,16 +10,22 @@
 //! harness in `tests/` asserts the token streams are identical to running
 //! [`DataflowExecutor`] per sequence.
 //!
-//! Sequences are mutually independent (each owns its KV state), so rounds
-//! fan out across cores with `rayon` when the `parallel` feature (default)
-//! is on; with `--no-default-features` the same rounds run serially.
-//! Both paths are bit-exact: no cross-sequence arithmetic exists.
+//! A round's work is split into one contiguous chunk per worker (`rayon`
+//! under the default `parallel` feature; a single chunk with
+//! `--no-default-features`). Within a chunk, prefill and sampling run per
+//! sequence, then every sequence that steps its sampled token back in
+//! joins one batched decode step
+//! ([`DataflowExecutor::step_batch_with`]): the rows share each pass over
+//! the packed weights and the embedding table, but every row's arithmetic
+//! is its own accumulation chain against its own KV state, so streams,
+//! KV and counters are bit-identical for any chunking, worker count or
+//! feature set.
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState, GRID};
 use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
-use crate::scratch::Scratch;
+use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use hnlpu_sim::scheduler::{BatchScheduler, PrefixOracle, Request, RoundPlan};
 use serde::Serialize;
 use std::fmt;
@@ -720,32 +726,73 @@ impl BatchedDataflowExecutor {
         Ok(pool.len() - 1)
     }
 
-    /// One pipeline round: every work item advances independently, so this
-    /// is where sequence-level parallelism happens.
+    /// One pipeline round: the work items are dealt out as one contiguous
+    /// chunk per worker, so each worker runs a single batched decode step
+    /// over its share of the round's decoders.
     #[cfg(feature = "parallel")]
-    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    pub(crate) fn run_round(&self, mut work: Vec<(&mut SeqSlot, Action)>) {
         use rayon::prelude::*;
-        work.into_par_iter()
-            .for_each(|(slot, action)| self.advance(slot, action));
+        let workers = rayon::current_num_threads().min(work.len());
+        if workers <= 1 {
+            return self.advance_chunk(work);
+        }
+        let per_worker = work.len().div_ceil(workers);
+        let mut chunks = Vec::with_capacity(workers);
+        while !work.is_empty() {
+            let rest = work.split_off(work.len().min(per_worker));
+            chunks.push(std::mem::replace(&mut work, rest));
+        }
+        chunks
+            .into_par_iter()
+            .for_each(|chunk| self.advance_chunk(chunk));
     }
 
-    /// Serial twin of the rayon round (`--no-default-features`); bit-exact
-    /// with the parallel path because sequences share no arithmetic.
+    /// Serial twin of the rayon round (`--no-default-features`): the whole
+    /// round is one chunk. Bit-exact with the parallel path because a
+    /// row's results do not depend on which rows it is batched with.
     #[cfg(not(feature = "parallel"))]
     pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
-        for (slot, action) in work {
-            self.advance(slot, action);
+        self.advance_chunk(work);
+    }
+
+    /// One worker's share of a round: advance each sequence through its
+    /// prefill and sampling, then step every sampled token that still has
+    /// to go back through the machine as batched decode steps of at most
+    /// [`MAX_PREFILL_PANEL`] rows, evenly sized.
+    fn advance_chunk(&self, chunk: Vec<(&mut SeqSlot, Action)>) {
+        let mut tokens = Vec::with_capacity(chunk.len());
+        let mut states = Vec::with_capacity(chunk.len());
+        let mut scratches = Vec::with_capacity(chunk.len());
+        for (slot, action) in chunk {
+            if let Some(next) = self.prefill_and_sample(slot, action) {
+                tokens.push(next);
+                states.push(&mut slot.state);
+                scratches.push(&mut slot.scratch);
+            }
+        }
+        if tokens.is_empty() {
+            return;
+        }
+        let rows = tokens
+            .len()
+            .div_ceil(tokens.len().div_ceil(MAX_PREFILL_PANEL));
+        for ((tokens, states), scratches) in tokens
+            .chunks(rows)
+            .zip(states.chunks_mut(rows))
+            .zip(scratches.chunks_mut(rows))
+        {
+            self.inner.step_batch_with(tokens, states, scratches);
         }
     }
 
-    /// Advance one sequence by its round action. Exactly mirrors
-    /// [`DataflowExecutor::generate_with_report`]: the round's prompt
-    /// tokens run as one matmul prefill panel (bit-identical to stepping
-    /// them in order, and logits are only unembedded on the chunk that
-    /// completes the prompt), then the sampled token is emitted without
-    /// being stepped back through the machine when it is the last one
-    /// requested.
-    fn advance(&self, slot: &mut SeqSlot, action: Action) {
+    /// Advance one sequence by its round action, up to the decode step.
+    /// Exactly mirrors [`DataflowExecutor::generate_with_report`]: the
+    /// round's prompt tokens run as one matmul prefill panel
+    /// (bit-identical to stepping them in order, and logits are only
+    /// unembedded on the chunk that completes the prompt), then a token is
+    /// sampled and emitted. Returns that token when it still has to be
+    /// stepped back through the machine — the last one requested is not.
+    fn prefill_and_sample(&self, slot: &mut SeqSlot, action: Action) -> Option<u32> {
         if action.prefill > 0 {
             // Plan validation bounded `prefill_pos + prefill` by the
             // prompt length before this slot entered the round.
@@ -760,14 +807,12 @@ impl BatchedDataflowExecutor {
                 slot.prefill_pos = end;
             }
         }
-        if action.decode {
-            let next = slot.sampler.sample(slot.scratch.logits());
-            slot.out.push(next);
-            if slot.out.len() < slot.target {
-                self.inner
-                    .step_with(next, &mut slot.state, &mut slot.scratch);
-            }
+        if !action.decode {
+            return None;
         }
+        let next = slot.sampler.sample(slot.scratch.logits());
+        slot.out.push(next);
+        (slot.out.len() < slot.target).then_some(next)
     }
 }
 

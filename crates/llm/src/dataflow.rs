@@ -27,7 +27,7 @@ use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
-use crate::tensor::{add_assign, dot};
+use crate::tensor::{add_assign, dot, unembed_into, UNEMBED_MAX_ROWS};
 use hnlpu_model::{ModelWeights, PackedFp4Matrix, TransformerConfig};
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
@@ -37,6 +37,12 @@ pub const GRID: usize = 4;
 // matvec kernel; its fixed split count must equal the grid dimension for
 // the split boundaries to be the chips' row slices.
 const _: () = assert!(ROW_SPLITS == GRID, "row splits must match the chip grid");
+
+// A batched decode step unembeds every row of a full panel in one call.
+const _: () = assert!(
+    MAX_PREFILL_PANEL <= UNEMBED_MAX_ROWS,
+    "a full panel must fit one unembedding pass"
+);
 
 /// Collective-communication counters, per executor run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,6 +57,19 @@ pub struct CommCounters {
     pub all_gathers: u64,
     /// Total payload bytes exchanged (fp32 accounting).
     pub bytes: u64,
+}
+
+impl CommCounters {
+    /// `n` repetitions of this schedule.
+    fn times(self, n: u64) -> CommCounters {
+        CommCounters {
+            all_reduces: self.all_reduces * n,
+            all_chip_all_reduces: self.all_chip_all_reduces * n,
+            reduces: self.reduces * n,
+            all_gathers: self.all_gathers * n,
+            bytes: self.bytes * n,
+        }
+    }
 }
 
 impl std::ops::Add for CommCounters {
@@ -363,6 +382,63 @@ impl DataflowState {
     }
 }
 
+/// Where each row of an activation panel gets its context position, KV
+/// shards and communication counters — the only things that differ
+/// between a prefill panel and a batched decode step.
+enum PanelRows<'a, 's> {
+    /// `t` consecutive positions of one sequence: row `tt` is position
+    /// `state.position + tt`.
+    Prefill {
+        state: &'a mut DataflowState,
+        t: usize,
+    },
+    /// The next position of each of several sequences: row `tt` is
+    /// sequence `tt`.
+    Decode(&'a mut [&'s mut DataflowState]),
+}
+
+impl PanelRows<'_, '_> {
+    fn len(&self) -> usize {
+        match self {
+            PanelRows::Prefill { t, .. } => *t,
+            PanelRows::Decode(states) => states.len(),
+        }
+    }
+
+    /// Row `tt`'s context position, KV shards and counters.
+    fn row(&mut self, tt: usize) -> (usize, &mut [Vec<KvCache>], &mut CommCounters) {
+        let (state, offset) = match self {
+            PanelRows::Prefill { state, .. } => (&mut **state, tt),
+            PanelRows::Decode(states) => (&mut *states[tt], 0),
+        };
+        (state.position + offset, &mut state.kv, &mut state.comm)
+    }
+
+    /// Charge every row one instance of a collective.
+    fn charge(&mut self, one: CommCounters) {
+        match self {
+            PanelRows::Prefill { state, t } => state.comm += one.times(*t as u64),
+            PanelRows::Decode(states) => {
+                for state in states.iter_mut() {
+                    state.comm += one;
+                }
+            }
+        }
+    }
+
+    /// Every layer ran: each row's position is consumed.
+    fn advance(&mut self) {
+        match self {
+            PanelRows::Prefill { state, t } => state.position += *t,
+            PanelRows::Decode(states) => {
+                for state in states.iter_mut() {
+                    state.position += 1;
+                }
+            }
+        }
+    }
+}
+
 /// The dataflow executor.
 #[derive(Debug, Clone)]
 pub struct DataflowExecutor {
@@ -461,25 +537,92 @@ impl DataflowExecutor {
     // analyze: hot
     pub fn step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
         self.hidden_step_with(token, state, scratch);
-        // Unembedding: each chip produces a vocabulary shard, all-gathered.
-        let c = self.config();
-        let h = c.hidden_size;
-        let chips = GRID * GRID;
-        let shard = c.vocab_size.div_ceil(chips);
         let Scratch { xn, logits, .. } = scratch;
-        for chip in 0..chips {
-            let lo = chip * shard;
-            let hi = ((chip + 1) * shard).min(c.vocab_size);
-            for (t, logit) in logits[lo..hi]
-                .iter_mut()
-                .enumerate()
-                .map(|(i, l)| (lo + i, l))
-            {
-                *logit = dot(xn, &self.weights.embedding[t * h..(t + 1) * h]);
-            }
+        self.unembed_row(xn, logits, &mut state.comm);
+    }
+
+    /// Unembed one sequence's final hidden row into its logits.
+    fn unembed_row(&self, xn: &[f32], logits: &mut [f32], comm: &mut CommCounters) {
+        let h = self.config().hidden_size;
+        unembed_into(&self.weights.embedding, h, xn, &mut [], |token, logit| {
+            logits[token] = logit[0]
+        });
+        *comm += self.unembed_gather();
+    }
+
+    /// Unembedding communication per sequence: each chip dots its
+    /// vocabulary shard of the replicated table, and the 16 shards are
+    /// all-gathered.
+    fn unembed_gather(&self) -> CommCounters {
+        CommCounters {
+            all_gathers: 1,
+            bytes: self.config().vocab_size as u64 * 4,
+            ..CommCounters::default()
         }
-        state.comm.all_gathers += 1;
-        state.comm.bytes += c.vocab_size as u64 * 4;
+    }
+
+    /// One decode step for several sequences at once: sequence `i`
+    /// consumes `tokens[i]` at its own position, and its logits land in
+    /// `scratches[i].logits()` (its final hidden state in `.hidden()`).
+    ///
+    /// Every row's logits, KV shards, position and communication counters
+    /// are bit-identical to a [`step_with`](Self::step_with) call on that
+    /// sequence alone, for any grouping of sequences into calls — but
+    /// each packed weight byte is decoded once per token block and the
+    /// embedding table is read once, instead of once per sequence. The
+    /// rows run as one activation panel through the prefill block, in the
+    /// first scratch's panel buffers; a single row takes `step_with`
+    /// itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length, there are more than
+    /// [`MAX_PREFILL_PANEL`] rows, or a token is out of vocabulary.
+    // analyze: hot
+    pub fn step_batch_with(
+        &self,
+        tokens: &[u32],
+        states: &mut [&mut DataflowState],
+        scratches: &mut [&mut Scratch],
+    ) {
+        assert_eq!(tokens.len(), states.len(), "one state per token");
+        assert_eq!(tokens.len(), scratches.len(), "one scratch per token");
+        assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
+        let Some((lead, rest)) = scratches.split_first_mut() else {
+            return;
+        };
+        if let ([token], [state]) = (tokens, &mut *states) {
+            self.step_with(*token, state, lead);
+            return;
+        }
+        self.run_panel(tokens, &mut PanelRows::Decode(states), lead);
+        let h = self.config().hidden_size;
+        let Scratch {
+            xp,
+            xn,
+            xnp,
+            xop,
+            logits,
+            ..
+        } = &mut **lead;
+        let xnp = &mut xnp[..tokens.len() * h];
+        for (x, normed) in xp.chunks_exact(h).zip(xnp.chunks_exact_mut(h)) {
+            rmsnorm_into(x, normed);
+        }
+        xn.copy_from_slice(&xnp[..h]);
+        for (scratch, normed) in rest.iter_mut().zip(xnp[h..].chunks_exact(h)) {
+            scratch.xn.copy_from_slice(normed);
+        }
+        // The post-attention panel is dead by now: it hosts the lanes.
+        unembed_into(&self.weights.embedding, h, xnp, xop, |token, row_logits| {
+            logits[token] = row_logits[0];
+            for (scratch, &logit) in rest.iter_mut().zip(&row_logits[1..]) {
+                scratch.logits[token] = logit;
+            }
+        });
+        for state in states.iter_mut() {
+            state.comm += self.unembed_gather();
+        }
     }
 
     /// As [`step`](Self::step), but return the final normalized hidden
@@ -824,65 +967,50 @@ impl DataflowExecutor {
         scratch: &mut Scratch,
         want_logits: bool,
     ) {
-        let c = *self.config();
-        let h = c.hidden_size;
         let t = tokens.len();
-        debug_assert!(t <= MAX_PREFILL_PANEL);
-        // Embedding lookup is local on every chip (replicated dictionary).
-        for (tt, &tok) in tokens.iter().enumerate() {
-            assert!((tok as usize) < c.vocab_size, "token out of vocabulary");
-            scratch.xp[tt * h..(tt + 1) * h]
-                .copy_from_slice(&self.weights.embedding[tok as usize * h..(tok as usize + 1) * h]);
-        }
-        let base = state.position;
-        for layer in 0..c.num_layers {
-            self.panel_block_with(layer, base, t, &mut state.kv, &mut state.comm, scratch);
-        }
-        state.position += t;
+        self.run_panel(tokens, &mut PanelRows::Prefill { state, t }, scratch);
         if want_logits {
-            // Unembed only the panel's last token: each chip produces its
-            // vocabulary shard, all-gathered once.
+            // Unembed only the panel's last token.
+            let h = self.config().hidden_size;
             let Scratch { xp, xn, logits, .. } = scratch;
             rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
-            let chips = GRID * GRID;
-            let shard = c.vocab_size.div_ceil(chips);
-            for chip in 0..chips {
-                let lo = chip * shard;
-                let hi = ((chip + 1) * shard).min(c.vocab_size);
-                for (tok, logit) in logits[lo..hi]
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, l)| (lo + i, l))
-                {
-                    *logit = dot(xn, &self.weights.embedding[tok * h..(tok + 1) * h]);
-                }
-            }
-            state.comm.all_gathers += 1;
-            state.comm.bytes += c.vocab_size as u64 * 4;
+            self.unembed_row(xn, logits, &mut state.comm);
         }
     }
 
-    /// One transformer block over a `t`-token panel starting at context
-    /// position `base`: reads the residual panel from `scratch.xp`, writes
-    /// the updated panel back into it. Per token this performs exactly the
-    /// chip-level operations of [`block_with`](Self::block_with) — each
-    /// chip's partial product goes through the bit-identical matmul
-    /// kernels, the column reductions add partials in the same chip
-    /// order, and attention/RoPE/MoE math runs per token on the same
-    /// values — so KV shards and residuals are bit-equal to a per-token
-    /// loop, for every chunking. Communication counters advance by the
-    /// per-token schedule times `t`.
+    /// Embed one token per row into `scratch.xp`, run the panel through
+    /// every layer, and consume each row's position.
     // analyze: hot
-    #[allow(clippy::too_many_arguments)]
-    fn panel_block_with(
-        &self,
-        layer: usize,
-        base: usize,
-        t: usize,
-        kv: &mut [Vec<KvCache>],
-        comm: &mut CommCounters,
-        scratch: &mut Scratch,
-    ) {
+    fn run_panel(&self, tokens: &[u32], rows: &mut PanelRows<'_, '_>, scratch: &mut Scratch) {
+        let c = self.config();
+        let h = c.hidden_size;
+        debug_assert!(tokens.len() == rows.len() && tokens.len() <= MAX_PREFILL_PANEL);
+        // Embedding lookup is local on every chip (replicated dictionary).
+        for (x, &tok) in scratch.xp.chunks_exact_mut(h).zip(tokens) {
+            assert!((tok as usize) < c.vocab_size, "token out of vocabulary");
+            x.copy_from_slice(&self.weights.embedding[tok as usize * h..(tok as usize + 1) * h]);
+        }
+        for layer in 0..c.num_layers {
+            self.panel_block_with(layer, rows, scratch);
+        }
+        rows.advance();
+    }
+
+    /// One transformer block over an activation panel whose rows are
+    /// described by `rows` (consecutive positions of one sequence, or the
+    /// next position of several): reads the residual panel from
+    /// `scratch.xp`, writes the updated panel back into it. Per row this
+    /// performs exactly the chip-level operations of
+    /// [`block_with`](Self::block_with) — each chip's partial product goes
+    /// through the bit-identical matmul kernels, the column reductions add
+    /// partials in the same chip order, and RoPE/attention/MoE math runs
+    /// per row on the same values against that row's own position and KV
+    /// shards — so KV shards and residuals are bit-equal to a per-token
+    /// loop, for every chunking and every grouping. Each row's
+    /// communication counters advance by the per-token schedule.
+    // analyze: hot
+    fn panel_block_with(&self, layer: usize, rows: &mut PanelRows<'_, '_>, scratch: &mut Scratch) {
+        let t = rows.len();
         let c = *self.config();
         let w = &self.weights.layers[layer];
         let h = c.hidden_size;
@@ -936,7 +1064,7 @@ impl DataflowExecutor {
         // four partials in chip order.
         for col in 0..GRID {
             col_project_panel(
-                xnp, h, t, &w.wq, col, q_per_col, row_slice, partp, qp, qw, comm,
+                xnp, h, rows, &w.wq, col, q_per_col, row_slice, partp, qp, qw,
             );
         }
         if let Some(adapter) = &self.q_adapters[layer] {
@@ -950,17 +1078,18 @@ impl DataflowExecutor {
         }
         for col in 0..GRID {
             col_project_panel(
-                xnp, h, t, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw, comm,
+                xnp, h, rows, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw,
             );
             col_project_panel(
-                xnp, h, t, &w.wv, col, kv_per_col, row_slice, partp, vp, kvw, comm,
+                xnp, h, rows, &w.wv, col, kv_per_col, row_slice, partp, vp, kvw,
             );
         }
 
-        // (III) RoPE + KV landing: token `base + tt` lands on chip
-        // ((base + tt) mod 4) of each column, exactly as in decode.
+        // (III) RoPE + KV landing: a row at `position` lands on chip
+        // (position mod 4) of each column of its own sequence's shards.
         for tt in 0..t {
-            rope.prepare(base + tt);
+            let (position, kv, comm) = rows.row(tt);
+            rope.prepare(position);
             for col in 0..GRID {
                 comm.reduces += 2;
                 comm.bytes += 2 * (kv_per_col as u64) * 4;
@@ -970,8 +1099,7 @@ impl DataflowExecutor {
                 for head in 0..kv_heads_per_col {
                     rope.apply(&mut kp[tt * kvw + col * kv_per_col + head * hd..][..hd]);
                 }
-                let owner = (base + tt) % GRID;
-                kv[col][owner].append(
+                kv[col][position % GRID].append(
                     layer,
                     &kp[tt * kvw + col * kv_per_col..][..kv_per_col],
                     &vp[tt * kvw + col * kv_per_col..][..kv_per_col],
@@ -979,15 +1107,17 @@ impl DataflowExecutor {
             }
         }
 
-        // (IV, V) Attention: the whole panel's KV is cached, so each
-        // token masks itself to its causal prefix via `ctx`.
+        // (IV, V) Attention against the row's own shards. A prefill
+        // panel's whole KV is cached by now, so each row masks itself to
+        // its causal prefix via `ctx`.
         for tt in 0..t {
+            let (position, kv, comm) = rows.row(tt);
             for col in 0..GRID {
                 column_attention(
                     &qp[tt * qw + col * q_per_col..][..q_per_col],
                     layer,
                     &kv[col],
-                    base + tt + 1,
+                    position + 1,
                     q_heads_per_col,
                     group,
                     hd,
@@ -1026,11 +1156,17 @@ impl DataflowExecutor {
                     );
                 }
             }
-            comm.all_reduces += t as u64;
-            comm.bytes += (t * row_slice) as u64 * 4;
+            rows.charge(CommCounters {
+                all_reduces: 1,
+                bytes: row_slice as u64 * 4,
+                ..CommCounters::default()
+            });
         }
-        comm.all_gathers += t as u64;
-        comm.bytes += (t * h) as u64 * 4;
+        rows.charge(CommCounters {
+            all_gathers: 1,
+            bytes: h as u64 * 4,
+            ..CommCounters::default()
+        });
         for tt in 0..t {
             // first residual (local on every chip)
             add_assign(&mut xop[tt * h..(tt + 1) * h], &xp[tt * h..(tt + 1) * h]);
@@ -1117,8 +1253,11 @@ impl DataflowExecutor {
             add_assign(y, &xop[tt * h..(tt + 1) * h]); // second residual
             xp[tt * h..(tt + 1) * h].copy_from_slice(y);
         }
-        comm.all_chip_all_reduces += t as u64;
-        comm.bytes += (t * h) as u64 * 4;
+        rows.charge(CommCounters {
+            all_chip_all_reduces: 1,
+            bytes: h as u64 * 4,
+            ..CommCounters::default()
+        });
     }
 }
 
@@ -1154,7 +1293,7 @@ fn col_project(
 fn col_project_panel(
     xs: &[f32],
     x_stride: usize,
-    t: usize,
+    rows: &mut PanelRows<'_, '_>,
     m: &PackedFp4Matrix,
     col: usize,
     per_col: usize,
@@ -1162,8 +1301,8 @@ fn col_project_panel(
     partp: &mut [f32],
     outs: &mut [f32],
     out_stride: usize,
-    comm: &mut CommCounters,
 ) {
+    let t = rows.len();
     for tt in 0..t {
         outs[tt * out_stride + col * per_col..tt * out_stride + (col + 1) * per_col].fill(0.0);
     }
@@ -1187,8 +1326,11 @@ fn col_project_panel(
             );
         }
     }
-    comm.all_reduces += t as u64;
-    comm.bytes += (t * per_col) as u64 * 4;
+    rows.charge(CommCounters {
+        all_reduces: 1,
+        bytes: per_col as u64 * 4,
+        ..CommCounters::default()
+    });
 }
 
 /// Flash-style column attention: each chip computes running-max statistics
@@ -1292,6 +1434,26 @@ mod tests {
     fn weights() -> ModelWeights {
         let card = zoo::dataflow_test_model();
         ModelWeights::materialize(&card.config, &WeightGenerator::new(2026))
+    }
+
+    /// Every KV shard of `a` and `b` holds bit-identical keys and values.
+    fn assert_kv_bitwise_equal(hnlpu: &DataflowExecutor, a: &DataflowState, b: &DataflowState) {
+        let layers = hnlpu.config().num_layers;
+        let heads_per_col = hnlpu.config().attention.num_kv_heads / GRID;
+        for col in 0..GRID {
+            for chip in 0..GRID {
+                let (a, b) = (a.kv_shard(col, chip), b.kv_shard(col, chip));
+                assert_eq!(a.len(), b.len(), "shard ({col},{chip}) length");
+                for layer in 0..layers {
+                    for p in 0..a.len() {
+                        for head in 0..heads_per_col {
+                            assert_eq!(a.key(layer, p, head), b.key(layer, p, head));
+                            assert_eq!(a.value(layer, p, head), b.value(layer, p, head));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1444,23 +1606,7 @@ mod tests {
         assert_eq!(stats.max_panel, prompt.len());
         assert_eq!(lscratch.logits(), pscratch.logits());
         assert_eq!(ps.position(), prompt.len());
-        // Every KV shard is bit-identical.
-        let layers = hnlpu.config().num_layers;
-        let heads_per_col = hnlpu.config().attention.num_kv_heads / GRID;
-        for col in 0..GRID {
-            for chip in 0..GRID {
-                let (a, b) = (ls.kv_shard(col, chip), ps.kv_shard(col, chip));
-                assert_eq!(a.len(), b.len(), "shard ({col},{chip}) length");
-                for layer in 0..layers {
-                    for p in 0..a.len() {
-                        for head in 0..heads_per_col {
-                            assert_eq!(a.key(layer, p, head), b.key(layer, p, head));
-                            assert_eq!(a.value(layer, p, head), b.value(layer, p, head));
-                        }
-                    }
-                }
-            }
-        }
+        assert_kv_bitwise_equal(&hnlpu, &ls, &ps);
         // The comm schedule is the per-token one, except the unembedding
         // all-gather fires once per prefill instead of once per token.
         let p = prompt.len() as u64;
@@ -1756,5 +1902,83 @@ mod tests {
         let mut shared_state = hnlpu.new_state();
         shared_state.attach_prefix(32, &blocks, &pool);
         assert!(shared_state.kv_owned_bytes_fp16() < dense.kv_owned_bytes_fp16());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The batched-decode contract: one `step_batch_with` over B
+        /// sequences at different positions — row 0 reading a matched
+        /// prefix through shared pages, layer 1 carrying a LoRA
+        /// `q_adapter` — leaves every row's logits, hidden state, KV
+        /// shards, position and counters bitwise equal to B independent
+        /// `step_with` calls, however the rows are grouped into calls.
+        #[test]
+        fn batched_step_is_bitwise_independent_steps(seed in 0u64..10_000) {
+            use crate::lora::LoraAdapter;
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let w = weights();
+            let c = w.config;
+            let mut hnlpu = DataflowExecutor::new(w);
+            hnlpu.set_q_adapter(
+                1,
+                LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 6.0, 5),
+            );
+            let vocab = c.vocab_size as u32;
+            let mut rng = StdRng::seed_from_u64(seed);
+
+            // A committed 32-position prefix for row 0 to attach to.
+            let shared: Vec<u32> = (0..32).map(|_| rng.gen_range(0..vocab)).collect();
+            let mut donor = hnlpu.new_state();
+            let mut scratch = hnlpu.new_scratch();
+            hnlpu.prefill_with(&shared, &mut donor, &mut scratch, false);
+            let mut pool = PagePool::default();
+            let blocks: Vec<Box<[u32]>> = (0..2)
+                .map(|b| donor.share_block(b).into_iter().map(|r| pool.register(r)).collect())
+                .collect();
+
+            for b in [1usize, 2, 3, 4, 5, 17, 64] {
+                let mut states = Vec::new();
+                for row in 0..b {
+                    let mut state = hnlpu.new_state();
+                    if row == 0 {
+                        // Mid-block match: the boundary page is a private copy.
+                        state.attach_prefix(30, &blocks, &pool);
+                    }
+                    let suffix: Vec<u32> = (0..rng.gen_range(1..12usize))
+                        .map(|_| rng.gen_range(0..vocab))
+                        .collect();
+                    hnlpu.prefill_with(&suffix, &mut state, &mut scratch, false);
+                    states.push(state);
+                }
+                let tokens: Vec<u32> = (0..b).map(|_| rng.gen_range(0..vocab)).collect();
+
+                let mut want = states.clone();
+                let mut want_scratch: Vec<Scratch> = (0..b).map(|_| hnlpu.new_scratch()).collect();
+                for ((state, scratch), &tok) in want.iter_mut().zip(&mut want_scratch).zip(&tokens) {
+                    hnlpu.step_with(tok, state, scratch);
+                }
+
+                let mut got_scratch: Vec<Scratch> = (0..b).map(|_| hnlpu.new_scratch()).collect();
+                let mut lo = 0;
+                while lo < b {
+                    let hi = lo + rng.gen_range(1..=b - lo);
+                    let mut rows: Vec<&mut DataflowState> = states[lo..hi].iter_mut().collect();
+                    let mut arenas: Vec<&mut Scratch> = got_scratch[lo..hi].iter_mut().collect();
+                    hnlpu.step_batch_with(&tokens[lo..hi], &mut rows, &mut arenas);
+                    lo = hi;
+                }
+
+                for row in 0..b {
+                    proptest::prop_assert_eq!(
+                        got_scratch[row].logits(), want_scratch[row].logits(), "b {} row {} logits", b, row
+                    );
+                    proptest::prop_assert_eq!(got_scratch[row].hidden(), want_scratch[row].hidden());
+                    proptest::prop_assert_eq!(states[row].position(), want[row].position());
+                    proptest::prop_assert_eq!(states[row].comm, want[row].comm, "b {} row {} comm", b, row);
+                    assert_kv_bitwise_equal(&hnlpu, &states[row], &want[row]);
+                }
+            }
+        }
     }
 }

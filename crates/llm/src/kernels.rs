@@ -42,23 +42,6 @@ const SCALAR_TOKEN_BLOCK: usize = 8;
 /// numerics exactly.
 pub const ROW_SPLITS: usize = 4;
 
-/// Minimum `rows × cols` product before a row-partitioned matvec actually
-/// fans out across threads. Below this the split still happens (the
-/// reduction order is part of the numerics) but runs on the calling
-/// thread: the vendored `rayon` spawns scoped threads per call, and at
-/// test-model sizes the spawn costs more than the matvec.
-pub const ROWS_PARALLEL_MIN_WORK: usize = 1 << 21;
-
-/// Cores visible to the row-partitioned path, queried once per process.
-/// Purely a scheduling input: whether the splits fan out or run inline,
-/// the partials and their reduction order are identical.
-#[cfg(feature = "parallel")]
-fn row_workers() -> usize {
-    use std::sync::OnceLock;
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// `out = x · W` over the whole packed matrix (`x.len() == rows`,
 /// `out.len() == cols`).
 ///
@@ -297,16 +280,9 @@ pub fn region_matmul_block_into(
 /// `s` covers rows `[s·rows/4, (s+1)·rows/4)`, each block's partial
 /// product lands in `partials[s · col_range.len() ..]`, and the partials
 /// are reduced into `out` in block order — exactly the partial-sum
-/// numerics a chip column of the 4×4 fabric produces, independent of
-/// whether the blocks ran in parallel.
-///
-/// With the `parallel` feature, `rows × cols ≥`
-/// [`ROWS_PARALLEL_MIN_WORK`], and more than one core available, the four
-/// blocks run on scoped worker threads; otherwise they run sequentially on
-/// the calling thread (a single-core host would pay the per-call spawn
-/// cost with nothing to overlap). Both schedules write the identical
-/// partials and reduce them in the identical order, so the result is
-/// bit-exact across feature sets and core counts.
+/// numerics a chip column of the 4×4 fabric produces. The split and the
+/// in-order reduction are numerics, not scheduling: the blocks run in
+/// order on the calling thread.
 ///
 /// # Panics
 ///
@@ -329,60 +305,17 @@ pub fn matvec_rows_split_into(
         partials.len() >= ROW_SPLITS * w,
         "partials buffer too short"
     );
-    let (cs, ce) = (col_range.start, col_range.end);
     let parts = &mut partials[..ROW_SPLITS * w];
-    #[cfg(feature = "parallel")]
-    if rows * w >= ROWS_PARALLEL_MIN_WORK && row_workers() > 1 {
-        std::thread::scope(|sc| {
-            let mut rest = &mut *parts;
-            for s in 0..ROW_SPLITS {
-                let (part, tail) = rest.split_at_mut(w);
-                rest = tail;
-                let xr = &x[s * rows / ROW_SPLITS..(s + 1) * rows / ROW_SPLITS];
-                sc.spawn(move || matvec_block_into(xr, m, s * rows / ROW_SPLITS, cs..ce, part));
-            }
-        });
-        reduce_partials(parts, out, w);
-        return;
-    }
     for s in 0..ROW_SPLITS {
         matvec_block_into(
             &x[s * rows / ROW_SPLITS..(s + 1) * rows / ROW_SPLITS],
             m,
             s * rows / ROW_SPLITS,
-            cs..ce,
+            col_range.start..col_range.end,
             &mut parts[s * w..(s + 1) * w],
         );
     }
     reduce_partials(parts, out, w);
-}
-
-/// Multi-core decode matvec: split the full-matrix product row-wise across
-/// workers when the matrix is large enough to pay for the fan-out,
-/// otherwise keep the single accumulation chain of [`matvec_into`].
-///
-/// The split decision depends only on the matrix shape, and the split path
-/// reduces partials in fixed order ([`matvec_rows_split_into`]), so the
-/// result is deterministic and identical across `parallel`/serial builds.
-/// Small models (every differential test config) stay below
-/// [`ROWS_PARALLEL_MIN_WORK`] and keep the exact per-token numerics they
-/// had before this kernel existed.
-///
-/// # Panics
-///
-/// Panics if `x.len() != m.rows()`, `out.len() != m.cols()`, or `partials`
-/// is shorter than `ROW_SPLITS × m.cols()` when the split engages.
-pub fn matvec_rows_parallel_into(
-    x: &[f32],
-    m: &PackedFp4Matrix,
-    out: &mut [f32],
-    partials: &mut [f32],
-) {
-    if m.rows() * m.cols() < ROWS_PARALLEL_MIN_WORK {
-        matvec_into(x, m, out);
-        return;
-    }
-    matvec_rows_split_into(x, m, 0..m.cols(), out, partials);
 }
 
 /// In-order reduction of the 4 row-block partials: `out = 0 + p0 + p1 +
@@ -624,26 +557,26 @@ mod avx2 {
         }
     }
 
-    /// Number of activation rows a vectorized token block carries: 4 rows ×
-    /// 2 accumulators each (16 columns) keeps the working set at 11 ymm
-    /// registers while decoding each packed byte once per 4 tokens.
+    /// Number of activation rows a full vectorized token block carries: 4
+    /// rows × 2 accumulators each (16 columns) keeps the working set at 11
+    /// ymm registers while decoding each packed byte once per 4 tokens.
     const TOKEN_BLOCK: usize = 4;
 
-    /// 16-column × 4-token panel: the packed bytes of each weight row are
-    /// decoded **once** and FMA'd against four broadcast activations, so
+    /// 16-column × `N`-token panel: the packed bytes of each weight row are
+    /// decoded **once** and FMA'd against `N` broadcast activations, so
     /// the 16-region decode work is amortized over the token block. Per
     /// token the accumulation chain over rows is exactly the one
     /// `panel64`/`panel32`/`panel16` produce for the same column (same
     /// decoded half-units, same FMA, same row order), which is what keeps
-    /// the matmul bit-identical to the matvec loop.
-    // SAFETY: caller (`matmul_block`) guarantees AVX2+FMA support, that
+    /// the matmul bit-identical to the matvec loop for every `N`.
+    // SAFETY: caller (`token_block`) guarantees AVX2+FMA support, that
     // `data` points at `rows` weight rows of ≥ 8 readable bytes at `stride`
-    // spacing, that `xs` points at 4 activation rows of `rows` readable
-    // f32s at `x_stride` spacing, and `outs` at 4 output rows of ≥ 16
+    // spacing, that `xs` points at `N` activation rows of `rows` readable
+    // f32s at `x_stride` spacing, and `outs` at `N` output rows of ≥ 16
     // writable f32s at `out_stride` spacing. Unaligned accesses only.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn panel16x4(
+    unsafe fn panel16xn<const N: usize>(
         xs: *const f32,
         x_stride: usize,
         rows: usize,
@@ -655,7 +588,7 @@ mod avx2 {
     ) {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
         let mask = _mm_set1_epi8(0x0F);
-        let mut a = [_mm256_setzero_ps(); 2 * TOKEN_BLOCK];
+        let mut a = [[_mm256_setzero_ps(); 2]; N];
         for i in 0..rows {
             let bytes = _mm_loadl_epi64(data.add(i * stride) as *const __m128i);
             let lo = _mm_and_si128(bytes, mask);
@@ -663,28 +596,81 @@ mod avx2 {
             let inter = _mm_unpacklo_epi8(_mm_shuffle_epi8(lut, lo), _mm_shuffle_epi8(lut, hi));
             let w0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(inter));
             let w1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(inter, 8)));
-            for tok in 0..TOKEN_BLOCK {
+            for (tok, acc) in a.iter_mut().enumerate() {
                 let xv = _mm256_set1_ps(*xs.add(tok * x_stride + i));
-                a[2 * tok] = _mm256_fmadd_ps(w0, xv, a[2 * tok]);
-                a[2 * tok + 1] = _mm256_fmadd_ps(w1, xv, a[2 * tok + 1]);
+                acc[0] = _mm256_fmadd_ps(w0, xv, acc[0]);
+                acc[1] = _mm256_fmadd_ps(w1, xv, acc[1]);
             }
         }
         let nv = _mm256_set1_ps(half_norm);
-        for tok in 0..TOKEN_BLOCK {
-            _mm256_storeu_ps(outs.add(tok * out_stride), _mm256_mul_ps(a[2 * tok], nv));
-            _mm256_storeu_ps(
-                outs.add(tok * out_stride + 8),
-                _mm256_mul_ps(a[2 * tok + 1], nv),
+        for (tok, acc) in a.iter().enumerate() {
+            _mm256_storeu_ps(outs.add(tok * out_stride), _mm256_mul_ps(acc[0], nv));
+            _mm256_storeu_ps(outs.add(tok * out_stride + 8), _mm256_mul_ps(acc[1], nv));
+        }
+    }
+
+    /// One block of `N` activation rows starting at row `tt`: 16-column
+    /// panels over `len - len % 16` columns, then the non-fused scalar
+    /// half-unit tail for the last < 16 — the same column coverage and the
+    /// same mul+add tail chain as `matvec_block`.
+    // SAFETY: as `matmul_block`, with `tt + N ≤ t`.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn token_block<const N: usize>(
+        xs: &[f32],
+        x_stride: usize,
+        tt: usize,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        let stride = m.stride();
+        let half_norm = 0.5 * m.norm();
+        let data = m.data();
+        let base = data.as_ptr().add(row_offset * stride + col_range.start / 2);
+        let len = col_range.len();
+        let covered = len - len % 16;
+        let xrow = xs.as_ptr().add(tt * x_stride);
+        let orow = outs.as_mut_ptr().add(tt * out_stride);
+        let mut c = 0;
+        while c < covered {
+            panel16xn::<N>(
+                xrow,
+                x_stride,
+                rows,
+                base.add(c / 2),
+                stride,
+                half_norm,
+                orow.add(c),
+                out_stride,
             );
+            c += 16;
+        }
+        for j in col_range.start + covered..col_range.end {
+            let shift = (j % 2) * 4;
+            let col = j / 2;
+            for tok in tt..tt + N {
+                let x = &xs[tok * x_stride..][..rows];
+                let mut acc = 0.0f32;
+                for (i, &xi) in x.iter().enumerate() {
+                    let byte = data[(row_offset + i) * stride + col];
+                    acc += xi * f32::from(HALF_UNITS[((byte >> shift) & 0x0F) as usize]);
+                }
+                outs[tok * out_stride + (j - col_range.start)] = acc * half_norm;
+            }
         }
     }
 
     /// Panel matmul over packed codes: token blocks of [`TOKEN_BLOCK`]
     /// activation rows sweep 16-column panels with one decode per byte per
-    /// block; leftover tokens fall back to the single-token `matvec_block`.
-    /// Both paths cover exactly `len - len % 16` columns with panels and
-    /// finish with the identical non-fused scalar tail, so every output
-    /// row matches `matvec_block` on its activation row bit for bit.
+    /// block; the last `t mod 4` rows run as one narrower block (a single
+    /// leftover row takes `matvec_block`, whose wider column panels suit
+    /// one activation better). Every path covers exactly `len - len % 16`
+    /// columns with panels and finishes with the identical non-fused
+    /// scalar tail, so every output row matches `matvec_block` on its
+    /// activation row bit for bit.
     // SAFETY: caller must ensure AVX2+FMA are present (checked via
     // `available()` at the dispatch site), `row_offset + rows ≤ m.rows()`,
     // `col_range.end ≤ m.cols()`, `col_range.start` even,
@@ -704,59 +690,39 @@ mod avx2 {
         out_stride: usize,
     ) {
         debug_assert_eq!(col_range.start % 2, 0);
-        let stride = m.stride();
-        let half_norm = 0.5 * m.norm();
-        let base = m
-            .data()
-            .as_ptr()
-            .add(row_offset * stride + col_range.start / 2);
-        let len = col_range.len();
-        let covered = len - len % 16;
-        let data = m.data();
         let mut tt = 0;
         while t - tt >= TOKEN_BLOCK {
-            let xrow = xs.as_ptr().add(tt * x_stride);
-            let orow = outs.as_mut_ptr().add(tt * out_stride);
-            let mut c = 0;
-            while c < covered {
-                panel16x4(
-                    xrow,
-                    x_stride,
-                    rows,
-                    base.add(c / 2),
-                    stride,
-                    half_norm,
-                    orow.add(c),
-                    out_stride,
-                );
-                c += 16;
-            }
-            // Scalar half-unit tail for the block's last < 16 columns —
-            // the same non-fused mul+add chain as `matvec_block`'s tail.
-            for j in col_range.start + covered..col_range.end {
-                let shift = (j % 2) * 4;
-                let col = j / 2;
-                for tok in 0..TOKEN_BLOCK {
-                    let x = &xs[(tt + tok) * x_stride..][..rows];
-                    let mut acc = 0.0f32;
-                    for (i, &xi) in x.iter().enumerate() {
-                        let byte = data[(row_offset + i) * stride + col];
-                        acc += xi * f32::from(HALF_UNITS[((byte >> shift) & 0x0F) as usize]);
-                    }
-                    outs[(tt + tok) * out_stride + (j - col_range.start)] = acc * half_norm;
-                }
-            }
-            tt += TOKEN_BLOCK;
-        }
-        while tt < t {
-            matvec_block(
-                &xs[tt * x_stride..][..rows],
+            token_block::<TOKEN_BLOCK>(
+                xs,
+                x_stride,
+                tt,
                 m,
                 row_offset,
+                rows,
                 col_range.start..col_range.end,
-                &mut outs[tt * out_stride..][..len],
+                outs,
+                out_stride,
             );
-            tt += 1;
+            tt += TOKEN_BLOCK;
+        }
+        match t - tt {
+            3 => token_block::<3>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            2 => token_block::<2>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            1 => {
+                let len = col_range.len();
+                matvec_block(
+                    &xs[tt * x_stride..][..rows],
+                    m,
+                    row_offset,
+                    col_range,
+                    &mut outs[tt * out_stride..][..len],
+                );
+            }
+            _ => {}
         }
     }
 }
@@ -866,51 +832,6 @@ mod tests {
         let m = packed_from(&[0; 16], 4, 4);
         let mut outs = [0.0; 8];
         matmul_block_into(&[1.0; 6], 4, 2, &m, 0, 4, 0..4, &mut outs, 4);
-    }
-
-    #[test]
-    fn rows_parallel_below_threshold_is_bitwise_matvec() {
-        // Small matrices keep the single accumulation chain: bit-equal to
-        // `matvec_into`, so test-model numerics are untouched.
-        let codes: Vec<u8> = (0..64 * 48).map(|i| ((i * 11 + 5) % 16) as u8).collect();
-        let m = packed_from(&codes, 64, 48);
-        let x: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
-        let mut serial = vec![0.0f32; 48];
-        let mut par = vec![0.0f32; 48];
-        let mut partials = vec![0.0f32; ROW_SPLITS * 48];
-        matvec_into(&x, &m, &mut serial);
-        matvec_rows_parallel_into(&x, &m, &mut par, &mut partials);
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn rows_parallel_above_threshold_matches_split_oracle_bitwise() {
-        // 2048 × 1024 = 2^21 rows×cols: exactly at the fan-out threshold,
-        // so the scoped-thread path runs under the `parallel` feature (and
-        // the sequential split under `--no-default-features`). Both must
-        // equal the hand-rolled fixed-split serial oracle bit for bit.
-        let (rows, cols) = (2048usize, 1024usize);
-        let codes: Vec<u8> = (0..rows * cols)
-            .map(|i| (((i as u64).wrapping_mul(2654435761)) % 16) as u8)
-            .collect();
-        let m = packed_from(&codes, rows, cols);
-        let x: Vec<f32> = (0..rows)
-            .map(|i| ((i % 251) as f32 - 125.0) * 0.01)
-            .collect();
-        let mut out = vec![0.0f32; cols];
-        let mut partials = vec![0.0f32; ROW_SPLITS * cols];
-        matvec_rows_parallel_into(&x, &m, &mut out, &mut partials);
-        // Oracle: the same fixed 4-way split and in-order reduction,
-        // entirely on this thread.
-        let mut oracle = vec![0.0f32; cols];
-        let mut part = vec![0.0f32; cols];
-        for s in 0..ROW_SPLITS {
-            let lo = s * rows / ROW_SPLITS;
-            let hi = (s + 1) * rows / ROW_SPLITS;
-            matvec_block_into(&x[lo..hi], &m, lo, 0..cols, &mut part);
-            add_assign(&mut oracle, &part);
-        }
-        assert_eq!(out, oracle);
     }
 
     proptest! {

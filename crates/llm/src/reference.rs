@@ -7,13 +7,13 @@
 //! arena ([`step_with`](Transformer::step_with)). The allocating entry
 //! points ([`step`](Transformer::step) etc.) remain as thin wrappers.
 
-use crate::kernels::{matmul_into, matvec_into, matvec_rows_parallel_into};
+use crate::kernels::{matmul_into, matvec_into};
 use crate::kv_cache::KvCache;
 use crate::lora::LoraAdapter;
 use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_into};
 use crate::sampler::{argmax, Sampler};
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
-use crate::tensor::{add_assign, dot};
+use crate::tensor::{add_assign, dot, unembed_into};
 use hnlpu_model::{ModelWeights, TransformerConfig};
 
 /// How a prompt was consumed by a panel-prefill call: how many matmul
@@ -109,13 +109,8 @@ impl Transformer {
     /// `scratch.logits()`.
     pub fn step_with(&self, token: u32, cache: &mut KvCache, scratch: &mut Scratch) {
         self.hidden_step_with(token, cache, scratch);
-        let c = self.config();
-        let h = c.hidden_size;
-        // Unembedding (weight-tied): logits over the vocabulary.
         let Scratch { xn, logits, .. } = scratch;
-        for (t, l) in logits.iter_mut().enumerate() {
-            *l = dot(xn, &self.weights.embedding[t * h..(t + 1) * h]);
-        }
+        self.unembed_into(xn, logits);
     }
 
     /// As [`step`](Self::step), but return the final normalized hidden
@@ -263,9 +258,7 @@ impl Transformer {
         if want_logits {
             let Scratch { xp, xn, logits, .. } = scratch;
             rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
-            for (tok, l) in logits.iter_mut().enumerate() {
-                *l = dot(xn, &self.weights.embedding[tok * h..(tok + 1) * h]);
-            }
+            self.unembed_into(xn, logits);
         }
     }
 
@@ -488,19 +481,18 @@ impl Transformer {
             delta,
             lora_hidden,
             rope,
-            partials,
             ..
         } = scratch;
 
         // --- Attention ---
         rmsnorm_into(x, xn);
-        matvec_rows_parallel_into(xn, &w.wq, q, partials);
+        matvec_into(xn, &w.wq, q);
         if let Some(adapter) = &self.q_adapters[layer] {
             adapter.delta_into(xn, lora_hidden, delta);
             add_assign(q, delta);
         }
-        matvec_rows_parallel_into(xn, &w.wk, k, partials);
-        matvec_rows_parallel_into(xn, &w.wv, v, partials);
+        matvec_into(xn, &w.wk, k);
+        matvec_into(xn, &w.wv, v);
         rope.prepare(position);
         for head in 0..qh {
             rope.apply(&mut q[head * hd..(head + 1) * hd]);
@@ -527,7 +519,7 @@ impl Transformer {
                 }
             }
         }
-        matvec_rows_parallel_into(attn, &w.wo, xo, partials);
+        matvec_into(attn, &w.wo, xo);
         add_assign(xo, x); // first residual
 
         // --- MoE FFN ---
@@ -540,10 +532,10 @@ impl Transformer {
 
         y.fill(0.0);
         for (&expert, &ew) in chosen.iter().zip(expert_w.iter()) {
-            matvec_rows_parallel_into(xn, &w.up[expert], up, partials);
-            matvec_rows_parallel_into(xn, &w.gate[expert], gate, partials);
+            matvec_into(xn, &w.up[expert], up);
+            matvec_into(xn, &w.gate[expert], gate);
             swiglu_in_place(gate, up);
-            matvec_rows_parallel_into(gate, &w.down[expert], down, partials);
+            matvec_into(gate, &w.down[expert], down);
             for (yo, &d) in y.iter_mut().zip(down.iter()) {
                 *yo += ew * d;
             }
@@ -554,11 +546,17 @@ impl Transformer {
 
     /// Unembedding (weight-tied): logits over the vocabulary.
     pub fn unembed(&self, x: &[f32]) -> Vec<f32> {
-        let c = self.config();
-        let h = c.hidden_size;
-        (0..c.vocab_size)
-            .map(|t| dot(x, &self.weights.embedding[t * h..(t + 1) * h]))
-            .collect()
+        let mut logits = vec![0.0; self.config().vocab_size];
+        self.unembed_into(x, &mut logits);
+        logits
+    }
+
+    /// Allocation-free [`unembed`](Self::unembed) of one hidden row.
+    fn unembed_into(&self, x: &[f32], logits: &mut [f32]) {
+        let h = self.config().hidden_size;
+        unembed_into(&self.weights.embedding, h, x, &mut [], |token, logit| {
+            logits[token] = logit[0]
+        });
     }
 
     /// Prefill `prompt` then greedily decode `n` tokens.

@@ -92,6 +92,117 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// Hidden rows one [`unembed_into`] call may carry.
+pub const UNEMBED_MAX_ROWS: usize = 64;
+
+/// Hidden rows per lane block of the batched unembedding: one 8-lane
+/// vector of independent accumulation chains.
+const LANES: usize = 8;
+
+/// Weight-tied unembedding of `xs.len() / h` normalized hidden rows (`xs`
+/// row-major, `h` wide) against the `vocab × h` row-major `embedding`
+/// table, in **one pass over the table**: for each vocabulary row in
+/// order, `emit(token, logits)` receives that token's logit for every
+/// hidden row.
+///
+/// This function owns the contract that every logit is [`dot`]'s exact
+/// accumulation chain — `dot`'s seed value, then strictly in-order
+/// `acc + x[i] * e[i]` with a separate multiply and add (no FMA) — so a
+/// logit never depends on how many rows were unembedded with it. One row
+/// is the plain `dot` loop. More rows are lane-transposed into `lanes`
+/// (which must hold `rows` rounded up to a multiple of 8, times `h`
+/// floats; unused for one row) so each hidden row owns a SIMD lane with
+/// its own chain, and the table is read once for all of them instead of
+/// once per row.
+///
+/// # Panics
+///
+/// Panics if `xs` or `embedding` is not a whole number of `h`-wide rows,
+/// there are no or more than [`UNEMBED_MAX_ROWS`] hidden rows, or `lanes`
+/// is too short.
+// analyze: hot
+pub fn unembed_into(
+    embedding: &[f32],
+    h: usize,
+    xs: &[f32],
+    lanes: &mut [f32],
+    mut emit: impl FnMut(usize, &[f32]),
+) {
+    assert!(h > 0 && embedding.len().is_multiple_of(h), "table shape");
+    assert!(xs.len().is_multiple_of(h), "hidden panel shape");
+    let rows = xs.len() / h;
+    assert!((1..=UNEMBED_MAX_ROWS).contains(&rows), "hidden row count");
+    if rows == 1 {
+        for (token, e) in embedding.chunks_exact(h).enumerate() {
+            emit(token, &[dot(xs, e)]);
+        }
+        return;
+    }
+    // Block `k` covers hidden rows `8k .. 8k + 8`: its float `i * 8 + l` is
+    // element `i` of row `8k + l`. Lanes past the last row stay zero and
+    // are never emitted.
+    let lanes = &mut lanes[..rows.div_ceil(LANES) * LANES * h];
+    lanes.fill(0.0);
+    for (r, x) in xs.chunks_exact(h).enumerate() {
+        let block = &mut lanes[r / LANES * LANES * h..];
+        for (i, &xi) in x.iter().enumerate() {
+            block[i * LANES + r % LANES] = xi;
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 presence checked on the line above.
+        unsafe { unembed_lanes_avx2(embedding, h, lanes, rows, &mut emit) };
+        return;
+    }
+    unembed_lanes(embedding, h, lanes, rows, &mut emit);
+}
+
+/// [`unembed_lanes`] compiled with 8-wide vectors. No `fma` feature and no
+/// `mul_add`: the multiply and the add stay separate roundings.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn unembed_lanes_avx2(
+    embedding: &[f32],
+    h: usize,
+    lanes: &[f32],
+    rows: usize,
+    emit: &mut impl FnMut(usize, &[f32]),
+) {
+    unembed_lanes(embedding, h, lanes, rows, emit);
+}
+
+/// The table pass over lane-transposed hiddens (layout in
+/// [`unembed_into`]): per table row and lane block, eight independent
+/// `dot` chains.
+#[inline(always)]
+fn unembed_lanes(
+    embedding: &[f32],
+    h: usize,
+    lanes: &[f32],
+    rows: usize,
+    emit: &mut impl FnMut(usize, &[f32]),
+) {
+    // Whatever value `dot`'s `sum()` starts from.
+    let seed: f32 = std::iter::empty::<f32>().sum();
+    let mut out = [0.0f32; UNEMBED_MAX_ROWS];
+    for (token, e) in embedding.chunks_exact(h).enumerate() {
+        for (block, out) in lanes
+            .chunks_exact(LANES * h)
+            .zip(out.chunks_exact_mut(LANES))
+        {
+            let mut acc = [seed; LANES];
+            for (x, &ei) in block.chunks_exact(LANES).zip(e) {
+                for (a, &xl) in acc.iter_mut().zip(x) {
+                    *a += xl * ei;
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
+        emit(token, &out[..rows]);
+    }
+}
+
 /// Scale in place.
 pub fn scale(a: &mut [f32], k: f32) {
     for x in a.iter_mut() {
@@ -152,5 +263,38 @@ mod tests {
         let x = [0.0f32, 1.0];
         let w = [5.0f32, 6.0, 7.0, 8.0];
         assert_eq!(vec_mat(&x, &w, 2), vec![7.0, 8.0]);
+    }
+
+    proptest::proptest! {
+        /// The unembedding contract: whatever the row count, every logit is
+        /// bit-for-bit `dot(hidden row, table row)` — including signed
+        /// zeros, which expose a wrong seed value or a fused multiply-add.
+        #[test]
+        fn unembed_is_bitwise_dot_for_every_row_count(
+            rows in 1usize..=UNEMBED_MAX_ROWS,
+            h in 1usize..40,
+            vocab in 1usize..12,
+            seed in 0u64..1000,
+        ) {
+            let value = |i: usize| match (i as u64).wrapping_mul(seed + 3) % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                k => ((i as u64 * 2654435761 + seed) % 2000) as f32 * 1e-3 * k as f32 - 3.0,
+            };
+            let embedding: Vec<f32> = (0..vocab * h).map(|i| value(i * 3 + 1)).collect();
+            let xs: Vec<f32> = (0..rows * h).map(value).collect();
+            let mut lanes = vec![f32::NAN; rows.div_ceil(8) * 8 * h];
+            let mut seen = 0;
+            unembed_into(&embedding, h, &xs, &mut lanes, |token, logits| {
+                assert_eq!(token, seen, "tokens arrive in table order");
+                seen += 1;
+                assert_eq!(logits.len(), rows);
+                for (r, got) in logits.iter().enumerate() {
+                    let want = dot(&xs[r * h..(r + 1) * h], &embedding[token * h..(token + 1) * h]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "row {r} token {token}");
+                }
+            });
+            proptest::prop_assert_eq!(seen, vocab);
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! The static analyzer proves no *allocation call* is reachable from the
 //! decode hot path; this test proves the *allocator* agrees. A counting
 //! `#[global_allocator]` wraps the system allocator, and after a warmup
-//! generation the steady-state `step_with` loop must perform exactly
-//! zero heap allocations — under both the rayon and serial builds
+//! generation the steady-state `step_with` loop — and the batched
+//! `step_batch_with` step over several sequences — must perform exactly
+//! zero heap allocations, under both the rayon and serial builds
 //! (`--features count-alloc` / `--no-default-features --features
 //! count-alloc,…`).
 //!
@@ -13,19 +14,30 @@
 
 #![cfg(feature = "count-alloc")]
 
-use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig};
+use hnlpu::llm::dataflow::DataflowState;
+use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig, Scratch};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator with a relaxed allocation counter.
+/// System allocator counting allocations per thread: the tests of this
+/// file run on parallel threads, and each must see only its own.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so the allocator may
+    // touch it at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: forwarded verbatim to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: forwarded verbatim to the system allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -74,7 +86,7 @@ fn steady_state_decode_performs_zero_allocations() {
         token = argmax(scratch.logits());
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     assert!(
         before > 0,
         "counter miswired: model construction must have allocated"
@@ -83,7 +95,7 @@ fn steady_state_decode_performs_zero_allocations() {
         engine.step_with(token, &mut state, &mut scratch);
         token = argmax(scratch.logits());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -112,20 +124,7 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
     let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
     let engine = DataflowExecutor::new(weights);
 
-    // Donor sequence: prefill the whole prompt, then commit its full
-    // blocks into a prefix cache (freezing them into shared pages).
-    let mut cache = PrefixCache::new(PrefixCacheConfig::default());
-    let mut donor_grant = Vec::new();
-    {
-        let mut donor = engine.new_state();
-        let mut scratch = engine.new_scratch();
-        donor.reserve_context(prompt.len());
-        scratch.reserve_context(prompt.len());
-        for &t in &prompt {
-            engine.step_with(t, &mut donor, &mut scratch);
-        }
-        cache.commit(&prompt, |b| donor.share_block(b), &mut donor_grant);
-    }
+    let (mut cache, mut donor_grant) = committed_prompt(&engine, &prompt);
 
     // Reader sequence: attach the cached prefix and decode through it.
     let m = cache.match_prompt(&prompt);
@@ -148,12 +147,12 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
         token = argmax(scratch.logits());
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..MEASURED_STEPS {
         engine.step_with(token, &mut state, &mut scratch);
         token = argmax(scratch.logits());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -167,6 +166,95 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
     cache.release_grant(&mut donor_grant);
     cache.flush();
     assert!(cache.ledger_balanced(), "every page freed exactly once");
+}
+
+/// The batched twin: eight sequences at different positions — row 0
+/// reading its matched prefix through shared pages — advance by one
+/// `step_batch_with` per round, and the steady-state rounds perform
+/// exactly zero heap allocations. The row lists the serving layer builds
+/// per round are built once here, outside the measured window; the step
+/// itself borrows the first row's panel buffers and allocates nothing.
+#[test]
+fn steady_state_batched_decode_performs_zero_allocations() {
+    const ROWS: usize = 8;
+    const WARMUP_STEPS: usize = 4;
+    const MEASURED_STEPS: usize = 16;
+
+    let prompt: Vec<u32> = (0..48u32).map(|i| (i * 11 + 5) % 96).collect();
+    let horizon = prompt.len() + WARMUP_STEPS + MEASURED_STEPS;
+
+    let card = zoo::dataflow_test_model();
+    let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
+    let engine = DataflowExecutor::new(weights);
+
+    let (mut cache, mut donor_grant) = committed_prompt(&engine, &prompt);
+    let m = cache.match_prompt(&prompt);
+    assert_eq!(m.matched, prompt.len() - 1, "full-block prefix hit");
+    let mut grant = Vec::new();
+    cache.retain_match(&m, &mut grant);
+
+    // Row 0 attaches the cached prefix; rows 1.. prefill dense prompts of
+    // different lengths.
+    let mut states: Vec<DataflowState> = Vec::new();
+    let mut scratches: Vec<Scratch> = Vec::new();
+    for row in 0..ROWS {
+        let mut state = engine.new_state();
+        let mut scratch = engine.new_scratch();
+        let own = if row == 0 {
+            state.attach_prefix(m.matched, &m.blocks, cache.pool());
+            &prompt[m.matched..]
+        } else {
+            &prompt[..3 + 5 * row]
+        };
+        state.reserve_context(horizon);
+        scratch.reserve_context(horizon);
+        engine.prefill_with(own, &mut state, &mut scratch, true);
+        states.push(state);
+        scratches.push(scratch);
+    }
+    let mut tokens: Vec<u32> = scratches.iter().map(|s| argmax(s.logits())).collect();
+    let mut rows: Vec<&mut DataflowState> = states.iter_mut().collect();
+    let mut arenas: Vec<&mut Scratch> = scratches.iter_mut().collect();
+
+    let mut round = |tokens: &mut [u32]| {
+        engine.step_batch_with(tokens, &mut rows, &mut arenas);
+        for (token, arena) in tokens.iter_mut().zip(arenas.iter()) {
+            *token = argmax(arena.logits());
+        }
+    };
+    for _ in 0..WARMUP_STEPS {
+        round(&mut tokens);
+    }
+    let before = allocations();
+    for _ in 0..MEASURED_STEPS {
+        round(&mut tokens);
+    }
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "batched decode allocated {} times over {MEASURED_STEPS} rounds of {ROWS} rows",
+        after - before
+    );
+
+    cache.release_grant(&mut grant);
+    cache.release_grant(&mut donor_grant);
+    cache.flush();
+    assert!(cache.ledger_balanced(), "every page freed exactly once");
+}
+
+/// A prefix cache holding `prompt`'s full blocks: a donor sequence
+/// prefills the whole prompt, then commits it (freezing its blocks into
+/// shared pages). Returns the cache and the donor's page grant.
+fn committed_prompt(engine: &DataflowExecutor, prompt: &[u32]) -> (PrefixCache, Vec<u32>) {
+    let mut cache = PrefixCache::new(PrefixCacheConfig::default());
+    let mut grant = Vec::new();
+    let mut donor = engine.new_state();
+    let mut scratch = engine.new_scratch();
+    engine.prefill_with(prompt, &mut donor, &mut scratch, false);
+    cache.commit(prompt, |b| donor.share_block(b), &mut grant);
+    (cache, grant)
 }
 
 /// Greedy next token without allocating.
