@@ -53,11 +53,6 @@ const RATIOS: &[(&str, &str, &str)] = &[
         "inference/prefill_matmul/t64",
     ),
     (
-        "decode_batch_speedup_b1",
-        "inference/decode_batch/step_b1",
-        "inference/decode_batch/batch_b1",
-    ),
-    (
         "decode_batch_speedup_b4",
         "inference/decode_batch/step_b4",
         "inference/decode_batch/batch_b4",

@@ -30,13 +30,15 @@ pub const DECODE_TOKENS: usize = 32;
 pub const PREFILL_MATMUL_TOKENS: usize = 64;
 
 /// Panel widths the prefill-throughput sweep runs (`prefill_chunked`'s
-/// knob); `per_token` is the seed-style `step_with` loop baseline.
+/// knob); `per_token` is a `step_with` loop — T = 1 panels plus an unembed
+/// per token, where `t1` unembeds only the last.
 pub const PREFILL_PANEL_SWEEP: &[usize] = &[1, 4, 16, 64];
 
 /// Batch sizes of the batched-decode sweep: `step_b{B}` runs `B`
 /// `step_with` calls, `batch_b{B}` one `step_batch_with` over the same `B`
-/// sequences. Both produce bit-identical logits and KV.
-pub const DECODE_BATCH_SWEEP: &[usize] = &[1, 4, 16, 64];
+/// sequences. Both produce bit-identical logits and KV. `B = 1` is not a
+/// point: `step_with` is `step_batch_with` over one row.
+pub const DECODE_BATCH_SWEEP: &[usize] = &[4, 16, 64];
 
 /// Tokens processed per iteration of each labelled benchmark, used to
 /// convert mean ns/iter into tokens/s. Benchmarks not listed here (the
@@ -52,8 +54,6 @@ pub const TOKENS_PER_ITER: &[(&str, usize)] = &[
     ("inference/prefill_matmul/t4", PREFILL_MATMUL_TOKENS),
     ("inference/prefill_matmul/t16", PREFILL_MATMUL_TOKENS),
     ("inference/prefill_matmul/t64", PREFILL_MATMUL_TOKENS),
-    ("inference/decode_batch/step_b1", 1),
-    ("inference/decode_batch/batch_b1", 1),
     ("inference/decode_batch/step_b4", 4),
     ("inference/decode_batch/batch_b4", 4),
     ("inference/decode_batch/step_b16", 16),
@@ -261,9 +261,9 @@ pub fn inference_suite(c: &mut Criterion) {
     g.finish();
 
     // Prefill-throughput sweep on the larger model: one full prompt per
-    // iteration, either stepped token by token (the seed loop, which also
-    // unembeds every prompt token) or panelled through the matmul
-    // kernels at width T. All five produce bit-identical KV and logits.
+    // iteration, either stepped token by token (T = 1 panels plus an
+    // unembed per token) or panelled through the matmul kernels at width
+    // T. All five produce bit-identical KV and logits.
     let big = prefill_bench_weights();
     let big_model = Transformer::new(big.clone());
     let big_vocab = big_model.config().vocab_size as u32;

@@ -15,11 +15,12 @@
 //! `--no-default-features`). Within a chunk, prefill and sampling run per
 //! sequence, then every sequence that steps its sampled token back in
 //! joins one batched decode step
-//! ([`DataflowExecutor::step_batch_with`]): the rows share each pass over
-//! the packed weights and the embedding table, but every row's arithmetic
-//! is its own accumulation chain against its own KV state, so streams,
-//! KV and counters are bit-identical for any chunking, worker count or
-//! feature set.
+//! ([`DataflowExecutor::step_batch_with`], the same block a prefill chunk
+//! and a lone `step_with` run): the rows share each pass over the packed
+//! weights and the embedding table, but every row's arithmetic is its own
+//! accumulation chain against its own KV state, so streams, KV and
+//! counters are bit-identical for any chunking, worker count or feature
+//! set.
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState, GRID};
 use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
@@ -674,10 +675,11 @@ impl BatchedDataflowExecutor {
     /// reconstructs the exact attention context the next decode step
     /// expects.
     ///
-    /// Token-exactness: the panel prefill is bit-identical to stepping
-    /// tokens one at a time (`panel_prefill_is_bitwise_per_token_loop`
-    /// pins this), and in the original run every emitted token except the
-    /// last was stepped back into the machine. Re-prefilling
+    /// Token-exactness: a decode step is the one-row panel of the block
+    /// the prefill runs, and the block's KV and residuals are bit-identical
+    /// at every panel width (`prefill_is_chunking_invariant` pins this);
+    /// in the original run every emitted token except the last was
+    /// stepped back into the machine. Re-prefilling
     /// `prompt ++ out` with logits on the final chunk therefore leaves
     /// the state and logits exactly where the interrupted sequence's next
     /// sample would have read them — the recovered stream continues

@@ -8,23 +8,21 @@
 //! group combines the partials exactly.
 //!
 //! Weight slices stay in their resident packed-FP4 form: a chip's partial
-//! product is a [`crate::kernels::matvec_block_into`] over its block of the
-//! packed matrix, so nothing is ever dequantized. All per-step
-//! intermediates live in a caller-provided [`Scratch`] arena
+//! product is a [`crate::kernels::matmul_block_into`] over its block of the
+//! packed matrix, so nothing is ever dequantized. One block body serves a
+//! decode step (a one-row panel), a batched decode step and a prefill
+//! chunk; all intermediates live in a caller-provided [`Scratch`] arena
 //! ([`step_with`](DataflowExecutor::step_with)); the allocating entry
 //! points remain as wrappers.
 //!
 //! The executor is verified token-for-token against
 //! [`crate::reference::Transformer`].
 
-use crate::kernels::{
-    matmul_block_into, matmul_into, matvec_block_into, matvec_into, matvec_rows_split_into,
-    ROW_SPLITS,
-};
+use crate::kernels::matmul_block_into;
 use crate::kv_cache::{KvCache, PagePool, PageRef, BLOCK_POSITIONS, PAGE_SLOTS};
 use crate::lora::LoraAdapter;
-use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_into};
-use crate::reference::PrefillStats;
+use crate::ops::{rmsnorm_into, softmax};
+use crate::reference::{stage_experts, PrefillStats};
 use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::tensor::{add_assign, dot, unembed_into, UNEMBED_MAX_ROWS};
@@ -32,11 +30,6 @@ use hnlpu_model::{ModelWeights, PackedFp4Matrix, TransformerConfig};
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
-
-// `col_project` models the four chips of a column with the row-partitioned
-// matvec kernel; its fixed split count must equal the grid dimension for
-// the split boundaries to be the chips' row slices.
-const _: () = assert!(ROW_SPLITS == GRID, "row splits must match the chip grid");
 
 // A batched decode step unembeds every row of a full panel in one call.
 const _: () = assert!(
@@ -164,14 +157,13 @@ impl std::error::Error for GridError {}
 /// (its home is chip `r * GRID + c`) → the surviving physical chip that
 /// hosts its row-partition and KV shard.
 ///
-/// Relocation changes *hosting only*, never numerics:
-/// [`matvec_rows_split_into`] always computes the four logical
-/// row-partition partials — whichever chip (or worker thread) hosts
-/// each one — and its `reduce_partials` step sums them in fixed
-/// logical block order. The reduction order is a property of the
-/// logical shard index, not of the hosting chip, so a degraded layout's
-/// results are bit-identical for *any* survivor set
-/// (`degraded_hosting_is_bit_exact` below pins this).
+/// Relocation changes *hosting only*, never numerics: the column
+/// projection (`col_project_panel`) always computes the four logical
+/// row-partition partials — whichever chip hosts each one — and sums
+/// them into a zeroed accumulator in fixed logical block order. The
+/// reduction order is a property of the logical shard index, not of the
+/// hosting chip, so a degraded layout's results are bit-identical for
+/// *any* survivor set (`degraded_hosting_is_bit_exact` below pins this).
 ///
 /// Placement policy, deterministic: prefer the same column (cyclically
 /// next live row, keeping the relocated KV shard inside the column
@@ -533,21 +525,10 @@ impl DataflowExecutor {
     }
 
     /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`.
+    /// `scratch.logits()`. A step is a batched step of one row.
     // analyze: hot
     pub fn step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        self.hidden_step_with(token, state, scratch);
-        let Scratch { xn, logits, .. } = scratch;
-        self.unembed_row(xn, logits, &mut state.comm);
-    }
-
-    /// Unembed one sequence's final hidden row into its logits.
-    fn unembed_row(&self, xn: &[f32], logits: &mut [f32], comm: &mut CommCounters) {
-        let h = self.config().hidden_size;
-        unembed_into(&self.weights.embedding, h, xn, &mut [], |token, logit| {
-            logits[token] = logit[0]
-        });
-        *comm += self.unembed_gather();
+        self.step_batch_with(&[token], &mut [state], &mut [scratch]);
     }
 
     /// Unembedding communication per sequence: each chip dots its
@@ -570,9 +551,8 @@ impl DataflowExecutor {
     /// sequence alone, for any grouping of sequences into calls — but
     /// each packed weight byte is decoded once per token block and the
     /// embedding table is read once, instead of once per sequence. The
-    /// rows run as one activation panel through the prefill block, in the
-    /// first scratch's panel buffers; a single row takes `step_with`
-    /// itself.
+    /// rows run as one activation panel through the one block, in the
+    /// first scratch's panel buffers.
     ///
     /// # Panics
     ///
@@ -585,34 +565,16 @@ impl DataflowExecutor {
         states: &mut [&mut DataflowState],
         scratches: &mut [&mut Scratch],
     ) {
-        assert_eq!(tokens.len(), states.len(), "one state per token");
         assert_eq!(tokens.len(), scratches.len(), "one scratch per token");
-        assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
         let Some((lead, rest)) = scratches.split_first_mut() else {
             return;
         };
-        if let ([token], [state]) = (tokens, &mut *states) {
-            self.step_with(*token, state, lead);
-            return;
-        }
-        self.run_panel(tokens, &mut PanelRows::Decode(states), lead);
+        self.hidden_rows(tokens, states, lead, rest);
         let h = self.config().hidden_size;
         let Scratch {
-            xp,
-            xn,
-            xnp,
-            xop,
-            logits,
-            ..
+            xnp, xop, logits, ..
         } = &mut **lead;
-        let xnp = &mut xnp[..tokens.len() * h];
-        for (x, normed) in xp.chunks_exact(h).zip(xnp.chunks_exact_mut(h)) {
-            rmsnorm_into(x, normed);
-        }
-        xn.copy_from_slice(&xnp[..h]);
-        for (scratch, normed) in rest.iter_mut().zip(xnp[h..].chunks_exact(h)) {
-            scratch.xn.copy_from_slice(normed);
-        }
+        let xnp = &xnp[..tokens.len() * h];
         // The post-attention panel is dead by now: it hosts the lanes.
         unembed_into(&self.weights.embedding, h, xnp, xop, |token, row_logits| {
             logits[token] = row_logits[0];
@@ -622,6 +584,32 @@ impl DataflowExecutor {
         });
         for state in states.iter_mut() {
             state.comm += self.unembed_gather();
+        }
+    }
+
+    /// Run one row per sequence through every layer and leave each row's
+    /// final normalized hidden state in its own scratch (`lead` for row 0,
+    /// `rest` for the others) and all of them in `lead`'s `xnp` panel.
+    // analyze: hot
+    fn hidden_rows(
+        &self,
+        tokens: &[u32],
+        states: &mut [&mut DataflowState],
+        lead: &mut Scratch,
+        rest: &mut [&mut Scratch],
+    ) {
+        assert_eq!(tokens.len(), states.len(), "one state per token");
+        assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
+        self.run_panel(tokens, &mut PanelRows::Decode(states), lead);
+        let h = self.config().hidden_size;
+        let Scratch { xp, xn, xnp, .. } = lead;
+        let xnp = &mut xnp[..tokens.len() * h];
+        for (x, normed) in xp.chunks_exact(h).zip(xnp.chunks_exact_mut(h)) {
+            rmsnorm_into(x, normed);
+        }
+        xn.copy_from_slice(&xnp[..h]);
+        for (scratch, normed) in rest.iter_mut().zip(xnp[h..].chunks_exact(h)) {
+            scratch.xn.copy_from_slice(normed);
         }
     }
 
@@ -637,19 +625,7 @@ impl DataflowExecutor {
     /// hidden state lands in `scratch.hidden()`.
     // analyze: hot
     pub fn hidden_step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        let c = *self.config();
-        let h = c.hidden_size;
-        assert!((token as usize) < c.vocab_size, "token out of vocabulary");
-        // Embedding lookup is local on every chip (replicated dictionary).
-        scratch
-            .x
-            .copy_from_slice(&self.weights.embedding[token as usize * h..(token as usize + 1) * h]);
-        for layer in 0..c.num_layers {
-            self.block_with(layer, state, scratch);
-        }
-        state.position += 1;
-        let Scratch { x, xn, .. } = scratch;
-        rmsnorm_into(x, xn);
+        self.hidden_rows(&[token], &mut [state], scratch, &mut []);
     }
 
     /// Sequence scoring (§8 future work 3) on the 16-chip machine.
@@ -690,182 +666,6 @@ impl DataflowExecutor {
             *v *= inv;
         }
         pooled
-    }
-
-    /// One transformer block: reads the residual from `scratch.x`, writes
-    /// the updated residual back into it.
-    // analyze: hot
-    fn block_with(&self, layer: usize, state: &mut DataflowState, scratch: &mut Scratch) {
-        let c = *self.config();
-        let w = &self.weights.layers[layer];
-        let h = c.hidden_size;
-        let hd = c.attention.head_dim;
-        let qw = c.attention.q_width();
-        let kvw = c.attention.kv_width();
-        let q_per_col = qw / GRID;
-        let kv_per_col = kvw / GRID;
-        let kv_heads_per_col = c.attention.num_kv_heads / GRID;
-        let q_heads_per_col = c.attention.num_query_heads / GRID;
-        let group = c.attention.group_size();
-        let row_slice = h / GRID;
-        let DataflowState { kv, position, comm } = state;
-        let position = *position;
-        let Scratch {
-            x,
-            xn,
-            xo,
-            y,
-            q,
-            k,
-            v,
-            attn,
-            partial,
-            scores,
-            flash_acc,
-            numer,
-            router_logits,
-            chosen,
-            expert_w,
-            up,
-            gate,
-            down,
-            delta,
-            lora_hidden,
-            rope,
-            partials,
-            ..
-        } = scratch;
-
-        rmsnorm_into(x, xn);
-
-        // Field-programmable side-channel: the rank-r delta is computed
-        // once (every chip would hold the identical value) and sliced per
-        // column below.
-        let has_adapter = match &self.q_adapters[layer] {
-            Some(adapter) => {
-                adapter.delta_into(xn, lora_hidden, delta);
-                true
-            }
-            None => false,
-        };
-
-        // (II) Query projection: chip (r, c) computes a partial over its
-        // row slice of X and its column's slice of Wq; column all-reduce.
-        for col in 0..GRID {
-            let q_col = &mut q[col * q_per_col..(col + 1) * q_per_col];
-            col_project(xn, &w.wq, col, q_per_col, partials, q_col, comm);
-            if has_adapter {
-                for (qv, d) in q_col
-                    .iter_mut()
-                    .zip(delta[col * q_per_col..(col + 1) * q_per_col].iter())
-                {
-                    *qv += d;
-                }
-            }
-            let k_col = &mut k[col * kv_per_col..(col + 1) * kv_per_col];
-            col_project(xn, &w.wk, col, kv_per_col, partials, k_col, comm);
-            let v_col = &mut v[col * kv_per_col..(col + 1) * kv_per_col];
-            col_project(xn, &w.wv, col, kv_per_col, partials, v_col, comm);
-        }
-        // K and V land on chip (position mod 4) of each column ((III)).
-        rope.prepare(position);
-        for col in 0..GRID {
-            comm.reduces += 2;
-            comm.bytes += 2 * (kv_per_col as u64) * 4;
-            // RoPE on the VEX before caching.
-            for head in 0..q_heads_per_col {
-                rope.apply(&mut q[col * q_per_col + head * hd..][..hd]);
-            }
-            for head in 0..kv_heads_per_col {
-                rope.apply(&mut k[col * kv_per_col + head * hd..][..hd]);
-            }
-            let owner = position % GRID;
-            kv[col][owner].append(
-                layer,
-                &k[col * kv_per_col..(col + 1) * kv_per_col],
-                &v[col * kv_per_col..(col + 1) * kv_per_col],
-            );
-        }
-
-        // (IV, V) Attention per column with flash-style partial combine.
-        for col in 0..GRID {
-            column_attention(
-                &q[col * q_per_col..(col + 1) * q_per_col],
-                layer,
-                &kv[col],
-                position + 1,
-                q_heads_per_col,
-                group,
-                hd,
-                scores,
-                flash_acc,
-                numer,
-                &mut attn[col * q_per_col..(col + 1) * q_per_col],
-                comm,
-            );
-        }
-
-        // (VI) Output projection: Wo rows are the column's head block,
-        // columns sliced by row index; row all-reduce + column all-gather.
-        for r in 0..GRID {
-            let slice = &mut xo[r * row_slice..(r + 1) * row_slice];
-            slice.fill(0.0);
-            let part = &mut partial[..row_slice];
-            for col in 0..GRID {
-                // The column's `attn` block indexes rows of Wo at the
-                // block's head offset.
-                matvec_block_into(
-                    &attn[col * q_per_col..(col + 1) * q_per_col],
-                    &w.wo,
-                    col * q_per_col,
-                    r * row_slice..(r + 1) * row_slice,
-                    part,
-                );
-                add_assign(slice, part);
-            }
-            // Row all-reduce of the four column partials.
-            comm.all_reduces += 1;
-            comm.bytes += row_slice as u64 * 4;
-        }
-        // Column all-gather so every chip holds the full Xo.
-        comm.all_gathers += 1;
-        comm.bytes += h as u64 * 4;
-        add_assign(xo, x); // first residual (local on every chip)
-
-        // (VII) Router: weights replicated on all chips, no communication.
-        rmsnorm_into(xo, xn);
-        matvec_into(xn, &w.router, router_logits);
-        topk_into(router_logits, c.moe.experts_per_token, chosen);
-        expert_w.clear();
-        expert_w.extend(chosen.iter().map(|&e| router_logits[e]));
-        softmax_in_place(expert_w);
-
-        // (VIII, IX) Experts: chip i owns experts [i*E/16, (i+1)*E/16);
-        // partial outputs summed by an all-chip all-reduce. Only the
-        // packed bytes of the ≤ experts_per_token chosen experts are ever
-        // touched.
-        let experts_per_chip = c.moe.num_experts / (GRID * GRID);
-        y.fill(0.0);
-        for chip in 0..GRID * GRID {
-            let lo = chip * experts_per_chip;
-            let hi = lo + experts_per_chip;
-            for (&expert, &ew) in chosen.iter().zip(expert_w.iter()) {
-                if expert < lo || expert >= hi {
-                    continue;
-                }
-                matvec_into(xn, &w.up[expert], up);
-                matvec_into(xn, &w.gate[expert], gate);
-                swiglu_in_place(gate, up);
-                matvec_into(gate, &w.down[expert], down);
-                for (yo, &d) in y.iter_mut().zip(down.iter()) {
-                    *yo += ew * d;
-                }
-            }
-        }
-        comm.all_chip_all_reduces += 1;
-        comm.bytes += h as u64 * 4;
-        add_assign(y, xo); // second residual
-        x.copy_from_slice(y);
     }
 
     /// Prefill `prompt` then greedily decode `n` tokens.
@@ -974,7 +774,10 @@ impl DataflowExecutor {
             let h = self.config().hidden_size;
             let Scratch { xp, xn, logits, .. } = scratch;
             rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
-            self.unembed_row(xn, logits, &mut state.comm);
+            unembed_into(&self.weights.embedding, h, xn, &mut [], |token, logit| {
+                logits[token] = logit[0]
+            });
+            state.comm += self.unembed_gather();
         }
     }
 
@@ -998,16 +801,16 @@ impl DataflowExecutor {
 
     /// One transformer block over an activation panel whose rows are
     /// described by `rows` (consecutive positions of one sequence, or the
-    /// next position of several): reads the residual panel from
-    /// `scratch.xp`, writes the updated panel back into it. Per row this
-    /// performs exactly the chip-level operations of
-    /// [`block_with`](Self::block_with) — each chip's partial product goes
-    /// through the bit-identical matmul kernels, the column reductions add
-    /// partials in the same chip order, and RoPE/attention/MoE math runs
-    /// per row on the same values against that row's own position and KV
-    /// shards — so KV shards and residuals are bit-equal to a per-token
-    /// loop, for every chunking and every grouping. Each row's
-    /// communication counters advance by the per-token schedule.
+    /// next position of several) — the only function that walks a layer,
+    /// for a single decode step, a batched one and a prefill chunk alike:
+    /// reads the residual panel from `scratch.xp`, writes the updated panel
+    /// back into it. Each chip's partial product goes through the matmul
+    /// kernels, whose every output row is independent of the panel width;
+    /// the column reductions add partials in chip order; RoPE/attention/MoE
+    /// math runs per row against that row's own position and KV shards —
+    /// so KV shards and residuals are bit-equal for every chunking and
+    /// every grouping. Each row's communication counters advance by the
+    /// per-token schedule.
     // analyze: hot
     fn panel_block_with(&self, layer: usize, rows: &mut PanelRows<'_, '_>, scratch: &mut Scratch) {
         let t = rows.len();
@@ -1023,16 +826,10 @@ impl DataflowExecutor {
         let q_heads_per_col = c.attention.num_query_heads / GRID;
         let group = c.attention.group_size();
         let row_slice = h / GRID;
-        let inter = c.moe.intermediate_size;
-        let n_experts = c.moe.num_experts;
-        let k_experts = c.moe.experts_per_token;
         let Scratch {
-            y,
             scores,
             flash_acc,
             numer,
-            chosen,
-            expert_w,
             delta,
             lora_hidden,
             rope,
@@ -1044,16 +841,8 @@ impl DataflowExecutor {
             vp,
             attnp,
             partp,
-            routerp,
-            chosenp,
-            expertwp,
-            gatherp,
-            upp,
-            gatep,
-            stagep,
-            gidx,
             ..
-        } = scratch;
+        } = &mut *scratch;
 
         for tt in 0..t {
             rmsnorm_into(&xp[tt * h..(tt + 1) * h], &mut xnp[tt * h..(tt + 1) * h]);
@@ -1172,62 +961,21 @@ impl DataflowExecutor {
             add_assign(&mut xop[tt * h..(tt + 1) * h], &xp[tt * h..(tt + 1) * h]);
         }
 
-        // (VII) Router: weights replicated on all chips, no communication.
-        for tt in 0..t {
-            rmsnorm_into(&xop[tt * h..(tt + 1) * h], &mut xnp[tt * h..(tt + 1) * h]);
-        }
-        matmul_into(xnp, h, t, &w.router, routerp, n_experts);
-        for tt in 0..t {
-            topk_into(
-                &routerp[tt * n_experts..(tt + 1) * n_experts],
-                k_experts,
-                chosen,
-            );
-            expert_w.clear();
-            expert_w.extend(
-                chosen
-                    .iter()
-                    .map(|&e| routerp[tt * n_experts..(tt + 1) * n_experts][e]),
-            );
-            softmax_in_place(expert_w);
-            chosenp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(chosen);
-            expertwp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(expert_w);
-        }
-
-        // (VIII) Experts, grouped: every token routed to expert `e` is
-        // gathered into one panel so the owning chip runs three matmuls
-        // per touched expert instead of three matvecs per (token, slot).
-        for e in 0..n_experts {
-            gidx.clear();
-            for tt in 0..t {
-                for s in 0..k_experts {
-                    if chosenp[tt * k_experts + s] == e {
-                        gidx.push(tt * k_experts + s);
-                    }
-                }
-            }
-            if gidx.is_empty() {
-                continue;
-            }
-            let g = gidx.len();
-            for (gi, &slot) in gidx.iter().enumerate() {
-                let tt = slot / k_experts;
-                gatherp[gi * h..(gi + 1) * h].copy_from_slice(&xnp[tt * h..(tt + 1) * h]);
-            }
-            matmul_into(&gatherp[..g * h], h, g, &w.up[e], upp, inter);
-            matmul_into(&gatherp[..g * h], h, g, &w.gate[e], gatep, inter);
-            for gi in 0..g {
-                let (gate_row, up_row) = (
-                    &mut gatep[gi * inter..(gi + 1) * inter],
-                    &upp[gi * inter..(gi + 1) * inter],
-                );
-                swiglu_in_place(gate_row, up_row);
-            }
-            matmul_into(&gatep[..g * inter], inter, g, &w.down[e], gatherp, h);
-            for (gi, &slot) in gidx.iter().enumerate() {
-                stagep[slot * h..(slot + 1) * h].copy_from_slice(&gatherp[gi * h..(gi + 1) * h]);
-            }
-        }
+        // (VII, VIII) Router (weights replicated on all chips, no
+        // communication) and experts, grouped so the owning chip runs
+        // three matmuls per touched expert.
+        stage_experts(w, &c, t, scratch);
+        let n_experts = c.moe.num_experts;
+        let k_experts = c.moe.experts_per_token;
+        let Scratch {
+            y,
+            xp,
+            xop,
+            chosenp,
+            expertwp,
+            stagep,
+            ..
+        } = scratch;
         // (IX) Replay each token's mixture in chip order (chip i owns
         // experts [i*E/16, (i+1)*E/16)), slot order within a chip —
         // the exact accumulation order of the per-token all-chip
@@ -1261,33 +1009,12 @@ impl DataflowExecutor {
     }
 }
 
-/// Column projection with partial sums: each of the 4 chips of `col`
-/// multiplies its row slice of `x` against its block of the packed matrix;
-/// the column all-reduce sums the partials. The four chips are the four
-/// fixed splits of [`matvec_rows_split_into`], so on large models the
-/// `parallel` build runs them on real worker threads — and the
-/// deterministic zero-then-add reduction keeps the result bit-identical
-/// to the serial chip loop either way.
-// analyze: hot
-fn col_project(
-    x: &[f32],
-    m: &PackedFp4Matrix,
-    col: usize,
-    per_col: usize,
-    partials: &mut [f32],
-    acc: &mut [f32],
-    comm: &mut CommCounters,
-) {
-    matvec_rows_split_into(x, m, col * per_col..(col + 1) * per_col, acc, partials);
-    comm.all_reduces += 1;
-    comm.bytes += per_col as u64 * 4;
-}
-
-/// Panel variant of [`col_project`]: chip `(r, col)` runs one T-wide
-/// matmul over its row slice of the activation panel, and each token's
-/// four partial rows are summed in chip order — the same
-/// zero-then-add-in-order reduction as the per-token column all-reduce,
-/// so every token's output is bit-equal to [`col_project`]'s.
+/// Column projection with partial sums: chip `(r, col)` runs one T-wide
+/// matmul over its row slice of the activation panel against its block of
+/// the packed matrix, and each token's four partial rows are summed into a
+/// zeroed accumulator in chip order — the column all-reduce. The 4-way
+/// split and the in-order reduction are numerics, not scheduling: they fix
+/// every output bit whichever chip hosts a partition.
 // analyze: hot
 #[allow(clippy::too_many_arguments)]
 fn col_project_panel(
@@ -1607,8 +1334,8 @@ mod tests {
         assert_eq!(lscratch.logits(), pscratch.logits());
         assert_eq!(ps.position(), prompt.len());
         assert_kv_bitwise_equal(&hnlpu, &ls, &ps);
-        // The comm schedule is the per-token one, except the unembedding
-        // all-gather fires once per prefill instead of once per token.
+        // The stepped loop unembeds every token, the prefill only its
+        // last: one vocabulary all-gather per step is the whole difference.
         let p = prompt.len() as u64;
         assert_eq!(ls.comm.all_reduces, ps.comm.all_reduces);
         assert_eq!(ls.comm.reduces, ps.comm.reduces);
@@ -1620,17 +1347,27 @@ mod tests {
 
     #[test]
     fn prefill_is_chunking_invariant() {
+        // The pin between the decode step and every prefill width: the
+        // T = 1 panel is what `step_with` runs, 2/3/5 reach the narrow
+        // token-block remainders of the vectorized matmul, 16 and 64 its
+        // full blocks — and all of them leave bit-identical KV shards,
+        // position, counters and logits.
         let hnlpu = DataflowExecutor::new(weights());
         let prompt: Vec<u32> = (0..27u32).map(|i| (i * 5 + 2) % 100).collect();
-        let mut want: Option<Vec<f32>> = None;
-        for panel in [1usize, 4, 64] {
+        let mut want: Option<(DataflowState, Vec<f32>)> = None;
+        for panel in [1usize, 2, 3, 5, 16, 64] {
             let mut state = hnlpu.new_state();
             let mut scratch = hnlpu.new_scratch();
             let stats = hnlpu.prefill_chunked(&prompt, &mut state, &mut scratch, panel, true);
             assert_eq!(stats.panels as usize, prompt.len().div_ceil(panel));
             match &want {
-                None => want = Some(scratch.logits().to_vec()),
-                Some(w) => assert_eq!(w.as_slice(), scratch.logits(), "panel {panel}"),
+                None => want = Some((state, scratch.logits().to_vec())),
+                Some((want_state, want_logits)) => {
+                    assert_eq!(want_logits.as_slice(), scratch.logits(), "panel {panel}");
+                    assert_eq!(want_state.position(), state.position(), "panel {panel}");
+                    assert_eq!(want_state.comm, state.comm, "panel {panel}");
+                    assert_kv_bitwise_equal(&hnlpu, want_state, &state);
+                }
             }
         }
     }
@@ -1730,7 +1467,7 @@ mod tests {
     }
 
     /// The bit-exactness argument for degraded grids, pinned: the four
-    /// row-partition partials of `matvec_rows_split_into` are reduced in
+    /// row-partition partials of the column projection are reduced in
     /// fixed logical block order, independent of which host computes
     /// them, so relocating a dead chip's partition changes hosting and
     /// accounting only — every projection stays bit-identical to the
@@ -1738,7 +1475,6 @@ mod tests {
     #[test]
     fn degraded_hosting_is_bit_exact() {
         use crate::kernels::matvec_block_into;
-        use crate::tensor::add_assign;
         let hnlpu = DataflowExecutor::new(weights());
         let w = &hnlpu.weights.layers[0].wq;
         let rows = w.rows();
@@ -1747,39 +1483,53 @@ mod tests {
             .collect();
         let per_col = w.cols() / GRID;
         let mut healthy = vec![0.0f32; per_col];
-        let mut partials = vec![0.0f32; ROW_SPLITS * per_col];
-        matvec_rows_split_into(&x, w, 0..per_col, &mut healthy, &mut partials);
+        let mut state = hnlpu.new_state();
+        col_project_panel(
+            &x,
+            rows,
+            &mut PanelRows::Prefill {
+                state: &mut state,
+                t: 1,
+            },
+            w,
+            0,
+            per_col,
+            rows / GRID,
+            &mut vec![0.0f32; per_col],
+            &mut healthy,
+            per_col,
+        );
         // "Degraded execution": compute the same four logical partials in
         // an arbitrary hosting order (survivors pick up dead chips'
         // partitions), then reduce in logical order — bitwise equal.
         for hosting_order in [[3usize, 1, 0, 2], [2, 3, 1, 0], [1, 1, 1, 1]] {
-            let mut parts = vec![0.0f32; ROW_SPLITS * per_col];
+            let mut parts = vec![0.0f32; GRID * per_col];
             for &s in &hosting_order {
                 // Host assignment does not appear anywhere in the math:
                 // each logical split s writes its own partial block.
                 matvec_block_into(
-                    &x[s * rows / ROW_SPLITS..(s + 1) * rows / ROW_SPLITS],
+                    &x[s * rows / GRID..(s + 1) * rows / GRID],
                     w,
-                    s * rows / ROW_SPLITS,
+                    s * rows / GRID,
                     0..per_col,
                     &mut parts[s * per_col..(s + 1) * per_col],
                 );
             }
             // Splits absent from a hosting order (e.g. all-host-1) are
             // recomputed by the fallback host.
-            for s in 0..ROW_SPLITS {
+            for s in 0..GRID {
                 if !hosting_order.contains(&s) {
                     matvec_block_into(
-                        &x[s * rows / ROW_SPLITS..(s + 1) * rows / ROW_SPLITS],
+                        &x[s * rows / GRID..(s + 1) * rows / GRID],
                         w,
-                        s * rows / ROW_SPLITS,
+                        s * rows / GRID,
                         0..per_col,
                         &mut parts[s * per_col..(s + 1) * per_col],
                     );
                 }
             }
             let mut degraded = vec![0.0f32; per_col];
-            for s in 0..ROW_SPLITS {
+            for s in 0..GRID {
                 add_assign(&mut degraded, &parts[s * per_col..(s + 1) * per_col]);
             }
             assert_eq!(healthy, degraded, "order {hosting_order:?}");

@@ -21,12 +21,13 @@
 //!   (float sums reorder), which is why both realizations agree to ~1e-5
 //!   relative, not bitwise.
 //!
-//! Both inference engines call these kernels for every projection, router,
-//! and expert matvec, so within one process they see one arithmetic: the
+//! Both inference engines run every projection, router and expert product
+//! through the panel form ([`matmul_block_into`]) — a decode step is its
+//! one-row case — so within one process they see one arithmetic: the
 //! engines' token streams stay in lockstep exactly as they did on the dense
-//! `f32` path.
+//! `f32` path. The single-vector form ([`matvec_block_into`]) is the
+//! per-row definition the panel form is pinned to, bit for bit.
 
-use crate::tensor::add_assign;
 use hnlpu_model::fp4::{HALF_UNITS, MAGNITUDES, NUM_CODES};
 use hnlpu_model::PackedFp4Matrix;
 use std::ops::Range;
@@ -35,12 +36,6 @@ use std::ops::Range;
 /// matmul kernels (one pass over a column's packed bytes serves this many
 /// tokens before the next pass).
 const SCALAR_TOKEN_BLOCK: usize = 8;
-
-/// Fixed row-split factor of the row-partitioned matvecs — the same 4-way
-/// partitioning a chip column of the 4×4 fabric applies to its weight
-/// block, so the software split reproduces the dataflow partial-sum
-/// numerics exactly.
-pub const ROW_SPLITS: usize = 4;
 
 /// `out = x · W` over the whole packed matrix (`x.len() == rows`,
 /// `out.len() == cols`).
@@ -53,9 +48,8 @@ pub fn matvec_into(x: &[f32], m: &PackedFp4Matrix, out: &mut [f32]) {
 }
 
 /// Partial product `out = x · W[row_offset .. row_offset + x.len(),
-/// col_range]`, overwriting `out` — the dataflow executor's workhorse: a
-/// chip holds a block of the packed matrix and produces a partial sum for
-/// its column group.
+/// col_range]`, overwriting `out` — what one chip holding a block of the
+/// packed matrix contributes to its column group for one activation row.
 ///
 /// # Panics
 ///
@@ -151,7 +145,8 @@ pub fn matmul_into(
 /// Panel partial product: for each of `t` activation rows, compute
 /// `outs_row = xs_row · W[row_offset .. row_offset + rows, col_range]` —
 /// the multi-token generalization of [`matvec_block_into`] that makes one
-/// pass over the packed codes serve a whole prefill chunk.
+/// pass over the packed codes serve a whole prefill chunk or batched decode
+/// step, and the form every engine projection takes (`t = 1` included).
 ///
 /// Activation row `tt` starts at `xs[tt * x_stride]` and is `rows` long;
 /// output row `tt` starts at `outs[tt * out_stride]` and is
@@ -196,8 +191,8 @@ pub fn matmul_block_into(
         outs.len() >= (t - 1) * out_stride + col_range.len(),
         "output panel too short"
     );
-    // Same dispatch condition as `matvec_block_into`, so each row's
-    // realization matches what the per-token path would have picked.
+    // Same dispatch condition as `matvec_block_into`, so each row takes
+    // the realization the single-vector kernel would.
     #[cfg(target_arch = "x86_64")]
     if col_range.start.is_multiple_of(2) && avx2::available() {
         // SAFETY: AVX2+FMA presence checked at runtime; bounds above.
@@ -273,58 +268,6 @@ pub fn region_matmul_block_into(
             }
         }
         tb += bt;
-    }
-}
-
-/// Row-partitioned matvec with the dataflow's fixed 4-way split: row block
-/// `s` covers rows `[s·rows/4, (s+1)·rows/4)`, each block's partial
-/// product lands in `partials[s · col_range.len() ..]`, and the partials
-/// are reduced into `out` in block order — exactly the partial-sum
-/// numerics a chip column of the 4×4 fabric produces. The split and the
-/// in-order reduction are numerics, not scheduling: the blocks run in
-/// order on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `x.len() != m.rows()`, the column range exceeds the matrix,
-/// `out.len() != col_range.len()`, or `partials` is shorter than
-/// `ROW_SPLITS × out.len()`.
-pub fn matvec_rows_split_into(
-    x: &[f32],
-    m: &PackedFp4Matrix,
-    col_range: Range<usize>,
-    out: &mut [f32],
-    partials: &mut [f32],
-) {
-    assert_eq!(x.len(), m.rows(), "input length mismatch");
-    assert!(col_range.end <= m.cols(), "col range out of bounds");
-    assert_eq!(out.len(), col_range.len(), "output length mismatch");
-    let rows = x.len();
-    let w = out.len();
-    assert!(
-        partials.len() >= ROW_SPLITS * w,
-        "partials buffer too short"
-    );
-    let parts = &mut partials[..ROW_SPLITS * w];
-    for s in 0..ROW_SPLITS {
-        matvec_block_into(
-            &x[s * rows / ROW_SPLITS..(s + 1) * rows / ROW_SPLITS],
-            m,
-            s * rows / ROW_SPLITS,
-            col_range.start..col_range.end,
-            &mut parts[s * w..(s + 1) * w],
-        );
-    }
-    reduce_partials(parts, out, w);
-}
-
-/// In-order reduction of the 4 row-block partials: `out = 0 + p0 + p1 +
-/// p2 + p3`, replicating the dataflow column all-reduce (which starts from
-/// a zeroed accumulator) bit for bit.
-fn reduce_partials(parts: &[f32], out: &mut [f32], w: usize) {
-    out.fill(0.0);
-    for s in 0..ROW_SPLITS {
-        add_assign(out, &parts[s * w..(s + 1) * w]);
     }
 }
 
@@ -918,39 +861,6 @@ mod tests {
                 prop_assert_eq!(&regions[tt * out_stride..][..len], want_regions.as_slice(),
                     "scalar region row {} differs", tt);
             }
-        }
-
-        /// The fixed-split row-partitioned matvec matches its serial
-        /// oracle bit for bit on arbitrary shapes and column ranges (the
-        /// split always happens; only the execution schedule varies).
-        #[test]
-        fn rows_split_matches_serial_oracle_bitwise(
-            rows in 1usize..96,
-            cols in 1usize..64,
-            c0 in 0usize..6,
-            seed in 0u64..200,
-        ) {
-            let codes: Vec<u8> = (0..rows * cols)
-                .map(|i| (((i as u64).wrapping_mul(0x9E3779B9).wrapping_add(seed)) % 16) as u8)
-                .collect();
-            let m = packed_from(&codes, rows, cols);
-            let cs = c0.min(cols - 1);
-            let w = cols - cs;
-            let x: Vec<f32> = (0..rows)
-                .map(|i| ((i as u64 * 37 + seed) % 1000) as f32 * 0.002 - 1.0)
-                .collect();
-            let mut out = vec![0.0f32; w];
-            let mut partials = vec![0.0f32; ROW_SPLITS * w];
-            matvec_rows_split_into(&x, &m, cs..cols, &mut out, &mut partials);
-            let mut oracle = vec![0.0f32; w];
-            let mut part = vec![0.0f32; w];
-            for s in 0..ROW_SPLITS {
-                let lo = s * rows / ROW_SPLITS;
-                let hi = (s + 1) * rows / ROW_SPLITS;
-                matvec_block_into(&x[lo..hi], &m, lo, cs..cols, &mut part);
-                add_assign(&mut oracle, &part);
-            }
-            prop_assert_eq!(out, oracle);
         }
 
         /// Arbitrary sub-blocks match the dense `vec_mat_block` partials.

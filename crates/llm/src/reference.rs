@@ -7,14 +7,14 @@
 //! arena ([`step_with`](Transformer::step_with)). The allocating entry
 //! points ([`step`](Transformer::step) etc.) remain as thin wrappers.
 
-use crate::kernels::{matmul_into, matvec_into};
+use crate::kernels::matmul_into;
 use crate::kv_cache::KvCache;
 use crate::lora::LoraAdapter;
 use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_into};
 use crate::sampler::{argmax, Sampler};
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::tensor::{add_assign, dot, unembed_into};
-use hnlpu_model::{ModelWeights, TransformerConfig};
+use hnlpu_model::{LayerWeights, ModelWeights, TransformerConfig};
 
 /// How a prompt was consumed by a panel-prefill call: how many matmul
 /// panels ran and the widest one. Aggregated into
@@ -107,6 +107,7 @@ impl Transformer {
 
     /// Allocation-free [`step`](Self::step): the logits land in
     /// `scratch.logits()`.
+    // analyze: hot
     pub fn step_with(&self, token: u32, cache: &mut KvCache, scratch: &mut Scratch) {
         self.hidden_step_with(token, cache, scratch);
         let Scratch { xn, logits, .. } = scratch;
@@ -122,20 +123,14 @@ impl Transformer {
     }
 
     /// Allocation-free [`hidden_step`](Self::hidden_step): the normalized
-    /// hidden state lands in `scratch.hidden()`.
+    /// hidden state lands in `scratch.hidden()`. A step is the T = 1
+    /// panel: the token runs through the same block as a prefill chunk.
+    // analyze: hot
     pub fn hidden_step_with(&self, token: u32, cache: &mut KvCache, scratch: &mut Scratch) {
-        let c = *self.config();
-        assert!((token as usize) < c.vocab_size, "token out of vocabulary");
-        let h = c.hidden_size;
-        let position = cache.len();
-        scratch
-            .x
-            .copy_from_slice(&self.weights.embedding[token as usize * h..(token as usize + 1) * h]);
-        for layer in 0..c.num_layers {
-            self.block_with(layer, position, cache, scratch);
-        }
-        let Scratch { x, xn, .. } = scratch;
-        rmsnorm_into(x, xn);
+        self.run_panel(&[token], cache, scratch);
+        let h = self.config().hidden_size;
+        let Scratch { xp, xn, .. } = scratch;
+        rmsnorm_into(&xp[..h], xn);
     }
 
     /// Sequence scoring (§8 future work 3): total log-probability the model
@@ -233,7 +228,8 @@ impl Transformer {
         stats
     }
 
-    /// Run one panel of ≤ `MAX_PREFILL_PANEL` tokens through every layer.
+    /// Run one panel of ≤ `MAX_PREFILL_PANEL` tokens through every layer,
+    /// unembedding the last one when `want_logits` is set.
     // analyze: hot
     fn prefill_panel_with(
         &self,
@@ -242,34 +238,42 @@ impl Transformer {
         scratch: &mut Scratch,
         want_logits: bool,
     ) {
-        let c = *self.config();
-        let h = c.hidden_size;
-        let t = tokens.len();
-        debug_assert!(t <= MAX_PREFILL_PANEL);
-        for (tt, &tok) in tokens.iter().enumerate() {
-            assert!((tok as usize) < c.vocab_size, "token out of vocabulary");
-            scratch.xp[tt * h..(tt + 1) * h]
-                .copy_from_slice(&self.weights.embedding[tok as usize * h..(tok as usize + 1) * h]);
-        }
-        let base = cache.len();
-        for layer in 0..c.num_layers {
-            self.panel_block_with(layer, base, t, cache, scratch);
-        }
+        self.run_panel(tokens, cache, scratch);
         if want_logits {
+            let h = self.config().hidden_size;
+            let t = tokens.len();
             let Scratch { xp, xn, logits, .. } = scratch;
             rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
             self.unembed_into(xn, logits);
         }
     }
 
+    /// Embed one token per row into `scratch.xp` and run the panel through
+    /// every layer, appending each row's KV.
+    // analyze: hot
+    fn run_panel(&self, tokens: &[u32], cache: &mut KvCache, scratch: &mut Scratch) {
+        let c = self.config();
+        let h = c.hidden_size;
+        debug_assert!(tokens.len() <= MAX_PREFILL_PANEL);
+        for (x, &tok) in scratch.xp.chunks_exact_mut(h).zip(tokens) {
+            assert!((tok as usize) < c.vocab_size, "token out of vocabulary");
+            x.copy_from_slice(&self.weights.embedding[tok as usize * h..(tok as usize + 1) * h]);
+        }
+        let base = cache.len();
+        for layer in 0..c.num_layers {
+            self.panel_block_with(layer, base, tokens.len(), cache, scratch);
+        }
+    }
+
     /// One transformer block over a `t`-token panel starting at context
-    /// position `base`: reads the residual panel from `scratch.xp`, writes
-    /// the updated panel back into it. Per token this performs exactly the
-    /// operations of [`block_with`](Self::block_with) — projections go
-    /// through the bit-identical matmul kernels, attention/RoPE/MoE math
-    /// runs per token in the same order on the same values — so the KV
-    /// entries and residuals it produces are bit-equal to a per-token
-    /// loop, for every chunking.
+    /// position `base` — the only function that walks a layer, for a
+    /// decode step (`t = 1`) and a prefill chunk alike: reads the residual
+    /// panel from `scratch.xp`, writes the updated panel back into it.
+    /// Projections go through the matmul kernels, whose every output row
+    /// is independent of the panel width (see
+    /// [`crate::kernels::matmul_block_into`]); attention/RoPE/MoE math
+    /// runs per token in a fixed order — so the KV entries and residuals
+    /// are bit-equal for every chunking.
     // analyze: hot
     fn panel_block_with(
         &self,
@@ -290,14 +294,8 @@ impl Transformer {
         let qw = c.attention.q_width();
         let kvw = c.attention.kv_width();
         let group = c.attention.group_size();
-        let inter = c.moe.intermediate_size;
-        let n_experts = c.moe.num_experts;
-        let k_experts = c.moe.experts_per_token;
         let Scratch {
-            y,
             scores,
-            chosen,
-            expert_w,
             delta,
             lora_hidden,
             rope,
@@ -308,16 +306,8 @@ impl Transformer {
             kp,
             vp,
             attnp,
-            routerp,
-            chosenp,
-            expertwp,
-            gatherp,
-            upp,
-            gatep,
-            stagep,
-            gidx,
             ..
-        } = scratch;
+        } = &mut *scratch;
 
         // --- Attention ---
         for tt in 0..t {
@@ -373,68 +363,21 @@ impl Transformer {
         }
 
         // --- MoE FFN ---
-        for tt in 0..t {
-            rmsnorm_into(&xop[tt * h..(tt + 1) * h], &mut xnp[tt * h..(tt + 1) * h]);
-        }
-        matmul_into(xnp, h, t, &w.router, routerp, n_experts);
-        for tt in 0..t {
-            topk_into(
-                &routerp[tt * n_experts..(tt + 1) * n_experts],
-                k_experts,
-                chosen,
-            );
-            expert_w.clear();
-            expert_w.extend(
-                chosen
-                    .iter()
-                    .map(|&e| routerp[tt * n_experts..(tt + 1) * n_experts][e]),
-            );
-            softmax_in_place(expert_w);
-            chosenp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(chosen);
-            expertwp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(expert_w);
-        }
-        // Expert-grouped panels: gather every token routed to expert `e`,
-        // run the expert's three projections as one matmul each, and stage
-        // the down outputs per (token, chosen slot).
-        for e in 0..n_experts {
-            gidx.clear();
-            for tt in 0..t {
-                for s in 0..k_experts {
-                    if chosenp[tt * k_experts + s] == e {
-                        gidx.push(tt * k_experts + s);
-                    }
-                }
-            }
-            if gidx.is_empty() {
-                continue;
-            }
-            let g = gidx.len();
-            for (gi, &slot) in gidx.iter().enumerate() {
-                let tt = slot / k_experts;
-                gatherp[gi * h..(gi + 1) * h].copy_from_slice(&xnp[tt * h..(tt + 1) * h]);
-            }
-            matmul_into(&gatherp[..g * h], h, g, &w.up[e], upp, inter);
-            matmul_into(&gatherp[..g * h], h, g, &w.gate[e], gatep, inter);
-            for gi in 0..g {
-                let (gate_row, up_row) = (
-                    &mut gatep[gi * inter..(gi + 1) * inter],
-                    &upp[gi * inter..(gi + 1) * inter],
-                );
-                swiglu_in_place(gate_row, up_row);
-            }
-            // The group's activations are no longer needed, so the down
-            // outputs overwrite `gatherp` before scattering to the stage.
-            matmul_into(&gatep[..g * inter], inter, g, &w.down[e], gatherp, h);
-            for (gi, &slot) in gidx.iter().enumerate() {
-                stagep[slot * h..(slot + 1) * h].copy_from_slice(&gatherp[gi * h..(gi + 1) * h]);
-            }
-        }
-        // Replay each token's expert mixture in its original chosen order,
-        // reproducing the per-token accumulation bit for bit.
+        stage_experts(w, &c, t, scratch);
+        // Replay each token's expert mixture in its chosen order, the
+        // accumulation order of a single device.
+        let k_experts = c.moe.experts_per_token;
+        let Scratch {
+            y,
+            xp,
+            xop,
+            expertwp,
+            stagep,
+            ..
+        } = scratch;
         for tt in 0..t {
             y.fill(0.0);
-            for s in 0..k_experts {
-                let slot = tt * k_experts + s;
+            for slot in tt * k_experts..(tt + 1) * k_experts {
                 let ew = expertwp[slot];
                 for (yo, &d) in y.iter_mut().zip(stagep[slot * h..(slot + 1) * h].iter()) {
                     *yo += ew * d;
@@ -443,105 +386,6 @@ impl Transformer {
             add_assign(y, &xop[tt * h..(tt + 1) * h]);
             xp[tt * h..(tt + 1) * h].copy_from_slice(y);
         }
-    }
-
-    /// One transformer block: reads the residual from `scratch.x`, writes
-    /// the updated residual back into it.
-    fn block_with(
-        &self,
-        layer: usize,
-        position: usize,
-        cache: &mut KvCache,
-        scratch: &mut Scratch,
-    ) {
-        let c = *self.config();
-        let w = &self.weights.layers[layer];
-        let (hd, qh, kvh) = (
-            c.attention.head_dim,
-            c.attention.num_query_heads,
-            c.attention.num_kv_heads,
-        );
-        let group = c.attention.group_size();
-        let Scratch {
-            x,
-            xn,
-            xo,
-            y,
-            q,
-            k,
-            v,
-            attn,
-            scores,
-            router_logits,
-            chosen,
-            expert_w,
-            up,
-            gate,
-            down,
-            delta,
-            lora_hidden,
-            rope,
-            ..
-        } = scratch;
-
-        // --- Attention ---
-        rmsnorm_into(x, xn);
-        matvec_into(xn, &w.wq, q);
-        if let Some(adapter) = &self.q_adapters[layer] {
-            adapter.delta_into(xn, lora_hidden, delta);
-            add_assign(q, delta);
-        }
-        matvec_into(xn, &w.wk, k);
-        matvec_into(xn, &w.wv, v);
-        rope.prepare(position);
-        for head in 0..qh {
-            rope.apply(&mut q[head * hd..(head + 1) * hd]);
-        }
-        for head in 0..kvh {
-            rope.apply(&mut k[head * hd..(head + 1) * hd]);
-        }
-        cache.append(layer, k, v);
-        let ctx = cache.len();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        attn.fill(0.0);
-        for head in 0..qh {
-            let kv_head = head / group;
-            let qh_vec = &q[head * hd..(head + 1) * hd];
-            scores.clear();
-            scores.extend((0..ctx).map(|p| dot(qh_vec, cache.key(layer, p, kv_head)) * scale));
-            softmax_in_place(scores);
-            let out = &mut attn[head * hd..(head + 1) * hd];
-            for (p, &pr) in scores.iter().enumerate() {
-                let val = cache.value(layer, p, kv_head);
-                for (o, &vv) in out.iter_mut().zip(val.iter()) {
-                    *o += pr * vv;
-                }
-            }
-        }
-        matvec_into(attn, &w.wo, xo);
-        add_assign(xo, x); // first residual
-
-        // --- MoE FFN ---
-        rmsnorm_into(xo, xn);
-        matvec_into(xn, &w.router, router_logits);
-        topk_into(router_logits, c.moe.experts_per_token, chosen);
-        expert_w.clear();
-        expert_w.extend(chosen.iter().map(|&e| router_logits[e]));
-        softmax_in_place(expert_w);
-
-        y.fill(0.0);
-        for (&expert, &ew) in chosen.iter().zip(expert_w.iter()) {
-            matvec_into(xn, &w.up[expert], up);
-            matvec_into(xn, &w.gate[expert], gate);
-            swiglu_in_place(gate, up);
-            matvec_into(gate, &w.down[expert], down);
-            for (yo, &d) in y.iter_mut().zip(down.iter()) {
-                *yo += ew * d;
-            }
-        }
-        add_assign(y, xo); // second residual
-        x.copy_from_slice(y);
     }
 
     /// Unembedding (weight-tied): logits over the vocabulary.
@@ -598,6 +442,82 @@ impl Transformer {
     }
 }
 
+/// The MoE stage of a block, up to (not including) the mixture: normalize
+/// the post-attention residual panel `xop` into `xnp`, route every row
+/// (router logits → top-k → softmaxed weights into `chosenp` /
+/// `expertwp`), then per touched expert gather the rows routed to it, run
+/// up / gate / SwiGLU / down as one matmul each, and stage the down
+/// outputs per (row, chosen slot) in `stagep`. Both executors call this;
+/// they differ only in the order they then replay the staged outputs into
+/// each row's mixture, which is where placement shows.
+// analyze: hot
+pub(crate) fn stage_experts(
+    w: &LayerWeights,
+    c: &TransformerConfig,
+    t: usize,
+    scratch: &mut Scratch,
+) {
+    let h = c.hidden_size;
+    let inter = c.moe.intermediate_size;
+    let n_experts = c.moe.num_experts;
+    let k_experts = c.moe.experts_per_token;
+    let Scratch {
+        chosen,
+        expert_w,
+        xnp,
+        xop,
+        routerp,
+        chosenp,
+        expertwp,
+        gatherp,
+        upp,
+        gatep,
+        stagep,
+        gidx,
+        ..
+    } = scratch;
+    for tt in 0..t {
+        rmsnorm_into(&xop[tt * h..(tt + 1) * h], &mut xnp[tt * h..(tt + 1) * h]);
+    }
+    matmul_into(xnp, h, t, &w.router, routerp, n_experts);
+    for tt in 0..t {
+        let logits = &routerp[tt * n_experts..(tt + 1) * n_experts];
+        topk_into(logits, k_experts, chosen);
+        expert_w.clear();
+        expert_w.extend(chosen.iter().map(|&e| logits[e]));
+        softmax_in_place(expert_w);
+        chosenp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(chosen);
+        expertwp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(expert_w);
+    }
+    for e in 0..n_experts {
+        gidx.clear();
+        gidx.extend((0..t * k_experts).filter(|&slot| chosenp[slot] == e));
+        if gidx.is_empty() {
+            continue;
+        }
+        let g = gidx.len();
+        for (gi, &slot) in gidx.iter().enumerate() {
+            let tt = slot / k_experts;
+            gatherp[gi * h..(gi + 1) * h].copy_from_slice(&xnp[tt * h..(tt + 1) * h]);
+        }
+        matmul_into(&gatherp[..g * h], h, g, &w.up[e], upp, inter);
+        matmul_into(&gatherp[..g * h], h, g, &w.gate[e], gatep, inter);
+        for gi in 0..g {
+            let (gate_row, up_row) = (
+                &mut gatep[gi * inter..(gi + 1) * inter],
+                &upp[gi * inter..(gi + 1) * inter],
+            );
+            swiglu_in_place(gate_row, up_row);
+        }
+        // The group's activations are no longer needed, so the down
+        // outputs overwrite `gatherp` before scattering to the stage.
+        matmul_into(&gatep[..g * inter], inter, g, &w.down[e], gatherp, h);
+        for (gi, &slot) in gidx.iter().enumerate() {
+            stagep[slot * h..(slot + 1) * h].copy_from_slice(&gatherp[gi * h..(gi + 1) * h]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +529,29 @@ mod tests {
             &card.config,
             &WeightGenerator::new(42),
         ))
+    }
+
+    /// `a` and `b` hold the same number of positions with bit-identical
+    /// keys and values.
+    fn assert_cache_bitwise_equal(m: &Transformer, a: &KvCache, b: &KvCache) {
+        assert_eq!(a.len(), b.len(), "cached positions");
+        let c = m.config();
+        for layer in 0..c.num_layers {
+            for p in 0..a.len() {
+                for head in 0..c.attention.num_kv_heads {
+                    assert_eq!(
+                        a.key(layer, p, head),
+                        b.key(layer, p, head),
+                        "key layer {layer} pos {p} head {head}"
+                    );
+                    assert_eq!(
+                        a.value(layer, p, head),
+                        b.value(layer, p, head),
+                        "value layer {layer} pos {p} head {head}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -748,9 +691,9 @@ mod tests {
 
     #[test]
     fn panel_prefill_is_bitwise_per_token_loop() {
-        // The tentpole contract: the multi-token matmul prefill appends
-        // the same KV and produces the same final logits as a step_with
-        // loop, bit for bit.
+        // A `step_with` loop (T = 1 panels, one unembed per token) appends
+        // the same KV and ends on the same logits as one wide panel, bit
+        // for bit.
         let m = model();
         let prompt: Vec<u32> = (0..23u32).map(|i| (i * 13 + 2) % 48).collect();
         let mut loop_cache = m.new_cache();
@@ -765,23 +708,7 @@ mod tests {
         assert_eq!(stats.max_panel, prompt.len());
         assert_eq!(loop_scratch.logits(), panel_scratch.logits());
         assert_eq!(panel_cache.len(), prompt.len());
-        let c = m.config();
-        for layer in 0..c.num_layers {
-            for p in 0..prompt.len() {
-                for head in 0..c.attention.num_kv_heads {
-                    assert_eq!(
-                        loop_cache.key(layer, p, head),
-                        panel_cache.key(layer, p, head),
-                        "key layer {layer} pos {p} head {head}"
-                    );
-                    assert_eq!(
-                        loop_cache.value(layer, p, head),
-                        panel_cache.value(layer, p, head),
-                        "value layer {layer} pos {p} head {head}"
-                    );
-                }
-            }
-        }
+        assert_cache_bitwise_equal(&m, &loop_cache, &panel_cache);
         // Decoding after either prefill yields identical continuations.
         let mut a = Vec::new();
         let mut tok = Sampler::Greedy.sample(loop_scratch.logits());
@@ -802,21 +729,26 @@ mod tests {
 
     #[test]
     fn prefill_is_chunking_invariant() {
-        // Any panel width yields bit-identical logits: the matmul is
-        // bit-equal to the matvec loop per token, so chunk boundaries
-        // cannot be observed.
+        // The pin between the decode step and every prefill width: the
+        // T = 1 panel is what `step_with` runs, 2/3/5 reach the narrow
+        // token-block remainders of the vectorized matmul, 16 and 64 its
+        // full blocks — and all of them leave bit-identical KV, position
+        // and logits, so chunk boundaries cannot be observed.
         let m = model();
         let prompt: Vec<u32> = (0..41u32).map(|i| (i * 7 + 1) % 48).collect();
-        let mut want: Option<Vec<f32>> = None;
-        for panel in [1usize, 3, 16, 64] {
+        let mut want: Option<(KvCache, Vec<f32>)> = None;
+        for panel in [1usize, 2, 3, 5, 16, 64] {
             let mut cache = m.new_cache();
             let mut scratch = m.new_scratch();
             let stats = m.prefill_chunked(&prompt, &mut cache, &mut scratch, panel, true);
             assert_eq!(stats.panels as usize, prompt.len().div_ceil(panel));
             assert_eq!(stats.max_panel, panel.min(prompt.len()));
             match &want {
-                None => want = Some(scratch.logits().to_vec()),
-                Some(w) => assert_eq!(w.as_slice(), scratch.logits(), "panel {panel}"),
+                None => want = Some((cache, scratch.logits().to_vec())),
+                Some((want_cache, want_logits)) => {
+                    assert_eq!(want_logits.as_slice(), scratch.logits(), "panel {panel}");
+                    assert_cache_bitwise_equal(&m, want_cache, &cache);
+                }
             }
         }
     }
