@@ -24,7 +24,10 @@
 
 use criterion::Criterion;
 use hnlpu::llm::kernels;
-use hnlpu_bench::inference::{inference_suite, prefix_cache_effectiveness, TOKENS_PER_ITER};
+use hnlpu_bench::inference::{
+    inference_suite, prefix_cache_effectiveness, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES,
+    TOKENS_PER_ITER,
+};
 use serde_json::Value;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
@@ -118,6 +121,20 @@ fn render_point(c: &Criterion, id: &str) -> Value {
         Value::Number((hit_rate * 1e3).round() / 1e3),
     ));
     fields.push(("prefix_pages_evicted".into(), Value::Number(evicted as f64)));
+    // Host time per round of each `round_deal` shape (the plan's time
+    // over its named rounds; the rounds that admit the decoders and emit
+    // their last token are inside it). Recorded, never gated: how far
+    // `skewed` drops depends on how many cores the runner deals across,
+    // which is written beside it.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    fields.push(("round_deal_threads".into(), Value::Number(threads as f64)));
+    for &(shape, _, _) in ROUND_DEAL_SHAPES {
+        let ns = ns_of(results, &format!("inference/round_deal/{shape}"));
+        fields.push((
+            format!("round_deal_{shape}_ns_per_round"),
+            Value::Number((ns / ROUND_DEAL_ROUNDS as f64).round()),
+        ));
+    }
     fields.push((
         "raw_ns_per_iter".into(),
         Value::Object(

@@ -14,7 +14,7 @@ use hnlpu::llm::{
     PrefixCache, PrefixCacheConfig, Sampler, SequenceRequest, Transformer,
 };
 use hnlpu::model::{zoo, Fp4, ModelWeights, PackedFp4Matrix, WeightGenerator};
-use hnlpu::sim::{BatchScheduler, SimConfig};
+use hnlpu::sim::{BatchScheduler, RoundPlan, SimConfig};
 
 /// Environment variable switching the suite to a fast smoke-test run.
 pub const QUICK_ENV: &str = "HNLPU_BENCH_QUICK";
@@ -39,6 +39,16 @@ pub const PREFILL_PANEL_SWEEP: &[usize] = &[1, 4, 16, 64];
 /// sequences. Both produce bit-identical logits and KV. `B = 1` is not a
 /// point: `step_with` is `step_batch_with` over one row.
 pub const DECODE_BATCH_SWEEP: &[usize] = &[4, 16, 64];
+
+/// Rounds of the named shape each `round_deal` plan holds.
+pub const ROUND_DEAL_ROUNDS: usize = 3;
+
+/// The `round_deal` group's `(label, resident decoders, prefill chunk
+/// lengths)`: `skewed` is the round that idled a core under a deal by item
+/// count (one 160-token chunk, one 48-token chunk, 8 one-row decoders);
+/// `uniform` is 32 equal items, which any deal splits evenly.
+pub const ROUND_DEAL_SHAPES: &[(&str, usize, &[usize])] =
+    &[("skewed", 8, &[160, 48]), ("uniform", 32, &[])];
 
 /// Tokens processed per iteration of each labelled benchmark, used to
 /// convert mean ns/iter into tokens/s. Benchmarks not listed here (the
@@ -142,6 +152,49 @@ pub fn prefix_prefill_requests(vocab: u32, shared: usize) -> Vec<SequenceRequest
             SequenceRequest::greedy(s as u64 * 2_000_000, prompt, 1)
         })
         .collect()
+}
+
+/// Requests and hand-built plan of one `round_deal` shape: a round that
+/// admits `decoders` one-token prompts (two rows each), then
+/// [`ROUND_DEAL_ROUNDS`] rounds that each hold the decoders' one-row steps
+/// plus one fresh prompt per entry of `chunks` — admitted, prefilled whole,
+/// its only token sampled, evicted, all in that round — then a round in
+/// which the decoders emit their last token (no rows).
+pub fn round_deal_plan(
+    vocab: u32,
+    decoders: usize,
+    chunks: &[usize],
+) -> (Vec<SequenceRequest>, Vec<RoundPlan>) {
+    let budget = ROUND_DEAL_ROUNDS as u32 + 2;
+    let mut requests: Vec<SequenceRequest> = (0..decoders as u32)
+        .map(|s| SequenceRequest::greedy(0, vec![(s * 131 + 1) % vocab], budget))
+        .collect();
+    let resident: Vec<usize> = (0..decoders).collect();
+    let mut plans = vec![RoundPlan {
+        decode: resident.clone(),
+        prefill: resident.iter().map(|&seq| (seq, 1)).collect(),
+    }];
+    for _ in 0..ROUND_DEAL_ROUNDS {
+        let mut plan = RoundPlan {
+            decode: resident.clone(),
+            prefill: Vec::new(),
+        };
+        for &len in chunks {
+            let seq = requests.len();
+            let prompt = (0..len as u32)
+                .map(|i| (seq as u32 * 131 + i * 7 + 1) % vocab)
+                .collect();
+            requests.push(SequenceRequest::greedy(0, prompt, 1));
+            plan.prefill.push((seq, len as u32));
+            plan.decode.push(seq);
+        }
+        plans.push(plan);
+    }
+    plans.push(RoundPlan {
+        decode: resident,
+        prefill: Vec::new(),
+    });
+    (requests, plans)
 }
 
 /// Cache-effectiveness numbers for the committed trajectory point:
@@ -347,6 +400,24 @@ pub fn inference_suite(c: &mut Criterion) {
     }
     g.finish();
 
+    // Round deal: whole plans through `execute_plan` on the larger model,
+    // so the time is the engine's own `run_round` dealing each round to
+    // the workers. How far `skewed` sits below a serial replay depends on
+    // the runner's core count, so neither point is a gated ratio.
+    let engine = BatchedDataflowExecutor::new(machine.clone(), 216);
+    let mut g = c.benchmark_group("inference/round_deal");
+    g.sample_size(samples);
+    for &(label, decoders, chunks) in ROUND_DEAL_SHAPES {
+        let (requests, plans) = round_deal_plan(big_vocab, decoders, chunks);
+        g.bench_function(label, |b| {
+            b.iter(|| match engine.execute_plan(black_box(&requests), &plans) {
+                Ok(run) => run.decoded_tokens,
+                Err(e) => unreachable!("round_deal plan executes: {e:?}"),
+            })
+        });
+    }
+    g.finish();
+
     // Shared-prefix prefill sweep: the paged engine with the radix
     // prefix cache runs the same 512 submitted prompt tokens at three
     // sharing levels. At share90 followers reuse 48 of 64 positions, so
@@ -433,6 +504,8 @@ mod tests {
         for (expected, _) in TOKENS_PER_ITER {
             assert!(labels.contains(expected), "missing bench {expected}");
         }
+        assert!(labels.contains(&"inference/round_deal/skewed"));
+        assert!(labels.contains(&"inference/round_deal/uniform"));
         assert!(labels.contains(&"inference/matvec_wq/packed"));
         assert!(labels.contains(&"inference/matvec_wq/naive"));
         assert!(labels.contains(&"inference/matvec_2880x2880/packed"));
@@ -477,6 +550,20 @@ mod tests {
             "all followers hit the cache, got {hit_rate}"
         );
         assert!(evicted > 0, "tight budget must evict cold prefixes");
+    }
+
+    #[test]
+    fn round_deal_plans_hold_the_named_shapes() {
+        for &(label, decoders, chunks) in ROUND_DEAL_SHAPES {
+            let (requests, plans) = round_deal_plan(128, decoders, chunks);
+            assert_eq!(requests.len(), decoders + ROUND_DEAL_ROUNDS * chunks.len());
+            assert_eq!(plans.len(), ROUND_DEAL_ROUNDS + 2, "{label}");
+            for plan in &plans[1..=ROUND_DEAL_ROUNDS] {
+                assert_eq!(plan.decode.len(), decoders + chunks.len(), "{label}");
+                let lens: Vec<usize> = plan.prefill.iter().map(|&(_, n)| n as usize).collect();
+                assert_eq!(lens, chunks, "{label}");
+            }
+        }
     }
 
     #[test]

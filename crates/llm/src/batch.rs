@@ -10,17 +10,23 @@
 //! harness in `tests/` asserts the token streams are identical to running
 //! [`DataflowExecutor`] per sequence.
 //!
-//! A round's work is split into one contiguous chunk per worker (`rayon`
-//! under the default `parallel` feature; a single chunk with
-//! `--no-default-features`). Within a chunk, prefill and sampling run per
-//! sequence, then every sequence that steps its sampled token back in
-//! joins one batched decode step
+//! A round's work is dealt to the workers by cost (`rayon` under the
+//! default `parallel` feature; a single chunk with
+//! `--no-default-features`). An item's cost is the rows it pushes through
+//! the block this round — its prefill tokens, plus one if its sampled
+//! token steps back in — because every token, prompt or decoded, goes
+//! through the same one block, so a row is the one unit of work there is.
+//! [`deal_rows`] hands the items out longest first, each to the least
+//! loaded worker, so one long prefill chunk no longer shares a worker with
+//! half the round while the other worker idles. Within a worker's share,
+//! prefill and sampling run per sequence, then every sequence that steps
+//! its sampled token back in joins one batched decode step
 //! ([`DataflowExecutor::step_batch_with`], the same block a prefill chunk
 //! and a lone `step_with` run): the rows share each pass over the packed
 //! weights and the embedding table, but every row's arithmetic is its own
 //! accumulation chain against its own KV state, so streams, KV and
-//! counters are bit-identical for any chunking, worker count or feature
-//! set.
+//! counters are bit-identical for any deal, worker count or feature set —
+//! the deal moves host time and nothing else.
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState, GRID};
 use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
@@ -309,6 +315,32 @@ pub(crate) struct Action {
     pub(crate) prefill: u32,
     /// Then sample one token (stepping it back in unless it is the last).
     pub(crate) decode: bool,
+}
+
+/// Deal items costing `rows` to `workers` workers: longest first (ties by
+/// index), each to the least-loaded worker so far (ties to the lowest) —
+/// Graham's longest-processing-time rule. Returns each item's worker, in
+/// item order; the heaviest load is at most `total / workers` plus the
+/// largest item, and at most 4/3 − 1/(3·workers) of the best possible.
+///
+/// Pure and deterministic: the same `rows` always deal the same way, so a
+/// round's chunking — which no output depends on anyway — repeats exactly.
+pub fn deal_rows(rows: &[usize], workers: usize) -> Vec<usize> {
+    let mut longest_first: Vec<(usize, usize)> = rows.iter().copied().enumerate().collect();
+    longest_first.sort_by_key(|&(item, cost)| (std::cmp::Reverse(cost), item));
+    let mut load = vec![0usize; workers.max(1)];
+    let mut worker_of = vec![0usize; rows.len()];
+    for (item, cost) in longest_first {
+        let least = load
+            .iter_mut()
+            .enumerate()
+            .min_by_key(|(worker, load)| (**load, *worker));
+        if let (Some((worker, load)), Some(slot)) = (least, worker_of.get_mut(item)) {
+            *load = load.saturating_add(cost);
+            *slot = worker;
+        }
+    }
+    worker_of
 }
 
 /// The batched inference engine.
@@ -728,21 +760,32 @@ impl BatchedDataflowExecutor {
         Ok(pool.len() - 1)
     }
 
-    /// One pipeline round: the work items are dealt out as one contiguous
-    /// chunk per worker, so each worker runs a single batched decode step
-    /// over its share of the round's decoders.
+    /// One pipeline round: the work items are dealt to the workers by the
+    /// rows each pushes through the block ([`deal_rows`]), and every
+    /// worker runs its share as one chunk, so a worker's decoders still
+    /// share one batched decode step.
     #[cfg(feature = "parallel")]
-    pub(crate) fn run_round(&self, mut work: Vec<(&mut SeqSlot, Action)>) {
+    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
         use rayon::prelude::*;
         let workers = rayon::current_num_threads().min(work.len());
         if workers <= 1 {
             return self.advance_chunk(work);
         }
-        let per_worker = work.len().div_ceil(workers);
-        let mut chunks = Vec::with_capacity(workers);
-        while !work.is_empty() {
-            let rest = work.split_off(work.len().min(per_worker));
-            chunks.push(std::mem::replace(&mut work, rest));
+        // An item's rows: its prompt tokens, plus one when the token it
+        // samples steps back in (the last token a sequence owes is emitted
+        // without another step).
+        let rows: Vec<usize> = work
+            .iter()
+            .map(|(slot, action)| {
+                let steps_back = action.decode && slot.out.len() + 1 < slot.target;
+                action.prefill as usize + usize::from(steps_back)
+            })
+            .collect();
+        let mut chunks: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        for (item, worker) in work.into_iter().zip(deal_rows(&rows, workers)) {
+            if let Some(chunk) = chunks.get_mut(worker) {
+                chunk.push(item);
+            }
         }
         chunks
             .into_par_iter()
@@ -757,10 +800,12 @@ impl BatchedDataflowExecutor {
         self.advance_chunk(work);
     }
 
-    /// One worker's share of a round: advance each sequence through its
-    /// prefill and sampling, then step every sampled token that still has
-    /// to go back through the machine as batched decode steps of at most
-    /// [`MAX_PREFILL_PANEL`] rows, evenly sized.
+    /// One worker's share of a round, in any order and of any mix (the
+    /// deal decides which items meet here; no result depends on it):
+    /// advance each sequence through its prefill and sampling, then step
+    /// every sampled token that still has to go back through the machine
+    /// as batched decode steps of at most [`MAX_PREFILL_PANEL`] rows,
+    /// evenly sized.
     fn advance_chunk(&self, chunk: Vec<(&mut SeqSlot, Action)>) {
         let mut tokens = Vec::with_capacity(chunk.len());
         let mut states = Vec::with_capacity(chunk.len());
@@ -1034,6 +1079,161 @@ mod tests {
         assert_eq!(report.prefill_tokens, 5);
         assert_eq!(report.prefill_panels, 2);
         assert_eq!(report.prefill_max_panel, 3);
+    }
+
+    /// The round shape the deal exists for: a 130-token prompt and a short
+    /// one arrive while 16 sequences are mid-decode, so one round holds a
+    /// three-panel chunk, a three-row chunk and 16 one-row decoders.
+    fn skewed_round_requests() -> Vec<SequenceRequest> {
+        let mut requests: Vec<SequenceRequest> = (0..16u32)
+            .map(|s| SequenceRequest::greedy(0, vec![1 + s, 2 + s * 3 % 7], 6))
+            .collect();
+        let long = (0..130u32).map(|i| (i * 7 + 3) % 97).collect();
+        requests.push(SequenceRequest::greedy(1, long, 3));
+        requests.push(SequenceRequest::greedy(1, vec![9, 8, 7], 3));
+        requests
+    }
+
+    #[test]
+    fn skewed_round_matches_per_sequence_runs() {
+        let eng = engine();
+        let requests = skewed_round_requests();
+        let sim_reqs: Vec<Request> = requests
+            .iter()
+            .map(SequenceRequest::to_sim_request)
+            .collect();
+        let (_, plans) = scheduler().plan(&sim_reqs);
+        assert!(
+            plans.iter().any(|p| p.decode.len() >= 16
+                && p.prefill.len() == 2
+                && p.prefill.iter().any(|&(_, n)| n >= 128)),
+            "expected one round mixing the long prompt, the short one and 16 decoders"
+        );
+        let report = eng.execute_plan(&requests, &plans).expect("plan executes");
+        let mut comm = CommCounters::default();
+        let mut panels = 0;
+        for (r, out) in requests.iter().zip(&report.outputs) {
+            let (solo, solo_comm) = eng.executor().generate_with_report(
+                &r.prompt,
+                r.decode_tokens as usize,
+                &mut Sampler::Greedy,
+            );
+            assert_eq!(&solo, out);
+            comm += solo_comm;
+            panels += eng
+                .executor()
+                .prefill_with(
+                    &r.prompt,
+                    &mut eng.executor().new_state(),
+                    &mut eng.executor().new_scratch(),
+                    false,
+                )
+                .panels;
+        }
+        assert_eq!(report.comm, comm);
+        assert_eq!(report.prefill_tokens, 16 * 2 + 130 + 3);
+        assert_eq!(report.prefill_panels, panels);
+        assert_eq!(report.prefill_max_panel, MAX_PREFILL_PANEL);
+    }
+
+    /// Rows each worker ends up with under `worker_of`.
+    fn loads(rows: &[usize], worker_of: &[usize], workers: usize) -> Vec<usize> {
+        let mut load = vec![0; workers];
+        for (&cost, &worker) in rows.iter().zip(worker_of) {
+            load[worker] += cost;
+        }
+        load
+    }
+
+    fn makespan(rows: &[usize], workers: usize) -> usize {
+        let load = loads(rows, &deal_rows(rows, workers), workers);
+        load.into_iter().max().unwrap_or(0)
+    }
+
+    /// Heaviest share under the deal this one replaced: contiguous runs
+    /// of `len.div_ceil(workers)` items, whatever they cost.
+    fn count_split_makespan(rows: &[usize], workers: usize) -> usize {
+        rows.chunks(rows.len().div_ceil(workers).max(1))
+            .map(|chunk| chunk.iter().sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn deal_handles_degenerate_shapes() {
+        assert!(deal_rows(&[], 4).is_empty());
+        assert_eq!(deal_rows(&[7], 4), vec![0]);
+        // More workers than items: one item each, lowest workers first.
+        assert_eq!(deal_rows(&[3, 9, 5], 8), vec![2, 0, 1]);
+        // Zero workers is treated as one rather than dividing by nothing.
+        assert_eq!(deal_rows(&[1, 2], 0), vec![0, 0]);
+        // Equal costs: sizes differ by at most one, for every worker count.
+        for workers in 1..=7 {
+            let worker_of = deal_rows(&[4; 23], workers);
+            let sizes = loads(&[1; 23], &worker_of, workers);
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(max - min <= 1, "{workers} workers: sizes {sizes:?}");
+        }
+        // One giant among unit items sits alone until the rest outweigh it.
+        let mut rows = vec![1; 20];
+        rows.insert(7, 160);
+        let worker_of = deal_rows(&rows, 2);
+        let giant = worker_of[7];
+        let sharing = worker_of.iter().filter(|&&w| w == giant).count();
+        assert_eq!(sharing, 1, "the giant shares its worker");
+        assert_eq!(loads(&rows, &worker_of, 2), vec![160, 20]);
+    }
+
+    #[test]
+    fn deal_beats_the_count_split_on_serving_round_shapes() {
+        // prefill_long's typical round, the bench crate's skewed round, a
+        // uniform decode round, and a round led by finished decoders.
+        let typical = [0, 13, 115, 89];
+        let mut skewed = vec![160, 48];
+        skewed.extend([1; 8]);
+        let uniform = [1; 32];
+        let finished_first = [0, 0, 0, 0, 64, 64];
+        for workers in 2..=4 {
+            for rows in [&typical[..], &skewed, &uniform, &finished_first] {
+                assert!(
+                    makespan(rows, workers) <= count_split_makespan(rows, workers),
+                    "{workers} workers, rows {rows:?}"
+                );
+            }
+        }
+        assert_eq!(count_split_makespan(&typical, 2), 204);
+        assert_eq!(makespan(&typical, 2), 115);
+        // Not a theorem: a count split that happens to be perfect can beat
+        // longest-first by the 7/6 Graham allows on two workers.
+        assert_eq!(count_split_makespan(&[2, 2, 2, 3, 3], 2), 6);
+        assert_eq!(makespan(&[2, 2, 2, 3, 3], 2), 7);
+    }
+
+    proptest::proptest! {
+        /// Every item lands on exactly one existing worker, the same way
+        /// every time, within Graham's bounds: the heaviest worker carries
+        /// at most the even share plus one item, and at most
+        /// 4/3 − 1/(3·workers) of any other deal — the count split's
+        /// included.
+        #[test]
+        fn deal_is_total_deterministic_and_bounded(
+            rows in proptest::collection::vec(0usize..200, 0..40),
+            workers in 1usize..9,
+        ) {
+            let worker_of = deal_rows(&rows, workers);
+            proptest::prop_assert_eq!(worker_of.len(), rows.len());
+            proptest::prop_assert!(worker_of.iter().all(|&w| w < workers));
+            proptest::prop_assert_eq!(&worker_of, &deal_rows(&rows, workers));
+            let load = loads(&rows, &worker_of, workers);
+            let total: usize = rows.iter().sum();
+            proptest::prop_assert_eq!(load.iter().sum::<usize>(), total);
+            let heaviest = load.into_iter().max().unwrap_or(0);
+            let largest = rows.iter().copied().max().unwrap_or(0);
+            proptest::prop_assert!(heaviest <= total / workers + largest);
+            proptest::prop_assert!(
+                3 * workers * heaviest <= (4 * workers - 1) * count_split_makespan(&rows, workers)
+            );
+        }
     }
 
     /// A 40-token deterministic "system prompt" for sharing tests.

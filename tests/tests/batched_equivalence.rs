@@ -210,6 +210,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The skewed round the cost-based deal exists for: one long prompt
+    /// and one short one arrive among at least 16 resident decoders, so
+    /// the rayon build deals a multi-panel chunk, a few-row chunk and a
+    /// crowd of one-row items to different workers. Streams, summed
+    /// `CommCounters`, prefill tokens and panel counts equal the
+    /// per-sequence runs whatever the deal (and on the serial build,
+    /// where the round is one chunk).
+    #[test]
+    fn skewed_round_matches_per_sequence_runs(
+        long in prop::collection::vec(0u32..128, 128..192),
+        short in prop::collection::vec(0u32..128, 1..6),
+        decoders in prop::collection::vec((prop::collection::vec(0u32..128, 1..4), 4u32..9), 16..24),
+        decode in 1u32..5,
+    ) {
+        let (engine, _) = machines();
+        let mut requests: Vec<SequenceRequest> = decoders
+            .iter()
+            .map(|(prompt, budget)| SequenceRequest::greedy(0, prompt.clone(), *budget))
+            .collect();
+        requests.push(SequenceRequest::greedy(1, long.clone(), decode));
+        requests.push(SequenceRequest::greedy(1, short.clone(), decode));
+        let sim_reqs: Vec<_> = requests
+            .iter()
+            .map(SequenceRequest::to_sim_request)
+            .collect();
+        let (_, plans) = scheduler().plan(&sim_reqs);
+        prop_assert!(
+            plans.iter().any(|p| p.decode.len() >= 16
+                && p.prefill.len() == 2
+                && p.prefill.iter().any(|&(_, n)| n >= 128)),
+            "no round mixes the long prompt, the short one and 16 decoders"
+        );
+        let report = engine.execute_plan(&requests, &plans).expect("plan executes");
+        let mut comm = CommCounters::default();
+        let mut panels = 0;
+        for (r, out) in requests.iter().zip(&report.outputs) {
+            let (solo, solo_comm) = engine.executor().generate_with_report(
+                &r.prompt,
+                r.decode_tokens as usize,
+                &mut Sampler::Greedy,
+            );
+            prop_assert_eq!(&solo, out);
+            comm += solo_comm;
+            panels += engine
+                .executor()
+                .prefill_with(
+                    &r.prompt,
+                    &mut engine.executor().new_state(),
+                    &mut engine.executor().new_scratch(),
+                    false,
+                )
+                .panels;
+        }
+        prop_assert_eq!(report.comm, comm);
+        let prompt_tokens: u64 = requests.iter().map(|r| r.prompt.len() as u64).sum();
+        prop_assert_eq!(report.prefill_tokens, prompt_tokens);
+        prop_assert_eq!(report.prefill_panels, panels);
+    }
+}
+
 /// Accounting specifically across rounds that mix prefill and decode:
 /// a late arrival prefills while an early sequence is mid-decode, and
 /// the aggregate counters still reconcile with the per-round plans.
