@@ -2,13 +2,15 @@
 //!
 //! [`BatchedDataflowExecutor`] runs many sequences through one
 //! [`DataflowExecutor`] the way the hardware does: a pool of KV-cache
-//! slots (one per resident sequence), continuous-batching admission and
-//! eviction, and per-round mixed prefill + decode stepping. The schedule
-//! itself comes from `hnlpu-sim`'s [`BatchScheduler`] as a list of
-//! [`RoundPlan`]s, so the functional engine executes *exactly* the slot
-//! assignments the cycle-level timing model priced — the differential
-//! harness in `tests/` asserts the token streams are identical to running
-//! [`DataflowExecutor`] per sequence.
+//! slots (one per resident sequence) and per-round mixed prefill + decode
+//! stepping. The schedule comes from `hnlpu-sim` as [`RoundPlan`]s — a
+//! whole trace planned up front by [`BatchScheduler`], or one round at a
+//! time from the online server's stepper — so the functional engine
+//! executes *exactly* the slot assignments the timing model priced; the
+//! differential harness in `tests/` asserts the token streams are
+//! identical to running [`DataflowExecutor`] per sequence. Both drivers
+//! keep their sequences in the crate-private `SlotPool`, where placement,
+//! vacating and the execution of one plan are written once.
 //!
 //! A round's work is dealt to the workers by cost (`rayon` under the
 //! default `parallel` feature; a single chunk with
@@ -284,14 +286,6 @@ pub(crate) struct SeqSlot {
     pub(crate) scratch: Scratch,
     /// Prompt tokens consumed so far.
     pub(crate) prefill_pos: usize,
-    /// Leading prompt positions attached from the shared prefix tree
-    /// (never prefilled by this sequence).
-    pub(crate) matched: usize,
-    /// Whether the prefix tree was consulted for this residency.
-    /// Consultation happens in the first round the slot receives prefill
-    /// budget — the same instant the timing planner's oracle fires — so
-    /// online and offline schedules see identical tree states.
-    pub(crate) consulted: bool,
     /// Shared-pool page ids this sequence holds references on, released
     /// exactly once when the sequence leaves its slot.
     pub(crate) grant: Vec<u32>,
@@ -304,17 +298,219 @@ impl SeqSlot {
     pub(crate) fn finished(&self) -> bool {
         self.prefill_pos == self.prompt.len() && self.out.len() == self.target
     }
+
+    /// The token counts this parked slot owes once `recover_slot` rebuilds
+    /// it for `req`: the prompt grown by what it emitted, the decode rest.
+    pub(crate) fn resume_row(&self, req: &SequenceRequest) -> Request {
+        Request::new(
+            req.arrival_s_micros,
+            (req.prompt.len() + self.out.len()) as u32,
+            self.target.saturating_sub(self.out.len()) as u32,
+        )
+    }
 }
 
 /// What one sequence does during one round. A sequence whose prefill
 /// completes mid-round chains straight into its first decode, so one item
 /// can carry both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Action {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Action {
     /// Prompt tokens to consume first.
-    pub(crate) prefill: u32,
+    prefill: u32,
     /// Then sample one token (stepping it back in unless it is the last).
-    pub(crate) decode: bool,
+    decode: bool,
+}
+
+/// The resident sequences' KV slots and the shared prefix cache their
+/// pages live in — the executor state of offline plan replay and of the
+/// online server alike. As a [`PrefixOracle`] it is the executing side's
+/// consult: the match is attached to the real slot when the policy asks.
+#[derive(Debug, Default)]
+pub(crate) struct SlotPool {
+    /// Slot-indexed storage; `None` entries are free.
+    slots: Vec<Option<SeqSlot>>,
+    /// Sequence id → slot index while resident.
+    slot_of: Vec<Option<usize>>,
+    pub(crate) cache: Option<PrefixCache>,
+    /// Most slots in use at once.
+    pub(crate) peak_resident: usize,
+    /// Largest logical and physically owned fp16 KV footprints, bytes.
+    pub(crate) peak_kv_bytes: u64,
+    pub(crate) peak_kv_owned_bytes: u64,
+}
+
+impl SlotPool {
+    pub(crate) fn new(cache: Option<PrefixCache>) -> Self {
+        SlotPool {
+            cache,
+            ..SlotPool::default()
+        }
+    }
+
+    fn index_of(&self, seq: usize) -> Option<usize> {
+        self.slot_of.get(seq).copied().flatten()
+    }
+
+    /// The slot `seq` is resident in.
+    pub(crate) fn get(&self, seq: usize) -> Option<&SeqSlot> {
+        self.slots.get(self.index_of(seq)?)?.as_ref()
+    }
+
+    /// The resident sequences, in slot order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = &SeqSlot> {
+        self.slots.iter().flatten()
+    }
+
+    /// Make `slot` resident in the lowest free slot (the caller bounds
+    /// residency) and return that slot's index.
+    pub(crate) fn place(&mut self, slot: SeqSlot) -> usize {
+        let seq = slot.seq;
+        let free = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .find(|(_, entry)| entry.is_none());
+        let idx = match free {
+            Some((idx, entry)) => {
+                *entry = Some(slot);
+                idx
+            }
+            None => {
+                self.slots.push(Some(slot));
+                self.slots.len() - 1
+            }
+        };
+        if self.slot_of.len() <= seq {
+            self.slot_of.resize(seq + 1, None);
+        }
+        if let Some(entry) = self.slot_of.get_mut(seq) {
+            *entry = Some(idx);
+        }
+        self.peak_resident = self.peak_resident.max(self.residents().count());
+        idx
+    }
+
+    /// Take `seq` out of its slot and drop its references on shared
+    /// pages: the one way out, so each residency frees its slot and its
+    /// grant exactly once. The carcass keeps tokens, sampler and buffers.
+    pub(crate) fn vacate(&mut self, seq: usize) -> Option<SeqSlot> {
+        let idx = self.slot_of.get_mut(seq)?.take()?;
+        let mut gone = self.slots.get_mut(idx)?.take()?;
+        if let Some(cache) = self.cache.as_mut() {
+            cache.release_grant(&mut gone.grant);
+        }
+        Some(gone)
+    }
+
+    /// Fold the residents' current KV footprint into the peaks.
+    pub(crate) fn record_kv_peaks(&mut self) {
+        let (mut logical, mut owned) = (0u64, 0u64);
+        for slot in self.residents() {
+            logical = logical.saturating_add(slot.state.kv_bytes_fp16());
+            owned = owned.saturating_add(slot.state.kv_owned_bytes_fp16());
+        }
+        self.peak_kv_bytes = self.peak_kv_bytes.max(logical);
+        self.peak_kv_owned_bytes = self.peak_kv_owned_bytes.max(owned);
+    }
+
+    /// Match `seq`'s prompt against the shared tree and attach the hit to
+    /// its slot (full blocks by reference, the copy-on-write boundary page
+    /// by copy), leaving only the unmatched suffix to prefill. Returns the
+    /// matched positions, 0 when dense.
+    pub(crate) fn consult(&mut self, seq: usize) -> u32 {
+        let slot = self.index_of(seq).and_then(|idx| self.slots.get_mut(idx));
+        let (Some(cache), Some(slot)) = (self.cache.as_mut(), slot.and_then(Option::as_mut)) else {
+            return 0;
+        };
+        let m = cache.match_prompt(&slot.prompt);
+        if m.matched == 0 {
+            return 0;
+        }
+        cache.retain_match(&m, &mut slot.grant);
+        slot.state.attach_prefix(m.matched, &m.blocks, cache.pool());
+        slot.prefill_pos = m.matched;
+        u32::try_from(m.matched).unwrap_or(u32::MAX)
+    }
+
+    /// Execute one round on `engine`: merge `plan` into one [`Action`] per
+    /// slot (rejecting, before anything runs, a plan that names a
+    /// non-resident sequence, prefills one twice or asks for more than a
+    /// slot has left), run the round over disjoint `&mut` borrows, then
+    /// commit the prompts it completed into the shared tree in the plan's
+    /// FCFS order — pages freeze in place (owned → shared, no copy), and
+    /// only strictly later rounds' consults match them.
+    pub(crate) fn execute(
+        &mut self,
+        engine: &BatchedDataflowExecutor,
+        plan: &RoundPlan,
+    ) -> Result<(), BatchError> {
+        let mut actions = vec![Action::default(); self.slots.len()];
+        let prefills = plan.prefill.iter().map(|&(seq, n)| (seq, Some(n)));
+        for (seq, prefill) in prefills.chain(plan.decode.iter().map(|&seq| (seq, None))) {
+            let resident = self
+                .index_of(seq)
+                .and_then(|idx| Some((self.slots.get(idx)?.as_ref()?, actions.get_mut(idx)?)));
+            let (slot, action) = resident.ok_or(BatchError::NotAdmitted { seq })?;
+            let left = slot.prompt.len() - slot.prefill_pos;
+            if let Some(n) = prefill {
+                if action.prefill > 0 {
+                    return Err(BatchError::DuplicateAction { seq });
+                }
+                if n as usize > left {
+                    return Err(BatchError::PrefillOverrun { seq });
+                }
+                action.prefill = n;
+            } else if action.prefill as usize != left {
+                return Err(BatchError::DecodeBeforePrefill { seq });
+            } else if slot.out.len() >= slot.target {
+                return Err(BatchError::DecodeOverrun { seq });
+            } else {
+                action.decode = true;
+            }
+        }
+        let work = (self.slots.iter_mut().zip(actions))
+            .filter(|(_, action)| *action != Action::default())
+            .filter_map(|(slot, action)| Some((slot.as_mut()?, action)))
+            .collect();
+        engine.run_round(work);
+
+        let SlotPool {
+            slots,
+            slot_of,
+            cache: Some(cache),
+            ..
+        } = self
+        else {
+            return Ok(());
+        };
+        for &(seq, _) in &plan.prefill {
+            let idx = slot_of.get(seq).copied().flatten();
+            let slot = idx.and_then(|idx| slots.get_mut(idx));
+            let Some(SeqSlot {
+                prompt,
+                state,
+                grant,
+                prefill_pos,
+                ..
+            }) = slot.and_then(Option::as_mut)
+            else {
+                continue;
+            };
+            if *prefill_pos == prompt.len() {
+                cache.commit(prompt, |b| state.share_block(b), grant);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PrefixOracle for SlotPool {
+    fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
+        self.consult(seq)
+    }
+
+    /// The pages exist only once the round has run: `execute` commits.
+    fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
 }
 
 /// Deal items costing `rows` to `workers` workers: longest first (ties by
@@ -443,9 +639,9 @@ impl BatchedDataflowExecutor {
             cache: PrefixCache::new(shared),
         };
         let (timing, plans) = scheduler.plan_with_prefixes(&sim_reqs, &mut oracle);
-        let mut cache = PrefixCache::new(shared);
+        let cache = PrefixCache::new(shared);
         Ok((
-            self.execute_plan_impl(requests, &plans, Some(&mut cache))?,
+            self.execute_plan_impl(requests, &plans, Some(cache))?,
             timing,
         ))
     }
@@ -471,17 +667,16 @@ impl BatchedDataflowExecutor {
     }
 
     /// [`execute_plan`](Self::execute_plan), optionally reading and
-    /// committing prompt prefixes through a shared [`PrefixCache`]. The
-    /// cache must have been consulted by the planner that produced
-    /// `plans` (see [`run_with_scheduler`](Self::run_with_scheduler));
-    /// admission matches at round start, commits land after the round's
-    /// compute, and a finished sequence's page grant is released in the
-    /// round it leaves its slot.
+    /// committing prompt prefixes through a shared [`PrefixCache`] that the
+    /// planner of `plans` consulted too (see
+    /// [`run_with_scheduler`](Self::run_with_scheduler)): a sequence is
+    /// placed and matched in the round that first prefills it and vacated
+    /// in the round it finishes.
     fn execute_plan_impl(
         &self,
         requests: &[SequenceRequest],
         plans: &[RoundPlan],
-        mut cache: Option<&mut PrefixCache>,
+        cache: Option<PrefixCache>,
     ) -> Result<BatchRunReport, BatchError> {
         for (seq, r) in requests.iter().enumerate() {
             if r.prompt.is_empty() {
@@ -489,196 +684,77 @@ impl BatchedDataflowExecutor {
             }
         }
         let started = Instant::now();
-        let mut pool: Vec<Option<SeqSlot>> = Vec::new();
-        // seq id -> slot index while resident.
-        let mut slot_of: Vec<Option<usize>> = vec![None; requests.len()];
+        let mut pool = SlotPool::new(cache);
         let mut outputs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
         let mut per_sequence_comm = vec![CommCounters::default(); requests.len()];
-        let mut decoded_tokens = 0u64;
-        let mut prefill_tokens = 0u64;
         let mut prefill_panels = 0u64;
         let mut prefill_max_panel = 0usize;
-        let mut peak_resident = 0usize;
-        let mut peak_kv_bytes = 0u64;
-        let mut peak_kv_owned = 0u64;
 
         for plan in plans {
             // Admit sequences first referenced this round (prefill entries
             // are FCFS in admission order; decoders were admitted earlier).
             for &(seq, _) in &plan.prefill {
-                let Some(entry) = slot_of.get(seq) else {
-                    return Err(BatchError::UnknownSequence { seq });
-                };
-                if entry.is_none() {
-                    let slot = self.admit(&mut pool, requests, seq)?;
-                    if let Some(cache) = cache.as_deref_mut() {
-                        if let Some(s) = pool.get_mut(slot).and_then(Option::as_mut) {
-                            Self::attach_match(s, cache);
-                        }
-                    }
-                    if let Some(entry) = slot_of.get_mut(seq) {
-                        *entry = Some(slot);
-                    }
+                let req = requests
+                    .get(seq)
+                    .ok_or(BatchError::UnknownSequence { seq })?;
+                if pool.get(seq).is_some() {
+                    continue;
                 }
+                if pool.residents().count() >= self.max_slots {
+                    return Err(BatchError::PoolOverflow {
+                        slots: self.max_slots,
+                    });
+                }
+                pool.place(self.new_slot(seq, req));
+                pool.consult(seq);
             }
-            peak_resident = peak_resident.max(pool.iter().flatten().count());
-
-            // Merge this round's assignments into one action per sequence
-            // (a sequence may prefill AND chain into its first decode).
-            let mut actions: Vec<(usize, Action)> = plan
-                .prefill
-                .iter()
-                .map(|&(seq, n)| {
-                    (
-                        seq,
-                        Action {
-                            prefill: n,
-                            decode: false,
-                        },
-                    )
-                })
-                .collect();
-            for &seq in &plan.decode {
-                match actions.iter_mut().find(|(s, _)| *s == seq) {
-                    Some((_, action)) => action.decode = true,
-                    None => actions.push((
-                        seq,
-                        Action {
-                            prefill: 0,
-                            decode: true,
-                        },
-                    )),
-                }
+            if let Some(&seq) = plan.decode.iter().find(|&&seq| seq >= requests.len()) {
+                return Err(BatchError::UnknownSequence { seq });
             }
-
-            // Index the pool once, then hand out disjoint &mut borrows.
-            let mut work: Vec<(&mut SeqSlot, Action)> = Vec::new();
-            let mut remaining: Vec<Option<&mut SeqSlot>> =
-                pool.iter_mut().map(Option::as_mut).collect();
-            for (seq, action) in actions {
-                let slot_idx = match slot_of.get(seq) {
-                    Some(&Some(idx)) => idx,
-                    Some(&None) => return Err(BatchError::NotAdmitted { seq }),
-                    None => return Err(BatchError::UnknownSequence { seq }),
-                };
-                // `remaining` is pool-sized and `slot_idx` came from a live
-                // admission, so a miss here means the slot's `&mut` was
-                // already taken: two actions for one sequence.
-                let Some(slot) = remaining.get_mut(slot_idx).and_then(Option::take) else {
-                    return Err(BatchError::DuplicateAction { seq });
-                };
-                if slot.prefill_pos + action.prefill as usize > slot.prompt.len() {
-                    return Err(BatchError::PrefillOverrun { seq });
-                }
-                prefill_tokens += action.prefill as u64;
-                if action.decode {
-                    if slot.prefill_pos + action.prefill as usize != slot.prompt.len() {
-                        return Err(BatchError::DecodeBeforePrefill { seq });
-                    }
-                    if slot.out.len() >= slot.target {
-                        return Err(BatchError::DecodeOverrun { seq });
-                    }
-                    decoded_tokens += 1;
-                }
-                work.push((slot, action));
-            }
-
-            self.run_round(work);
-
-            // Commit completed prompts into the shared tree before any
-            // harvest below can drop their state: each new block's pages
-            // are frozen in place (owned → shared, no copy) and later
-            // rounds' admissions match against them.
-            if let Some(cache) = cache.as_deref_mut() {
-                for &(seq, _) in &plan.prefill {
-                    let Some(&Some(idx)) = slot_of.get(seq) else {
-                        continue;
-                    };
-                    let Some(slot) = pool.get_mut(idx).and_then(Option::as_mut) else {
-                        continue;
-                    };
-                    if slot.prefill_pos == slot.prompt.len() {
-                        let SeqSlot {
-                            prompt,
-                            state,
-                            grant,
-                            ..
-                        } = slot;
-                        cache.commit(prompt, |b| state.share_block(b), grant);
-                    }
-                }
-            }
+            pool.execute(self, plan)?;
 
             // Evict finished sequences, harvesting their results.
-            for slot in pool.iter_mut() {
-                if slot.as_ref().is_some_and(SeqSlot::finished) {
-                    let Some(mut done) = slot.take() else {
-                        continue;
-                    };
-                    if let Some(cache) = cache.as_deref_mut() {
-                        cache.release_grant(&mut done.grant);
-                    }
-                    if let Some(entry) = slot_of.get_mut(done.seq) {
-                        *entry = None;
-                    }
-                    if let Some(comm) = per_sequence_comm.get_mut(done.seq) {
-                        *comm = done.state.comm;
-                    }
-                    prefill_panels += done.prefill_stats.panels;
-                    prefill_max_panel = prefill_max_panel.max(done.prefill_stats.max_panel);
-                    if let Some(out) = outputs.get_mut(done.seq) {
-                        *out = done.out;
-                    }
+            let finished: Vec<usize> = pool
+                .residents()
+                .filter(|slot| slot.finished())
+                .map(|slot| slot.seq)
+                .collect();
+            for seq in finished {
+                let Some(done) = pool.vacate(seq) else {
+                    continue;
+                };
+                if let Some(comm) = per_sequence_comm.get_mut(seq) {
+                    *comm = done.state.comm;
+                }
+                prefill_panels += done.prefill_stats.panels;
+                prefill_max_panel = prefill_max_panel.max(done.prefill_stats.max_panel);
+                if let Some(out) = outputs.get_mut(seq) {
+                    *out = done.out;
                 }
             }
-            let kv_bytes: u64 = pool.iter().flatten().map(|s| s.state.kv_bytes_fp16()).sum();
-            peak_kv_bytes = peak_kv_bytes.max(kv_bytes);
-            let kv_owned: u64 = pool
-                .iter()
-                .flatten()
-                .map(|s| s.state.kv_owned_bytes_fp16())
-                .sum();
-            peak_kv_owned = peak_kv_owned.max(kv_owned);
+            pool.record_kv_peaks();
         }
-        if let Some(still) = pool.iter().flatten().next() {
+        if let Some(still) = pool.residents().next() {
             return Err(BatchError::Unfinished { seq: still.seq });
         }
 
+        let prefills = plans.iter().flat_map(|plan| &plan.prefill);
         Ok(BatchRunReport {
             recovery: RecoveryStats::default(),
             comm: per_sequence_comm.iter().copied().sum(),
+            decoded_tokens: outputs.iter().map(|out| out.len() as u64).sum(),
+            prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             outputs,
             per_sequence_comm,
             rounds: plans.len() as u64,
-            decoded_tokens,
-            prefill_tokens,
             prefill_panels,
             prefill_max_panel,
-            peak_resident,
-            peak_kv_bytes_fp16: peak_kv_bytes,
-            peak_kv_owned_bytes_fp16: peak_kv_owned,
-            prefix: match &cache {
-                Some(c) => c.stats(),
-                None => PrefixStats::default(),
-            },
+            peak_resident: pool.peak_resident,
+            peak_kv_bytes_fp16: pool.peak_kv_bytes,
+            peak_kv_owned_bytes_fp16: pool.peak_kv_owned_bytes,
+            prefix: pool.cache.map(|c| c.stats()).unwrap_or_default(),
             wall_s: started.elapsed().as_secs_f64(),
         })
-    }
-
-    /// Match a freshly admitted slot's prompt against the shared tree
-    /// and attach the hit: matched full blocks by reference, the
-    /// copy-on-write boundary page (if any) by copy. The slot then
-    /// prefills only the unmatched suffix.
-    pub(crate) fn attach_match(slot: &mut SeqSlot, cache: &mut PrefixCache) {
-        slot.consulted = true;
-        let m = cache.match_prompt(&slot.prompt);
-        if m.matched == 0 {
-            return;
-        }
-        cache.retain_match(&m, &mut slot.grant);
-        slot.state.attach_prefix(m.matched, &m.blocks, cache.pool());
-        slot.matched = m.matched;
-        slot.prefill_pos = m.matched;
     }
 
     /// A fresh resident-sequence slot for `req`, tagged `seq`. Used by
@@ -693,8 +769,6 @@ impl BatchedDataflowExecutor {
             state: self.inner.new_state(),
             scratch: self.inner.new_scratch(),
             prefill_pos: 0,
-            matched: 0,
-            consulted: false,
             grant: Vec::new(),
             prefill_stats: PrefillStats::default(),
             out: Vec::new(),
@@ -727,37 +801,7 @@ impl BatchedDataflowExecutor {
         prompt.extend_from_slice(&carcass.out);
         carcass.prompt = prompt;
         carcass.prefill_pos = 0;
-        carcass.matched = 0;
-        carcass.consulted = false;
         carcass
-    }
-
-    /// Place `seq` in the lowest free slot of the pool.
-    fn admit(
-        &self,
-        pool: &mut Vec<Option<SeqSlot>>,
-        requests: &[SequenceRequest],
-        seq: usize,
-    ) -> Result<usize, BatchError> {
-        let req = requests
-            .get(seq)
-            .ok_or(BatchError::UnknownSequence { seq })?;
-        let slot = self.new_slot(seq, req);
-        if let Some((free, entry)) = pool
-            .iter_mut()
-            .enumerate()
-            .find(|(_, entry)| entry.is_none())
-        {
-            *entry = Some(slot);
-            return Ok(free);
-        }
-        if pool.len() >= self.max_slots {
-            return Err(BatchError::PoolOverflow {
-                slots: self.max_slots,
-            });
-        }
-        pool.push(Some(slot));
-        Ok(pool.len() - 1)
     }
 
     /// One pipeline round: the work items are dealt to the workers by the
@@ -765,7 +809,7 @@ impl BatchedDataflowExecutor {
     /// worker runs its share as one chunk, so a worker's decoders still
     /// share one batched decode step.
     #[cfg(feature = "parallel")]
-    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
         use rayon::prelude::*;
         let workers = rayon::current_num_threads().min(work.len());
         if workers <= 1 {
@@ -796,7 +840,7 @@ impl BatchedDataflowExecutor {
     /// round is one chunk. Bit-exact with the parallel path because a
     /// row's results do not depend on which rows it is batched with.
     #[cfg(not(feature = "parallel"))]
-    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
         self.advance_chunk(work);
     }
 
@@ -1295,6 +1339,52 @@ mod tests {
             .executor()
             .generate_greedy(&requests[0].prompt, 3);
         assert_eq!(report.outputs[0], solo);
+    }
+
+    #[test]
+    fn pool_reuses_the_lowest_slot_and_vacating_empties_the_grant() {
+        let eng = engine().with_prefix_cache(PrefixCacheConfig::default());
+        let mut pool = SlotPool::new(eng.prefix_config().map(PrefixCache::new));
+        let requests = [
+            with_suffix(0, &[5, 9], 0),
+            with_suffix(0, &[70, 71, 72], 0),
+            with_suffix(0, &[8], 0),
+            with_suffix(0, &[4, 4], 0),
+        ];
+        let place = |pool: &mut SlotPool, seq: usize| pool.place(eng.new_slot(seq, &requests[seq]));
+        assert_eq!(
+            [
+                place(&mut pool, 0),
+                place(&mut pool, 1),
+                place(&mut pool, 2)
+            ],
+            [0, 1, 2]
+        );
+        // Seq 0 prefills its whole prompt: its two full blocks are
+        // committed, and the commit leaves it holding references on them.
+        assert_eq!(pool.consult(0), 0);
+        let plan = RoundPlan {
+            decode: vec![],
+            prefill: vec![(0, 42)],
+        };
+        pool.execute(&eng, &plan).expect("plan fits the slot");
+        assert!(!pool.get(0).expect("resident").grant.is_empty());
+        let live = pool.cache.as_ref().expect("paged").pool().live();
+        // Seq 1 matches those blocks and holds references of its own.
+        assert_eq!(pool.consult(1), 32);
+        assert!(!pool.get(1).expect("resident").grant.is_empty());
+
+        let gone = pool.vacate(1).expect("was resident");
+        assert!(gone.grant.is_empty(), "vacating released the page grant");
+        assert!(pool.get(1).is_none() && pool.vacate(1).is_none());
+        assert_eq!((pool.residents().count(), pool.peak_resident), (2, 3));
+        // The freed slot is the lowest free one; with 0 gone too, 0 is.
+        assert_eq!(place(&mut pool, 3), 1);
+        assert!(pool.vacate(0).expect("was resident").grant.is_empty());
+        assert_eq!(place(&mut pool, 1), 0);
+        assert_eq!(place(&mut pool, 0), 3);
+        // The tree's own references keep the committed pages alive.
+        assert_eq!(pool.cache.as_ref().expect("paged").pool().live(), live);
     }
 
     #[test]

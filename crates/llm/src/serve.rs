@@ -4,21 +4,21 @@
 //! [`BatchedDataflowExecutor::execute_plan`] replay: requests arrive
 //! dynamically (a bounded admission queue applies backpressure as typed
 //! [`ServeError::QueueFull`] rejections), mixed prefill/decode rounds are
-//! scheduled *incrementally* with exactly the policy of
-//! [`BatchScheduler::plan`], tokens stream out per sequence as
-//! [`ServeEvent`]s, and sequences can be cancelled mid-flight (their KV
-//! slot is freed exactly once).
+//! planned one at a time by the same [`RoundStepper`] that
+//! [`BatchScheduler::plan`] drives over a whole trace, tokens stream out
+//! per sequence as [`ServeEvent`]s, and sequences can be cancelled
+//! mid-flight (their KV slot is freed exactly once).
 //!
 //! The loop is a deterministic discrete-event simulation: time is a
 //! virtual clock advanced by [`BatchScheduler::round_s`] per pipeline
 //! round (idle gaps jump straight to the next arrival), and no wall-clock
 //! or ambient RNG exists anywhere on the path — the `hnlpu-analyze`
-//! determinism gate audits this module. Because the per-round stepping is
-//! the *same* [`crate::batch`] machinery the offline replay uses, and the
-//! incremental scheduler reproduces the offline scheduler's decisions, an
-//! online run of any workload yields bit-identical token streams — and
-//! bit-identical [`RoundPlan`]s — to planning the whole trace up front
-//! (`tests/tests/online_differential.rs` proves this by property testing).
+//! determinism gate audits this module. The round policy is the
+//! stepper's, and the slots, prefix cache and execution of a round are the
+//! [`crate::batch`] slot pool's, both shared with the offline replay: an
+//! online run yields the streams and [`RoundPlan`]s of planning the trace
+//! up front, and `tests/tests/online_differential.rs` pins what is still
+//! written twice — admission by arrival and the clock's f64 operations.
 //!
 //! Per-request time-to-first-token (TTFT) and inter-token gaps are
 //! recorded in virtual time and summarized as a p50/p99 [`SloReport`] —
@@ -52,12 +52,12 @@
 //! Extended lifecycle: `Recovering` (evicted, awaiting re-admission) is
 //! live; `DeadlineMissed`, `Shed`, and `ChipLost` are terminal.
 
-use crate::batch::{Action, BatchedDataflowExecutor, RecoveryStats, SeqSlot, SequenceRequest};
+use crate::batch::{BatchedDataflowExecutor, RecoveryStats, SeqSlot, SequenceRequest, SlotPool};
 use crate::dataflow::{CommCounters, DegradedLayout, GridHealth};
 use crate::fault::{ChipFailure, FaultError, FaultPlan};
 use crate::kv_cache::{PrefixCache, PrefixStats};
 use hnlpu_sim::fabric::retry_round_factor;
-use hnlpu_sim::scheduler::{BatchScheduler, RoundPlan};
+use hnlpu_sim::scheduler::{BatchScheduler, RoundPlan, RoundStepper};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
@@ -308,8 +308,6 @@ pub enum ServeEvent {
 struct SeqRecord {
     request: SequenceRequest,
     state: SeqState,
-    /// Pool index while resident.
-    slot: Option<usize>,
     arrival_s: f64,
     admitted_s: Option<f64>,
     first_token_s: Option<f64>,
@@ -470,8 +468,13 @@ pub struct OnlineServer {
     engine: BatchedDataflowExecutor,
     /// Virtual seconds per pipeline round (from [`BatchScheduler::round_s`]).
     round_s: f64,
-    /// Concurrent-sequence capacity (the machine's pipeline slots).
-    slots: usize,
+    /// The round policy over the residents' token counts; its slot count
+    /// shrinks to the survivor share when a chip dies.
+    stepper: RoundStepper,
+    /// The residents' KV slots and the shared prefix cache, which persists
+    /// across the server's lifetime and is flushed whole on chip death
+    /// (every committed page stripes across all 16 chips).
+    pool: SlotPool,
     /// Bounded admission-queue capacity.
     queue_capacity: usize,
     /// The virtual clock, seconds.
@@ -479,19 +482,11 @@ pub struct OnlineServer {
     last_arrival_micros: u64,
     /// Admission queue, FCFS.
     waiting: VecDeque<SeqId>,
-    /// Resident sequences in admission order (the scheduler's iteration
-    /// order; KV storage lives in `pool`).
-    resident: Vec<SeqId>,
-    /// Slot-indexed KV/scratch storage; `None` entries are free slots.
-    pool: Vec<Option<SeqSlot>>,
     seqs: Vec<SeqRecord>,
     events: VecDeque<ServeEvent>,
+    /// Every round executed so far; the round and token totals are sums
+    /// over it.
     plans: Vec<RoundPlan>,
-    rounds: u64,
-    prefill_tokens: u64,
-    decoded_tokens: u64,
-    peak_resident: usize,
-    peak_kv_bytes: u64,
     rejected: usize,
     /// Healthy-mode latency samples.
     ttfts: Vec<f64>,
@@ -509,8 +504,6 @@ pub struct OnlineServer {
     health: GridHealth,
     /// Row-partition hosting for the current survivor set.
     layout: DegradedLayout,
-    /// Slot capacity under the current survivor set.
-    effective_slots: usize,
     /// Evicted sequences awaiting re-admission, FCFS.
     recovering: VecDeque<SeqId>,
     recovery: RecoveryStats,
@@ -522,14 +515,6 @@ pub struct OnlineServer {
     /// plan's deadlines key on, so a trace's deadline targets stay stable
     /// regardless of rejections.
     submit_attempts: usize,
-    /// Shared prefix tree + page pool, when the engine was built with
-    /// [`BatchedDataflowExecutor::with_prefix_cache`]. Unlike the offline
-    /// path (which rebuilds its tree per run), this cache persists across
-    /// the server's whole lifetime — and is flushed whole on chip death,
-    /// since every committed page stripes across all 16 chips.
-    prefix: Option<PrefixCache>,
-    /// Largest physically private KV footprint observed, bytes.
-    peak_kv_owned_bytes: u64,
 }
 
 impl OnlineServer {
@@ -581,27 +566,18 @@ impl OnlineServer {
             DegradedLayout::for_health(&health).map_err(|_| ServeError::InvalidFaultPlan {
                 error: FaultError::NoSurvivors,
             })?;
-        let prefix = engine.prefix_config().map(PrefixCache::new);
         Ok(OnlineServer {
             round_s: scheduler.round_s(),
-            slots,
+            stepper: RoundStepper::new(slots),
+            pool: SlotPool::new(engine.prefix_config().map(PrefixCache::new)),
             queue_capacity,
             engine,
-            prefix,
-            peak_kv_owned_bytes: 0,
             now_s: 0.0,
             last_arrival_micros: 0,
             waiting: VecDeque::new(),
-            resident: Vec::new(),
-            pool: Vec::new(),
             seqs: Vec::new(),
             events: VecDeque::new(),
             plans: Vec::new(),
-            rounds: 0,
-            prefill_tokens: 0,
-            decoded_tokens: 0,
-            peak_resident: 0,
-            peak_kv_bytes: 0,
             rejected: 0,
             ttfts: Vec::new(),
             gaps: Vec::new(),
@@ -612,7 +588,6 @@ impl OnlineServer {
             next_failure: 0,
             health,
             layout,
-            effective_slots: slots,
             recovering: VecDeque::new(),
             recovery: RecoveryStats::default(),
             shed: 0,
@@ -640,7 +615,7 @@ impl OnlineServer {
 
     /// Concurrent-sequence capacity under the current survivor set.
     pub fn effective_slots(&self) -> usize {
-        self.effective_slots
+        self.stepper.slots()
     }
 
     /// The injected fault schedule.
@@ -660,7 +635,7 @@ impl OnlineServer {
 
     /// Sequences currently holding a KV slot.
     pub fn resident(&self) -> usize {
-        self.resident.len()
+        self.stepper.seqs().count()
     }
 
     /// Evicted sequences awaiting recovery re-admission.
@@ -687,7 +662,7 @@ impl OnlineServer {
     /// exposed so harnesses can check refcount-ledger invariants (every
     /// page freed exactly once) after a run drains.
     pub fn prefix_cache(&self) -> Option<&PrefixCache> {
-        self.prefix.as_ref()
+        self.pool.cache.as_ref()
     }
 
     /// Submit a request to the admission queue. The request's
@@ -728,7 +703,6 @@ impl OnlineServer {
             arrival_s: micros_to_s(request.arrival_s_micros),
             request,
             state: SeqState::Queued,
-            slot: None,
             admitted_s: None,
             first_token_s: None,
             prev_token_s: None,
@@ -760,36 +734,12 @@ impl OnlineServer {
     /// [`ServeError::AlreadyRetired`] when the sequence already finished
     /// or was cancelled.
     pub fn cancel(&mut self, id: SeqId) -> Result<(), ServeError> {
-        let Some(rec) = self.seqs.get_mut(id.0) else {
+        let Some(state) = self.state_of(id) else {
             return Err(ServeError::UnknownSequence { id });
         };
-        match rec.state {
-            SeqState::Queued => {
-                rec.state = SeqState::Cancelled;
-                rec.finish_s = Some(self.now_s);
-                self.waiting.retain(|&w| w != id);
-            }
-            SeqState::Prefilling | SeqState::Decoding => {
-                rec.state = SeqState::Cancelled;
-                rec.finish_s = Some(self.now_s);
-                if let Some(idx) = rec.slot.take() {
-                    if let Some(mut gone) = self.pool.get_mut(idx).and_then(Option::take) {
-                        if let Some(cache) = self.prefix.as_mut() {
-                            cache.release_grant(&mut gone.grant);
-                        }
-                        rec.comm += gone.state.comm;
-                        rec.slot_frees += 1;
-                    }
-                }
-                self.resident.retain(|&r| r != id);
-            }
-            SeqState::Recovering => {
-                // The slot was already freed at eviction; just drop the
-                // parked carcass and leave the recovery queue.
-                rec.state = SeqState::Cancelled;
-                rec.finish_s = Some(self.now_s);
-                rec.parked = None;
-                self.recovering.retain(|&r| r != id);
+        match state {
+            SeqState::Queued | SeqState::Prefilling | SeqState::Decoding | SeqState::Recovering => {
+                self.retire(id, SeqState::Cancelled, None)
             }
             SeqState::Finished
             | SeqState::Cancelled
@@ -816,37 +766,31 @@ impl OnlineServer {
     /// Idle gaps jump the virtual clock to the next wake event (queued
     /// arrival, recovery retry, pending chip failure, or live deadline).
     pub fn run_until_idle(&mut self) {
-        loop {
-            self.apply_due_faults();
-            self.enforce_deadlines();
-            self.admit_waiting();
-            if !self.resident.is_empty() {
-                self.round();
-                continue;
-            }
-            let Some(wake) = self.next_wake() else { return };
-            self.now_s = wake;
-        }
+        self.drive(None);
     }
 
-    /// Advance the virtual clock to `t_s`: run rounds while work is
-    /// resident; once idle, hop wake event by wake event up to `t_s`.
-    fn advance_to(&mut self, t_s: f64) {
+    /// Run rounds while work is resident; once idle, hop wake event by
+    /// wake event. Stops when the clock reaches `horizon_s` (an idle clock
+    /// is set to it exactly), or with no horizon when nothing is left.
+    fn drive(&mut self, horizon_s: Option<f64>) {
         loop {
             self.apply_due_faults();
             self.enforce_deadlines();
             self.admit_waiting();
-            if !self.resident.is_empty() {
-                if self.now_s >= t_s {
+            if !self.stepper.is_empty() {
+                if horizon_s.is_some_and(|t_s| self.now_s >= t_s) {
                     return;
                 }
                 self.round();
                 continue;
             }
-            match self.next_wake() {
-                Some(wake) if wake <= t_s => self.now_s = wake,
-                _ => {
-                    self.now_s = self.now_s.max(t_s);
+            let wake = self.next_wake();
+            match wake.filter(|&wake| horizon_s.is_none_or(|t_s| wake <= t_s)) {
+                Some(wake) => self.now_s = wake,
+                None => {
+                    if let Some(t_s) = horizon_s {
+                        self.now_s = self.now_s.max(t_s);
+                    }
                     return;
                 }
             }
@@ -913,7 +857,7 @@ impl OnlineServer {
                 (None, Some(c)) | (Some(_), Some(c)) => (c, false),
                 (None, None) => break,
             };
-            self.advance_to(micros_to_s(t_micros));
+            self.drive(Some(micros_to_s(t_micros)));
             if is_submit {
                 if let Some(req) = requests.get(si) {
                     let res = self.submit(req.clone());
@@ -957,7 +901,8 @@ impl OnlineServer {
             }
             self.chip_failures_applied += 1;
             if let Ok(layout) = DegradedLayout::for_health(&self.health) {
-                self.effective_slots = layout.effective_slots(self.slots);
+                self.stepper
+                    .set_slots(layout.effective_slots(self.stepper.capacity()));
                 self.layout = layout;
             }
             self.events.push_back(ServeEvent::ChipFailed {
@@ -969,39 +914,41 @@ impl OnlineServer {
             // dead chip invalidates the entire tree: drop each tree
             // reference exactly once. Residents released their grants in
             // the eviction above, so this frees every page.
-            if let Some(cache) = self.prefix.as_mut() {
+            if let Some(cache) = self.pool.cache.as_mut() {
                 cache.flush();
             }
             self.shed_queue_overflow();
         }
     }
 
+    /// Free `id`'s KV slot, if it holds one: its row leaves the stepper,
+    /// the pool drops its page references, its record takes the counters.
+    /// Finish, cancel, deadline and eviction all leave residency here, so
+    /// `slot_frees == admissions` is this function's property.
+    fn release_slot(&mut self, id: SeqId) -> Option<SeqSlot> {
+        self.stepper.remove(id.0);
+        let gone = self.pool.vacate(id.0)?;
+        if let Some(rec) = self.seqs.get_mut(id.0) {
+            // `+=`: a recovered sequence's pre-eviction counters were
+            // harvested at eviction time.
+            rec.comm += gone.state.comm;
+            rec.slot_frees += 1;
+        }
+        Some(gone)
+    }
+
     /// Evict every resident sequence after `chip` died: free its slot
-    /// (exactly once), harvest communication counters, park the carcass
-    /// (emitted tokens + sampler state survive; the KV context is rebuilt
-    /// at re-admission), and enqueue it for recovery.
+    /// (page references included, before the caller flushes the tree),
+    /// park the carcass (emitted tokens + sampler state survive; the KV
+    /// context is rebuilt at re-admission), and enqueue it for recovery.
     fn evict_all_resident(&mut self, chip: usize) {
-        let victims = std::mem::take(&mut self.resident);
+        let victims: Vec<SeqId> = self.stepper.seqs().map(SeqId).collect();
         for id in victims {
-            let Some(rec) = self.seqs.get_mut(id.0) else {
-                continue;
-            };
-            let Some(mut carcass) = rec
-                .slot
-                .take()
-                .and_then(|idx| self.pool.get_mut(idx).and_then(Option::take))
+            let (Some(carcass), Some(rec)) = (self.release_slot(id), self.seqs.get_mut(id.0))
             else {
                 continue;
             };
-            // A died chip invalidates the sequence's shared pages along
-            // with its private ones: drop its page references exactly
-            // once, before the caller flushes the whole tree.
-            if let Some(cache) = self.prefix.as_mut() {
-                cache.release_grant(&mut carcass.grant);
-            }
             self.recovery.evictions += 1;
-            rec.comm += carcass.state.comm;
-            rec.slot_frees += 1;
             rec.state = SeqState::Recovering;
             rec.recovered = true;
             rec.evicted_by = Some(chip);
@@ -1026,11 +973,7 @@ impl OnlineServer {
             let Some(id) = self.waiting.pop_back() else {
                 break;
             };
-            if let Some(rec) = self.seqs.get_mut(id.0) {
-                rec.state = SeqState::Shed;
-                rec.finish_s = Some(self.now_s);
-                rec.error = Some(ServeError::Shed { id });
-            }
+            self.retire(id, SeqState::Shed, Some(ServeError::Shed { id }));
             self.shed += 1;
             self.events.push_back(ServeEvent::Shed {
                 id,
@@ -1066,35 +1009,31 @@ impl OnlineServer {
         }
     }
 
-    /// Retire one sequence whose deadline expired: free any KV slot
-    /// (exactly once), drop any parked carcass, and emit the typed
-    /// outcome.
-    fn miss_deadline(&mut self, id: SeqId) {
-        let Some(rec) = self.seqs.get_mut(id.0) else {
-            return;
-        };
-        let Some(deadline_micros) = rec.deadline else {
-            return;
-        };
-        if let Some(idx) = rec.slot.take() {
-            if let Some(mut gone) = self.pool.get_mut(idx).and_then(Option::take) {
-                if let Some(cache) = self.prefix.as_mut() {
-                    cache.release_grant(&mut gone.grant);
-                }
-                rec.comm += gone.state.comm;
-                rec.slot_frees += 1;
-            }
-        }
-        rec.parked = None;
-        rec.state = SeqState::DeadlineMissed;
-        rec.finish_s = Some(self.now_s);
-        rec.error = Some(ServeError::Deadline {
-            id,
-            deadline_micros,
-        });
+    /// Every terminal transition: take a live sequence out of whatever
+    /// holds it — the admission or recovery queue, or a KV slot (freed
+    /// exactly once) — drop any parked carcass, close its record as `state`.
+    fn retire(&mut self, id: SeqId, state: SeqState, error: Option<ServeError>) {
+        self.release_slot(id);
         self.waiting.retain(|&w| w != id);
         self.recovering.retain(|&r| r != id);
-        self.resident.retain(|&r| r != id);
+        if let Some(rec) = self.seqs.get_mut(id.0) {
+            rec.parked = None;
+            rec.state = state;
+            rec.finish_s = Some(self.now_s);
+            rec.error = error;
+        }
+    }
+
+    /// Retire one sequence whose deadline expired, with the typed outcome.
+    fn miss_deadline(&mut self, id: SeqId) {
+        let Some(deadline_micros) = self.seqs.get(id.0).and_then(|r| r.deadline) else {
+            return;
+        };
+        let error = ServeError::Deadline {
+            id,
+            deadline_micros,
+        };
+        self.retire(id, SeqState::DeadlineMissed, Some(error));
         self.events.push_back(ServeEvent::DeadlineMissed {
             id,
             t_s: self.now_s,
@@ -1110,78 +1049,45 @@ impl OnlineServer {
     fn admit_recovering(&mut self) {
         let queue = std::mem::take(&mut self.recovering);
         for id in queue {
-            let Some((state, retry_at, retries)) = self
-                .seqs
-                .get(id.0)
-                .map(|r| (r.state, r.retry_at_s, r.retries))
-            else {
+            let Some(rec) = self.seqs.get_mut(id.0) else {
                 continue;
             };
-            if state != SeqState::Recovering {
+            if rec.state != SeqState::Recovering {
                 // Cancelled or retired while parked; already accounted.
                 continue;
             }
-            if retry_at > self.now_s {
+            if rec.retry_at_s > self.now_s {
                 self.recovering.push_back(id);
                 continue;
             }
-            if self.resident.len() < self.effective_slots {
-                let Some((carcass, request)) = self
-                    .seqs
-                    .get_mut(id.0)
-                    .and_then(|r| r.parked.take().map(|c| (c, r.request.clone())))
-                else {
-                    continue;
-                };
-                let slot = self.engine.recover_slot(carcass, &request);
+            let admit = |c: &mut SeqSlot| self.stepper.admit(id.0, c.resume_row(&rec.request));
+            if let Some(carcass) = rec.parked.take_if(admit) {
+                let slot = self.engine.recover_slot(carcass, &rec.request);
                 self.recovery.resumed += 1;
                 // cast: prompt lengths are usize token counts, value-preserving in u64
                 let re_prefill = slot.prompt.len() as u64;
                 self.recovery.re_prefill_tokens =
                     self.recovery.re_prefill_tokens.saturating_add(re_prefill);
-                let idx = match self
-                    .pool
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, entry)| entry.is_none())
-                {
-                    Some((free, entry)) => {
-                        *entry = Some(slot);
-                        free
-                    }
-                    None => {
-                        self.pool.push(Some(slot));
-                        self.pool.len() - 1
-                    }
-                };
-                if let Some(rec) = self.seqs.get_mut(id.0) {
-                    rec.state = SeqState::Prefilling;
-                    rec.slot = Some(idx);
-                    rec.admissions += 1;
-                }
-                self.resident.push(id);
+                self.pool.place(slot);
+                rec.state = SeqState::Prefilling;
+                rec.admissions += 1;
                 self.events.push_back(ServeEvent::Recovered {
                     id,
                     t_s: self.now_s,
                 });
-            } else if retries >= Self::MAX_RECOVERY_RETRIES {
-                let chip = if let Some(rec) = self.seqs.get_mut(id.0) {
-                    rec.state = SeqState::ChipLost;
-                    rec.finish_s = Some(self.now_s);
-                    rec.parked = None;
-                    rec.evicted_by.unwrap_or(0)
-                } else {
-                    0
-                };
-                if let Some(rec) = self.seqs.get_mut(id.0) {
-                    rec.error = Some(ServeError::ChipLost { id, chip });
-                }
+            } else if rec.retries >= Self::MAX_RECOVERY_RETRIES {
+                let chip = rec.evicted_by.unwrap_or(0);
+                self.retire(
+                    id,
+                    SeqState::ChipLost,
+                    Some(ServeError::ChipLost { id, chip }),
+                );
                 self.recovery.failed += 1;
                 self.events.push_back(ServeEvent::ChipLost {
                     id,
                     t_s: self.now_s,
                 });
-            } else if let Some(rec) = self.seqs.get_mut(id.0) {
+            } else {
                 rec.retries += 1;
                 // Exponential backoff in round time: 2, 4, … 64 rounds.
                 rec.retry_at_s = self.now_s + self.round_s * retry_round_factor(rec.retries);
@@ -1190,59 +1096,35 @@ impl OnlineServer {
         }
     }
 
-    /// Admit queued arrivals into free KV slots, FCFS, exactly as the
-    /// offline scheduler does at each round boundary. Recovering evicted
-    /// sequences re-admit first: admitted work outranks queued work.
+    /// Admit queued arrivals into free KV slots, FCFS, at each round
+    /// boundary. Recovering evicted sequences re-admit first: admitted
+    /// work outranks queued work.
     fn admit_waiting(&mut self) {
         self.admit_recovering();
-        while self.resident.len() < self.effective_slots {
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let Some(rec) = self.seqs.get(id.0) else {
+        while let Some(&id) = self.waiting.front() {
+            let Some(rec) = self.seqs.get_mut(id.0) else {
                 self.waiting.pop_front();
                 continue;
             };
-            if rec.arrival_s > self.now_s {
+            let due = rec.arrival_s <= self.now_s;
+            if !due || !self.stepper.admit(id.0, rec.request.to_sim_request()) {
                 break;
             }
-            let request = rec.request.clone();
             self.waiting.pop_front();
-            let slot = self.engine.new_slot(id.0, &request);
-            let idx = match self
-                .pool
-                .iter_mut()
-                .enumerate()
-                .find(|(_, entry)| entry.is_none())
-            {
-                Some((free, entry)) => {
-                    *entry = Some(slot);
-                    free
-                }
-                None => {
-                    self.pool.push(Some(slot));
-                    self.pool.len() - 1
-                }
-            };
-            if let Some(rec) = self.seqs.get_mut(id.0) {
-                rec.state = SeqState::Prefilling;
-                rec.admitted_s = Some(self.now_s);
-                rec.slot = Some(idx);
-                rec.admissions += 1;
-            }
-            self.resident.push(id);
+            self.pool.place(self.engine.new_slot(id.0, &rec.request));
+            rec.state = SeqState::Prefilling;
+            rec.admitted_s = Some(self.now_s);
+            rec.admissions += 1;
             self.events.push_back(ServeEvent::Admitted {
                 id,
                 t_s: self.now_s,
             });
         }
-        self.peak_resident = self.peak_resident.max(self.resident.len());
     }
 
-    /// One pipeline round: assign slots with the offline scheduler's
-    /// policy (decode first, FCFS prefill with the remaining budget,
-    /// chained first decode), execute via the shared batch machinery,
-    /// stream the produced tokens, and evict completions.
+    /// One pipeline round: stretch the clock for the faults in force, let
+    /// the stepper plan (consulting the prefix cache on the real slots),
+    /// execute the plan, stream the tokens, retire what finished.
     fn round(&mut self) {
         // Stragglers and link faults stretch round time. Fault-free runs
         // compute `round_s * 1.0 * 1.0`, exact in IEEE f64, so the clock
@@ -1261,207 +1143,58 @@ impl OnlineServer {
             self.link_retry_rounds = self.link_retry_rounds.saturating_add(1);
         }
         self.now_s += self.round_s * stretch;
-        self.rounds = self.rounds.saturating_add(1);
-        let mut plan = RoundPlan::default();
 
-        // Decode slots claimed at round start (prefill-complete residents)
-        // — the budget the offline scheduler reserves before prefill.
-        let mut decoding = 0usize;
-        for &id in &self.resident {
-            let Some(idx) = self.seqs.get(id.0).and_then(|r| r.slot) else {
-                continue;
-            };
-            let Some(slot) = self.pool.get(idx).and_then(Option::as_ref) else {
-                continue;
-            };
-            if slot.prefill_pos == slot.prompt.len() && slot.out.len() < slot.target {
-                decoding += 1;
-            }
-        }
-        // cast: slot budgets are small usize counts, value-preserving in u64
-        let mut budget = self.effective_slots.saturating_sub(decoding) as u64;
+        let (plan, finished) = self.stepper.step(&mut self.pool);
+        // The stepper's rows mirror these slots token for token, so the
+        // pool's plan validation has nothing to reject.
+        let executed = self.pool.execute(&self.engine, &plan);
+        debug_assert!(executed.is_ok(), "stepper overran a slot: {executed:?}");
 
-        // FCFS prefill in admission order; a prefill that completes this
-        // round chains straight into its first decode.
-        let mut planned: Vec<(SeqId, usize, Action)> = Vec::with_capacity(self.resident.len());
-        let mut prefilled = 0u64;
-        let mut decoded = 0u64;
-        for &id in &self.resident {
-            let Some(idx) = self.seqs.get(id.0).and_then(|r| r.slot) else {
-                continue;
-            };
-            let Some(slot) = self.pool.get_mut(idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            // First round with prefill budget: match the prompt against
-            // the shared tree and attach the hit, so only the unmatched
-            // suffix is charged below — the same lazy consultation the
-            // timing planner's oracle performs.
-            if !slot.consulted && budget > 0 && slot.prefill_pos < slot.prompt.len() {
-                if let Some(cache) = self.prefix.as_mut() {
-                    BatchedDataflowExecutor::attach_match(slot, cache);
-                }
-            }
-            let slot = &*slot;
-            // cast: prompt-token remainders are usize counts, value-preserving in u64
-            let remaining = (slot.prompt.len() - slot.prefill_pos) as u64;
-            let mut action = Action {
-                prefill: 0,
-                decode: false,
-            };
-            if remaining > 0 && budget > 0 {
-                let take = remaining.min(budget);
-                budget -= take;
-                prefilled += take;
-                action.prefill = u32::try_from(take).unwrap_or(u32::MAX);
-                plan.prefill.push((id.0, action.prefill));
-            }
-            // cast: u32 → usize is value-preserving on every supported target
-            let done_after = slot.prefill_pos + action.prefill as usize == slot.prompt.len();
-            if done_after && slot.out.len() < slot.target {
-                action.decode = true;
-                decoded += 1;
-                plan.decode.push(id.0);
-            }
-            if action.prefill > 0 || action.decode {
-                planned.push((id, idx, action));
-            }
-        }
-        self.prefill_tokens = self.prefill_tokens.saturating_add(prefilled);
-        self.decoded_tokens = self.decoded_tokens.saturating_add(decoded);
-
-        // Execute the round through the shared (rayon-or-serial) batch
-        // machinery: hand out disjoint &mut borrows of the pool.
-        {
-            let mut available: Vec<Option<&mut SeqSlot>> =
-                self.pool.iter_mut().map(Option::as_mut).collect();
-            let mut work: Vec<(&mut SeqSlot, Action)> = Vec::with_capacity(planned.len());
-            for &(_, idx, action) in &planned {
-                if let Some(slot) = available.get_mut(idx).and_then(Option::take) {
-                    work.push((slot, action));
-                }
-            }
-            self.engine.run_round(work);
-        }
-
-        // Commit completed prompts into the shared tree, in admission
-        // order, before completions are evicted below: each new block's
-        // pages freeze in place (owned → shared, no copy) and strictly
-        // later rounds match against them — the same end-of-round commit
-        // schedule the offline engine and the timing planner follow.
-        if let Some(cache) = self.prefix.as_mut() {
-            for &(_, idx, action) in &planned {
-                if action.prefill == 0 {
-                    continue;
-                }
-                let Some(slot) = self.pool.get_mut(idx).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if slot.prefill_pos == slot.prompt.len() {
-                    let SeqSlot {
-                        prompt,
-                        state,
-                        grant,
-                        ..
-                    } = slot;
-                    cache.commit(prompt, |b| state.share_block(b), grant);
-                }
-            }
-        }
-
-        // Stream freshly decoded tokens and advance lifecycle states.
+        // Stream freshly decoded tokens, in admission order.
         let now = self.now_s;
-        for &(id, idx, action) in &planned {
-            let Some(slot) = self.pool.get(idx).and_then(Option::as_ref) else {
+        for &seq in &plan.decode {
+            let (Some(slot), Some(rec)) = (self.pool.get(seq), self.seqs.get_mut(seq)) else {
                 continue;
             };
-            let Some(rec) = self.seqs.get_mut(id.0) else {
+            let Some(&token) = slot.out.last() else {
                 continue;
             };
-            if action.decode {
-                if let Some(&token) = slot.out.last() {
-                    let index = slot.out.len() - 1;
-                    rec.tokens.push(token);
-                    // Latency samples from degraded rounds — or from
-                    // sequences that ever went through eviction — land in
-                    // the degraded SLO rows, keeping healthy percentiles
-                    // honest under chaos.
-                    let degraded_sample = degraded_round || rec.recovered;
-                    if rec.first_token_s.is_none() {
-                        rec.first_token_s = Some(now);
-                        if degraded_sample {
-                            self.ttfts_degraded.push(now - rec.arrival_s);
-                        } else {
-                            self.ttfts.push(now - rec.arrival_s);
-                        }
-                    }
-                    if let Some(prev) = rec.prev_token_s {
-                        if degraded_sample {
-                            self.gaps_degraded.push(now - prev);
-                        } else {
-                            self.gaps.push(now - prev);
-                        }
-                    }
-                    rec.prev_token_s = Some(now);
-                    self.events.push_back(ServeEvent::Token {
-                        id,
-                        index,
-                        token,
-                        t_s: now,
-                    });
+            // (A prompt completed owing no tokens is retired below.)
+            rec.state = SeqState::Decoding;
+            rec.tokens.push(token);
+            // Samples from degraded rounds — or from sequences ever
+            // evicted — land in the degraded SLO rows, keeping healthy
+            // percentiles honest under chaos.
+            let degraded_sample = degraded_round || rec.recovered;
+            if rec.first_token_s.is_none() {
+                rec.first_token_s = Some(now);
+                if degraded_sample {
+                    self.ttfts_degraded.push(now - rec.arrival_s);
+                } else {
+                    self.ttfts.push(now - rec.arrival_s);
                 }
             }
-            if rec.state == SeqState::Prefilling && slot.prefill_pos == slot.prompt.len() {
-                rec.state = SeqState::Decoding;
+            if let Some(prev) = rec.prev_token_s {
+                if degraded_sample {
+                    self.gaps_degraded.push(now - prev);
+                } else {
+                    self.gaps.push(now - prev);
+                }
             }
+            rec.prev_token_s = Some(now);
+            self.events.push_back(ServeEvent::Token {
+                id: SeqId(seq),
+                index: slot.out.len() - 1,
+                token,
+                t_s: now,
+            });
         }
-
-        // Evict completions (freeing their KV slots) and account the
-        // surviving pool footprint.
-        let resident = std::mem::take(&mut self.resident);
-        let mut kv_bytes = 0u64;
-        let mut kv_owned = 0u64;
-        for id in resident {
-            let Some(idx) = self.seqs.get(id.0).and_then(|r| r.slot) else {
-                continue;
-            };
-            let finished = self
-                .pool
-                .get(idx)
-                .and_then(Option::as_ref)
-                .is_some_and(SeqSlot::finished);
-            if finished {
-                let Some(mut done) = self.pool.get_mut(idx).and_then(Option::take) else {
-                    continue;
-                };
-                if let Some(cache) = self.prefix.as_mut() {
-                    cache.release_grant(&mut done.grant);
-                }
-                if let Some(rec) = self.seqs.get_mut(id.0) {
-                    // `+=`: a recovered sequence's pre-eviction counters
-                    // were harvested at eviction time.
-                    rec.comm += done.state.comm;
-                    rec.slot = None;
-                    rec.slot_frees += 1;
-                    rec.state = SeqState::Finished;
-                    rec.finish_s = Some(now);
-                }
-                self.events.push_back(ServeEvent::Finished { id, t_s: now });
-            } else {
-                let (slot_bytes, slot_owned) = self
-                    .pool
-                    .get(idx)
-                    .and_then(Option::as_ref)
-                    .map_or((0, 0), |s| {
-                        (s.state.kv_bytes_fp16(), s.state.kv_owned_bytes_fp16())
-                    });
-                kv_bytes = kv_bytes.saturating_add(slot_bytes);
-                kv_owned = kv_owned.saturating_add(slot_owned);
-                self.resident.push(id);
-            }
+        // Retire completions, then account the surviving pool footprint.
+        for id in finished.into_iter().map(SeqId) {
+            self.retire(id, SeqState::Finished, None);
+            self.events.push_back(ServeEvent::Finished { id, t_s: now });
         }
-        self.peak_kv_bytes = self.peak_kv_bytes.max(kv_bytes);
-        self.peak_kv_owned_bytes = self.peak_kv_owned_bytes.max(kv_owned);
+        self.pool.record_kv_peaks();
         self.plans.push(plan);
     }
 
@@ -1484,6 +1217,9 @@ impl OnlineServer {
             }
         };
         let count = |s: SeqState| self.seqs.iter().filter(|r| r.state == s).count();
+        let prefills = self.plans.iter().flat_map(|plan| &plan.prefill);
+        // cast: a round decodes at most `slots` sequences, value-preserving in u64
+        let decoded_tokens: u64 = self.plans.iter().map(|p| p.decode.len() as u64).sum();
         SloReport {
             submitted: self.seqs.len(),
             completed: count(SeqState::Finished),
@@ -1496,20 +1232,21 @@ impl OnlineServer {
             degraded_rounds: self.degraded_rounds,
             link_retry_rounds: self.link_retry_rounds,
             rejected: self.rejected,
-            rounds: self.rounds,
-            prefill_tokens: self.prefill_tokens,
-            decoded_tokens: self.decoded_tokens,
-            peak_resident: self.peak_resident,
-            peak_kv_bytes_fp16: self.peak_kv_bytes,
-            peak_kv_owned_bytes_fp16: self.peak_kv_owned_bytes,
-            prefix: match &self.prefix {
-                Some(c) => c.stats(),
-                None => PrefixStats::default(),
-            },
+            // cast: round counts are usize, value-preserving in u64
+            rounds: self.plans.len() as u64,
+            prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
+            decoded_tokens,
+            peak_resident: self.pool.peak_resident,
+            peak_kv_bytes_fp16: self.pool.peak_kv_bytes,
+            peak_kv_owned_bytes_fp16: self.pool.peak_kv_owned_bytes,
+            prefix: self
+                .prefix_cache()
+                .map(PrefixCache::stats)
+                .unwrap_or_default(),
             makespan_s: self.now_s,
             decode_tokens_per_s_virtual: if self.now_s > 0.0 {
                 // cast: decoded-token counts stay far below 2^53, exact in f64
-                self.decoded_tokens as f64 / self.now_s
+                decoded_tokens as f64 / self.now_s
             } else {
                 0.0
             },

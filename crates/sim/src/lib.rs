@@ -43,7 +43,9 @@ pub use hbm::KvCacheModel;
 pub use packet::{PacketFabric, PacketSim, PacketSimReport};
 pub use pipeline::{Breakdown, LayerTiming};
 pub use power::{SystemPowerModel, WorkloadEnergy};
-pub use scheduler::{BatchScheduler, NoPrefix, PrefixOracle, Request, RoundPlan, SchedulerReport};
+pub use scheduler::{
+    BatchScheduler, NoPrefix, PrefixOracle, Request, RoundPlan, RoundStepper, SchedulerReport,
+};
 pub use workload::{
     shared_prefix_len, shared_prefix_tokens, WorkloadKind, WorkloadSpec, DIURNAL_PERIOD_S,
     SHARED_PREFIX_GROUPS,

@@ -8,6 +8,10 @@
 //! (autoregressive dependency); the remaining slots prefill queued prompt
 //! tokens in parallel — prompt tokens have no mutual dependencies (§5.2),
 //! so a single sequence can soak up every free slot of a round.
+//!
+//! The policy is written once, in [`RoundStepper::step`], and driven by
+//! [`BatchScheduler::plan_with_prefixes`] over a whole trace and by
+//! `hnlpu-llm`'s online server as requests arrive.
 
 use crate::config::SimConfig;
 use crate::pipeline::advance_interval_cycles;
@@ -85,7 +89,9 @@ pub struct RoundPlan {
 impl RoundPlan {
     /// Token slots consumed this round (decode + prefill).
     pub fn used_slots(&self) -> u64 {
-        self.decode.len() as u64 + self.prefill.iter().map(|&(_, n)| n as u64).sum::<u64>()
+        let prefill: u64 = self.prefill.iter().map(|&(_, n)| u64::from(n)).sum();
+        // cast: a round decodes at most a few hundred sequences, value-preserving in u64
+        prefill.saturating_add(self.decode.len() as u64)
     }
 }
 
@@ -95,25 +101,12 @@ pub struct BatchScheduler {
     cfg: SimConfig,
     /// Average context assumed for interval computation.
     pub nominal_context: u64,
-    /// Optional cap on concurrent sequences below the machine's pipeline
-    /// slots — a degraded grid (dead chips) plans with the surviving
-    /// capacity. `None` uses the full machine.
-    slot_cap: Option<usize>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    /// Index of the request in the caller's input slice.
-    seq: usize,
-    req: Request,
-    remaining_prefill: u32,
-    remaining_decode: u32,
-    arrival_s: f64,
-    /// Whether the prefix oracle was consulted yet. Consultation is lazy —
-    /// it happens the first round the sequence receives prefill slots,
-    /// which is exactly when the functional engine admits it into a KV
-    /// slot and matches its prompt against the shared tree.
-    consulted: bool,
+/// Virtual-time µs → seconds.
+fn micros_to_s(micros: u64) -> f64 {
+    // cast: virtual timestamps stay far below 2^53 µs, value-preserving in f64
+    micros as f64 / 1e6
 }
 
 impl BatchScheduler {
@@ -123,28 +116,12 @@ impl BatchScheduler {
         BatchScheduler {
             cfg,
             nominal_context,
-            slot_cap: None,
         }
     }
 
-    /// Cap concurrent sequences at `cap` (clamped to at least 1 and at
-    /// most the machine's pipeline slots): the slot budget a degraded
-    /// grid's survivors can actually serve. Round timing is unchanged —
-    /// the pipeline still traverses every stage; dead chips just host no
-    /// sequences.
-    pub fn with_slot_cap(mut self, cap: usize) -> Self {
-        self.slot_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Concurrent-sequence capacity (the machine's pipeline slots, less
-    /// any degraded-grid cap).
+    /// Concurrent-sequence capacity: the machine's pipeline slots.
     pub fn slots(&self) -> usize {
-        let machine = self.cfg.pipeline_slots() as usize;
-        match self.slot_cap {
-            Some(cap) => cap.min(machine),
-            None => machine,
-        }
+        usize::try_from(self.cfg.pipeline_slots()).unwrap_or(usize::MAX)
     }
 
     /// Virtual-time length of one pipeline round, seconds: every slot
@@ -152,18 +129,19 @@ impl BatchScheduler {
     /// intervals at this scheduler's nominal context.
     ///
     /// The online serving frontend (`hnlpu-llm::serve`) advances its
-    /// virtual clock by exactly this amount per round so its incremental
-    /// schedule reproduces [`plan`](Self::plan) bit for bit.
+    /// virtual clock by exactly this amount per round so its finish times
+    /// reproduce [`plan`](Self::plan)'s bit for bit.
     pub fn round_s(&self) -> f64 {
-        self.cfg.pipeline_slots() as f64 * advance_interval_cycles(&self.cfg, self.nominal_context)
-            / self.cfg.clock_hz
+        let slots = f64::from(self.cfg.pipeline_slots());
+        slots * advance_interval_cycles(&self.cfg, self.nominal_context) / self.cfg.clock_hz
     }
 
     /// Simulate `requests` (any order; sorted internally by arrival).
     ///
     /// Each round offers `pipeline_slots()` token slots: one per decoding
-    /// sequence (autoregressive), with the remainder shared round-robin by
-    /// prefilling sequences (prompt tokens are mutually independent).
+    /// sequence (autoregressive), with the remainder shared first come,
+    /// first served by prefilling sequences (prompt tokens are mutually
+    /// independent).
     pub fn run(&self, requests: &[Request]) -> SchedulerReport {
         self.plan(requests).0
     }
@@ -192,132 +170,232 @@ impl BatchScheduler {
         queue.sort_by_key(|(_, r)| r.arrival_s_micros);
         let mut queue: VecDeque<(usize, Request)> = queue.into();
 
-        let slots = self.slots();
-        // One pipeline round = all slots advance one token = slots x the
-        // advance interval.
         let round_s = self.round_s();
-
-        let mut resident: Vec<Resident> = Vec::with_capacity(slots);
+        let mut stepper = RoundStepper::new(self.slots());
         let mut completions = Vec::new();
-        let mut plans = Vec::new();
-        let mut decoded: u64 = 0;
-        let mut prefilled: u64 = 0;
+        let mut plans: Vec<RoundPlan> = Vec::new();
         let mut occupancy_sum = 0.0;
-        let mut rounds = 0u64;
         let mut now = 0.0f64;
 
-        while !queue.is_empty() || !resident.is_empty() {
+        while !queue.is_empty() || !stepper.is_empty() {
             // Admit arrivals into free sequence slots.
-            while resident.len() < slots {
-                let due =
-                    matches!(queue.front(), Some((_, r)) if r.arrival_s_micros as f64 / 1e6 <= now);
-                let Some((seq, req)) = (if due { queue.pop_front() } else { None }) else {
+            while let Some(&(seq, req)) = queue.front() {
+                if micros_to_s(req.arrival_s_micros) > now || !stepper.admit(seq, req) {
                     break;
-                };
-                resident.push(Resident {
-                    seq,
-                    req,
-                    remaining_prefill: req.prompt_tokens,
-                    remaining_decode: req.decode_tokens,
-                    arrival_s: req.arrival_s_micros as f64 / 1e6,
-                    consulted: false,
-                });
+                }
+                queue.pop_front();
             }
-            if resident.is_empty() {
+            if stepper.is_empty() {
                 // Idle until the next arrival.
                 if let Some((_, r)) = queue.front() {
-                    now = now.max(r.arrival_s_micros as f64 / 1e6);
+                    now = now.max(micros_to_s(r.arrival_s_micros));
                 }
                 continue;
             }
-            // One pipeline round: decode slots first, prefill fills the rest.
             now += round_s;
-            rounds += 1;
-            let mut plan = RoundPlan::default();
-            // Budget/occupancy count decode slots claimed at round start;
-            // `plan.decode` itself is recorded post-prefill below, because
-            // a prefill that completes this round chains into decode.
-            let decoding = resident
-                .iter()
-                .filter(|r| r.remaining_prefill == 0 && r.remaining_decode > 0)
-                .count();
-            let mut prefill_budget = slots.saturating_sub(decoding) as u64;
-            let mut used = decoding as u64;
-            // First-come-first-served prefill: finish early arrivals'
-            // prompts before starting later ones (minimizes makespan and
-            // matches continuous-batching practice).
-            let mut completed: Vec<(usize, Request)> = Vec::new();
-            for r in resident.iter_mut() {
-                if prefill_budget == 0 {
-                    break;
-                }
-                if r.remaining_prefill > 0 {
-                    if !r.consulted {
-                        // Charge only the unmatched suffix: a cache can
-                        // serve at most `prompt_tokens - 1` positions
-                        // because the final prompt token must run to
-                        // produce the first decode's logits. The clamp
-                        // also guarantees a consulted sequence prefills
-                        // at least one token this round.
-                        r.consulted = true;
-                        let matched = oracle
-                            .matched_on_admit(r.seq, &r.req)
-                            .min(r.req.prompt_tokens.saturating_sub(1));
-                        r.remaining_prefill -= matched;
-                    }
-                    let take = r.remaining_prefill.min(prefill_budget as u32);
-                    r.remaining_prefill -= take;
-                    prefill_budget -= take as u64;
-                    prefilled += take as u64;
-                    used += take as u64;
-                    plan.prefill.push((r.seq, take));
-                    if r.remaining_prefill == 0 {
-                        completed.push((r.seq, r.req));
-                    }
-                }
-            }
-            // Commits land at the end of the round, so every consultation
-            // within one round sees the same tree — exactly what the
-            // functional engine does (admit + match at round start, commit
-            // completed prompts after the round's compute).
-            for (seq, req) in &completed {
-                oracle.on_prefill_complete(*seq, req);
-            }
-            occupancy_sum += used as f64 / slots as f64;
-            let mut still = Vec::with_capacity(resident.len());
-            for mut r in resident.into_iter() {
-                if r.remaining_prefill == 0 && r.remaining_decode > 0 {
-                    r.remaining_decode -= 1;
-                    decoded += 1;
-                    plan.decode.push(r.seq);
-                }
-                if r.remaining_prefill == 0 && r.remaining_decode == 0 {
-                    completions.push(Completion {
-                        request: r.req,
-                        finish_s: now,
-                        latency_s: now - r.arrival_s,
-                    });
-                } else {
-                    still.push(r);
-                }
+            // Occupancy: decode slots claimed at round start plus prefill
+            // tokens (a chained first decode rides its prefill slot).
+            let claimed = stepper.decoding();
+            let (plan, finished) = stepper.step(oracle);
+            let prefill: u64 = plan.prefill.iter().map(|&(_, n)| u64::from(n)).sum();
+            // cast: all three counts are at most a few hundred, exact in f64
+            occupancy_sum += (claimed as f64 + prefill as f64) / stepper.slots() as f64;
+            for req in finished.into_iter().filter_map(|seq| requests.get(seq)) {
+                let arrival_s = micros_to_s(req.arrival_s_micros);
+                completions.push(Completion {
+                    request: *req,
+                    finish_s: now,
+                    latency_s: now - arrival_s,
+                });
             }
             plans.push(plan);
-            resident = still;
         }
 
+        let prefills = plans.iter().flat_map(|plan| &plan.prefill);
+        // cast: a round decodes at most `slots` sequences, value-preserving in u64
+        let decoded: u64 = plans.iter().map(|plan| plan.decode.len() as u64).sum();
         let report = SchedulerReport {
             decoded_tokens: decoded,
-            prefill_tokens: prefilled,
+            prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             makespan_s: now,
-            throughput_tokens_per_s: if now > 0.0 { decoded as f64 / now } else { 0.0 },
-            mean_occupancy: if rounds > 0 {
-                occupancy_sum / rounds as f64
+            throughput_tokens_per_s: if now > 0.0 {
+                // cast: decoded-token totals stay far below 2^53, exact in f64
+                decoded as f64 / now
             } else {
                 0.0
+            },
+            mean_occupancy: if plans.is_empty() {
+                0.0
+            } else {
+                // cast: round counts stay far below 2^53, exact in f64
+                occupancy_sum / plans.len() as f64
             },
             completions,
         };
         (report, plans)
+    }
+}
+
+/// One resident sequence's token counts.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// The caller's id: input index offline, `SeqId` online.
+    seq: usize,
+    req: Request,
+    remaining_prefill: u32,
+    remaining_decode: u32,
+    /// Whether the prefix oracle was asked yet — lazily, in the first
+    /// round the sequence receives prefill slots.
+    consulted: bool,
+}
+
+impl Row {
+    fn decoding(&self) -> bool {
+        self.remaining_prefill == 0 && self.remaining_decode > 0
+    }
+}
+
+/// The continuous-batching round policy (§5.2), one round at a time, over
+/// the resident sequences' token counts in admission order.
+///
+/// Each [`step`](Self::step) is one pipeline round: every sequence whose
+/// prompt is consumed takes a decode slot; the slots left over prefill
+/// the others first come, first served, `min(remaining, budget)` each; a
+/// completed prompt chains straight into its first decode; a sequence
+/// that owes nothing more leaves. [`BatchScheduler::plan_with_prefixes`]
+/// and `hnlpu-llm`'s online server both drive this one implementation.
+#[derive(Debug, Clone)]
+pub struct RoundStepper {
+    /// The machine's slot count, the ceiling of [`set_slots`](Self::set_slots).
+    capacity: usize,
+    slots: usize,
+    rows: Vec<Row>,
+}
+
+impl RoundStepper {
+    /// A stepper over a machine of `slots` pipeline slots (at least one).
+    pub fn new(slots: usize) -> Self {
+        let capacity = slots.max(1);
+        RoundStepper {
+            capacity,
+            slots: capacity,
+            rows: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// The machine's slot count, fixed at construction.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Slots in service: the residency bound and the per-round budget.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Serve with `slots` slots (clamped to `1..=capacity()`) from the
+    /// next round on: what a degraded grid's survivors can host. Rows
+    /// beyond a shrunken count stay until they finish or are removed.
+    pub fn set_slots(&mut self, slots: usize) {
+        self.slots = slots.clamp(1, self.capacity);
+    }
+
+    /// True when no sequence is resident.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Resident sequence ids, in admission order.
+    pub fn seqs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.iter().map(|r| r.seq)
+    }
+
+    /// Residents that claim a decode slot at the start of the next round.
+    pub fn decoding(&self) -> usize {
+        self.rows.iter().filter(|r| r.decoding()).count()
+    }
+
+    /// Make `seq` resident behind every earlier admission, owing `req`'s
+    /// prompt and decode tokens; `false` (and no change) when full.
+    pub fn admit(&mut self, seq: usize, req: Request) -> bool {
+        if self.rows.len() >= self.slots {
+            return false;
+        }
+        self.rows.push(Row {
+            seq,
+            req,
+            remaining_prefill: req.prompt_tokens,
+            remaining_decode: req.decode_tokens,
+            consulted: false,
+        });
+        true
+    }
+
+    /// Drop `seq` (cancelled, expired, evicted), freeing its slot; `false`
+    /// when it was not resident.
+    pub fn remove(&mut self, seq: usize) -> bool {
+        let before = self.rows.len();
+        self.rows.retain(|r| r.seq != seq);
+        self.rows.len() < before
+    }
+
+    /// Plan one pipeline round and advance every row by it. Returns the
+    /// slot assignment and the sequences that finished (in admission
+    /// order), which are no longer resident.
+    ///
+    /// `oracle` is consulted once per residency, the first round the
+    /// sequence gets prefill budget, and hears of completed prompts only
+    /// after the round's last consultation, so one round sees one tree.
+    pub fn step(&mut self, oracle: &mut dyn PrefixOracle) -> (RoundPlan, Vec<usize>) {
+        let mut plan = RoundPlan::default();
+        // Decode slots are claimed at round start; `plan.decode` is
+        // recorded after the prefill pass, which can chain into it.
+        let mut budget =
+            u32::try_from(self.slots.saturating_sub(self.decoding())).unwrap_or(u32::MAX);
+        // First-come-first-served prefill: finish early arrivals' prompts
+        // before starting later ones (minimizes makespan and matches
+        // continuous-batching practice).
+        let mut completed: Vec<(usize, Request)> = Vec::new();
+        for r in self.rows.iter_mut().filter(|r| r.remaining_prefill > 0) {
+            if budget == 0 {
+                break;
+            }
+            if !r.consulted {
+                // Charge only the unmatched suffix: a cache can serve at
+                // most `prompt_tokens - 1` positions because the final
+                // prompt token must run to produce the first decode's
+                // logits. The clamp also guarantees a consulted sequence
+                // prefills at least one token this round.
+                r.consulted = true;
+                let matched = oracle
+                    .matched_on_admit(r.seq, &r.req)
+                    .min(r.req.prompt_tokens.saturating_sub(1));
+                r.remaining_prefill = r.remaining_prefill.saturating_sub(matched);
+            }
+            let take = r.remaining_prefill.min(budget);
+            r.remaining_prefill = r.remaining_prefill.saturating_sub(take);
+            budget = budget.saturating_sub(take);
+            plan.prefill.push((r.seq, take));
+            if r.remaining_prefill == 0 {
+                completed.push((r.seq, r.req));
+            }
+        }
+        for (seq, req) in &completed {
+            oracle.on_prefill_complete(*seq, req);
+        }
+        let mut finished = Vec::new();
+        self.rows.retain_mut(|r| {
+            if r.decoding() {
+                r.remaining_decode = r.remaining_decode.saturating_sub(1);
+                plan.decode.push(r.seq);
+            }
+            let done = r.remaining_prefill == 0 && r.remaining_decode == 0;
+            if done {
+                finished.push(r.seq);
+            }
+            !done
+        });
+        (plan, finished)
     }
 }
 
@@ -367,17 +445,33 @@ mod tests {
     }
 
     #[test]
-    fn slot_cap_bounds_concurrency_not_round_time() {
+    fn stepper_slots_bound_concurrency_not_round_time() {
         let full = scheduler();
-        let capped = scheduler().with_slot_cap(2);
+        let mut capped = RoundStepper::new(full.slots());
+        capped.set_slots(2);
         assert_eq!(capped.slots(), 2);
-        assert_eq!(capped.round_s(), full.round_s());
-        // Zero clamps to one slot; an over-machine cap clamps to machine.
-        assert_eq!(scheduler().with_slot_cap(0).slots(), 1);
-        assert_eq!(scheduler().with_slot_cap(usize::MAX).slots(), full.slots());
+        // Round time is `BatchScheduler::round_s`, which has no slot count
+        // to depend on; the machine size survives the cap.
+        assert_eq!(capped.capacity(), full.slots());
+        // Zero clamps to one slot; an over-machine count clamps to machine.
+        capped.set_slots(0);
+        assert_eq!(capped.slots(), 1);
+        capped.set_slots(usize::MAX);
+        assert_eq!(capped.slots(), full.slots());
         // With 2 slots, 3 concurrent arrivals serialize: never > 2 live.
-        let reqs: Vec<Request> = (0..3).map(|_| Request::new(0, 1, 2)).collect();
-        let (_, plans) = capped.plan(&reqs);
+        capped.set_slots(2);
+        let mut waiting: VecDeque<usize> = (0..3).collect();
+        let mut plans = Vec::new();
+        while !waiting.is_empty() || !capped.is_empty() {
+            while let Some(&seq) = waiting.front() {
+                if !capped.admit(seq, Request::new(0, 1, 2)) {
+                    break;
+                }
+                waiting.pop_front();
+            }
+            plans.push(capped.step(&mut NoPrefix).0);
+        }
+        assert_eq!(plans.len(), 4);
         for plan in &plans {
             let mut live: Vec<usize> = plan.decode.clone();
             for &(seq, _) in &plan.prefill {
@@ -581,6 +675,132 @@ mod tests {
         let (rep, plans) = scheduler().plan_with_prefixes(&reqs, &mut NoPrefix);
         assert_eq!(rep, dense);
         assert_eq!(plans, dense_plans);
+    }
+
+    /// One round as `(decode, prefill)`.
+    type Round<'a> = (&'a [usize], &'a [(usize, u32)]);
+
+    fn assert_plans(plans: &[RoundPlan], expect: &[Round<'_>]) {
+        let got: Vec<Round<'_>> = plans
+            .iter()
+            .map(|p| (p.decode.as_slice(), p.prefill.as_slice()))
+            .collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn golden_round_log() {
+        // Written out from the pre-stepper `plan_with_prefixes`: seq 0 is
+        // resident and decoding when 1, 2 and 3 arrive; 1 and 2 then share
+        // the 215-slot prefill budget (2 matching 60 positions through
+        // the oracle), and 3 owes no decode at all.
+        let reqs = build(&[(0, 4, 6), (1, 300, 2), (1, 200, 3), (1, 10, 0)]);
+        let mut oracle = FixedOracle {
+            matched: vec![0, 0, 60, 0],
+            commits: Vec::new(),
+        };
+        let (rep, plans) = scheduler().plan_with_prefixes(&reqs, &mut oracle);
+        assert_plans(
+            &plans,
+            &[
+                (&[0], &[(0, 4)]),
+                (&[0], &[(1, 215)]),
+                (&[0, 1], &[(1, 85), (2, 130)]),
+                (&[0, 1, 2], &[(2, 10), (3, 10)]),
+                (&[0, 2], &[]),
+                (&[0, 2], &[]),
+            ],
+        );
+        assert_eq!(oracle.commits, vec![0, 1, 2, 3]);
+        assert_eq!((rep.decoded_tokens, rep.prefill_tokens), (11, 454));
+        assert_eq!(rep.mean_occupancy.to_bits(), 4600093419386563848);
+        assert_eq!(rep.makespan_s.to_bits(), 4572759376265024718);
+        let finished: Vec<(u32, u64)> = rep
+            .completions
+            .iter()
+            .map(|c| (c.request.prompt_tokens, c.finish_s.to_bits()))
+            .collect();
+        assert_eq!(
+            finished,
+            vec![
+                (300, 4570292228008101480),
+                (10, 4570292228008101480),
+                (4, 4572759376265024718),
+                (200, 4572759376265024718),
+            ]
+        );
+    }
+
+    #[test]
+    fn removed_mid_prefill_frees_its_slot_and_never_reappears() {
+        let mut stepper = RoundStepper::new(2);
+        assert!(stepper.admit(0, Request::new(0, 5, 3)));
+        assert!(stepper.admit(1, Request::new(0, 1, 2)));
+        assert!(!stepper.admit(2, Request::new(0, 1, 1)), "both slots taken");
+        // Two slots: seq 0 prefills 2 of 5, seq 1 gets nothing yet.
+        let (plan, finished) = stepper.step(&mut NoPrefix);
+        assert_plans(&[plan], &[(&[], &[(0, 2)])]);
+        assert!(finished.is_empty());
+        assert!(stepper.remove(0));
+        assert!(!stepper.remove(0), "already gone");
+        assert!(stepper.admit(2, Request::new(0, 1, 1)), "slot is back");
+        let mut log = Vec::new();
+        while !stepper.is_empty() {
+            log.push(stepper.step(&mut NoPrefix));
+        }
+        let plans: Vec<RoundPlan> = log.iter().map(|(p, _)| p.clone()).collect();
+        assert_plans(&plans, &[(&[1, 2], &[(1, 1), (2, 1)]), (&[1], &[])]);
+        assert_eq!(log[0].1, vec![2]);
+        assert_eq!(log[1].1, vec![1]);
+    }
+
+    #[test]
+    fn shrunken_slots_admit_nothing_until_the_rows_drain() {
+        let mut stepper = RoundStepper::new(4);
+        for seq in 0..4 {
+            assert!(stepper.admit(seq, Request::new(0, 1, 2)));
+        }
+        stepper.step(&mut NoPrefix);
+        assert_eq!(stepper.decoding(), 4);
+        stepper.set_slots(2);
+        assert_eq!(stepper.seqs().count(), 4);
+        assert!(!stepper.admit(4, Request::new(0, 6, 1)));
+        // The four residents still finish their last decode.
+        let (plan, finished) = stepper.step(&mut NoPrefix);
+        assert_plans(&[plan], &[(&[0, 1, 2, 3], &[])]);
+        assert_eq!(finished, vec![0, 1, 2, 3]);
+        // Drained: admission resumes, and the budget is the new count.
+        assert!(stepper.admit(4, Request::new(0, 6, 1)));
+        assert!(stepper.admit(5, Request::new(0, 6, 1)));
+        assert!(!stepper.admit(6, Request::new(0, 6, 1)));
+        let (plan, _) = stepper.step(&mut NoPrefix);
+        assert_plans(&[plan], &[(&[], &[(4, 2)])]);
+    }
+
+    #[test]
+    fn readmitted_row_is_consulted_again() {
+        // An evicted sequence comes back with its prompt grown by what it
+        // had emitted and only the decode remainder owed: a new residency,
+        // so the oracle is asked again (and may now match).
+        struct Asked(Vec<(usize, u32)>);
+        impl PrefixOracle for Asked {
+            fn matched_on_admit(&mut self, seq: usize, req: &Request) -> u32 {
+                self.0.push((seq, req.prompt_tokens));
+                req.prompt_tokens / 2
+            }
+            fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
+        }
+        let mut oracle = Asked(Vec::new());
+        let mut stepper = RoundStepper::new(8);
+        assert!(stepper.admit(7, Request::new(0, 6, 5)));
+        let first = stepper.step(&mut oracle).0;
+        let second = stepper.step(&mut oracle).0;
+        assert_plans(&[first, second], &[(&[7], &[(7, 3)]), (&[7], &[])]);
+        assert!(stepper.remove(7));
+        assert!(stepper.admit(7, Request::new(0, 6 + 2, 5 - 2)));
+        let resumed = stepper.step(&mut oracle).0;
+        assert_plans(&[resumed], &[(&[7], &[(7, 4)])]);
+        assert_eq!(oracle.0, vec![(7, 6), (7, 8)]);
     }
 }
 
