@@ -12,12 +12,12 @@
 //! keep their sequences in the crate-private `SlotPool`, where placement,
 //! vacating and the execution of one plan are written once.
 //!
-//! A round's work is dealt to the workers by cost (`rayon` under the
-//! default `parallel` feature; a single chunk with
-//! `--no-default-features`). An item's cost is the rows it pushes through
-//! the block this round — its prefill tokens, plus one if its sampled
-//! token steps back in — because every token, prompt or decoded, goes
-//! through the same one block, so a row is the one unit of work there is.
+//! A round's work is dealt to the workers by cost (one `rayon` worker per
+//! core; with one, the round is a single chunk on the calling thread). An
+//! item's cost is the rows it pushes through the block this round — its
+//! prefill tokens, plus one if its sampled token steps back in — because
+//! every token, prompt or decoded, goes through the same one block, so a
+//! row is the one unit of work there is.
 //! [`deal_rows`] hands the items out longest first, each to the least
 //! loaded worker, so one long prefill chunk no longer shares a worker with
 //! half the round while the other worker idles. Within a worker's share,
@@ -27,10 +27,11 @@
 //! and a lone `step_with` run): the rows share each pass over the packed
 //! weights and the embedding table, but every row's arithmetic is its own
 //! accumulation chain against its own KV state, so streams, KV and
-//! counters are bit-identical for any deal, worker count or feature set —
-//! the deal moves host time and nothing else.
+//! counters are bit-identical for any deal and worker count — the deal
+//! moves host time and nothing else.
 
-use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState, GRID};
+use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState};
+use crate::fault::CHIPS;
 use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
@@ -52,6 +53,11 @@ use std::time::Instant;
 pub enum BatchError {
     /// A request's prompt was empty.
     EmptyPrompt {
+        /// Offending request index.
+        seq: usize,
+    },
+    /// A request's prompt held a token id outside the model's vocabulary.
+    TokenOutOfVocabulary {
         /// Offending request index.
         seq: usize,
     },
@@ -110,6 +116,9 @@ impl fmt::Display for BatchError {
         match *self {
             BatchError::EmptyPrompt { seq } => {
                 write!(f, "request {seq}: prompt must contain at least one token")
+            }
+            BatchError::TokenOutOfVocabulary { seq } => {
+                write!(f, "request {seq}: prompt token outside the vocabulary")
             }
             BatchError::UnknownSequence { seq } => {
                 write!(
@@ -175,11 +184,19 @@ impl SequenceRequest {
         }
     }
 
+    /// The first prompt token that is not an id of a `vocab`-token model.
+    /// The engine asserts on one mid-round, so requests are checked where
+    /// they enter.
+    pub(crate) fn out_of_vocabulary(&self, vocab: usize) -> Option<u32> {
+        let inside = |token: u32| usize::try_from(token).is_ok_and(|token| token < vocab);
+        self.prompt.iter().copied().find(|&token| !inside(token))
+    }
+
     /// The timing-model view of this request (token counts only).
     pub fn to_sim_request(&self) -> Request {
         Request::new(
             self.arrival_s_micros,
-            self.prompt.len() as u32,
+            tokens_u32(self.prompt.len()),
             self.decode_tokens,
         )
     }
@@ -251,6 +268,7 @@ impl BatchRunReport {
     /// Measured functional decode rate, tokens/s.
     pub fn measured_decode_tokens_per_s(&self) -> f64 {
         if self.wall_s > 0.0 {
+            // cast: token counts stay far below 2^53, exact in f64
             self.decoded_tokens as f64 / self.wall_s
         } else {
             0.0
@@ -260,7 +278,8 @@ impl BatchRunReport {
     /// Measured functional total token rate (prefill + decode), tokens/s.
     pub fn measured_tokens_per_s(&self) -> f64 {
         if self.wall_s > 0.0 {
-            (self.decoded_tokens + self.prefill_tokens) as f64 / self.wall_s
+            // cast: token counts stay far below 2^53, exact in f64
+            self.decoded_tokens.saturating_add(self.prefill_tokens) as f64 / self.wall_s
         } else {
             0.0
         }
@@ -304,10 +323,23 @@ impl SeqSlot {
     pub(crate) fn resume_row(&self, req: &SequenceRequest) -> Request {
         Request::new(
             req.arrival_s_micros,
-            (req.prompt.len() + self.out.len()) as u32,
-            self.target.saturating_sub(self.out.len()) as u32,
+            tokens_u32(req.prompt.len().saturating_add(self.out.len())),
+            tokens_u32(self.target.saturating_sub(self.out.len())),
         )
     }
+}
+
+/// A token count as the scheduler carries it. Saturating: no prompt
+/// approaches 2^32 tokens, and a saturated count can only make a plan fail
+/// validation.
+fn tokens_u32(count: usize) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
+}
+
+/// A scheduler token count as a length, saturating where `usize` is
+/// narrower than `u32`.
+fn len_of(tokens: u32) -> usize {
+    usize::try_from(tokens).unwrap_or(usize::MAX)
 }
 
 /// What one sequence does during one round. A sequence whose prefill
@@ -429,7 +461,7 @@ impl SlotPool {
         cache.retain_match(&m, &mut slot.grant);
         slot.state.attach_prefix(m.matched, &m.blocks, cache.pool());
         slot.prefill_pos = m.matched;
-        u32::try_from(m.matched).unwrap_or(u32::MAX)
+        tokens_u32(m.matched)
     }
 
     /// Execute one round on `engine`: merge `plan` into one [`Action`] per
@@ -456,11 +488,11 @@ impl SlotPool {
                 if action.prefill > 0 {
                     return Err(BatchError::DuplicateAction { seq });
                 }
-                if n as usize > left {
+                if len_of(n) > left {
                     return Err(BatchError::PrefillOverrun { seq });
                 }
                 action.prefill = n;
-            } else if action.prefill as usize != left {
+            } else if len_of(action.prefill) != left {
                 return Err(BatchError::DecodeBeforePrefill { seq });
             } else if slot.out.len() >= slot.target {
                 return Err(BatchError::DecodeOverrun { seq });
@@ -472,7 +504,7 @@ impl SlotPool {
             .filter(|(_, action)| *action != Action::default())
             .filter_map(|(slot, action)| Some((slot.as_mut()?, action)))
             .collect();
-        engine.run_round(work);
+        engine.run_round(work, rayon::current_num_threads());
 
         let SlotPool {
             slots,
@@ -574,7 +606,7 @@ impl BatchedDataflowExecutor {
     /// ([`crate::serve::OnlineServer`]), where admission and execution
     /// are the same loop and budgeted LRU eviction is safe.
     pub fn with_prefix_cache(mut self, mut cfg: PrefixCacheConfig) -> Self {
-        cfg.pages_per_block = GRID * GRID;
+        cfg.pages_per_block = CHIPS;
         self.prefix = Some(cfg);
         self
     }
@@ -654,7 +686,8 @@ impl BatchedDataflowExecutor {
     ///
     /// # Errors
     ///
-    /// Returns a [`BatchError`] when a prompt is empty, a plan refers to a
+    /// Returns a [`BatchError`] when a prompt is empty or holds a token
+    /// outside the vocabulary, a plan refers to a
     /// sequence out of range, asks for more work than a sequence has left,
     /// decodes a sequence before its prefill finished, overflows the slot
     /// pool, or leaves a sequence unfinished after the final round.
@@ -678,9 +711,13 @@ impl BatchedDataflowExecutor {
         plans: &[RoundPlan],
         cache: Option<PrefixCache>,
     ) -> Result<BatchRunReport, BatchError> {
+        let vocab = self.inner.config().vocab_size;
         for (seq, r) in requests.iter().enumerate() {
             if r.prompt.is_empty() {
                 return Err(BatchError::EmptyPrompt { seq });
+            }
+            if r.out_of_vocabulary(vocab).is_some() {
+                return Err(BatchError::TokenOutOfVocabulary { seq });
             }
         }
         let started = Instant::now();
@@ -742,10 +779,12 @@ impl BatchedDataflowExecutor {
         Ok(BatchRunReport {
             recovery: RecoveryStats::default(),
             comm: per_sequence_comm.iter().copied().sum(),
+            // cast: usize → u64 widens on every supported target
             decoded_tokens: outputs.iter().map(|out| out.len() as u64).sum(),
             prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             outputs,
             per_sequence_comm,
+            // cast: usize → u64 widens on every supported target
             rounds: plans.len() as u64,
             prefill_panels,
             prefill_max_panel,
@@ -764,7 +803,7 @@ impl BatchedDataflowExecutor {
         SeqSlot {
             seq,
             prompt: req.prompt.clone(),
-            target: req.decode_tokens as usize,
+            target: len_of(req.decode_tokens),
             sampler: req.sampler.clone(),
             state: self.inner.new_state(),
             scratch: self.inner.new_scratch(),
@@ -804,14 +843,14 @@ impl BatchedDataflowExecutor {
         carcass
     }
 
-    /// One pipeline round: the work items are dealt to the workers by the
-    /// rows each pushes through the block ([`deal_rows`]), and every
-    /// worker runs its share as one chunk, so a worker's decoders still
-    /// share one batched decode step.
-    #[cfg(feature = "parallel")]
-    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    /// One pipeline round: the work items are dealt to at most `workers`
+    /// workers by the rows each pushes through the block ([`deal_rows`]),
+    /// and every worker runs its share as one chunk, so a worker's
+    /// decoders still share one batched decode step. One worker runs the
+    /// whole round as a single chunk on the calling thread.
+    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>, workers: usize) {
         use rayon::prelude::*;
-        let workers = rayon::current_num_threads().min(work.len());
+        let workers = workers.min(work.len());
         if workers <= 1 {
             return self.advance_chunk(work);
         }
@@ -822,7 +861,7 @@ impl BatchedDataflowExecutor {
             .iter()
             .map(|(slot, action)| {
                 let steps_back = action.decode && slot.out.len() + 1 < slot.target;
-                action.prefill as usize + usize::from(steps_back)
+                len_of(action.prefill) + usize::from(steps_back)
             })
             .collect();
         let mut chunks: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
@@ -834,14 +873,6 @@ impl BatchedDataflowExecutor {
         chunks
             .into_par_iter()
             .for_each(|chunk| self.advance_chunk(chunk));
-    }
-
-    /// Serial twin of the rayon round (`--no-default-features`): the whole
-    /// round is one chunk. Bit-exact with the parallel path because a
-    /// row's results do not depend on which rows it is batched with.
-    #[cfg(not(feature = "parallel"))]
-    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
-        self.advance_chunk(work);
     }
 
     /// One worker's share of a round, in any order and of any mix (the
@@ -887,7 +918,8 @@ impl BatchedDataflowExecutor {
         if action.prefill > 0 {
             // Plan validation bounded `prefill_pos + prefill` by the
             // prompt length before this slot entered the round.
-            let end = (slot.prefill_pos + action.prefill as usize).min(slot.prompt.len());
+            let end = slot.prefill_pos.saturating_add(len_of(action.prefill));
+            let end = end.min(slot.prompt.len());
             let chunk = slot.prompt.get(slot.prefill_pos..end).unwrap_or(&[]);
             if !chunk.is_empty() {
                 let want_logits = end == slot.prompt.len();
@@ -919,7 +951,7 @@ struct PlanOracle<'a> {
 impl PrefixOracle for PlanOracle<'_> {
     fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
         match self.requests.get(seq) {
-            Some(r) => self.cache.match_prompt(&r.prompt).matched as u32,
+            Some(r) => tokens_u32(self.cache.match_prompt(&r.prompt).matched),
             None => 0,
         }
     }
@@ -1180,6 +1212,62 @@ mod tests {
         assert_eq!(report.prefill_max_panel, MAX_PREFILL_PANEL);
     }
 
+    /// The deal moves host time and nothing else: the skewed round and a
+    /// uniform decode round, run at 1 to 4 workers, leave every sequence's
+    /// stream, KV shards, position and counters (hence their sum) bitwise
+    /// what a per-sequence run leaves. One worker is the whole round as a
+    /// single chunk on the calling thread.
+    #[test]
+    fn rounds_are_bitwise_per_sequence_runs_at_every_worker_count() {
+        use crate::dataflow::Grid;
+        use crate::engine::tests::assert_state_bitwise_equal;
+        let eng = engine();
+        let machine = eng.executor();
+        let uniform: Vec<SequenceRequest> = (0..12u32)
+            .map(|s| SequenceRequest::greedy(0, vec![3 + s, 9], 5))
+            .collect();
+        for requests in [skewed_round_requests(), uniform] {
+            let sim_reqs: Vec<Request> = requests
+                .iter()
+                .map(SequenceRequest::to_sim_request)
+                .collect();
+            let (_, plans) = scheduler().plan(&sim_reqs);
+            let solo: Vec<(Vec<u32>, DataflowState)> = requests
+                .iter()
+                .map(|r| {
+                    let mut state = machine.new_state();
+                    let n = r.decode_tokens as usize;
+                    let out = machine.generate_in(&r.prompt, n, &mut Sampler::Greedy, &mut state);
+                    (out, state)
+                })
+                .collect();
+            for workers in 1..=4 {
+                let mut slots: Vec<SeqSlot> = requests
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, r)| eng.new_slot(seq, r))
+                    .collect();
+                for plan in &plans {
+                    let mut actions = vec![Action::default(); slots.len()];
+                    for &(seq, n) in &plan.prefill {
+                        actions[seq].prefill = n;
+                    }
+                    for &seq in &plan.decode {
+                        actions[seq].decode = true;
+                    }
+                    let work = (slots.iter_mut().zip(actions))
+                        .filter(|(_, action)| *action != Action::default())
+                        .collect();
+                    eng.run_round(work, workers);
+                }
+                for (slot, (out, state)) in slots.iter().zip(&solo) {
+                    assert_eq!(&slot.out, out, "{workers} workers, seq {}", slot.seq);
+                    assert_state_bitwise_equal::<Grid>(&slot.state, state);
+                }
+            }
+        }
+    }
+
     /// Rows each worker ends up with under `worker_of`.
     fn loads(rows: &[usize], worker_of: &[usize], workers: usize) -> Vec<usize> {
         let mut load = vec![0; workers];
@@ -1393,6 +1481,24 @@ mod tests {
         let requests = vec![SequenceRequest::greedy(0, vec![], 1)];
         let err = eng.run_with_scheduler(&requests, &scheduler()).unwrap_err();
         assert_eq!(err, BatchError::EmptyPrompt { seq: 0 });
+    }
+
+    #[test]
+    fn out_of_vocabulary_prompt_rejected() {
+        let eng = engine();
+        let vocab = eng.executor().config().vocab_size as u32;
+        let requests = vec![
+            SequenceRequest::greedy(0, vec![1, 5], 2),
+            SequenceRequest::greedy(0, vec![1, vocab + 7], 2),
+        ];
+        let plans = vec![RoundPlan {
+            decode: vec![],
+            prefill: vec![(0, 2), (1, 2)],
+        }];
+        let err = eng.execute_plan(&requests, &plans).unwrap_err();
+        assert_eq!(err, BatchError::TokenOutOfVocabulary { seq: 1 });
+        let err = eng.run_with_scheduler(&requests, &scheduler()).unwrap_err();
+        assert_eq!(err, BatchError::TokenOutOfVocabulary { seq: 1 });
     }
 
     #[test]

@@ -7,35 +7,29 @@
 //! quarter of the context with running max/sum statistics, and the column
 //! group combines the partials exactly.
 //!
-//! Weight slices stay in their resident packed-FP4 form: a chip's partial
-//! product is a [`crate::kernels::matmul_block_into`] over its block of the
-//! packed matrix, so nothing is ever dequantized. One block body serves a
-//! decode step (a one-row panel), a batched decode step and a prefill
-//! chunk; all intermediates live in a caller-provided [`Scratch`] arena
-//! ([`step_with`](DataflowExecutor::step_with)); the allocating entry
-//! points remain as wrappers.
+//! [`DataflowExecutor`] is the shared driver ([`Engine`]) over the [`Grid`]
+//! placement; this module holds what the grid means — the sharded
+//! [`DataflowState`], the block body with its partial sums and fixed-order
+//! reductions, the [`CommCounters`] it charges, and [`DegradedLayout`]
+//! re-hosting. Weight slices stay in their resident packed-FP4 form: a
+//! chip's partial product is a [`crate::kernels::matmul_block_into`] over
+//! its block of the packed matrix, so nothing is ever dequantized.
 //!
 //! The executor is verified token-for-token against
 //! [`crate::reference::Transformer`].
 
+use crate::engine::{Engine, PanelRows, Placement};
 use crate::kernels::matmul_block_into;
 use crate::kv_cache::{KvCache, PagePool, PageRef, BLOCK_POSITIONS, PAGE_SLOTS};
-use crate::lora::LoraAdapter;
-use crate::ops::{rmsnorm_into, softmax};
-use crate::reference::{stage_experts, PrefillStats};
+use crate::ops::rmsnorm_into;
+use crate::reference::stage_experts;
 use crate::sampler::Sampler;
-use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
-use crate::tensor::{add_assign, dot, unembed_into, UNEMBED_MAX_ROWS};
-use hnlpu_model::{ModelWeights, PackedFp4Matrix, TransformerConfig};
+use crate::scratch::Scratch;
+use crate::tensor::{add_assign, dot};
+use hnlpu_model::{PackedFp4Matrix, TransformerConfig};
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
-
-// A batched decode step unembeds every row of a full panel in one call.
-const _: () = assert!(
-    MAX_PREFILL_PANEL <= UNEMBED_MAX_ROWS,
-    "a full panel must fit one unembedding pass"
-);
 
 /// Collective-communication counters, per executor run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,19 +44,6 @@ pub struct CommCounters {
     pub all_gathers: u64,
     /// Total payload bytes exchanged (fp32 accounting).
     pub bytes: u64,
-}
-
-impl CommCounters {
-    /// `n` repetitions of this schedule.
-    fn times(self, n: u64) -> CommCounters {
-        CommCounters {
-            all_reduces: self.all_reduces * n,
-            all_chip_all_reduces: self.all_chip_all_reduces * n,
-            reduces: self.reduces * n,
-            all_gathers: self.all_gathers * n,
-            bytes: self.bytes * n,
-        }
-    }
 }
 
 impl std::ops::Add for CommCounters {
@@ -249,16 +230,15 @@ pub struct DataflowState {
     /// `kv[col][chip_in_col]`: KV cache shard holding positions
     /// `p % 4 == chip_in_col` of the column's KV heads.
     kv: Vec<Vec<KvCache>>,
-    /// Tokens consumed so far.
-    position: usize,
     /// Communication counters.
     pub comm: CommCounters,
 }
 
 impl DataflowState {
-    /// Tokens consumed so far.
+    /// Tokens consumed so far: the positions striped across a column's
+    /// four shards (every column holds the same positions).
     pub fn position(&self) -> usize {
-        self.position
+        self.kv[0].iter().map(KvCache::len).sum()
     }
 
     /// The KV shard held by chip `chip_in_col` of column `col` (positions
@@ -287,7 +267,6 @@ impl DataflowState {
                 shard.clear();
             }
         }
-        self.position = 0;
         self.comm = CommCounters::default();
     }
 
@@ -330,7 +309,7 @@ impl DataflowState {
     /// Panics if the state is not fresh or `blocks` does not cover
     /// `matched` positions.
     pub fn attach_prefix(&mut self, matched: usize, blocks: &[Box<[u32]>], pool: &PagePool) {
-        assert_eq!(self.position, 0, "attach_prefix requires a fresh state");
+        assert_eq!(self.position(), 0, "attach_prefix requires a fresh state");
         assert_eq!(
             blocks.len(),
             matched.div_ceil(BLOCK_POSITIONS),
@@ -355,7 +334,6 @@ impl DataflowState {
                 shard.attach_shared(&shared, boundary, local_len);
             }
         }
-        self.position = matched;
     }
 
     /// Freeze global block `block` across all 16 shards and hand out
@@ -374,82 +352,46 @@ impl DataflowState {
     }
 }
 
-/// Where each row of an activation panel gets its context position, KV
-/// shards and communication counters — the only things that differ
-/// between a prefill panel and a batched decode step.
-enum PanelRows<'a, 's> {
-    /// `t` consecutive positions of one sequence: row `tt` is position
-    /// `state.position + tt`.
-    Prefill {
-        state: &'a mut DataflowState,
-        t: usize,
-    },
-    /// The next position of each of several sequences: row `tt` is
-    /// sequence `tt`.
-    Decode(&'a mut [&'s mut DataflowState]),
-}
-
-impl PanelRows<'_, '_> {
-    fn len(&self) -> usize {
-        match self {
-            PanelRows::Prefill { t, .. } => *t,
-            PanelRows::Decode(states) => states.len(),
-        }
-    }
-
-    /// Row `tt`'s context position, KV shards and counters.
-    fn row(&mut self, tt: usize) -> (usize, &mut [Vec<KvCache>], &mut CommCounters) {
-        let (state, offset) = match self {
-            PanelRows::Prefill { state, .. } => (&mut **state, tt),
-            PanelRows::Decode(states) => (&mut *states[tt], 0),
-        };
-        (state.position + offset, &mut state.kv, &mut state.comm)
-    }
-
+impl PanelRows<'_, '_, DataflowState> {
     /// Charge every row one instance of a collective.
     fn charge(&mut self, one: CommCounters) {
-        match self {
-            PanelRows::Prefill { state, t } => state.comm += one.times(*t as u64),
-            PanelRows::Decode(states) => {
-                for state in states.iter_mut() {
-                    state.comm += one;
-                }
-            }
-        }
-    }
-
-    /// Every layer ran: each row's position is consumed.
-    fn advance(&mut self) {
-        match self {
-            PanelRows::Prefill { state, t } => state.position += *t,
-            PanelRows::Decode(states) => {
-                for state in states.iter_mut() {
-                    state.position += 1;
-                }
-            }
+        for tt in 0..self.len() {
+            self.state(tt).comm += one;
         }
     }
 }
+
+/// The 4×4-chip placement: chip `(r, c)` holds row-partition `r` of column
+/// `c`'s weight slices and the KV shard of positions `p % 4 == r` of
+/// column `c`'s heads; experts are spread sixteen ways.
+#[derive(Debug, Clone, Copy)]
+pub struct Grid;
 
 /// The dataflow executor.
-#[derive(Debug, Clone)]
-pub struct DataflowExecutor {
-    weights: ModelWeights,
-    /// LoRA side-channel adapters (field-programmable HNs beside the
-    /// hardwired array), one optional slot per layer on `Wq`.
-    q_adapters: Vec<Option<LoraAdapter>>,
-}
+pub type DataflowExecutor = Engine<Grid>;
 
 impl DataflowExecutor {
-    /// Wrap materialized weights.
+    /// Generate and return the communication counters alongside the tokens.
     ///
     /// # Panics
     ///
-    /// Panics unless the architecture is 4×4-mappable: hidden size, KV
-    /// heads, and query heads divisible by 4, experts divisible by 16
-    /// (use [`hnlpu_model::zoo::dataflow_test_model`] for tests).
-    pub fn new(weights: ModelWeights) -> Self {
-        let c = &weights.config;
+    /// Panics if `prompt` is empty.
+    pub fn generate_with_report(
+        &self,
+        prompt: &[u32],
+        n: usize,
+        sampler: &mut Sampler,
+    ) -> (Vec<u32>, CommCounters) {
+        let mut state = self.new_state();
+        let out = self.generate_in(prompt, n, sampler, &mut state);
+        (out, state.comm)
+    }
+}
+
+impl Placement for Grid {
+    type State = DataflowState;
+
+    fn validate(c: &TransformerConfig) {
         assert!(
             c.hidden_size.is_multiple_of(GRID),
             "hidden size must split 4 ways"
@@ -466,37 +408,9 @@ impl DataflowExecutor {
             c.moe.num_experts.is_multiple_of(GRID * GRID),
             "experts must split across 16 chips"
         );
-        let layers = weights.config.num_layers;
-        DataflowExecutor {
-            weights,
-            q_adapters: vec![None; layers],
-        }
     }
 
-    /// Install a LoRA adapter on `layer`'s query projection. The adapter
-    /// weights live in the ~1% field-programmable side-channel; the delta
-    /// is computed once per layer (the seed computed the identical value
-    /// redundantly on every chip) and each column adds its slice — no
-    /// extra communication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adapter shape does not match `Wq`.
-    pub fn set_q_adapter(&mut self, layer: usize, adapter: LoraAdapter) {
-        let c = self.config();
-        assert_eq!(adapter.rows, c.hidden_size, "adapter rows");
-        assert_eq!(adapter.cols, c.attention.q_width(), "adapter cols");
-        self.q_adapters[layer] = Some(adapter);
-    }
-
-    /// The architecture.
-    pub fn config(&self) -> &TransformerConfig {
-        &self.weights.config
-    }
-
-    /// Fresh execution state.
-    pub fn new_state(&self) -> DataflowState {
-        let c = self.config();
+    fn new_state(c: &TransformerConfig) -> DataflowState {
         let kv_heads_per_col = c.attention.num_kv_heads / GRID;
         DataflowState {
             kv: (0..GRID)
@@ -506,316 +420,46 @@ impl DataflowExecutor {
                         .collect()
                 })
                 .collect(),
-            position: 0,
             comm: CommCounters::default(),
         }
     }
 
-    /// A scratch arena sized for this model (reusable across steps and
-    /// sequences).
-    pub fn new_scratch(&self) -> Scratch {
-        Scratch::new(self.config())
+    fn position(state: &DataflowState) -> usize {
+        state.position()
     }
 
-    /// One decode step through the 16-chip machine.
-    pub fn step(&self, token: u32, state: &mut DataflowState) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.step_with(token, state, &mut scratch);
-        scratch.logits
-    }
-
-    /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`. A step is a batched step of one row.
-    // analyze: hot
-    pub fn step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        self.step_batch_with(&[token], &mut [state], &mut [scratch]);
-    }
-
-    /// Unembedding communication per sequence: each chip dots its
-    /// vocabulary shard of the replicated table, and the 16 shards are
-    /// all-gathered.
-    fn unembed_gather(&self) -> CommCounters {
-        CommCounters {
+    /// Each chip dots its vocabulary shard of the replicated table, and
+    /// the 16 shards are all-gathered.
+    fn charge_unembed(c: &TransformerConfig, state: &mut DataflowState) {
+        state.comm += CommCounters {
             all_gathers: 1,
-            bytes: self.config().vocab_size as u64 * 4,
+            bytes: c.vocab_size as u64 * 4,
             ..CommCounters::default()
-        }
-    }
-
-    /// One decode step for several sequences at once: sequence `i`
-    /// consumes `tokens[i]` at its own position, and its logits land in
-    /// `scratches[i].logits()` (its final hidden state in `.hidden()`).
-    ///
-    /// Every row's logits, KV shards, position and communication counters
-    /// are bit-identical to a [`step_with`](Self::step_with) call on that
-    /// sequence alone, for any grouping of sequences into calls — but
-    /// each packed weight byte is decoded once per token block and the
-    /// embedding table is read once, instead of once per sequence. The
-    /// rows run as one activation panel through the one block, in the
-    /// first scratch's panel buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length, there are more than
-    /// [`MAX_PREFILL_PANEL`] rows, or a token is out of vocabulary.
-    // analyze: hot
-    pub fn step_batch_with(
-        &self,
-        tokens: &[u32],
-        states: &mut [&mut DataflowState],
-        scratches: &mut [&mut Scratch],
-    ) {
-        assert_eq!(tokens.len(), scratches.len(), "one scratch per token");
-        let Some((lead, rest)) = scratches.split_first_mut() else {
-            return;
         };
-        self.hidden_rows(tokens, states, lead, rest);
-        let h = self.config().hidden_size;
-        let Scratch {
-            xnp, xop, logits, ..
-        } = &mut **lead;
-        let xnp = &xnp[..tokens.len() * h];
-        // The post-attention panel is dead by now: it hosts the lanes.
-        unembed_into(&self.weights.embedding, h, xnp, xop, |token, row_logits| {
-            logits[token] = row_logits[0];
-            for (scratch, &logit) in rest.iter_mut().zip(&row_logits[1..]) {
-                scratch.logits[token] = logit;
-            }
-        });
-        for state in states.iter_mut() {
-            state.comm += self.unembed_gather();
-        }
-    }
-
-    /// Run one row per sequence through every layer and leave each row's
-    /// final normalized hidden state in its own scratch (`lead` for row 0,
-    /// `rest` for the others) and all of them in `lead`'s `xnp` panel.
-    // analyze: hot
-    fn hidden_rows(
-        &self,
-        tokens: &[u32],
-        states: &mut [&mut DataflowState],
-        lead: &mut Scratch,
-        rest: &mut [&mut Scratch],
-    ) {
-        assert_eq!(tokens.len(), states.len(), "one state per token");
-        assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
-        self.run_panel(tokens, &mut PanelRows::Decode(states), lead);
-        let h = self.config().hidden_size;
-        let Scratch { xp, xn, xnp, .. } = lead;
-        let xnp = &mut xnp[..tokens.len() * h];
-        for (x, normed) in xp.chunks_exact(h).zip(xnp.chunks_exact_mut(h)) {
-            rmsnorm_into(x, normed);
-        }
-        xn.copy_from_slice(&xnp[..h]);
-        for (scratch, normed) in rest.iter_mut().zip(xnp[h..].chunks_exact(h)) {
-            scratch.xn.copy_from_slice(normed);
-        }
-    }
-
-    /// As [`step`](Self::step), but return the final normalized hidden
-    /// state (replicated on all chips after the last all-reduce).
-    pub fn hidden_step(&self, token: u32, state: &mut DataflowState) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.hidden_step_with(token, state, &mut scratch);
-        scratch.xn
-    }
-
-    /// Allocation-free [`hidden_step`](Self::hidden_step): the normalized
-    /// hidden state lands in `scratch.hidden()`.
-    // analyze: hot
-    pub fn hidden_step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        self.hidden_rows(&[token], &mut [state], scratch, &mut []);
-    }
-
-    /// Sequence scoring (§8 future work 3) on the 16-chip machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` has fewer than two entries.
-    pub fn score_sequence(&self, tokens: &[u32]) -> f64 {
-        assert!(tokens.len() >= 2, "need at least two tokens to score");
-        let mut state = self.new_state();
-        let mut scratch = self.new_scratch();
-        let mut total = 0.0f64;
-        self.step_with(tokens[0], &mut state, &mut scratch);
-        for &next in &tokens[1..] {
-            let probs = softmax(scratch.logits());
-            total += (probs[next as usize].max(f32::MIN_POSITIVE) as f64).ln();
-            self.step_with(next, &mut state, &mut scratch);
-        }
-        total
-    }
-
-    /// Text embedding (§8 future work 3): mean-pooled hidden states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty.
-    pub fn text_embedding(&self, tokens: &[u32]) -> Vec<f32> {
-        assert!(!tokens.is_empty(), "need at least one token to embed");
-        let mut state = self.new_state();
-        let mut scratch = self.new_scratch();
-        let mut pooled = vec![0.0f32; self.config().hidden_size];
-        for &t in tokens {
-            self.hidden_step_with(t, &mut state, &mut scratch);
-            add_assign(&mut pooled, scratch.hidden());
-        }
-        let inv = 1.0 / tokens.len() as f32;
-        for v in &mut pooled {
-            *v *= inv;
-        }
-        pooled
-    }
-
-    /// Prefill `prompt` then greedily decode `n` tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn generate_greedy(&self, prompt: &[u32], n: usize) -> Vec<u32> {
-        self.generate_with_report(prompt, n, &mut Sampler::Greedy).0
-    }
-
-    /// Generate and return the communication counters alongside the tokens.
-    /// One scratch arena serves the whole sequence, so the loop never
-    /// allocates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn generate_with_report(
-        &self,
-        prompt: &[u32],
-        n: usize,
-        sampler: &mut Sampler,
-    ) -> (Vec<u32>, CommCounters) {
-        assert!(!prompt.is_empty(), "prompt must contain at least one token");
-        let mut state = self.new_state();
-        let mut scratch = self.new_scratch();
-        self.prefill_with(prompt, &mut state, &mut scratch, true);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let next = sampler.sample(scratch.logits());
-            out.push(next);
-            if out.len() == n {
-                break;
-            }
-            self.step_with(next, &mut state, &mut scratch);
-        }
-        (out, state.comm)
-    }
-
-    /// Prefill `tokens` through the 16-chip machine in matmul panels of up
-    /// to [`MAX_PREFILL_PANEL`] tokens. The KV shards, residuals, and
-    /// (when `want_logits`) final logits are bit-identical to a
-    /// [`step_with`](Self::step_with) loop; the communication schedule is
-    /// identical except that only the last panel's final token is
-    /// unembedded (one vocabulary all-gather per prefill instead of one
-    /// per token).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an out-of-vocabulary id.
-    pub fn prefill_with(
-        &self,
-        tokens: &[u32],
-        state: &mut DataflowState,
-        scratch: &mut Scratch,
-        want_logits: bool,
-    ) -> PrefillStats {
-        self.prefill_chunked(tokens, state, scratch, MAX_PREFILL_PANEL, want_logits)
-    }
-
-    /// As [`prefill_with`](Self::prefill_with) with an explicit panel
-    /// width `panel` (clamped to `1..=MAX_PREFILL_PANEL`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an out-of-vocabulary id.
-    pub fn prefill_chunked(
-        &self,
-        tokens: &[u32],
-        state: &mut DataflowState,
-        scratch: &mut Scratch,
-        panel: usize,
-        want_logits: bool,
-    ) -> PrefillStats {
-        assert!(!tokens.is_empty(), "prompt must contain at least one token");
-        let panel = panel.clamp(1, MAX_PREFILL_PANEL);
-        let mut stats = PrefillStats::default();
-        let mut consumed = 0;
-        while consumed < tokens.len() {
-            let end = (consumed + panel).min(tokens.len());
-            let chunk = &tokens[consumed..end];
-            consumed = end;
-            let logits_now = want_logits && consumed == tokens.len();
-            self.prefill_panel_with(chunk, state, scratch, logits_now);
-            stats.panels += 1;
-            stats.max_panel = stats.max_panel.max(chunk.len());
-        }
-        stats
-    }
-
-    /// Run one panel of ≤ [`MAX_PREFILL_PANEL`] tokens through every layer
-    /// of the machine.
-    // analyze: hot
-    fn prefill_panel_with(
-        &self,
-        tokens: &[u32],
-        state: &mut DataflowState,
-        scratch: &mut Scratch,
-        want_logits: bool,
-    ) {
-        let t = tokens.len();
-        self.run_panel(tokens, &mut PanelRows::Prefill { state, t }, scratch);
-        if want_logits {
-            // Unembed only the panel's last token.
-            let h = self.config().hidden_size;
-            let Scratch { xp, xn, logits, .. } = scratch;
-            rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
-            unembed_into(&self.weights.embedding, h, xn, &mut [], |token, logit| {
-                logits[token] = logit[0]
-            });
-            state.comm += self.unembed_gather();
-        }
-    }
-
-    /// Embed one token per row into `scratch.xp`, run the panel through
-    /// every layer, and consume each row's position.
-    // analyze: hot
-    fn run_panel(&self, tokens: &[u32], rows: &mut PanelRows<'_, '_>, scratch: &mut Scratch) {
-        let c = self.config();
-        let h = c.hidden_size;
-        debug_assert!(tokens.len() == rows.len() && tokens.len() <= MAX_PREFILL_PANEL);
-        // Embedding lookup is local on every chip (replicated dictionary).
-        for (x, &tok) in scratch.xp.chunks_exact_mut(h).zip(tokens) {
-            assert!((tok as usize) < c.vocab_size, "token out of vocabulary");
-            x.copy_from_slice(&self.weights.embedding[tok as usize * h..(tok as usize + 1) * h]);
-        }
-        for layer in 0..c.num_layers {
-            self.panel_block_with(layer, rows, scratch);
-        }
-        rows.advance();
     }
 
     /// One transformer block over an activation panel whose rows are
     /// described by `rows` (consecutive positions of one sequence, or the
     /// next position of several) — the only function that walks a layer,
-    /// for a single decode step, a batched one and a prefill chunk alike:
-    /// reads the residual panel from `scratch.xp`, writes the updated panel
-    /// back into it. Each chip's partial product goes through the matmul
-    /// kernels, whose every output row is independent of the panel width;
-    /// the column reductions add partials in chip order; RoPE/attention/MoE
-    /// math runs per row against that row's own position and KV shards —
-    /// so KV shards and residuals are bit-equal for every chunking and
-    /// every grouping. Each row's communication counters advance by the
+    /// for a single decode step, a batched one and a prefill chunk alike.
+    /// Each chip's partial product goes through the matmul kernels, whose
+    /// every output row is independent of the panel width; the column
+    /// reductions add partials in chip order; RoPE/attention/MoE math runs
+    /// per row against that row's own position and KV shards — so KV
+    /// shards and residuals are bit-equal for every chunking and every
+    /// grouping. Each row's communication counters advance by the
     /// per-token schedule.
     // analyze: hot
-    fn panel_block_with(&self, layer: usize, rows: &mut PanelRows<'_, '_>, scratch: &mut Scratch) {
+    fn panel_block(
+        engine: &DataflowExecutor,
+        layer: usize,
+        positions: &[usize],
+        rows: &mut PanelRows<'_, '_, DataflowState>,
+        scratch: &mut Scratch,
+    ) {
         let t = rows.len();
-        let c = *self.config();
-        let w = &self.weights.layers[layer];
+        let c = *engine.config();
+        let w = &engine.weights.layers[layer];
         let h = c.hidden_size;
         let hd = c.attention.head_dim;
         let qw = c.attention.q_width();
@@ -856,7 +500,7 @@ impl DataflowExecutor {
                 xnp, h, rows, &w.wq, col, q_per_col, row_slice, partp, qp, qw,
             );
         }
-        if let Some(adapter) = &self.q_adapters[layer] {
+        if let Some(adapter) = &engine.q_adapters[layer] {
             // Field-programmable side-channel: the rank-r delta is computed
             // once per token (every chip would hold the identical value)
             // and each column adds its slice — no extra communication.
@@ -877,7 +521,8 @@ impl DataflowExecutor {
         // (III) RoPE + KV landing: a row at `position` lands on chip
         // (position mod 4) of each column of its own sequence's shards.
         for tt in 0..t {
-            let (position, kv, comm) = rows.row(tt);
+            let position = positions[tt];
+            let DataflowState { kv, comm } = rows.state(tt);
             rope.prepare(position);
             for col in 0..GRID {
                 comm.reduces += 2;
@@ -900,7 +545,8 @@ impl DataflowExecutor {
         // panel's whole KV is cached by now, so each row masks itself to
         // its causal prefix via `ctx`.
         for tt in 0..t {
-            let (position, kv, comm) = rows.row(tt);
+            let position = positions[tt];
+            let DataflowState { kv, comm } = rows.state(tt);
             for col in 0..GRID {
                 column_attention(
                     &qp[tt * qw + col * q_per_col..][..q_per_col],
@@ -1020,7 +666,7 @@ impl DataflowExecutor {
 fn col_project_panel(
     xs: &[f32],
     x_stride: usize,
-    rows: &mut PanelRows<'_, '_>,
+    rows: &mut PanelRows<'_, '_, DataflowState>,
     m: &PackedFp4Matrix,
     col: usize,
     per_col: usize,
@@ -1155,33 +801,49 @@ fn column_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests as driver;
     use crate::reference::Transformer;
-    use hnlpu_model::{zoo, WeightGenerator};
+    use hnlpu_model::{zoo, ModelWeights, WeightGenerator};
 
     fn weights() -> ModelWeights {
         let card = zoo::dataflow_test_model();
         ModelWeights::materialize(&card.config, &WeightGenerator::new(2026))
     }
 
-    /// Every KV shard of `a` and `b` holds bit-identical keys and values.
-    fn assert_kv_bitwise_equal(hnlpu: &DataflowExecutor, a: &DataflowState, b: &DataflowState) {
-        let layers = hnlpu.config().num_layers;
-        let heads_per_col = hnlpu.config().attention.num_kv_heads / GRID;
-        for col in 0..GRID {
-            for chip in 0..GRID {
-                let (a, b) = (a.kv_shard(col, chip), b.kv_shard(col, chip));
-                assert_eq!(a.len(), b.len(), "shard ({col},{chip}) length");
-                for layer in 0..layers {
-                    for p in 0..a.len() {
-                        for head in 0..heads_per_col {
-                            assert_eq!(a.key(layer, p, head), b.key(layer, p, head));
-                            assert_eq!(a.value(layer, p, head), b.value(layer, p, head));
-                        }
-                    }
-                }
-            }
+    impl driver::Probe for Grid {
+        fn engine() -> DataflowExecutor {
+            DataflowExecutor::new(weights())
+        }
+
+        /// The 16 shards, column-major.
+        fn caches(state: &DataflowState) -> Vec<&KvCache> {
+            state.kv.iter().flatten().collect()
+        }
+
+        fn comm(state: &DataflowState) -> CommCounters {
+            state.comm
+        }
+
+        /// Row 0 reads its 30 positions through shared pages: a donor
+        /// commits `shared`'s two blocks and the row attaches a mid-block
+        /// match, so its boundary page is a private copy.
+        fn row0_state(hnlpu: &DataflowExecutor, shared: &[u32]) -> DataflowState {
+            let mut donor = hnlpu.new_state();
+            hnlpu.prefill_with(shared, &mut donor, &mut hnlpu.new_scratch(), false);
+            let mut pool = PagePool::default();
+            let blocks: Vec<Box<[u32]>> = (0..2)
+                .map(|b| {
+                    let pages = donor.share_block(b).into_iter();
+                    pages.map(|r| pool.register(r)).collect()
+                })
+                .collect();
+            let mut state = hnlpu.new_state();
+            state.attach_prefix(30, &blocks, &pool);
+            state
         }
     }
+
+    driver::placement_tests!(Grid);
 
     #[test]
     fn logits_match_reference_within_tolerance() {
@@ -1214,23 +876,6 @@ mod tests {
                 hnlpu.generate_greedy(prompt, 12),
                 "prompt {prompt:?}"
             );
-        }
-    }
-
-    #[test]
-    fn fresh_and_reused_scratch_agree_bitwise() {
-        let hnlpu = DataflowExecutor::new(weights());
-        let mut dirty = hnlpu.new_scratch();
-        let mut warm = hnlpu.new_state();
-        for t in [40u32, 3, 77] {
-            hnlpu.step_with(t, &mut warm, &mut dirty);
-        }
-        let mut s1 = hnlpu.new_state();
-        let mut s2 = hnlpu.new_state();
-        for t in [1u32, 9, 17] {
-            let fresh = hnlpu.step(t, &mut s1);
-            hnlpu.step_with(t, &mut s2, &mut dirty);
-            assert_eq!(fresh.as_slice(), dirty.logits());
         }
     }
 
@@ -1315,83 +960,6 @@ mod tests {
         let a = reference.generate_greedy(&[7, 11], 10);
         let b = hnlpu.generate_greedy(&[7, 11], 10);
         assert_eq!(a, b, "LoRA-adapted machines must still agree");
-    }
-
-    #[test]
-    fn panel_prefill_is_bitwise_per_token_loop() {
-        let hnlpu = DataflowExecutor::new(weights());
-        let prompt: Vec<u32> = (0..19u32).map(|i| (i * 11 + 3) % 100).collect();
-        let mut ls = hnlpu.new_state();
-        let mut lscratch = hnlpu.new_scratch();
-        for &t in &prompt {
-            hnlpu.step_with(t, &mut ls, &mut lscratch);
-        }
-        let mut ps = hnlpu.new_state();
-        let mut pscratch = hnlpu.new_scratch();
-        let stats = hnlpu.prefill_with(&prompt, &mut ps, &mut pscratch, true);
-        assert_eq!(stats.panels, 1);
-        assert_eq!(stats.max_panel, prompt.len());
-        assert_eq!(lscratch.logits(), pscratch.logits());
-        assert_eq!(ps.position(), prompt.len());
-        assert_kv_bitwise_equal(&hnlpu, &ls, &ps);
-        // The stepped loop unembeds every token, the prefill only its
-        // last: one vocabulary all-gather per step is the whole difference.
-        let p = prompt.len() as u64;
-        assert_eq!(ls.comm.all_reduces, ps.comm.all_reduces);
-        assert_eq!(ls.comm.reduces, ps.comm.reduces);
-        assert_eq!(ls.comm.all_chip_all_reduces, ps.comm.all_chip_all_reduces);
-        let vocab = hnlpu.config().vocab_size as u64;
-        assert_eq!(ls.comm.all_gathers, ps.comm.all_gathers + p - 1);
-        assert_eq!(ls.comm.bytes, ps.comm.bytes + (p - 1) * vocab * 4);
-    }
-
-    #[test]
-    fn prefill_is_chunking_invariant() {
-        // The pin between the decode step and every prefill width: the
-        // T = 1 panel is what `step_with` runs, 2/3/5 reach the narrow
-        // token-block remainders of the vectorized matmul, 16 and 64 its
-        // full blocks — and all of them leave bit-identical KV shards,
-        // position, counters and logits.
-        let hnlpu = DataflowExecutor::new(weights());
-        let prompt: Vec<u32> = (0..27u32).map(|i| (i * 5 + 2) % 100).collect();
-        let mut want: Option<(DataflowState, Vec<f32>)> = None;
-        for panel in [1usize, 2, 3, 5, 16, 64] {
-            let mut state = hnlpu.new_state();
-            let mut scratch = hnlpu.new_scratch();
-            let stats = hnlpu.prefill_chunked(&prompt, &mut state, &mut scratch, panel, true);
-            assert_eq!(stats.panels as usize, prompt.len().div_ceil(panel));
-            match &want {
-                None => want = Some((state, scratch.logits().to_vec())),
-                Some((want_state, want_logits)) => {
-                    assert_eq!(want_logits.as_slice(), scratch.logits(), "panel {panel}");
-                    assert_eq!(want_state.position(), state.position(), "panel {panel}");
-                    assert_eq!(want_state.comm, state.comm, "panel {panel}");
-                    assert_kv_bitwise_equal(&hnlpu, want_state, &state);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lora_adapted_panel_prefill_matches_step_loop() {
-        use crate::lora::LoraAdapter;
-        let w = weights();
-        let c = w.config;
-        let mut hnlpu = DataflowExecutor::new(w);
-        hnlpu.set_q_adapter(
-            1,
-            LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 6.0, 5),
-        );
-        let prompt = [7u32, 11, 13, 17, 19, 23];
-        let mut ls = hnlpu.new_state();
-        let mut lscratch = hnlpu.new_scratch();
-        for &t in &prompt {
-            hnlpu.step_with(t, &mut ls, &mut lscratch);
-        }
-        let mut ps = hnlpu.new_state();
-        let mut pscratch = hnlpu.new_scratch();
-        hnlpu.prefill_with(&prompt, &mut ps, &mut pscratch, true);
-        assert_eq!(lscratch.logits(), pscratch.logits());
     }
 
     #[test]
@@ -1652,83 +1220,5 @@ mod tests {
         let mut shared_state = hnlpu.new_state();
         shared_state.attach_prefix(32, &blocks, &pool);
         assert!(shared_state.kv_owned_bytes_fp16() < dense.kv_owned_bytes_fp16());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
-
-        /// The batched-decode contract: one `step_batch_with` over B
-        /// sequences at different positions — row 0 reading a matched
-        /// prefix through shared pages, layer 1 carrying a LoRA
-        /// `q_adapter` — leaves every row's logits, hidden state, KV
-        /// shards, position and counters bitwise equal to B independent
-        /// `step_with` calls, however the rows are grouped into calls.
-        #[test]
-        fn batched_step_is_bitwise_independent_steps(seed in 0u64..10_000) {
-            use crate::lora::LoraAdapter;
-            use rand::{rngs::StdRng, Rng, SeedableRng};
-            let w = weights();
-            let c = w.config;
-            let mut hnlpu = DataflowExecutor::new(w);
-            hnlpu.set_q_adapter(
-                1,
-                LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 6.0, 5),
-            );
-            let vocab = c.vocab_size as u32;
-            let mut rng = StdRng::seed_from_u64(seed);
-
-            // A committed 32-position prefix for row 0 to attach to.
-            let shared: Vec<u32> = (0..32).map(|_| rng.gen_range(0..vocab)).collect();
-            let mut donor = hnlpu.new_state();
-            let mut scratch = hnlpu.new_scratch();
-            hnlpu.prefill_with(&shared, &mut donor, &mut scratch, false);
-            let mut pool = PagePool::default();
-            let blocks: Vec<Box<[u32]>> = (0..2)
-                .map(|b| donor.share_block(b).into_iter().map(|r| pool.register(r)).collect())
-                .collect();
-
-            for b in [1usize, 2, 3, 4, 5, 17, 64] {
-                let mut states = Vec::new();
-                for row in 0..b {
-                    let mut state = hnlpu.new_state();
-                    if row == 0 {
-                        // Mid-block match: the boundary page is a private copy.
-                        state.attach_prefix(30, &blocks, &pool);
-                    }
-                    let suffix: Vec<u32> = (0..rng.gen_range(1..12usize))
-                        .map(|_| rng.gen_range(0..vocab))
-                        .collect();
-                    hnlpu.prefill_with(&suffix, &mut state, &mut scratch, false);
-                    states.push(state);
-                }
-                let tokens: Vec<u32> = (0..b).map(|_| rng.gen_range(0..vocab)).collect();
-
-                let mut want = states.clone();
-                let mut want_scratch: Vec<Scratch> = (0..b).map(|_| hnlpu.new_scratch()).collect();
-                for ((state, scratch), &tok) in want.iter_mut().zip(&mut want_scratch).zip(&tokens) {
-                    hnlpu.step_with(tok, state, scratch);
-                }
-
-                let mut got_scratch: Vec<Scratch> = (0..b).map(|_| hnlpu.new_scratch()).collect();
-                let mut lo = 0;
-                while lo < b {
-                    let hi = lo + rng.gen_range(1..=b - lo);
-                    let mut rows: Vec<&mut DataflowState> = states[lo..hi].iter_mut().collect();
-                    let mut arenas: Vec<&mut Scratch> = got_scratch[lo..hi].iter_mut().collect();
-                    hnlpu.step_batch_with(&tokens[lo..hi], &mut rows, &mut arenas);
-                    lo = hi;
-                }
-
-                for row in 0..b {
-                    proptest::prop_assert_eq!(
-                        got_scratch[row].logits(), want_scratch[row].logits(), "b {} row {} logits", b, row
-                    );
-                    proptest::prop_assert_eq!(got_scratch[row].hidden(), want_scratch[row].hidden());
-                    proptest::prop_assert_eq!(states[row].position(), want[row].position());
-                    proptest::prop_assert_eq!(states[row].comm, want[row].comm, "b {} row {} comm", b, row);
-                    assert_kv_bitwise_equal(&hnlpu, &states[row], &want[row]);
-                }
-            }
-        }
     }
 }

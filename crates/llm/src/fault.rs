@@ -18,6 +18,7 @@
 //! typed [`FaultError`] instead of a panic mid-run.
 
 use crate::dataflow::GRID;
+use hnlpu_sim::scheduler::micros_to_s;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
 use std::fmt;
@@ -365,12 +366,6 @@ impl FaultPlan {
             .find(|d| d.submission == submission)
             .map(|d| d.at_micros)
     }
-}
-
-/// Virtual-time µs → seconds, for fault-window comparisons.
-fn micros_to_s(micros: u64) -> f64 {
-    // cast: fault windows are bounded by the plan horizon (< 2^53 µs), value-preserving in f64
-    micros as f64 / 1e6
 }
 
 #[cfg(test)]

@@ -16,12 +16,18 @@
 //!   make the steady-state decode step allocation-free.
 //! * [`kv_cache`] — per-layer KV storage.
 //! * [`sampler`] — greedy and seeded-multinomial logit sampling.
-//! * [`mod@reference`] — the single-device decoder (GQA + MoE, pre-norm).
-//! * [`dataflow`] — the 4×4-chip executor with explicit partial sums and
-//!   collectives mirroring Figure 10, plus communication counters.
+//! * [`Engine`] — the one driver both machines share (embedding gather,
+//!   layer loop, panel prefill, single and batched decode step,
+//!   unembedding, scoring, generation), generic over a [`Placement`] that
+//!   supplies the per-sequence state and the transformer block.
+//! * [`mod@reference`] — the single-device placement (GQA + MoE,
+//!   pre-norm): [`Transformer`] is `Engine<SingleChip>`.
+//! * [`dataflow`] — the 4×4-chip placement with explicit partial sums and
+//!   collectives mirroring Figure 10, plus communication counters:
+//!   [`DataflowExecutor`] is `Engine<Grid>`.
 //! * [`batch`] — the batched engine: a KV-slot pool with continuous-
 //!   batching admission/eviction executing `hnlpu-sim`'s round plans,
-//!   parallel across sequences (feature `parallel`, on by default).
+//!   each round dealt across the host's cores (`rayon`).
 //! * [`naive`] — the pre-optimization dense-`f32`, allocating decoder kept
 //!   as the benchmark baseline and semantic cross-check.
 //! * [`serve`] — the online serving frontend: bounded-queue admission,
@@ -54,6 +60,7 @@
 #![warn(missing_docs)]
 pub mod batch;
 pub mod dataflow;
+mod engine;
 pub mod fault;
 pub mod kernels;
 pub mod kv_cache;
@@ -69,6 +76,7 @@ pub mod tokenizer;
 
 pub use batch::{BatchRunReport, BatchedDataflowExecutor, RecoveryStats, SequenceRequest};
 pub use dataflow::{CommCounters, DataflowExecutor, DegradedLayout, GridError, GridHealth};
+pub use engine::{Engine, Placement};
 pub use fault::{ChaosSpec, FaultError, FaultPlan};
 pub use kv_cache::{
     KvCache, PageBuf, PagePool, PageRef, PrefixCache, PrefixCacheConfig, PrefixMatch, PrefixStats,

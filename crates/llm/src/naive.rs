@@ -230,6 +230,30 @@ mod tests {
     }
 
     #[test]
+    fn naive_prefill_panel_matches_packed_reference() {
+        // The independent oracle covers the shared driver's panel path
+        // too: one 23-row panel ends on the naive step loop's logits.
+        let w = weights();
+        let naive = NaiveTransformer::new(&w);
+        let packed = Transformer::new(w);
+        let prompt: Vec<u32> = (0..23u32).map(|i| (i * 13 + 2) % 48).collect();
+        let mut nc = naive.new_cache();
+        let mut ln = Vec::new();
+        for &t in &prompt {
+            ln = naive.step(t, &mut nc);
+        }
+        let mut scratch = packed.new_scratch();
+        let stats = packed.prefill_with(&prompt, &mut packed.new_cache(), &mut scratch, true);
+        assert_eq!(stats.panels, 1);
+        for (i, (&a, &b)) in ln.iter().zip(scratch.logits()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-3 * (1.0 + a.abs()),
+                "logit {i}: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
     fn naive_greedy_tokens_match_packed_reference() {
         let w = weights();
         let naive = NaiveTransformer::new(&w);

@@ -57,7 +57,7 @@ use crate::dataflow::{CommCounters, DegradedLayout, GridHealth};
 use crate::fault::{ChipFailure, FaultError, FaultPlan};
 use crate::kv_cache::{PrefixCache, PrefixStats};
 use hnlpu_sim::fabric::retry_round_factor;
-use hnlpu_sim::scheduler::{BatchScheduler, RoundPlan, RoundStepper};
+use hnlpu_sim::scheduler::{micros_to_s, BatchScheduler, RoundPlan, RoundStepper};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
@@ -86,6 +86,15 @@ pub enum ServeError {
     },
     /// The request's prompt was empty.
     EmptyPrompt,
+    /// The request's prompt held a token id outside the model's
+    /// vocabulary; run, it would trip the engine's assert mid-round and
+    /// take every co-resident sequence down with it.
+    TokenOutOfVocabulary {
+        /// The first offending token id.
+        token: u32,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
     /// Submissions must carry non-decreasing arrival times (the arrival
     /// process is a totally ordered virtual-time trace).
     ArrivalOutOfOrder {
@@ -150,6 +159,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::EmptyPrompt => {
                 write!(f, "request prompt must contain at least one token")
+            }
+            ServeError::TokenOutOfVocabulary { token, vocab } => {
+                write!(
+                    f,
+                    "prompt token {token} is outside the {vocab}-token vocabulary"
+                )
             }
             ServeError::ArrivalOutOfOrder {
                 last_micros,
@@ -673,6 +688,8 @@ impl OnlineServer {
     /// # Errors
     ///
     /// [`ServeError::EmptyPrompt`] for an empty prompt,
+    /// [`ServeError::TokenOutOfVocabulary`] for a prompt token the model
+    /// has no embedding for,
     /// [`ServeError::ArrivalOutOfOrder`] for a time-travelling arrival,
     /// and [`ServeError::QueueFull`] when backpressure rejects the
     /// request (nothing is enqueued; the rejection is counted).
@@ -684,6 +701,10 @@ impl OnlineServer {
         self.submit_attempts += 1;
         if request.prompt.is_empty() {
             return Err(ServeError::EmptyPrompt);
+        }
+        let vocab = self.engine.executor().config().vocab_size;
+        if let Some(token) = request.out_of_vocabulary(vocab) {
+            return Err(ServeError::TokenOutOfVocabulary { token, vocab });
         }
         if request.arrival_s_micros < self.last_arrival_micros {
             return Err(ServeError::ArrivalOutOfOrder {
@@ -1302,12 +1323,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted.get(idx).copied().unwrap_or(0.0)
 }
 
-/// Virtual-time µs → seconds (arrivals, deadlines, fault timestamps).
-fn micros_to_s(micros: u64) -> f64 {
-    // cast: virtual timestamps are bounded by the run horizon (< 2^53 µs), value-preserving in f64
-    micros as f64 / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1421,6 +1436,60 @@ mod tests {
             server.submit(SequenceRequest::greedy(0, vec![], 1)),
             Err(ServeError::EmptyPrompt)
         );
+    }
+
+    #[test]
+    fn out_of_vocabulary_prompt_rejected() {
+        let mut server = server(4);
+        let vocab = server.engine().executor().config().vocab_size;
+        let token = vocab as u32 + 7;
+        assert_eq!(
+            server.submit(SequenceRequest::greedy(0, vec![1, token], 1)),
+            Err(ServeError::TokenOutOfVocabulary { token, vocab })
+        );
+        // Nothing was enqueued, so there is nothing to trip over mid-round.
+        server.run_until_idle();
+        assert_eq!((server.queued(), server.resident()), (0, 0));
+    }
+
+    #[test]
+    fn rejected_prompt_leaves_co_resident_streams_untouched() {
+        // The rejected attempt still counts for deadline indexing: the
+        // deadline on submission 2 lands on the request after it.
+        let faults = FaultPlan {
+            deadlines: vec![Deadline {
+                submission: 2,
+                at_micros: 5_000,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut chaos = fault_server(8, faults);
+        let vocab = chaos.engine().executor().config().vocab_size;
+        let requests = vec![
+            SequenceRequest::greedy(0, vec![1, 5, 9], 6),
+            SequenceRequest::greedy(0, vec![1, vocab as u32], 4),
+            SequenceRequest::greedy(0, vec![4, 4], 500),
+            SequenceRequest::greedy(0, vec![100, 2], 5),
+        ];
+        let outcome = chaos.run_trace(&requests, &[]);
+        assert_eq!(
+            outcome.submissions[1],
+            Err(ServeError::TokenOutOfVocabulary {
+                token: vocab as u32,
+                vocab
+            })
+        );
+        let outcomes = &outcome.report.outcomes;
+        assert_eq!(outcomes.len(), 3);
+        assert_eq!(outcomes[1].state, SeqState::DeadlineMissed);
+        for (out, request) in [(&outcomes[0], &requests[0]), (&outcomes[2], &requests[3])] {
+            assert_eq!(out.state, SeqState::Finished);
+            let solo = chaos
+                .engine()
+                .executor()
+                .generate_greedy(&request.prompt, request.decode_tokens as usize);
+            assert_eq!(out.tokens, solo);
+        }
     }
 
     #[test]

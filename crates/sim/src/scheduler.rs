@@ -103,9 +103,11 @@ pub struct BatchScheduler {
     pub nominal_context: u64,
 }
 
-/// Virtual-time µs → seconds.
-fn micros_to_s(micros: u64) -> f64 {
-    // cast: virtual timestamps stay far below 2^53 µs, value-preserving in f64
+/// Virtual-time µs → seconds (arrivals, deadlines, fault timestamps): the
+/// one conversion the scheduler and the serving stack share, so the
+/// clocks they compare are the same `f64`s.
+pub fn micros_to_s(micros: u64) -> f64 {
+    // cast: virtual timestamps are bounded by the run horizon (< 2^53 µs), value-preserving in f64
     micros as f64 / 1e6
 }
 

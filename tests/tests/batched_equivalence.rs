@@ -8,10 +8,10 @@
 //! single-device [`Transformer`], and the batch communication counters
 //! must equal the sum of the per-sequence counters.
 //!
-//! Run with rayon on (default) and off:
-//! `cargo test -p hnlpu-integration --test batched_equivalence` and the
-//! same with `--no-default-features` — the streams are bit-exact either
-//! way because sequences share no arithmetic.
+//! Run with `cargo test -p hnlpu-integration --test batched_equivalence`;
+//! the streams are bit-exact at every worker count because sequences share
+//! no arithmetic (see `hnlpu-llm`'s
+//! `rounds_are_bitwise_per_sequence_runs_at_every_worker_count`).
 
 use hnlpu::llm::{
     BatchedDataflowExecutor, CommCounters, DataflowExecutor, Sampler, SequenceRequest, Transformer,
@@ -163,8 +163,7 @@ proptest! {
     /// token totals are exactly conserved (every prompt prefilled once,
     /// every requested decode token produced once), the round count
     /// equals the plan length, and the per-round plan tallies reconcile
-    /// with the aggregate counters. Holds identically under rayon and
-    /// the `--no-default-features` serial build (CI runs both).
+    /// with the aggregate counters, whatever the worker count.
     #[test]
     fn run_report_accounting_is_conserved(
         specs in prop::collection::vec(

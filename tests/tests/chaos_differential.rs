@@ -16,9 +16,9 @@
 //! that the slot is freed exactly once, survivors' streams are untouched,
 //! and the slot is reusable bit-exactly.
 //!
-//! Run under both feature sets:
-//! `cargo test -p hnlpu-integration --test chaos_differential` and the
-//! same with `--no-default-features` — bit-exact either way.
+//! Run with `cargo test -p hnlpu-integration --test chaos_differential`; the
+//! streams are bit-exact at every worker count (see `hnlpu-llm`'s
+//! `rounds_are_bitwise_per_sequence_runs_at_every_worker_count`).
 
 use hnlpu::llm::fault::{ChaosSpec, FaultPlan};
 use hnlpu::llm::serve::{OnlineServer, SeqState, ServeError};

@@ -16,9 +16,9 @@
 //! cancellation properties (KV slots freed exactly once; cancelling one
 //! sequence never perturbs another's stream).
 //!
-//! Run under both feature sets:
-//! `cargo test -p hnlpu-integration --test online_differential` and the
-//! same with `--no-default-features` — bit-exact either way.
+//! Run with `cargo test -p hnlpu-integration --test online_differential`; the
+//! streams are bit-exact at every worker count (see `hnlpu-llm`'s
+//! `rounds_are_bitwise_per_sequence_runs_at_every_worker_count`).
 
 use hnlpu::llm::serve::{OnlineServer, SeqState, ServeError};
 use hnlpu::llm::{BatchedDataflowExecutor, DataflowExecutor, SequenceRequest};

@@ -9,9 +9,9 @@
 //! page reference is dropped exactly once (the pool drains to
 //! tree-only references).
 //!
-//! Run under both feature sets:
-//! `cargo test -p hnlpu-integration --test paged_prefix_differential` and
-//! the same with `--no-default-features` — bit-exact either way.
+//! Run with `cargo test -p hnlpu-integration --test paged_prefix_differential`;
+//! the streams are bit-exact at every worker count (see `hnlpu-llm`'s
+//! `rounds_are_bitwise_per_sequence_runs_at_every_worker_count`).
 
 use hnlpu::llm::fault::{ChaosSpec, ChipFailure, FaultPlan};
 use hnlpu::llm::serve::{OnlineServer, SeqState};

@@ -6,9 +6,7 @@
 //! `#[global_allocator]` wraps the system allocator, and after a warmup
 //! generation the steady-state `step_with` loop — and the batched
 //! `step_batch_with` step over several sequences — must perform exactly
-//! zero heap allocations, under both the rayon and serial builds
-//! (`--features count-alloc` / `--no-default-features --features
-//! count-alloc,…`).
+//! zero heap allocations.
 //!
 //! Run with: `cargo test -p hnlpu-integration --features count-alloc`
 
