@@ -25,8 +25,8 @@
 use criterion::Criterion;
 use hnlpu::llm::kernels;
 use hnlpu_bench::inference::{
-    inference_suite, prefix_cache_effectiveness, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES,
-    TOKENS_PER_ITER,
+    inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP, PREFILL_BENCH_EXPERTS,
+    ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES, TOKENS_PER_ITER,
 };
 use serde_json::Value;
 
@@ -133,6 +133,17 @@ fn render_point(c: &Criterion, id: &str) -> Value {
         fields.push((
             format!("round_deal_{shape}_ns_per_round"),
             Value::Number((ns / ROUND_DEAL_ROUNDS as f64).round()),
+        ));
+    }
+    // Host time for one gathered row to cross one expert (up, gate and
+    // down) at each group size. Recorded, never gated: raw ns move with
+    // the runner, and with `kernel_path` written above — the block height
+    // of the arm that ran is what shapes this curve.
+    for &rows in EXPERT_GROUP_SWEEP {
+        let ns = ns_of(results, &format!("inference/expert_group/g{rows}"));
+        fields.push((
+            format!("expert_group_g{rows}_ns_per_row"),
+            Value::Number((ns / (PREFILL_BENCH_EXPERTS * rows) as f64).round()),
         ));
     }
     fields.push((

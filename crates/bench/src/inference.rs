@@ -40,6 +40,17 @@ pub const PREFILL_PANEL_SWEEP: &[usize] = &[1, 4, 16, 64];
 /// point: `step_with` is `step_batch_with` over one row.
 pub const DECODE_BATCH_SWEEP: &[usize] = &[4, 16, 64];
 
+/// Rows gathered per expert in the `expert_group` group: `g{G}` runs every
+/// expert of one layer over `G` activation rows. With 16 experts and top-4
+/// routing a 24-row decode step gathers ~6 rows per expert and a 64-row
+/// prefill panel ~16; 2 and 64 bracket them (a thin round; every row of a
+/// full panel on one expert).
+pub const EXPERT_GROUP_SWEEP: &[usize] = &[2, 6, 16, 64];
+
+/// Experts per layer of [`prefill_bench_weights`]: one `expert_group/g{G}`
+/// iteration sends `PREFILL_BENCH_EXPERTS × G` rows through an expert.
+pub const PREFILL_BENCH_EXPERTS: usize = 16;
+
 /// Rounds of the named shape each `round_deal` plan holds.
 pub const ROUND_DEAL_ROUNDS: usize = 3;
 
@@ -125,7 +136,7 @@ pub fn prefill_bench_weights() -> ModelWeights {
     c.attention.head_dim = 32;
     c.attention.num_query_heads = 8;
     c.attention.num_kv_heads = 4;
-    c.moe.num_experts = 16;
+    c.moe.num_experts = PREFILL_BENCH_EXPERTS;
     c.moe.experts_per_token = 4;
     c.moe.intermediate_size = 512;
     ModelWeights::materialize(&c, &WeightGenerator::new(2026))
@@ -352,6 +363,38 @@ pub fn inference_suite(c: &mut Criterion) {
     }
     g.finish();
 
+    // Expert-group sweep: the three matmuls of every expert of layer 0,
+    // straight through the kernel at the group sizes routing produces.
+    // `prefill_matmul` above only times whole 16/64-row panels, where the
+    // MoE stage's real operand — a handful of rows per expert, so mostly
+    // remainder token blocks — is averaged away. No SwiGLU between gate
+    // and down: the values do not change what a matmul costs.
+    let experts = &big.layers[0];
+    let (h, inter) = (experts.up[0].rows(), experts.up[0].cols());
+    let max_group = EXPERT_GROUP_SWEEP.iter().copied().max().unwrap_or(0);
+    let xs: Vec<f32> = (0..max_group * h)
+        .map(|i| ((i % 17) as f32 - 8.0) * 0.25)
+        .collect();
+    let mut upp = vec![0.0f32; max_group * inter];
+    let mut gatep = vec![0.0f32; max_group * inter];
+    let mut downp = vec![0.0f32; max_group * h];
+    let mut g = c.benchmark_group("inference/expert_group");
+    g.sample_size(samples);
+    for &rows in EXPERT_GROUP_SWEEP {
+        g.bench_function(format!("g{rows}"), |b| {
+            b.iter(|| {
+                let xs = black_box(&xs[..rows * h]);
+                for e in 0..experts.up.len() {
+                    kernels::matmul_into(xs, h, rows, &experts.up[e], &mut upp, inter);
+                    kernels::matmul_into(xs, h, rows, &experts.gate[e], &mut gatep, inter);
+                    kernels::matmul_into(&gatep, inter, rows, &experts.down[e], &mut downp, h);
+                }
+                downp[0]
+            })
+        });
+    }
+    g.finish();
+
     // Batched-decode sweep on the same larger model: B sequences at
     // different short contexts each take one decode step, either as B
     // `step_with` calls or as one `step_batch_with`. Every iteration
@@ -503,6 +546,10 @@ mod tests {
         let labels: Vec<&str> = c.results().iter().map(|(l, _)| l.as_str()).collect();
         for (expected, _) in TOKENS_PER_ITER {
             assert!(labels.contains(expected), "missing bench {expected}");
+        }
+        for rows in EXPERT_GROUP_SWEEP {
+            let label = format!("inference/expert_group/g{rows}");
+            assert!(labels.contains(&label.as_str()), "missing bench {label}");
         }
         assert!(labels.contains(&"inference/round_deal/skewed"));
         assert!(labels.contains(&"inference/round_deal/uniform"));

@@ -5,7 +5,7 @@
 //! code, the 16 per-region sums are weighted by the E2M1 magnitude lattice,
 //! and a final shift applies the scale. These kernels compute `x · W`
 //! directly on [`PackedFp4Matrix`] codes the same way — no dequantized
-//! tensor ever exists — in two interchangeable realizations:
+//! tensor ever exists — in three interchangeable realizations:
 //!
 //! * **Scalar region kernel** ([`region_matvec_block_into`]): the textbook
 //!   form. Per output column, bucket `x_i` by the stored 4-bit code, then
@@ -18,8 +18,26 @@
 //!   ([`HALF_UNITS`]) — the per-region constant the hardware wires — and an
 //!   FMA accumulates `x_i · hu` with the trailing ×0.5 folded into the
 //!   norm. Associativity of the per-region grouping is the only difference
-//!   (float sums reorder), which is why both realizations agree to ~1e-5
-//!   relative, not bitwise.
+//!   (float sums reorder), which is why it agrees with the scalar region
+//!   kernel to ~1e-5 relative, not bitwise.
+//! * **Full-width half-unit token block** (x86-64 AVX-512F, selected at
+//!   runtime): the same half-unit chain with the panel form's token block
+//!   grown from 4 activation rows × 16 columns (ymm) to 8 rows × 32 columns
+//!   (zmm), so each packed byte is decoded once per 8 rows instead of once
+//!   per 4. Only the panel form has this arm: a single activation row has
+//!   no decode to amortize and keeps the AVX2 matvec.
+//!
+//! Dispatch, under the same even-column-start condition at both entry
+//! points: the panel form takes AVX-512 → AVX2 → scalar regions, the
+//! single-vector form AVX2 → scalar regions. The CPU is the only selector.
+//!
+//! The two half-unit realizations are **bit-identical** to each other, not
+//! merely close: every (activation row, column) output is one FMA chain over
+//! the weight rows in ascending order on the same decoded half-units,
+//! followed by one multiply by `0.5 · norm`. A SIMD lane is one column and
+//! lanes never interact, so neither the vector width (how many columns
+//! advance together) nor the block height (how many activation rows share a
+//! decode) can reach a bit of any output.
 //!
 //! Both inference engines run every projection, router and expert product
 //! through the panel form ([`matmul_block_into`]) — a decode step is its
@@ -53,8 +71,8 @@ pub fn matvec_into(x: &[f32], m: &PackedFp4Matrix, out: &mut [f32]) {
 ///
 /// # Panics
 ///
-/// Panics if the addressed block exceeds the matrix shape or
-/// `out.len() != col_range.len()`.
+/// Panics if the addressed block exceeds the matrix shape, `col_range` is
+/// reversed, or `out.len() != col_range.len()`.
 pub fn matvec_block_into(
     x: &[f32],
     m: &PackedFp4Matrix,
@@ -63,14 +81,23 @@ pub fn matvec_block_into(
     out: &mut [f32],
 ) {
     assert!(row_offset + x.len() <= m.rows(), "row block out of bounds");
+    assert!(col_range.start <= col_range.end, "col range reversed");
     assert!(col_range.end <= m.cols(), "col range out of bounds");
     assert_eq!(out.len(), col_range.len(), "output length mismatch");
+    // An empty block is an empty sum. Answering it here keeps the
+    // vectorized arms from offsetting a pointer to a block that holds no
+    // byte (`row_offset == m.rows()`), which may lie past the allocation.
+    if x.is_empty() || col_range.is_empty() {
+        out.fill(0.0);
+        return;
+    }
     // The vectorized path walks packed bytes from the first addressed
     // column, so it needs the range to start on a byte boundary; odd
     // starts (never produced by the engines) take the scalar kernel.
     #[cfg(target_arch = "x86_64")]
     if col_range.start.is_multiple_of(2) && avx2::available() {
-        // SAFETY: AVX2+FMA presence checked at runtime; bounds above.
+        // SAFETY: AVX2+FMA presence checked at runtime; bounds above, and
+        // the block holds at least one row and one column.
         unsafe { avx2::matvec_block(x, m, row_offset, col_range, out) };
         return;
     }
@@ -164,8 +191,8 @@ pub fn matmul_into(
 ///
 /// # Panics
 ///
-/// Panics if the addressed block exceeds the matrix shape, or `xs`/`outs`
-/// are too short for `t` strided rows.
+/// Panics if the addressed block exceeds the matrix shape, `col_range` is
+/// reversed, or `xs`/`outs` are too short for `t` strided rows.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_block_into(
     xs: &[f32],
@@ -182,6 +209,7 @@ pub fn matmul_block_into(
         return;
     }
     assert!(row_offset + rows <= m.rows(), "row block out of bounds");
+    assert!(col_range.start <= col_range.end, "col range reversed");
     assert!(col_range.end <= m.cols(), "col range out of bounds");
     assert!(
         xs.len() >= (t - 1) * x_stride + rows,
@@ -191,17 +219,40 @@ pub fn matmul_block_into(
         outs.len() >= (t - 1) * out_stride + col_range.len(),
         "output panel too short"
     );
-    // Same dispatch condition as `matvec_block_into`, so each row takes
-    // the realization the single-vector kernel would.
-    #[cfg(target_arch = "x86_64")]
-    if col_range.start.is_multiple_of(2) && avx2::available() {
-        // SAFETY: AVX2+FMA presence checked at runtime; bounds above.
-        unsafe {
-            avx2::matmul_block(
-                xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
-            )
-        };
+    // Empty block = empty sums, answered before any arm forms a pointer
+    // (see `matvec_block_into`).
+    if rows == 0 || col_range.is_empty() {
+        for tt in 0..t {
+            outs[tt * out_stride..][..col_range.len()].fill(0.0);
+        }
         return;
+    }
+    // Same dispatch condition as `matvec_block_into`, so each row takes
+    // the half-unit chain the single-vector kernel would; which width
+    // runs that chain cannot change a bit of it.
+    #[cfg(target_arch = "x86_64")]
+    if col_range.start.is_multiple_of(2) {
+        if avx512::available() {
+            // SAFETY: AVX-512F (and AVX2+FMA for the one-row remainder)
+            // presence checked at runtime; bounds above, and the block
+            // holds at least one row and one column.
+            unsafe {
+                avx512::matmul_block(
+                    xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
+                )
+            };
+            return;
+        }
+        if avx2::available() {
+            // SAFETY: AVX2+FMA presence checked at runtime; bounds above,
+            // and the block holds at least one row and one column.
+            unsafe {
+                avx2::matmul_block(
+                    xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
+                )
+            };
+            return;
+        }
     }
     region_matmul_block_into(
         xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
@@ -303,12 +354,19 @@ fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
     acc
 }
 
-/// Which kernel realization this process selected: `"avx2-half-units"` or
-/// `"scalar-regions"`. Recorded by the benchmark baseline.
+/// Which kernel realization [`matmul_block_into`] takes in this process:
+/// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
+/// Recorded by the benchmark baseline and the serving benchmark's host
+/// fingerprint.
 pub fn kernel_path() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if avx2::available() {
-        return "avx2-half-units";
+    {
+        if avx512::available() {
+            return "avx512-half-units";
+        }
+        if avx2::available() {
+            return "avx2-half-units";
+        }
     }
     "scalar-regions"
 }
@@ -436,11 +494,13 @@ mod avx2 {
     /// Block matvec over packed codes. Caller guarantees bounds and an
     /// even `col_range.start`.
     // SAFETY: caller must ensure AVX2+FMA are present (checked via
-    // `available()` at the dispatch site), `row_offset + x.len() ≤ m.rows()`,
-    // `col_range.end ≤ m.cols()`, `col_range.start` even, and
-    // `out.len() ≥ col_range.len()` — these bound every `base.add`/`out.add`
-    // below within `m.data()` / `out`. The panel helpers inherit exactly
-    // these bounds, narrowed per panel width.
+    // `available()` at the dispatch site), `x` non-empty,
+    // `row_offset + x.len() ≤ m.rows()`,
+    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
+    // and `out.len() ≥ col_range.len()` — these bound every
+    // `base.add`/`out.add` below within `m.data()` / `out` (an empty block
+    // holds no byte, and its `base` could lie past the allocation). The
+    // panel helpers inherit exactly these bounds, narrowed per panel width.
     pub unsafe fn matvec_block(
         x: &[f32],
         m: &PackedFp4Matrix,
@@ -571,8 +631,10 @@ mod avx2 {
     ) {
         let stride = m.stride();
         let half_norm = 0.5 * m.norm();
-        let data = m.data();
-        let base = data.as_ptr().add(row_offset * stride + col_range.start / 2);
+        let base = m
+            .data()
+            .as_ptr()
+            .add(row_offset * stride + col_range.start / 2);
         let len = col_range.len();
         let covered = len - len % 16;
         let xrow = xs.as_ptr().add(tt * x_stride);
@@ -591,10 +653,46 @@ mod avx2 {
             );
             c += 16;
         }
+        token_tail(
+            xs,
+            x_stride,
+            tt..tt + N,
+            m,
+            row_offset,
+            rows,
+            col_range,
+            covered,
+            outs,
+            out_stride,
+        );
+    }
+
+    /// Columns `col_range.start + covered..col_range.end` (the last < 16)
+    /// of activation rows `toks`: the non-fused scalar half-unit chain, mul
+    /// then add per weight row — `matvec_block`'s tail, so a tail column is
+    /// the same bits whichever token block (this module's or `avx512`'s)
+    /// swept the panels before it. Safe code: every access is a checked
+    /// index.
+    #[allow(clippy::too_many_arguments)]
+    pub fn token_tail(
+        xs: &[f32],
+        x_stride: usize,
+        toks: Range<usize>,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        covered: usize,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        let stride = m.stride();
+        let half_norm = 0.5 * m.norm();
+        let data = m.data();
         for j in col_range.start + covered..col_range.end {
             let shift = (j % 2) * 4;
             let col = j / 2;
-            for tok in tt..tt + N {
+            for tok in toks.start..toks.end {
                 let x = &xs[tok * x_stride..][..rows];
                 let mut acc = 0.0f32;
                 for (i, &xi) in x.iter().enumerate() {
@@ -615,8 +713,9 @@ mod avx2 {
     /// scalar tail, so every output row matches `matvec_block` on its
     /// activation row bit for bit.
     // SAFETY: caller must ensure AVX2+FMA are present (checked via
-    // `available()` at the dispatch site), `row_offset + rows ≤ m.rows()`,
-    // `col_range.end ≤ m.cols()`, `col_range.start` even,
+    // `available()` at the dispatch site), `rows ≥ 1`,
+    // `row_offset + rows ≤ m.rows()`,
+    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
     // `xs.len() ≥ (t-1)·x_stride + rows`, and
     // `outs.len() ≥ (t-1)·out_stride + col_range.len()` — these bound every
     // pointer offset below within `m.data()`, `xs`, and `outs`.
@@ -670,6 +769,269 @@ mod avx2 {
     }
 }
 
+/// The half-unit token block at full machine width (x86-64 AVX-512F): the
+/// panel form of [`avx2`] with each packed byte decoded once per 8
+/// activation rows into zmm registers. There is no single-row kernel here —
+/// one activation row has no decode to share, so it keeps
+/// `avx2::matvec_block`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{avx2, Range, HALF_UNITS};
+    use hnlpu_model::PackedFp4Matrix;
+    use std::arch::x86_64::*;
+
+    /// Runtime CPU support check (cached by `std`). Asks for AVX2+FMA as
+    /// well because the one-row remainder and the column tail run in
+    /// [`avx2`].
+    #[inline]
+    pub fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f") && avx2::available()
+    }
+
+    /// Number of activation rows a full token block carries: 8 rows × 2
+    /// accumulators each (32 columns) is 16 of the 32 zmm registers, and
+    /// each packed byte is decoded once per 8 tokens.
+    const TOKEN_BLOCK: usize = 8;
+
+    /// Decode 16 packed bytes (32 columns of one weight row) into their
+    /// signed half-units as `i8`, in column order: `[0]` holds columns
+    /// 0..16, `[1]` columns 16..32 — `avx2::decode32` before the widening.
+    /// With only the low 8 bytes loaded, `[0]` is those 16 columns.
+    // SAFETY: pure register arithmetic on SSSE3 intrinsics — no memory
+    // access. Callers must have verified AVX-512F support, which implies
+    // SSSE3 (all call sites are inside `#[target_feature(enable =
+    // "avx512f")]` fns reached only via `available()`).
+    #[inline(always)]
+    unsafe fn decode32(bytes: __m128i, lut: __m128i, mask: __m128i) -> [__m128i; 2] {
+        let lo = _mm_and_si128(bytes, mask);
+        let hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), mask);
+        let vlo = _mm_shuffle_epi8(lut, lo);
+        let vhi = _mm_shuffle_epi8(lut, hi);
+        // Interleave even/odd column values back into column order.
+        [_mm_unpacklo_epi8(vlo, vhi), _mm_unpackhi_epi8(vlo, vhi)]
+    }
+
+    /// 32-column × `N`-token panel: the 16 packed bytes of each weight row
+    /// are decoded **once** into two zmm weight vectors and FMA'd against
+    /// `N` broadcast activations into `2·N` zmm accumulators. Per (token,
+    /// column) this is the FMA chain of `avx2::panel16xn` and of the
+    /// `avx2` matvec panels — same decoded half-units, same fused
+    /// operation, same ascending row order, one lane per column — so the
+    /// output bits do not depend on `N` or on the register width.
+    // SAFETY: caller (`token_block`) guarantees AVX-512F support, that
+    // `data` points at `rows` weight rows of ≥ 16 readable bytes at
+    // `stride` spacing, that `xs` points at `N` activation rows of `rows`
+    // readable f32s at `x_stride` spacing, and `outs` at `N` output rows of
+    // ≥ 32 writable f32s at `out_stride` spacing. Unaligned accesses only.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn panel32xn<const N: usize>(
+        xs: *const f32,
+        x_stride: usize,
+        rows: usize,
+        data: *const u8,
+        stride: usize,
+        half_norm: f32,
+        outs: *mut f32,
+        out_stride: usize,
+    ) {
+        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
+        let mask = _mm_set1_epi8(0x0F);
+        let mut a = [[_mm512_setzero_ps(); 2]; N];
+        for i in 0..rows {
+            let bytes = _mm_loadu_si128(data.add(i * stride) as *const __m128i);
+            let hu = decode32(bytes, lut, mask);
+            let w0 = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu[0]));
+            let w1 = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu[1]));
+            for (tok, acc) in a.iter_mut().enumerate() {
+                let xv = _mm512_set1_ps(*xs.add(tok * x_stride + i));
+                acc[0] = _mm512_fmadd_ps(w0, xv, acc[0]);
+                acc[1] = _mm512_fmadd_ps(w1, xv, acc[1]);
+            }
+        }
+        let nv = _mm512_set1_ps(half_norm);
+        for (tok, acc) in a.iter().enumerate() {
+            _mm512_storeu_ps(outs.add(tok * out_stride), _mm512_mul_ps(acc[0], nv));
+            _mm512_storeu_ps(outs.add(tok * out_stride + 16), _mm512_mul_ps(acc[1], nv));
+        }
+    }
+
+    /// 16-column × `N`-token panel (8-byte row loads, one zmm per token).
+    // SAFETY: as `panel32xn`, with ≥ 8 readable bytes per weight row and
+    // ≥ 16 writable f32s per output row.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn panel16xn<const N: usize>(
+        xs: *const f32,
+        x_stride: usize,
+        rows: usize,
+        data: *const u8,
+        stride: usize,
+        half_norm: f32,
+        outs: *mut f32,
+        out_stride: usize,
+    ) {
+        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
+        let mask = _mm_set1_epi8(0x0F);
+        let mut a = [_mm512_setzero_ps(); N];
+        for i in 0..rows {
+            let bytes = _mm_loadl_epi64(data.add(i * stride) as *const __m128i);
+            let w = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(decode32(bytes, lut, mask)[0]));
+            for (tok, acc) in a.iter_mut().enumerate() {
+                let xv = _mm512_set1_ps(*xs.add(tok * x_stride + i));
+                *acc = _mm512_fmadd_ps(w, xv, *acc);
+            }
+        }
+        let nv = _mm512_set1_ps(half_norm);
+        for (tok, acc) in a.iter().enumerate() {
+            _mm512_storeu_ps(outs.add(tok * out_stride), _mm512_mul_ps(*acc, nv));
+        }
+    }
+
+    /// One block of `N` activation rows starting at row `tt`: 32-column
+    /// panels, then at most one 16-column panel, then `avx2::token_tail`
+    /// for the last `len % 16` columns — the column coverage of
+    /// `avx2::matvec_block` (panels over `len - len % 16`, scalar tail
+    /// after), which is what pins every column to the same chain there.
+    // SAFETY: as `matmul_block`, with `tt + N ≤ t`.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn token_block<const N: usize>(
+        xs: &[f32],
+        x_stride: usize,
+        tt: usize,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        let stride = m.stride();
+        let half_norm = 0.5 * m.norm();
+        let base = m
+            .data()
+            .as_ptr()
+            .add(row_offset * stride + col_range.start / 2);
+        let len = col_range.len();
+        let xrow = xs.as_ptr().add(tt * x_stride);
+        let orow = outs.as_mut_ptr().add(tt * out_stride);
+        let mut c = 0;
+        while len - c >= 32 {
+            panel32xn::<N>(
+                xrow,
+                x_stride,
+                rows,
+                base.add(c / 2),
+                stride,
+                half_norm,
+                orow.add(c),
+                out_stride,
+            );
+            c += 32;
+        }
+        if len - c >= 16 {
+            panel16xn::<N>(
+                xrow,
+                x_stride,
+                rows,
+                base.add(c / 2),
+                stride,
+                half_norm,
+                orow.add(c),
+                out_stride,
+            );
+            c += 16;
+        }
+        avx2::token_tail(
+            xs,
+            x_stride,
+            tt..tt + N,
+            m,
+            row_offset,
+            rows,
+            col_range,
+            c,
+            outs,
+            out_stride,
+        );
+    }
+
+    /// Panel matmul over packed codes: full blocks of [`TOKEN_BLOCK`]
+    /// activation rows, the last `t mod 8` rows as one narrower block, and
+    /// a single leftover row through `avx2::matvec_block` (as in
+    /// `avx2::matmul_block`). Every output row matches `avx2::matvec_block`
+    /// on its activation row bit for bit.
+    // SAFETY: caller must ensure `available()` (AVX-512F, and AVX2+FMA for
+    // the `avx2` calls), `rows ≥ 1`, `row_offset + rows ≤ m.rows()`,
+    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
+    // `xs.len() ≥ (t-1)·x_stride + rows`, and
+    // `outs.len() ≥ (t-1)·out_stride + col_range.len()` — the contract of
+    // `avx2::matmul_block`, which bounds every pointer offset in the token
+    // blocks within `m.data()`, `xs`, and `outs`.
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn matmul_block(
+        xs: &[f32],
+        x_stride: usize,
+        t: usize,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        debug_assert_eq!(col_range.start % 2, 0);
+        let mut tt = 0;
+        while t - tt >= TOKEN_BLOCK {
+            token_block::<TOKEN_BLOCK>(
+                xs,
+                x_stride,
+                tt,
+                m,
+                row_offset,
+                rows,
+                col_range.start..col_range.end,
+                outs,
+                out_stride,
+            );
+            tt += TOKEN_BLOCK;
+        }
+        // One instantiation per remainder, so the accumulator array stays
+        // a compile-time size and lives in registers.
+        match t - tt {
+            7 => token_block::<7>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            6 => token_block::<6>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            5 => token_block::<5>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            4 => token_block::<4>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            3 => token_block::<3>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            2 => token_block::<2>(
+                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
+            ),
+            1 => {
+                let len = col_range.len();
+                avx2::matvec_block(
+                    &xs[tt * x_stride..][..rows],
+                    m,
+                    row_offset,
+                    col_range,
+                    &mut outs[tt * out_stride..][..len],
+                );
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,6 +1045,16 @@ mod tests {
         PackedFp4Matrix::from_codes(&codes, rows, cols, norm)
     }
 
+    /// `n` codes with no period in the cell index: the top nibble of a
+    /// multiplicative hash. (Its low nibble is `i + const` — column `c` and
+    /// column `c + 16` would hold the same code, and a kernel that mixed up
+    /// two 16-column halves of a panel would pass.)
+    fn hashed_codes(n: usize, seed: u64) -> Vec<u8> {
+        (0..n as u64)
+            .map(|i| ((i + seed * 131).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60) as u8)
+            .collect()
+    }
+
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
             assert!(
@@ -690,6 +1062,41 @@ mod tests {
                 "element {i}: {x} vs {y}"
             );
         }
+    }
+
+    /// Signature of `avx2::matmul_block` / `avx512::matmul_block`.
+    type MatmulArm = unsafe fn(
+        &[f32],
+        usize,
+        usize,
+        &PackedFp4Matrix,
+        usize,
+        usize,
+        Range<usize>,
+        &mut [f32],
+        usize,
+    );
+
+    /// The vectorized realizations this CPU can run, by name (none off
+    /// x86-64); says once per process which ones those are.
+    fn available_arms() -> Vec<(&'static str, MatmulArm)> {
+        #[allow(unused_mut)]
+        let mut arms: Vec<(&'static str, MatmulArm)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2::available() {
+                arms.push(("avx2", avx2::matmul_block));
+            }
+            if avx512::available() {
+                arms.push(("avx512", avx512::matmul_block));
+            }
+        }
+        static SAY: std::sync::Once = std::sync::Once::new();
+        SAY.call_once(|| {
+            let names: Vec<&str> = arms.iter().map(|&(name, _)| name).collect();
+            println!("kernel arms called directly on this CPU: {names:?}");
+        });
+        arms
     }
 
     #[test]
@@ -758,7 +1165,44 @@ mod tests {
 
     #[test]
     fn kernel_path_names_a_realization() {
-        assert!(["avx2-half-units", "scalar-regions"].contains(&kernel_path()));
+        assert!(["avx512-half-units", "avx2-half-units", "scalar-regions"].contains(&kernel_path()));
+    }
+
+    #[test]
+    #[should_panic(expected = "col range reversed")]
+    fn reversed_col_range_rejected() {
+        // `100..4` has `len() == 0` and `end <= cols`, so before the
+        // `start <= end` assert it reached the pointer arithmetic.
+        let m = packed_from(&[0; 32], 4, 8);
+        #[allow(clippy::reversed_empty_ranges)]
+        matvec_block_into(&[1.0; 4], &m, 0, 100..4, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "col range reversed")]
+    fn reversed_col_range_rejected_by_matmul() {
+        let m = packed_from(&[0; 32], 4, 8);
+        #[allow(clippy::reversed_empty_ranges)]
+        matmul_block_into(&[1.0; 8], 4, 2, &m, 0, 4, 100..4, &mut [], 0);
+    }
+
+    #[test]
+    fn empty_row_block_yields_zeros() {
+        // A zero-row block at `row_offset == rows` with a non-zero column
+        // start addresses no byte of the matrix: an empty sum per column.
+        let m = packed_from(&[5; 32], 4, 8);
+        let mut out = [f32::NAN; 4];
+        matvec_block_into(&[], &m, 4, 4..8, &mut out);
+        assert_eq!(out, [0.0; 4]);
+        // Strided output panel: the padding between rows is not written.
+        let mut outs = [f32::NAN; 10];
+        matmul_block_into(&[], 0, 2, &m, 4, 0, 4..8, &mut outs, 6);
+        assert_eq!(outs[..4], [0.0; 4]);
+        assert!(outs[4..6].iter().all(|v| v.is_nan()));
+        assert_eq!(outs[6..], [0.0; 4]);
+        // An empty column range writes nothing (row 1 would start at 4).
+        matmul_block_into(&[1.0; 8], 4, 2, &m, 0, 4, 6..6, &mut outs, 4);
+        assert!(outs[4..6].iter().all(|v| v.is_nan()));
     }
 
     #[test]
@@ -788,10 +1232,7 @@ mod tests {
             cols in 1usize..80,
             seed in 0u64..1000,
         ) {
-            let codes: Vec<u8> = (0..rows * cols)
-                .map(|i| (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 97)) % 16) as u8)
-                .collect();
-            let m = packed_from(&codes, rows, cols);
+            let m = packed_from(&hashed_codes(rows * cols, seed), rows, cols);
             let x: Vec<f32> = (0..rows)
                 .map(|i| {
                     let v = (i as u64).wrapping_mul(seed.wrapping_add(11)) % 2000;
@@ -814,15 +1255,15 @@ mod tests {
 
         /// The tentpole bit-identity property: the dispatched panel matmul
         /// equals a loop of per-token `matvec_block_into` calls **bit for
-        /// bit**, over ragged token counts (covering both the vectorized
-        /// token blocks and the per-token remainder), odd column ranges
-        /// (scalar-dispatch path + scalar tails), strided activation and
-        /// output panels, and row sub-blocks.
+        /// bit**, over ragged token counts (two full blocks of the widest
+        /// arm plus every remainder), odd column ranges (scalar-dispatch
+        /// path + scalar tails), strided activation and output panels, and
+        /// row sub-blocks.
         #[test]
         fn matmul_is_bitwise_loop_of_matvecs(
             rows in 1usize..72,
-            cols in 1usize..72,
-            t in 1usize..11,
+            cols in 1usize..120,
+            t in 1usize..27,
             c0 in 0usize..8,
             c1 in 0usize..8,
             r0 in 0usize..6,
@@ -831,10 +1272,7 @@ mod tests {
             seed in 0u64..500,
         ) {
             let full_rows = rows + r0;
-            let codes: Vec<u8> = (0..full_rows * cols)
-                .map(|i| (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 131)) % 16) as u8)
-                .collect();
-            let m = packed_from(&codes, full_rows, cols);
+            let m = packed_from(&hashed_codes(full_rows * cols, seed), full_rows, cols);
             let cs = c0.min(cols - 1);
             let ce = cols - c1.min(cols - 1 - cs);
             let len = ce - cs;
@@ -860,6 +1298,64 @@ mod tests {
                 region_matvec_block_into(x, &m, r0, cs..ce, &mut want_regions);
                 prop_assert_eq!(&regions[tt * out_stride..][..len], want_regions.as_slice(),
                     "scalar region row {} differs", tt);
+            }
+        }
+
+        /// Every vectorized realization this CPU has, called directly —
+        /// the dispatcher only ever reaches the widest one. Each output row
+        /// of each arm must equal `matvec_block_into` bit for bit: two full
+        /// 8-row blocks plus every remainder, column ranges that end in a
+        /// 32-column panel, a 16-column panel and a 1–15 column tail, even
+        /// non-zero starts, row sub-blocks, strided panels. An arm the CPU
+        /// lacks is skipped, not failed.
+        #[test]
+        fn every_available_arm_is_bitwise_the_matvec(
+            rows in 1usize..72,
+            t in 1usize..27,
+            panels32 in 0usize..3,
+            panel16 in 0usize..2,
+            tail in 0usize..16,
+            c0 in 0usize..5,
+            c1 in 0usize..3,
+            r0 in 0usize..6,
+            xpad in 0usize..5,
+            opad in 0usize..5,
+            seed in 0u64..500,
+        ) {
+            let cs = 2 * c0;
+            let len = (32 * panels32 + 16 * panel16 + tail).max(1);
+            let ce = cs + len;
+            let (full_rows, cols) = (rows + r0, ce + c1);
+            let m = packed_from(&hashed_codes(full_rows * cols, seed), full_rows, cols);
+            let x_stride = rows + xpad;
+            let out_stride = len + opad;
+            let xs: Vec<f32> = (0..(t - 1) * x_stride + rows)
+                .map(|i| {
+                    let v = (i as u64).wrapping_mul(seed.wrapping_add(7)).wrapping_add(3) % 2000;
+                    v as f32 * 0.001 - 1.0
+                })
+                .collect();
+            let mut want = vec![0.0f32; (t - 1) * out_stride + len];
+            for tt in 0..t {
+                let x = &xs[tt * x_stride..][..rows];
+                matvec_block_into(x, &m, r0, cs..ce, &mut want[tt * out_stride..][..len]);
+            }
+            for (arm, matmul_block) in available_arms() {
+                // NaN marks every cell the arm must overwrite; the padding
+                // between strided rows must come back untouched.
+                let mut outs = vec![f32::NAN; want.len()];
+                // SAFETY: `available_arms` checked the arm's CPU features,
+                // `cs` is even, and the panels are sized for `t` strided
+                // rows of the addressed block, as `matmul_block_into`
+                // asserts.
+                unsafe { matmul_block(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride) };
+                for tt in 0..t {
+                    let row = &outs[tt * out_stride..];
+                    prop_assert_eq!(&row[..len], &want[tt * out_stride..][..len],
+                        "{} row {} differs", arm, tt);
+                    prop_assert!(tt + 1 == t || row[len..out_stride].iter().all(|v| v.is_nan()),
+                        "{} wrote past row {}", arm, tt);
+                }
             }
         }
 
