@@ -11,7 +11,10 @@
 //! * **FMA contraction** — `f32::mul_add` contracts rounding differently
 //!   from `a * b + c`, so results depend on where it is used. Only the
 //!   runtime-dispatched kernel module may use it (both of its
-//!   realizations are differentially tested against each other).
+//!   realizations are differentially tested against each other). The
+//!   same holds for its vector spelling, the explicit fused intrinsics
+//!   (`_mm256_fmadd_ps`, `_mm512_fnmsub_pd`, …): a SIMD arm elsewhere that
+//!   fused would silently stop matching the scalar chain it stands for.
 //! * **Ambient entropy** — wall-clock and OS-RNG calls make replays
 //!   diverge. Seeded, caller-provided RNGs (the `Sampler`) live outside
 //!   the configured paths by construction.
@@ -29,6 +32,16 @@ pub(crate) const AMBIENT: &[(&str, &str)] = &[
     ("from_entropy", "from_entropy"),
     ("rand::random", "rand::random"),
 ];
+
+/// Name parts of the explicit fused multiply-add intrinsics
+/// (`_mm_fmadd_ss`, `_mm256_fmaddsub_ps`, `_mm512_fnmsub_pd`, …).
+const FUSED_PARTS: &[&str] = &["fmadd", "fmsub", "fnmadd", "fnmsub"];
+
+/// The fused multiply-add intrinsics named on `line`.
+fn fused_intrinsics(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|id| id.starts_with("_mm") && FUSED_PARTS.iter().any(|part| id.contains(part)))
+}
 
 /// Check one file.
 pub fn check(file: &FileInput, cfg: &Config) -> Vec<Violation> {
@@ -67,6 +80,22 @@ pub fn check(file: &FileInput, cfg: &Config) -> Vec<Violation> {
                           differentially-tested kernels"
                     .to_string(),
             });
+        }
+        if !mul_add_ok {
+            for id in fused_intrinsics(text) {
+                out.push(Violation {
+                    rule: "determinism",
+                    pattern: id.to_string(),
+                    path: file.rel_path.clone(),
+                    line,
+                    message: format!(
+                        "`{id}` outside the dispatch-guarded kernel module — a fused \
+                         multiply-add rounds once where `a * b + c` rounds twice, so \
+                         it is confined with `mul_add` to the differentially-tested \
+                         kernels"
+                    ),
+                });
+            }
         }
     }
     out
@@ -114,6 +143,25 @@ fn round(m: &HashMap<u32, f32>) -> f64 {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].pattern, "mul_add");
         assert!(check(&FileInput::new("crates/llm/src/kernels.rs", src), &cfg()).is_empty());
+    }
+
+    #[test]
+    fn fused_intrinsics_only_in_kernel_module() {
+        let src = "\
+unsafe fn lanes(a: __m512, b: __m512, c: __m512) -> (__m512, __m256) {
+    let x = _mm512_fmadd_ps(a, b, c);
+    let y = _mm256_fnmsub_ps(_mm512_castps512_ps256(x), _mm256_setzero_ps(), _mm256_setzero_ps());
+    (_mm512_add_ps(x, _mm512_mul_ps(a, b)), y)
+}
+";
+        let v = check(&FileInput::new("crates/llm/src/tensor.rs", src), &cfg());
+        let pats: Vec<&str> = v.iter().map(|v| v.pattern.as_str()).collect();
+        assert_eq!(pats, ["_mm512_fmadd_ps", "_mm256_fnmsub_ps"]);
+        assert_eq!((v[0].line, v[1].line), (2, 3));
+        assert!(check(&FileInput::new("crates/llm/src/kernels.rs", src), &cfg()).is_empty());
+        // A name that merely contains the word is not an intrinsic.
+        let plain = "fn fmadd_count(fmadd_ops: usize) -> usize {\n    fmadd_ops\n}\n";
+        assert!(check(&FileInput::new("crates/llm/src/tensor.rs", plain), &cfg()).is_empty());
     }
 
     #[test]

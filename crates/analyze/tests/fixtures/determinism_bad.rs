@@ -1,6 +1,7 @@
 //! determinism: NEGATIVE fixture — ambient nondeterminism plus FMA
 //! contraction in a differential-tested path.
 
+use std::arch::x86_64::_mm256_fmadd_ps;
 use std::collections::HashMap;
 use std::collections::HashSet;
 

@@ -84,7 +84,13 @@ fn unsafe_good_fixture_clean() {
 fn determinism_bad_fixture_flagged() {
     let v = run("determinism_bad.rs", "determinism");
     let pats: Vec<&str> = v.iter().map(|v| v.pattern.as_str()).collect();
-    for expected in ["HashMap", "HashSet", "Instant::now", "mul_add"] {
+    for expected in [
+        "HashMap",
+        "HashSet",
+        "Instant::now",
+        "mul_add",
+        "_mm256_fmadd_ps",
+    ] {
         assert!(pats.contains(&expected), "missing `{expected}` in {pats:?}");
     }
 }

@@ -5,7 +5,11 @@
 //! collectives whose invocations and byte counts are recorded. Attention
 //! follows the FlashAttention-style flow (§4.3): each chip reduces its
 //! quarter of the context with running max/sum statistics, and the column
-//! group combines the partials exactly.
+//! group combines the partials exactly. The scores come a block of up to
+//! 16 queries at a time from `tensor::dot_lanes` — a prefill
+//! panel's rows share their sequence's shards, so each key is read once
+//! per block rather than once per query — and every score, and so every
+//! output bit, is what a lone row computes.
 //!
 //! [`DataflowExecutor`] is the shared driver ([`Engine`]) over the [`Grid`]
 //! placement; this module holds what the grid means — the sharded
@@ -24,9 +28,10 @@ use crate::kv_cache::{KvCache, PagePool, PageRef, BLOCK_POSITIONS, PAGE_SLOTS};
 use crate::ops::rmsnorm_into;
 use crate::reference::stage_experts;
 use crate::sampler::Sampler;
-use crate::scratch::Scratch;
-use crate::tensor::{add_assign, dot};
+use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
+use crate::tensor::{add_assign, dot_lanes, transpose_lanes, LANES};
 use hnlpu_model::{PackedFp4Matrix, TransformerConfig};
+use std::ops::Range;
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
@@ -308,6 +313,10 @@ impl Placement for Grid {
             c.moe.num_experts.is_multiple_of(GRID * GRID),
             "experts must split across 16 chips"
         );
+        assert!(
+            (1 + GRID) * LANES * c.attention.head_dim <= MAX_PREFILL_PANEL * c.hidden_size,
+            "an attention lane block must fit the post-attention panel"
+        );
     }
 
     fn new_state(c: &TransformerConfig) -> DataflowState {
@@ -372,7 +381,6 @@ impl Placement for Grid {
         let row_slice = h / GRID;
         let Scratch {
             scores,
-            flash_acc,
             numer,
             delta,
             lora_hidden,
@@ -441,29 +449,37 @@ impl Placement for Grid {
             }
         }
 
-        // (IV, V) Attention against the row's own shards. A prefill
-        // panel's whole KV is cached by now, so each row masks itself to
-        // its causal prefix via `ctx`.
-        for tt in 0..t {
-            let position = positions[tt];
-            let DataflowState { kv, comm } = rows.state(tt);
-            for col in 0..GRID {
+        // (IV, V) Attention. The rows of a prefill panel read one
+        // sequence's shards, so each column scores all of them in one pass
+        // over its keys; a decode row reads its own. The panel's whole KV
+        // is cached by now, so each row masks itself to its causal prefix
+        // via its position. The post-attention panel is dead until the
+        // output projection: it hosts the lane block.
+        let run = rows.run_len();
+        for first in (0..t).step_by(run) {
+            let DataflowState { kv, .. } = rows.state(first);
+            for (col, col_kv) in kv.iter().enumerate() {
                 column_attention(
-                    &qp[tt * qw + col * q_per_col..][..q_per_col],
+                    &qp[col * q_per_col..],
+                    &mut attnp[col * q_per_col..],
+                    qw,
+                    first..first + run,
+                    positions,
+                    col_kv,
                     layer,
-                    &kv[col],
-                    position + 1,
-                    q_heads_per_col,
-                    group,
-                    hd,
+                    (q_heads_per_col, group, hd),
+                    xop,
                     scores,
-                    flash_acc,
                     numer,
-                    &mut attnp[tt * qw + col * q_per_col..][..q_per_col],
-                    comm,
                 );
             }
         }
+        // Per row, one all-reduce of its attention outputs per column.
+        rows.charge(CommCounters {
+            all_reduces: GRID as u64,
+            bytes: (GRID * q_per_col) as u64 * 4,
+            ..CommCounters::default()
+        });
 
         // (VI) Output projection: per token, row all-reduces in chip
         // order then a column all-gather — the per-token schedule × t.
@@ -606,96 +622,131 @@ fn col_project_panel(
     });
 }
 
-/// Flash-style column attention: each chip computes running-max statistics
-/// over its quarter of the context into its `flash_acc` block; the column
-/// all-reduce combines them exactly, in chip order.
+/// Flash-style column attention for the panel rows `rows`, which all read
+/// the column's shards `col_kv`: each chip reduces its quarter of a row's
+/// context with running max/sum statistics into a flash accumulator, and
+/// the column all-reduce combines them exactly, in chip order. `heads` is
+/// (query heads per column, GQA group size, head dim); row `tt`'s queries
+/// sit at `q[tt * stride..]`, its outputs go to `out[tt * stride..]`, and
+/// it sees context positions `0 ..= positions[tt]`. Chip `chip` holds
+/// positions `p % 4 == chip`, so for a context of `ctx` it contributes
+/// `ceil((ctx - chip) / 4)` of them.
 ///
-/// `ctx` is the number of context positions the query may see (causal:
-/// `position + 1`). Chip `chip` holds positions `p % 4 == chip`, so it
-/// contributes `ceil((ctx - chip) / 4)` of them — during panel prefill
-/// the whole panel's KV is already cached, and `ctx` is what masks each
-/// token down to its causal prefix.
+/// Per KV head, the group's query heads of every row form blocks of up to
+/// [`LANES`] queries, and each block is scored against each chip's keys
+/// in one [`dot_lanes`] pass — each key read once per block instead of
+/// once per query, each score still `tensor::dot`'s chain times the scale.
+/// A block scores up to its longest context; each query then runs, in
+/// position order over its own positions only, the same running max,
+/// scalar `exp`, sum and value accumulation as a lone row, reading each
+/// value vector once per position for the whole block.
 // analyze: hot
 #[allow(clippy::too_many_arguments)]
 fn column_attention(
-    q_col: &[f32],
-    layer: usize,
-    col_kv: &[KvCache],
-    ctx: usize,
-    q_heads_per_col: usize,
-    group: usize,
-    hd: usize,
-    scores: &mut Vec<f32>,
-    flash_acc: &mut [f32],
-    numer: &mut [f32],
+    q: &[f32],
     out: &mut [f32],
-    comm: &mut CommCounters,
+    stride: usize,
+    rows: Range<usize>,
+    positions: &[usize],
+    col_kv: &[KvCache],
+    layer: usize,
+    heads: (usize, usize, usize),
+    lanes: &mut [f32],
+    scores: &mut Vec<f32>,
+    numer: &mut [f32],
 ) {
+    let (q_heads, group, hd) = heads;
     let scale = 1.0 / (hd as f32).sqrt();
-    for head in 0..q_heads_per_col {
-        let kv_head = head / group; // within the column's head block
-        let qv = &q_col[head * hd..(head + 1) * hd];
-        // Per-chip flash partials (running max, exp-sum, value accumulator).
-        let mut ms = [f32::NEG_INFINITY; GRID];
-        let mut sums = [0.0f32; GRID];
-        let mut present = [false; GRID];
-        for (chip, cache) in col_kv.iter().enumerate() {
-            let positions = if ctx > chip {
-                (ctx - chip).div_ceil(GRID)
-            } else {
-                0
-            };
-            debug_assert!(positions <= cache.len());
-            if positions == 0 {
-                continue;
+    let (queries, flash_acc) = lanes.split_at_mut(LANES * hd);
+    let flash_acc = &mut flash_acc[..GRID * LANES * hd];
+    let count = rows.len() * group;
+    for kv_head in 0..q_heads / group {
+        // Query `j` of this KV head is query head `kv_head * group + j %
+        // group` of row `rows.start + j / group`.
+        let row = |j: usize| rows.start + j / group;
+        let at = |j: usize| row(j) * stride + (kv_head * group + j % group) * hd;
+        for first in (0..count).step_by(LANES) {
+            let live = (count - first).min(LANES);
+            transpose_lanes(queries, (first..first + live).map(|j| &q[at(j)..][..hd]));
+            let mut ctx = [0usize; LANES];
+            for (l, c) in ctx[..live].iter_mut().enumerate() {
+                *c = positions[row(first + l)] + 1;
             }
-            present[chip] = true;
-            let mut m = f32::NEG_INFINITY;
-            scores.clear();
-            for p in 0..positions {
-                let s = dot(qv, cache.key(layer, p, kv_head)) * scale;
-                m = m.max(s);
-                scores.push(s);
-            }
-            let mut sum = 0.0f32;
-            let acc = &mut flash_acc[chip * hd..(chip + 1) * hd];
-            acc.fill(0.0);
-            for (p, &s) in scores.iter().enumerate() {
-                let e = (s - m).exp();
-                sum += e;
-                let v = cache.value(layer, p, kv_head);
-                for (a, &vv) in acc.iter_mut().zip(v.iter()) {
-                    *a += e * vv;
+            // Per (chip, lane) flash partials: running max, exp-sum, and
+            // the value accumulator at `flash_acc[(chip * LANES + lane) *
+            // hd..]`.
+            let mut ms = [[f32::NEG_INFINITY; LANES]; GRID];
+            let mut sums = [[0.0f32; LANES]; GRID];
+            for (chip, cache) in col_kv.iter().enumerate() {
+                // The positions of this chip each lane may see.
+                let mut own = [0usize; LANES];
+                for (n, &c) in own[..live].iter_mut().zip(&ctx) {
+                    *n = if c > chip {
+                        (c - chip).div_ceil(GRID)
+                    } else {
+                        0
+                    };
+                }
+                let span = own[..live].iter().copied().max().unwrap_or(0);
+                if span == 0 {
+                    continue;
+                }
+                debug_assert!(span <= cache.len());
+                let need = span * LANES;
+                if scores.len() < need {
+                    // Exactly what this context needs: every slot holds
+                    // one, so doubling headroom would be resident memory.
+                    scores.reserve_exact(need - scores.len());
+                    scores.resize(need, 0.0);
+                }
+                let s = &mut scores[..need];
+                dot_lanes(queries, live, span, |p| cache.key(layer, p, kv_head), s);
+                let (m, sum) = (&mut ms[chip], &mut sums[chip]);
+                for (p, row) in s.chunks_exact_mut(LANES).enumerate() {
+                    for ((x, m), &n) in row.iter_mut().zip(m.iter_mut()).zip(&own[..live]) {
+                        if p < n {
+                            *x *= scale;
+                            *m = m.max(*x);
+                        }
+                    }
+                }
+                let accs = &mut flash_acc[chip * LANES * hd..][..live * hd];
+                accs.fill(0.0);
+                for (p, row) in s.chunks_exact(LANES).enumerate() {
+                    let v = cache.value(layer, p, kv_head);
+                    let per_lane = accs.chunks_exact_mut(hd).zip(row).zip(&own[..live]);
+                    for (((acc, &x), &n), (&m, sum)) in per_lane.zip(m.iter().zip(sum.iter_mut())) {
+                        if p < n {
+                            let e = (x - m).exp();
+                            *sum += e;
+                            for (a, &vv) in acc.iter_mut().zip(v) {
+                                *a += e * vv;
+                            }
+                        }
+                    }
                 }
             }
-            ms[chip] = m;
-            sums[chip] = sum;
-        }
-        // Exact combine across the column group, in chip order (absent
-        // chips hold −∞ max, so they do not move the global max).
-        let gm = ms.iter().fold(f32::NEG_INFINITY, |a, &m| a.max(m));
-        let mut denom = 0.0f32;
-        numer.fill(0.0);
-        for chip in 0..GRID {
-            if !present[chip] {
-                continue;
+            // Exact combine across the column group, per query in chip
+            // order (absent chips hold −∞ max, so they do not move the
+            // global max).
+            for (l, &c) in ctx[..live].iter().enumerate() {
+                let gm = ms.iter().fold(f32::NEG_INFINITY, |a, m| a.max(m[l]));
+                let mut denom = 0.0f32;
+                numer.fill(0.0);
+                for chip in 0..GRID.min(c) {
+                    let w = (ms[chip][l] - gm).exp();
+                    denom += sums[chip][l] * w;
+                    let acc = &flash_acc[(chip * LANES + l) * hd..][..hd];
+                    for (n, &a) in numer.iter_mut().zip(acc) {
+                        *n += a * w;
+                    }
+                }
+                for (o, &n) in out[at(first + l)..][..hd].iter_mut().zip(numer.iter()) {
+                    *o = n / denom;
+                }
             }
-            let w = (ms[chip] - gm).exp();
-            denom += sums[chip] * w;
-            for (n, &a) in numer
-                .iter_mut()
-                .zip(flash_acc[chip * hd..(chip + 1) * hd].iter())
-            {
-                *n += a * w;
-            }
-        }
-        let o = &mut out[head * hd..(head + 1) * hd];
-        for (oo, &n) in o.iter_mut().zip(numer.iter()) {
-            *oo = n / denom;
         }
     }
-    comm.all_reduces += 1;
-    comm.bytes += (q_heads_per_col * hd) as u64 * 4;
 }
 
 #[cfg(test)]
@@ -703,6 +754,7 @@ mod tests {
     use super::*;
     use crate::engine::tests as driver;
     use crate::reference::Transformer;
+    use crate::tensor::dot;
     use hnlpu_model::{zoo, ModelWeights, WeightGenerator};
 
     fn weights() -> ModelWeights {
@@ -744,6 +796,236 @@ mod tests {
     }
 
     driver::placement_tests!(Grid);
+
+    /// The oracle of the lane-block attention: the per-row column
+    /// attention the grid ran before scores went through `dot_lanes`,
+    /// unchanged — for one row, per query head and chip a scalar `dot` per
+    /// position, then the running max, `exp`, value accumulation and the
+    /// chip-order combine.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_column_attention(
+        q_col: &[f32],
+        layer: usize,
+        col_kv: &[KvCache],
+        ctx: usize,
+        q_heads_per_col: usize,
+        group: usize,
+        hd: usize,
+        scores: &mut Vec<f32>,
+        flash_acc: &mut [f32],
+        numer: &mut [f32],
+        out: &mut [f32],
+        comm: &mut CommCounters,
+    ) {
+        let scale = 1.0 / (hd as f32).sqrt();
+        for head in 0..q_heads_per_col {
+            let kv_head = head / group; // within the column's head block
+            let qv = &q_col[head * hd..(head + 1) * hd];
+            // Per-chip flash partials (running max, exp-sum, value accumulator).
+            let mut ms = [f32::NEG_INFINITY; GRID];
+            let mut sums = [0.0f32; GRID];
+            let mut present = [false; GRID];
+            for (chip, cache) in col_kv.iter().enumerate() {
+                let positions = if ctx > chip {
+                    (ctx - chip).div_ceil(GRID)
+                } else {
+                    0
+                };
+                debug_assert!(positions <= cache.len());
+                if positions == 0 {
+                    continue;
+                }
+                present[chip] = true;
+                let mut m = f32::NEG_INFINITY;
+                scores.clear();
+                for p in 0..positions {
+                    let s = dot(qv, cache.key(layer, p, kv_head)) * scale;
+                    m = m.max(s);
+                    scores.push(s);
+                }
+                let mut sum = 0.0f32;
+                let acc = &mut flash_acc[chip * hd..(chip + 1) * hd];
+                acc.fill(0.0);
+                for (p, &s) in scores.iter().enumerate() {
+                    let e = (s - m).exp();
+                    sum += e;
+                    let v = cache.value(layer, p, kv_head);
+                    for (a, &vv) in acc.iter_mut().zip(v.iter()) {
+                        *a += e * vv;
+                    }
+                }
+                ms[chip] = m;
+                sums[chip] = sum;
+            }
+            // Exact combine across the column group, in chip order (absent
+            // chips hold −∞ max, so they do not move the global max).
+            let gm = ms.iter().fold(f32::NEG_INFINITY, |a, &m| a.max(m));
+            let mut denom = 0.0f32;
+            numer.fill(0.0);
+            for chip in 0..GRID {
+                if !present[chip] {
+                    continue;
+                }
+                let w = (ms[chip] - gm).exp();
+                denom += sums[chip] * w;
+                for (n, &a) in numer
+                    .iter_mut()
+                    .zip(flash_acc[chip * hd..(chip + 1) * hd].iter())
+                {
+                    *n += a * w;
+                }
+            }
+            let o = &mut out[head * hd..(head + 1) * hd];
+            for (oo, &n) in o.iter_mut().zip(numer.iter()) {
+                *oo = n / denom;
+            }
+        }
+        comm.all_reduces += 1;
+        comm.bytes += (q_heads_per_col * hd) as u64 * 4;
+    }
+
+    /// Column shards holding positions `0..len` (position `p` on chip
+    /// `p % 4`) of `kv_heads` heads for [`ORACLE_LAYERS`] layers, keys and
+    /// values from `value`. Each shard reads its first `shared` local
+    /// positions through a donor's pages: the full pages shared, a partial
+    /// one as the private copy-on-write boundary — the donor's tail past
+    /// the match holds different values, which the reader's own appends
+    /// replace.
+    fn column_shards(
+        len: usize,
+        kv_heads: usize,
+        hd: usize,
+        shared: usize,
+        value: &impl Fn(usize) -> f32,
+    ) -> Vec<KvCache> {
+        let width = kv_heads * hd;
+        let append = |cache: &mut KvCache, p: usize, salt: usize| {
+            for layer in 0..ORACLE_LAYERS {
+                let at = |side: usize, i: usize| {
+                    value(((p * ORACLE_LAYERS + layer) * 2 + side) * width + i + salt)
+                };
+                let k: Vec<f32> = (0..width).map(|i| at(0, i)).collect();
+                let v: Vec<f32> = (0..width).map(|i| at(1, i)).collect();
+                cache.append(layer, &k, &v);
+            }
+        };
+        (0..GRID)
+            .map(|chip| {
+                let local = (len + GRID - 1 - chip) / GRID;
+                let attached = shared.min(local);
+                let mut shard = KvCache::new(ORACLE_LAYERS, kv_heads, hd);
+                if attached > 0 {
+                    let mut donor = KvCache::new(ORACLE_LAYERS, kv_heads, hd);
+                    for j in 0..attached.div_ceil(PAGE_SLOTS) * PAGE_SLOTS {
+                        append(
+                            &mut donor,
+                            j * GRID + chip,
+                            if j < attached { 0 } else { 7_777 },
+                        );
+                    }
+                    let full = attached / PAGE_SLOTS;
+                    let pages: Vec<PageRef> = (0..full).map(|i| donor.share_page(i)).collect();
+                    let boundary =
+                        (!attached.is_multiple_of(PAGE_SLOTS)).then(|| donor.share_page(full));
+                    shard.attach_shared(&pages, boundary.as_ref(), attached);
+                }
+                for j in attached..local {
+                    append(&mut shard, j * GRID + chip, 0);
+                }
+                shard
+            })
+            .collect()
+    }
+
+    /// Layers of the oracle's shards; the attention reads the last.
+    const ORACLE_LAYERS: usize = 2;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Lane-block attention is bitwise the per-row oracle: a panel of
+        /// `t` rows at positions `start..start + t` scored in one pass
+        /// (prefill), or each row alone at its own position (decode), writes
+        /// every output bit the oracle writes row by row — over panels of
+        /// 1..=64 rows starting on and off a multiple of 4, contexts shorter
+        /// than the grid (chips with no position), GQA groups of 1, 2 and 8
+        /// at head dims 16, 32 and 64, one or two KV heads per column,
+        /// shards read through shared pages with a private copy-on-write
+        /// boundary page, and values with mixed signs and signed zeros.
+        #[test]
+        fn lane_attention_is_bitwise_the_per_row_oracle(
+            t in 1usize..=64,
+            start in 0usize..48,
+            shape in 0usize..9,
+            kv_heads in 1usize..=2,
+            shared in 0usize..12,
+            decode in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let group = [1, 2, 8][shape % 3];
+            let hd = [16, 32, 64][shape / 3];
+            // Every third case starts at position 0, so short contexts
+            // leave chips empty.
+            let start = if start % 3 == 0 { 0 } else { start };
+            let value = crate::tensor::tests::signed_values(seed);
+            let q_heads = kv_heads * group;
+            let stride = q_heads * hd + 5;
+            let shards = column_shards(start + t, kv_heads, hd, shared, &value);
+            let positions: Vec<usize> = (start..start + t).collect();
+            let qs: Vec<f32> = (0..t * stride).map(|i| value(i * 11 + 4)).collect();
+            let layer = ORACLE_LAYERS - 1;
+
+            let mut want = vec![f32::NAN; t * stride];
+            let mut scores = Vec::new();
+            let (mut flash_acc, mut numer) = (vec![0.0; GRID * hd], vec![0.0; hd]);
+            let mut comm = CommCounters::default();
+            for tt in 0..t {
+                oracle_column_attention(
+                    &qs[tt * stride..][..q_heads * hd],
+                    layer,
+                    &shards,
+                    positions[tt] + 1,
+                    q_heads,
+                    group,
+                    hd,
+                    &mut scores,
+                    &mut flash_acc,
+                    &mut numer,
+                    &mut want[tt * stride..][..q_heads * hd],
+                    &mut comm,
+                );
+            }
+
+            let mut lanes = vec![f32::NAN; (1 + GRID) * LANES * hd];
+            let mut got = vec![f32::NAN; t * stride];
+            let run = if decode == 1 { 1 } else { t };
+            for first in (0..t).step_by(run) {
+                column_attention(
+                    &qs,
+                    &mut got,
+                    stride,
+                    first..first + run,
+                    &positions,
+                    &shards,
+                    layer,
+                    (q_heads, group, hd),
+                    &mut lanes,
+                    &mut scores,
+                    &mut numer,
+                );
+            }
+            for tt in 0..t {
+                for i in 0..q_heads * hd {
+                    let (g, w) = (got[tt * stride + i], want[tt * stride + i]);
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
+                        "row {} (position {}) head {} element {}: {} vs {}",
+                        tt, positions[tt], i / hd, i % hd, g, w);
+                }
+                proptest::prop_assert!(got[tt * stride + q_heads * hd..][..5].iter().all(|v| v.is_nan()),
+                    "row {} wrote into the row padding", tt);
+            }
+        }
+    }
 
     #[test]
     fn logits_match_reference_within_tolerance() {

@@ -91,6 +91,15 @@ impl<S> PanelRows<'_, '_, S> {
             PanelRows::Decode(states) => states[tt],
         }
     }
+
+    /// Rows per run of consecutive rows that share one state: the whole
+    /// panel of a prefill, each row alone in a decode step.
+    pub(crate) fn run_len(&self) -> usize {
+        match self {
+            PanelRows::Prefill { t, .. } => (*t).max(1),
+            PanelRows::Decode(_) => 1,
+        }
+    }
 }
 
 /// A decoder over materialized weights placed by `P`. See the module docs.
@@ -343,9 +352,16 @@ impl<P: Placement> Engine<P> {
             // Unembed only the prompt's last token: the last panel's last
             // row, still in `xp`.
             let h = self.config().hidden_size;
-            let Scratch { xp, xn, logits, .. } = scratch;
+            let Scratch {
+                xp,
+                xn,
+                xop,
+                logits,
+                ..
+            } = scratch;
             rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
-            unembed_into(&self.weights.embedding, h, xn, &mut [], |token, logit| {
+            // The post-attention panel is dead by now: it hosts the lanes.
+            unembed_into(&self.weights.embedding, h, xn, xop, |token, logit| {
                 logits[token] = logit[0]
             });
             P::charge_unembed(self.config(), state);

@@ -29,7 +29,9 @@
 //!
 //! Dispatch, under the same even-column-start condition at both entry
 //! points: the panel form takes AVX-512 → AVX2 → scalar regions, the
-//! single-vector form AVX2 → scalar regions. The CPU is the only selector.
+//! single-vector form AVX2 → scalar regions. The CPU is the only selector
+//! ([`arm`]), and the lane primitive `tensor::dot_lanes` takes its arm from
+//! the same one, so [`kernel_path`] names both.
 //!
 //! The two half-unit realizations are **bit-identical** to each other, not
 //! merely close: every (activation row, column) output is one FMA chain over
@@ -232,26 +234,31 @@ pub fn matmul_block_into(
     // runs that chain cannot change a bit of it.
     #[cfg(target_arch = "x86_64")]
     if col_range.start.is_multiple_of(2) {
-        if avx512::available() {
-            // SAFETY: AVX-512F (and AVX2+FMA for the one-row remainder)
-            // presence checked at runtime; bounds above, and the block
-            // holds at least one row and one column.
-            unsafe {
-                avx512::matmul_block(
-                    xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
-                )
-            };
-            return;
-        }
-        if avx2::available() {
-            // SAFETY: AVX2+FMA presence checked at runtime; bounds above,
-            // and the block holds at least one row and one column.
-            unsafe {
-                avx2::matmul_block(
-                    xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
-                )
-            };
-            return;
+        match arm() {
+            Arm::Avx512 => {
+                // SAFETY: this arm means AVX-512F and AVX2+FMA (for the
+                // one-row remainder) were detected at runtime; bounds
+                // above, and the block holds at least one row and one
+                // column.
+                unsafe {
+                    avx512::matmul_block(
+                        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
+                    )
+                };
+                return;
+            }
+            Arm::Avx2 => {
+                // SAFETY: this arm means AVX2+FMA were detected at runtime;
+                // bounds above, and the block holds at least one row and
+                // one column.
+                unsafe {
+                    avx2::matmul_block(
+                        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
+                    )
+                };
+                return;
+            }
+            Arm::Portable => {}
         }
     }
     region_matmul_block_into(
@@ -354,21 +361,46 @@ fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
     acc
 }
 
-/// Which kernel realization [`matmul_block_into`] takes in this process:
+/// The vector arm this CPU runs: one selector for [`matmul_block_into`]'s
+/// token blocks and [`crate::tensor::dot_lanes`]'s lane blocks, so
+/// [`kernel_path`] names both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum Arm {
+    /// AVX-512F (with AVX2+FMA for the one-row kernels).
+    Avx512,
+    /// AVX2+FMA.
+    Avx2,
+    /// Neither: the scalar region kernels and portable lane loops.
+    Portable,
+}
+
+/// The arm [`matmul_block_into`] and [`crate::tensor::dot_lanes`] take in
+/// this process.
+pub(crate) fn arm() -> Arm {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512::available() {
+            return Arm::Avx512;
+        }
+        if avx2::available() {
+            return Arm::Avx2;
+        }
+    }
+    Arm::Portable
+}
+
+/// Which kernel realization [`matmul_block_into`] — and with it the lane
+/// arm of `tensor::dot_lanes` — takes in this process:
 /// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
 /// Recorded by the benchmark baseline and the serving benchmark's host
 /// fingerprint.
 pub fn kernel_path() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512::available() {
-            return "avx512-half-units";
-        }
-        if avx2::available() {
-            return "avx2-half-units";
-        }
+    match arm() {
+        Arm::Avx512 => "avx512-half-units",
+        Arm::Avx2 => "avx2-half-units",
+        Arm::Portable => "scalar-regions",
     }
-    "scalar-regions"
 }
 
 /// The vectorized constant-multiplier-bank realization (x86-64 only).

@@ -11,6 +11,8 @@
 //! [`crate::dataflow::DataflowExecutor`]) thread the same arena type, and
 //! the batched engine gives each KV slot its own.
 
+use crate::dataflow::GRID;
+use crate::tensor::LANES;
 use hnlpu_model::TransformerConfig;
 
 /// Widest activation panel the block runs through the matmul kernels in
@@ -100,10 +102,12 @@ pub struct Scratch {
     pub(crate) xn: Vec<f32>,
     /// One row's MoE output accumulator (hidden).
     pub(crate) y: Vec<f32>,
-    /// Attention scores over the context (grows with the sequence).
+    /// Attention scores, grown with the sequence: one row's context on a
+    /// single chip, or one chip's positions for a lane block of up to
+    /// [`LANES`] queries on the grid, position-major (positions × LANES).
+    /// The grid's lane block keeps its queries and flash accumulators in
+    /// `xop`, dead until the output projection.
     pub(crate) scores: Vec<f32>,
-    /// Flash-attention per-chip value accumulators (GRID × head_dim).
-    pub(crate) flash_acc: Vec<f32>,
     /// Flash-attention combine numerator (head_dim).
     pub(crate) numer: Vec<f32>,
     /// One row's top-k expert indices (experts_per_token).
@@ -164,9 +168,8 @@ impl Scratch {
         let qw = config.attention.q_width();
         let kvw = config.attention.kv_width();
         let hd = config.attention.head_dim;
-        let grid = crate::dataflow::GRID;
         // Widest per-chip slice the dataflow engine hands to `partp`.
-        let slice = (qw / grid).max(kvw / grid).max(h / grid).max(1);
+        let slice = (qw / GRID).max(kvw / GRID).max(h / GRID).max(1);
         let inter = config.moe.intermediate_size;
         let experts = config.moe.num_experts;
         let per_tok = config.moe.experts_per_token;
@@ -175,7 +178,6 @@ impl Scratch {
             xn: vec![0.0; h],
             y: vec![0.0; h],
             scores: Vec::new(),
-            flash_acc: vec![0.0; grid * hd],
             numer: vec![0.0; hd],
             chosen: Vec::with_capacity(per_tok),
             expert_w: Vec::with_capacity(per_tok),
@@ -203,12 +205,14 @@ impl Scratch {
     }
 
     /// Pre-size the context-length-dependent buffers for sequences up to
-    /// `positions` tokens, so steady-state decode stays reallocation-free
-    /// (held by the zero-allocation sentinel in
-    /// `tests/tests/zero_alloc_decode.rs`).
+    /// `positions` tokens, so steady-state decode and panel prefill stay
+    /// reallocation-free (held by the zero-allocation sentinel in
+    /// `tests/tests/zero_alloc_decode.rs`): the scores of one lane block
+    /// against one chip's `ceil(positions / GRID)` positions, which also
+    /// covers one row's `positions` scores on a single chip.
     pub fn reserve_context(&mut self, positions: usize) {
-        self.scores
-            .reserve(positions.saturating_sub(self.scores.len()));
+        let want = positions.div_ceil(GRID) * LANES;
+        self.scores.reserve(want.saturating_sub(self.scores.len()));
     }
 
     /// Next-token logits produced by the most recent step.

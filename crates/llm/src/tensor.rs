@@ -1,4 +1,10 @@
 //! Minimal row-major matrix/vector kernels.
+//!
+//! [`dot`] defines the one accumulation chain every logit and attention
+//! score follows. `dot_lanes` runs many of those chains side by side —
+//! queries in SIMD lanes, a shared table of rows broadcast across them —
+//! without changing a bit of any: [`unembed_into`] and the grid's column
+//! attention are its two callers.
 
 /// `y = x · W` where `x` is `(1, rows)` and `W` is row-major `(rows, cols)`.
 ///
@@ -93,12 +99,288 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// Queries one [`dot_lanes`] block carries: one per `f32` lane of a
+/// 512-bit vector.
+pub(crate) const LANES: usize = 16;
+
+/// Table rows one pass of [`dot_lanes`] scores: the independent
+/// accumulation chains each lane keeps in flight.
+const PASS: usize = 4;
+
+/// Lane-transpose up to [`LANES`] vectors, each `block.len() / LANES`
+/// long, into `block`: float `i * LANES + l` becomes element `i` of
+/// vector `l`. Lanes past the last vector keep whatever they held.
+///
+/// # Panics
+///
+/// Panics if there are more than [`LANES`] vectors or one has the wrong
+/// length.
+// analyze: hot
+pub(crate) fn transpose_lanes<'v>(block: &mut [f32], vectors: impl IntoIterator<Item = &'v [f32]>) {
+    let n = block.len() / LANES;
+    for (l, v) in vectors.into_iter().enumerate() {
+        assert!(l < LANES && v.len() == n, "lane block shape");
+        for (i, &x) in v.iter().enumerate() {
+            block[i * LANES + l] = x;
+        }
+    }
+}
+
+/// Many of [`dot`]'s chains side by side: `out[r * LANES + l]` is bit for
+/// bit `dot(query l, table(r))` for every live lane `l < queries` and
+/// table row `r < rows`.
+///
+/// `block` holds the queries lane-transposed ([`transpose_lanes`]: `n ×
+/// LANES` floats for `n`-long queries); `table(r)` hands out row `r`, `n`
+/// long — contiguous embedding rows or [`crate::kv_cache::KvCache::key`]
+/// page lookups alike. Each table element is broadcast across the lanes,
+/// and [`PASS`] table rows are scored per pass, so every lane keeps that
+/// many independent chains in flight. Every chain starts from `dot`'s seed
+/// and runs strictly in order with the multiply and the add as separate
+/// roundings (no FMA), so a score never depends on which queries or rows
+/// it was computed beside, nor on the arm. Lanes at or past `queries` of
+/// `out` hold unspecified values.
+///
+/// The CPU alone picks the arm, with the panel matmul's selector
+/// ([`crate::kernels::kernel_path`] names both): AVX-512 runs a block as
+/// one 16-lane vector, AVX2 as two 8-lane halves (one when at most 8
+/// lanes are live), anything else the portable loop.
+///
+/// # Panics
+///
+/// Panics if `block` is not a whole number of lane rows, `queries` is not
+/// in `1..=LANES`, `out` is shorter than `rows × LANES`, or a table row is
+/// not `n` long.
+// analyze: hot
+pub(crate) fn dot_lanes<'t>(
+    block: &[f32],
+    queries: usize,
+    rows: usize,
+    table: impl Fn(usize) -> &'t [f32],
+    out: &mut [f32],
+) {
+    assert!(block.len().is_multiple_of(LANES), "lane block shape");
+    assert!((1..=LANES).contains(&queries), "live lanes");
+    assert!(out.len() >= rows * LANES, "score block too short");
+    // Whatever value `dot`'s `sum()` starts from.
+    let seed: f32 = std::iter::empty::<f32>().sum();
+    #[cfg(target_arch = "x86_64")]
+    match crate::kernels::arm() {
+        crate::kernels::Arm::Avx512 => {
+            // SAFETY: this arm implies AVX-512F; shapes asserted above.
+            unsafe { avx512::dot_lanes(block, rows, &table, out, seed) };
+            return;
+        }
+        crate::kernels::Arm::Avx2 => {
+            // SAFETY: this arm implies AVX2; shapes asserted above.
+            unsafe { avx2::dot_lanes(block, queries, rows, &table, out, seed) };
+            return;
+        }
+        crate::kernels::Arm::Portable => {}
+    }
+    portable_dot_lanes(block, queries, rows, &table, out, seed);
+}
+
+/// Row `r` of the table, checked to be `n` long: the bound every arm's
+/// unchecked reads rely on.
+#[inline(always)]
+fn table_row<'t>(table: &impl Fn(usize) -> &'t [f32], r: usize, n: usize) -> &'t [f32] {
+    let row = table(r);
+    assert_eq!(row.len(), n, "table row length");
+    row
+}
+
+/// [`dot_lanes`] in plain loops, for any CPU.
+fn portable_dot_lanes<'t>(
+    block: &[f32],
+    queries: usize,
+    rows: usize,
+    table: &impl Fn(usize) -> &'t [f32],
+    out: &mut [f32],
+    seed: f32,
+) {
+    let n = block.len() / LANES;
+    for r in (0..rows).step_by(PASS) {
+        let pass = (rows - r).min(PASS);
+        let mut keys: [&[f32]; PASS] = [&[]; PASS];
+        for (j, k) in keys[..pass].iter_mut().enumerate() {
+            *k = table_row(table, r + j, n);
+        }
+        let mut acc = [[seed; LANES]; PASS];
+        for (i, q) in block.chunks_exact(LANES).enumerate() {
+            for (a, k) in acc[..pass].iter_mut().zip(&keys) {
+                let ki = k[i];
+                for (al, &ql) in a[..queries].iter_mut().zip(q) {
+                    *al += ql * ki;
+                }
+            }
+        }
+        for (o, a) in out[r * LANES..].chunks_exact_mut(LANES).zip(&acc[..pass]) {
+            o[..queries].copy_from_slice(&a[..queries]);
+        }
+    }
+}
+
+/// [`dot_lanes`] with one zmm vector per table row of a pass.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{table_row, LANES, PASS};
+    use std::arch::x86_64::*;
+
+    /// Full passes, then the last `rows % PASS` table rows as one
+    /// narrower pass.
+    // SAFETY: caller must ensure AVX-512F support, `block.len()` a
+    // multiple of `LANES` and `out.len() ≥ rows · LANES`; table rows are
+    // length-checked before any read.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn dot_lanes<'t>(
+        block: &[f32],
+        rows: usize,
+        table: &impl Fn(usize) -> &'t [f32],
+        out: &mut [f32],
+        seed: f32,
+    ) {
+        let mut r = 0;
+        while rows - r >= PASS {
+            pass::<PASS>(block, r, table, out, seed);
+            r += PASS;
+        }
+        // One instantiation per remainder, so the accumulators stay a
+        // compile-time array in registers.
+        match rows - r {
+            3 => pass::<3>(block, r, table, out, seed),
+            2 => pass::<2>(block, r, table, out, seed),
+            1 => pass::<1>(block, r, table, out, seed),
+            _ => {}
+        }
+    }
+
+    /// Table rows `r .. r + N`: per element, one query vector load and
+    /// `N` broadcast multiply-then-add steps.
+    // SAFETY: as `dot_lanes`, with `r + N ≤ rows`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn pass<'t, const N: usize>(
+        block: &[f32],
+        r: usize,
+        table: &impl Fn(usize) -> &'t [f32],
+        out: &mut [f32],
+        seed: f32,
+    ) {
+        let n = block.len() / LANES;
+        let mut keys = [std::ptr::null::<f32>(); N];
+        for (j, k) in keys.iter_mut().enumerate() {
+            *k = table_row(table, r + j, n).as_ptr();
+        }
+        let q = block.as_ptr();
+        let mut acc = [_mm512_set1_ps(seed); N];
+        for i in 0..n {
+            let qv = _mm512_loadu_ps(q.add(i * LANES));
+            for (a, k) in acc.iter_mut().zip(&keys) {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(qv, _mm512_set1_ps(*k.add(i))));
+            }
+        }
+        let o = out.as_mut_ptr().add(r * LANES);
+        for (j, a) in acc.iter().enumerate() {
+            _mm512_storeu_ps(o.add(j * LANES), *a);
+        }
+    }
+}
+
+/// [`dot_lanes`] with each 16-lane block as two 8-lane ymm halves, or one
+/// when the live lanes fit in it.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{table_row, LANES, PASS};
+    use std::arch::x86_64::*;
+
+    /// Lanes per ymm half.
+    const HALF: usize = LANES / 2;
+
+    // SAFETY: caller must ensure AVX2 support, `block.len()` a multiple of
+    // `LANES` and `out.len() ≥ rows · LANES`; table rows are
+    // length-checked before any read.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_lanes<'t>(
+        block: &[f32],
+        queries: usize,
+        rows: usize,
+        table: &impl Fn(usize) -> &'t [f32],
+        out: &mut [f32],
+        seed: f32,
+    ) {
+        if queries <= HALF {
+            passes::<1>(block, rows, table, out, seed);
+        } else {
+            passes::<2>(block, rows, table, out, seed);
+        }
+    }
+
+    /// Full passes over `H` halves, then the remainder pass.
+    // SAFETY: as `dot_lanes`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn passes<'t, const H: usize>(
+        block: &[f32],
+        rows: usize,
+        table: &impl Fn(usize) -> &'t [f32],
+        out: &mut [f32],
+        seed: f32,
+    ) {
+        let mut r = 0;
+        while rows - r >= PASS {
+            pass::<PASS, H>(block, r, table, out, seed);
+            r += PASS;
+        }
+        match rows - r {
+            3 => pass::<3, H>(block, r, table, out, seed),
+            2 => pass::<2, H>(block, r, table, out, seed),
+            1 => pass::<1, H>(block, r, table, out, seed),
+            _ => {}
+        }
+    }
+
+    /// Table rows `r .. r + N` against the first `H` halves of the block.
+    // SAFETY: as `dot_lanes`, with `r + N ≤ rows`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn pass<'t, const N: usize, const H: usize>(
+        block: &[f32],
+        r: usize,
+        table: &impl Fn(usize) -> &'t [f32],
+        out: &mut [f32],
+        seed: f32,
+    ) {
+        let n = block.len() / LANES;
+        let mut keys = [std::ptr::null::<f32>(); N];
+        for (j, k) in keys.iter_mut().enumerate() {
+            *k = table_row(table, r + j, n).as_ptr();
+        }
+        let q = block.as_ptr();
+        let mut acc = [[_mm256_set1_ps(seed); H]; N];
+        for i in 0..n {
+            let mut qv = [_mm256_setzero_ps(); H];
+            for (half, v) in qv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(q.add(i * LANES + half * HALF));
+            }
+            for (a, k) in acc.iter_mut().zip(&keys) {
+                let kv = _mm256_set1_ps(*k.add(i));
+                for (ah, &qh) in a.iter_mut().zip(&qv) {
+                    *ah = _mm256_add_ps(*ah, _mm256_mul_ps(qh, kv));
+                }
+            }
+        }
+        let o = out.as_mut_ptr().add(r * LANES);
+        for (j, a) in acc.iter().enumerate() {
+            for (half, &ah) in a.iter().enumerate() {
+                _mm256_storeu_ps(o.add(j * LANES + half * HALF), ah);
+            }
+        }
+    }
+}
+
 /// Hidden rows one [`unembed_into`] call may carry.
 pub const UNEMBED_MAX_ROWS: usize = 64;
-
-/// Hidden rows per lane block of the batched unembedding: one 8-lane
-/// vector of independent accumulation chains.
-const LANES: usize = 8;
 
 /// Weight-tied unembedding of `xs.len() / h` normalized hidden rows (`xs`
 /// row-major, `h` wide) against the `vocab × h` row-major `embedding`
@@ -106,15 +388,12 @@ const LANES: usize = 8;
 /// order, `emit(token, logits)` receives that token's logit for every
 /// hidden row.
 ///
-/// This function owns the contract that every logit is [`dot`]'s exact
-/// accumulation chain — `dot`'s seed value, then strictly in-order
-/// `acc + x[i] * e[i]` with a separate multiply and add (no FMA) — so a
-/// logit never depends on how many rows were unembedded with it. One row
-/// is the plain `dot` loop. More rows are lane-transposed into `lanes`
-/// (which must hold `rows` rounded up to a multiple of 8, times `h`
-/// floats; unused for one row) so each hidden row owns a SIMD lane with
-/// its own chain, and the table is read once for all of them instead of
-/// once per row.
+/// Every logit is [`dot`]'s exact accumulation chain, so it never depends
+/// on how many rows were unembedded with it: the hidden rows are
+/// lane-transposed into `lanes` (which must hold `rows` rounded up to a
+/// multiple of `LANES` (16), times `h` floats), one `LANES` (16)-row block per
+/// `dot_lanes` call, and the table rows are its table — read once for
+/// all the hidden rows instead of once per row.
 ///
 /// # Panics
 ///
@@ -133,74 +412,37 @@ pub fn unembed_into(
     assert!(xs.len().is_multiple_of(h), "hidden panel shape");
     let rows = xs.len() / h;
     assert!((1..=UNEMBED_MAX_ROWS).contains(&rows), "hidden row count");
-    if rows == 1 {
-        for (token, e) in embedding.chunks_exact(h).enumerate() {
-            emit(token, &[dot(xs, e)]);
-        }
-        return;
-    }
-    // Block `k` covers hidden rows `8k .. 8k + 8`: its float `i * 8 + l` is
-    // element `i` of row `8k + l`. Lanes past the last row stay zero and
-    // are never emitted.
     let lanes = &mut lanes[..rows.div_ceil(LANES) * LANES * h];
-    lanes.fill(0.0);
-    for (r, x) in xs.chunks_exact(h).enumerate() {
-        let block = &mut lanes[r / LANES * LANES * h..];
-        for (i, &xi) in x.iter().enumerate() {
-            block[i * LANES + r % LANES] = xi;
-        }
+    for (block, xs) in lanes.chunks_exact_mut(LANES * h).zip(xs.chunks(LANES * h)) {
+        transpose_lanes(block, xs.chunks_exact(h));
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence checked on the line above.
-        unsafe { unembed_lanes_avx2(embedding, h, lanes, rows, &mut emit) };
-        return;
-    }
-    unembed_lanes(embedding, h, lanes, rows, &mut emit);
-}
-
-/// [`unembed_lanes`] compiled with 8-wide vectors. No `fma` feature and no
-/// `mul_add`: the multiply and the add stay separate roundings.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn unembed_lanes_avx2(
-    embedding: &[f32],
-    h: usize,
-    lanes: &[f32],
-    rows: usize,
-    emit: &mut impl FnMut(usize, &[f32]),
-) {
-    unembed_lanes(embedding, h, lanes, rows, emit);
-}
-
-/// The table pass over lane-transposed hiddens (layout in
-/// [`unembed_into`]): per table row and lane block, eight independent
-/// `dot` chains.
-#[inline(always)]
-fn unembed_lanes(
-    embedding: &[f32],
-    h: usize,
-    lanes: &[f32],
-    rows: usize,
-    emit: &mut impl FnMut(usize, &[f32]),
-) {
-    // Whatever value `dot`'s `sum()` starts from.
-    let seed: f32 = std::iter::empty::<f32>().sum();
-    let mut out = [0.0f32; UNEMBED_MAX_ROWS];
-    for (token, e) in embedding.chunks_exact(h).enumerate() {
-        for (block, out) in lanes
-            .chunks_exact(LANES * h)
-            .zip(out.chunks_exact_mut(LANES))
+    // `LANES` tokens per sweep: `scores[b * LANES * LANES + r * LANES + l]`
+    // is token `first + r`'s logit for hidden row `b * LANES + l`.
+    let mut scores = [0.0f32; UNEMBED_MAX_ROWS * LANES];
+    let mut logits = [0.0f32; UNEMBED_MAX_ROWS];
+    let vocab = embedding.len() / h;
+    for first in (0..vocab).step_by(LANES) {
+        let tokens = (vocab - first).min(LANES);
+        let blocks = lanes.chunks_exact(LANES * h);
+        for (b, (block, out)) in blocks
+            .zip(scores.chunks_exact_mut(LANES * LANES))
+            .enumerate()
         {
-            let mut acc = [seed; LANES];
-            for (x, &ei) in block.chunks_exact(LANES).zip(e) {
-                for (a, &xl) in acc.iter_mut().zip(x) {
-                    *a += xl * ei;
-                }
-            }
-            out.copy_from_slice(&acc);
+            let queries = (rows - b * LANES).min(LANES);
+            dot_lanes(
+                block,
+                queries,
+                tokens,
+                |r| &embedding[(first + r) * h..][..h],
+                out,
+            );
         }
-        emit(token, &out[..rows]);
+        for r in 0..tokens {
+            for (row, logit) in logits[..rows].iter_mut().enumerate() {
+                *logit = scores[(row / LANES * LANES + r) * LANES + row % LANES];
+            }
+            emit(first + r, &logits[..rows]);
+        }
     }
 }
 
@@ -212,7 +454,7 @@ pub fn scale(a: &mut [f32], k: f32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -266,6 +508,36 @@ mod tests {
         assert_eq!(vec_mat(&x, &w, 2), vec![7.0, 8.0]);
     }
 
+    /// The value generator of the bitwise properties: mixed signs and
+    /// both signed zeros, which expose a wrong seed value or a fused
+    /// multiply-add.
+    pub(crate) fn signed_values(seed: u64) -> impl Fn(usize) -> f32 {
+        move |i: usize| match (i as u64).wrapping_mul(seed + 3) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            k => ((i as u64 * 2654435761 + seed) % 2000) as f32 * 1e-3 * k as f32 - 3.0,
+        }
+    }
+
+    /// The lane arms this CPU can run, by name; says once per process
+    /// which ones those are.
+    fn available_arms() -> Vec<&'static str> {
+        #[allow(unused_mut)]
+        let mut arms = vec!["portable"];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                arms.push("avx2");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                arms.push("avx512");
+            }
+        }
+        static SAY: std::sync::Once = std::sync::Once::new();
+        SAY.call_once(|| println!("dot_lanes arms called directly on this CPU: {arms:?}"));
+        arms
+    }
+
     proptest::proptest! {
         /// The unembedding contract: whatever the row count, every logit is
         /// bit-for-bit `dot(hidden row, table row)` — including signed
@@ -274,17 +546,13 @@ mod tests {
         fn unembed_is_bitwise_dot_for_every_row_count(
             rows in 1usize..=UNEMBED_MAX_ROWS,
             h in 1usize..40,
-            vocab in 1usize..12,
+            vocab in 1usize..40,
             seed in 0u64..1000,
         ) {
-            let value = |i: usize| match (i as u64).wrapping_mul(seed + 3) % 7 {
-                0 => 0.0,
-                1 => -0.0,
-                k => ((i as u64 * 2654435761 + seed) % 2000) as f32 * 1e-3 * k as f32 - 3.0,
-            };
+            let value = signed_values(seed);
             let embedding: Vec<f32> = (0..vocab * h).map(|i| value(i * 3 + 1)).collect();
-            let xs: Vec<f32> = (0..rows * h).map(value).collect();
-            let mut lanes = vec![f32::NAN; rows.div_ceil(8) * 8 * h];
+            let xs: Vec<f32> = (0..rows * h).map(&value).collect();
+            let mut lanes = vec![f32::NAN; rows.div_ceil(LANES) * LANES * h];
             let mut seen = 0;
             unembed_into(&embedding, h, &xs, &mut lanes, |token, logits| {
                 assert_eq!(token, seen, "tokens arrive in table order");
@@ -296,6 +564,58 @@ mod tests {
                 }
             });
             proptest::prop_assert_eq!(seen, vocab);
+        }
+
+        /// The lane contract, per arm: every arm this CPU has, called
+        /// directly (the dispatcher only ever reaches the widest), scores
+        /// each live lane of each block bit for bit as `dot` — for 1..=64
+        /// queries in blocks of 16 (full and partial blocks, one or two
+        /// AVX2 halves), table lengths covering full passes and every
+        /// remainder, dead lanes holding NaN, and a table of
+        /// non-contiguous row slices. Lanes past the live ones are not
+        /// checked; `out` past `rows` blocks must come back untouched.
+        #[test]
+        fn dot_lanes_every_arm_is_bitwise_dot(
+            queries in 1usize..=64,
+            n in 1usize..40,
+            rows in 1usize..40,
+            seed in 0u64..1000,
+        ) {
+            let value = signed_values(seed);
+            let qs: Vec<f32> = (0..queries * n).map(&value).collect();
+            // Row `r` at a stride of `n + 3`, so rows are separate slices.
+            let table: Vec<f32> = (0..rows * (n + 3)).map(|i| value(i * 5 + 2)).collect();
+            let row = |r: usize| &table[r * (n + 3)..][..n];
+            for arm in available_arms() {
+                for (b, q) in qs.chunks(LANES * n).enumerate() {
+                    let live = q.len() / n;
+                    let mut block = vec![f32::NAN; LANES * n];
+                    transpose_lanes(&mut block, q.chunks_exact(n));
+                    let mut out = vec![f32::NAN; (rows + 1) * LANES];
+                    let seed: f32 = std::iter::empty::<f32>().sum();
+                    match arm {
+                        "portable" => portable_dot_lanes(&block, live, rows, &row, &mut out, seed),
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: `available_arms` checked AVX2; shapes as
+                        // `dot_lanes` asserts.
+                        "avx2" => unsafe { avx2::dot_lanes(&block, live, rows, &row, &mut out, seed) },
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: `available_arms` checked AVX-512F; shapes as
+                        // `dot_lanes` asserts.
+                        "avx512" => unsafe { avx512::dot_lanes(&block, rows, &row, &mut out, seed) },
+                        _ => unreachable!("unknown arm {arm}"),
+                    }
+                    for r in 0..rows {
+                        for l in 0..live {
+                            let want = dot(&q[l * n..][..n], row(r));
+                            proptest::prop_assert_eq!(out[r * LANES + l].to_bits(), want.to_bits(),
+                                "{} block {} row {} lane {}", arm, b, r, l);
+                        }
+                    }
+                    proptest::prop_assert!(out[rows * LANES..].iter().all(|v| v.is_nan()),
+                        "{} wrote past row {}", arm, rows);
+                }
+            }
         }
     }
 }

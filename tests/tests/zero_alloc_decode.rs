@@ -4,9 +4,9 @@
 //! The static analyzer proves no *allocation call* is reachable from the
 //! decode hot path; this test proves the *allocator* agrees. A counting
 //! `#[global_allocator]` wraps the system allocator, and after a warmup
-//! generation the steady-state `step_with` loop — and the batched
-//! `step_batch_with` step over several sequences — must perform exactly
-//! zero heap allocations.
+//! generation the steady-state `step_with` loop, the batched
+//! `step_batch_with` step over several sequences and a wide-panel prefill
+//! must each perform exactly zero heap allocations.
 //!
 //! Run with: `cargo test -p hnlpu-integration --features count-alloc`
 
@@ -67,8 +67,11 @@ fn steady_state_decode_performs_zero_allocations() {
     let mut state = engine.new_state();
     let mut scratch = engine.new_scratch();
 
-    // Size the context-dependent buffers for the whole run up front —
-    // the serving layer does the same per admitted sequence.
+    // Size the context-dependent buffers for the whole run up front. The
+    // serving layer does not: each admitted sequence gets a fresh state
+    // and scratch whose KV pages and attention scores grow on first use as
+    // its context does. Reserving moves those first-use allocations out of
+    // the measured window, so what is left is the steady state.
     let horizon = PROMPT.len() + WARMUP_STEPS + MEASURED_STEPS;
     state.reserve_context(horizon);
     scratch.reserve_context(horizon);
@@ -240,6 +243,41 @@ fn steady_state_batched_decode_performs_zero_allocations() {
     cache.release_grant(&mut donor_grant);
     cache.flush();
     assert!(cache.ledger_balanced(), "every page freed exactly once");
+}
+
+/// The prefill twin: after a warm-up prefill, a second 128-token
+/// `prefill_chunked` in 64-row panels — every row of a panel attending its
+/// own causal prefix of the same shards, the last row unembedded —
+/// performs exactly zero heap allocations, given a state and scratch
+/// sized for the whole context up front.
+#[test]
+fn prefill_panel_performs_zero_allocations() {
+    const PROMPT_LEN: usize = 128;
+    const PANEL: usize = 64;
+
+    let prompt: Vec<u32> = (0..PROMPT_LEN as u32).map(|i| (i * 7 + 3) % 96).collect();
+    let card = zoo::dataflow_test_model();
+    let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
+    let engine = DataflowExecutor::new(weights);
+    let mut state = engine.new_state();
+    let mut scratch = engine.new_scratch();
+    let horizon = 2 * PROMPT_LEN;
+    state.reserve_context(horizon);
+    scratch.reserve_context(horizon);
+
+    engine.prefill_chunked(&prompt, &mut state, &mut scratch, PANEL, true);
+    let before = allocations();
+    let stats = engine.prefill_chunked(&prompt, &mut state, &mut scratch, PANEL, true);
+    let after = allocations();
+
+    assert_eq!((stats.panels, stats.max_panel), (2, PANEL));
+    assert_eq!(state.position(), horizon);
+    assert_eq!(
+        after - before,
+        0,
+        "a {PROMPT_LEN}-token prefill in {PANEL}-row panels allocated {} times",
+        after - before
+    );
 }
 
 /// A prefix cache holding `prompt`'s full blocks: a donor sequence
