@@ -36,8 +36,8 @@ pub const PREFILL_PANEL_SWEEP: &[usize] = &[1, 4, 16, 64];
 
 /// Batch sizes of the batched-decode sweep: `step_b{B}` runs `B`
 /// `step_with` calls, `batch_b{B}` one `step_batch_with` over the same `B`
-/// sequences. Both produce bit-identical logits and KV. `B = 1` is not a
-/// point: `step_with` is `step_batch_with` over one row.
+/// sequences in one arena. Both produce bit-identical logits and KV.
+/// `B = 1` is not a point: `step_with` is `step_batch_with` over one row.
 pub const DECODE_BATCH_SWEEP: &[usize] = &[4, 16, 64];
 
 /// Rows gathered per expert in the `expert_group` group: `g{G}` runs every
@@ -397,9 +397,10 @@ pub fn inference_suite(c: &mut Criterion) {
 
     // Batched-decode sweep on the same larger model: B sequences at
     // different short contexts each take one decode step, either as B
-    // `step_with` calls or as one `step_batch_with`. Every iteration
-    // starts from clones of the same prefilled states, so the work per
-    // iteration is constant.
+    // `step_with` calls (a scratch each) or as one `step_batch_with` in
+    // one arena, each row's logits landing in its own buffer. Every
+    // iteration starts from clones of the same prefilled states, so the
+    // work per iteration is constant.
     let machine = DataflowExecutor::new(big);
     let widest = DECODE_BATCH_SWEEP.iter().copied().max().unwrap_or(0);
     let mut scratches: Vec<_> = (0..widest).map(|_| machine.new_scratch()).collect();
@@ -419,6 +420,8 @@ pub fn inference_suite(c: &mut Criterion) {
         .iter()
         .map(|s| Sampler::Greedy.sample(s.logits()))
         .collect();
+    let mut arena = machine.new_scratch();
+    let mut logits: Vec<Vec<f32>> = scratches.iter().map(|s| s.logits().to_vec()).collect();
     let mut g = c.benchmark_group("inference/decode_batch");
     g.sample_size(samples);
     for &batch in DECODE_BATCH_SWEEP {
@@ -435,9 +438,14 @@ pub fn inference_suite(c: &mut Criterion) {
             b.iter(|| {
                 let mut states = base_states[..batch].to_vec();
                 let mut rows: Vec<_> = states.iter_mut().collect();
-                let mut arenas: Vec<_> = scratches[..batch].iter_mut().collect();
-                machine.step_batch_with(black_box(&next[..batch]), &mut rows, &mut arenas);
-                scratches[batch - 1].logits()[0]
+                let mut outs: Vec<_> = logits[..batch].iter_mut().map(Vec::as_mut_slice).collect();
+                machine.step_batch_with(
+                    black_box(&next[..batch]),
+                    &mut rows,
+                    &mut arena,
+                    &mut outs,
+                );
+                logits[batch - 1][0]
             })
         });
     }

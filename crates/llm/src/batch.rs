@@ -24,11 +24,13 @@
 //! prefill and sampling run per sequence, then every sequence that steps
 //! its sampled token back in joins one batched decode step
 //! ([`DataflowExecutor::step_batch_with`], the same block a prefill chunk
-//! and a lone `step_with` run): the rows share each pass over the packed
-//! weights and the embedding table, but every row's arithmetic is its own
-//! accumulation chain against its own KV state, so streams, KV and
-//! counters are bit-identical for any deal and worker count — the deal
-//! moves host time and nothing else.
+//! and a lone `step_with` run), all in the worker's one activation arena —
+//! a sequence keeps only its KV, sampler, tokens and logits between
+//! rounds, as the paper's machine keeps only KV. The rows share each pass
+//! over the packed weights and the embedding table, but every row's
+//! arithmetic is its own accumulation chain against its own KV state, so
+//! streams, KV and counters are bit-identical for any deal, worker count
+//! and arena history — the deal moves host time and nothing else.
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState};
 use crate::fault::CHIPS;
@@ -260,7 +262,9 @@ impl BatchRunReport {
     }
 }
 
-/// A resident sequence: its KV state plus generation progress.
+/// A resident sequence: its KV state plus generation progress — what
+/// outlives a round. The activations of its rounds live in the arena of
+/// whichever worker runs it (see [`SlotPool`]).
 ///
 /// Shared between the offline plan replay here and the online serving
 /// loop in [`crate::serve`], so both paths run sequences through the
@@ -273,10 +277,10 @@ pub(crate) struct SeqSlot {
     pub(crate) target: usize,
     pub(crate) sampler: Sampler,
     pub(crate) state: DataflowState,
-    /// Per-slot scratch arena; its `logits()` hold the most recent step's
-    /// output (valid once anything was stepped), and reusing it keeps the
-    /// whole residency of the sequence allocation-free.
-    pub(crate) scratch: Scratch,
+    /// Next-token logits of the most recent step or completed prefill
+    /// (vocab_size; valid once anything was stepped) — what the next
+    /// round samples.
+    pub(crate) logits: Vec<f32>,
     /// Prompt tokens consumed so far.
     pub(crate) prefill_pos: usize,
     /// Shared-pool page ids this sequence holds references on, released
@@ -327,16 +331,20 @@ struct Action {
     decode: bool,
 }
 
-/// The resident sequences' KV slots and the shared prefix cache their
-/// pages live in — the executor state of offline plan replay and of the
-/// online server alike. As a [`PrefixOracle`] it is the executing side's
-/// consult: the match is attached to the real slot when the policy asks.
+/// The resident sequences' KV slots, the shared prefix cache their
+/// pages live in, and the workers' activation arenas — the executor state
+/// of offline plan replay and of the online server alike. As a
+/// [`PrefixOracle`] it is the executing side's consult: the match is
+/// attached to the real slot when the policy asks.
 #[derive(Debug, Default)]
 pub(crate) struct SlotPool {
     /// Slot-indexed storage; `None` entries are free.
     slots: Vec<Option<SeqSlot>>,
     /// Sequence id → slot index while resident.
     slot_of: Vec<Option<usize>>,
+    /// One panel arena per worker, grown to the widest deal so far: a
+    /// round hands worker `i` arena `i`, whatever sequences it drew.
+    arenas: Vec<Scratch>,
     pub(crate) cache: Option<PrefixCache>,
     /// Most slots in use at once.
     pub(crate) peak_resident: usize,
@@ -474,11 +482,16 @@ impl SlotPool {
                 action.decode = true;
             }
         }
-        let work = (self.slots.iter_mut().zip(actions))
+        let work: Vec<_> = (self.slots.iter_mut().zip(actions))
             .filter(|(_, action)| *action != Action::default())
             .filter_map(|(slot, action)| Some((slot.as_mut()?, action)))
             .collect();
-        engine.run_round(work, rayon::current_num_threads());
+        let workers = rayon::current_num_threads().min(work.len());
+        if self.arenas.len() < workers {
+            self.arenas
+                .resize_with(workers, || engine.inner.new_scratch());
+        }
+        engine.run_round(work, &mut self.arenas);
 
         let SlotPool {
             slots,
@@ -771,7 +784,7 @@ impl BatchedDataflowExecutor {
 
     /// A fresh resident-sequence slot for `req`, tagged `seq`. Used by
     /// both the offline plan replay and the online serving loop so every
-    /// sequence starts from identical KV/scratch state.
+    /// sequence starts from identical KV state.
     pub(crate) fn new_slot(&self, seq: usize, req: &SequenceRequest) -> SeqSlot {
         SeqSlot {
             seq,
@@ -779,7 +792,7 @@ impl BatchedDataflowExecutor {
             target: len_of(req.decode_tokens),
             sampler: req.sampler.clone(),
             state: self.inner.new_state(),
-            scratch: self.inner.new_scratch(),
+            logits: vec![0.0; self.inner.config().vocab_size],
             prefill_pos: 0,
             grant: Vec::new(),
             prefill_stats: PrefillStats::default(),
@@ -816,16 +829,21 @@ impl BatchedDataflowExecutor {
         carcass
     }
 
-    /// One pipeline round: the work items are dealt to at most `workers`
-    /// workers by the rows each pushes through the block ([`deal_rows`]),
-    /// and every worker runs its share as one chunk, so a worker's
-    /// decoders still share one batched decode step. One worker runs the
-    /// whole round as a single chunk on the calling thread.
-    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>, workers: usize) {
+    /// One pipeline round: the work items are dealt to one worker per
+    /// arena (at most one per item) by the rows each pushes through the
+    /// block ([`deal_rows`]), and every worker runs its share as one chunk
+    /// in its own arena, so a worker's decoders still share one batched
+    /// decode step. One worker runs the whole round as a single chunk on
+    /// the calling thread.
+    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>, arenas: &mut [Scratch]) {
         use rayon::prelude::*;
-        let workers = workers.min(work.len());
+        let workers = arenas.len().min(work.len());
+        debug_assert!(workers > 0 || work.is_empty(), "a round needs an arena");
         if workers <= 1 {
-            return self.advance_chunk(work);
+            if let Some(arena) = arenas.first_mut() {
+                self.advance_chunk(work, arena);
+            }
+            return;
         }
         // An item's rows: its prompt tokens, plus one when the token it
         // samples steps back in (the last token a sequence owes is emitted
@@ -837,15 +855,19 @@ impl BatchedDataflowExecutor {
                 len_of(action.prefill) + usize::from(steps_back)
             })
             .collect();
-        let mut chunks: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        // Each worker's chunk travels with its arena: disjoint `&mut`s,
+        // handed out before the fan-out.
+        let mut chunks: Vec<(Vec<_>, &mut Scratch)> = (arenas.iter_mut().take(workers))
+            .map(|arena| (Vec::new(), arena))
+            .collect();
         for (item, worker) in work.into_iter().zip(deal_rows(&rows, workers)) {
-            if let Some(chunk) = chunks.get_mut(worker) {
+            if let Some((chunk, _)) = chunks.get_mut(worker) {
                 chunk.push(item);
             }
         }
         chunks
             .into_par_iter()
-            .for_each(|chunk| self.advance_chunk(chunk));
+            .for_each(|(chunk, arena)| self.advance_chunk(chunk, arena));
     }
 
     /// One worker's share of a round, in any order and of any mix (the
@@ -853,16 +875,16 @@ impl BatchedDataflowExecutor {
     /// advance each sequence through its prefill and sampling, then step
     /// every sampled token that still has to go back through the machine
     /// as batched decode steps of at most [`MAX_PREFILL_PANEL`] rows,
-    /// evenly sized.
-    fn advance_chunk(&self, chunk: Vec<(&mut SeqSlot, Action)>) {
+    /// evenly sized — every panel in the worker's `arena`.
+    fn advance_chunk(&self, chunk: Vec<(&mut SeqSlot, Action)>, arena: &mut Scratch) {
         let mut tokens = Vec::with_capacity(chunk.len());
         let mut states = Vec::with_capacity(chunk.len());
-        let mut scratches = Vec::with_capacity(chunk.len());
+        let mut logits = Vec::with_capacity(chunk.len());
         for (slot, action) in chunk {
-            if let Some(next) = self.prefill_and_sample(slot, action) {
+            if let Some(next) = self.prefill_and_sample(slot, action, arena) {
                 tokens.push(next);
                 states.push(&mut slot.state);
-                scratches.push(&mut slot.scratch);
+                logits.push(slot.logits.as_mut_slice());
             }
         }
         if tokens.is_empty() {
@@ -871,23 +893,29 @@ impl BatchedDataflowExecutor {
         let rows = tokens
             .len()
             .div_ceil(tokens.len().div_ceil(MAX_PREFILL_PANEL));
-        for ((tokens, states), scratches) in tokens
+        for ((tokens, states), logits) in tokens
             .chunks(rows)
             .zip(states.chunks_mut(rows))
-            .zip(scratches.chunks_mut(rows))
+            .zip(logits.chunks_mut(rows))
         {
-            self.inner.step_batch_with(tokens, states, scratches);
+            self.inner.step_batch_with(tokens, states, arena, logits);
         }
     }
 
     /// Advance one sequence by its round action, up to the decode step.
     /// Exactly mirrors [`DataflowExecutor::generate_with_report`]: the
-    /// round's prompt tokens run as one matmul prefill panel
+    /// round's prompt tokens run as matmul prefill panels in `arena`
     /// (bit-identical to stepping them in order, and logits are only
-    /// unembedded on the chunk that completes the prompt), then a token is
-    /// sampled and emitted. Returns that token when it still has to be
-    /// stepped back through the machine — the last one requested is not.
-    fn prefill_and_sample(&self, slot: &mut SeqSlot, action: Action) -> Option<u32> {
+    /// unembedded, into the slot, on the chunk that completes the prompt),
+    /// then a token is sampled and emitted. Returns that token when it
+    /// still has to be stepped back through the machine — the last one
+    /// requested is not.
+    fn prefill_and_sample(
+        &self,
+        slot: &mut SeqSlot,
+        action: Action,
+        arena: &mut Scratch,
+    ) -> Option<u32> {
         if action.prefill > 0 {
             // Plan validation bounded `prefill_pos + prefill` by the
             // prompt length before this slot entered the round.
@@ -895,10 +923,14 @@ impl BatchedDataflowExecutor {
             let end = end.min(slot.prompt.len());
             let chunk = slot.prompt.get(slot.prefill_pos..end).unwrap_or(&[]);
             if !chunk.is_empty() {
-                let want_logits = end == slot.prompt.len();
-                let stats =
-                    self.inner
-                        .prefill_with(chunk, &mut slot.state, &mut slot.scratch, want_logits);
+                let logits = (end == slot.prompt.len()).then_some(slot.logits.as_mut_slice());
+                let stats = self.inner.prefill_into(
+                    chunk,
+                    &mut slot.state,
+                    arena,
+                    MAX_PREFILL_PANEL,
+                    logits,
+                );
                 slot.prefill_stats.merge(stats);
                 slot.prefill_pos = end;
             }
@@ -906,7 +938,7 @@ impl BatchedDataflowExecutor {
         if !action.decode {
             return None;
         }
-        let next = slot.sampler.sample(slot.scratch.logits());
+        let next = slot.sampler.sample(&slot.logits);
         slot.out.push(next);
         (slot.out.len() < slot.target).then_some(next)
     }
@@ -1215,6 +1247,8 @@ mod tests {
                 })
                 .collect();
             for workers in 1..=4 {
+                let mut arenas: Vec<Scratch> =
+                    (0..workers).map(|_| machine.new_scratch()).collect();
                 let mut slots: Vec<SeqSlot> = requests
                     .iter()
                     .enumerate()
@@ -1231,7 +1265,7 @@ mod tests {
                     let work = (slots.iter_mut().zip(actions))
                         .filter(|(_, action)| *action != Action::default())
                         .collect();
-                    eng.run_round(work, workers);
+                    eng.run_round(work, &mut arenas);
                 }
                 for (slot, (out, state)) in slots.iter().zip(&solo) {
                     assert_eq!(&slot.out, out, "{workers} workers, seq {}", slot.seq);

@@ -694,9 +694,10 @@ fn column_attention(
                 debug_assert!(span <= cache.len());
                 let need = span * LANES;
                 if scores.len() < need {
-                    // Exactly what this context needs: every slot holds
-                    // one, so doubling headroom would be resident memory.
-                    scores.reserve_exact(need - scores.len());
+                    // Grown to the longest context the arena has scored.
+                    // Arenas belong to workers, not sequences, so the
+                    // amortized doubling of `resize` is a few KiB per
+                    // worker, not per resident sequence.
                     scores.resize(need, 0.0);
                 }
                 let s = &mut scores[..need];

@@ -172,23 +172,28 @@ impl<P: Placement> Engine<P> {
     }
 
     /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`. A step is a batched step of one row.
+    /// `scratch.logits()`. A step is a batched step of one row whose
+    /// logits buffer is the arena's own.
     // analyze: hot
     pub fn step_with(&self, token: u32, state: &mut P::State, scratch: &mut Scratch) {
-        self.step_batch_with(&[token], &mut [state], &mut [scratch]);
+        let mut logits = std::mem::take(&mut scratch.logits);
+        self.step_batch_with(&[token], &mut [state], scratch, &mut [&mut logits]);
+        scratch.logits = logits;
     }
 
     /// One decode step for several sequences at once: sequence `i`
-    /// consumes `tokens[i]` at its own position, and its logits land in
-    /// `scratches[i].logits()` (its final hidden state in `.hidden()`).
+    /// consumes `tokens[i]` at its own position, its logits land in
+    /// `logits[i]` (a vocabulary-sized buffer the sequence keeps), and its
+    /// final normalized hidden state is row `i` of the arena's normalized
+    /// panel.
     ///
     /// Every row's logits, KV, position and communication counters are
     /// bit-identical to a [`step_with`](Self::step_with) call on that
-    /// sequence alone, for any grouping of sequences into calls — but
-    /// each packed weight byte is decoded once per token block and the
-    /// embedding table is read once, instead of once per sequence. The
-    /// rows run as one activation panel through the one block, in the
-    /// first scratch's panel buffers.
+    /// sequence alone, for any grouping of sequences into calls and
+    /// whatever the arena ran before — but each packed weight byte is
+    /// decoded once per token block and the embedding table is read once,
+    /// instead of once per sequence. The rows run as one activation panel
+    /// through the one block, in `arena`'s panel buffers; no row owns them.
     ///
     /// # Panics
     ///
@@ -199,23 +204,21 @@ impl<P: Placement> Engine<P> {
         &self,
         tokens: &[u32],
         states: &mut [&mut P::State],
-        scratches: &mut [&mut Scratch],
+        arena: &mut Scratch,
+        logits: &mut [&mut [f32]],
     ) {
-        assert_eq!(tokens.len(), scratches.len(), "one scratch per token");
-        let Some((lead, rest)) = scratches.split_first_mut() else {
+        assert_eq!(tokens.len(), logits.len(), "one logits buffer per token");
+        if tokens.is_empty() {
             return;
-        };
-        self.hidden_rows(tokens, states, lead, rest);
+        }
+        self.hidden_rows(tokens, states, arena);
         let h = self.config().hidden_size;
-        let Scratch {
-            xnp, xop, logits, ..
-        } = &mut **lead;
+        let Scratch { xnp, xop, .. } = arena;
         let xnp = &xnp[..tokens.len() * h];
         // The post-attention panel is dead by now: it hosts the lanes.
         unembed_into(&self.weights.embedding, h, xnp, xop, |token, row_logits| {
-            logits[token] = row_logits[0];
-            for (scratch, &logit) in rest.iter_mut().zip(&row_logits[1..]) {
-                scratch.logits[token] = logit;
+            for (out, &logit) in logits.iter_mut().zip(row_logits) {
+                out[token] = logit;
             }
         });
         for state in states.iter_mut() {
@@ -224,28 +227,17 @@ impl<P: Placement> Engine<P> {
     }
 
     /// Run one row per sequence through every layer and leave each row's
-    /// final normalized hidden state in its own scratch (`lead` for row 0,
-    /// `rest` for the others) and all of them in `lead`'s `xnp` panel.
+    /// final normalized hidden state in its row of `arena`'s `xnp` panel.
     // analyze: hot
-    fn hidden_rows(
-        &self,
-        tokens: &[u32],
-        states: &mut [&mut P::State],
-        lead: &mut Scratch,
-        rest: &mut [&mut Scratch],
-    ) {
+    fn hidden_rows(&self, tokens: &[u32], states: &mut [&mut P::State], arena: &mut Scratch) {
         assert_eq!(tokens.len(), states.len(), "one state per token");
         assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
-        self.run_panel(tokens, &mut PanelRows::Decode(states), lead);
+        self.run_panel(tokens, &mut PanelRows::Decode(states), arena);
         let h = self.config().hidden_size;
-        let Scratch { xp, xn, xnp, .. } = lead;
+        let Scratch { xp, xnp, .. } = arena;
         let xnp = &mut xnp[..tokens.len() * h];
         for (x, normed) in xp.chunks_exact(h).zip(xnp.chunks_exact_mut(h)) {
             rmsnorm_into(x, normed);
-        }
-        xn.copy_from_slice(&xnp[..h]);
-        for (scratch, normed) in rest.iter_mut().zip(xnp[h..].chunks_exact(h)) {
-            scratch.xn.copy_from_slice(normed);
         }
     }
 
@@ -255,7 +247,7 @@ impl<P: Placement> Engine<P> {
     /// `scratch.hidden()`, and no logits are computed.
     // analyze: hot
     pub fn hidden_step_with(&self, token: u32, state: &mut P::State, scratch: &mut Scratch) {
-        self.hidden_rows(&[token], &mut [state], scratch, &mut []);
+        self.hidden_rows(&[token], &mut [state], scratch);
     }
 
     /// Sequence scoring (§8 future work 3): total log-probability the model
@@ -339,29 +331,43 @@ impl<P: Placement> Engine<P> {
         panel: usize,
         want_logits: bool,
     ) -> PrefillStats {
+        let mut logits = std::mem::take(&mut scratch.logits);
+        let out = want_logits.then_some(&mut logits[..]);
+        let stats = self.prefill_into(tokens, state, scratch, panel, out);
+        scratch.logits = logits;
+        stats
+    }
+
+    /// [`prefill_chunked`](Self::prefill_chunked) in `arena`'s panel
+    /// buffers, unembedding the prompt's last token into `logits` when
+    /// given one.
+    // analyze: hot
+    pub(crate) fn prefill_into(
+        &self,
+        tokens: &[u32],
+        state: &mut P::State,
+        arena: &mut Scratch,
+        panel: usize,
+        logits: Option<&mut [f32]>,
+    ) -> PrefillStats {
         assert!(!tokens.is_empty(), "prompt must contain at least one token");
         let mut stats = PrefillStats::default();
         let mut t = 0;
         for chunk in tokens.chunks(panel.clamp(1, MAX_PREFILL_PANEL)) {
             t = chunk.len();
-            self.run_panel(chunk, &mut PanelRows::Prefill { state, t }, scratch);
+            self.run_panel(chunk, &mut PanelRows::Prefill { state, t }, arena);
             stats.panels += 1;
             stats.max_panel = stats.max_panel.max(t);
         }
-        if want_logits {
+        if let Some(logits) = logits {
             // Unembed only the prompt's last token: the last panel's last
-            // row, still in `xp`.
+            // row, still in `xp`, normalized into row 0 of `xnp`.
             let h = self.config().hidden_size;
-            let Scratch {
-                xp,
-                xn,
-                xop,
-                logits,
-                ..
-            } = scratch;
-            rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
+            let Scratch { xp, xnp, xop, .. } = arena;
+            let hidden = &mut xnp[..h];
+            rmsnorm_into(&xp[(t - 1) * h..t * h], hidden);
             // The post-attention panel is dead by now: it hosts the lanes.
-            unembed_into(&self.weights.embedding, h, xn, xop, |token, logit| {
+            unembed_into(&self.weights.embedding, h, hidden, xop, |token, logit| {
                 logits[token] = logit[0]
             });
             P::charge_unembed(self.config(), state);
@@ -548,21 +554,48 @@ pub(crate) mod tests {
         }
     }
 
-    /// The arena is a pure workspace: a scratch dirtied by other sequences
-    /// produces the same logits as a fresh one.
+    /// The arena is a pure workspace. A scratch that first served a
+    /// different, longer sequence — a 64-row prefill panel, then a batched
+    /// step beside another sequence, which leave its scores buffer longer
+    /// than needed, stale lanes in `xop` and its rope table on another
+    /// position — gives a fresh sequence's single steps, prefill and
+    /// batched step the same bits as a fresh scratch.
     pub(crate) fn fresh_and_reused_scratch_agree_bitwise<P: Probe>() {
         let m = P::engine();
+        let vocab = m.config().vocab_size;
         let mut dirty = m.new_scratch();
-        let mut warm = m.new_state();
-        for t in [40u32, 3, 77] {
-            m.step_with(t, &mut warm, &mut dirty);
-        }
-        let (mut s1, mut s2) = (m.new_state(), m.new_state());
-        for t in [1u32, 9, 17] {
-            let fresh = m.step(t, &mut s1);
-            m.step_with(t, &mut s2, &mut dirty);
-            assert_eq!(fresh.as_slice(), dirty.logits());
-        }
+        let (mut long, mut beside) = (m.new_state(), m.new_state());
+        m.prefill_with(&prompt(80), &mut long, &mut dirty, true);
+        m.prefill_with(&prompt(5), &mut beside, &mut dirty, false);
+        let (mut a, mut b) = (vec![0.0; vocab], vec![0.0; vocab]);
+        m.step_batch_with(
+            &[40, 3],
+            &mut [&mut long, &mut beside],
+            &mut dirty,
+            &mut [&mut a, &mut b],
+        );
+        let run = |arena: &mut Scratch| -> Vec<Vec<u32>> {
+            let bits = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|x| x.to_bits()).collect() };
+            let (mut state, mut peer) = (m.new_state(), m.new_state());
+            let mut out = Vec::new();
+            for t in [1u32, 9, 17] {
+                m.step_with(t, &mut state, arena);
+                out.push(bits(arena.logits()));
+            }
+            m.prefill_with(&prompt(6), &mut state, arena, true);
+            out.push(bits(arena.logits()));
+            m.step_with(5, &mut peer, arena);
+            let (mut own, mut peers) = (vec![0.0; vocab], vec![0.0; vocab]);
+            m.step_batch_with(
+                &[2, 30],
+                &mut [&mut state, &mut peer],
+                arena,
+                &mut [&mut own, &mut peers],
+            );
+            out.extend([&own[..], &peers[..], arena.hidden()].map(bits));
+            out
+        };
+        assert_eq!(run(&mut m.new_scratch()), run(&mut dirty));
     }
 
     /// A `step_with` loop (T = 1 panels, one unembed per token) leaves the
@@ -638,7 +671,7 @@ pub(crate) mod tests {
     /// layer 1 carrying a LoRA `q_adapter` — leaves every row's logits,
     /// hidden state, KV, position and counters bitwise equal to B
     /// independent `step_with` calls, however the rows are grouped into
-    /// calls.
+    /// calls sharing one arena.
     pub(crate) fn batched_step_is_bitwise_independent_steps<P: Probe>(seed: u64) {
         let m = with_q_adapter(P::engine());
         let mut rng = StdRng::seed_from_u64(seed);
@@ -667,20 +700,28 @@ pub(crate) mod tests {
                 m.step_with(tok, state, scratch);
             }
 
-            let mut got_scratch: Vec<Scratch> = (0..b).map(|_| m.new_scratch()).collect();
+            // Every group runs in the one arena the prefills dirtied.
+            let h = m.config().hidden_size;
+            let mut got_logits = vec![vec![0.0f32; m.config().vocab_size]; b];
+            let mut got_hidden = Vec::new();
             let mut lo = 0;
             while lo < b {
                 let hi = lo + rng.gen_range(1..=b - lo);
                 let mut rows: Vec<&mut P::State> = states[lo..hi].iter_mut().collect();
-                let mut arenas: Vec<&mut Scratch> = got_scratch[lo..hi].iter_mut().collect();
-                m.step_batch_with(&next[lo..hi], &mut rows, &mut arenas);
+                let mut outs: Vec<&mut [f32]> = got_logits[lo..hi]
+                    .iter_mut()
+                    .map(Vec::as_mut_slice)
+                    .collect();
+                m.step_batch_with(&next[lo..hi], &mut rows, &mut scratch, &mut outs);
+                let hidden = scratch.xnp[..(hi - lo) * h].chunks_exact(h);
+                got_hidden.extend(hidden.map(<[f32]>::to_vec));
                 lo = hi;
             }
 
             for row in 0..b {
-                let (got, want_s) = (&got_scratch[row], &want_scratch[row]);
-                assert_eq!(got.logits(), want_s.logits(), "b {b} row {row} logits");
-                assert_eq!(got.hidden(), want_s.hidden(), "b {b} row {row} hidden");
+                let want_s = &want_scratch[row];
+                assert_eq!(got_logits[row], want_s.logits(), "b {b} row {row} logits");
+                assert_eq!(got_hidden[row], want_s.hidden(), "b {b} row {row} hidden");
                 assert_state_bitwise_equal::<P>(&states[row], &want[row]);
             }
         }

@@ -1,15 +1,17 @@
-//! Reusable per-sequence scratch memory for the forward-pass hot path.
+//! Reusable scratch memory for the forward-pass hot path.
 //!
 //! The paper's machine has no heap: every intermediate of Figure 10 lives
-//! in a fixed on-chip buffer. [`Scratch`] is the software analogue — one
-//! arena per resident sequence holding every intermediate of one
-//! activation panel of up to [`MAX_PREFILL_PANEL`] rows (a prefill chunk,
-//! a batched decode step, or the one-row panel a single decode step is),
-//! sized once from the [`TransformerConfig`] so the steady-state forward
-//! pass performs no allocation at all. Both engines
-//! ([`crate::reference::Transformer`] and
-//! [`crate::dataflow::DataflowExecutor`]) thread the same arena type, and
-//! the batched engine gives each KV slot its own.
+//! in a fixed on-chip buffer, and a sequence's only state is its KV.
+//! [`Scratch`] is the software analogue — one arena holding every
+//! intermediate of one activation panel of up to [`MAX_PREFILL_PANEL`]
+//! rows (a prefill chunk, a batched decode step, or the one-row panel a
+//! single decode step is), sized once from the [`TransformerConfig`] so
+//! the steady-state forward pass performs no allocation at all. Both
+//! engines ([`crate::reference::Transformer`] and
+//! [`crate::dataflow::DataflowExecutor`]) thread the same arena type. It
+//! belongs to whoever runs the panel, not to a sequence: a single-sequence
+//! caller keeps one, and the batched engine keeps one per worker and hands
+//! each worker's panels the same arena whatever sequences they hold.
 
 use crate::dataflow::GRID;
 use crate::tensor::LANES;
@@ -93,13 +95,10 @@ impl RopeTable {
     }
 }
 
-/// Per-sequence scratch arena: every intermediate of one activation
-/// panel (`T` = [`MAX_PREFILL_PANEL`] rows), allocated once. See the
-/// module docs.
+/// Scratch arena: every intermediate of one activation panel (`T` =
+/// [`MAX_PREFILL_PANEL`] rows), allocated once. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// Final normalized hidden state of the most recent step (hidden).
-    pub(crate) xn: Vec<f32>,
     /// One row's MoE output accumulator (hidden).
     pub(crate) y: Vec<f32>,
     /// Attention scores, grown with the sequence: one row's context on a
@@ -120,11 +119,14 @@ pub struct Scratch {
     pub(crate) lora_hidden: Vec<f32>,
     /// Shared rotary table.
     pub(crate) rope: RopeTable,
-    /// Next-token logits of the most recent step (vocab_size).
+    /// Next-token logits of the most recent single-sequence step
+    /// (vocab_size); a batched step writes each row's into the caller's
+    /// buffers instead.
     pub(crate) logits: Vec<f32>,
     /// Residual panel (T × hidden).
     pub(crate) xp: Vec<f32>,
-    /// Normalized panel (T × hidden).
+    /// Normalized panel (T × hidden); after a step, each row's final
+    /// normalized hidden state.
     pub(crate) xnp: Vec<f32>,
     /// Post-attention residual panel (T × hidden).
     pub(crate) xop: Vec<f32>,
@@ -160,7 +162,7 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// An arena sized for one sequence of `config`'s architecture.
+    /// An arena sized for panels of `config`'s architecture.
     // analyze: cold — the arena is allocated once up front; every
     // forward-pass fn reuses these buffers.
     pub fn new(config: &TransformerConfig) -> Self {
@@ -175,7 +177,6 @@ impl Scratch {
         let per_tok = config.moe.experts_per_token;
         let t = MAX_PREFILL_PANEL;
         Scratch {
-            xn: vec![0.0; h],
             y: vec![0.0; h],
             scores: Vec::new(),
             numer: vec![0.0; hd],
@@ -220,9 +221,11 @@ impl Scratch {
         &self.logits
     }
 
-    /// Final normalized hidden state of the most recent step.
+    /// Final normalized hidden state of the most recent single-sequence
+    /// step: row 0 of the normalized panel.
     pub fn hidden(&self) -> &[f32] {
-        &self.xn
+        // `y` is one hidden row wide.
+        &self.xnp[..self.y.len()]
     }
 }
 

@@ -989,7 +989,6 @@ impl OnlineServer {
             let Some(rec) = self.seqs.get_mut(id.0) else {
                 continue;
             };
-            // A parked slot is large: it moves only when it is re-admitted.
             let admit = |p: &mut Parked| {
                 p.retry_at_s <= now_s && self.stepper.admit(id.0, p.slot.resume_row(&rec.request))
             };

@@ -13,7 +13,7 @@
 #![cfg(feature = "count-alloc")]
 
 use hnlpu::llm::dataflow::DataflowState;
-use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig, Scratch};
+use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,9 +69,10 @@ fn steady_state_decode_performs_zero_allocations() {
 
     // Size the context-dependent buffers for the whole run up front. The
     // serving layer does not: each admitted sequence gets a fresh state
-    // and scratch whose KV pages and attention scores grow on first use as
-    // its context does. Reserving moves those first-use allocations out of
-    // the measured window, so what is left is the steady state.
+    // whose KV pages grow on first use as its context does, and each
+    // worker's arena grows its attention scores to the longest context it
+    // has served. Reserving moves those first-use allocations out of the
+    // measured window, so what is left is the steady state.
     let horizon = PROMPT.len() + WARMUP_STEPS + MEASURED_STEPS;
     state.reserve_context(horizon);
     scratch.reserve_context(horizon);
@@ -171,10 +172,11 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
 
 /// The batched twin: eight sequences at different positions — row 0
 /// reading its matched prefix through shared pages — advance by one
-/// `step_batch_with` per round, and the steady-state rounds perform
-/// exactly zero heap allocations. The row lists the serving layer builds
-/// per round are built once here, outside the measured window; the step
-/// itself borrows the first row's panel buffers and allocates nothing.
+/// `step_batch_with` per round in one shared arena, each row's logits
+/// landing in its own buffer, and the steady-state rounds perform exactly
+/// zero heap allocations. The row lists the serving layer builds per round
+/// are built once here, outside the measured window; the step itself runs
+/// in the worker's arena and allocates nothing.
 #[test]
 fn steady_state_batched_decode_performs_zero_allocations() {
     const ROWS: usize = 8;
@@ -195,12 +197,13 @@ fn steady_state_batched_decode_performs_zero_allocations() {
     cache.retain_match(&m, &mut grant);
 
     // Row 0 attaches the cached prefix; rows 1.. prefill dense prompts of
-    // different lengths.
+    // different lengths, all in the one arena.
+    let mut arena = engine.new_scratch();
+    arena.reserve_context(horizon);
     let mut states: Vec<DataflowState> = Vec::new();
-    let mut scratches: Vec<Scratch> = Vec::new();
+    let mut logits: Vec<Vec<f32>> = Vec::new();
     for row in 0..ROWS {
         let mut state = engine.new_state();
-        let mut scratch = engine.new_scratch();
         let own = if row == 0 {
             state.attach_prefix(m.matched, &m.blocks, cache.pool());
             &prompt[m.matched..]
@@ -208,19 +211,18 @@ fn steady_state_batched_decode_performs_zero_allocations() {
             &prompt[..3 + 5 * row]
         };
         state.reserve_context(horizon);
-        scratch.reserve_context(horizon);
-        engine.prefill_with(own, &mut state, &mut scratch, true);
+        engine.prefill_with(own, &mut state, &mut arena, true);
         states.push(state);
-        scratches.push(scratch);
+        logits.push(arena.logits().to_vec());
     }
-    let mut tokens: Vec<u32> = scratches.iter().map(|s| argmax(s.logits())).collect();
+    let mut tokens: Vec<u32> = logits.iter().map(|l| argmax(l)).collect();
     let mut rows: Vec<&mut DataflowState> = states.iter_mut().collect();
-    let mut arenas: Vec<&mut Scratch> = scratches.iter_mut().collect();
+    let mut outs: Vec<&mut [f32]> = logits.iter_mut().map(Vec::as_mut_slice).collect();
 
     let mut round = |tokens: &mut [u32]| {
-        engine.step_batch_with(tokens, &mut rows, &mut arenas);
-        for (token, arena) in tokens.iter_mut().zip(arenas.iter()) {
-            *token = argmax(arena.logits());
+        engine.step_batch_with(tokens, &mut rows, &mut arena, &mut outs);
+        for (token, row_logits) in tokens.iter_mut().zip(outs.iter()) {
+            *token = argmax(row_logits);
         }
     };
     for _ in 0..WARMUP_STEPS {
