@@ -15,8 +15,7 @@
 //! The analysis is two-pass and workspace-wide:
 //! 1. **Pass 1** lexes every file, builds a symbol table and a
 //!    conservative call graph ([`symbols`], [`callgraph`]), and runs the
-//!    per-file rules (optionally across worker threads — results are
-//!    recombined in file order, so the report stays byte-deterministic).
+//!    per-file rules, in file order, so the report is byte-deterministic.
 //! 2. **Pass 2** propagates hotness and determinism taint over the call
 //!    graph ([`interproc`]), closing the cross-file blind spot: a hot fn
 //!    calling an allocating helper two crates away is now a finding.
@@ -64,40 +63,6 @@ fn io_err(context: &str, path: &Path, e: std::io::Error) -> AnalyzeError {
     }
 }
 
-/// Scan-mode options (the defaults reproduce the PR 3 behavior: serial
-/// scan, every finding reported).
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Worker threads for the lex+rule scan; `0`/`1` scan serially.
-    /// Output is byte-identical for any value (results recombine in file
-    /// order).
-    pub jobs: usize,
-    /// When set, only violations in these files are *reported*. The
-    /// symbol table, call graph, propagation, and allowlist/staleness
-    /// accounting always run over the whole workspace — reachability is a
-    /// global property, and an unchanged file can gain a violation when a
-    /// changed caller makes it hot.
-    pub changed_only: Option<Vec<String>>,
-}
-
-/// Analyze every workspace crate under `root/crates/*/src` with default
-/// options. See [`analyze_workspace_with`].
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError`] when the tree cannot be read (missing
-/// `crates/` dir, unreadable file or manifest).
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Analysis, AnalyzeError> {
-    analyze_workspace_with(root, cfg, &AnalyzeOptions::default())
-}
-
-/// One file queued for the scan pass.
-struct ScanJob {
-    rel_path: String,
-    source: String,
-    crate_idx: usize,
-}
-
 /// Analyze every workspace crate under `root/crates/*/src`.
 ///
 /// Walk order is sorted (and violations re-sorted by path/line/rule) so
@@ -110,11 +75,7 @@ struct ScanJob {
 ///
 /// Returns [`AnalyzeError`] when the tree cannot be read (missing
 /// `crates/` dir, unreadable file or manifest).
-pub fn analyze_workspace_with(
-    root: &Path,
-    cfg: &Config,
-    opts: &AnalyzeOptions,
-) -> Result<Analysis, AnalyzeError> {
+pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Analysis, AnalyzeError> {
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
         .map_err(|e| io_err("cannot read", &crates_dir, e))?
@@ -124,9 +85,11 @@ pub fn analyze_workspace_with(
     crate_dirs.sort();
 
     let mut analysis = Analysis::default();
-    let mut features: Vec<Vec<String>> = Vec::new();
-    let mut scan_jobs: Vec<ScanJob> = Vec::new();
+    let mut files: Vec<FileInput> = Vec::new();
+    let mut raw_violations: Vec<Violation> = Vec::new();
 
+    // Pass 1: lex every file and run the per-file rules (cfg-parity
+    // against its crate's declared features), in walk order.
     for crate_dir in &crate_dirs {
         let manifest_path = crate_dir.join("Cargo.toml");
         let src_dir = crate_dir.join("src");
@@ -135,31 +98,19 @@ pub fn analyze_workspace_with(
         }
         let manifest = fs::read_to_string(&manifest_path)
             .map_err(|e| io_err("cannot read", &manifest_path, e))?;
-        let crate_idx = features.len();
-        features.push(rules::cfg_parity::declared_features(&manifest));
+        let features = rules::cfg_parity::declared_features(&manifest);
         analysis.crates_scanned += 1;
 
         let mut paths = Vec::new();
         collect_rust_files(&src_dir, &mut paths)?;
         for path in paths {
             let source = fs::read_to_string(&path).map_err(|e| io_err("cannot read", &path, e))?;
-            scan_jobs.push(ScanJob {
-                rel_path: rel_path(root, &path),
-                source,
-                crate_idx,
-            });
+            let file = FileInput::new(&rel_path(root, &path), &source);
+            raw_violations.extend(rules::run_file_rules(&file, cfg));
+            raw_violations.extend(rules::cfg_parity::check(&file, &features));
+            files.push(file);
             analysis.files_scanned += 1;
         }
-    }
-
-    // Pass 1: lex + per-file rules (parallel across files when asked; the
-    // per-slot writes are disjoint and results keep file order, so the
-    // report is byte-identical for any worker count).
-    let mut files: Vec<FileInput> = Vec::with_capacity(scan_jobs.len());
-    let mut raw_violations: Vec<Violation> = Vec::new();
-    for (file, violations) in scan_files(&scan_jobs, &features, cfg, opts.jobs) {
-        files.push(file);
-        raw_violations.extend(violations);
     }
 
     // Pass 2: call-graph propagation over the whole workspace.
@@ -179,9 +130,6 @@ pub fn analyze_workspace_with(
         a.path == b.path && a.line == b.line && a.rule == b.rule && a.pattern == b.pattern
     });
 
-    // The allowlist and staleness always run over the *full* finding set:
-    // an allow for an unchanged file must not read as stale just because
-    // the scan was asked to report a subset.
     let mut allow_used = vec![false; cfg.allows.len()];
     for v in raw_violations {
         let hit = cfg.allows.iter().position(|allow| allow_covers(allow, &v));
@@ -203,61 +151,7 @@ pub fn analyze_workspace_with(
                 .push(format!("{} @ {}", allow.rule, allow.path));
         }
     }
-    if let Some(changed) = &opts.changed_only {
-        analysis
-            .violations
-            .retain(|v| changed.iter().any(|c| rules::path_matches(&v.path, c)));
-        analysis.suppressed.retain(|s| {
-            changed
-                .iter()
-                .any(|c| rules::path_matches(&s.violation.path, c))
-        });
-    }
     Ok(analysis)
-}
-
-/// Lex and rule-check every job, in order. With `jobs > 1` the work is
-/// split into contiguous chunks across scoped threads — each worker owns
-/// a disjoint `chunks_mut` slot range, and the flattened result preserves
-/// input order, so parallel and serial scans are byte-identical.
-fn scan_files(
-    scan_jobs: &[ScanJob],
-    features: &[Vec<String>],
-    cfg: &Config,
-    jobs: usize,
-) -> Vec<(FileInput, Vec<Violation>)> {
-    let n = scan_jobs.len();
-    let workers = jobs.max(1).min(n.max(1));
-    if workers <= 1 {
-        return scan_jobs
-            .iter()
-            .map(|job| scan_one(job, features, cfg))
-            .collect();
-    }
-    let mut slots: Vec<Option<(FileInput, Vec<Violation>)>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|sc| {
-        for (job_chunk, slot_chunk) in scan_jobs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            sc.spawn(move || {
-                for (job, slot) in job_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(scan_one(job, features, cfg));
-                }
-            });
-        }
-    });
-    slots.into_iter().flatten().collect()
-}
-
-/// Lex one file and run the per-file rules (including cfg-parity against
-/// its crate's declared features).
-fn scan_one(job: &ScanJob, features: &[Vec<String>], cfg: &Config) -> (FileInput, Vec<Violation>) {
-    let file = FileInput::new(&job.rel_path, &job.source);
-    let mut violations = rules::run_file_rules(&file, cfg);
-    if let Some(crate_features) = features.get(job.crate_idx) {
-        violations.extend(rules::cfg_parity::check(&file, crate_features));
-    }
-    (file, violations)
 }
 
 /// Does `allow` cover violation `v`?
@@ -332,31 +226,5 @@ mod tests {
             ..base
         };
         assert!(!allow_covers(&wrong_rule, &v));
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial_scan() {
-        let jobs: Vec<ScanJob> = (0..7)
-            .map(|i| ScanJob {
-                rel_path: format!("crates/x/src/f{i}.rs"),
-                source: format!(
-                    "// analyze: hot\npub fn step{i}() {{\n    let v = vec![{i}];\n    let _ = v;\n}}\n"
-                ),
-                crate_idx: 0,
-            })
-            .collect();
-        let features = vec![Vec::new()];
-        let cfg = Config::default();
-        let serial: Vec<Vec<Violation>> = scan_files(&jobs, &features, &cfg, 1)
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
-        for workers in [2, 3, 8, 64] {
-            let par: Vec<Vec<Violation>> = scan_files(&jobs, &features, &cfg, workers)
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect();
-            assert_eq!(serial, par, "worker count {workers} changed results");
-        }
     }
 }

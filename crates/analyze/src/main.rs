@@ -10,7 +10,7 @@
 //! written to `analyze-report.json` (or `--report`).
 
 use hnlpu_analyze::config::Config;
-use hnlpu_analyze::{analyze_workspace_with, report::Analysis, AnalyzeOptions};
+use hnlpu_analyze::{analyze_workspace, report::Analysis};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +19,6 @@ struct Options {
     root: PathBuf,
     config: Option<PathBuf>,
     report: Option<PathBuf>,
-    scan: AnalyzeOptions,
 }
 
 fn main() -> ExitCode {
@@ -27,7 +26,6 @@ fn main() -> ExitCode {
         root: PathBuf::from("."),
         config: None,
         report: None,
-        scan: AnalyzeOptions::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -43,47 +41,15 @@ fn main() -> ExitCode {
                     _ => opts.report = Some(PathBuf::from(value)),
                 }
             }
-            "--jobs" | "-j" => {
-                let Some(value) = args.next() else {
-                    eprintln!("hnlpu-analyze: {arg} requires a worker count");
-                    return ExitCode::from(2);
-                };
-                match value.parse::<usize>() {
-                    Ok(n) => opts.scan.jobs = n,
-                    Err(_) => {
-                        eprintln!("hnlpu-analyze: --jobs needs an integer, got `{value}`");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--changed-only" => {
-                let Some(value) = args.next() else {
-                    eprintln!("hnlpu-analyze: --changed-only requires a comma-separated path list");
-                    return ExitCode::from(2);
-                };
-                let paths: Vec<String> = value
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect();
-                opts.scan.changed_only = Some(paths);
-            }
             "--help" | "-h" => {
                 println!(
                     "hnlpu-analyze: static workspace invariant checks\n\
                      \n\
                      USAGE: hnlpu-analyze [--root DIR] [--config FILE] [--report FILE]\n\
-                     \u{20}                    [--jobs N] [--changed-only PATHS]\n\
                      \n\
-                     --root DIR           workspace root to scan (default: .)\n\
-                     --config FILE        allowlist/scoping config (default: ROOT/analyze.toml)\n\
-                     --report FILE        JSON report path (default: ROOT/analyze-report.json)\n\
-                     --jobs N             scan files on N worker threads (default: 1;\n\
-                     \u{20}                    output is byte-identical for any N)\n\
-                     --changed-only PATHS comma-separated files: report only findings in\n\
-                     \u{20}                    these paths (the call graph still spans the\n\
-                     \u{20}                    whole workspace, and stale-allow accounting\n\
-                     \u{20}                    is unaffected)\n\
+                     --root DIR      workspace root to scan (default: .)\n\
+                     --config FILE   allowlist/scoping config (default: ROOT/analyze.toml)\n\
+                     --report FILE   JSON report path (default: ROOT/analyze-report.json)\n\
                      \n\
                      Exit codes: 0 clean, 1 violations or stale allows, 2 config/io error."
                 );
@@ -117,7 +83,7 @@ fn run(opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let analysis = match analyze_workspace_with(&opts.root, &cfg, &opts.scan) {
+    let analysis = match analyze_workspace(&opts.root, &cfg) {
         Ok(analysis) => analysis,
         Err(e) => {
             eprintln!("hnlpu-analyze: {e}");
@@ -127,17 +93,13 @@ fn run(opts: &Options) -> ExitCode {
 
     print_human(&analysis);
 
-    // A `--changed-only` run reports a subset; never let it overwrite the
-    // committed full report unless the caller names a path explicitly.
-    if opts.scan.changed_only.is_none() || opts.report.is_some() {
-        let report_path = opts
-            .report
-            .clone()
-            .unwrap_or_else(|| opts.root.join("analyze-report.json"));
-        if let Err(e) = fs::write(&report_path, analysis.to_json()) {
-            eprintln!("hnlpu-analyze: cannot write {}: {e}", report_path.display());
-            return ExitCode::from(2);
-        }
+    let report_path = opts
+        .report
+        .clone()
+        .unwrap_or_else(|| opts.root.join("analyze-report.json"));
+    if let Err(e) = fs::write(&report_path, analysis.to_json()) {
+        eprintln!("hnlpu-analyze: cannot write {}: {e}", report_path.display());
+        return ExitCode::from(2);
     }
 
     if analysis.ok() {

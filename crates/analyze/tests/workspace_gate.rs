@@ -95,24 +95,6 @@ fn interproc_gate_catches_allocation_two_crates_away() {
 }
 
 #[test]
-fn report_is_byte_identical_across_scan_parallelism() {
-    let root = repo_root();
-    let cfg = load_config(&root);
-    let mut reports = Vec::new();
-    for jobs in [1usize, 4, 16] {
-        let opts = hnlpu_analyze::AnalyzeOptions {
-            jobs,
-            changed_only: None,
-        };
-        let analysis =
-            hnlpu_analyze::analyze_workspace_with(&root, &cfg, &opts).expect("workspace scans");
-        reports.push(analysis.to_json());
-    }
-    assert_eq!(reports[0], reports[1]);
-    assert_eq!(reports[0], reports[2]);
-}
-
-#[test]
 fn binary_exits_nonzero_on_bad_workspace() {
     let out = Command::new(env!("CARGO_BIN_EXE_hnlpu-analyze"))
         .arg("--root")

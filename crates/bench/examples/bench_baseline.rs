@@ -11,11 +11,12 @@
 //!
 //! `--check` is the CI regression gate: it validates the committed
 //! trajectory's shape, re-runs the suite (honoring `HNLPU_BENCH_QUICK`),
-//! and fails (exit 1) when a measured headline ratio falls below the
-//! latest committed point's by more than the tolerance band
-//! (`HNLPU_BENCH_TOLERANCE`, default `0.5` — measured must stay above
-//! half the committed ratio). Ratios are machine-relative, so the gate
-//! holds across runner generations where raw ns/op would not.
+//! prints every bench line, and fails (exit 1) when a measured headline
+//! ratio falls below [`TOLERANCE`] × the ratio of the latest committed
+//! point on the runner's own `kernel_path` ([`gate_point`]). Ratios are
+//! machine-relative, so the gate holds across runner generations where
+//! raw ns/op would not; they are not arm-relative, so a runner with no
+//! point for its arm fails instead of borrowing another arm's.
 //!
 //! ```text
 //! cargo run --release -p hnlpu-bench --example bench_baseline -- --id pr7
@@ -25,16 +26,16 @@
 use criterion::Criterion;
 use hnlpu::llm::kernels;
 use hnlpu_bench::inference::{
-    inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP, PREFILL_BENCH_EXPERTS,
-    ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES, TOKENS_PER_ITER,
+    gate_point, inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP,
+    PREFILL_BENCH_EXPERTS, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES, TOKENS_PER_ITER,
 };
 use serde_json::Value;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
 const SCHEMA: &str = "hnlpu-bench/inference/v2";
-/// Environment variable overriding the `--check` tolerance band.
-const TOLERANCE_ENV: &str = "HNLPU_BENCH_TOLERANCE";
-const DEFAULT_TOLERANCE: f64 = 0.5;
+/// `--check` band: a measured ratio must stay above this share of the
+/// committed one.
+const TOLERANCE: f64 = 0.5;
 
 /// The headline ratios the trajectory records and `--check` gates on:
 /// `(json key, numerator label, denominator label)` — each ratio is
@@ -227,40 +228,37 @@ fn write_trajectory(traj: &[Value]) {
         .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));
 }
 
-fn tolerance() -> f64 {
-    std::env::var(TOLERANCE_ENV)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
 /// CI gate: structural validation, then measure and compare the headline
-/// ratios against the latest committed point.
+/// ratios against the latest committed point of the runner's arm.
 fn check() {
     let traj = load_trajectory();
-    let Some(last) = traj.last() else {
-        panic!("trajectory must not be empty");
+    let arm = kernels::kernel_path();
+    let Some(point) = gate_point(&traj, arm) else {
+        eprintln!(
+            "BENCH_inference.json has no trajectory point for kernel_path '{arm}': \
+             record one on a runner of that arm with `bench_baseline -- --id <tag>`"
+        );
+        std::process::exit(1);
     };
-    let last_id = last["id"].as_str().unwrap_or("?");
+    let id = point["id"].as_str().unwrap_or("?");
     println!(
-        "BENCH_inference.json ok: {} trajectory point(s), latest '{last_id}'",
+        "BENCH_inference.json ok: {} trajectory point(s); kernel_path '{arm}' gates against '{id}'",
         traj.len()
     );
 
     let mut c = Criterion::default();
     inference_suite(&mut c);
-    let tol = tolerance();
     let mut regressed = false;
     for &(key, _, _) in RATIOS {
-        // Older points may predate a ratio; gate only on what the latest
+        // Older points may predate a ratio; gate only on what the chosen
         // committed point actually recorded.
-        let Some(committed) = last[key].as_f64() else {
+        let Some(committed) = point[key].as_f64() else {
             continue;
         };
         let Some(measured) = measured_ratio(c.results(), key) else {
             continue;
         };
-        let floor = committed * tol;
+        let floor = committed * TOLERANCE;
         let verdict = if measured.is_nan() || measured < floor {
             regressed = true;
             "REGRESSION"
@@ -272,13 +270,10 @@ fn check() {
         );
     }
     if regressed {
-        eprintln!(
-            "bench regression beyond tolerance {tol} against trajectory point '{last_id}' \
-             (override band with {TOLERANCE_ENV})"
-        );
+        eprintln!("bench regression beyond tolerance {TOLERANCE} against trajectory point '{id}'");
         std::process::exit(1);
     }
-    println!("bench check passed (tolerance {tol})");
+    println!("bench check passed (tolerance {TOLERANCE})");
 }
 
 fn emit(id: &str) {

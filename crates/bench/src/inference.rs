@@ -1,26 +1,25 @@
-//! End-to-end inference benchmarks: the packed region-accumulation hot
-//! path against the dense-`f32` naive baseline, on
-//! `zoo::dataflow_test_model`.
+//! The inference benchmark suite: host time of the packed-FP4 engines on
+//! `zoo::dataflow_test_model` and on the larger [`prefill_bench_weights`]
+//! sweep model. Every gated ratio divides two groups of this suite; the
+//! dense-`f32` naive decoder appears once, as the fixed yardstick of the
+//! `inference/decode` pair.
 //!
-//! The suite is shared between the `inference` `[[bench]]` target (human
-//! runs) and the `bench_baseline` example (which renders the recorded
-//! results into the committed `BENCH_inference.json`). Set the
-//! [`QUICK_ENV`] environment variable to any value for a fast smoke-test
-//! configuration (CI uses this).
+//! The `bench_baseline` example runs the suite, prints every bench line,
+//! appends the results to the committed `BENCH_inference.json` and gates
+//! CI on them. Set the [`QUICK_ENV`] environment variable to any value
+//! for a fast smoke-test configuration (CI uses this).
 
 use criterion::{black_box, Criterion};
 use hnlpu::llm::{
-    kernels, tensor, BatchedDataflowExecutor, DataflowExecutor, NaiveTransformer, PageBuf,
-    PrefixCache, PrefixCacheConfig, Sampler, SequenceRequest, Transformer,
+    kernels, BatchedDataflowExecutor, DataflowExecutor, NaiveTransformer, PageBuf, PrefixCache,
+    PrefixCacheConfig, Sampler, SequenceRequest, Transformer,
 };
-use hnlpu::model::{zoo, Fp4, ModelWeights, PackedFp4Matrix, WeightGenerator};
+use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use hnlpu::sim::{BatchScheduler, RoundPlan, SimConfig};
+use serde_json::Value;
 
 /// Environment variable switching the suite to a fast smoke-test run.
 pub const QUICK_ENV: &str = "HNLPU_BENCH_QUICK";
-
-/// Tokens processed per iteration of the prefill benchmarks.
-pub const PREFILL_TOKENS: usize = 32;
 
 /// Tokens decoded per iteration of the decode benchmarks.
 pub const DECODE_TOKENS: usize = 32;
@@ -62,12 +61,9 @@ pub const ROUND_DEAL_SHAPES: &[(&str, usize, &[usize])] =
     &[("skewed", 8, &[160, 48]), ("uniform", 32, &[])];
 
 /// Tokens processed per iteration of each labelled benchmark, used to
-/// convert mean ns/iter into tokens/s. Benchmarks not listed here (the
-/// kernel micro-benchmarks) time one matvec per iteration and have no
-/// token interpretation.
+/// convert mean ns/iter into tokens/s. Benchmarks not listed here
+/// (`expert_group`, `round_deal`) have no single token interpretation.
 pub const TOKENS_PER_ITER: &[(&str, usize)] = &[
-    ("inference/prefill/packed", PREFILL_TOKENS),
-    ("inference/prefill/naive", PREFILL_TOKENS),
     ("inference/decode/packed", DECODE_TOKENS),
     ("inference/decode/naive", DECODE_TOKENS),
     ("inference/prefill_matmul/per_token", PREFILL_MATMUL_TOKENS),
@@ -114,6 +110,18 @@ const PREFIX: [u32; 4] = [1, 5, 9, 17];
 
 fn quick() -> bool {
     std::env::var_os(QUICK_ENV).is_some()
+}
+
+/// The trajectory point `bench_baseline -- --check` gates a runner
+/// against: the latest one recorded on the runner's `kernel_path`. Ratios
+/// move with the arm (the AVX-512 block is twice the AVX2 one), so a
+/// later point of another arm is skipped, and an arm with no point gets
+/// `None` — the gate then fails rather than compare across arms.
+pub fn gate_point<'a>(trajectory: &'a [Value], kernel_path: &str) -> Option<&'a Value> {
+    trajectory
+        .iter()
+        .rev()
+        .find(|point| point["kernel_path"].as_str() == Some(kernel_path))
 }
 
 /// The model every benchmark runs: `zoo::dataflow_test_model` materialized
@@ -246,45 +254,22 @@ pub fn prefix_cache_effectiveness() -> (f64, u64) {
     (hit_rate, cache.stats().evicted_pages)
 }
 
-/// Register the full suite on `c`: prefill and decode for both engines,
-/// plus a packed-vs-dense matvec micro-benchmark on a real weight matrix.
+/// Register the full suite on `c`: decode packed vs naive, the prefill
+/// panel sweep, the expert-group and batched-decode sweeps, the round
+/// deal, and the shared-prefix prefill sweep.
 pub fn inference_suite(c: &mut Criterion) {
     let samples = if quick() { 2 } else { 20 };
     let w = bench_weights();
     let naive = NaiveTransformer::new(&w);
     let packed = Transformer::new(w.clone());
     let vocab = w.config.vocab_size as u32;
-    let prompt: Vec<u32> = (0..PREFILL_TOKENS as u32)
-        .map(|i| (i * 7 + 1) % vocab)
-        .collect();
-
-    // Prefill: fresh cache, run the whole prompt through.
-    let mut g = c.benchmark_group("inference/prefill");
-    g.sample_size(samples);
-    let mut scratch = packed.new_scratch();
-    g.bench_function("packed", |b| {
-        b.iter(|| {
-            let mut cache = packed.new_cache();
-            for &tok in &prompt {
-                packed.step_with(black_box(tok), &mut cache, &mut scratch);
-            }
-            scratch.logits()[0]
-        })
-    });
-    g.bench_function("naive", |b| {
-        b.iter(|| {
-            let mut cache = naive.new_cache();
-            let mut logits = Vec::new();
-            for &tok in &prompt {
-                logits = naive.step(black_box(tok), &mut cache);
-            }
-            logits[0]
-        })
-    });
-    g.finish();
 
     // Decode: greedy continuation from a cloned prefix cache, so every
-    // iteration decodes the same token positions.
+    // iteration decodes the same token positions. The naive side is the
+    // fixed yardstick: every other ratio times the packed kernels on both
+    // sides, so a uniform kernel slowdown (a silent scalar fallback) can
+    // leave them standing, while the dense-f32 decoder does not touch the
+    // packed kernels at all.
     let mut base = packed.new_cache();
     let mut scratch = packed.new_scratch();
     for &tok in &PREFIX {
@@ -491,55 +476,6 @@ pub fn inference_suite(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // Kernel micro-benchmark: one q-projection matvec, packed region
-    // accumulation vs dense f32, on the real layer-0 weight matrix.
-    let wq = &w.layers[0].wq;
-    let dense = wq.to_f32();
-    let cols = wq.cols();
-    let x: Vec<f32> = (0..wq.rows())
-        .map(|i| ((i % 17) as f32 - 8.0) * 0.25)
-        .collect();
-    let mut out = vec![0.0f32; cols];
-    let mut g = c.benchmark_group("inference/matvec_wq");
-    g.sample_size(if quick() { 2 } else { 200 });
-    g.bench_function("packed", |b| {
-        b.iter(|| {
-            kernels::matvec_into(black_box(&x), wq, &mut out);
-            out[0]
-        })
-    });
-    g.bench_function("naive", |b| {
-        b.iter(|| tensor::vec_mat(black_box(&x), &dense, cols)[0])
-    });
-    g.finish();
-
-    // Paper-scale matvec: at gpt-oss-like shapes the dense matrix (33 MB)
-    // spills the last-level cache while the packed one (4 MB) does not, so
-    // this is where the 8x residency advantage turns into throughput.
-    let (rows, cols) = (2880usize, 2880usize);
-    let codes: Vec<Fp4> = (0..rows * cols)
-        .map(|i| Fp4::from_code((i * 7 + i / cols) as u8 % 16))
-        .collect();
-    let norm = 1.0 / (rows as f32).sqrt();
-    let big = PackedFp4Matrix::from_codes(&codes, rows, cols, norm);
-    let big_dense = big.to_f32();
-    let x: Vec<f32> = (0..rows)
-        .map(|i| ((i % 31) as f32 - 15.0) * 0.125)
-        .collect();
-    let mut out = vec![0.0f32; cols];
-    let mut g = c.benchmark_group("inference/matvec_2880x2880");
-    g.sample_size(if quick() { 2 } else { 50 });
-    g.bench_function("packed", |b| {
-        b.iter(|| {
-            kernels::matvec_into(black_box(&x), &big, &mut out);
-            out[0]
-        })
-    });
-    g.bench_function("naive", |b| {
-        b.iter(|| tensor::vec_mat(black_box(&x), &big_dense, cols)[0])
-    });
-    g.finish();
 }
 
 #[cfg(test)]
@@ -561,10 +497,25 @@ mod tests {
         }
         assert!(labels.contains(&"inference/round_deal/skewed"));
         assert!(labels.contains(&"inference/round_deal/uniform"));
-        assert!(labels.contains(&"inference/matvec_wq/packed"));
-        assert!(labels.contains(&"inference/matvec_wq/naive"));
-        assert!(labels.contains(&"inference/matvec_2880x2880/packed"));
         assert!(c.results().iter().all(|&(_, ns)| ns > 0.0));
+    }
+
+    #[test]
+    fn gate_point_is_the_latest_point_of_the_runners_arm() {
+        let traj: Value = serde_json::from_str(
+            r#"[{"id": "pr15", "kernel_path": "avx2-half-units"},
+                {"id": "pr16", "kernel_path": "avx2-half-units"},
+                {"id": "pr20", "kernel_path": "avx512-half-units"},
+                {"id": "worker-arena", "kernel_path": "avx512-half-units"}]"#,
+        )
+        .expect("trajectory parses");
+        let Value::Array(traj) = traj else {
+            unreachable!("the literal is an array")
+        };
+        let id = |arm| gate_point(&traj, arm).and_then(|p| p["id"].as_str());
+        assert_eq!(id("avx512-half-units"), Some("worker-arena"));
+        assert_eq!(id("avx2-half-units"), Some("pr16"));
+        assert_eq!(id("scalar-regions"), None);
     }
 
     #[test]

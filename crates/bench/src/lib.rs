@@ -1,5 +1,8 @@
-//! Benchmark host crate. Paper-table benches live in `benches/`; the
-//! [`inference`] module holds the engine-level suite shared between the
-//! `inference` bench target and the `bench_baseline` example.
+//! Benchmark host crate. The [`inference`] module holds the engine-level
+//! suite that the `bench_baseline` example runs, records into
+//! `BENCH_inference.json` and gates on; `benches/ablations.rs` sweeps the
+//! design choices DESIGN.md calls out. The paper's tables and figures are
+//! printed by `hnlpu::experiments` (the `generate_reports` example), not
+//! here.
 
 pub mod inference;

@@ -148,6 +148,7 @@ impl DataflowState {
 
     /// The KV shard held by chip `chip_in_col` of column `col` (positions
     /// `p % 4 == chip_in_col`).
+    #[cfg(test)]
     pub fn kv_shard(&self, col: usize, chip_in_col: usize) -> &KvCache {
         &self.kv[col][chip_in_col]
     }

@@ -383,6 +383,7 @@ pub struct RecoveryStats {
     pub re_prefill_tokens: u64,
 }
 
+#[cfg(test)]
 impl RecoveryStats {
     /// True when no fault ever touched a resident sequence.
     pub fn is_clean(&self) -> bool {
@@ -483,6 +484,7 @@ impl FaultPolicy {
     }
 
     /// The survivor set of the grid.
+    #[cfg(test)]
     pub(crate) fn health(&self) -> GridHealth {
         self.health
     }

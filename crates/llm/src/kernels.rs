@@ -393,8 +393,9 @@ pub(crate) fn arm() -> Arm {
 /// Which kernel realization [`matmul_block_into`] — and with it the lane
 /// arm of `tensor::dot_lanes` — takes in this process:
 /// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
-/// Recorded by the benchmark baseline and the serving benchmark's host
-/// fingerprint.
+/// Recorded on every `BENCH_inference.json` point (and keys which point
+/// `bench_baseline -- --check` gates against) and in the serving
+/// benchmark's host fingerprint.
 pub fn kernel_path() -> &'static str {
     match arm() {
         Arm::Avx512 => "avx512-half-units",

@@ -241,6 +241,7 @@ impl KvCache {
     }
 
     /// Pages referenced through the shared pool.
+    #[cfg(test)]
     pub fn shared_pages(&self) -> usize {
         self.pages
             .iter()
@@ -673,14 +674,6 @@ impl RadixTree {
         }
         *self = RadixTree::default();
         released
-    }
-
-    /// Live (reachable, non-root) nodes.
-    // analyze: cold — diagnostic walk.
-    pub fn node_count(&self) -> usize {
-        let mut live = vec![false; self.nodes.len()];
-        self.mark_live(ROOT, &mut live);
-        live.iter().filter(|&&l| l).count().saturating_sub(1)
     }
 }
 

@@ -12,9 +12,11 @@
 //! * [`tensor`] — minimal dense row-major matrix/vector kernels (the naive
 //!   baseline path, LoRA, and dot products).
 //! * [`ops`] — RMSNorm, softmax, SwiGLU, rotary embedding, top-k.
-//! * [`scratch`] — the per-sequence [`Scratch`] arena + rotary table that
-//!   make the steady-state decode step allocation-free.
-//! * [`kv_cache`] — per-layer KV storage.
+//! * [`scratch`] — the [`Scratch`] activation arena (one per
+//!   single-sequence caller, one per worker in the batched engine) +
+//!   rotary table that make the steady-state decode step allocation-free.
+//! * [`kv_cache`] — paged per-layer KV storage, and the radix-tree prefix
+//!   cache whose committed pages sequences share by reference.
 //! * [`sampler`] — greedy and seeded-multinomial logit sampling.
 //! * [`Engine`] — the one driver both machines share (embedding gather,
 //!   layer loop, panel prefill, single and batched decode step,
@@ -29,7 +31,8 @@
 //!   batching admission/eviction executing `hnlpu-sim`'s round plans,
 //!   each round dealt across the host's cores (`rayon`).
 //! * [`naive`] — the pre-optimization dense-`f32`, allocating decoder kept
-//!   as the benchmark baseline and semantic cross-check.
+//!   as the decode calibration pair (the fixed side of the gated
+//!   packed-vs-naive decode ratio) plus test oracle.
 //! * [`serve`] — the online serving frontend: bounded-queue admission,
 //!   incremental prefill/decode scheduling on a virtual clock, per-token
 //!   streaming, cancellation, and p50/p99 TTFT/TPOT SLO reporting —

@@ -114,6 +114,7 @@ impl LoraAdapter {
 
     /// Adapter parameters as a fraction of the hardwired matrix — the
     /// paper's "~1%" side-channel budget.
+    #[cfg(test)]
     pub fn overhead_fraction(&self) -> f64 {
         self.params() as f64 / (self.rows * self.cols) as f64
     }

@@ -6,8 +6,10 @@
 //! over dense `f32` weights, `powf`-per-element rotary embedding. It exists
 //! for two jobs:
 //!
-//! * the benchmark baseline the packed region-accumulation path is measured
-//!   against (`hnlpu-bench`'s `inference` bench and `BENCH_inference.json`);
+//! * the fixed side of the decode calibration pair: `hnlpu-bench`'s gated
+//!   `decode_speedup_packed_over_naive` ratio divides its decode time by
+//!   the packed engine's, so a packed kernel that silently slows down
+//!   shows there (`BENCH_inference.json`);
 //! * a semantic cross-check: its logits must agree with the optimized
 //!   [`crate::reference::Transformer`] within quantization-noise tolerance,
 //!   since both compute the same function from the same codes.

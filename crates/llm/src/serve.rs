@@ -37,7 +37,7 @@
 //! repaired. Because the KV cache shards every resident sequence across
 //! all 16 chips (`position % 4` per column), a chip death evicts every
 //! resident sequence; capacity shrinks to the survivor share
-//! ([`GridHealth::effective_slots`]), evicted sequences park their
+//! ([`crate::GridHealth::effective_slots`]), evicted sequences park their
 //! slots and re-admit with bounded exponential backoff (re-prefilling
 //! `prompt ++ emitted` token-exactly — see
 //! [`BatchedDataflowExecutor::recover_slot`]), queued requests are shed
@@ -58,7 +58,7 @@
 //! live; `DeadlineMissed`, `Shed`, and `ChipLost` are terminal.
 
 use crate::batch::{BatchedDataflowExecutor, SeqSlot, SequenceRequest, SlotPool};
-use crate::dataflow::{CommCounters, GridHealth};
+use crate::dataflow::CommCounters;
 use crate::fault::{FaultError, FaultPlan, FaultPolicy, RecoveryStats};
 use crate::kv_cache::{PrefixCache, PrefixStats};
 use hnlpu_sim::scheduler::{micros_to_s, BatchScheduler, RoundPlan, RoundStepper};
@@ -606,7 +606,8 @@ impl OnlineServer {
     pub const MAX_RECOVERY_RETRIES: u32 = 6;
 
     /// The survivor set of the 4×4 chip grid.
-    pub fn grid_health(&self) -> GridHealth {
+    #[cfg(test)]
+    pub fn grid_health(&self) -> crate::GridHealth {
         self.faults.health()
     }
 
