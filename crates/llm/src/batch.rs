@@ -7,8 +7,9 @@
 //! whole trace planned up front by [`BatchScheduler`], or one round at a
 //! time from the online server's stepper — so the functional engine
 //! executes *exactly* the slot assignments the timing model priced; the
-//! differential harness in `tests/` asserts the token streams are
-//! identical to running [`DataflowExecutor`] per sequence. Both drivers
+//! serving invariant harness (`tests/tests/serving_invariant.rs`) asserts
+//! the token streams are identical to running [`DataflowExecutor`] per
+//! sequence. Both drivers
 //! keep their sequences in the crate-private `SlotPool`, where placement,
 //! vacating and the execution of one plan are written once.
 //!
@@ -523,13 +524,12 @@ impl SlotPool {
     }
 }
 
+/// The pages exist only once the round has run, so `execute` commits and
+/// the completion hook keeps its default no-op.
 impl PrefixOracle for SlotPool {
     fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
         self.consult(seq)
     }
-
-    /// The pages exist only once the round has run: `execute` commits.
-    fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
 }
 
 /// Deal items costing `rows` to `workers` workers: longest first (ties by

@@ -10,7 +10,7 @@
 //! consume the plan on its virtual clock. A plan is pure data: two runs
 //! of the same workload under the same plan are bit-identical, which is
 //! what makes chaos runs property-testable
-//! (`tests/tests/chaos_differential.rs`).
+//! (`tests/tests/serving_invariant.rs`).
 //!
 //! Plans are either hand-built or drawn from a seeded RNG via
 //! [`FaultPlan::seeded`]; both go through [`FaultPlan::validate`] before

@@ -17,7 +17,7 @@
 //! stepper's, and the slots, prefix cache and execution of a round are the
 //! [`crate::batch`] slot pool's, both shared with the offline replay: an
 //! online run yields the streams and [`RoundPlan`]s of planning the trace
-//! up front, and `tests/tests/online_differential.rs` pins what is still
+//! up front, and `tests/tests/serving_invariant.rs` pins what is still
 //! written twice — admission by arrival and the clock's f64 operations.
 //!
 //! Per-request time-to-first-token (TTFT) and inter-token gaps are
@@ -47,7 +47,7 @@
 //! ([`hnlpu_sim::fabric::retry_round_factor`]); latencies sampled in
 //! degraded rounds land in separate [`SloReport`] percentile rows. An
 //! empty plan leaves every arithmetic operation of the loop bit-identical
-//! to a fault-free server — the differential harnesses still hold.
+//! to a fault-free server — the serving invariant harness pins it.
 //!
 //! Questions about time and the grid go to the crate's fault policy (see
 //! [`crate::fault`]); the server owns the queues, so it picks the

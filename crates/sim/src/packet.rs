@@ -10,6 +10,8 @@
 //! (tests at the bottom assert they agree).
 
 use crate::config::SimConfig;
+use crate::fabric::CollectiveKind;
+use crate::pipeline::{Group, LAYER_COLLECTIVES};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -245,62 +247,28 @@ impl PacketSim {
         }
     }
 
-    /// Issue the stage's collectives on the fabric; returns completion.
+    /// Issue the stage's [`LAYER_COLLECTIVES`] on the fabric, each on every
+    /// instance of its group once the previous one completed; returns
+    /// completion.
     fn stage_comm(&self, fabric: &mut PacketFabric, stage: u8, ready_ns: f64) -> f64 {
         let cfg = &self.cfg;
-        let mut done = ready_ns;
-        match stage {
-            0 => {
-                // Fused QKV partial-sum all-reduce per column.
-                for c in 0..GRID {
-                    done = done.max(fabric.all_reduce(
-                        cfg,
-                        &column_group(c),
-                        2 * (1024 + 128 + 128),
-                        ready_ns,
-                    ));
-                }
+        let stage_collectives = LAYER_COLLECTIVES.iter().filter(|c| c.0 == stage);
+        stage_collectives.fold(ready_ns, |ready, &(_, kind, group, bytes)| {
+            if group == Group::AllChips {
+                return fabric.all_chip_all_reduce(cfg, bytes, ready);
             }
-            1 => {
-                for c in 0..GRID {
-                    done = done.max(fabric.all_reduce(
-                        cfg,
-                        &column_group(c),
-                        (2 * (2 * 8 * 64) + 64) as u64,
-                        ready_ns,
-                    ));
-                }
-            }
-            2 => {
-                for c in 0..GRID {
-                    done = done.max(fabric.all_reduce(
-                        cfg,
-                        &column_group(c),
-                        (2 * (2 * 8 * 64)) as u64,
-                        ready_ns,
-                    ));
-                }
-            }
-            3 => {
-                // Row all-reduce then column all-gather of Xo.
-                let mut rows_done = ready_ns;
-                for r in 0..GRID {
-                    rows_done =
-                        rows_done.max(fabric.all_reduce(cfg, &row_group(r), 1440, ready_ns));
-                }
-                for c in 0..GRID {
-                    done = done.max(fabric.all_gather(cfg, &column_group(c), 1440, rows_done));
-                }
-            }
-            4 => {
-                // Router is replicated: no communication.
-                done = ready_ns;
-            }
-            _ => {
-                done = fabric.all_chip_all_reduce(cfg, 2 * 2880, ready_ns);
-            }
-        }
-        done
+            (0..GRID).fold(ready, |done, i| {
+                let members = if group == Group::Row {
+                    row_group(i)
+                } else {
+                    column_group(i)
+                };
+                done.max(match kind {
+                    CollectiveKind::AllGather => fabric.all_gather(cfg, &members, bytes, ready),
+                    _ => fabric.all_reduce(cfg, &members, bytes, ready),
+                })
+            })
+        })
     }
 
     /// Steady-state throughput via the marginal method: the extra time to

@@ -22,6 +22,8 @@ use crate::config::SimConfig;
 use crate::fabric::{all_chip_all_reduce_cycles, collective_cycles, CollectiveKind};
 use crate::hbm::KvCacheModel;
 use serde::Serialize;
+use CollectiveKind::{AllGather, AllReduce};
+use Group::{AllChips, Column, Row};
 
 /// Per-token, per-layer execution-time components, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -56,20 +58,40 @@ impl LayerTiming {
     }
 }
 
-/// The 13 collective rounds of one transformer layer (Figure 10/11).
+/// The chips one instance of a per-layer collective spans: each column,
+/// each row, or all 16 (a row all-reduce, then a column all-reduce).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    Column,
+    Row,
+    AllChips,
+}
+
+/// One layer's collectives (Figure 10/11) in issue order as (stage, kind,
+/// group, per-chip fp16 payload bytes) at the gpt-oss shapes (h = 2880):
+/// fused QKV partials, the two flash-attention partials, Xo (h / 4 per
+/// chip: row all-reduce, column all-gather) and the layer output Y. The
+/// replicated router (stage 4) communicates nothing.
+pub(crate) const LAYER_COLLECTIVES: [(u8, CollectiveKind, Group, u64); 6] = [
+    (0, AllReduce, Column, 2 * (1024 + 128 + 128)),
+    (1, AllReduce, Column, 2 * (2 * 8 * 64) + 64),
+    (2, AllReduce, Column, 2 * (2 * 8 * 64)),
+    (3, AllReduce, Row, 2 * (2880 / 4)),
+    (3, AllGather, Column, 2 * (2880 / 4)),
+    (5, AllReduce, AllChips, 2 * 2880),
+];
+
+/// The 13 collective rounds of one transformer layer: [`LAYER_COLLECTIVES`]
+/// priced in issue order.
 pub fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
-    let h = 2880u64; // payloads below scale with the gpt-oss shapes
-    let fused_qkv = 2 * (1024 + 128 + 128); // fp16 partial sums, col group
-    let attn_stats = 2 * (2 * 8 * 64) + 64; // flash-attention partials
-    let attn_out = 2 * (2 * 8 * 64);
-    let xo_partial = 2 * (h / 4);
-    let y = 2 * h;
-    collective_cycles(CollectiveKind::AllReduce, fused_qkv, cfg)
-        + collective_cycles(CollectiveKind::AllReduce, attn_stats as u64, cfg)
-        + collective_cycles(CollectiveKind::AllReduce, attn_out as u64, cfg)
-        + collective_cycles(CollectiveKind::AllReduce, xo_partial, cfg)
-        + collective_cycles(CollectiveKind::AllGather, xo_partial, cfg)
-        + all_chip_all_reduce_cycles(y, cfg)
+    LAYER_COLLECTIVES
+        .iter()
+        .fold(0.0, |sum, &(_, kind, group, bytes)| {
+            sum + match group {
+                AllChips => all_chip_all_reduce_cycles(bytes, cfg),
+                Column | Row => collective_cycles(kind, bytes, cfg),
+            }
+        })
 }
 
 /// Raw (pre-overlap) VEX attention cycles for one token of one layer:

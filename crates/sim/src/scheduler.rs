@@ -421,8 +421,8 @@ pub trait PrefixOracle {
     fn matched_on_admit(&mut self, seq: usize, req: &Request) -> u32;
 
     /// `seq` finished prefilling this round; its prompt blocks are now
-    /// committed and visible to later admissions.
-    fn on_prefill_complete(&mut self, seq: usize, req: &Request);
+    /// committed and visible to later admissions (by default, ignored).
+    fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
 }
 
 /// The null oracle: nothing matches, commits are ignored. [`plan`]
@@ -435,7 +435,6 @@ impl PrefixOracle for NoPrefix {
     fn matched_on_admit(&mut self, _seq: usize, _req: &Request) -> u32 {
         0
     }
-    fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
 }
 
 #[cfg(test)]
@@ -790,7 +789,6 @@ mod tests {
                 self.0.push((seq, req.prompt_tokens));
                 req.prompt_tokens / 2
             }
-            fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
         }
         let mut oracle = Asked(Vec::new());
         let mut stepper = RoundStepper::new(8);

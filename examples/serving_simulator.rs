@@ -290,7 +290,7 @@ fn online_serving_run(cfg: &SimConfig) {
          heavy arrival rate the small queue sheds load (typed QueueFull) and\n\
          keeps TTFT p99 bounded, while the deep queue accepts everything and\n\
          lets queueing delay dominate the tail. Every cell replays bit-for-bit\n\
-         against offline planning (see tests/tests/online_differential.rs).\n\
+         against offline planning (see tests/tests/serving_invariant.rs).\n\
          Wrote serve-slo-report.json."
     );
 }
@@ -328,7 +328,7 @@ struct FaultArtifact {
 }
 
 /// Assert the chaos differential invariants of one run against the
-/// fault-free baseline (see `tests/tests/chaos_differential.rs` for the
+/// fault-free baseline (see `tests/tests/serving_invariant.rs` for the
 /// property-tested versions). Panics — aborting the CI smoke — on any
 /// violation.
 fn check_chaos_invariants(scenario: &str, base: &ServeReport, chaos: &ServeReport) {
@@ -540,7 +540,7 @@ fn fault_sweep(cfg: &SimConfig) {
          all 16 chips), shrink capacity to the survivor share, and re-prefill\n\
          evicted sequences token-exact — every invariant above is asserted\n\
          before this line prints, and property-tested in\n\
-         tests/tests/chaos_differential.rs. Wrote fault-report.json."
+         tests/tests/serving_invariant.rs. Wrote fault-report.json."
     );
 }
 
@@ -762,7 +762,7 @@ fn prefix_reuse_sweep(cfg: &SimConfig) {
          the radix tree, charged only for their unmatched suffix by the\n\
          scheduler, and read through refcounted shared pages at decode —\n\
          every invariant above is asserted before this line prints, and\n\
-         property-tested in tests/tests/paged_prefix_differential.rs.\n\
+         property-tested in tests/tests/serving_invariant.rs.\n\
          Wrote prefix-reuse-report.json."
     );
 }

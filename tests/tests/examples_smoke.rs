@@ -53,58 +53,14 @@ fn every_example_runs_cleanly() {
             String::from_utf8_lossy(&output.stderr),
         );
         assert!(!output.stdout.is_empty(), "example {name} printed nothing");
-    }
-}
-
-/// The serving simulator's online mode runs the event-driven
-/// `OnlineServer` sweep end to end and writes the committed SLO report.
-#[test]
-#[ignore = "spawns a cargo run; exercised explicitly in CI"]
-fn serving_simulator_online_mode_emits_slo_report() {
-    let workspace_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("tests/ sits inside the workspace");
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let output = Command::new(&cargo)
-        .current_dir(workspace_root)
-        .args([
-            "run",
-            "--release",
-            "--offline",
-            "-p",
-            "hnlpu",
-            "--example",
-            "serving_simulator",
-        ])
-        .stdin(Stdio::null())
-        .output()
-        .expect("spawning cargo for serving_simulator");
-    assert!(
-        output.status.success(),
-        "serving_simulator exited with {:?}\n{}",
-        output.status.code(),
-        String::from_utf8_lossy(&output.stderr),
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        stdout.contains("online: event-driven serving"),
-        "online section missing from output:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("TTFT p99 s"),
-        "SLO table header missing from output:\n{stdout}"
-    );
-    let report_path = workspace_root.join("serve-slo-report.json");
-    let text = std::fs::read_to_string(&report_path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", report_path.display()));
-    // Well-formed JSON with the fields the SLO gate cares about.
-    for field in [
-        "\"cells\"",
-        "\"ttft_p99_s\"",
-        "\"tpot_p99_s\"",
-        "\"completed\"",
-        "\"rejected\"",
-    ] {
-        assert!(text.contains(field), "{field} missing from SLO report");
+        if *name == "serving_simulator" {
+            // The committed reports it rewrites are checked byte for byte
+            // by CI's `git diff --exit-code`; here, that the online
+            // section and its SLO table ran.
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            for line in ["online: event-driven serving", "TTFT p99 s"] {
+                assert!(stdout.contains(line), "{line:?} missing:\n{stdout}");
+            }
+        }
     }
 }
