@@ -17,12 +17,11 @@ use std::fmt;
 /// itself reported as a violation, so the allowlist can only shrink.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
-    /// Rule id (`hot-path-alloc`, `unsafe-audit`, `determinism`,
-    /// `panic-policy`, `cfg-parity`).
+    /// Rule id (`hot-path-alloc` or `determinism`).
     pub rule: String,
     /// Repo-relative path (suffix match, so `llm/src/batch.rs` works).
     pub path: String,
-    /// Pattern id to match (e.g. `Instant::now`, `expect`, `index`).
+    /// Pattern id to match (e.g. `Instant::now`, `clone`).
     pub pattern: Option<String>,
     /// Exact 1-based line, for single-site precision.
     pub line: Option<usize>,
@@ -42,17 +41,6 @@ pub struct Config {
     /// Files where `mul_add` contraction is permitted (the runtime-
     /// dispatched kernel module).
     pub mul_add_allowed_in: Vec<String>,
-    /// Files where slice-indexing is audited by panic-policy (paths fed
-    /// by external/fallible input).
-    pub index_paths: Vec<String>,
-    /// Files audited by the arith-overflow rule (virtual-time/accounting
-    /// integer math).
-    pub arith_paths: Vec<String>,
-    /// `_`-delimited identifier components the arith-overflow rule tracks
-    /// (`micros`, `tokens`, …).
-    pub arith_tracked: Vec<String>,
-    /// Files audited by the lossy-cast rule.
-    pub cast_paths: Vec<String>,
     /// Allowlist entries, in file order.
     pub allows: Vec<Allow>,
 }
@@ -141,7 +129,7 @@ impl Config {
                 finish_allow(&mut cfg, &mut current_allow)?;
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "hot_path" | "determinism" | "panic_policy" | "arith" | "casts" => {}
+                    "hot_path" | "determinism" => {}
                     other => return Err(err(line_no, format!("unknown section [{other}]"))),
                 }
                 continue;
@@ -158,10 +146,6 @@ impl Config {
                 ("determinism", "mul_add_allowed_in") => {
                     cfg.mul_add_allowed_in = expect_list(value, line_no)?
                 }
-                ("panic_policy", "index_paths") => cfg.index_paths = expect_list(value, line_no)?,
-                ("arith", "paths") => cfg.arith_paths = expect_list(value, line_no)?,
-                ("arith", "tracked") => cfg.arith_tracked = expect_list(value, line_no)?,
-                ("casts", "paths") => cfg.cast_paths = expect_list(value, line_no)?,
                 ("allow", k) => {
                     let Some((allow, _)) = current_allow.as_mut() else {
                         return Err(err(line_no, "key outside of any [[allow]] entry".into()));
@@ -307,9 +291,6 @@ modules = ["crates/llm/src/kernels.rs", "crates/model/src/packed.rs"]
 paths = ["crates/llm/src/batch.rs"]
 mul_add_allowed_in = ["crates/llm/src/kernels.rs"]
 
-[panic_policy]
-index_paths = []
-
 [[allow]]
 rule = "determinism"
 path = "crates/llm/src/batch.rs"
@@ -317,11 +298,11 @@ pattern = "Instant::now"
 reason = "wall-clock only feeds the throughput report"
 
 [[allow]]
-rule = "panic-policy"
-path = "crates/embed/src/tile.rs"
-pattern = "expect"
+rule = "hot-path-alloc"
+path = "crates/llm/src/kv_cache.rs"
+pattern = "clone"
 line = 258
-reason = "rows fixed at construction"
+reason = "cold path reached only on a prefix miss"
 "#;
 
     #[test]
@@ -334,15 +315,20 @@ reason = "rows fixed at construction"
         assert_eq!(cfg.allows[1].line, Some(258));
     }
 
+    /// The sections of the rules that became clippy lints are errors (the
+    /// binary exits 2 on any parse error), so a stale config cannot
+    /// silently stop checking what it names.
     #[test]
-    fn arith_and_casts_sections_parse() {
-        let cfg = Config::parse(
-            "[arith]\npaths = [\"serve.rs\"]\ntracked = [\"micros\", \"tokens\"]\n\n[casts]\npaths = [\"serve.rs\", \"fault.rs\"]\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.arith_paths, vec!["serve.rs"]);
-        assert_eq!(cfg.arith_tracked, vec!["micros", "tokens"]);
-        assert_eq!(cfg.cast_paths, vec!["serve.rs", "fault.rs"]);
+    fn removed_sections_are_config_errors() {
+        for text in [
+            "[arith]\npaths = [\"serve.rs\"]\ntracked = [\"micros\"]\n",
+            "[casts]\npaths = [\"serve.rs\"]\n",
+            "[panic_policy]\nindex_paths = [\"batch.rs\"]\n",
+        ] {
+            let e = Config::parse(text).unwrap_err();
+            assert_eq!(e.line, 1, "{e}");
+            assert!(e.message.contains("unknown section"), "{e}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Comment/string/raw-string-aware source scanner.
 //!
 //! Every rule operates on a [`SourceModel`]: the file's lines with comment
-//! and string *interiors* blanked to spaces (so `"panic!"` in a string or
-//! `unsafe` in a doc comment never trips a rule), a side list of the
-//! comments themselves (the unsafe-audit and `// analyze:` annotation
-//! rules read those), plus structural facts recovered by brace matching —
-//! function spans and `#[cfg(test)]` regions.
+//! and string *interiors* blanked to spaces (so `"vec!"` in a string or
+//! `HashMap` in a doc comment never trips a rule), a side list of the
+//! comments themselves (where the `// analyze:` annotations live), plus
+//! structural facts recovered by brace matching — function spans and
+//! `#[cfg(test)]` regions.
 //!
 //! This is a lexer, not a parser: it understands Rust's token-level
 //! lexical grammar (nested block comments, `r#"…"#` raw strings, char
@@ -56,9 +56,6 @@ pub struct SourceModel {
     /// Source lines with comment and string interiors blanked to spaces.
     /// String delimiters are kept, so `f("…")` still reads as a call.
     pub code: Vec<String>,
-    /// The unmodified source lines (cfg-parity reads feature names — string
-    /// literals — from these, at lines the sanitized view proves are code).
-    pub raw: Vec<String>,
     /// All comments, in line order.
     pub comments: Vec<Comment>,
     /// Function spans, in declaration order.
@@ -75,7 +72,6 @@ impl SourceModel {
         let test_regions = find_test_regions(&code);
         let fns = find_fns(&code, &comments);
         SourceModel {
-            raw: source.lines().map(|l| l.to_string()).collect(),
             code,
             comments,
             fns,
@@ -88,11 +84,6 @@ impl SourceModel {
         self.test_regions
             .iter()
             .any(|&(lo, hi)| (lo..=hi).contains(&line))
-    }
-
-    /// The comment on `line`, if any.
-    pub fn comment_on(&self, line: usize) -> Option<&Comment> {
-        self.comments.iter().find(|c| c.line == line)
     }
 }
 

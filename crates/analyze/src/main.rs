@@ -9,6 +9,10 @@
 //! stdout as `path:line: [rule] message`; the machine-readable report is
 //! written to `analyze-report.json` (or `--report`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 use hnlpu_analyze::config::Config;
 use hnlpu_analyze::{analyze_workspace, report::Analysis};
 use std::fs;
@@ -120,9 +124,8 @@ fn print_human(analysis: &Analysis) {
         );
     }
     println!(
-        "hnlpu-analyze: {} files in {} crates; {} violations, {} allowed, {} stale allows",
+        "hnlpu-analyze: {} files; {} violations, {} allowed, {} stale allows",
         analysis.files_scanned,
-        analysis.crates_scanned,
         analysis.violations.len(),
         analysis.suppressed.len(),
         analysis.stale_allows.len()

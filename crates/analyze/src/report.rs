@@ -30,8 +30,6 @@ pub struct Analysis {
     pub stale_allows: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Crates scanned (for cfg-parity).
-    pub crates_scanned: usize,
     /// Call-graph / propagation statistics from the interprocedural pass.
     pub interproc: InterprocStats,
 }
@@ -48,7 +46,6 @@ impl Analysis {
         s.push_str("{\n");
         let _ = writeln!(s, "  \"tool\": \"hnlpu-analyze\",");
         let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(s, "  \"crates_scanned\": {},", self.crates_scanned);
         let _ = writeln!(s, "  \"total_violations\": {},", self.violations.len());
         let _ = writeln!(s, "  \"total_allowed\": {},", self.suppressed.len());
         let _ = writeln!(s, "  \"stale_allows\": {},", self.stale_allows.len());
@@ -67,16 +64,7 @@ impl Analysis {
         );
         s.push_str("  },\n");
         s.push_str("  \"rules\": {\n");
-        let rules = [
-            "hot-path-alloc",
-            "unsafe-audit",
-            "determinism",
-            "panic-policy",
-            "cfg-parity",
-            "arith-overflow",
-            "lossy-cast",
-            "concurrency-capture",
-        ];
+        let rules = ["hot-path-alloc", "determinism"];
         for (i, rule) in rules.iter().enumerate() {
             let violations = self.violations.iter().filter(|v| v.rule == *rule).count();
             let allowed = self
@@ -168,7 +156,6 @@ mod tests {
             suppressed: vec![],
             stale_allows: vec![],
             files_scanned: 1,
-            crates_scanned: 1,
             interproc: InterprocStats::default(),
         };
         let j1 = a.to_json();

@@ -2,39 +2,8 @@
 
 use std::collections::HashMap;
 
-pub fn lookup(m: &HashMap<u32, u32>, v: &[u32], i: usize) -> u32 {
-    let direct = v[i];
-    direct + *m.get(&direct).unwrap()
+pub fn lookup(m: &HashMap<u32, u32>, key: u32) -> Option<u32> {
+    m.get(&key).copied()
 }
-
-pub fn first(x: &[f32]) -> f32 {
-    // No SAFETY comment: flagged.
-    unsafe { *x.as_ptr() }
-}
-
-pub fn deadline(at_micros: u64, horizon_micros: u64) -> u64 {
-    at_micros + horizon_micros
-}
-
-pub fn report_seconds(elapsed_micros: u64) -> f64 {
-    elapsed_micros as f64 / 1e6
-}
-
-pub fn race(acc: &mut Vec<f32>, xs: &[f32]) {
-    std::thread::scope(|sc| {
-        for (i, &x) in xs.iter().enumerate() {
-            sc.spawn(|| {
-                set(&mut acc[i], x);
-            });
-        }
-    });
-}
-
-fn set(slot: &mut f32, x: f32) {
-    *slot = x;
-}
-
-#[cfg(feature = "paralel")]
-pub fn fan_out() {}
 
 pub mod hot;

@@ -1,20 +1,15 @@
-//! Clean code: typed errors, ordered containers, documented unsafe, a
-//! declared feature gate, and one allowlisted `expect`.
+//! Clean code: ordered containers and one allowlisted wall-clock read.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
-pub fn lookup(m: &BTreeMap<u32, u32>, v: &[u32], i: usize) -> Result<u32, String> {
-    let direct = v.get(i).ok_or_else(|| format!("index {i} out of range"))?;
-    Ok(*m.get(direct).expect("constant table covers every key"))
+pub fn lookup(m: &BTreeMap<u32, u32>, key: u32) -> Option<u32> {
+    m.get(&key).copied()
 }
 
-pub fn first(x: &[f32]) -> f32 {
-    assert!(!x.is_empty());
-    // SAFETY: the assert above guarantees at least one element.
-    unsafe { *x.as_ptr() }
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    (f(), start.elapsed())
 }
-
-#[cfg(feature = "parallel")]
-pub fn fan_out() {}
 
 pub mod hot;

@@ -232,6 +232,10 @@ fn feedback_accumulator(c: &mut GateCircuit, addend: &[Sig], first: Sig, width: 
 /// Sign-extend a two's-complement word to `width`.
 fn sign_extend(_c: &mut GateCircuit, word: &[Sig], width: usize) -> Vec<Sig> {
     let mut out = word.to_vec();
+    #[expect(
+        clippy::expect_used,
+        reason = "table lookup is over a closed enum domain populated exhaustively at build time; a miss is a programmer error in the RTL table generator, not a runtime input"
+    )]
     let msb = *word.last().expect("nonempty word");
     while out.len() < width {
         out.push(msb);

@@ -12,6 +12,9 @@
 //! * [`cluster`] — H100 cluster scaling used by the TCO comparison.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod cluster;
 pub mod h100;
 pub mod roofline;

@@ -5,4 +5,8 @@
 //! printed by `hnlpu::experiments` (the `generate_reports` example), not
 //! here.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 pub mod inference;

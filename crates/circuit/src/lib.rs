@@ -20,6 +20,9 @@
 //! * [`yield_model`] — Murphy defect-yield and dies-per-wafer geometry.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod area;
 pub mod metal;
 pub mod netlist;

@@ -186,6 +186,10 @@ pub fn fig13() -> ExperimentReport {
 pub fn tab1() -> ExperimentReport {
     let system = HnlpuSystem::design(zoo::gpt_oss_120b());
     let r = system.chip_report();
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment harness writes to an in-memory String (fmt::Write is infallible) and reads embedded const tables; both expects encode invariants of committed data, documented under # Panics"
+    )]
     let block = |name: &str| r.block(name).expect("block exists");
     ExperimentReport {
         id: "TAB1",
@@ -489,6 +493,10 @@ pub fn signoff_report() -> ExperimentReport {
     let system = HnlpuSystem::design(zoo::gpt_oss_120b());
     let compiler = MeCompiler::new(MeNeuronParams::array_default());
     let matrix = WeightMatrix::new(WeightKind::Query, 2880, 512);
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment harness writes to an in-memory String (fmt::Write is infallible) and reads embedded const tables; both expects encode invariants of committed data, documented under # Panics"
+    )]
     let compiled = compiler
         .compile(&WeightGenerator::new(1), 0, &matrix)
         .expect("representative matrix compiles");

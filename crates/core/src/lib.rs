@@ -40,6 +40,9 @@
 //! | [`tco`] | 3-year TCO and carbon analysis |
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub use hnlpu_arith as arith;
 pub use hnlpu_baselines as baselines;
 pub use hnlpu_circuit as circuit;

@@ -18,6 +18,9 @@
 //! * [`report`] — the single-chip area/power breakdown of Table 1.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod array;
 pub mod compiler;
 pub mod field_programmable;

@@ -251,6 +251,10 @@ impl TileComparison {
     ///
     /// Panics if the comparison does not contain the method (it always does
     /// for [`paper_benchmark`](Self::paper_benchmark)).
+    #[expect(
+        clippy::expect_used,
+        reason = "row count is fixed at construction and validated by the constructor; the expect encodes a programmer-error contract documented under # Panics"
+    )]
     pub fn row(&self, method: TileMethod) -> &TileRow {
         self.rows
             .iter()

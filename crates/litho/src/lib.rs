@@ -16,6 +16,9 @@
 //!   (Table 4).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod cost;
 pub mod mask_cost;
 pub mod nre;

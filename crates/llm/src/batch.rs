@@ -33,6 +33,18 @@
 //! streams, KV and counters are bit-identical for any deal, worker count
 //! and arena history — the deal moves host time and nothing else.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState};
 use crate::fault::CHIPS;
 use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
@@ -244,9 +256,12 @@ pub struct BatchRunReport {
 
 impl BatchRunReport {
     /// Measured functional decode rate, tokens/s.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "token counts stay far below 2^53, exact in f64"
+    )]
     pub fn measured_decode_tokens_per_s(&self) -> f64 {
         if self.wall_s > 0.0 {
-            // cast: token counts stay far below 2^53, exact in f64
             self.decoded_tokens as f64 / self.wall_s
         } else {
             0.0
@@ -254,9 +269,12 @@ impl BatchRunReport {
     }
 
     /// Measured functional total token rate (prefill + decode), tokens/s.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "token counts stay far below 2^53, exact in f64"
+    )]
     pub fn measured_tokens_per_s(&self) -> f64 {
         if self.wall_s > 0.0 {
-            // cast: token counts stay far below 2^53, exact in f64
             self.decoded_tokens.saturating_add(self.prefill_tokens) as f64 / self.wall_s
         } else {
             0.0
@@ -392,12 +410,13 @@ impl SlotPool {
                 idx
             }
             None => {
+                let idx = self.slots.len();
                 self.slots.push(Some(slot));
-                self.slots.len() - 1
+                idx
             }
         };
         if self.slot_of.len() <= seq {
-            self.slot_of.resize(seq + 1, None);
+            self.slot_of.resize(seq.saturating_add(1), None);
         }
         if let Some(entry) = self.slot_of.get_mut(seq) {
             *entry = Some(idx);
@@ -472,7 +491,7 @@ impl SlotPool {
                 .index_of(seq)
                 .and_then(|idx| Some((self.slots.get(idx)?.as_ref()?, actions.get_mut(idx)?)));
             let (slot, action) = resident.ok_or(BatchError::NotAdmitted { seq })?;
-            let left = slot.prompt.len() - slot.prefill_pos;
+            let left = slot.prompt.len().saturating_sub(slot.prefill_pos);
             if let Some(n) = prefill {
                 if action.prefill > 0 {
                     return Err(BatchError::DuplicateAction { seq });
@@ -756,7 +775,7 @@ impl BatchedDataflowExecutor {
                 if let Some(comm) = per_sequence_comm.get_mut(seq) {
                     *comm = done.state.comm;
                 }
-                prefill_panels += done.prefill_stats.panels;
+                prefill_panels = prefill_panels.saturating_add(done.prefill_stats.panels);
                 prefill_max_panel = prefill_max_panel.max(done.prefill_stats.max_panel);
                 if let Some(out) = outputs.get_mut(seq) {
                     *out = done.out;
@@ -771,12 +790,10 @@ impl BatchedDataflowExecutor {
         let prefills = plans.iter().flat_map(|plan| &plan.prefill);
         Ok(BatchRunReport {
             comm: per_sequence_comm.iter().copied().sum(),
-            // cast: usize → u64 widens on every supported target
             decoded_tokens: outputs.iter().map(|out| out.len() as u64).sum(),
             prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             outputs,
             per_sequence_comm,
-            // cast: usize → u64 widens on every supported target
             rounds: plans.len() as u64,
             prefill_panels,
             prefill_max_panel,
@@ -857,8 +874,8 @@ impl BatchedDataflowExecutor {
         let rows: Vec<usize> = work
             .iter()
             .map(|(slot, action)| {
-                let steps_back = action.decode && slot.out.len() + 1 < slot.target;
-                len_of(action.prefill) + usize::from(steps_back)
+                let steps_back = action.decode && slot.out.len().saturating_add(1) < slot.target;
+                len_of(action.prefill).saturating_add(usize::from(steps_back))
             })
             .collect();
         // Each worker's chunk travels with its arena: disjoint `&mut`s,

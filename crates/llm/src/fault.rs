@@ -25,6 +25,18 @@
 //! touches stays with the server, whose queues they are; it reports what
 //! became of them as [`RecoveryStats`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::dataflow::{GridHealth, GRID};
 use hnlpu_sim::fabric::retry_round_factor;
 use hnlpu_sim::scheduler::micros_to_s;
@@ -491,7 +503,7 @@ impl FaultPolicy {
 
     /// Chip deaths applied so far.
     pub(crate) fn chip_failures(&self) -> usize {
-        CHIPS - self.health.survivors()
+        CHIPS.saturating_sub(self.health.survivors())
     }
 
     /// Rounds run degraded, and rounds stretched by link retries.

@@ -420,10 +420,13 @@ mod avx2 {
     /// Decode 16 packed bytes (32 columns of one row) into 4×8 `f32`
     /// half-unit weights, in column order: the `pshufb` against the
     /// [`HALF_UNITS`] table is the software image of the 16-region decoder.
-    // SAFETY: pure register arithmetic on AVX2 intrinsics — no memory
-    // access. Callers must have verified AVX2 support (all call sites are
-    // inside `#[target_feature(enable = "avx2")]` fns reached only via
-    // `available()`).
+    ///
+    /// # Safety
+    ///
+    /// Pure register arithmetic on AVX2 intrinsics — no memory
+    /// access. Callers must have verified AVX2 support (all call sites are
+    /// inside `#[target_feature(enable = "avx2")]` fns reached only via
+    /// `available()`).
     #[inline(always)]
     unsafe fn decode32(bytes: __m128i, lut: __m128i, mask: __m128i) -> [__m256; 4] {
         let lo = _mm_and_si128(bytes, mask);
@@ -443,10 +446,13 @@ mod avx2 {
 
     /// 64-column panel: eight output accumulators live in registers across
     /// the whole row sweep, so there are no horizontal sums at all.
-    // SAFETY: caller (`matvec_block`) guarantees AVX2+FMA support and that
-    // `data` points at `x.len()` rows of ≥ 32 readable bytes at `stride`
-    // spacing, and `out` at ≥ 64 writable f32s. Unaligned loads/stores are
-    // used throughout, so no alignment requirement.
+    ///
+    /// # Safety
+    ///
+    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
+    /// `data` points at `x.len()` rows of ≥ 32 readable bytes at `stride`
+    /// spacing, and `out` at ≥ 64 writable f32s. Unaligned loads/stores are
+    /// used throughout, so no alignment requirement.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn panel64(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
@@ -473,9 +479,12 @@ mod avx2 {
     }
 
     /// 32-column panel.
-    // SAFETY: caller (`matvec_block`) guarantees AVX2+FMA support and that
-    // `data` points at `x.len()` rows of ≥ 16 readable bytes at `stride`
-    // spacing, and `out` at ≥ 32 writable f32s. Unaligned accesses only.
+    ///
+    /// # Safety
+    ///
+    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
+    /// `data` points at `x.len()` rows of ≥ 16 readable bytes at `stride`
+    /// spacing, and `out` at ≥ 32 writable f32s. Unaligned accesses only.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn panel32(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
@@ -500,9 +509,12 @@ mod avx2 {
     }
 
     /// 16-column panel (8-byte row loads).
-    // SAFETY: caller (`matvec_block`) guarantees AVX2+FMA support and that
-    // `data` points at `x.len()` rows of ≥ 8 readable bytes at `stride`
-    // spacing, and `out` at ≥ 16 writable f32s. Unaligned accesses only.
+    ///
+    /// # Safety
+    ///
+    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
+    /// `data` points at `x.len()` rows of ≥ 8 readable bytes at `stride`
+    /// spacing, and `out` at ≥ 16 writable f32s. Unaligned accesses only.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn panel16(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
@@ -526,14 +538,17 @@ mod avx2 {
 
     /// Block matvec over packed codes. Caller guarantees bounds and an
     /// even `col_range.start`.
-    // SAFETY: caller must ensure AVX2+FMA are present (checked via
-    // `available()` at the dispatch site), `x` non-empty,
-    // `row_offset + x.len() ≤ m.rows()`,
-    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    // and `out.len() ≥ col_range.len()` — these bound every
-    // `base.add`/`out.add` below within `m.data()` / `out` (an empty block
-    // holds no byte, and its `base` could lie past the allocation). The
-    // panel helpers inherit exactly these bounds, narrowed per panel width.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are present (checked via
+    /// `available()` at the dispatch site), `x` non-empty,
+    /// `row_offset + x.len() ≤ m.rows()`,
+    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
+    /// and `out.len() ≥ col_range.len()` — these bound every
+    /// `base.add`/`out.add` below within `m.data()` / `out` (an empty block
+    /// holds no byte, and its `base` could lie past the allocation). The
+    /// panel helpers inherit exactly these bounds, narrowed per panel width.
     pub unsafe fn matvec_block(
         x: &[f32],
         m: &PackedFp4Matrix,
@@ -605,11 +620,14 @@ mod avx2 {
     /// `panel64`/`panel32`/`panel16` produce for the same column (same
     /// decoded half-units, same FMA, same row order), which is what keeps
     /// the matmul bit-identical to the matvec loop for every `N`.
-    // SAFETY: caller (`token_block`) guarantees AVX2+FMA support, that
-    // `data` points at `rows` weight rows of ≥ 8 readable bytes at `stride`
-    // spacing, that `xs` points at `N` activation rows of `rows` readable
-    // f32s at `x_stride` spacing, and `outs` at `N` output rows of ≥ 16
-    // writable f32s at `out_stride` spacing. Unaligned accesses only.
+    ///
+    /// # Safety
+    ///
+    /// Caller (`token_block`) guarantees AVX2+FMA support, that
+    /// `data` points at `rows` weight rows of ≥ 8 readable bytes at `stride`
+    /// spacing, that `xs` points at `N` activation rows of `rows` readable
+    /// f32s at `x_stride` spacing, and `outs` at `N` output rows of ≥ 16
+    /// writable f32s at `out_stride` spacing. Unaligned accesses only.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn panel16xn<const N: usize>(
@@ -649,7 +667,10 @@ mod avx2 {
     /// panels over `len - len % 16` columns, then the non-fused scalar
     /// half-unit tail for the last < 16 — the same column coverage and the
     /// same mul+add tail chain as `matvec_block`.
-    // SAFETY: as `matmul_block`, with `tt + N ≤ t`.
+    ///
+    /// # Safety
+    ///
+    /// As `matmul_block`, with `tt + N ≤ t`.
     #[allow(clippy::too_many_arguments)]
     unsafe fn token_block<const N: usize>(
         xs: &[f32],
@@ -745,13 +766,16 @@ mod avx2 {
     /// columns with panels and finishes with the identical non-fused
     /// scalar tail, so every output row matches `matvec_block` on its
     /// activation row bit for bit.
-    // SAFETY: caller must ensure AVX2+FMA are present (checked via
-    // `available()` at the dispatch site), `rows ≥ 1`,
-    // `row_offset + rows ≤ m.rows()`,
-    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    // `xs.len() ≥ (t-1)·x_stride + rows`, and
-    // `outs.len() ≥ (t-1)·out_stride + col_range.len()` — these bound every
-    // pointer offset below within `m.data()`, `xs`, and `outs`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are present (checked via
+    /// `available()` at the dispatch site), `rows ≥ 1`,
+    /// `row_offset + rows ≤ m.rows()`,
+    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
+    /// `xs.len() ≥ (t-1)·x_stride + rows`, and
+    /// `outs.len() ≥ (t-1)·out_stride + col_range.len()` — these bound every
+    /// pointer offset below within `m.data()`, `xs`, and `outs`.
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn matmul_block(
         xs: &[f32],
@@ -830,10 +854,13 @@ mod avx512 {
     /// signed half-units as `i8`, in column order: `[0]` holds columns
     /// 0..16, `[1]` columns 16..32 — `avx2::decode32` before the widening.
     /// With only the low 8 bytes loaded, `[0]` is those 16 columns.
-    // SAFETY: pure register arithmetic on SSSE3 intrinsics — no memory
-    // access. Callers must have verified AVX-512F support, which implies
-    // SSSE3 (all call sites are inside `#[target_feature(enable =
-    // "avx512f")]` fns reached only via `available()`).
+    ///
+    /// # Safety
+    ///
+    /// Pure register arithmetic on SSSE3 intrinsics — no memory
+    /// access. Callers must have verified AVX-512F support, which implies
+    /// SSSE3 (all call sites are inside `#[target_feature(enable =
+    /// "avx512f")]` fns reached only via `available()`).
     #[inline(always)]
     unsafe fn decode32(bytes: __m128i, lut: __m128i, mask: __m128i) -> [__m128i; 2] {
         let lo = _mm_and_si128(bytes, mask);
@@ -851,11 +878,14 @@ mod avx512 {
     /// `avx2` matvec panels — same decoded half-units, same fused
     /// operation, same ascending row order, one lane per column — so the
     /// output bits do not depend on `N` or on the register width.
-    // SAFETY: caller (`token_block`) guarantees AVX-512F support, that
-    // `data` points at `rows` weight rows of ≥ 16 readable bytes at
-    // `stride` spacing, that `xs` points at `N` activation rows of `rows`
-    // readable f32s at `x_stride` spacing, and `outs` at `N` output rows of
-    // ≥ 32 writable f32s at `out_stride` spacing. Unaligned accesses only.
+    ///
+    /// # Safety
+    ///
+    /// Caller (`token_block`) guarantees AVX-512F support, that
+    /// `data` points at `rows` weight rows of ≥ 16 readable bytes at
+    /// `stride` spacing, that `xs` points at `N` activation rows of `rows`
+    /// readable f32s at `x_stride` spacing, and `outs` at `N` output rows of
+    /// ≥ 32 writable f32s at `out_stride` spacing. Unaligned accesses only.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn panel32xn<const N: usize>(
@@ -890,8 +920,11 @@ mod avx512 {
     }
 
     /// 16-column × `N`-token panel (8-byte row loads, one zmm per token).
-    // SAFETY: as `panel32xn`, with ≥ 8 readable bytes per weight row and
-    // ≥ 16 writable f32s per output row.
+    ///
+    /// # Safety
+    ///
+    /// As `panel32xn`, with ≥ 8 readable bytes per weight row and
+    /// ≥ 16 writable f32s per output row.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn panel16xn<const N: usize>(
@@ -926,7 +959,10 @@ mod avx512 {
     /// for the last `len % 16` columns — the column coverage of
     /// `avx2::matvec_block` (panels over `len - len % 16`, scalar tail
     /// after), which is what pins every column to the same chain there.
-    // SAFETY: as `matmul_block`, with `tt + N ≤ t`.
+    ///
+    /// # Safety
+    ///
+    /// As `matmul_block`, with `tt + N ≤ t`.
     #[allow(clippy::too_many_arguments)]
     unsafe fn token_block<const N: usize>(
         xs: &[f32],
@@ -994,13 +1030,16 @@ mod avx512 {
     /// a single leftover row through `avx2::matvec_block` (as in
     /// `avx2::matmul_block`). Every output row matches `avx2::matvec_block`
     /// on its activation row bit for bit.
-    // SAFETY: caller must ensure `available()` (AVX-512F, and AVX2+FMA for
-    // the `avx2` calls), `rows ≥ 1`, `row_offset + rows ≤ m.rows()`,
-    // `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    // `xs.len() ≥ (t-1)·x_stride + rows`, and
-    // `outs.len() ≥ (t-1)·out_stride + col_range.len()` — the contract of
-    // `avx2::matmul_block`, which bounds every pointer offset in the token
-    // blocks within `m.data()`, `xs`, and `outs`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure `available()` (AVX-512F, and AVX2+FMA for
+    /// the `avx2` calls), `rows ≥ 1`, `row_offset + rows ≤ m.rows()`,
+    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
+    /// `xs.len() ≥ (t-1)·x_stride + rows`, and
+    /// `outs.len() ≥ (t-1)·out_stride + col_range.len()` — the contract of
+    /// `avx2::matmul_block`, which bounds every pointer offset in the token
+    /// blocks within `m.data()`, `xs`, and `outs`.
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn matmul_block(
         xs: &[f32],

@@ -23,6 +23,8 @@
 //! deterministic LRU eviction of cold, unreferenced prefixes under a
 //! page budget.
 
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use std::sync::Arc;
 
 /// Local positions per KV page: one page holds this many cached
@@ -115,18 +117,30 @@ impl KvCache {
     }
 
     /// Floats per position per side (K or V).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "kv_heads and head_dim come from a validated TransformerConfig; their product is one position's row, fixed at construction"
+    )]
     fn width(&self) -> usize {
         self.kv_heads * self.head_dim
     }
 
     /// Floats in one full page: every layer's K and V for
     /// [`PAGE_SLOTS`] positions.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "one page's float count, fixed at construction by the layer count and row width"
+    )]
     fn page_floats(&self) -> usize {
         self.num_layers * PAGE_SLOTS * 2 * self.width()
     }
 
     /// Offset of `(layer, slot, which)` inside a page buffer
     /// (`which`: 0 = keys, 1 = values).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "layer < num_layers, slot < PAGE_SLOTS and which < 2, so the offset is below page_floats(), fixed at construction"
+    )]
     fn slot_base(&self, layer: usize, slot: usize, which: usize) -> usize {
         ((layer * PAGE_SLOTS + slot) * 2 + which) * self.width()
     }
@@ -137,6 +151,10 @@ impl KvCache {
     ///
     /// Panics if the slices are not `kv_heads * head_dim` long or the
     /// layer index is out of range.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "slot_base + width ends inside the page, whose size page_floats() fixes at construction"
+    )]
     pub fn append(&mut self, layer: usize, k: &[f32], v: &[f32]) {
         let width = self.width();
         assert_eq!(k.len(), width, "key width");
@@ -164,6 +182,10 @@ impl KvCache {
 
     /// Key vector of `head` at `position` in `layer` (indirect page
     /// lookup; no allocation).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "head < kv_heads, so base + head_dim ends inside the position's row, whose size is fixed at construction"
+    )]
     pub fn key(&self, layer: usize, position: usize, head: usize) -> &[f32] {
         let base = self.slot_base(layer, position % PAGE_SLOTS, 0) + head * self.head_dim;
         let page = &self.pages[position / PAGE_SLOTS];
@@ -171,6 +193,10 @@ impl KvCache {
     }
 
     /// Value vector of `head` at `position` in `layer`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "head < kv_heads, so base + head_dim ends inside the position's row, whose size is fixed at construction"
+    )]
     pub fn value(&self, layer: usize, position: usize, head: usize) -> &[f32] {
         let base = self.slot_base(layer, position % PAGE_SLOTS, 1) + head * self.head_dim;
         let page = &self.pages[position / PAGE_SLOTS];
@@ -196,7 +222,7 @@ impl KvCache {
                 (Page::Shared(a), Page::Shared(b)) => Arc::ptr_eq(a, b),
                 _ => false,
             });
-        same.count() * PAGE_SLOTS
+        same.count().saturating_mul(PAGE_SLOTS)
     }
 
     /// The page this cache's table starts with, when it is a shared one:
@@ -348,7 +374,7 @@ impl KvCache {
         debug_assert!(
             self.fill
                 .iter()
-                .all(|&f| f >= (page + 1).saturating_mul(PAGE_SLOTS)),
+                .all(|&f| f >= page.saturating_add(1).saturating_mul(PAGE_SLOTS)),
             "sharing a page that is not full on every layer"
         );
         let entry = &mut self.pages[page];
@@ -829,10 +855,8 @@ impl PrefixCache {
         F: FnMut(usize) -> Vec<PageRef>,
     {
         self.clock = self.clock.saturating_add(1);
-        let nblocks = prompt.len() / BLOCK_POSITIONS;
         let mut cur = ROOT;
-        for b in 0..nblocks {
-            let chunk = &prompt[b * BLOCK_POSITIONS..(b + 1) * BLOCK_POSITIONS];
+        for (b, chunk) in prompt.chunks_exact(BLOCK_POSITIONS).enumerate() {
             match self.tree.child_equal(cur, chunk) {
                 Some(c) => {
                     self.tree.nodes[c as usize].last_touch = self.clock;

@@ -104,7 +104,10 @@ fn exp_each(xs: &mut [f32]) {
 }
 
 /// [`exp_each`] compiled for 16-lane vectors.
-// SAFETY: caller must ensure AVX-512F support.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn exp_lanes_avx512(xs: &mut [f32]) {
@@ -112,7 +115,10 @@ unsafe fn exp_lanes_avx512(xs: &mut [f32]) {
 }
 
 /// [`exp_each`] compiled for 8-lane vectors.
-// SAFETY: caller must ensure AVX2 support.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn exp_lanes_avx2(xs: &mut [f32]) {

@@ -57,6 +57,18 @@
 //! Extended lifecycle: `Recovering` (evicted, awaiting re-admission) is
 //! live; `DeadlineMissed`, `Shed`, and `ChipLost` are terminal.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::batch::{BatchedDataflowExecutor, SeqSlot, SequenceRequest, SlotPool};
 use crate::dataflow::CommCounters;
 use crate::fault::{FaultError, FaultPlan, FaultPolicy, RecoveryStats};
@@ -684,7 +696,7 @@ impl OnlineServer {
         // for rejected calls), so a fault plan's deadline targets line up
         // with trace positions regardless of backpressure.
         let attempt = self.submit_attempts;
-        self.submit_attempts += 1;
+        self.submit_attempts = self.submit_attempts.saturating_add(1);
         if request.prompt.is_empty() {
             return Err(ServeError::EmptyPrompt);
         }
@@ -700,7 +712,7 @@ impl OnlineServer {
             });
         }
         if self.waiting.len() >= self.queue_capacity {
-            self.rejected += 1;
+            self.rejected = self.rejected.saturating_add(1);
             return Err(ServeError::QueueFull {
                 capacity: self.queue_capacity,
             });
@@ -889,6 +901,10 @@ impl OnlineServer {
     /// the pool drops its page references, its record takes the counters.
     /// Finish, cancel, deadline and eviction all leave residency here, so
     /// `slot_frees == admissions` is this function's property.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "CommCounters' `+=` adds collective counts that grow by a few per layer per round, far below u64::MAX"
+    )]
     fn release_slot(&mut self, id: SeqId) -> Option<SeqSlot> {
         self.stepper.remove(id.0);
         let gone = self.pool.vacate(id.0)?;
@@ -896,7 +912,7 @@ impl OnlineServer {
             // `+=`: a recovered sequence's pre-eviction counters were
             // harvested at eviction time.
             rec.comm += gone.state.comm;
-            rec.slot_frees += 1;
+            rec.slot_frees = rec.slot_frees.saturating_add(1);
         }
         Some(gone)
     }
@@ -911,7 +927,7 @@ impl OnlineServer {
             let (Some(slot), Some(rec)) = (self.release_slot(id), self.seqs.get_mut(id.0)) else {
                 continue;
             };
-            self.recovery.evictions += 1;
+            self.recovery.evictions = self.recovery.evictions.saturating_add(1);
             rec.state = SeqState::Recovering;
             rec.parked = Some(Parked {
                 slot,
@@ -933,7 +949,7 @@ impl OnlineServer {
     /// *newest* queued requests — queued work is sacrificed before
     /// admitted work, and earlier arrivals keep their FCFS promise.
     fn shed_queue_overflow(&mut self) {
-        while self.waiting.len() + self.recovering.len() > self.queue_capacity {
+        while self.waiting.len().saturating_add(self.recovering.len()) > self.queue_capacity {
             let Some(id) = self.waiting.pop_back() else {
                 break;
             };
@@ -1003,14 +1019,13 @@ impl OnlineServer {
             };
             if let Some(parked) = rec.parked.take_if(admit) {
                 let slot = self.engine.recover_slot(parked.slot, &rec.request);
-                self.recovery.resumed += 1;
-                // cast: prompt lengths are usize token counts, value-preserving in u64
+                self.recovery.resumed = self.recovery.resumed.saturating_add(1);
                 let re_prefill = slot.prompt.len() as u64;
                 self.recovery.re_prefill_tokens =
                     self.recovery.re_prefill_tokens.saturating_add(re_prefill);
                 self.pool.place(slot);
                 rec.state = SeqState::Prefilling;
-                rec.admissions += 1;
+                rec.admissions = rec.admissions.saturating_add(1);
                 self.events
                     .push_back(ServeEvent::Recovered { id, t_s: now_s });
             } else if let Some(parked) = rec.parked.as_mut() {
@@ -1022,11 +1037,11 @@ impl OnlineServer {
                         chip: parked.chip,
                     };
                     self.retire(id, SeqState::ChipLost, Some(error));
-                    self.recovery.failed += 1;
+                    self.recovery.failed = self.recovery.failed.saturating_add(1);
                     self.events
                         .push_back(ServeEvent::ChipLost { id, t_s: now_s });
                 } else {
-                    parked.retries += 1;
+                    parked.retries = parked.retries.saturating_add(1);
                     parked.retry_at_s =
                         now_s + FaultPolicy::backoff_s(self.round_s, parked.retries);
                     self.recovering.push_back(id);
@@ -1053,7 +1068,7 @@ impl OnlineServer {
             self.pool.place(self.engine.new_slot(id.0, &rec.request));
             rec.state = SeqState::Prefilling;
             rec.admitted_s = Some(self.now_s);
-            rec.admissions += 1;
+            rec.admissions = rec.admissions.saturating_add(1);
             self.events.push_back(ServeEvent::Admitted {
                 id,
                 t_s: self.now_s,
@@ -1083,7 +1098,7 @@ impl OnlineServer {
             let (Some(slot), Some(rec)) = (self.pool.get(seq), self.seqs.get_mut(seq)) else {
                 continue;
             };
-            let Some(&token) = slot.out.last() else {
+            let Some((index, &token)) = slot.out.iter().enumerate().next_back() else {
                 continue;
             };
             // (A prompt completed owing no tokens is retired below.)
@@ -1107,7 +1122,7 @@ impl OnlineServer {
             rec.prev_token_s = Some(now);
             self.events.push_back(ServeEvent::Token {
                 id: SeqId(seq),
-                index: slot.out.len() - 1,
+                index,
                 token,
                 t_s: now,
             });
@@ -1132,18 +1147,29 @@ impl OnlineServer {
         let (ttfts, gaps) = (sorted(&healthy.ttft), sorted(&healthy.gap));
         let (ttfts_degraded, gaps_degraded) = (sorted(&degraded.ttft), sorted(&degraded.gap));
         let (degraded_rounds, link_retry_rounds) = self.faults.stretched_rounds();
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "sample counts are small usize values, exact in f64"
+        )]
         let mean = |v: &[f64]| {
             if v.is_empty() {
                 0.0
             } else {
-                // cast: sample counts are small usize values, exact in f64
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
         let count = |s: SeqState| self.seqs.iter().filter(|r| r.state == s).count();
         let prefills = self.plans.iter().flat_map(|plan| &plan.prefill);
-        // cast: a round decodes at most `slots` sequences, value-preserving in u64
         let decoded_tokens: u64 = self.plans.iter().map(|p| p.decode.len() as u64).sum();
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "decoded-token counts stay far below 2^53, exact in f64"
+        )]
+        let decode_tokens_per_s_virtual = if self.now_s > 0.0 {
+            decoded_tokens as f64 / self.now_s
+        } else {
+            0.0
+        };
         SloReport {
             submitted: self.seqs.len(),
             completed: count(SeqState::Finished),
@@ -1156,7 +1182,6 @@ impl OnlineServer {
             degraded_rounds,
             link_retry_rounds,
             rejected: self.rejected,
-            // cast: round counts are usize, value-preserving in u64
             rounds: self.plans.len() as u64,
             prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             decoded_tokens,
@@ -1168,12 +1193,7 @@ impl OnlineServer {
                 .map(PrefixCache::stats)
                 .unwrap_or_default(),
             makespan_s: self.now_s,
-            decode_tokens_per_s_virtual: if self.now_s > 0.0 {
-                // cast: decoded-token counts stay far below 2^53, exact in f64
-                decoded_tokens as f64 / self.now_s
-            } else {
-                0.0
-            },
+            decode_tokens_per_s_virtual,
             ttft_p50_s: percentile(&ttfts, 0.50),
             ttft_p99_s: percentile(&ttfts, 0.99),
             ttft_mean_s: mean(&ttfts),
@@ -1221,8 +1241,13 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    // cast: sample counts are small (exact in f64) and the rounded rank is clamped by get()
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    #[expect(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "sample counts are small (exact in f64) and the rounded rank is clamped by get()"
+    )]
+    let idx = (sorted.len().saturating_sub(1) as f64 * p).round() as usize;
     sorted.get(idx).copied().unwrap_or(0.0)
 }
 

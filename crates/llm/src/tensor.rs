@@ -231,9 +231,12 @@ mod avx512 {
 
     /// Full passes, then the last `rows % PASS` table rows as one
     /// narrower pass.
-    // SAFETY: caller must ensure AVX-512F support, `block.len()` a
-    // multiple of `LANES` and `out.len() ≥ rows · LANES`; table rows are
-    // length-checked before any read.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F support, `block.len()` a
+    /// multiple of `LANES` and `out.len() ≥ rows · LANES`; table rows are
+    /// length-checked before any read.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn dot_lanes<'t>(
         block: &[f32],
@@ -259,7 +262,10 @@ mod avx512 {
 
     /// Table rows `r .. r + N`: per element, one query vector load and
     /// `N` broadcast multiply-then-add steps.
-    // SAFETY: as `dot_lanes`, with `r + N ≤ rows`.
+    ///
+    /// # Safety
+    ///
+    /// As `dot_lanes`, with `r + N ≤ rows`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn pass<'t, const N: usize>(
@@ -289,9 +295,12 @@ mod avx512 {
     }
 
     /// Full passes of table rows, then the remainder as one narrower pass.
-    // SAFETY: caller must ensure AVX-512F support, `acc.len()` a multiple
-    // of `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
-    // table rows are length-checked before any read.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F support, `acc.len()` a multiple
+    /// of `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
+    /// table rows are length-checked before any read.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn accumulate_lanes<'t>(
         w: &[f32],
@@ -319,7 +328,10 @@ mod avx512 {
 
     /// Table rows `p .. p + N`: per accumulator element one load, `N`
     /// masked multiply-then-add steps in position order, one store.
-    // SAFETY: as `accumulate_lanes`, with `p + N ≤ rows.end`.
+    ///
+    /// # Safety
+    ///
+    /// As `accumulate_lanes`, with `p + N ≤ rows.end`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn weigh<'t, const N: usize>(
@@ -362,9 +374,11 @@ mod avx2 {
     /// Lanes per ymm half.
     const HALF: usize = LANES / 2;
 
-    // SAFETY: caller must ensure AVX2 support, `block.len()` a multiple of
-    // `LANES` and `out.len() ≥ rows · LANES`; table rows are
-    // length-checked before any read.
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 support, `block.len()` a multiple of
+    /// `LANES` and `out.len() ≥ rows · LANES`; table rows are
+    /// length-checked before any read.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_lanes<'t>(
         block: &[f32],
@@ -382,7 +396,10 @@ mod avx2 {
     }
 
     /// Full passes over `H` halves, then the remainder pass.
-    // SAFETY: as `dot_lanes`.
+    ///
+    /// # Safety
+    ///
+    /// As `dot_lanes`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn passes<'t, const H: usize>(
@@ -406,7 +423,10 @@ mod avx2 {
     }
 
     /// Table rows `r .. r + N` against the first `H` halves of the block.
-    // SAFETY: as `dot_lanes`, with `r + N ≤ rows`.
+    ///
+    /// # Safety
+    ///
+    /// As `dot_lanes`, with `r + N ≤ rows`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn pass<'t, const N: usize, const H: usize>(
@@ -443,9 +463,11 @@ mod avx2 {
         }
     }
 
-    // SAFETY: caller must ensure AVX2 support, `acc.len()` a multiple of
-    // `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
-    // table rows are length-checked before any read.
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 support, `acc.len()` a multiple of
+    /// `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
+    /// table rows are length-checked before any read.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn accumulate_lanes<'t>(
         w: &[f32],
@@ -463,7 +485,10 @@ mod avx2 {
     }
 
     /// Full passes of table rows over `H` halves, then the remainder pass.
-    // SAFETY: as `accumulate_lanes`.
+    ///
+    /// # Safety
+    ///
+    /// As `accumulate_lanes`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn weighs<'t, const H: usize>(
@@ -498,7 +523,10 @@ mod avx2 {
 
     /// Table rows `p .. p + N` on the first `H` halves: a lane's steps are
     /// blended in only where its position is below its end.
-    // SAFETY: as `accumulate_lanes`, with `p + N ≤ rows.end`.
+    ///
+    /// # Safety
+    ///
+    /// As `accumulate_lanes`, with `p + N ≤ rows.end`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn weigh<'t, const N: usize, const H: usize>(

@@ -5,6 +5,8 @@
 //! handling both MoE and dense models (a dense FFN is a single-expert MoE,
 //! which is arithmetically identical).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::config::{AttentionConfig, MoeConfig, TransformerConfig};
 use crate::zoo::{ModelCard, Precision};
 use serde::Deserialize;

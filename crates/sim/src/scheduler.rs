@@ -13,6 +13,18 @@
 //! [`BatchScheduler::plan_with_prefixes`] over a whole trace and by
 //! `hnlpu-llm`'s online server as requests arrive.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::config::SimConfig;
 use crate::pipeline::advance_interval_cycles;
 use serde::Serialize;
@@ -90,7 +102,6 @@ impl RoundPlan {
     /// Token slots consumed this round (decode + prefill).
     pub fn used_slots(&self) -> u64 {
         let prefill: u64 = self.prefill.iter().map(|&(_, n)| u64::from(n)).sum();
-        // cast: a round decodes at most a few hundred sequences, value-preserving in u64
         prefill.saturating_add(self.decode.len() as u64)
     }
 }
@@ -106,8 +117,11 @@ pub struct BatchScheduler {
 /// Virtual-time µs → seconds (arrivals, deadlines, fault timestamps): the
 /// one conversion the scheduler and the serving stack share, so the
 /// clocks they compare are the same `f64`s.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "virtual timestamps are bounded by the run horizon (< 2^53 µs), value-preserving in f64"
+)]
 pub fn micros_to_s(micros: u64) -> f64 {
-    // cast: virtual timestamps are bounded by the run horizon (< 2^53 µs), value-preserving in f64
     micros as f64 / 1e6
 }
 
@@ -200,8 +214,12 @@ impl BatchScheduler {
             let claimed = stepper.decoding();
             let (plan, finished) = stepper.step(oracle);
             let prefill: u64 = plan.prefill.iter().map(|&(_, n)| u64::from(n)).sum();
-            // cast: all three counts are at most a few hundred, exact in f64
-            occupancy_sum += (claimed as f64 + prefill as f64) / stepper.slots() as f64;
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "all three counts are at most a few hundred, exact in f64"
+            )]
+            let occupancy = (claimed as f64 + prefill as f64) / stepper.slots() as f64;
+            occupancy_sum += occupancy;
             for req in finished.into_iter().filter_map(|seq| requests.get(seq)) {
                 let arrival_s = micros_to_s(req.arrival_s_micros);
                 completions.push(Completion {
@@ -214,22 +232,19 @@ impl BatchScheduler {
         }
 
         let prefills = plans.iter().flat_map(|plan| &plan.prefill);
-        // cast: a round decodes at most `slots` sequences, value-preserving in u64
         let decoded: u64 = plans.iter().map(|plan| plan.decode.len() as u64).sum();
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "decoded-token totals and round counts stay far below 2^53, exact in f64"
+        )]
         let report = SchedulerReport {
             decoded_tokens: decoded,
             prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
             makespan_s: now,
-            throughput_tokens_per_s: if now > 0.0 {
-                // cast: decoded-token totals stay far below 2^53, exact in f64
-                decoded as f64 / now
-            } else {
-                0.0
-            },
+            throughput_tokens_per_s: if now > 0.0 { decoded as f64 / now } else { 0.0 },
             mean_occupancy: if plans.is_empty() {
                 0.0
             } else {
-                // cast: round counts stay far below 2^53, exact in f64
                 occupancy_sum / plans.len() as f64
             },
             completions,

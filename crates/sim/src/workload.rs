@@ -9,6 +9,8 @@
 //! seed — no ambient RNG — so the online serving frontend and the offline
 //! plan replay can regenerate byte-identical arrival traces independently.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::scheduler::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

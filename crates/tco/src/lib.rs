@@ -9,6 +9,9 @@
 //!   model-update policies, HNLPU vs equivalently-provisioned H100 cluster.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod assumptions;
 pub mod blue_green;
 pub mod capex;
