@@ -852,13 +852,26 @@ impl BatchedDataflowExecutor {
         carcass
     }
 
+    /// One pipeline round ([`Self::deal_round`]), timed: every arena that
+    /// took part is charged the round's wall time as [`Stage::Round`], so
+    /// `1 − worker / round` over the arenas is the workers' idle share.
+    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>, arenas: &mut [Scratch]) {
+        let span = telemetry::start();
+        let workers = arenas.len().min(work.len()).max(1);
+        self.deal_round(work, arenas);
+        let ns = telemetry::since(span);
+        for arena in arenas.iter_mut().take(workers) {
+            arena.spans.add(Stage::Round, ns);
+        }
+    }
+
     /// One pipeline round: the work items are dealt to one worker per
     /// arena (at most one per item) by the rows each pushes through the
     /// block ([`deal_rows`]), and every worker runs its share as one chunk
     /// in its own arena, so a worker's decoders still share one batched
     /// decode step. One worker runs the whole round as a single chunk on
     /// the calling thread.
-    fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>, arenas: &mut [Scratch]) {
+    fn deal_round(&self, work: Vec<(&mut SeqSlot, Action)>, arenas: &mut [Scratch]) {
         use rayon::prelude::*;
         let workers = arenas.len().min(work.len());
         debug_assert!(workers > 0 || work.is_empty(), "a round needs an arena");

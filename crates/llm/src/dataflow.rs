@@ -5,11 +5,11 @@
 //! collectives whose invocations and byte counts are recorded. Attention
 //! follows the FlashAttention-style flow (§4.3): each chip reduces its
 //! quarter of the context with running max/sum statistics, and the column
-//! group combines the partials exactly. The scores come a block of up to
-//! 16 queries at a time from `tensor::dot_lanes` — a prefill
-//! panel's rows share their sequence's shards, so each key is read once
-//! per block rather than once per query — and every score, and so every
-//! output bit, is what a lone row computes.
+//! group combines the partials exactly. A block of up to 16 queries is
+//! scored against tiles of key positions (`tensor::score_lanes`), each key
+//! and value read once per block rather than once per query (a prefill
+//! panel's rows share their sequence's shards), and every score, and so
+//! every output bit, is what a lone row computes.
 //!
 //! [`DataflowExecutor`] is the shared driver ([`Engine`]) over the [`Grid`]
 //! placement; this module holds what the grid means — the sharded
@@ -25,13 +25,15 @@
 use crate::engine::{Engine, PanelRows, Placement};
 use crate::kernels::matmul_block_into;
 use crate::kv_cache::{KvCache, PagePool, PageRef, BLOCK_POSITIONS, PAGE_SLOTS};
-use crate::ops::{exp, exp_lanes, rmsnorm_into};
+use crate::ops::{exp_lanes, rmsnorm_into};
 use crate::reference::stage_experts;
 use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::telemetry::{self, Stage};
-use crate::tensor::{accumulate_lanes, add_assign, dot_lanes, transpose_lanes, LANES};
+use crate::tensor::{add_assign, lane_arms, score_lanes, weigh_lanes, Lanes, LANES};
 use hnlpu_model::{PackedFp4Matrix, TransformerConfig};
+use std::array::from_fn;
+use std::ops::Range;
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
@@ -425,7 +427,6 @@ impl Placement for Grid {
         let row_slice = h / GRID;
         let Scratch {
             scores,
-            numer,
             delta,
             lora_hidden,
             rope,
@@ -521,7 +522,6 @@ impl Placement for Grid {
                     (q_heads_per_col, group, hd),
                     xop,
                     scores,
-                    numer,
                 );
             }
         }
@@ -679,31 +679,47 @@ fn col_project_panel(
     });
 }
 
-/// Flash-style column attention for the panel rows `rows`, row `tt`
-/// reading the column's shards `kv(tt)`: each chip reduces its quarter of a
-/// row's context with running max/sum statistics into a flash accumulator,
-/// and the column all-reduce combines them exactly, in chip order. `heads`
-/// is (query heads per column, GQA group size, head dim); row `tt`'s
-/// queries sit at `q[tt * stride..]`, its outputs go to `out[tt *
-/// stride..]`, and it sees context positions `0 ..= positions[tt]`. Chip
-/// `chip` holds positions `p % 4 == chip`, so for a context of `ctx` it
-/// contributes `ceil((ctx - chip) / 4)` of them.
+lane_arms! {
+    /// Flash-style column attention for the panel rows `rows`, row `tt`
+    /// reading the column's shards `kv(tt)`: each chip reduces its quarter
+    /// of a row's context with max/sum statistics into a flash accumulator,
+    /// and the column all-reduce combines them exactly, in chip order.
+    /// `heads` is (query heads per column, GQA group size, head dim); row
+    /// `tt`'s queries sit at `q[tt * stride..]`, its outputs go to `out[tt
+    /// * stride..]`, and it sees context positions `0 ..= positions[tt]`,
+    /// `ceil((ctx - chip) / 4)` of them on chip `chip` (`p % 4 == chip`).
+    ///
+    /// Per KV head, the group's query heads of every row form blocks of up
+    /// to [`LANES`] queries, and each query gets one score row with the key
+    /// positions in the lanes: chip by chip, the positions every row of the
+    /// block reads from the same bytes as its first row (all of them for
+    /// one sequence's rows, the common shared prefix pages for decode rows
+    /// attached to one committed prompt), then chip by chip each row's own
+    /// positions after those. One [`score_lanes`] call scores the common
+    /// positions of all four chips, each key tile transposed once for the
+    /// block, and per chip one [`weigh_lanes`] call weighs them, each value
+    /// read once for the block; each row's own positions get calls of their
+    /// own, after. Every score is `tensor::dot`'s chain times the scale, and
+    /// each query runs a lone row's per-chip max (the same in any order),
+    /// `exp` (one [`exp_lanes`] pass over the block's rows, one more for
+    /// the combine's chip weights), sum and value accumulation in position
+    /// order over its own positions only. Compiled once per lane arm.
+    #[allow(clippy::too_many_arguments)]
+    fn column_attention<'k>(q: &[f32], out: &mut [f32], stride: usize, rows: &[usize],
+        positions: &[usize], kv: impl Fn(usize) -> &'k [KvCache], layer: usize,
+        heads: (usize, usize, usize), lanes: &mut [f32], scores: &mut Vec<f32>,
+    ) => column_attention_lanes, column_attention_avx512, column_attention_avx2
+}
+
+/// The body of [`column_attention`].
 ///
-/// Per KV head, the group's query heads of every row form blocks of up to
-/// [`LANES`] queries. Per chip, the positions every row of a block reads
-/// from the same bytes as its first row — all of them when the rows are
-/// one sequence's, the common shared prefix pages when they are decode
-/// rows attached to one committed prompt — are scored in one
-/// [`dot_lanes`] pass and weighed in one [`accumulate_lanes`] pass, each
-/// key and value read once for the block; each row's own positions after
-/// them (its private tail and copy-on-write boundary page) get passes of
-/// their own, after the shared ones. Each score is still `tensor::dot`'s
-/// chain times the scale, and each query still runs a lone row's running
-/// max, `exp`, sum and value accumulation in position order over its own
-/// positions only — the `exp` as one [`exp_lanes`] pass over the block.
+/// # Safety
+///
+/// The CPU must support `V`'s arm ([`Lanes`]).
 // analyze: hot
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn column_attention<'k>(
+unsafe fn column_attention_lanes<'k, V: Lanes>(
     q: &[f32],
     out: &mut [f32],
     stride: usize,
@@ -714,143 +730,200 @@ fn column_attention<'k>(
     heads: (usize, usize, usize),
     lanes: &mut [f32],
     scores: &mut Vec<f32>,
-    numer: &mut [f32],
 ) {
     let (q_heads, group, hd) = heads;
     let scale = 1.0 / (hd as f32).sqrt();
-    let (queries, flash_acc) = lanes.split_at_mut(LANES * hd);
+    // The key tile, then per (chip, lane) the value accumulator: element
+    // `i` of lane `l` at `flash_acc[(chip * live + l) * hd + i]`.
+    let (tile, flash_acc) = lanes.split_at_mut(LANES * hd);
     let flash_acc = &mut flash_acc[..GRID * LANES * hd];
+    // Panel row `tt`'s positions on chip `chip`.
+    let own = |tt: usize, chip: usize| (positions[tt] + 1).saturating_sub(chip).div_ceil(GRID);
     let count = rows.len() * group;
     for kv_head in 0..q_heads / group {
-        // Query `j` of this KV head is query head `kv_head * group + j %
-        // group` of panel row `rows[j / group]`.
-        let at = |j: usize| rows[j / group] * stride + (kv_head * group + j % group) * hd;
         for first in (0..count).step_by(LANES) {
             let live = (count - first).min(LANES);
-            transpose_lanes(queries, (first..first + live).map(|j| &q[at(j)..][..hd]));
-            // The block's members: panel row, first lane, lane count.
-            let mut members = [(0, 0, 0); LANES];
+            // The block's members (panel row, first lane, lane count), and
+            // where each lane's query sits: query `j` of this KV head is
+            // query head `kv_head * group + j % group` of panel row
+            // `rows[j / group]`.
+            let (mut members, mut at) = ([(0, 0, 0); LANES], [0; LANES]);
             let member_rows = first / group..(first + live - 1) / group + 1;
             let members = &mut members[..member_rows.len()];
             for (m, r) in members.iter_mut().zip(member_rows) {
                 let lo = (r * group).max(first) - first;
-                *m = (
-                    rows[r],
-                    lo,
-                    ((r + 1) * group).min(first + live) - first - lo,
-                );
+                let n = ((r + 1) * group).min(first + live) - first - lo;
+                for (l, at) in at[lo..lo + n].iter_mut().enumerate() {
+                    *at = rows[r] * stride + (kv_head * group + first + lo + l - r * group) * hd;
+                }
+                *m = (rows[r], lo, n);
             }
-            let mut ctx = [0usize; LANES];
-            for &(tt, lo, n) in &*members {
-                ctx[lo..lo + n].fill(positions[tt] + 1);
-            }
-            // Per (chip, lane) flash partials: running max, exp-sum, and
-            // the value accumulator, element `i` of lane `l` at
-            // `flash_acc[(chip * hd + i) * LANES + l]`.
-            let mut ms = [[f32::NEG_INFINITY; LANES]; GRID];
-            let mut sums = [[0.0f32; LANES]; GRID];
+            let queries: [&[f32]; LANES] =
+                from_fn(|l| if l < live { &q[at[l]..][..hd] } else { &[] });
+
+            // Per chip, the most positions a member sees (`span`) and the
+            // leading ones all read through the first member's shard
+            // (`common`), at score-row positions `shared_at[chip]..`; then
+            // member `m`'s own positions past them, chip by chip, at
+            // `tails[m][chip]..tails[m][chip + 1]`.
+            let lead = kv(members[0].0);
+            let (mut span, mut common, mut shared_at) = ([0; GRID], [0; GRID], [0; GRID + 1]);
             for chip in 0..GRID {
-                // The positions of this chip each lane may see.
-                let mut own = [0u32; LANES];
-                for (n, &c) in own[..live].iter_mut().zip(&ctx) {
-                    *n = if c > chip {
-                        (c - chip).div_ceil(GRID) as u32
-                    } else {
-                        0
-                    };
-                }
-                let span = own.iter().copied().max().unwrap_or(0) as usize;
-                if span == 0 {
-                    continue;
-                }
-                let lead = &kv(members[0].0)[chip];
-                let common = members.iter().fold(span, |common, &(tt, ..)| {
-                    common.min(lead.common_positions(&kv(tt)[chip]))
+                span[chip] = members
+                    .iter()
+                    .fold(0, |span, &(tt, ..)| span.max(own(tt, chip)));
+                // The lead reads all its own positions; only others cut in.
+                common[chip] = members[1..].iter().fold(span[chip], |common, &(tt, ..)| {
+                    common.min(lead[chip].common_positions(&kv(tt)[chip]))
                 });
-                // The block's scores, then room for one row's past `common`.
-                let need = (2 * span - common) * LANES;
-                if scores.len() < need {
-                    // Grown to the longest context the arena has scored.
-                    // Arenas belong to workers, not sequences, so the
-                    // amortized doubling of `resize` is a few KiB per
-                    // worker, not per resident sequence.
-                    scores.resize(need, 0.0);
+                shared_at[chip + 1] = shared_at[chip] + common[chip];
+            }
+            let mut tails = [[shared_at[GRID]; GRID + 1]; LANES];
+            for (t, &(tt, ..)) in tails.iter_mut().zip(&*members) {
+                for chip in 0..GRID {
+                    t[chip + 1] = t[chip] + own(tt, chip).saturating_sub(common[chip]);
                 }
-                let (s, tail) = scores[..need].split_at_mut(span * LANES);
-                dot_lanes(queries, live, common, |p| lead.key(layer, p, kv_head), s);
-                for &(tt, lo, n) in &*members {
-                    let end = own[lo] as usize;
-                    if end > common {
-                        let cache = &kv(tt)[chip];
-                        debug_assert!(end <= cache.len());
-                        let key = |p| cache.key(layer, common + p, kv_head);
-                        dot_lanes(queries, live, end - common, key, tail);
-                        let own_rows = s[common * LANES..].chunks_exact_mut(LANES);
-                        for (s, t) in own_rows.zip(tail.chunks_exact(LANES)).take(end - common) {
-                            s[lo..lo + n].copy_from_slice(&t[lo..lo + n]);
-                        }
-                    }
-                }
-                let m = &mut ms[chip];
-                for (p, row) in s.chunks_exact_mut(LANES).enumerate() {
-                    for ((x, m), &n) in row.iter_mut().zip(m.iter_mut()).zip(&own[..live]) {
-                        if p < n as usize {
-                            *x *= scale;
-                            *m = m.max(*x);
-                        }
-                    }
-                }
-                // Lanes past their positions hold stale scores: their `exp`
-                // is computed and never read.
-                for row in s.chunks_exact_mut(LANES) {
-                    for (x, &m) in row.iter_mut().zip(m.iter()) {
-                        *x -= m;
-                    }
-                }
-                exp_lanes(s);
-                let acc = &mut flash_acc[chip * hd * LANES..][..hd * LANES];
-                acc.fill(0.0);
-                let sum = &mut sums[chip];
-                let value = |p| lead.value(layer, p, kv_head);
-                accumulate_lanes(s, &own, 0..common, value, sum, acc);
-                for &(tt, lo, n) in &*members {
-                    let end = own[lo] as usize;
-                    if end > common {
-                        let mut ends = [0u32; LANES];
-                        ends[lo..lo + n].copy_from_slice(&own[lo..lo + n]);
-                        let cache = &kv(tt)[chip];
-                        let value = |p| cache.value(layer, p, kv_head);
-                        accumulate_lanes(s, &ends, common..end, value, sum, acc);
+            }
+            // One score row per query, padded to whole vectors.
+            let row = tails.iter().fold(0, |row, t| row.max(t[GRID]));
+            let row = row.next_multiple_of(LANES);
+            let need = live * row;
+            if scores.len() < need {
+                // Grown to the longest context the arena (one per worker,
+                // not per sequence) has scored.
+                scores.resize(need, 0.0);
+            }
+            let s = &mut scores[..need];
+            // The chip whose segment of `at` holds score-row position `v`.
+            let chip_of =
+                |at: &[usize; GRID + 1], v| at[1..GRID].iter().filter(|&&a| a <= v).count();
+            let key = |v: usize| {
+                let chip = chip_of(&shared_at, v);
+                lead[chip].key(layer, v - shared_at[chip], kv_head)
+            };
+            score_lanes::<V>(tile, key, 0..shared_at[GRID], &queries[..live], s, row);
+            for (&(tt, lo, n), t) in members.iter().zip(&tails) {
+                let cache = kv(tt);
+                let key = |v: usize| {
+                    let chip = chip_of(t, v);
+                    cache[chip].key(layer, common[chip] + v - t[chip], kv_head)
+                };
+                let (rows, queries) = (&mut s[lo * row..], &queries[lo..lo + n]);
+                score_lanes::<V>(tile, key, t[0]..t[GRID], queries, rows, row);
+            }
+
+            // Each query's scores times the scale, then its max over each
+            // chip's positions it sees, which are shifted by it; the rest of
+            // its row holds scores it must not see, whose `exp` is computed
+            // and never read.
+            let mut ms = [[f32::NEG_INFINITY; GRID]; LANES];
+            for (&(tt, lo, n), t) in members.iter().zip(&tails) {
+                for (ms, r) in ms[lo..lo + n]
+                    .iter_mut()
+                    .zip(s[lo * row..].chunks_exact_mut(row))
+                {
+                    r[..t[GRID]].iter_mut().for_each(|x| *x *= scale);
+                    for (chip, m) in ms.iter_mut().enumerate() {
+                        let end = own(tt, chip).min(common[chip]);
+                        let seen = [shared_at[chip]..shared_at[chip] + end, t[chip]..t[chip + 1]];
+                        *m = shift_by_max(r, &seen);
                     }
                 }
             }
+            exp_lanes(s);
+
+            let mut sums = [[0.0f32; LANES]; GRID];
+            flash_acc[..GRID * live * hd].fill(0.0);
+            for chip in (0..GRID).filter(|&chip| span[chip] > 0) {
+                let acc = &mut flash_acc[chip * live * hd..][..live * hd];
+                let sum = &mut sums[chip][..live];
+                let (at, from) = (shared_at[chip], common[chip]);
+                let value = |v: usize| lead[chip].value(layer, v - at, kv_head);
+                // The common positions every member sees, then each
+                // member's rest of them and its own positions.
+                let seen_by_all = members.iter().map(|&(tt, ..)| own(tt, chip)).min();
+                let all = seen_by_all.unwrap_or(0).min(from);
+                weigh_lanes::<V>(s, row, at..at + all, value, sum, acc);
+                for (&(tt, lo, n), t) in members.iter().zip(&tails) {
+                    let end = own(tt, chip);
+                    let w = &s[lo * row..];
+                    let (sum, acc) = (&mut sum[lo..lo + n], &mut acc[lo * hd..][..n * hd]);
+                    weigh_lanes::<V>(w, row, at + all..at + end.min(from), value, sum, acc);
+                    let (cache, tail) = (&kv(tt)[chip], t[chip]);
+                    let value = |v: usize| cache.value(layer, from + v - tail, kv_head);
+                    weigh_lanes::<V>(w, row, tail..t[chip + 1], value, sum, acc);
+                }
+            }
+
             // Exact combine across the column group, per query in chip
             // order (absent chips hold −∞ max, so they do not move the
-            // global max).
-            for (l, &c) in ctx[..live].iter().enumerate() {
-                let gm = ms.iter().fold(f32::NEG_INFINITY, |a, m| a.max(m[l]));
-                let mut denom = 0.0f32;
-                numer.fill(0.0);
-                for chip in 0..GRID.min(c) {
-                    let w = exp(ms[chip][l] - gm);
-                    denom += sums[chip][l] * w;
-                    let acc = flash_acc[chip * hd * LANES + l..].iter().step_by(LANES);
-                    for (n, &a) in numer.iter_mut().zip(acc) {
-                        *n += a * w;
+            // global max), the block's chip weights in one `exp` pass.
+            let mut weights = ms;
+            for w in &mut weights[..live] {
+                let gm = w.iter().fold(f32::NEG_INFINITY, |g, &m| g.max(m));
+                w.iter_mut().for_each(|w| *w -= gm);
+            }
+            exp_lanes(weights[..live].as_flattened_mut());
+            for &(tt, lo, n) in &*members {
+                for l in lo..lo + n {
+                    let o = &mut out[at[l]..][..hd];
+                    o.fill(0.0);
+                    let mut denom = 0.0f32;
+                    for chip in 0..GRID.min(positions[tt] + 1) {
+                        let w = weights[l][chip];
+                        denom += sums[chip][l] * w;
+                        let acc = &flash_acc[(chip * live + l) * hd..][..hd];
+                        for (o, &a) in o.iter_mut().zip(acc) {
+                            *o += a * w;
+                        }
                     }
-                }
-                for (o, &n) in out[at(first + l)..][..hd].iter_mut().zip(numer.iter()) {
-                    *o = n / denom;
+                    for o in o.iter_mut() {
+                        *o /= denom;
+                    }
                 }
             }
         }
     }
 }
 
+/// Shift the positions `seen` of a score row by their max, and return it
+/// (−∞ for none): what a running `f32::max` over them gives in any order.
+/// The order can only pick between `+0` and `−0`, which every later `x −
+/// max` and `exp` treat alike; a NaN score is skipped as `f32::max` skips
+/// it.
+#[inline]
+fn shift_by_max(row: &mut [f32], seen: &[Range<usize>]) -> f32 {
+    let greater = |m: f32, x: f32| if x > m { x } else { m };
+    let (mut lanes, mut max, mut whole) = ([f32::NEG_INFINITY; LANES], f32::NEG_INFINITY, false);
+    for part in seen {
+        let (chunks, rest) = row[part.start..part.end].as_chunks::<LANES>();
+        for chunk in chunks {
+            lanes = from_fn(|l| greater(lanes[l], chunk[l]));
+        }
+        whole |= !chunks.is_empty();
+        max = rest.iter().fold(max, |m, &x| greater(m, x));
+    }
+    // Halve the lanes until one is left.
+    let mut width = LANES;
+    while whole && width > 1 {
+        width /= 2;
+        let (low, high) = lanes.split_at_mut(width);
+        low.iter_mut()
+            .zip(&*high)
+            .for_each(|(m, &x)| *m = greater(*m, x));
+    }
+    let max = greater(max, lanes[0]);
+    for part in seen {
+        row[part.start..part.end].iter_mut().for_each(|x| *x -= max);
+    }
+    max
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::tests as driver;
+    use crate::ops::exp;
     use crate::reference::Transformer;
     use crate::tensor::dot;
     use hnlpu_model::{zoo, ModelWeights, WeightGenerator};
@@ -905,7 +978,7 @@ mod tests {
     driver::placement_tests!(Grid);
 
     /// The oracle of the lane-block attention: the per-row column
-    /// attention the grid ran before scores went through `dot_lanes`,
+    /// attention the grid ran before its scores went through lane kernels,
     /// unchanged — for one row, per query head and chip a scalar `dot` per
     /// position, then the running max, `exp`, value accumulation and the
     /// chip-order combine.
@@ -1054,24 +1127,27 @@ mod tests {
         /// donors' pages at its own depth, on and off a page boundary (a
         /// private copy-on-write boundary page), or no donor's — grouped
         /// as a batched step groups them (by donor in row order, unshared
-        /// rows alone) or all in one mixed call: every output bit is what
-        /// the oracle writes row by row — over panels of 1..=64 rows
+        /// rows alone) or all in one mixed call: every output bit of every
+        /// lane arm the CPU has, each called directly, is what the oracle
+        /// writes row by row — over panels of 1..=64 rows
         /// starting on and off a multiple of 4, contexts shorter than the
-        /// grid (chips with no position), GQA groups of 1, 2 and 8 at head
-        /// dims 16, 32 and 64, one or two KV heads per column, and values
-        /// with mixed signs and signed zeros.
+        /// grid (chips with no position) and up to four score tiles per
+        /// chip, GQA groups of 1, 2 and 8 at head dims 8, 16, 24, 32 and 64
+        /// (vector tails in the transpose and the value pass), one or two
+        /// KV heads per column, and values with mixed signs and signed
+        /// zeros.
         #[test]
         fn lane_attention_is_bitwise_the_per_row_oracle(
             t in 1usize..=64,
-            start in 0usize..48,
-            shape in 0usize..9,
+            start in 0usize..192,
+            shape in 0usize..15,
             kv_heads in 1usize..=2,
             shared in 0usize..12,
             mode in 0usize..4,
             seed in 0u64..1000,
         ) {
             let group = [1, 2, 8][shape % 3];
-            let hd = [16, 32, 64][shape / 3];
+            let hd = [8, 16, 24, 32, 64][shape / 3];
             // Every third case starts at position 0, so short contexts
             // leave chips empty.
             let start = if start % 3 == 0 { 0 } else { start };
@@ -1138,32 +1214,39 @@ mod tests {
                 }
                 _ => vec![(0..t).collect()],
             };
-            let mut lanes = vec![f32::NAN; (1 + GRID) * LANES * hd];
-            let mut got = vec![f32::NAN; t * stride];
-            for rows in &calls {
-                column_attention(
-                    &qs,
-                    &mut got,
-                    stride,
-                    rows,
-                    &positions,
-                    kv,
-                    layer,
-                    (q_heads, group, hd),
-                    &mut lanes,
-                    &mut scores,
-                    &mut numer,
-                );
-            }
-            for tt in 0..t {
-                for i in 0..q_heads * hd {
-                    let (g, w) = (got[tt * stride + i], want[tt * stride + i]);
-                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
-                        "row {} (position {}) head {} element {}: {} vs {}",
-                        tt, positions[tt], i / hd, i % hd, g, w);
+            for arm in crate::tensor::tests::available_arms() {
+                let mut lanes = vec![f32::NAN; (1 + GRID) * LANES * hd];
+                let mut got = vec![f32::NAN; t * stride];
+                for rows in &calls {
+                    let (o, heads, l, s) = (&mut got, (q_heads, group, hd), &mut lanes, &mut scores);
+                    match arm {
+                        // SAFETY: one lane needs no CPU feature.
+                        "portable" => unsafe {
+                            column_attention_lanes::<f32>(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
+                        },
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: `available_arms` checked AVX2.
+                        "avx2" => unsafe {
+                            column_attention_avx2(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
+                        },
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: `available_arms` checked AVX-512F.
+                        "avx512" => unsafe {
+                            column_attention_avx512(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
+                        },
+                        _ => unreachable!("unknown arm {arm}"),
+                    }
                 }
-                proptest::prop_assert!(got[tt * stride + q_heads * hd..][..5].iter().all(|v| v.is_nan()),
-                    "row {} wrote into the row padding", tt);
+                for tt in 0..t {
+                    for i in 0..q_heads * hd {
+                        let (g, w) = (got[tt * stride + i], want[tt * stride + i]);
+                        proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
+                            "{} row {} (position {}) head {} element {}: {} vs {}",
+                            arm, tt, positions[tt], i / hd, i % hd, g, w);
+                    }
+                    proptest::prop_assert!(got[tt * stride + q_heads * hd..][..5].iter().all(|v| v.is_nan()),
+                        "{} row {} wrote into the row padding", arm, tt);
+                }
             }
         }
     }

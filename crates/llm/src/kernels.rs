@@ -30,8 +30,9 @@
 //! Dispatch, under the same even-column-start condition at both entry
 //! points: the panel form takes AVX-512 → AVX2 → scalar regions, the
 //! single-vector form AVX2 → scalar regions. The CPU is the only selector
-//! ([`arm`]), and the lane primitive `tensor::dot_lanes` takes its arm from
-//! the same one, so [`kernel_path`] names both.
+//! ([`arm`]), and the lane kernels (`tensor::Lanes`, under the unembedding
+//! and the column attention) take their arm from the same one, so
+//! [`kernel_path`] names both.
 //!
 //! The two half-unit realizations are **bit-identical** to each other, not
 //! merely close: every (activation row, column) output is one FMA chain over
@@ -362,8 +363,8 @@ fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
 }
 
 /// The vector arm this CPU runs: one selector for [`matmul_block_into`]'s
-/// token blocks and [`crate::tensor::dot_lanes`]'s lane blocks, so
-/// [`kernel_path`] names both.
+/// token blocks and the lane kernels' vectors ([`crate::tensor::Lanes`]),
+/// so [`kernel_path`] names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) enum Arm {
@@ -375,7 +376,7 @@ pub(crate) enum Arm {
     Portable,
 }
 
-/// The arm [`matmul_block_into`] and [`crate::tensor::dot_lanes`] take in
+/// The arm [`matmul_block_into`] and [`crate::tensor::lane_arms`] take in
 /// this process.
 pub(crate) fn arm() -> Arm {
     #[cfg(target_arch = "x86_64")]
@@ -391,7 +392,7 @@ pub(crate) fn arm() -> Arm {
 }
 
 /// Which kernel realization [`matmul_block_into`] — and with it the lane
-/// arm of `tensor::dot_lanes` — takes in this process:
+/// arm of `tensor::lane_arms` — takes in this process:
 /// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
 /// Recorded on every `BENCH_inference.json` point (and keys which point
 /// `bench_baseline -- --check` gates against) and in the serving

@@ -103,14 +103,12 @@ pub struct Scratch {
     /// One row's MoE output accumulator (hidden).
     pub(crate) y: Vec<f32>,
     /// Attention scores, grown with the sequence: one row's context on a
-    /// single chip, or on the grid one chip's positions for a lane block of
-    /// up to [`LANES`] queries, position-major (positions × LANES),
-    /// followed by one row's positions past the block's shared pages.
-    /// The grid's lane block keeps its queries and flash accumulators in
-    /// `xop`, dead until the output projection.
+    /// single chip, or on the grid one score row per query of a lane block
+    /// of up to [`LANES`] queries, query-major, each row every chip's
+    /// positions padded to whole vectors. The grid's lane block keeps its
+    /// key tile and flash accumulators in `xop`, dead until the output
+    /// projection.
     pub(crate) scores: Vec<f32>,
-    /// Flash-attention combine numerator (head_dim).
-    pub(crate) numer: Vec<f32>,
     /// One row's top-k expert indices (experts_per_token).
     pub(crate) chosen: Vec<usize>,
     /// One row's softmaxed expert weights (experts_per_token).
@@ -183,7 +181,6 @@ impl Scratch {
         Scratch {
             y: vec![0.0; h],
             scores: Vec::new(),
-            numer: vec![0.0; hd],
             chosen: Vec::with_capacity(per_tok),
             expert_w: Vec::with_capacity(per_tok),
             delta: vec![0.0; qw],
@@ -213,12 +210,12 @@ impl Scratch {
     /// Pre-size the context-length-dependent buffers for sequences up to
     /// `positions` tokens, so steady-state decode and panel prefill stay
     /// reallocation-free (held by the zero-allocation sentinel in
-    /// `tests/tests/zero_alloc_decode.rs`): the scores of one lane block
-    /// against one chip's `ceil(positions / GRID)` positions and as many
-    /// again for a row's positions past the block's shared pages, which
+    /// `tests/tests/zero_alloc_decode.rs`): the scores of a full lane
+    /// block, [`LANES`] rows of at most `ceil(positions / GRID)` positions
+    /// on each of the [`GRID`] chips, rounded up to whole vectors, which
     /// also covers one row's `positions` scores on a single chip.
     pub fn reserve_context(&mut self, positions: usize) {
-        let want = 2 * positions.div_ceil(GRID) * LANES;
+        let want = LANES * (GRID * positions.div_ceil(GRID)).next_multiple_of(LANES);
         self.scores.reserve(want.saturating_sub(self.scores.len()));
     }
 

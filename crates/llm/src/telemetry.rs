@@ -6,10 +6,10 @@
 //! worker that runs a stage adds its elapsed nanoseconds to its own arena,
 //! and a reader sums the arenas. A span covers a whole stage once per call
 //! of the function that runs it (`panel_block`, `stage_experts` per
-//! touched expert, the unembedding, `advance_chunk`), never once per head,
-//! chip or position. Spans are always on. Wall-clock time lands only in
-//! these counters: it never feeds scheduling, accumulation order or token
-//! selection.
+//! touched expert, the unembedding, `advance_chunk`, `run_round`), never
+//! once per head, chip or position. Spans are always on. Wall-clock time
+//! lands only in these counters: it never feeds scheduling, accumulation
+//! order or token selection.
 
 use std::time::Instant;
 
@@ -31,17 +31,22 @@ pub enum Stage {
     /// A worker's whole share of a round (`batch::advance_chunk`): every
     /// stage above plus embedding, sampling and the round's bookkeeping.
     Worker,
+    /// A whole round (`batch::run_round`), fan-out to join, charged to
+    /// every arena that took part: `1 − worker / round` is the workers'
+    /// idle share, the time they wait at the join.
+    Round,
 }
 
 impl Stage {
     /// Every stage, in report order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 7] = [
         Stage::Projections,
         Stage::Attention,
         Stage::ExpertMatmuls,
         Stage::SwiGlu,
         Stage::Unembed,
         Stage::Worker,
+        Stage::Round,
     ];
 
     /// The stage's name in reports.
@@ -53,6 +58,7 @@ impl Stage {
             Stage::SwiGlu => "swiglu",
             Stage::Unembed => "unembed",
             Stage::Worker => "worker",
+            Stage::Round => "round",
         }
     }
 }
@@ -72,10 +78,15 @@ impl StageNanos {
     #[inline]
     pub(crate) fn close(&mut self, stage: Stage, since: Instant) -> Instant {
         let now = Instant::now();
-        let ns = u64::try_from(now.duration_since(since).as_nanos()).unwrap_or(u64::MAX);
+        self.add(stage, nanos(now.duration_since(since)));
+        now
+    }
+
+    /// Charge `stage` `ns` nanoseconds measured elsewhere.
+    #[inline]
+    pub(crate) fn add(&mut self, stage: Stage, ns: u64) {
         let total = &mut self.0[stage as usize];
         *total = total.saturating_add(ns);
-        now
     }
 }
 
@@ -102,6 +113,16 @@ pub(crate) fn start() -> Instant {
     Instant::now()
 }
 
+/// Nanoseconds since `since`, saturating.
+#[inline]
+pub(crate) fn since(since: Instant) -> u64 {
+    nanos(since.elapsed())
+}
+
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +134,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let t = a.close(Stage::Attention, t);
         a.close(Stage::Unembed, t);
+        assert!(since(t) < 1_000_000_000);
+        a.add(Stage::Round, 7);
+        assert_eq!(a.get(Stage::Round), 7);
         assert!(a.get(Stage::Attention) >= 2_000_000);
         assert_eq!(a.get(Stage::Projections), 0);
         let total: StageNanos = [a, a].into_iter().sum();

@@ -1,10 +1,14 @@
 //! Minimal row-major matrix/vector kernels.
 //!
 //! [`dot`] defines the one accumulation chain every logit and attention
-//! score follows. `dot_lanes` runs many of those chains side by side —
-//! queries in SIMD lanes, a shared table of rows broadcast across them —
-//! without changing a bit of any: [`unembed_into`] and the grid's column
-//! attention are its two callers.
+//! score follows, and no lane kernel below changes a bit of one.
+//! `score_lanes` runs many chains side by side with a tile of table rows
+//! (key positions, or vocabulary rows) in the SIMD lanes and each query
+//! broadcast across them; `weigh_lanes` weighs value rows with the head
+//! dimension in the lanes. Both are written once over [`Lanes`], the
+//! arm-specific vector, and [`lane_arms`] compiles their callers once per
+//! arm: [`unembed_into`] here, the grid's column attention in
+//! `dataflow`.
 
 use std::ops::Range;
 
@@ -101,86 +105,14 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// Queries one [`dot_lanes`] block carries: one per `f32` lane of a
+/// Table rows one score tile carries at most: one per `f32` lane of a
 /// 512-bit vector.
 pub(crate) const LANES: usize = 16;
 
-/// Table rows one pass of [`dot_lanes`] scores: the independent
-/// accumulation chains each lane keeps in flight.
-const PASS: usize = 4;
-
-/// Lane-transpose up to [`LANES`] vectors, each `block.len() / LANES`
-/// long, into `block`: float `i * LANES + l` becomes element `i` of
-/// vector `l`. Lanes past the last vector keep whatever they held.
-///
-/// # Panics
-///
-/// Panics if there are more than [`LANES`] vectors or one has the wrong
-/// length.
-// analyze: hot
-pub(crate) fn transpose_lanes<'v>(block: &mut [f32], vectors: impl IntoIterator<Item = &'v [f32]>) {
-    let n = block.len() / LANES;
-    for (l, v) in vectors.into_iter().enumerate() {
-        assert!(l < LANES && v.len() == n, "lane block shape");
-        for (i, &x) in v.iter().enumerate() {
-            block[i * LANES + l] = x;
-        }
-    }
-}
-
-/// Many of [`dot`]'s chains side by side: `out[r * LANES + l]` is bit for
-/// bit `dot(query l, table(r))` for every live lane `l < queries` and
-/// table row `r < rows`.
-///
-/// `block` holds the queries lane-transposed ([`transpose_lanes`]: `n ×
-/// LANES` floats for `n`-long queries); `table(r)` hands out row `r`, `n`
-/// long — contiguous embedding rows or [`crate::kv_cache::KvCache::key`]
-/// page lookups alike. Each table element is broadcast across the lanes,
-/// and [`PASS`] table rows are scored per pass, so every lane keeps that
-/// many independent chains in flight. Every chain starts from `dot`'s seed
-/// and runs strictly in order with the multiply and the add as separate
-/// roundings (no FMA), so a score never depends on which queries or rows
-/// it was computed beside, nor on the arm. Lanes at or past `queries` of
-/// `out` hold unspecified values.
-///
-/// The CPU alone picks the arm, with the panel matmul's selector
-/// ([`crate::kernels::kernel_path`] names both): AVX-512 runs a block as
-/// one 16-lane vector, AVX2 as two 8-lane halves (one when at most 8
-/// lanes are live), anything else the portable loop.
-///
-/// # Panics
-///
-/// Panics if `block` is not a whole number of lane rows, `queries` is not
-/// in `1..=LANES`, `out` is shorter than `rows × LANES`, or a table row is
-/// not `n` long.
-// analyze: hot
-pub(crate) fn dot_lanes<'t>(
-    block: &[f32],
-    queries: usize,
-    rows: usize,
-    table: impl Fn(usize) -> &'t [f32],
-    out: &mut [f32],
-) {
-    assert!(block.len().is_multiple_of(LANES), "lane block shape");
-    assert!((1..=LANES).contains(&queries), "live lanes");
-    assert!(out.len() >= rows * LANES, "score block too short");
-    // Whatever value `dot`'s `sum()` starts from.
-    let seed: f32 = std::iter::empty::<f32>().sum();
-    #[cfg(target_arch = "x86_64")]
-    match crate::kernels::arm() {
-        crate::kernels::Arm::Avx512 => {
-            // SAFETY: this arm implies AVX-512F; shapes asserted above.
-            unsafe { avx512::dot_lanes(block, rows, &table, out, seed) };
-            return;
-        }
-        crate::kernels::Arm::Avx2 => {
-            // SAFETY: this arm implies AVX2; shapes asserted above.
-            unsafe { avx2::dot_lanes(block, queries, rows, &table, out, seed) };
-            return;
-        }
-        crate::kernels::Arm::Portable => {}
-    }
-    portable_dot_lanes(block, queries, rows, &table, out, seed);
+/// Whatever value `dot`'s `sum()` starts from.
+#[inline(always)]
+fn seed() -> f32 {
+    std::iter::empty::<f32>().sum()
 }
 
 /// Row `r` of the table, checked to be `n` long: the bound every arm's
@@ -192,473 +124,474 @@ fn table_row<'t>(table: &impl Fn(usize) -> &'t [f32], r: usize, n: usize) -> &'t
     row
 }
 
-/// [`dot_lanes`] in plain loops, for any CPU.
-fn portable_dot_lanes<'t>(
-    block: &[f32],
-    queries: usize,
-    rows: usize,
-    table: &impl Fn(usize) -> &'t [f32],
-    out: &mut [f32],
-    seed: f32,
-) {
-    let n = block.len() / LANES;
-    for r in (0..rows).step_by(PASS) {
-        let pass = (rows - r).min(PASS);
-        let mut keys: [&[f32]; PASS] = [&[]; PASS];
-        for (j, k) in keys[..pass].iter_mut().enumerate() {
-            *k = table_row(table, r + j, n);
-        }
-        let mut acc = [[seed; LANES]; PASS];
-        for (i, q) in block.chunks_exact(LANES).enumerate() {
-            for (a, k) in acc[..pass].iter_mut().zip(&keys) {
-                let ki = k[i];
-                for (al, &ql) in a[..queries].iter_mut().zip(q) {
-                    *al += ql * ki;
-                }
-            }
-        }
-        for (o, a) in out[r * LANES..].chunks_exact_mut(LANES).zip(&acc[..pass]) {
-            o[..queries].copy_from_slice(&a[..queries]);
-        }
-    }
-}
-
-/// [`dot_lanes`] with one zmm vector per table row of a pass.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{table_row, Range, LANES, PASS};
-    use std::arch::x86_64::*;
-
-    /// Full passes, then the last `rows % PASS` table rows as one
-    /// narrower pass.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F support, `block.len()` a
-    /// multiple of `LANES` and `out.len() ≥ rows · LANES`; table rows are
-    /// length-checked before any read.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot_lanes<'t>(
-        block: &[f32],
-        rows: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        out: &mut [f32],
-        seed: f32,
-    ) {
-        let mut r = 0;
-        while rows - r >= PASS {
-            pass::<PASS>(block, r, table, out, seed);
-            r += PASS;
-        }
-        // One instantiation per remainder, so the accumulators stay a
-        // compile-time array in registers.
-        match rows - r {
-            3 => pass::<3>(block, r, table, out, seed),
-            2 => pass::<2>(block, r, table, out, seed),
-            1 => pass::<1>(block, r, table, out, seed),
-            _ => {}
-        }
-    }
-
-    /// Table rows `r .. r + N`: per element, one query vector load and
-    /// `N` broadcast multiply-then-add steps.
-    ///
-    /// # Safety
-    ///
-    /// As `dot_lanes`, with `r + N ≤ rows`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn pass<'t, const N: usize>(
-        block: &[f32],
-        r: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        out: &mut [f32],
-        seed: f32,
-    ) {
-        let n = block.len() / LANES;
-        let mut keys = [std::ptr::null::<f32>(); N];
-        for (j, k) in keys.iter_mut().enumerate() {
-            *k = table_row(table, r + j, n).as_ptr();
-        }
-        let q = block.as_ptr();
-        let mut acc = [_mm512_set1_ps(seed); N];
-        for i in 0..n {
-            let qv = _mm512_loadu_ps(q.add(i * LANES));
-            for (a, k) in acc.iter_mut().zip(&keys) {
-                *a = _mm512_add_ps(*a, _mm512_mul_ps(qv, _mm512_set1_ps(*k.add(i))));
-            }
-        }
-        let o = out.as_mut_ptr().add(r * LANES);
-        for (j, a) in acc.iter().enumerate() {
-            _mm512_storeu_ps(o.add(j * LANES), *a);
-        }
-    }
-
-    /// Full passes of table rows, then the remainder as one narrower pass.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F support, `acc.len()` a multiple
-    /// of `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
-    /// table rows are length-checked before any read.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn accumulate_lanes<'t>(
-        w: &[f32],
-        ends: &[u32; LANES],
-        rows: Range<usize>,
-        table: &impl Fn(usize) -> &'t [f32],
-        sums: &mut [f32; LANES],
-        acc: &mut [f32],
-    ) {
-        let ends = _mm512_loadu_si512(ends.as_ptr().cast());
-        let mut sum = _mm512_loadu_ps(sums.as_ptr());
-        let mut p = rows.start;
-        while rows.end - p >= PASS {
-            weigh::<PASS>(w, ends, p, table, &mut sum, acc);
-            p += PASS;
-        }
-        match rows.end - p {
-            3 => weigh::<3>(w, ends, p, table, &mut sum, acc),
-            2 => weigh::<2>(w, ends, p, table, &mut sum, acc),
-            1 => weigh::<1>(w, ends, p, table, &mut sum, acc),
-            _ => {}
-        }
-        _mm512_storeu_ps(sums.as_mut_ptr(), sum);
-    }
-
-    /// Table rows `p .. p + N`: per accumulator element one load, `N`
-    /// masked multiply-then-add steps in position order, one store.
-    ///
-    /// # Safety
-    ///
-    /// As `accumulate_lanes`, with `p + N ≤ rows.end`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn weigh<'t, const N: usize>(
-        w: &[f32],
-        ends: __m512i,
-        p: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        sum: &mut __m512,
-        acc: &mut [f32],
-    ) {
-        let n = acc.len() / LANES;
-        let mut masks = [0; N];
-        let mut es = [_mm512_setzero_ps(); N];
-        let mut vals = [std::ptr::null::<f32>(); N];
-        for j in 0..N {
-            masks[j] = _mm512_cmplt_epi32_mask(_mm512_set1_epi32((p + j) as i32), ends);
-            es[j] = _mm512_loadu_ps(w.as_ptr().add((p + j) * LANES));
-            *sum = _mm512_mask_add_ps(*sum, masks[j], *sum, es[j]);
-            vals[j] = table_row(table, p + j, n).as_ptr();
-        }
-        let a = acc.as_mut_ptr();
-        for i in 0..n {
-            let mut v = _mm512_loadu_ps(a.add(i * LANES));
-            for j in 0..N {
-                let term = _mm512_mul_ps(es[j], _mm512_set1_ps(*vals[j].add(i)));
-                v = _mm512_mask_add_ps(v, masks[j], v, term);
-            }
-            _mm512_storeu_ps(a.add(i * LANES), v);
-        }
-    }
-}
-
-/// [`dot_lanes`] with each 16-lane block as two 8-lane ymm halves, or one
-/// when the live lanes fit in it.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{table_row, Range, LANES, PASS};
-    use std::arch::x86_64::*;
-
-    /// Lanes per ymm half.
-    const HALF: usize = LANES / 2;
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 support, `block.len()` a multiple of
-    /// `LANES` and `out.len() ≥ rows · LANES`; table rows are
-    /// length-checked before any read.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_lanes<'t>(
-        block: &[f32],
-        queries: usize,
-        rows: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        out: &mut [f32],
-        seed: f32,
-    ) {
-        if queries <= HALF {
-            passes::<1>(block, rows, table, out, seed);
-        } else {
-            passes::<2>(block, rows, table, out, seed);
-        }
-    }
-
-    /// Full passes over `H` halves, then the remainder pass.
-    ///
-    /// # Safety
-    ///
-    /// As `dot_lanes`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn passes<'t, const H: usize>(
-        block: &[f32],
-        rows: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        out: &mut [f32],
-        seed: f32,
-    ) {
-        let mut r = 0;
-        while rows - r >= PASS {
-            pass::<PASS, H>(block, r, table, out, seed);
-            r += PASS;
-        }
-        match rows - r {
-            3 => pass::<3, H>(block, r, table, out, seed),
-            2 => pass::<2, H>(block, r, table, out, seed),
-            1 => pass::<1, H>(block, r, table, out, seed),
-            _ => {}
-        }
-    }
-
-    /// Table rows `r .. r + N` against the first `H` halves of the block.
-    ///
-    /// # Safety
-    ///
-    /// As `dot_lanes`, with `r + N ≤ rows`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn pass<'t, const N: usize, const H: usize>(
-        block: &[f32],
-        r: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        out: &mut [f32],
-        seed: f32,
-    ) {
-        let n = block.len() / LANES;
-        let mut keys = [std::ptr::null::<f32>(); N];
-        for (j, k) in keys.iter_mut().enumerate() {
-            *k = table_row(table, r + j, n).as_ptr();
-        }
-        let q = block.as_ptr();
-        let mut acc = [[_mm256_set1_ps(seed); H]; N];
-        for i in 0..n {
-            let mut qv = [_mm256_setzero_ps(); H];
-            for (half, v) in qv.iter_mut().enumerate() {
-                *v = _mm256_loadu_ps(q.add(i * LANES + half * HALF));
-            }
-            for (a, k) in acc.iter_mut().zip(&keys) {
-                let kv = _mm256_set1_ps(*k.add(i));
-                for (ah, &qh) in a.iter_mut().zip(&qv) {
-                    *ah = _mm256_add_ps(*ah, _mm256_mul_ps(qh, kv));
-                }
-            }
-        }
-        let o = out.as_mut_ptr().add(r * LANES);
-        for (j, a) in acc.iter().enumerate() {
-            for (half, &ah) in a.iter().enumerate() {
-                _mm256_storeu_ps(o.add(j * LANES + half * HALF), ah);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 support, `acc.len()` a multiple of
-    /// `LANES`, `w.len() ≥ rows.end · LANES` and every end ≤ `i32::MAX`;
-    /// table rows are length-checked before any read.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_lanes<'t>(
-        w: &[f32],
-        ends: &[u32; LANES],
-        rows: Range<usize>,
-        table: &impl Fn(usize) -> &'t [f32],
-        sums: &mut [f32; LANES],
-        acc: &mut [f32],
-    ) {
-        if ends[HALF..].iter().all(|&e| e == 0) {
-            weighs::<1>(w, ends, rows, table, sums, acc);
-        } else {
-            weighs::<2>(w, ends, rows, table, sums, acc);
-        }
-    }
-
-    /// Full passes of table rows over `H` halves, then the remainder pass.
-    ///
-    /// # Safety
-    ///
-    /// As `accumulate_lanes`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn weighs<'t, const H: usize>(
-        w: &[f32],
-        ends: &[u32; LANES],
-        rows: Range<usize>,
-        table: &impl Fn(usize) -> &'t [f32],
-        sums: &mut [f32; LANES],
-        acc: &mut [f32],
-    ) {
-        let mut ends_v = [_mm256_setzero_si256(); H];
-        let mut sum = [_mm256_setzero_ps(); H];
-        for h in 0..H {
-            ends_v[h] = _mm256_loadu_si256(ends.as_ptr().add(h * HALF).cast());
-            sum[h] = _mm256_loadu_ps(sums.as_ptr().add(h * HALF));
-        }
-        let mut p = rows.start;
-        while rows.end - p >= PASS {
-            weigh::<PASS, H>(w, &ends_v, p, table, &mut sum, acc);
-            p += PASS;
-        }
-        match rows.end - p {
-            3 => weigh::<3, H>(w, &ends_v, p, table, &mut sum, acc),
-            2 => weigh::<2, H>(w, &ends_v, p, table, &mut sum, acc),
-            1 => weigh::<1, H>(w, &ends_v, p, table, &mut sum, acc),
-            _ => {}
-        }
-        for (h, s) in sum.iter().enumerate() {
-            _mm256_storeu_ps(sums.as_mut_ptr().add(h * HALF), *s);
-        }
-    }
-
-    /// Table rows `p .. p + N` on the first `H` halves: a lane's steps are
-    /// blended in only where its position is below its end.
-    ///
-    /// # Safety
-    ///
-    /// As `accumulate_lanes`, with `p + N ≤ rows.end`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn weigh<'t, const N: usize, const H: usize>(
-        w: &[f32],
-        ends: &[__m256i; H],
-        p: usize,
-        table: &impl Fn(usize) -> &'t [f32],
-        sum: &mut [__m256; H],
-        acc: &mut [f32],
-    ) {
-        let n = acc.len() / LANES;
-        let mut masks = [[_mm256_setzero_ps(); H]; N];
-        let mut es = [[_mm256_setzero_ps(); H]; N];
-        let mut vals = [std::ptr::null::<f32>(); N];
-        for j in 0..N {
-            let at = _mm256_set1_epi32((p + j) as i32);
-            for h in 0..H {
-                masks[j][h] = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ends[h], at));
-                es[j][h] = _mm256_loadu_ps(w.as_ptr().add((p + j) * LANES + h * HALF));
-                sum[h] = _mm256_blendv_ps(sum[h], _mm256_add_ps(sum[h], es[j][h]), masks[j][h]);
-            }
-            vals[j] = table_row(table, p + j, n).as_ptr();
-        }
-        let a = acc.as_mut_ptr();
-        for i in 0..n {
-            for h in 0..H {
-                let at = a.add(i * LANES + h * HALF);
-                let mut v = _mm256_loadu_ps(at);
-                for j in 0..N {
-                    let term = _mm256_mul_ps(es[j][h], _mm256_set1_ps(*vals[j].add(i)));
-                    v = _mm256_blendv_ps(v, _mm256_add_ps(v, term), masks[j][h]);
-                }
-                _mm256_storeu_ps(at, v);
-            }
-        }
-    }
-}
-
-/// The flash numerator and denominator of a lane block, in position
-/// order: for each table row `p` in `rows`, and each lane `l` with `p <
-/// ends[l]`, `sums[l] += w[p * LANES + l]` and then `acc[i * LANES + l] +=
-/// w[p * LANES + l] * table(p)[i]` for each of the `n = acc.len() / LANES`
-/// elements of the row. That is, bit for bit, a lone query's `sum += e;
-/// acc[i] += e * v[i]` loop over its positions, with the multiply and the
-/// add separately rounded; lanes side by side, each table row read once
-/// for all of them. A lane's `sums` and `acc` entries are untouched at
-/// positions at or past its end, so the caller may run the rows of a
-/// block's shared table and each lane's own rows in separate calls.
+/// A vector of `f32` lanes as one lane arm holds it: all that is
+/// arm-specific in [`score_lanes`] and [`weigh_lanes`], whose loops are
+/// written once over it. Every op is one IEEE-754 operation per lane, and
+/// none fuses a multiply with an add. Implemented for `__m512` (AVX-512,
+/// 16 lanes), `__m256` (AVX2, 8) and `f32` (one lane, any CPU).
 ///
-/// The arm is [`dot_lanes`]': AVX-512 masks one 16-lane vector, AVX2
-/// blends two 8-lane halves (one when no lane past the eighth has
-/// positions), anything else the portable loop.
+/// # Safety
+///
+/// Every method needs the CPU to support its implementor's target
+/// feature, under which it is compiled to be inlined into [`lane_arms`]'
+/// arms; `load` and `store` need `m` in `1..=WIDTH` and that many floats
+/// valid at `p`.
+#[expect(
+    clippy::missing_safety_doc,
+    reason = "one contract for every method, stated above"
+)]
+pub(crate) trait Lanes: Copy {
+    /// Lanes per vector: the table rows of one score tile, the head
+    /// elements of one value step.
+    const WIDTH: usize;
+    /// `x` in every lane.
+    unsafe fn splat(x: f32) -> Self;
+    /// The first `m` floats at `p`, zero in the other lanes.
+    unsafe fn load(p: *const f32, m: usize) -> Self;
+    /// Store the first `m` lanes at `p`.
+    unsafe fn store(self, p: *mut f32, m: usize);
+    /// `self + a · b`, the multiply and the add each rounded.
+    unsafe fn add_mul(self, a: Self, b: Self) -> Self;
+    /// Transpose `WIDTH` rows, each `tile.len() / WIDTH` long, into
+    /// `tile`: float `i · WIDTH + l` becomes element `i` of row `l`.
+    unsafe fn transpose(tile: &mut [f32], rows: &[&[f32]]);
+}
+
+/// One lane: the scalar loops, for any CPU.
+impl Lanes for f32 {
+    const WIDTH: usize = 1;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> f32 {
+        x
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32, _: usize) -> f32 {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, _: usize) {
+        *p = self;
+    }
+    #[inline(always)]
+    unsafe fn add_mul(self, a: f32, b: f32) -> f32 {
+        self + a * b
+    }
+    #[inline(always)]
+    unsafe fn transpose(tile: &mut [f32], rows: &[&[f32]]) {
+        tile.copy_from_slice(rows[0]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Lanes, LANES};
+    use std::arch::x86_64::*;
+
+    /// Sixteen lanes of one zmm register.
+    impl Lanes for __m512 {
+        const WIDTH: usize = LANES;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(p: *const f32, m: usize) -> Self {
+            _mm512_maskz_loadu_ps(((1u32 << m) - 1) as __mmask16, p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(self, p: *mut f32, m: usize) {
+            _mm512_mask_storeu_ps(p, ((1u32 << m) - 1) as __mmask16, self)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add_mul(self, a: Self, b: Self) -> Self {
+            _mm512_add_ps(self, _mm512_mul_ps(a, b))
+        }
+        /// Per run of 16 row elements: sixteen rows loaded, interleaved
+        /// within each 128-bit lane in pairs and pairs of pairs (128-bit
+        /// lane `L` of `u[4g + e]` is element `4L + e` of rows `4g ..
+        /// 4g + 4`), then two rounds of 128-bit shuffles gather each
+        /// element's four quarters.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn transpose(tile: &mut [f32], rows: &[&[f32]]) {
+            let n = tile.len() / LANES;
+            for c in (0..n).step_by(LANES) {
+                let m = (n - c).min(LANES);
+                let mut v = [_mm512_setzero_ps(); LANES];
+                for (v, r) in v.iter_mut().zip(rows) {
+                    *v = Self::load(r.as_ptr().add(c), m);
+                }
+                let mut t = v;
+                for k in (0..LANES).step_by(2) {
+                    t[k] = _mm512_unpacklo_ps(v[k], v[k + 1]);
+                    t[k + 1] = _mm512_unpackhi_ps(v[k], v[k + 1]);
+                }
+                let pairs = |a: __m512, b: __m512, high: bool| {
+                    let (a, b) = (_mm512_castps_pd(a), _mm512_castps_pd(b));
+                    let ab = if high {
+                        _mm512_unpackhi_pd(a, b)
+                    } else {
+                        _mm512_unpacklo_pd(a, b)
+                    };
+                    _mm512_castpd_ps(ab)
+                };
+                let mut u = t;
+                for g in (0..LANES).step_by(4) {
+                    u[g] = pairs(t[g], t[g + 2], false);
+                    u[g + 1] = pairs(t[g], t[g + 2], true);
+                    u[g + 2] = pairs(t[g + 1], t[g + 3], false);
+                    u[g + 3] = pairs(t[g + 1], t[g + 3], true);
+                }
+                for e in 0..4 {
+                    let low = _mm512_shuffle_f32x4::<0x44>(u[e], u[4 + e]);
+                    let low2 = _mm512_shuffle_f32x4::<0x44>(u[8 + e], u[12 + e]);
+                    let high = _mm512_shuffle_f32x4::<0xEE>(u[e], u[4 + e]);
+                    let high2 = _mm512_shuffle_f32x4::<0xEE>(u[8 + e], u[12 + e]);
+                    v[e] = _mm512_shuffle_f32x4::<0x88>(low, low2);
+                    v[4 + e] = _mm512_shuffle_f32x4::<0xDD>(low, low2);
+                    v[8 + e] = _mm512_shuffle_f32x4::<0x88>(high, high2);
+                    v[12 + e] = _mm512_shuffle_f32x4::<0xDD>(high, high2);
+                }
+                for (i, v) in v[..m].iter().enumerate() {
+                    _mm512_storeu_ps(tile.as_mut_ptr().add((c + i) * LANES), *v);
+                }
+            }
+        }
+    }
+
+    /// Eight lanes of one ymm register.
+    impl Lanes for __m256 {
+        const WIDTH: usize = 8;
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(p: *const f32, m: usize) -> Self {
+            _mm256_maskload_ps(p, first(m))
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(self, p: *mut f32, m: usize) {
+            _mm256_maskstore_ps(p, first(m), self)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn add_mul(self, a: Self, b: Self) -> Self {
+            _mm256_add_ps(self, _mm256_mul_ps(a, b))
+        }
+        /// Per run of 8 row elements: eight rows loaded, interleaved
+        /// within each 128-bit lane in pairs and pairs of pairs (128-bit
+        /// lane `L` of `u[4g + e]` is element `4L + e` of rows `4g ..
+        /// 4g + 4`), then one round of 128-bit permutes joins each
+        /// element's two halves.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn transpose(tile: &mut [f32], rows: &[&[f32]]) {
+            let n = tile.len() / 8;
+            for c in (0..n).step_by(8) {
+                let m = (n - c).min(8);
+                let mut v = [_mm256_setzero_ps(); 8];
+                for (v, r) in v.iter_mut().zip(rows) {
+                    *v = Self::load(r.as_ptr().add(c), m);
+                }
+                let mut t = v;
+                for k in (0..8).step_by(2) {
+                    t[k] = _mm256_unpacklo_ps(v[k], v[k + 1]);
+                    t[k + 1] = _mm256_unpackhi_ps(v[k], v[k + 1]);
+                }
+                let mut u = t;
+                for g in (0..8).step_by(4) {
+                    u[g] = _mm256_shuffle_ps::<0x44>(t[g], t[g + 2]);
+                    u[g + 1] = _mm256_shuffle_ps::<0xEE>(t[g], t[g + 2]);
+                    u[g + 2] = _mm256_shuffle_ps::<0x44>(t[g + 1], t[g + 3]);
+                    u[g + 3] = _mm256_shuffle_ps::<0xEE>(t[g + 1], t[g + 3]);
+                }
+                for e in 0..4 {
+                    v[e] = _mm256_permute2f128_ps::<0x20>(u[e], u[4 + e]);
+                    v[4 + e] = _mm256_permute2f128_ps::<0x31>(u[e], u[4 + e]);
+                }
+                for (i, v) in v[..m].iter().enumerate() {
+                    _mm256_storeu_ps(tile.as_mut_ptr().add((c + i) * 8), *v);
+                }
+            }
+        }
+    }
+
+    /// The first `m ≤ 8` lanes, as a mask vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn first(m: usize) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(m as i32), lanes)
+    }
+}
+
+/// Define `$name` to run `$body::<V>` with `V` this CPU's lane arm, the
+/// one the panel matmul takes ([`crate::kernels::arm`]): the body, with
+/// every [`Lanes`] op inlined, is compiled once under `#[target_feature]`
+/// per x86 arm (`$avx512` with `__m512`, `$avx2` with `__m256`) and once
+/// as scalar loops (`f32`) for any other CPU.
+macro_rules! lane_arms {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident<$($lt:lifetime),*>($($arg:ident: $ty:ty),* $(,)?)
+            => $body:ident, $avx512:ident, $avx2:ident
+    ) => {
+        $(#[$attr])*
+        $vis fn $name<$($lt),*>($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            match crate::kernels::arm() {
+                // SAFETY: this arm implies AVX-512F.
+                crate::kernels::Arm::Avx512 => return unsafe { $avx512($($arg),*) },
+                // SAFETY: this arm implies AVX2.
+                crate::kernels::Arm::Avx2 => return unsafe { $avx2($($arg),*) },
+                crate::kernels::Arm::Portable => {}
+            }
+            // SAFETY: one-lane `f32` ops need no CPU feature.
+            unsafe { $body::<f32>($($arg),*) }
+        }
+
+        /// The AVX-512 arm.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $avx512<$($lt),*>($($arg: $ty),*) {
+            $body::<std::arch::x86_64::__m512>($($arg),*)
+        }
+
+        /// The AVX2 arm.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $avx2<$($lt),*>($($arg: $ty),*) {
+            $body::<std::arch::x86_64::__m256>($($arg),*)
+        }
+    };
+}
+pub(crate) use lane_arms;
+
+/// Queries `0..count` in passes of 16 (when `wide`) or 8, then the rest
+/// in passes of 4, 2 and 1: `|N, j| pass` runs queries `j .. j + N` with
+/// `N` a constant, so a pass's chains are a compile-time array of vector
+/// registers.
+macro_rules! query_passes {
+    ($wide:expr, $count:expr, |$n:ident, $j:ident| $pass:expr) => {{
+        let (wide, count) = ($wide, $count);
+        let mut $j = 0;
+        while count - $j >= 8 {
+            if wide && count - $j >= 16 {
+                const $n: usize = 16;
+                $pass;
+                $j += $n;
+            } else {
+                const $n: usize = 8;
+                $pass;
+                $j += $n;
+            }
+        }
+        query_passes!(@rest count, $j, |$n| $pass, 4, 2, 1);
+    }};
+    (@rest $count:ident, $j:ident, |$n:ident| $pass:expr, $($width:literal),*) => {
+        $(
+            if ($count - $j) & $width != 0 {
+                const $n: usize = $width;
+                $pass;
+                $j += $n;
+            }
+        )*
+        let _ = $j;
+    };
+}
+
+/// [`dot`]s with table rows in the lanes: `out[j * row + p]` is bit for
+/// bit `dot(queries[j], keys(p))` for every query `j` and position `p` in
+/// `positions`; nothing else of `out` is written.
+///
+/// The positions go a tile of `V::WIDTH` at a time: the tile's keys (`n`
+/// long each) are transposed once into `tile` (which holds `n × LANES`
+/// floats), so that element `i` of every key sits in one vector, and the
+/// queries are scored against it up to 16 at a time, each query element
+/// broadcast across the lanes. Each lane runs one position's `dot` chain
+/// from `dot`'s seed, strictly in element order with the multiply and the
+/// add as separate roundings (no FMA), so a score depends on neither its
+/// tile, nor the queries beside it, nor the arm.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s arm ([`Lanes`]).
 ///
 /// # Panics
 ///
-/// Panics if `acc` is not a whole number of lane rows, `w` is shorter than
-/// `rows.end × LANES`, an end does not fit in `i32`, or a table row
-/// is not `n` long.
+/// Panics if `tile` is not a whole number of lane rows, a query or key is
+/// not `n` long, `positions` ends past `row`, or `out` is shorter than
+/// `(queries.len() - 1) × row + positions.end`.
 // analyze: hot
-pub(crate) fn accumulate_lanes<'t>(
-    w: &[f32],
-    ends: &[u32; LANES],
-    rows: Range<usize>,
-    table: impl Fn(usize) -> &'t [f32],
-    sums: &mut [f32; LANES],
-    acc: &mut [f32],
+#[inline(always)]
+pub(crate) unsafe fn score_lanes<'k, V: Lanes>(
+    tile: &mut [f32],
+    keys: impl Fn(usize) -> &'k [f32],
+    positions: Range<usize>,
+    queries: &[&[f32]],
+    out: &mut [f32],
+    row: usize,
 ) {
-    assert!(acc.len().is_multiple_of(LANES), "accumulator shape");
-    assert!(w.len() >= rows.end * LANES, "weight block too short");
-    assert!(ends.iter().all(|&e| e <= i32::MAX as u32), "lane end");
-    #[cfg(target_arch = "x86_64")]
-    match crate::kernels::arm() {
-        crate::kernels::Arm::Avx512 => {
-            // SAFETY: this arm implies AVX-512F; shapes asserted above.
-            unsafe { avx512::accumulate_lanes(w, ends, rows, &table, sums, acc) };
-            return;
+    let n = tile.len() / LANES;
+    assert!(tile.len().is_multiple_of(LANES), "key tile shape");
+    assert!(queries.iter().all(|q| q.len() == n), "query length");
+    let Some(last) = queries.len().checked_sub(1) else {
+        return;
+    };
+    assert!(positions.end <= row, "position past the score row");
+    assert!(
+        out.len() >= last * row + positions.end,
+        "score rows too short"
+    );
+    let tile = &mut tile[..V::WIDTH * n];
+    let mut rows = [&[][..]; LANES];
+    for p in (positions.start..positions.end).step_by(V::WIDTH) {
+        let width = (positions.end - p).min(V::WIDTH);
+        for (r, p) in rows.iter_mut().zip(p..p + width) {
+            *r = table_row(&keys, p, n);
         }
-        crate::kernels::Arm::Avx2 => {
-            // SAFETY: this arm implies AVX2; shapes asserted above.
-            unsafe { avx2::accumulate_lanes(w, ends, rows, &table, sums, acc) };
-            return;
-        }
-        crate::kernels::Arm::Portable => {}
+        // Lanes past the tile repeat its last key; they are never stored.
+        let key = rows[width - 1];
+        rows[width..V::WIDTH].fill(key);
+        V::transpose(tile, &rows[..V::WIDTH]);
+        let out = out.as_mut_ptr().add(p);
+        query_passes!(V::WIDTH == LANES, queries.len(), |N, j| {
+            let mut acc = [V::splat(seed()); N];
+            for i in 0..n {
+                let k = V::load(tile.as_ptr().add(i * V::WIDTH), V::WIDTH);
+                for (a, q) in acc.iter_mut().zip(&queries[j..j + N]) {
+                    *a = a.add_mul(V::splat(*q.as_ptr().add(i)), k);
+                }
+            }
+            for (k, a) in acc.iter().enumerate() {
+                a.store(out.add((j + k) * row), width);
+            }
+        });
     }
-    portable_accumulate_lanes(w, ends, rows, &table, sums, acc);
 }
 
-/// [`accumulate_lanes`] in plain loops, for any CPU.
-fn portable_accumulate_lanes<'t>(
+/// The flash numerator and denominator of `sums.len()` queries, with the
+/// head dimension in the lanes: for each position `p` of `positions`, in
+/// order, and each query `j`, `sums[j] += e` and `acc[j * n + i] += e *
+/// values(p)[i]` for each of the `n = acc.len() / sums.len()` elements,
+/// where `e = w[j * row + p]`. That is, bit for bit, a lone query's `sum
+/// += e; acc[i] += e * v[i]` loop, with the multiply and the add
+/// separately rounded. Per `V::WIDTH` head elements, each value row is
+/// read once for up to 16 queries, whose accumulators stay in registers
+/// across the positions.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s arm ([`Lanes`]).
+///
+/// # Panics
+///
+/// Panics if `acc` is not `sums.len()` whole rows, `positions` ends past
+/// `row`, `w` is shorter than `(sums.len() - 1) × row + positions.end`, or
+/// a value row is not `n` long.
+// analyze: hot
+#[inline(always)]
+pub(crate) unsafe fn weigh_lanes<'v, V: Lanes>(
     w: &[f32],
-    ends: &[u32; LANES],
-    rows: Range<usize>,
-    table: &impl Fn(usize) -> &'t [f32],
-    sums: &mut [f32; LANES],
+    row: usize,
+    positions: Range<usize>,
+    values: impl Fn(usize) -> &'v [f32],
+    sums: &mut [f32],
     acc: &mut [f32],
 ) {
-    let n = acc.len() / LANES;
-    for p in rows {
-        let row = table_row(table, p, n);
-        let e = &w[p * LANES..][..LANES];
-        for l in (0..LANES).filter(|&l| (p as u64) < u64::from(ends[l])) {
-            sums[l] += e[l];
-            for (i, &v) in row.iter().enumerate() {
-                acc[i * LANES + l] += e[l] * v;
-            }
+    let Some(last) = sums.len().checked_sub(1) else {
+        return;
+    };
+    if positions.is_empty() {
+        return;
+    }
+    let n = acc.len() / sums.len();
+    assert_eq!(n * sums.len(), acc.len(), "accumulator shape");
+    assert!(positions.end <= row, "position past the weight row");
+    assert!(
+        w.len() >= last * row + positions.end,
+        "weight rows too short"
+    );
+    for p in positions.start..positions.end {
+        for (j, sum) in sums.iter_mut().enumerate() {
+            *sum += w[j * row + p];
         }
     }
+    query_passes!(V::WIDTH == LANES, sums.len(), |N, j| {
+        for c in (0..n).step_by(V::WIDTH) {
+            let (m, a) = ((n - c).min(V::WIDTH), acc.as_mut_ptr().add(j * n + c));
+            let mut v = [V::splat(0.0); N];
+            for (k, v) in v.iter_mut().enumerate() {
+                *v = V::load(a.add(k * n), m);
+            }
+            for p in positions.start..positions.end {
+                let x = V::load(table_row(&values, p, n).as_ptr().add(c), m);
+                for (k, v) in v.iter_mut().enumerate() {
+                    *v = v.add_mul(V::splat(*w.as_ptr().add((j + k) * row + p)), x);
+                }
+            }
+            for (k, v) in v.iter().enumerate() {
+                v.store(a.add(k * n), m);
+            }
+        }
+    });
 }
 
 /// Hidden rows one [`unembed_into`] call may carry.
 pub const UNEMBED_MAX_ROWS: usize = 64;
 
-/// Weight-tied unembedding of `xs.len() / h` normalized hidden rows (`xs`
-/// row-major, `h` wide) against the `vocab × h` row-major `embedding`
-/// table, in **one pass over the table**: for each vocabulary row in
-/// order, `emit(token, logits)` receives that token's logit for every
-/// hidden row.
+lane_arms! {
+    /// Weight-tied unembedding of `xs.len() / h` normalized hidden rows
+    /// (`xs` row-major, `h` wide) against the `vocab × h` row-major
+    /// `embedding` table, in **one pass over the table**: for each
+    /// vocabulary row in order, `emit(token, logits)` receives that
+    /// token's logit for every hidden row.
+    ///
+    /// Every logit is [`dot`]'s exact accumulation chain, so it never
+    /// depends on how many rows were unembedded with it: the table's rows
+    /// are the tiles of [`score_lanes`], transposed in `lanes` (which must
+    /// hold [`LANES`] (16) × `h` floats), and the hidden rows its queries
+    /// — each table row read once for all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` or `embedding` is not a whole number of `h`-wide
+    /// rows, there are no or more than [`UNEMBED_MAX_ROWS`] hidden rows,
+    /// or `lanes` is too short.
+    pub fn unembed_into<>(embedding: &[f32], h: usize, xs: &[f32], lanes: &mut [f32],
+        emit: impl FnMut(usize, &[f32])) => unembed_lanes, unembed_avx512, unembed_avx2
+}
+
+/// The body of [`unembed_into`].
 ///
-/// Every logit is [`dot`]'s exact accumulation chain, so it never depends
-/// on how many rows were unembedded with it: the hidden rows are
-/// lane-transposed into `lanes` (which must hold `rows` rounded up to a
-/// multiple of `LANES` (16), times `h` floats), one `LANES` (16)-row block per
-/// `dot_lanes` call, and the table rows are its table — read once for
-/// all the hidden rows instead of once per row.
+/// # Safety
 ///
-/// # Panics
-///
-/// Panics if `xs` or `embedding` is not a whole number of `h`-wide rows,
-/// there are no or more than [`UNEMBED_MAX_ROWS`] hidden rows, or `lanes`
-/// is too short.
+/// The CPU must support `V`'s arm ([`Lanes`]).
 // analyze: hot
-pub fn unembed_into(
+#[inline(always)]
+unsafe fn unembed_lanes<V: Lanes>(
     embedding: &[f32],
     h: usize,
     xs: &[f32],
@@ -669,34 +602,23 @@ pub fn unembed_into(
     assert!(xs.len().is_multiple_of(h), "hidden panel shape");
     let rows = xs.len() / h;
     assert!((1..=UNEMBED_MAX_ROWS).contains(&rows), "hidden row count");
-    let lanes = &mut lanes[..rows.div_ceil(LANES) * LANES * h];
-    for (block, xs) in lanes.chunks_exact_mut(LANES * h).zip(xs.chunks(LANES * h)) {
-        transpose_lanes(block, xs.chunks_exact(h));
+    let mut queries = [&[][..]; UNEMBED_MAX_ROWS];
+    for (q, x) in queries.iter_mut().zip(xs.chunks_exact(h)) {
+        *q = x;
     }
-    // `LANES` tokens per sweep: `scores[b * LANES * LANES + r * LANES + l]`
-    // is token `first + r`'s logit for hidden row `b * LANES + l`.
+    // `scores[j * LANES + r]` is token `first + r`'s logit for hidden row
+    // `j`.
     let mut scores = [0.0f32; UNEMBED_MAX_ROWS * LANES];
     let mut logits = [0.0f32; UNEMBED_MAX_ROWS];
     let vocab = embedding.len() / h;
     for first in (0..vocab).step_by(LANES) {
         let tokens = (vocab - first).min(LANES);
-        let blocks = lanes.chunks_exact(LANES * h);
-        for (b, (block, out)) in blocks
-            .zip(scores.chunks_exact_mut(LANES * LANES))
-            .enumerate()
-        {
-            let queries = (rows - b * LANES).min(LANES);
-            dot_lanes(
-                block,
-                queries,
-                tokens,
-                |r| &embedding[(first + r) * h..][..h],
-                out,
-            );
-        }
+        let table = |r: usize| &embedding[(first + r) * h..][..h];
+        let (tile, queries) = (&mut lanes[..LANES * h], &queries[..rows]);
+        score_lanes::<V>(tile, table, 0..tokens, queries, &mut scores, LANES);
         for r in 0..tokens {
-            for (row, logit) in logits[..rows].iter_mut().enumerate() {
-                *logit = scores[(row / LANES * LANES + r) * LANES + row % LANES];
+            for (logit, s) in logits[..rows].iter_mut().zip(scores.chunks_exact(LANES)) {
+                *logit = s[r];
             }
             emit(first + r, &logits[..rows]);
         }
@@ -823,120 +745,164 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(seen, vocab);
         }
 
-        /// The lane contract, per arm: every arm this CPU has, called
-        /// directly (the dispatcher only ever reaches the widest), scores
-        /// each live lane of each block bit for bit as `dot` — for 1..=64
-        /// queries in blocks of 16 (full and partial blocks, one or two
-        /// AVX2 halves), table lengths covering full passes and every
-        /// remainder, dead lanes holding NaN, and a table of
-        /// non-contiguous row slices. Lanes past the live ones are not
-        /// checked; `out` past `rows` blocks must come back untouched.
+        /// The score contract, per arm: `score_lanes` as each arm this CPU
+        /// has compiles it writes each (query, position) bit for bit as
+        /// `dot(query, key)`, and nothing outside its position
+        /// range — for ranges starting anywhere and ending on every tile
+        /// width of both tile sizes, 1..=16 queries (every pass), head dims
+        /// 8, 16, 24, 32 and 64 (and two that no vector divides), keys in
+        /// separate allocations, and values with both signed zeros.
         #[test]
-        fn dot_lanes_every_arm_is_bitwise_dot(
-            queries in 1usize..=64,
-            n in 1usize..40,
-            rows in 1usize..40,
+        fn score_lanes_every_arm_is_bitwise_dot(
+            queries in 1usize..=LANES,
+            width in 1usize..=LANES,
+            tiles in 0usize..3,
+            start in 0usize..5,
+            dim in 0usize..7,
             seed in 0u64..1000,
         ) {
+            let n = [8, 16, 24, 32, 64, 1, 13][dim];
             let value = signed_values(seed);
-            let qs: Vec<f32> = (0..queries * n).map(&value).collect();
-            // Row `r` at a stride of `n + 3`, so rows are separate slices.
-            let table: Vec<f32> = (0..rows * (n + 3)).map(|i| value(i * 5 + 2)).collect();
-            let row = |r: usize| &table[r * (n + 3)..][..n];
+            let positions = start..start + tiles * LANES + width;
+            let vector = |salt: usize| -> Vec<f32> { (0..n).map(|i| value(salt * 131 + i)).collect() };
+            let keys: Vec<Vec<f32>> = (0..positions.end).map(|p| vector(p + 1)).collect();
+            let qs: Vec<Vec<f32>> = (0..queries).map(|j| vector(10_000 + j)).collect();
+            let qs: Vec<&[f32]> = qs.iter().map(Vec::as_slice).collect();
+            let row = positions.end + 3;
             for arm in available_arms() {
-                for (b, q) in qs.chunks(LANES * n).enumerate() {
-                    let live = q.len() / n;
-                    let mut block = vec![f32::NAN; LANES * n];
-                    transpose_lanes(&mut block, q.chunks_exact(n));
-                    let mut out = vec![f32::NAN; (rows + 1) * LANES];
-                    let seed: f32 = std::iter::empty::<f32>().sum();
-                    match arm {
-                        "portable" => portable_dot_lanes(&block, live, rows, &row, &mut out, seed),
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `available_arms` checked AVX2; shapes as
-                        // `dot_lanes` asserts.
-                        "avx2" => unsafe { avx2::dot_lanes(&block, live, rows, &row, &mut out, seed) },
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `available_arms` checked AVX-512F; shapes as
-                        // `dot_lanes` asserts.
-                        "avx512" => unsafe { avx512::dot_lanes(&block, rows, &row, &mut out, seed) },
-                        _ => unreachable!("unknown arm {arm}"),
-                    }
-                    for r in 0..rows {
-                        for l in 0..live {
-                            let want = dot(&q[l * n..][..n], row(r));
-                            proptest::prop_assert_eq!(out[r * LANES + l].to_bits(), want.to_bits(),
-                                "{} block {} row {} lane {}", arm, b, r, l);
+                let mut tile = vec![f32::NAN; LANES * n];
+                let mut out = vec![f32::NAN; queries * row];
+                let (p, o) = (positions.clone(), &mut out);
+                match arm {
+                    // SAFETY: one lane needs no CPU feature.
+                    "portable" => unsafe { score_lanes::<f32>(&mut tile, |p| &keys[p], p, &qs, o, row) },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `available_arms` checked AVX2.
+                    "avx2" => unsafe { avx2_lanes::score(&mut tile, &keys, p, &qs, o, row) },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `available_arms` checked AVX-512F.
+                    "avx512" => unsafe { avx512_lanes::score(&mut tile, &keys, p, &qs, o, row) },
+                    _ => unreachable!("unknown arm {arm}"),
+                }
+                for (j, q) in qs.iter().enumerate() {
+                    for (p, got) in out[j * row..][..row].iter().enumerate() {
+                        if positions.contains(&p) {
+                            let want = dot(q, &keys[p]);
+                            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(),
+                                "{} query {} position {}", arm, j, p);
+                        } else {
+                            proptest::prop_assert!(got.is_nan(), "{} wrote query {} position {}", arm, j, p);
                         }
                     }
-                    proptest::prop_assert!(out[rows * LANES..].iter().all(|v| v.is_nan()),
-                        "{} wrote past row {}", arm, rows);
                 }
             }
         }
 
         /// The flash contract, per arm: from any running state, each
-        /// lane's sum and accumulators come out bit for bit as a lone
-        /// query's `sum += e; acc[i] += e * v[i]` loop over its own
-        /// positions of `from..rows` — for lane ends before, inside and
-        /// past the range (and 0, and only in the low half), table rows of
-        /// 1..40 elements and every pass remainder, with NaN weights at
-        /// every position a lane must not read.
+        /// query's sum and accumulators come out of `weigh_lanes`, as each
+        /// arm this CPU has compiles it, bit for bit as a lone query's `sum
+        /// += e; acc[i] += e * v[i]` loop over the position range — for
+        /// 1..=16 queries (every pass), ranges of 0..40 positions starting
+        /// anywhere, head dims 8, 16, 24, 32 and 64 (and two that no vector
+        /// divides), value rows in separate allocations, and NaN weights at
+        /// every position a query must not read.
         #[test]
-        fn accumulate_lanes_every_arm_is_bitwise_the_lone_loop(
-            n in 1usize..40,
-            rows in 1usize..40,
+        fn weigh_lanes_every_arm_is_bitwise_the_lone_loop(
+            queries in 1usize..=LANES,
             from in 0usize..6,
-            low_half in 0usize..3,
+            len in 0usize..40,
+            dim in 0usize..7,
             seed in 0u64..1000,
         ) {
+            let n = [8, 16, 24, 32, 64, 1, 13][dim];
             let value = signed_values(seed);
-            let from = from.min(rows);
-            let mut ends = [0u32; LANES];
-            for (l, e) in ends.iter_mut().enumerate() {
-                if low_half == 0 || l < LANES / 2 {
-                    *e = ((seed as usize + l * 7) % (rows + 3)) as u32;
-                }
-            }
-            let w: Vec<f32> = (0..rows * LANES)
-                .map(|i| if (i / LANES) < ends[i % LANES] as usize { value(i * 3 + 1).abs() } else { f32::NAN })
+            let positions = from..from + len;
+            let row = positions.end + 2;
+            let w: Vec<f32> = (0..queries * row)
+                .map(|i| if positions.contains(&(i % row)) { value(i * 3 + 1) } else { f32::NAN })
                 .collect();
-            let table: Vec<f32> = (0..rows * (n + 2)).map(|i| value(i * 5 + 2)).collect();
-            let row = |p: usize| &table[p * (n + 2)..][..n];
-            let sums0: [f32; LANES] = std::array::from_fn(|l| value(l + 900));
-            let acc0: Vec<f32> = (0..n * LANES).map(|i| value(i + 1700)).collect();
-            let (mut want_sums, mut want_acc) = (sums0, acc0.clone());
-            for l in 0..LANES {
-                for p in from..rows.min(ends[l] as usize) {
-                    let e = w[p * LANES + l];
-                    want_sums[l] += e;
+            let values: Vec<Vec<f32>> = (0..positions.end)
+                .map(|p| (0..n).map(|i| value(p * 131 + i + 11)).collect())
+                .collect();
+            let sums0: Vec<f32> = (0..queries).map(|j| value(j + 900)).collect();
+            let acc0: Vec<f32> = (0..queries * n).map(|i| value(i + 1700)).collect();
+            let (mut want_sums, mut want_acc) = (sums0.clone(), acc0.clone());
+            for j in 0..queries {
+                for p in positions.clone() {
+                    let e = w[j * row + p];
+                    want_sums[j] += e;
                     for i in 0..n {
-                        want_acc[i * LANES + l] += e * row(p)[i];
+                        want_acc[j * n + i] += e * values[p][i];
                     }
                 }
             }
             for arm in available_arms() {
-                let (mut sums, mut acc) = (sums0, acc0.clone());
+                let (mut sums, mut acc) = (sums0.clone(), acc0.clone());
+                let (p, s, a) = (positions.clone(), &mut sums, &mut acc);
                 match arm {
-                    "portable" => portable_accumulate_lanes(&w, &ends, from..rows, &row, &mut sums, &mut acc),
+                    // SAFETY: one lane needs no CPU feature.
+                    "portable" => unsafe { weigh_lanes::<f32>(&w, row, p, |p| &values[p], s, a) },
                     #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX2; shapes as
-                    // `accumulate_lanes` asserts.
-                    "avx2" => unsafe { avx2::accumulate_lanes(&w, &ends, from..rows, &row, &mut sums, &mut acc) },
+                    // SAFETY: `available_arms` checked AVX2.
+                    "avx2" => unsafe { avx2_lanes::weigh(&w, row, p, &values, s, a) },
                     #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX-512F; shapes as
-                    // `accumulate_lanes` asserts.
-                    "avx512" => unsafe { avx512::accumulate_lanes(&w, &ends, from..rows, &row, &mut sums, &mut acc) },
+                    // SAFETY: `available_arms` checked AVX-512F.
+                    "avx512" => unsafe { avx512_lanes::weigh(&w, row, p, &values, s, a) },
                     _ => unreachable!("unknown arm {arm}"),
                 }
-                for l in 0..LANES {
-                    proptest::prop_assert_eq!(sums[l].to_bits(), want_sums[l].to_bits(), "{} sum lane {}", arm, l);
+                for (j, (g, w)) in sums.iter().zip(&want_sums).enumerate() {
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{} sum of query {}", arm, j);
                 }
                 for (i, (g, w)) in acc.iter().zip(&want_acc).enumerate() {
                     proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
-                        "{} element {} lane {}", arm, i / LANES, i % LANES);
+                        "{} query {} element {}", arm, i / n, i % n);
                 }
             }
         }
     }
+
+    /// `score_lanes` and `weigh_lanes` compiled as an x86 lane arm
+    /// compiles them: inlined under its `#[target_feature]`.
+    macro_rules! lane_arm {
+        ($arm:ident, $lanes:ty, $feature:literal) => {
+            #[cfg(target_arch = "x86_64")]
+            mod $arm {
+                use super::super::{score_lanes, weigh_lanes};
+                use std::ops::Range;
+
+                /// # Safety
+                ///
+                /// The CPU must support the arm's feature.
+                #[target_feature(enable = $feature)]
+                pub(super) unsafe fn score(
+                    tile: &mut [f32],
+                    keys: &[Vec<f32>],
+                    positions: Range<usize>,
+                    queries: &[&[f32]],
+                    out: &mut [f32],
+                    row: usize,
+                ) {
+                    let key = |p: usize| keys[p].as_slice();
+                    score_lanes::<$lanes>(tile, key, positions, queries, out, row);
+                }
+
+                /// # Safety
+                ///
+                /// The CPU must support the arm's feature.
+                #[target_feature(enable = $feature)]
+                pub(super) unsafe fn weigh(
+                    w: &[f32],
+                    row: usize,
+                    positions: Range<usize>,
+                    values: &[Vec<f32>],
+                    sums: &mut [f32],
+                    acc: &mut [f32],
+                ) {
+                    weigh_lanes::<$lanes>(w, row, positions, |p| &values[p], sums, acc);
+                }
+            }
+        };
+    }
+    lane_arm!(avx512_lanes, std::arch::x86_64::__m512, "avx512f");
+    lane_arm!(avx2_lanes, std::arch::x86_64::__m256, "avx2");
 }
