@@ -5,13 +5,14 @@
 //! code, the 16 per-region sums are weighted by the E2M1 magnitude lattice,
 //! and a final shift applies the scale. These kernels compute `x · W`
 //! directly on [`PackedFp4Matrix`] codes the same way — no dequantized
-//! tensor ever exists — in three interchangeable realizations:
+//! tensor ever exists — in two realizations:
 //!
-//! * **Scalar region kernel** ([`region_matvec_block_into`]): the textbook
-//!   form. Per output column, bucket `x_i` by the stored 4-bit code, then
-//!   combine buckets with [`MAGNITUDES`] and the per-matrix norm. This is
-//!   the semantic ground truth (and the portable fallback).
-//! * **Vectorized half-unit kernel** (x86-64 AVX2+FMA, selected at
+//! * **Scalar region kernel** ([`region_matmul_block_into`], one row at a
+//!   time [`region_matvec_block_into`]): the textbook form. Per output
+//!   column, bucket `x_i` by the stored 4-bit code, then combine buckets
+//!   with [`MAGNITUDES`] and the per-matrix norm. This is the semantic
+//!   ground truth (and the portable fallback).
+//! * **Half-unit kernel** (x86-64, AVX-512F or AVX2+FMA, selected at
 //!   runtime): the same 16 regions realized as the constant-multiplier
 //!   bank. Every FP4 value is an exact multiple of 0.5, so a 16-entry
 //!   `pshufb` lookup maps each nibble to its signed integer half-unit
@@ -20,34 +21,38 @@
 //!   norm. Associativity of the per-region grouping is the only difference
 //!   (float sums reorder), which is why it agrees with the scalar region
 //!   kernel to ~1e-5 relative, not bitwise.
-//! * **Full-width half-unit token block** (x86-64 AVX-512F, selected at
-//!   runtime): the same half-unit chain with the panel form's token block
-//!   grown from 4 activation rows × 16 columns (ymm) to 8 rows × 32 columns
-//!   (zmm), so each packed byte is decoded once per 8 rows instead of once
-//!   per 4. Only the panel form has this arm: a single activation row has
-//!   no decode to amortize and keeps the AVX2 matvec.
 //!
-//! Dispatch, under the same even-column-start condition at both entry
-//! points: the panel form takes AVX-512 → AVX2 → scalar regions, the
-//! single-vector form AVX2 → scalar regions. The CPU is the only selector
+//! The half-unit kernel is written once, over a `tensor::Lanes` vector
+//! extended by the decode, the fused multiply-add and a multiply, and
+//! compiled per arm under `#[target_feature]`: `__m512` with token
+//! blocks of 8 activation rows × 32 columns, `__m256` with 4 × 16, so each
+//! packed byte is decoded once per block. A lone activation row has no
+//! decode to share, so it sweeps wider panels (eight vectors of columns),
+//! whose independent chains hide the FMA latency.
+//!
+//! Dispatch: [`matmul_block_into`] takes AVX-512 → AVX2 → scalar regions
+//! for a column range that starts on a byte boundary (odd starts, never
+//! produced by the engines, take the scalar kernel), and
+//! [`matvec_block_into`] is its one-row case. The CPU is the only selector
 //! ([`arm`]), and the lane kernels (`tensor::Lanes`, under the unembedding
 //! and the column attention) take their arm from the same one, so
 //! [`kernel_path`] names both.
 //!
-//! The two half-unit realizations are **bit-identical** to each other, not
-//! merely close: every (activation row, column) output is one FMA chain over
-//! the weight rows in ascending order on the same decoded half-units,
-//! followed by one multiply by `0.5 · norm`. A SIMD lane is one column and
-//! lanes never interact, so neither the vector width (how many columns
-//! advance together) nor the block height (how many activation rows share a
-//! decode) can reach a bit of any output.
+//! The two half-unit arms are **bit-identical** to each other, not merely
+//! close: every (activation row, column) output of a block's first
+//! `len − len % 16` columns is one FMA chain over the weight rows in
+//! ascending order on the same decoded half-units, followed by one multiply
+//! by `0.5 · norm`, and the last `len % 16` columns take the same scalar
+//! chain (a multiply, then an add, per weight row) on every arm. A SIMD
+//! lane is one column and lanes never interact, so neither the vector
+//! width (how many columns advance together) nor the block height (how
+//! many activation rows share a decode) can reach a bit of any output.
 //!
 //! Both inference engines run every projection, router and expert product
 //! through the panel form ([`matmul_block_into`]) — a decode step is its
 //! one-row case — so within one process they see one arithmetic: the
 //! engines' token streams stay in lockstep exactly as they did on the dense
-//! `f32` path. The single-vector form ([`matvec_block_into`]) is the
-//! per-row definition the panel form is pinned to, bit for bit.
+//! `f32` path.
 
 use hnlpu_model::fp4::{HALF_UNITS, MAGNITUDES, NUM_CODES};
 use hnlpu_model::PackedFp4Matrix;
@@ -70,7 +75,8 @@ pub fn matvec_into(x: &[f32], m: &PackedFp4Matrix, out: &mut [f32]) {
 
 /// Partial product `out = x · W[row_offset .. row_offset + x.len(),
 /// col_range]`, overwriting `out` — what one chip holding a block of the
-/// packed matrix contributes to its column group for one activation row.
+/// packed matrix contributes to its column group for one activation row:
+/// [`matmul_block_into`] with one activation row.
 ///
 /// # Panics
 ///
@@ -83,28 +89,9 @@ pub fn matvec_block_into(
     col_range: Range<usize>,
     out: &mut [f32],
 ) {
-    assert!(row_offset + x.len() <= m.rows(), "row block out of bounds");
-    assert!(col_range.start <= col_range.end, "col range reversed");
-    assert!(col_range.end <= m.cols(), "col range out of bounds");
     assert_eq!(out.len(), col_range.len(), "output length mismatch");
-    // An empty block is an empty sum. Answering it here keeps the
-    // vectorized arms from offsetting a pointer to a block that holds no
-    // byte (`row_offset == m.rows()`), which may lie past the allocation.
-    if x.is_empty() || col_range.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    // The vectorized path walks packed bytes from the first addressed
-    // column, so it needs the range to start on a byte boundary; odd
-    // starts (never produced by the engines) take the scalar kernel.
-    #[cfg(target_arch = "x86_64")]
-    if col_range.start.is_multiple_of(2) && avx2::available() {
-        // SAFETY: AVX2+FMA presence checked at runtime; bounds above, and
-        // the block holds at least one row and one column.
-        unsafe { avx2::matvec_block(x, m, row_offset, col_range, out) };
-        return;
-    }
-    region_matvec_block_into(x, m, row_offset, col_range, out);
+    let len = out.len();
+    matmul_block_into(x, x.len(), 1, m, row_offset, x.len(), col_range, out, len);
 }
 
 /// The scalar region-accumulation kernel (semantic reference and portable
@@ -174,9 +161,9 @@ pub fn matmul_into(
 
 /// Panel partial product: for each of `t` activation rows, compute
 /// `outs_row = xs_row · W[row_offset .. row_offset + rows, col_range]` —
-/// the multi-token generalization of [`matvec_block_into`] that makes one
-/// pass over the packed codes serve a whole prefill chunk or batched decode
-/// step, and the form every engine projection takes (`t = 1` included).
+/// the multi-token form of [`matvec_block_into`] that makes one pass over
+/// the packed codes serve a whole prefill chunk or batched decode step, and
+/// the form every engine projection takes (`t = 1` included).
 ///
 /// Activation row `tt` starts at `xs[tt * x_stride]` and is `rows` long;
 /// output row `tt` starts at `outs[tt * out_stride]` and is
@@ -187,10 +174,10 @@ pub fn matmul_into(
 /// `matvec_block_into(xs_row, m, row_offset, col_range, outs_row)` bit for
 /// bit, in both realizations. The per-column accumulation chain depends
 /// only on the row iteration order (ascending) and the accumulation
-/// operation (scalar bucket adds / vector FMAs), neither of which changes
-/// with the panel width — so prefill results are independent of how a
-/// prompt is chunked into panels, and the differential harnesses stay
-/// token-exact.
+/// operation (scalar bucket adds / vector FMAs, then the scalar tail),
+/// neither of which changes with the panel width or with the rows beside
+/// it — so prefill results are independent of how a prompt is chunked into
+/// panels, and the differential harnesses stay token-exact.
 ///
 /// # Panics
 ///
@@ -222,43 +209,38 @@ pub fn matmul_block_into(
         outs.len() >= (t - 1) * out_stride + col_range.len(),
         "output panel too short"
     );
-    // Empty block = empty sums, answered before any arm forms a pointer
-    // (see `matvec_block_into`).
+    // An empty block is an empty sum. Answering it here keeps the
+    // half-unit arms from offsetting a pointer to a block that holds no
+    // byte (`row_offset == m.rows()`), which may lie past the allocation.
     if rows == 0 || col_range.is_empty() {
         for tt in 0..t {
             outs[tt * out_stride..][..col_range.len()].fill(0.0);
         }
         return;
     }
-    // Same dispatch condition as `matvec_block_into`, so each row takes
-    // the half-unit chain the single-vector kernel would; which width
-    // runs that chain cannot change a bit of it.
+    // The half-unit arms walk packed bytes from the first addressed
+    // column, so they need the range to start on a byte boundary; odd
+    // starts (never produced by the engines) take the scalar kernel.
     #[cfg(target_arch = "x86_64")]
     if col_range.start.is_multiple_of(2) {
+        let block = half_units::Block::new(
+            xs,
+            x_stride,
+            t,
+            m,
+            row_offset,
+            rows,
+            col_range.start..col_range.end,
+            outs,
+            out_stride,
+        );
         match arm() {
-            Arm::Avx512 => {
-                // SAFETY: this arm means AVX-512F and AVX2+FMA (for the
-                // one-row remainder) were detected at runtime; bounds
-                // above, and the block holds at least one row and one
-                // column.
-                unsafe {
-                    avx512::matmul_block(
-                        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
-                    )
-                };
-                return;
-            }
-            Arm::Avx2 => {
-                // SAFETY: this arm means AVX2+FMA were detected at runtime;
-                // bounds above, and the block holds at least one row and
-                // one column.
-                unsafe {
-                    avx2::matmul_block(
-                        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
-                    )
-                };
-                return;
-            }
+            // SAFETY: this arm means AVX-512F was detected at runtime, and
+            // the asserts above bound the non-empty block for `t` rows.
+            Arm::Avx512 => return unsafe { half_units::avx512(&block) },
+            // SAFETY: this arm means AVX2+FMA were detected at runtime;
+            // the block is bounded as above.
+            Arm::Avx2 => return unsafe { half_units::avx2(&block) },
             Arm::Portable => {}
         }
     }
@@ -363,12 +345,12 @@ fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
 }
 
 /// The vector arm this CPU runs: one selector for [`matmul_block_into`]'s
-/// token blocks and the lane kernels' vectors ([`crate::tensor::Lanes`]),
-/// so [`kernel_path`] names both.
+/// half-unit kernel and the lane kernels' vectors
+/// ([`crate::tensor::Lanes`]), so [`kernel_path`] names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) enum Arm {
-    /// AVX-512F (with AVX2+FMA for the one-row kernels).
+    /// AVX-512F, on a CPU that also reports AVX2+FMA.
     Avx512,
     /// AVX2+FMA.
     Avx2,
@@ -377,14 +359,16 @@ pub(crate) enum Arm {
 }
 
 /// The arm [`matmul_block_into`] and [`crate::tensor::lane_arms`] take in
-/// this process.
+/// this process (the CPU's answers are cached by `std`).
 pub(crate) fn arm() -> Arm {
     #[cfg(target_arch = "x86_64")]
     {
-        if avx512::available() {
+        use std::arch::is_x86_feature_detected as has;
+        let avx2 = has!("avx2") && has!("fma");
+        if avx2 && has!("avx512f") {
             return Arm::Avx512;
         }
-        if avx2::available() {
+        if avx2 {
             return Arm::Avx2;
         }
     }
@@ -405,702 +389,315 @@ pub fn kernel_path() -> &'static str {
     }
 }
 
-/// The vectorized constant-multiplier-bank realization (x86-64 only).
+/// The half-unit kernel (x86-64 only): one body over [`HalfUnits`],
+/// compiled once per arm.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{Range, HALF_UNITS};
-    use hnlpu_model::PackedFp4Matrix;
+mod half_units {
+    use super::{PackedFp4Matrix, Range, HALF_UNITS};
+    use crate::tensor::Lanes;
     use std::arch::x86_64::*;
 
-    /// Runtime CPU support check (cached by `std`).
-    #[inline]
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    /// Decode 16 packed bytes (32 columns of one row) into 4×8 `f32`
-    /// half-unit weights, in column order: the `pshufb` against the
-    /// [`HALF_UNITS`] table is the software image of the 16-region decoder.
+    /// A [`Lanes`] vector as a half-unit arm holds it: the three ops the
+    /// constant-multiplier bank adds to the lane kernels'. Implemented for
+    /// `__m512` (AVX-512F) and `__m256` (AVX2+FMA).
     ///
     /// # Safety
     ///
-    /// Pure register arithmetic on AVX2 intrinsics — no memory
-    /// access. Callers must have verified AVX2 support (all call sites are
-    /// inside `#[target_feature(enable = "avx2")]` fns reached only via
-    /// `available()`).
-    #[inline(always)]
-    unsafe fn decode32(bytes: __m128i, lut: __m128i, mask: __m128i) -> [__m256; 4] {
-        let lo = _mm_and_si128(bytes, mask);
-        let hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), mask);
-        let vlo = _mm_shuffle_epi8(lut, lo);
-        let vhi = _mm_shuffle_epi8(lut, hi);
-        // Interleave even/odd column values back into column order.
-        let ilo = _mm_unpacklo_epi8(vlo, vhi);
-        let ihi = _mm_unpackhi_epi8(vlo, vhi);
-        [
-            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(ilo)),
-            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(ilo, 8))),
-            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(ihi)),
-            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(ihi, 8))),
-        ]
+    /// Every method needs the CPU to support its implementor's target
+    /// features, under which it is compiled to be inlined into the arms;
+    /// `decode` needs `K · WIDTH / 2` bytes readable at `row`.
+    #[expect(
+        clippy::missing_safety_doc,
+        reason = "one contract for every method, stated above"
+    )]
+    pub(super) trait HalfUnits: Lanes {
+        /// Activation rows a full token block carries (at most 8): with
+        /// two vectors of columns per row, its accumulators take half the
+        /// arm's vector registers (16 of 32 zmm, 8 of 16 ymm), which leaves
+        /// room for the decoded weights and the broadcasts.
+        const TOKEN_BLOCK: usize;
+        /// The signed half-units of the `K · WIDTH` columns packed at `row`
+        /// (two per byte, low nibble first), `WIDTH` columns per vector in
+        /// column order: the `pshufb` against [`HALF_UNITS`] is the
+        /// software image of the 16-region decoder.
+        unsafe fn decode<const K: usize>(row: *const u8) -> [Self; K];
+        /// `self · a + b`, rounded once.
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self;
+        /// `self · a`.
+        unsafe fn mul(self, a: Self) -> Self;
     }
 
-    /// 64-column panel: eight output accumulators live in registers across
-    /// the whole row sweep, so there are no horizontal sums at all.
-    ///
-    /// # Safety
-    ///
-    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
-    /// `data` points at `x.len()` rows of ≥ 32 readable bytes at `stride`
-    /// spacing, and `out` at ≥ 64 writable f32s. Unaligned loads/stores are
-    /// used throughout, so no alignment requirement.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel64(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [_mm256_setzero_ps(); 8];
-        for (i, &xi) in x.iter().enumerate() {
-            let xv = _mm256_set1_ps(xi);
-            let rowp = data.add(i * stride);
-            let w0 = decode32(_mm_loadu_si128(rowp as *const __m128i), lut, mask);
-            let w1 = decode32(_mm_loadu_si128(rowp.add(16) as *const __m128i), lut, mask);
-            a[0] = _mm256_fmadd_ps(w0[0], xv, a[0]);
-            a[1] = _mm256_fmadd_ps(w0[1], xv, a[1]);
-            a[2] = _mm256_fmadd_ps(w0[2], xv, a[2]);
-            a[3] = _mm256_fmadd_ps(w0[3], xv, a[3]);
-            a[4] = _mm256_fmadd_ps(w1[0], xv, a[4]);
-            a[5] = _mm256_fmadd_ps(w1[1], xv, a[5]);
-            a[6] = _mm256_fmadd_ps(w1[2], xv, a[6]);
-            a[7] = _mm256_fmadd_ps(w1[3], xv, a[7]);
-        }
-        let nv = _mm256_set1_ps(half_norm);
-        for (k, acc) in a.iter().enumerate() {
-            _mm256_storeu_ps(out.add(8 * k), _mm256_mul_ps(*acc, nv));
-        }
-    }
-
-    /// 32-column panel.
-    ///
-    /// # Safety
-    ///
-    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
-    /// `data` points at `x.len()` rows of ≥ 16 readable bytes at `stride`
-    /// spacing, and `out` at ≥ 32 writable f32s. Unaligned accesses only.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel32(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [_mm256_setzero_ps(); 4];
-        for (i, &xi) in x.iter().enumerate() {
-            let xv = _mm256_set1_ps(xi);
-            let w = decode32(
-                _mm_loadu_si128(data.add(i * stride) as *const __m128i),
-                lut,
-                mask,
-            );
-            a[0] = _mm256_fmadd_ps(w[0], xv, a[0]);
-            a[1] = _mm256_fmadd_ps(w[1], xv, a[1]);
-            a[2] = _mm256_fmadd_ps(w[2], xv, a[2]);
-            a[3] = _mm256_fmadd_ps(w[3], xv, a[3]);
-        }
-        let nv = _mm256_set1_ps(half_norm);
-        for (k, acc) in a.iter().enumerate() {
-            _mm256_storeu_ps(out.add(8 * k), _mm256_mul_ps(*acc, nv));
-        }
-    }
-
-    /// 16-column panel (8-byte row loads).
-    ///
-    /// # Safety
-    ///
-    /// Caller (`matvec_block`) guarantees AVX2+FMA support and that
-    /// `data` points at `x.len()` rows of ≥ 8 readable bytes at `stride`
-    /// spacing, and `out` at ≥ 16 writable f32s. Unaligned accesses only.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel16(x: &[f32], data: *const u8, stride: usize, half_norm: f32, out: *mut f32) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [_mm256_setzero_ps(); 2];
-        for (i, &xi) in x.iter().enumerate() {
-            let xv = _mm256_set1_ps(xi);
-            let bytes = _mm_loadl_epi64(data.add(i * stride) as *const __m128i);
-            let lo = _mm_and_si128(bytes, mask);
-            let hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), mask);
-            let inter = _mm_unpacklo_epi8(_mm_shuffle_epi8(lut, lo), _mm_shuffle_epi8(lut, hi));
-            let w0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(inter));
-            let w1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(inter, 8)));
-            a[0] = _mm256_fmadd_ps(w0, xv, a[0]);
-            a[1] = _mm256_fmadd_ps(w1, xv, a[1]);
-        }
-        let nv = _mm256_set1_ps(half_norm);
-        _mm256_storeu_ps(out, _mm256_mul_ps(a[0], nv));
-        _mm256_storeu_ps(out.add(8), _mm256_mul_ps(a[1], nv));
-    }
-
-    /// Block matvec over packed codes. Caller guarantees bounds and an
-    /// even `col_range.start`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2+FMA are present (checked via
-    /// `available()` at the dispatch site), `x` non-empty,
-    /// `row_offset + x.len() ≤ m.rows()`,
-    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    /// and `out.len() ≥ col_range.len()` — these bound every
-    /// `base.add`/`out.add` below within `m.data()` / `out` (an empty block
-    /// holds no byte, and its `base` could lie past the allocation). The
-    /// panel helpers inherit exactly these bounds, narrowed per panel width.
-    pub unsafe fn matvec_block(
-        x: &[f32],
-        m: &PackedFp4Matrix,
-        row_offset: usize,
-        col_range: Range<usize>,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(col_range.start % 2, 0);
-        let stride = m.stride();
-        let half_norm = 0.5 * m.norm();
-        let base = m
-            .data()
-            .as_ptr()
-            .add(row_offset * stride + col_range.start / 2);
-        let total = col_range.len();
-        let mut c = 0;
-        while total - c >= 64 {
-            panel64(
-                x,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                out.as_mut_ptr().add(c),
-            );
-            c += 64;
-        }
-        if total - c >= 32 {
-            panel32(
-                x,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                out.as_mut_ptr().add(c),
-            );
-            c += 32;
-        }
-        if total - c >= 16 {
-            panel16(
-                x,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                out.as_mut_ptr().add(c),
-            );
-            c += 16;
-        }
-        // Scalar half-unit tail for the last < 16 columns.
-        let data = m.data();
-        for j in col_range.start + c..col_range.end {
-            let shift = (j % 2) * 4;
-            let mut acc = 0.0f32;
-            for (i, &xi) in x.iter().enumerate() {
-                let byte = data[(row_offset + i) * stride + j / 2];
-                acc += xi * f32::from(HALF_UNITS[((byte >> shift) & 0x0F) as usize]);
-            }
-            out[j - col_range.start] = acc * half_norm;
-        }
-    }
-
-    /// Number of activation rows a full vectorized token block carries: 4
-    /// rows × 2 accumulators each (16 columns) keeps the working set at 11
-    /// ymm registers while decoding each packed byte once per 4 tokens.
-    const TOKEN_BLOCK: usize = 4;
-
-    /// 16-column × `N`-token panel: the packed bytes of each weight row are
-    /// decoded **once** and FMA'd against `N` broadcast activations, so
-    /// the 16-region decode work is amortized over the token block. Per
-    /// token the accumulation chain over rows is exactly the one
-    /// `panel64`/`panel32`/`panel16` produce for the same column (same
-    /// decoded half-units, same FMA, same row order), which is what keeps
-    /// the matmul bit-identical to the matvec loop for every `N`.
-    ///
-    /// # Safety
-    ///
-    /// Caller (`token_block`) guarantees AVX2+FMA support, that
-    /// `data` points at `rows` weight rows of ≥ 8 readable bytes at `stride`
-    /// spacing, that `xs` points at `N` activation rows of `rows` readable
-    /// f32s at `x_stride` spacing, and `outs` at `N` output rows of ≥ 16
-    /// writable f32s at `out_stride` spacing. Unaligned accesses only.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn panel16xn<const N: usize>(
-        xs: *const f32,
-        x_stride: usize,
-        rows: usize,
-        data: *const u8,
-        stride: usize,
-        half_norm: f32,
-        outs: *mut f32,
-        out_stride: usize,
-    ) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [[_mm256_setzero_ps(); 2]; N];
-        for i in 0..rows {
-            let bytes = _mm_loadl_epi64(data.add(i * stride) as *const __m128i);
-            let lo = _mm_and_si128(bytes, mask);
-            let hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), mask);
-            let inter = _mm_unpacklo_epi8(_mm_shuffle_epi8(lut, lo), _mm_shuffle_epi8(lut, hi));
-            let w0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(inter));
-            let w1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(inter, 8)));
-            for (tok, acc) in a.iter_mut().enumerate() {
-                let xv = _mm256_set1_ps(*xs.add(tok * x_stride + i));
-                acc[0] = _mm256_fmadd_ps(w0, xv, acc[0]);
-                acc[1] = _mm256_fmadd_ps(w1, xv, acc[1]);
-            }
-        }
-        let nv = _mm256_set1_ps(half_norm);
-        for (tok, acc) in a.iter().enumerate() {
-            _mm256_storeu_ps(outs.add(tok * out_stride), _mm256_mul_ps(acc[0], nv));
-            _mm256_storeu_ps(outs.add(tok * out_stride + 8), _mm256_mul_ps(acc[1], nv));
-        }
-    }
-
-    /// One block of `N` activation rows starting at row `tt`: 16-column
-    /// panels over `len - len % 16` columns, then the non-fused scalar
-    /// half-unit tail for the last < 16 — the same column coverage and the
-    /// same mul+add tail chain as `matvec_block`.
-    ///
-    /// # Safety
-    ///
-    /// As `matmul_block`, with `tt + N ≤ t`.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn token_block<const N: usize>(
-        xs: &[f32],
-        x_stride: usize,
-        tt: usize,
-        m: &PackedFp4Matrix,
-        row_offset: usize,
-        rows: usize,
-        col_range: Range<usize>,
-        outs: &mut [f32],
-        out_stride: usize,
-    ) {
-        let stride = m.stride();
-        let half_norm = 0.5 * m.norm();
-        let base = m
-            .data()
-            .as_ptr()
-            .add(row_offset * stride + col_range.start / 2);
-        let len = col_range.len();
-        let covered = len - len % 16;
-        let xrow = xs.as_ptr().add(tt * x_stride);
-        let orow = outs.as_mut_ptr().add(tt * out_stride);
-        let mut c = 0;
-        while c < covered {
-            panel16xn::<N>(
-                xrow,
-                x_stride,
-                rows,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                orow.add(c),
-                out_stride,
-            );
-            c += 16;
-        }
-        token_tail(
-            xs,
-            x_stride,
-            tt..tt + N,
-            m,
-            row_offset,
-            rows,
-            col_range,
-            covered,
-            outs,
-            out_stride,
-        );
-    }
-
-    /// Columns `col_range.start + covered..col_range.end` (the last < 16)
-    /// of activation rows `toks`: the non-fused scalar half-unit chain, mul
-    /// then add per weight row — `matvec_block`'s tail, so a tail column is
-    /// the same bits whichever token block (this module's or `avx512`'s)
-    /// swept the panels before it. Safe code: every access is a checked
-    /// index.
-    #[allow(clippy::too_many_arguments)]
-    pub fn token_tail(
-        xs: &[f32],
-        x_stride: usize,
-        toks: Range<usize>,
-        m: &PackedFp4Matrix,
-        row_offset: usize,
-        rows: usize,
-        col_range: Range<usize>,
-        covered: usize,
-        outs: &mut [f32],
-        out_stride: usize,
-    ) {
-        let stride = m.stride();
-        let half_norm = 0.5 * m.norm();
-        let data = m.data();
-        for j in col_range.start + covered..col_range.end {
-            let shift = (j % 2) * 4;
-            let col = j / 2;
-            for tok in toks.start..toks.end {
-                let x = &xs[tok * x_stride..][..rows];
-                let mut acc = 0.0f32;
-                for (i, &xi) in x.iter().enumerate() {
-                    let byte = data[(row_offset + i) * stride + col];
-                    acc += xi * f32::from(HALF_UNITS[((byte >> shift) & 0x0F) as usize]);
+    /// Sixteen columns per zmm register.
+    impl HalfUnits for __m512 {
+        const TOKEN_BLOCK: usize = 8;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn decode<const K: usize>(row: *const u8) -> [Self; K] {
+            let mut w = [_mm512_setzero_ps(); K];
+            for (c, w) in w.chunks_mut(2).enumerate() {
+                let hu = nibbles(bytes(row.add(16 * c), 8 * w.len()));
+                for (w, hu) in w.iter_mut().zip(hu) {
+                    *w = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu));
                 }
-                outs[tok * out_stride + (j - col_range.start)] = acc * half_norm;
             }
+            w
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm512_fmadd_ps(self, a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn mul(self, a: Self) -> Self {
+            _mm512_mul_ps(self, a)
         }
     }
 
-    /// Panel matmul over packed codes: token blocks of [`TOKEN_BLOCK`]
-    /// activation rows sweep 16-column panels with one decode per byte per
-    /// block; the last `t mod 4` rows run as one narrower block (a single
-    /// leftover row takes `matvec_block`, whose wider column panels suit
-    /// one activation better). Every path covers exactly `len - len % 16`
-    /// columns with panels and finishes with the identical non-fused
-    /// scalar tail, so every output row matches `matvec_block` on its
-    /// activation row bit for bit.
+    /// Eight columns per ymm register.
+    impl HalfUnits for __m256 {
+        const TOKEN_BLOCK: usize = 4;
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn decode<const K: usize>(row: *const u8) -> [Self; K] {
+            let mut w = [_mm256_setzero_ps(); K];
+            for (c, w) in w.chunks_mut(4).enumerate() {
+                let [lo, hi] = nibbles(bytes(row.add(16 * c), 4 * w.len()));
+                let eighths = [lo, _mm_srli_si128(lo, 8), hi, _mm_srli_si128(hi, 8)];
+                for (w, hu) in w.iter_mut().zip(eighths) {
+                    *w = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(hu));
+                }
+            }
+            w
+        }
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm256_fmadd_ps(self, a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn mul(self, a: Self) -> Self {
+            _mm256_mul_ps(self, a)
+        }
+    }
+
+    /// The `n ≤ 16` packed bytes at `p`, zero above.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2+FMA are present (checked via
-    /// `available()` at the dispatch site), `rows ≥ 1`,
-    /// `row_offset + rows ≤ m.rows()`,
-    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    /// `xs.len() ≥ (t-1)·x_stride + rows`, and
-    /// `outs.len() ≥ (t-1)·out_stride + col_range.len()` — these bound every
-    /// pointer offset below within `m.data()`, `xs`, and `outs`.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn matmul_block(
-        xs: &[f32],
-        x_stride: usize,
-        t: usize,
-        m: &PackedFp4Matrix,
-        row_offset: usize,
-        rows: usize,
-        col_range: Range<usize>,
-        outs: &mut [f32],
-        out_stride: usize,
-    ) {
-        debug_assert_eq!(col_range.start % 2, 0);
-        let mut tt = 0;
-        while t - tt >= TOKEN_BLOCK {
-            token_block::<TOKEN_BLOCK>(
-                xs,
-                x_stride,
-                tt,
-                m,
-                row_offset,
-                rows,
-                col_range.start..col_range.end,
-                outs,
-                out_stride,
-            );
-            tt += TOKEN_BLOCK;
-        }
-        match t - tt {
-            3 => token_block::<3>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            2 => token_block::<2>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            1 => {
-                let len = col_range.len();
-                matvec_block(
-                    &xs[tt * x_stride..][..rows],
-                    m,
-                    row_offset,
-                    col_range,
-                    &mut outs[tt * out_stride..][..len],
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The half-unit token block at full machine width (x86-64 AVX-512F): the
-/// panel form of [`avx2`] with each packed byte decoded once per 8
-/// activation rows into zmm registers. There is no single-row kernel here —
-/// one activation row has no decode to share, so it keeps
-/// `avx2::matvec_block`.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{avx2, Range, HALF_UNITS};
-    use hnlpu_model::PackedFp4Matrix;
-    use std::arch::x86_64::*;
-
-    /// Runtime CPU support check (cached by `std`). Asks for AVX2+FMA as
-    /// well because the one-row remainder and the column tail run in
-    /// [`avx2`].
-    #[inline]
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f") && avx2::available()
-    }
-
-    /// Number of activation rows a full token block carries: 8 rows × 2
-    /// accumulators each (32 columns) is 16 of the 32 zmm registers, and
-    /// each packed byte is decoded once per 8 tokens.
-    const TOKEN_BLOCK: usize = 8;
-
-    /// Decode 16 packed bytes (32 columns of one weight row) into their
-    /// signed half-units as `i8`, in column order: `[0]` holds columns
-    /// 0..16, `[1]` columns 16..32 — `avx2::decode32` before the widening.
-    /// With only the low 8 bytes loaded, `[0]` is those 16 columns.
-    ///
-    /// # Safety
-    ///
-    /// Pure register arithmetic on SSSE3 intrinsics — no memory
-    /// access. Callers must have verified AVX-512F support, which implies
-    /// SSSE3 (all call sites are inside `#[target_feature(enable =
-    /// "avx512f")]` fns reached only via `available()`).
+    /// `n` bytes must be readable at `p`.
     #[inline(always)]
-    unsafe fn decode32(bytes: __m128i, lut: __m128i, mask: __m128i) -> [__m128i; 2] {
-        let lo = _mm_and_si128(bytes, mask);
-        let hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), mask);
-        let vlo = _mm_shuffle_epi8(lut, lo);
-        let vhi = _mm_shuffle_epi8(lut, hi);
+    unsafe fn bytes(p: *const u8, n: usize) -> __m128i {
+        let mut b = [0u8; 16];
+        std::ptr::copy_nonoverlapping(p, b.as_mut_ptr(), n);
+        _mm_loadu_si128(b.as_ptr().cast())
+    }
+
+    /// The signed half-units of the 32 columns packed in `bytes`, as `i8`
+    /// in column order: `[0]` holds columns 0..16, `[1]` columns 16..32.
+    ///
+    /// # Safety
+    ///
+    /// Register arithmetic only; the CPU must support SSSE3, which both
+    /// arms imply.
+    #[inline(always)]
+    unsafe fn nibbles(bytes: __m128i) -> [__m128i; 2] {
+        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr().cast());
+        let mask = _mm_set1_epi8(0x0F);
+        let lo = _mm_shuffle_epi8(lut, _mm_and_si128(bytes, mask));
+        let hi = _mm_shuffle_epi8(lut, _mm_and_si128(_mm_srli_epi16(bytes, 4), mask));
         // Interleave even/odd column values back into column order.
-        [_mm_unpacklo_epi8(vlo, vhi), _mm_unpackhi_epi8(vlo, vhi)]
+        [_mm_unpacklo_epi8(lo, hi), _mm_unpackhi_epi8(lo, hi)]
     }
 
-    /// 32-column × `N`-token panel: the 16 packed bytes of each weight row
-    /// are decoded **once** into two zmm weight vectors and FMA'd against
-    /// `N` broadcast activations into `2·N` zmm accumulators. Per (token,
-    /// column) this is the FMA chain of `avx2::panel16xn` and of the
-    /// `avx2` matvec panels — same decoded half-units, same fused
-    /// operation, same ascending row order, one lane per column — so the
-    /// output bits do not depend on `N` or on the register width.
-    ///
-    /// # Safety
-    ///
-    /// Caller (`token_block`) guarantees AVX-512F support, that
-    /// `data` points at `rows` weight rows of ≥ 16 readable bytes at
-    /// `stride` spacing, that `xs` points at `N` activation rows of `rows`
-    /// readable f32s at `x_stride` spacing, and `outs` at `N` output rows of
-    /// ≥ 32 writable f32s at `out_stride` spacing. Unaligned accesses only.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn panel32xn<const N: usize>(
+    /// One [`super::matmul_block_into`] call as the arms address it: `t`
+    /// activation rows of `rows` floats at `xs`, `x_stride` apart; `rows`
+    /// weight rows of packed codes at `data` (the byte of the block's
+    /// first column), `stride` apart; `t` output rows of `cols` floats at
+    /// `outs`, `out_stride` apart.
+    pub(super) struct Block {
         xs: *const f32,
-        x_stride: usize,
-        rows: usize,
-        data: *const u8,
-        stride: usize,
-        half_norm: f32,
-        outs: *mut f32,
-        out_stride: usize,
-    ) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [[_mm512_setzero_ps(); 2]; N];
-        for i in 0..rows {
-            let bytes = _mm_loadu_si128(data.add(i * stride) as *const __m128i);
-            let hu = decode32(bytes, lut, mask);
-            let w0 = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu[0]));
-            let w1 = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu[1]));
-            for (tok, acc) in a.iter_mut().enumerate() {
-                let xv = _mm512_set1_ps(*xs.add(tok * x_stride + i));
-                acc[0] = _mm512_fmadd_ps(w0, xv, acc[0]);
-                acc[1] = _mm512_fmadd_ps(w1, xv, acc[1]);
-            }
-        }
-        let nv = _mm512_set1_ps(half_norm);
-        for (tok, acc) in a.iter().enumerate() {
-            _mm512_storeu_ps(outs.add(tok * out_stride), _mm512_mul_ps(acc[0], nv));
-            _mm512_storeu_ps(outs.add(tok * out_stride + 16), _mm512_mul_ps(acc[1], nv));
-        }
-    }
-
-    /// 16-column × `N`-token panel (8-byte row loads, one zmm per token).
-    ///
-    /// # Safety
-    ///
-    /// As `panel32xn`, with ≥ 8 readable bytes per weight row and
-    /// ≥ 16 writable f32s per output row.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn panel16xn<const N: usize>(
-        xs: *const f32,
-        x_stride: usize,
-        rows: usize,
-        data: *const u8,
-        stride: usize,
-        half_norm: f32,
-        outs: *mut f32,
-        out_stride: usize,
-    ) {
-        let lut = _mm_loadu_si128(HALF_UNITS.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a = [_mm512_setzero_ps(); N];
-        for i in 0..rows {
-            let bytes = _mm_loadl_epi64(data.add(i * stride) as *const __m128i);
-            let w = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(decode32(bytes, lut, mask)[0]));
-            for (tok, acc) in a.iter_mut().enumerate() {
-                let xv = _mm512_set1_ps(*xs.add(tok * x_stride + i));
-                *acc = _mm512_fmadd_ps(w, xv, *acc);
-            }
-        }
-        let nv = _mm512_set1_ps(half_norm);
-        for (tok, acc) in a.iter().enumerate() {
-            _mm512_storeu_ps(outs.add(tok * out_stride), _mm512_mul_ps(*acc, nv));
-        }
-    }
-
-    /// One block of `N` activation rows starting at row `tt`: 32-column
-    /// panels, then at most one 16-column panel, then `avx2::token_tail`
-    /// for the last `len % 16` columns — the column coverage of
-    /// `avx2::matvec_block` (panels over `len - len % 16`, scalar tail
-    /// after), which is what pins every column to the same chain there.
-    ///
-    /// # Safety
-    ///
-    /// As `matmul_block`, with `tt + N ≤ t`.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn token_block<const N: usize>(
-        xs: &[f32],
-        x_stride: usize,
-        tt: usize,
-        m: &PackedFp4Matrix,
-        row_offset: usize,
-        rows: usize,
-        col_range: Range<usize>,
-        outs: &mut [f32],
-        out_stride: usize,
-    ) {
-        let stride = m.stride();
-        let half_norm = 0.5 * m.norm();
-        let base = m
-            .data()
-            .as_ptr()
-            .add(row_offset * stride + col_range.start / 2);
-        let len = col_range.len();
-        let xrow = xs.as_ptr().add(tt * x_stride);
-        let orow = outs.as_mut_ptr().add(tt * out_stride);
-        let mut c = 0;
-        while len - c >= 32 {
-            panel32xn::<N>(
-                xrow,
-                x_stride,
-                rows,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                orow.add(c),
-                out_stride,
-            );
-            c += 32;
-        }
-        if len - c >= 16 {
-            panel16xn::<N>(
-                xrow,
-                x_stride,
-                rows,
-                base.add(c / 2),
-                stride,
-                half_norm,
-                orow.add(c),
-                out_stride,
-            );
-            c += 16;
-        }
-        avx2::token_tail(
-            xs,
-            x_stride,
-            tt..tt + N,
-            m,
-            row_offset,
-            rows,
-            col_range,
-            c,
-            outs,
-            out_stride,
-        );
-    }
-
-    /// Panel matmul over packed codes: full blocks of [`TOKEN_BLOCK`]
-    /// activation rows, the last `t mod 8` rows as one narrower block, and
-    /// a single leftover row through `avx2::matvec_block` (as in
-    /// `avx2::matmul_block`). Every output row matches `avx2::matvec_block`
-    /// on its activation row bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `available()` (AVX-512F, and AVX2+FMA for
-    /// the `avx2` calls), `rows ≥ 1`, `row_offset + rows ≤ m.rows()`,
-    /// `col_range.start < col_range.end ≤ m.cols()`, `col_range.start` even,
-    /// `xs.len() ≥ (t-1)·x_stride + rows`, and
-    /// `outs.len() ≥ (t-1)·out_stride + col_range.len()` — the contract of
-    /// `avx2::matmul_block`, which bounds every pointer offset in the token
-    /// blocks within `m.data()`, `xs`, and `outs`.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn matmul_block(
-        xs: &[f32],
         x_stride: usize,
         t: usize,
-        m: &PackedFp4Matrix,
-        row_offset: usize,
+        data: *const u8,
+        stride: usize,
         rows: usize,
-        col_range: Range<usize>,
-        outs: &mut [f32],
+        cols: usize,
+        half_norm: f32,
+        outs: *mut f32,
         out_stride: usize,
-    ) {
-        debug_assert_eq!(col_range.start % 2, 0);
-        let mut tt = 0;
-        while t - tt >= TOKEN_BLOCK {
-            token_block::<TOKEN_BLOCK>(
-                xs,
+    }
+
+    impl Block {
+        /// The block `matmul_block_into` addresses with these arguments.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the block's first byte lies past the matrix.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn new(
+            xs: &[f32],
+            x_stride: usize,
+            t: usize,
+            m: &PackedFp4Matrix,
+            row_offset: usize,
+            rows: usize,
+            col_range: Range<usize>,
+            outs: &mut [f32],
+            out_stride: usize,
+        ) -> Block {
+            let data = &m.data()[row_offset * m.stride() + col_range.start / 2..];
+            Block {
+                xs: xs.as_ptr(),
                 x_stride,
-                tt,
-                m,
-                row_offset,
+                t,
+                data: data.as_ptr(),
+                stride: m.stride(),
                 rows,
-                col_range.start..col_range.end,
-                outs,
+                cols: col_range.len(),
+                half_norm: 0.5 * m.norm(),
+                outs: outs.as_mut_ptr(),
                 out_stride,
-            );
-            tt += TOKEN_BLOCK;
-        }
-        // One instantiation per remainder, so the accumulator array stays
-        // a compile-time size and lives in registers.
-        match t - tt {
-            7 => token_block::<7>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            6 => token_block::<6>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            5 => token_block::<5>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            4 => token_block::<4>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            3 => token_block::<3>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            2 => token_block::<2>(
-                xs, x_stride, tt, m, row_offset, rows, col_range, outs, out_stride,
-            ),
-            1 => {
-                let len = col_range.len();
-                avx2::matvec_block(
-                    &xs[tt * x_stride..][..rows],
-                    m,
-                    row_offset,
-                    col_range,
-                    &mut outs[tt * out_stride..][..len],
-                );
             }
-            _ => {}
+        }
+    }
+
+    /// The AVX-512 arm: [`sweep`] over `__m512`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F; `b` must come from [`Block::new`]
+    /// with arguments that pass `matmul_block_into`'s asserts, at least one
+    /// row and one column, and an even `col_range.start`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512(b: &Block) {
+        sweep::<__m512>(b);
+    }
+
+    /// The AVX2 arm: [`sweep`] over `__m256`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA; `b` as for [`avx512`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn avx2(b: &Block) {
+        sweep::<__m256>(b);
+    }
+
+    /// The whole block: full token blocks of `V::TOKEN_BLOCK` rows, the
+    /// remainder as one narrower block, each sweeping panels over the first
+    /// `cols − cols % 16` columns, then [`tail`] for the rest.
+    ///
+    /// # Safety
+    ///
+    /// As [`avx512`], on `V`'s arm.
+    #[inline(always)]
+    unsafe fn sweep<V: HalfUnits>(b: &Block) {
+        const { assert!(V::TOKEN_BLOCK <= 8) };
+        let covered = b.cols - b.cols % 16;
+        let mut tt = 0;
+        while tt < b.t {
+            // One instantiation per block height, so the accumulators are
+            // a compile-time array and live in registers.
+            let n = (b.t - tt).min(V::TOKEN_BLOCK);
+            match n {
+                1 => rows::<V, 1>(b, tt, covered),
+                2 => rows::<V, 2>(b, tt, covered),
+                3 => rows::<V, 3>(b, tt, covered),
+                4 => rows::<V, 4>(b, tt, covered),
+                5 => rows::<V, 5>(b, tt, covered),
+                6 => rows::<V, 6>(b, tt, covered),
+                7 => rows::<V, 7>(b, tt, covered),
+                _ => rows::<V, 8>(b, tt, covered),
+            }
+            tt += n;
+        }
+        tail(b, covered);
+    }
+
+    /// Activation rows `tt .. tt + N` over the first `covered` columns (a
+    /// multiple of 16): panels two vectors wide, and one vector for a last
+    /// 16 columns the width leaves. A lone row has no decode to share, so
+    /// it first takes panels of eight and four vectors, which keep enough
+    /// independent chains in flight to hide the FMA latency.
+    ///
+    /// # Safety
+    ///
+    /// As [`sweep`], with `tt + N ≤ b.t`.
+    #[inline(always)]
+    unsafe fn rows<V: HalfUnits, const N: usize>(b: &Block, tt: usize, covered: usize) {
+        let mut c = 0;
+        if N == 1 {
+            while covered - c >= 8 * V::WIDTH {
+                panel::<V, N, 8>(b, tt, c);
+                c += 8 * V::WIDTH;
+            }
+            if covered - c >= 4 * V::WIDTH {
+                panel::<V, N, 4>(b, tt, c);
+                c += 4 * V::WIDTH;
+            }
+        }
+        while covered - c >= 2 * V::WIDTH {
+            panel::<V, N, 2>(b, tt, c);
+            c += 2 * V::WIDTH;
+        }
+        if c < covered {
+            panel::<V, N, 1>(b, tt, c);
+        }
+    }
+
+    /// Activation rows `tt .. tt + N` × columns `c .. c + K · V::WIDTH`:
+    /// each weight row's packed bytes are decoded **once** into `K` vectors
+    /// of half-units and fused with `N` broadcast activations into `N · K`
+    /// accumulators — per (row, column) one FMA chain over the weight rows
+    /// in ascending order — then each is multiplied by `0.5 · norm`.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows`], with `c + K · V::WIDTH ≤ b.cols`.
+    #[inline(always)]
+    unsafe fn panel<V: HalfUnits, const N: usize, const K: usize>(b: &Block, tt: usize, c: usize) {
+        let (xs, data) = (b.xs.add(tt * b.x_stride), b.data.add(c / 2));
+        let mut acc = [[V::splat(0.0); K]; N];
+        for i in 0..b.rows {
+            let w = V::decode::<K>(data.add(i * b.stride));
+            for (n, acc) in acc.iter_mut().enumerate() {
+                let x = V::splat(*xs.add(n * b.x_stride + i));
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a = w.mul_add(x, *a);
+                }
+            }
+        }
+        let (half_norm, outs) = (V::splat(b.half_norm), b.outs.add(tt * b.out_stride + c));
+        for (n, acc) in acc.iter().enumerate() {
+            for (k, a) in acc.iter().enumerate() {
+                a.mul(half_norm)
+                    .store(outs.add(n * b.out_stride + k * V::WIDTH), V::WIDTH);
+            }
+        }
+    }
+
+    /// Columns `covered .. cols` of every row: the scalar half-unit chain,
+    /// a multiply then an add per weight row (not fused), then the multiply
+    /// by `0.5 · norm`.
+    ///
+    /// # Safety
+    ///
+    /// As [`sweep`].
+    #[inline(always)]
+    unsafe fn tail(b: &Block, covered: usize) {
+        for j in covered..b.cols {
+            let shift = (j % 2) * 4;
+            for tt in 0..b.t {
+                let mut acc = 0.0f32;
+                for i in 0..b.rows {
+                    let code = (*b.data.add(i * b.stride + j / 2) >> shift) & 0x0F;
+                    let x = *b.xs.add(tt * b.x_stride + i);
+                    acc += x * f32::from(HALF_UNITS[usize::from(code)]);
+                }
+                *b.outs.add(tt * b.out_stride + j) = acc * b.half_norm;
+            }
         }
     }
 }
@@ -1137,32 +734,56 @@ mod tests {
         }
     }
 
-    /// Signature of `avx2::matmul_block` / `avx512::matmul_block`.
-    type MatmulArm = unsafe fn(
-        &[f32],
-        usize,
-        usize,
-        &PackedFp4Matrix,
-        usize,
-        usize,
-        Range<usize>,
-        &mut [f32],
-        usize,
-    );
+    /// The half-unit arms' definition on an even-start column range, one
+    /// scalar chain per (activation row, column): over the weight rows in
+    /// order, `acc = hu.mul_add(x, acc)` on the first `len − len % 16`
+    /// columns and `acc += x · hu` on the rest; then `acc · 0.5·norm`.
+    #[allow(clippy::too_many_arguments)]
+    fn half_unit_chain(
+        xs: &[f32],
+        x_stride: usize,
+        t: usize,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        let covered = col_range.len() - col_range.len() % 16;
+        for tt in 0..t {
+            for (k, j) in col_range.clone().enumerate() {
+                let mut acc = 0.0f32;
+                for i in 0..rows {
+                    let byte = m.data()[(row_offset + i) * m.stride() + j / 2];
+                    let hu = f32::from(HALF_UNITS[usize::from((byte >> (j % 2 * 4)) & 0x0F)]);
+                    let x = xs[tt * x_stride + i];
+                    acc = if k < covered {
+                        hu.mul_add(x, acc)
+                    } else {
+                        acc + x * hu
+                    };
+                }
+                outs[tt * out_stride + k] = acc * (0.5 * m.norm());
+            }
+        }
+    }
 
-    /// The vectorized realizations this CPU can run, by name (none off
-    /// x86-64); says once per process which ones those are.
-    fn available_arms() -> Vec<(&'static str, MatmulArm)> {
-        #[allow(unused_mut)]
-        let mut arms: Vec<(&'static str, MatmulArm)> = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx2::available() {
-                arms.push(("avx2", avx2::matmul_block));
-            }
-            if avx512::available() {
-                arms.push(("avx512", avx512::matmul_block));
-            }
+    /// Signature of `half_units::avx2` / `half_units::avx512`.
+    #[cfg(target_arch = "x86_64")]
+    type HalfUnitArm = unsafe fn(&half_units::Block);
+
+    /// The half-unit arms this CPU can run, by name; says once per process
+    /// which ones those are.
+    #[cfg(target_arch = "x86_64")]
+    fn available_arms() -> Vec<(&'static str, HalfUnitArm)> {
+        use std::arch::is_x86_feature_detected as has;
+        let mut arms: Vec<(&'static str, HalfUnitArm)> = Vec::new();
+        if has!("avx2") && has!("fma") {
+            arms.push(("avx2", half_units::avx2));
+        }
+        if has!("avx512f") {
+            arms.push(("avx512", half_units::avx512));
         }
         static SAY: std::sync::Once = std::sync::Once::new();
         SAY.call_once(|| {
@@ -1326,12 +947,13 @@ mod tests {
             }
         }
 
-        /// The tentpole bit-identity property: the dispatched panel matmul
-        /// equals a loop of per-token `matvec_block_into` calls **bit for
-        /// bit**, over ragged token counts (two full blocks of the widest
+        /// The dispatched panel matmul equals a loop of one-row
+        /// `matvec_block_into` calls **bit for bit** — a row's bits depend
+        /// neither on the rows beside it nor on the block height that ran
+        /// it — over ragged token counts (two full blocks of the widest
         /// arm plus every remainder), odd column ranges (scalar-dispatch
         /// path + scalar tails), strided activation and output panels, and
-        /// row sub-blocks.
+        /// row sub-blocks; and the same of the scalar region kernels.
         #[test]
         fn matmul_is_bitwise_loop_of_matvecs(
             rows in 1usize..72,
@@ -1374,19 +996,19 @@ mod tests {
             }
         }
 
-        /// Every vectorized realization this CPU has, called directly —
-        /// the dispatcher only ever reaches the widest one. Each output row
-        /// of each arm must equal `matvec_block_into` bit for bit: two full
-        /// 8-row blocks plus every remainder, column ranges that end in a
-        /// 32-column panel, a 16-column panel and a 1–15 column tail, even
-        /// non-zero starts, row sub-blocks, strided panels. An arm the CPU
-        /// lacks is skipped, not failed.
+        /// Every half-unit arm this CPU has, called directly — the
+        /// dispatcher only ever reaches the widest one — and the dispatcher
+        /// itself on a vector CPU, against [`half_unit_chain`] bit for bit:
+        /// two full 8-row blocks plus every remainder; column ranges up to
+        /// 255 wide, so a lone row's 128- and 64-column panels, the 32- and
+        /// 16-column panels and a 1–15 column tail all run; even non-zero
+        /// starts, row sub-blocks, strided panels. An arm the CPU lacks is
+        /// skipped, not failed.
         #[test]
-        fn every_available_arm_is_bitwise_the_matvec(
+        fn every_arm_is_bitwise_the_half_unit_chain(
             rows in 1usize..72,
-            t in 1usize..27,
-            panels32 in 0usize..3,
-            panel16 in 0usize..2,
+            t in 1usize..25,
+            panels16 in 0usize..16,
             tail in 0usize..16,
             c0 in 0usize..5,
             c1 in 0usize..3,
@@ -1396,7 +1018,7 @@ mod tests {
             seed in 0u64..500,
         ) {
             let cs = 2 * c0;
-            let len = (32 * panels32 + 16 * panel16 + tail).max(1);
+            let len = (16 * panels16 + tail).max(1);
             let ce = cs + len;
             let (full_rows, cols) = (rows + r0, ce + c1);
             let m = packed_from(&hashed_codes(full_rows * cols, seed), full_rows, cols);
@@ -1409,22 +1031,32 @@ mod tests {
                 })
                 .collect();
             let mut want = vec![0.0f32; (t - 1) * out_stride + len];
-            for tt in 0..t {
-                let x = &xs[tt * x_stride..][..rows];
-                matvec_block_into(x, &m, r0, cs..ce, &mut want[tt * out_stride..][..len]);
-            }
-            for (arm, matmul_block) in available_arms() {
-                // NaN marks every cell the arm must overwrite; the padding
-                // between strided rows must come back untouched.
+            half_unit_chain(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut want, out_stride);
+            // NaN marks every cell a kernel must overwrite; the padding
+            // between strided rows must come back untouched.
+            let mut runs = Vec::new();
+            if arm() != Arm::Portable {
                 let mut outs = vec![f32::NAN; want.len()];
-                // SAFETY: `available_arms` checked the arm's CPU features,
-                // `cs` is even, and the panels are sized for `t` strided
-                // rows of the addressed block, as `matmul_block_into`
-                // asserts.
-                unsafe { matmul_block(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride) };
+                matmul_block_into(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride);
+                runs.push(("dispatched", outs));
+            }
+            #[cfg(target_arch = "x86_64")]
+            for (arm, run) in available_arms() {
+                let mut outs = vec![f32::NAN; want.len()];
+                let block = half_units::Block::new(
+                    &xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride,
+                );
+                // SAFETY: `available_arms` checked the arm's CPU features;
+                // the block is non-empty, starts on an even column and
+                // passes `matmul_block_into`'s asserts.
+                unsafe { run(&block) };
+                runs.push((arm, outs));
+            }
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            for (arm, outs) in runs {
                 for tt in 0..t {
                     let row = &outs[tt * out_stride..];
-                    prop_assert_eq!(&row[..len], &want[tt * out_stride..][..len],
+                    prop_assert_eq!(bits(&row[..len]), bits(&want[tt * out_stride..][..len]),
                         "{} row {} differs", arm, tt);
                     prop_assert!(tt + 1 == t || row[len..out_stride].iter().all(|v| v.is_nan()),
                         "{} wrote past row {}", arm, tt);

@@ -1235,8 +1235,10 @@ impl OnlineServer {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (0.0 for an
-/// empty sample, matching an idle server's report).
+/// The `p`-quantile of an ascending-sorted slice as the sample at rank
+/// `round((n − 1) · p)` (0-based; no interpolation), or 0.0 for an empty
+/// sample, matching an idle server's report. The committed serve reports
+/// are computed with this rank.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 /// One inference request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Request {
-    /// Arrival time in seconds.
+    /// Arrival time in microseconds (integral, so arrival order is exact).
     pub arrival_s_micros: u64,
     /// Prompt tokens (prefilled in parallel).
     pub prompt_tokens: u32,
