@@ -218,9 +218,10 @@ pub fn round_deal_plan(
 
 /// Cache-effectiveness numbers for the committed trajectory point:
 /// `(hit_rate, pages_evicted)`. The hit rate comes from the share90
-/// workload above; eviction is exercised separately under a deliberately
-/// tight page budget (deterministic cold-prefix LRU), since the offline
-/// engine itself plans with an unbounded budget.
+/// workload above, run on an engine whose budget never evicts; eviction is
+/// exercised separately, by committing distinct prompts into a bare tree
+/// of placeholder pages under a deliberately tight page budget
+/// (deterministic cold-prefix LRU).
 pub fn prefix_cache_effectiveness() -> (f64, u64) {
     let w = bench_weights();
     let vocab = w.config.vocab_size as u32;

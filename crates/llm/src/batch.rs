@@ -3,13 +3,14 @@
 //! [`BatchedDataflowExecutor`] runs many sequences through one
 //! [`DataflowExecutor`] the way the hardware does: a pool of KV-cache
 //! slots (one per resident sequence) and per-round mixed prefill + decode
-//! stepping. The schedule comes from `hnlpu-sim` as [`RoundPlan`]s — a
-//! whole trace planned up front by [`BatchScheduler`], or one round at a
-//! time from the online server's stepper — so the functional engine
-//! executes *exactly* the slot assignments the timing model priced; the
-//! serving invariant harness (`tests/tests/serving_invariant.rs`) asserts
-//! the token streams are identical to running [`DataflowExecutor`] per
-//! sequence. Both drivers
+//! stepping. The schedule comes from `hnlpu-sim` as [`RoundPlan`]s — one
+//! round at a time, from [`BatchScheduler`] planning a whole trace while
+//! the engine executes each round it plans, or from the online server's
+//! stepper — so the functional engine executes *exactly* the slot
+//! assignments the timing model priced, and the scheduler's prefix
+//! consults read the engine's one tree; the serving invariant harness
+//! (`tests/tests/serving_invariant.rs`) asserts the token streams are
+//! identical to running [`DataflowExecutor`] per sequence. Both drivers
 //! keep their sequences in the crate-private `SlotPool`, where placement,
 //! vacating and the execution of one plan are written once.
 //!
@@ -47,7 +48,7 @@
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState};
 use crate::fault::CHIPS;
-use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
+use crate::kv_cache::{PrefixCache, PrefixCacheConfig, PrefixStats};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
@@ -286,9 +287,9 @@ impl BatchRunReport {
 /// outlives a round. The activations of its rounds live in the arena of
 /// whichever worker runs it (see [`SlotPool`]).
 ///
-/// Shared between the offline plan replay here and the online serving
-/// loop in [`crate::serve`], so both paths run sequences through the
-/// identical per-round stepping code.
+/// Shared between the offline runs here and the online serving loop in
+/// [`crate::serve`], so both paths run sequences through the identical
+/// per-round stepping code.
 #[derive(Debug)]
 pub(crate) struct SeqSlot {
     /// Index into the caller's request slice (or online sequence id).
@@ -353,8 +354,9 @@ struct Action {
 
 /// The resident sequences' KV slots, the shared prefix cache their
 /// pages live in, and the workers' activation arenas — the executor state
-/// of offline plan replay and of the online server alike. As a
-/// [`PrefixOracle`] it is the executing side's consult: the match is
+/// of offline runs and of the online server alike. Its `consult` is the
+/// executing side's prefix consult in both (the online server hands the
+/// pool itself to the stepper as its [`PrefixOracle`]): the match is
 /// attached to the real slot when the policy asks.
 #[derive(Debug, Default)]
 pub(crate) struct SlotPool {
@@ -612,11 +614,11 @@ impl BatchedDataflowExecutor {
     /// instead of being prefilled. `pages_per_block` is forced to the
     /// grid's shard count — one page per chip per committed block.
     ///
-    /// Offline plan replay shares with an *unbounded* page budget so the
-    /// timing plan and the functional execution agree on every match;
-    /// `page_budget` governs the online server
-    /// ([`crate::serve::OnlineServer`]), where admission and execution
-    /// are the same loop and budgeted LRU eviction is safe.
+    /// `page_budget` governs both drivers alike:
+    /// [`run_with_scheduler`](Self::run_with_scheduler) and the online
+    /// server ([`crate::serve::OnlineServer`]) each plan a round against
+    /// the one tree the engine executes on, so budgeted LRU eviction
+    /// changes what later admissions match in both, identically.
     pub fn with_prefix_cache(mut self, mut cfg: PrefixCacheConfig) -> Self {
         cfg.pages_per_block = CHIPS;
         self.prefix = Some(cfg);
@@ -638,8 +640,10 @@ impl BatchedDataflowExecutor {
         self.max_slots
     }
 
-    /// Plan with `scheduler` and execute: the timing model and the
-    /// functional engine consume the same per-round slot assignments.
+    /// Plan with `scheduler` while executing: the timing model and the
+    /// functional engine consume the same per-round slot assignments, each
+    /// round run as soon as it is planned, and the scheduler's prefix
+    /// consults read the engine's own tree under its `page_budget`.
     ///
     /// Returns the functional report and the scheduler's analytical
     /// timing report for the identical schedule.
@@ -660,37 +664,16 @@ impl BatchedDataflowExecutor {
                 capacity: self.max_slots,
             });
         }
+        let mut run = OfflineRun::new(self, requests, self.prefix.map(PrefixCache::new))?;
         let sim_reqs: Vec<Request> = requests
             .iter()
             .map(SequenceRequest::to_sim_request)
             .collect();
-        let Some(cfg) = self.prefix else {
-            let (timing, plans) = scheduler.plan(&sim_reqs);
-            return Ok((self.execute_plan(requests, &plans)?, timing));
-        };
-        // Offline runs share with an unbounded budget: the planning
-        // oracle and the executing engine replay the identical sequence
-        // of match/commit operations on two fresh trees, so eviction
-        // could only ever diverge through grant-release timing the
-        // planner cannot see. With no eviction, plan and execution agree
-        // on every matched length by construction.
-        let shared = PrefixCacheConfig {
-            page_budget: usize::MAX,
-            ..cfg
-        };
-        let mut oracle = PlanOracle {
-            requests,
-            cache: PrefixCache::new(shared),
-        };
-        let (timing, plans) = scheduler.plan_with_prefixes(&sim_reqs, &mut oracle);
-        let cache = PrefixCache::new(shared);
-        Ok((
-            self.execute_plan_impl(requests, &plans, Some(cache))?,
-            timing,
-        ))
+        let (timing, plans) = scheduler.plan_with_prefixes(&sim_reqs, &mut run);
+        Ok((run.finish(&plans)?, timing))
     }
 
-    /// Execute `requests` following `plans` round by round.
+    /// Execute `requests` following `plans` round by round, dense.
     ///
     /// Admission assigns the lowest free KV slot the first time a sequence
     /// appears in a plan; eviction frees the slot in the round the
@@ -708,105 +691,22 @@ impl BatchedDataflowExecutor {
         requests: &[SequenceRequest],
         plans: &[RoundPlan],
     ) -> Result<BatchRunReport, BatchError> {
-        self.execute_plan_impl(requests, plans, None)
-    }
-
-    /// [`execute_plan`](Self::execute_plan), optionally reading and
-    /// committing prompt prefixes through a shared [`PrefixCache`] that the
-    /// planner of `plans` consulted too (see
-    /// [`run_with_scheduler`](Self::run_with_scheduler)): a sequence is
-    /// placed and matched in the round that first prefills it and vacated
-    /// in the round it finishes.
-    fn execute_plan_impl(
-        &self,
-        requests: &[SequenceRequest],
-        plans: &[RoundPlan],
-        cache: Option<PrefixCache>,
-    ) -> Result<BatchRunReport, BatchError> {
-        let vocab = self.inner.config().vocab_size;
-        for (seq, r) in requests.iter().enumerate() {
-            if r.prompt.is_empty() {
-                return Err(BatchError::EmptyPrompt { seq });
-            }
-            if r.out_of_vocabulary(vocab).is_some() {
-                return Err(BatchError::TokenOutOfVocabulary { seq });
-            }
-        }
-        let started = Instant::now();
-        let mut pool = SlotPool::new(cache);
-        let mut outputs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
-        let mut per_sequence_comm = vec![CommCounters::default(); requests.len()];
-        let mut prefill_panels = 0u64;
-        let mut prefill_max_panel = 0usize;
-
+        let mut run = OfflineRun::new(self, requests, None)?;
         for plan in plans {
             // Admit sequences first referenced this round (prefill entries
             // are FCFS in admission order; decoders were admitted earlier).
             for &(seq, _) in &plan.prefill {
-                let req = requests
-                    .get(seq)
-                    .ok_or(BatchError::UnknownSequence { seq })?;
-                if pool.get(seq).is_some() {
-                    continue;
-                }
-                if pool.residents().count() >= self.max_slots {
-                    return Err(BatchError::PoolOverflow {
-                        slots: self.max_slots,
-                    });
-                }
-                pool.place(self.new_slot(seq, req));
-                pool.consult(seq);
-            }
-            if let Some(&seq) = plan.decode.iter().find(|&&seq| seq >= requests.len()) {
-                return Err(BatchError::UnknownSequence { seq });
-            }
-            pool.execute(self, plan)?;
-
-            // Evict finished sequences, harvesting their results.
-            let finished: Vec<usize> = pool
-                .residents()
-                .filter(|slot| slot.finished())
-                .map(|slot| slot.seq)
-                .collect();
-            for seq in finished {
-                let Some(done) = pool.vacate(seq) else {
-                    continue;
-                };
-                if let Some(comm) = per_sequence_comm.get_mut(seq) {
-                    *comm = done.state.comm;
-                }
-                prefill_panels = prefill_panels.saturating_add(done.prefill_stats.panels);
-                prefill_max_panel = prefill_max_panel.max(done.prefill_stats.max_panel);
-                if let Some(out) = outputs.get_mut(seq) {
-                    *out = done.out;
+                if run.pool.get(seq).is_none() {
+                    run.admit(seq)?;
                 }
             }
-            pool.record_kv_peaks();
+            run.round(plan)?;
         }
-        if let Some(still) = pool.residents().next() {
-            return Err(BatchError::Unfinished { seq: still.seq });
-        }
-
-        let prefills = plans.iter().flat_map(|plan| &plan.prefill);
-        Ok(BatchRunReport {
-            comm: per_sequence_comm.iter().copied().sum(),
-            decoded_tokens: outputs.iter().map(|out| out.len() as u64).sum(),
-            prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
-            outputs,
-            per_sequence_comm,
-            rounds: plans.len() as u64,
-            prefill_panels,
-            prefill_max_panel,
-            peak_resident: pool.peak_resident,
-            peak_kv_bytes_fp16: pool.peak_kv_bytes,
-            peak_kv_owned_bytes_fp16: pool.peak_kv_owned_bytes,
-            prefix: pool.cache.map(|c| c.stats()).unwrap_or_default(),
-            wall_s: started.elapsed().as_secs_f64(),
-        })
+        run.finish(plans)
     }
 
     /// A fresh resident-sequence slot for `req`, tagged `seq`. Used by
-    /// both the offline plan replay and the online serving loop so every
+    /// both the offline runs and the online serving loop so every
     /// sequence starts from identical KV state.
     pub(crate) fn new_slot(&self, seq: usize, req: &SequenceRequest) -> SeqSlot {
         SeqSlot {
@@ -981,37 +881,133 @@ impl BatchedDataflowExecutor {
     }
 }
 
-/// The timing planner's view of the prefix cache: it holds the real
-/// prompts (the scheduler only knows counts) and mirrors the engine's
-/// match/commit schedule on a tree of placeholder pages, so the plan
-/// charges exactly the suffixes the engine will prefill.
-struct PlanOracle<'a> {
+/// One offline run over a [`SlotPool`], as the scheduler's
+/// [`PrefixOracle`]: a consult places the sequence and matches it in the
+/// pool's tree, and each round is executed (and what it finished vacated
+/// and harvested) as soon as it is planned. `execute_plan` drives the same
+/// two steps from recorded plans.
+struct OfflineRun<'a> {
+    engine: &'a BatchedDataflowExecutor,
     requests: &'a [SequenceRequest],
-    cache: PrefixCache,
+    pool: SlotPool,
+    /// Residents in admission order, the order finished ones are vacated
+    /// in — the online server's order, so that a page budget evicts the
+    /// same pages in both drivers.
+    admitted: Vec<usize>,
+    outputs: Vec<Vec<u32>>,
+    per_sequence_comm: Vec<CommCounters>,
+    prefill: PrefillStats,
+    /// The first error: the oracle's methods cannot return it, so once it
+    /// is set they do nothing.
+    status: Result<(), BatchError>,
+    started: Instant,
 }
 
-impl PrefixOracle for PlanOracle<'_> {
-    fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
-        match self.requests.get(seq) {
-            Some(r) => tokens_u32(self.cache.match_prompt(&r.prompt).matched),
-            None => 0,
+impl<'a> OfflineRun<'a> {
+    /// A run of `requests` on `engine` with `cache` as its prefix cache,
+    /// rejecting an empty or out-of-vocabulary prompt before anything runs.
+    fn new(
+        engine: &'a BatchedDataflowExecutor,
+        requests: &'a [SequenceRequest],
+        cache: Option<PrefixCache>,
+    ) -> Result<Self, BatchError> {
+        let vocab = engine.inner.config().vocab_size;
+        for (seq, r) in requests.iter().enumerate() {
+            if r.prompt.is_empty() {
+                return Err(BatchError::EmptyPrompt { seq });
+            }
+            if r.out_of_vocabulary(vocab).is_some() {
+                return Err(BatchError::TokenOutOfVocabulary { seq });
+            }
         }
+        Ok(OfflineRun {
+            engine,
+            requests,
+            pool: SlotPool::new(cache),
+            admitted: Vec::new(),
+            outputs: vec![Vec::new(); requests.len()],
+            per_sequence_comm: vec![CommCounters::default(); requests.len()],
+            prefill: PrefillStats::default(),
+            status: Ok(()),
+            started: Instant::now(),
+        })
     }
 
-    fn on_prefill_complete(&mut self, seq: usize, _req: &Request) {
-        let Some(r) = self.requests.get(seq) else {
-            return;
-        };
-        let per_block = self.cache.config().pages_per_block;
-        let mut grant = Vec::new();
-        self.cache.commit(
-            &r.prompt,
-            |_| vec![PageBuf::placeholder(); per_block],
-            &mut grant,
-        );
-        // Planning tracks tree shape only; pages stay alive through the
-        // tree's own references (the budget is unbounded offline).
-        self.cache.release_grant(&mut grant);
+    /// Place `seq` in the lowest free slot and consult the tree for it.
+    /// Returns the matched positions, 0 when dense.
+    fn admit(&mut self, seq: usize) -> Result<u32, BatchError> {
+        let req = self
+            .requests
+            .get(seq)
+            .ok_or(BatchError::UnknownSequence { seq })?;
+        let slots = self.engine.max_slots;
+        if self.pool.residents().count() >= slots {
+            return Err(BatchError::PoolOverflow { slots });
+        }
+        self.pool.place(self.engine.new_slot(seq, req));
+        self.admitted.push(seq);
+        Ok(self.pool.consult(seq))
+    }
+
+    /// Execute one round, then vacate and harvest the sequences it
+    /// finished.
+    fn round(&mut self, plan: &RoundPlan) -> Result<(), BatchError> {
+        if let Some(&seq) = plan.decode.iter().find(|&&seq| seq >= self.requests.len()) {
+            return Err(BatchError::UnknownSequence { seq });
+        }
+        self.pool.execute(self.engine, plan)?;
+        let finished: Vec<usize> = (self.admitted.iter().copied())
+            .filter(|&seq| self.pool.get(seq).is_some_and(SeqSlot::finished))
+            .collect();
+        self.admitted.retain(|seq| !finished.contains(seq));
+        for done in finished.into_iter().filter_map(|seq| self.pool.vacate(seq)) {
+            self.prefill.merge(done.prefill_stats);
+            let harvest =
+                (self.outputs.get_mut(done.seq)).zip(self.per_sequence_comm.get_mut(done.seq));
+            if let Some((out, comm)) = harvest {
+                (*out, *comm) = (done.out, done.state.comm);
+            }
+        }
+        self.pool.record_kv_peaks();
+        Ok(())
+    }
+
+    /// The report of a run that executed `plans`.
+    fn finish(self, plans: &[RoundPlan]) -> Result<BatchRunReport, BatchError> {
+        self.status?;
+        if let Some(still) = self.pool.residents().next() {
+            return Err(BatchError::Unfinished { seq: still.seq });
+        }
+        let prefills = plans.iter().flat_map(|plan| &plan.prefill);
+        Ok(BatchRunReport {
+            comm: self.per_sequence_comm.iter().copied().sum(),
+            decoded_tokens: self.outputs.iter().map(|out| out.len() as u64).sum(),
+            prefill_tokens: prefills.map(|&(_, n)| u64::from(n)).sum(),
+            outputs: self.outputs,
+            per_sequence_comm: self.per_sequence_comm,
+            rounds: plans.len() as u64,
+            prefill_panels: self.prefill.panels,
+            prefill_max_panel: self.prefill.max_panel,
+            peak_resident: self.pool.peak_resident,
+            peak_kv_bytes_fp16: self.pool.peak_kv_bytes,
+            peak_kv_owned_bytes_fp16: self.pool.peak_kv_owned_bytes,
+            prefix: self.pool.cache.map(|c| c.stats()).unwrap_or_default(),
+            wall_s: self.started.elapsed().as_secs_f64(),
+        })
+    }
+}
+
+/// The pages exist only once a round has run, so `on_round` commits (in
+/// [`SlotPool::execute`]) and the completion hook keeps its default no-op.
+impl PrefixOracle for OfflineRun<'_> {
+    fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
+        let matched = self.status.and_then(|()| self.admit(seq));
+        self.status = matched.map(|_| ());
+        matched.unwrap_or(0)
+    }
+
+    fn on_round(&mut self, plan: &RoundPlan) {
+        self.status = self.status.and_then(|()| self.round(plan));
     }
 }
 

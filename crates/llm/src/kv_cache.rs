@@ -738,9 +738,8 @@ impl RadixTree {
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixCacheConfig {
     /// Committed pages the pool may hold before deterministic LRU
-    /// eviction of cold, unreferenced prefixes kicks in.
-    /// `usize::MAX` disables eviction (the offline engine uses that so
-    /// planning and execution stay in lockstep).
+    /// eviction of cold, unreferenced prefixes kicks in, offline and
+    /// online alike. `usize::MAX` disables eviction.
     pub page_budget: usize,
     /// Pages per committed block — one per shard (`GRID * GRID` for the
     /// dataflow engine).

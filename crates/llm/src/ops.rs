@@ -6,6 +6,8 @@
 //! goes through it, so no output bit depends on the host's libm, and
 //! [`exp_lanes`] runs the same operation sequence many lanes at a time.
 
+use crate::tensor::{lane_arms, Lanes};
+
 /// `log2(e)`, rounded to `f32`.
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `1.5 × 2^23`: adding it rounds any `|v| < 2^22` to an integer, and
@@ -75,54 +77,28 @@ fn pow2(e: i32) -> f32 {
     f32::from_bits((e.wrapping_add(127) as u32) << 23)
 }
 
-/// [`exp`] of every element of `xs`, in place: [`exp`] inlined into one
-/// loop, compiled once per [`crate::kernels::kernel_path`] arm under
-/// `#[target_feature]`, the arm picked by the CPU alone with the panel
-/// matmul's selector. The compiler runs the operation sequence 16 lanes
-/// at a time under AVX-512 and 8 under AVX2; there is no intrinsic and no
-/// fused multiply-add, so every element is the scalar function's bits by
-/// construction.
-// analyze: hot
-pub fn exp_lanes(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    match crate::kernels::arm() {
-        // SAFETY: this arm implies AVX-512F.
-        crate::kernels::Arm::Avx512 => return unsafe { exp_lanes_avx512(xs) },
-        // SAFETY: this arm implies AVX2.
-        crate::kernels::Arm::Avx2 => return unsafe { exp_lanes_avx2(xs) },
-        crate::kernels::Arm::Portable => {}
-    }
-    exp_each(xs);
+lane_arms! {
+    /// [`exp`] of every element of `xs`, in place: [`exp`] inlined into
+    /// one loop, compiled once per [`crate::kernels::kernel_path`] arm by
+    /// [`lane_arms`], the arm picked by the CPU alone with the panel
+    /// matmul's selector. The compiler runs the operation sequence 16
+    /// lanes at a time under AVX-512 and 8 under AVX2; there is no
+    /// intrinsic and no fused multiply-add, so every element is the scalar
+    /// function's bits by construction.
+    pub fn exp_lanes<>(xs: &mut [f32]) => exp_each, exp_lanes_avx512, exp_lanes_avx2
 }
 
-/// The loop every arm compiles.
+/// The loop every arm compiles; `V` only names the arm.
+///
+/// # Safety
+///
+/// None beyond the arm's: the loop itself is safe.
+// analyze: hot
 #[inline(always)]
-fn exp_each(xs: &mut [f32]) {
+unsafe fn exp_each<V: Lanes>(xs: &mut [f32]) {
     for x in xs {
         *x = exp(*x);
     }
-}
-
-/// [`exp_each`] compiled for 16-lane vectors.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn exp_lanes_avx512(xs: &mut [f32]) {
-    exp_each(xs);
-}
-
-/// [`exp_each`] compiled for 8-lane vectors.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_lanes_avx2(xs: &mut [f32]) {
-    exp_each(xs);
 }
 
 /// Root-mean-square normalization (no learned scale in this reproduction;
@@ -394,7 +370,8 @@ mod tests {
             for len in [xs.len(), 5, 16, 23] {
                 let mut got = xs[..len].to_vec();
                 match arm {
-                    "portable" => exp_each(&mut got),
+                    // SAFETY: one lane needs no CPU feature.
+                    "portable" => unsafe { exp_each::<f32>(&mut got) },
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: `available_arms` checked AVX2.
                     "avx2" => unsafe { exp_lanes_avx2(&mut got) },

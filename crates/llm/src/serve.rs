@@ -1,7 +1,7 @@
 //! Online serving frontend: admission, incremental scheduling, streaming.
 //!
 //! [`OnlineServer`] is the event-driven counterpart of the offline
-//! [`BatchedDataflowExecutor::execute_plan`] replay: requests arrive
+//! [`BatchedDataflowExecutor::run_with_scheduler`] run: requests arrive
 //! dynamically (a bounded admission queue applies backpressure as typed
 //! [`ServeError::QueueFull`] rejections), mixed prefill/decode rounds are
 //! planned one at a time by the same [`RoundStepper`] that
@@ -15,10 +15,12 @@
 //! or ambient RNG exists anywhere on the path — the `hnlpu-analyze`
 //! determinism gate audits this module. The round policy is the
 //! stepper's, and the slots, prefix cache and execution of a round are the
-//! [`crate::batch`] slot pool's, both shared with the offline replay: an
-//! online run yields the streams and [`RoundPlan`]s of planning the trace
-//! up front, and `tests/tests/serving_invariant.rs` pins what is still
-//! written twice — admission by arrival and the clock's f64 operations.
+//! [`crate::batch`] slot pool's, both shared with the offline run, which
+//! plans the whole trace while it executes each round on its own pool: an
+//! online run yields the streams and [`RoundPlan`]s of the offline run —
+//! and, under any page budget, the same prefix matches and evictions —
+//! and `tests/tests/serving_invariant.rs` pins what is still written twice:
+//! admission by arrival and the clock's f64 operations.
 //!
 //! Per-request time-to-first-token (TTFT) and inter-token gaps are
 //! recorded in virtual time and summarized as a p50/p99 [`SloReport`] —

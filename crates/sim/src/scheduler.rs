@@ -172,10 +172,11 @@ impl BatchScheduler {
     /// so the schedule charges only the *unmatched suffix* of each
     /// prompt: tokens served from a shared prefix cache never occupy a
     /// prefill slot. The oracle's commit hook fires, in admission order,
-    /// for every sequence the round finishes prefilling — mirroring the
-    /// engine, where a prompt's blocks enter the shared tree at the end
-    /// of the round that completes its prefill, and admissions only see
-    /// commits from strictly earlier rounds.
+    /// for every sequence the round finishes prefilling, and then hears
+    /// the round's whole plan — so an oracle that executes rounds (the
+    /// engine's offline driver) runs each one before the next round's
+    /// consults, and admissions only see commits from strictly earlier
+    /// rounds.
     pub fn plan_with_prefixes(
         &self,
         requests: &[Request],
@@ -213,6 +214,7 @@ impl BatchScheduler {
             // tokens (a chained first decode rides its prefill slot).
             let claimed = stepper.decoding();
             let (plan, finished) = stepper.step(oracle);
+            oracle.on_round(&plan);
             let prefill: u64 = plan.prefill.iter().map(|&(_, n)| u64::from(n)).sum();
             #[expect(
                 clippy::cast_precision_loss,
@@ -420,12 +422,12 @@ impl RoundStepper {
 /// [`plan_with_prefixes`](BatchScheduler::plan_with_prefixes).
 ///
 /// The scheduler is a pure timing model: it knows token *counts*, not token
-/// *ids*. An oracle holding the real prompts (e.g. a planning
-/// `hnlpu-llm::PrefixCache`) answers how many leading positions of each
-/// admitted sequence are already resident in the shared prefix tree, and is
-/// told when a sequence's prefill completes so its blocks become matchable
-/// by strictly later rounds — exactly the commit schedule the functional
-/// engine follows.
+/// *ids*. An oracle holding the real prompts (`hnlpu-llm`'s engine, whose
+/// shared prefix tree it consults) answers how many leading positions of
+/// each admitted sequence are already resident in that tree, is told when
+/// a sequence's prefill completes, and hears each round's plan once the
+/// round is planned — where the engine runs it and commits the completed
+/// prompts, so their blocks become matchable by strictly later rounds.
 pub trait PrefixOracle {
     /// Leading prompt positions of `seq` served from cache. Called once
     /// per sequence, in the round it first receives prefill slots — the
@@ -438,6 +440,11 @@ pub trait PrefixOracle {
     /// `seq` finished prefilling this round; its prompt blocks are now
     /// committed and visible to later admissions (by default, ignored).
     fn on_prefill_complete(&mut self, _seq: usize, _req: &Request) {}
+
+    /// [`plan_with_prefixes`](BatchScheduler::plan_with_prefixes) planned
+    /// `plan`: called once per round, after that round's consults and
+    /// commit hooks and before the next round's (by default, ignored).
+    fn on_round(&mut self, _plan: &RoundPlan) {}
 }
 
 /// The null oracle: nothing matches, commits are ignored. [`plan`]
@@ -743,6 +750,58 @@ mod tests {
                 (10, 4570292228008101480),
                 (4, 4572759376265024718),
                 (200, 4572759376265024718),
+            ]
+        );
+    }
+
+    #[test]
+    fn on_round_hears_each_round_after_its_consults() {
+        // Every oracle call, in order: a round's plan arrives once, after
+        // the consults and commit hooks of that round and before the next
+        // round's — where an executing oracle runs it.
+        #[derive(Debug, PartialEq)]
+        enum Call {
+            Admit(usize),
+            Commit(usize),
+            Round(RoundPlan),
+        }
+        struct Log(Vec<Call>);
+        impl PrefixOracle for Log {
+            fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
+                self.0.push(Call::Admit(seq));
+                0
+            }
+            fn on_prefill_complete(&mut self, seq: usize, _req: &Request) {
+                self.0.push(Call::Commit(seq));
+            }
+            fn on_round(&mut self, plan: &RoundPlan) {
+                self.0.push(Call::Round(plan.clone()));
+            }
+        }
+        // `golden_round_log`'s trace: seqs 1 and 2 are consulted in
+        // different rounds, and 1 commits in the round 2 is consulted.
+        let reqs = build(&[(0, 4, 6), (1, 300, 2), (1, 200, 3), (1, 10, 0)]);
+        let mut log = Log(Vec::new());
+        let (_, plans) = scheduler().plan_with_prefixes(&reqs, &mut log);
+        let round = |i: usize| Call::Round(plans[i].clone());
+        use Call::{Admit, Commit};
+        assert_eq!(
+            log.0,
+            vec![
+                Admit(0),
+                Commit(0),
+                round(0),
+                Admit(1),
+                round(1),
+                Admit(2),
+                Commit(1),
+                round(2),
+                Admit(3),
+                Commit(2),
+                Commit(3),
+                round(3),
+                round(4),
+                round(5),
             ]
         );
     }

@@ -694,10 +694,10 @@ fn prefix_reuse_sweep(cfg: &SimConfig) {
         });
     }
 
-    // Budgeted online cell: the server enforces the configured page
-    // budget (offline planning always runs unbounded), so a tight budget
-    // exercises deterministic cold-prefix LRU eviction under live
-    // admission — still token-exact against the dense online run.
+    // Budgeted online cell: a tight page budget exercises deterministic
+    // cold-prefix LRU eviction under live admission — still token-exact
+    // against the dense online run. (The offline cells above run with the
+    // default budget, which never evicts.)
     let requests = trace(58);
     let budget = 96;
     let mut dense_srv = OnlineServer::new(dense_engine(), &scheduler, requests.len())

@@ -19,7 +19,8 @@
 //! * named shapes that keep their fixed inputs: a skewed round, a mixed
 //!   prefill/decode round, a cancel mid-prefill, a deterministic chip
 //!   death, a heavy chaos replay, an empty fault plan, a zero-capacity
-//!   queue and a diurnal workload trace.
+//!   queue, a diurnal workload trace and a page budget tight enough to
+//!   evict.
 //!
 //! Streams are bit-exact at every worker count (see `hnlpu-llm`'s
 //! `rounds_are_bitwise_per_sequence_runs_at_every_worker_count`). Run with
@@ -53,13 +54,16 @@ fn executor() -> &'static DataflowExecutor {
     })
 }
 
-/// The 216-slot batched engine, dense or with paged prefix reuse.
-fn engine(paged: bool) -> BatchedDataflowExecutor {
+/// The 216-slot batched engine: dense (`None`), or with paged prefix reuse
+/// under a page budget (`usize::MAX` never evicts).
+fn engine(page_budget: Option<usize>) -> BatchedDataflowExecutor {
     let dense = BatchedDataflowExecutor::new(executor().clone(), 216);
-    if paged {
-        dense.with_prefix_cache(PrefixCacheConfig::default())
-    } else {
-        dense
+    match page_budget {
+        None => dense,
+        Some(page_budget) => dense.with_prefix_cache(PrefixCacheConfig {
+            page_budget,
+            ..PrefixCacheConfig::default()
+        }),
     }
 }
 
@@ -159,7 +163,8 @@ fn offline_plan(
 /// One run to check: a point of the product space or a named shape.
 #[derive(Debug)]
 struct Case {
-    paged: bool,
+    /// The [`engine`]'s page budget; `None` runs dense.
+    page_budget: Option<usize>,
     /// `None` replays offline through `run_with_scheduler`.
     online: Option<Online>,
     /// Sorted by arrival.
@@ -192,7 +197,7 @@ enum Run {
 }
 
 fn run(case: &Case) -> Run {
-    let engine = engine(case.paged);
+    let engine = engine(case.page_budget);
     let Some(online) = &case.online else {
         let (report, timing) = engine
             .run_with_scheduler(&case.requests, &scheduler(false))
@@ -241,7 +246,10 @@ fn digest(run: &Run) -> String {
 ///   sequence finishes; the SLO buckets count the outcome states and
 ///   `rejected` the `QueueFull` submissions; a paged pool drains to
 ///   tree-only references; and with no fault, no cancel and no rejection
-///   the round log and finish times equal the offline planner's;
+///   the round log and each sequence's finish time equal the offline
+///   planner's — or, under a page budget that can evict, the prefix
+///   counters, prefill tokens, rounds and finish times equal the engine's
+///   own offline `run_with_scheduler`;
 /// * the same case run twice reports the same bits.
 fn check(case: &Case) -> Result<Run, TestCaseError> {
     let first = run(case);
@@ -266,12 +274,12 @@ fn check_offline(
         let (tokens, solo_comm) = solo(r);
         prop_assert_eq!(&report.outputs[i], &tokens, "stream of request {}", i);
         // Positions served from shared pages skip their prefill collectives.
-        if !case.paged {
+        if case.page_budget.is_none() {
             prop_assert_eq!(report.per_sequence_comm[i], solo_comm, "request {}", i);
             comm += solo_comm;
         }
     }
-    if !case.paged {
+    if case.page_budget.is_none() {
         prop_assert_eq!(report.comm, comm);
     }
     let budgets: u64 = case.requests.iter().map(|r| r.decode_tokens as u64).sum();
@@ -352,14 +360,42 @@ fn check_online(
     }
 
     if undisturbed && rejected == 0 {
-        let (timing, plans) = offline_plan(&case.requests, case.paged, &scheduler(online.small));
-        prop_assert_eq!(&report.plans, &plans, "round logs differ");
-        let sorted = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
+        let machine = scheduler(online.small);
+        let timing = match case.page_budget {
+            // A budget evicts at times only the engine sees, so the
+            // reference is the engine's own offline run of the same config.
+            Some(budget) if budget < usize::MAX => {
+                let (offline, timing) = engine(case.page_budget)
+                    .run_with_scheduler(&case.requests, &machine)
+                    .expect("offline plan executes");
+                let slo = &report.slo;
+                prop_assert_eq!(slo.prefix, offline.prefix);
+                prop_assert_eq!(slo.prefill_tokens, offline.prefill_tokens);
+                prop_assert_eq!(slo.rounds, offline.rounds);
+                timing
+            }
+            _ => {
+                let paged = case.page_budget.is_some();
+                let (timing, plans) = offline_plan(&case.requests, paged, &machine);
+                prop_assert_eq!(&report.plans, &plans, "round logs differ");
+                timing
+            }
+        };
+        // Per sequence: its finish time beside its request.
+        let key = |finish_s: f64, r: Request| {
+            let counts = (r.arrival_s_micros, r.prompt_tokens, r.decode_tokens);
+            (finish_s.to_bits(), counts)
+        };
+        let sorted = |mut v: Vec<_>| {
+            v.sort_unstable();
             v
         };
-        let online_finish = report.outcomes.iter().filter_map(|o| o.finish_s).collect();
-        let offline_finish = timing.completions.iter().map(|c| c.finish_s).collect();
+        let online_finish = (case.requests.iter().zip(&report.outcomes))
+            .filter_map(|(r, o)| Some(key(o.finish_s?, r.to_sim_request())))
+            .collect();
+        let offline_finish = (timing.completions.iter())
+            .map(|c| key(c.finish_s, c.request))
+            .collect();
         prop_assert_eq!(sorted(online_finish), sorted(offline_finish));
     }
     Ok(())
@@ -372,12 +408,12 @@ fn checked(case: Case) -> Run {
 
 /// [`checked`] for a case served online.
 fn served(
-    paged: bool,
+    page_budget: Option<usize>,
     online: Online,
     requests: Vec<SequenceRequest>,
 ) -> (OnlineServer, TraceOutcome) {
     match checked(Case {
-        paged,
+        page_budget,
         online: Some(online),
         requests,
     }) {
@@ -490,7 +526,7 @@ impl Axes {
             small: self.small_queue,
         };
         Case {
-            paged: self.paged,
+            page_budget: self.paged.then_some(usize::MAX),
             online: self.online.then_some(online),
             requests,
         }
@@ -596,7 +632,7 @@ proptest! {
                 && p.prefill.iter().any(|&(_, n)| n >= 128)),
             "no round mixes the long prompt, the short one and 16 decoders"
         );
-        let case = Case { paged: false, online: None, requests };
+        let case = Case { page_budget: None, online: None, requests };
         let Run::Offline { report, .. } = check(&case)? else {
             unreachable!("an offline case runs offline");
         };
@@ -636,7 +672,7 @@ proptest! {
         // 216-token panel and is still prefilling.
         let cancel_at = (0.5 * scheduler(false).round_s() * 1e6) as u64;
         let online = Online { queue: requests.len(), cancels: vec![(cancel_at, 0)], ..Default::default() };
-        let case = Case { paged: false, online: Some(online), requests };
+        let case = Case { page_budget: None, online: Some(online), requests };
         let Run::Online { mut server, trace } = check(&case)? else {
             unreachable!("an online case runs online");
         };
@@ -670,7 +706,7 @@ fn mixed_prefill_decode_round() {
         "no round both prefills and decodes"
     );
     let case = Case {
-        paged: false,
+        page_budget: None,
         online: None,
         requests,
     };
@@ -705,7 +741,7 @@ fn chip_death_flushes_and_rebuilds_the_tree() {
         queue: requests.len(),
         ..Default::default()
     };
-    let (server, trace) = served(true, online, requests);
+    let (server, trace) = served(Some(usize::MAX), online, requests);
     let outcomes = &trace.report.outcomes;
     assert!(outcomes.iter().all(|o| o.state == Finished));
     assert_eq!(trace.report.slo.chip_failures, 1);
@@ -738,7 +774,7 @@ fn heavy_seeded_chaos_replays() {
         queue: requests.len(),
         ..Default::default()
     };
-    let (_, trace) = served(false, online, requests);
+    let (_, trace) = served(None, online, requests);
     assert_eq!(trace.report.slo.chip_failures, 2);
     assert!(trace.report.slo.degraded_rounds > 0);
 }
@@ -759,7 +795,7 @@ fn empty_fault_plan_is_bit_identical_to_new() {
             ..Default::default()
         };
         digest(&checked(Case {
-            paged: false,
+            page_budget: None,
             online: Some(online),
             requests: requests.clone(),
         }))
@@ -775,7 +811,7 @@ fn zero_capacity_queue_rejects_everything_typed() {
         SequenceRequest::greedy(0, vec![1], 2),
         SequenceRequest::greedy(10, vec![2], 2),
     ];
-    let (_, trace) = served(false, Online::default(), requests);
+    let (_, trace) = served(None, Online::default(), requests);
     assert_eq!(trace.report.slo.rejected, 2);
     assert_eq!(trace.report.slo.rounds, 0);
 }
@@ -804,9 +840,67 @@ fn diurnal_workload_trace() {
         queue: requests.len(),
         ..Default::default()
     };
-    let (_, trace) = served(false, online, requests);
+    let (_, trace) = served(None, online, requests);
     assert!(
         trace.submissions.iter().all(Result::is_ok),
         "every submission accepted, so the round log was compared"
     );
+}
+
+/// A page budget tight enough to evict, on two traces of staggered
+/// arrivals behind the system prompts:
+///
+/// * 24 requests, every other one behind system prompt 0 and the rest
+///   cycling through four 48-token prompts (three blocks, 48 pages, each),
+///   on 96 pages — two prompts' worth;
+/// * seven requests behind 16- to 48-token prompts on 64 pages, where
+///   sequences finish in one round in an order their slots do not follow,
+///   so the order finished sequences release their pages in decides what
+///   the budget evicts.
+///
+/// Each offline run both reuses and evicts, and the online run of the same
+/// engine config, held by `check` to that offline run's prefix counters,
+/// prefill tokens, rounds and finish times, makes the same matches and
+/// evicts the same pages.
+#[test]
+fn budgeted_offline_run_evicts_like_online_serving() {
+    let round_us = (scheduler(false).round_s() * 1e6) as u64;
+    let request = |round: u64, k: u32, shared: u32, tail: &[u32], decode: u32| {
+        let mut prompt = system_prompt(k, shared);
+        prompt.extend_from_slice(tail);
+        SequenceRequest::greedy(round * round_us, prompt, decode)
+    };
+    let chat = (0..24u32)
+        .map(|i| {
+            let k = if i % 2 == 0 { 0 } else { i / 2 % 4 };
+            request(2 * u64::from(i), k, 48, &[i % 7, i % 3], 3)
+        })
+        .collect();
+    let out_of_order = vec![
+        request(1, 1, 32, &[2, 1], 0),
+        request(1, 2, 48, &[0, 1, 2, 2], 4),
+        request(2, 1, 16, &[0, 0, 1, 1, 0, 2, 1], 3),
+        request(3, 2, 16, &[0, 0, 2, 2, 1, 1, 1, 0, 0], 5),
+        request(4, 0, 16, &[0, 1, 1, 2, 2], 1),
+        request(5, 0, 16, &[1, 0, 1, 2], 3),
+        request(5, 1, 32, &[2, 1, 0], 2),
+    ];
+    for (budget, requests) in [(96, chat), (64, out_of_order)] {
+        let offline = Case {
+            page_budget: Some(budget),
+            online: None,
+            requests: requests.clone(),
+        };
+        let Run::Offline { report, .. } = checked(offline) else {
+            unreachable!("an offline case runs offline");
+        };
+        let stats = report.prefix;
+        assert!(stats.evicted_pages > 0 && stats.hits > 0, "{stats:?}");
+        let online = Online {
+            queue: requests.len(),
+            ..Default::default()
+        };
+        let (_, trace) = served(Some(budget), online, requests);
+        assert_eq!(trace.report.slo.prefix, stats);
+    }
 }
