@@ -5,7 +5,7 @@
 //! answers the structural questions sign-off needs: wire counts per layer,
 //! total wirelength, fan-out distributions.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifier of a cell (port) in the netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,8 +94,8 @@ impl Netlist {
     }
 
     /// Wirelength aggregated per layer index.
-    pub fn wirelength_by_layer(&self) -> HashMap<usize, f64> {
-        let mut m = HashMap::new();
+    pub fn wirelength_by_layer(&self) -> BTreeMap<usize, f64> {
+        let mut m = BTreeMap::new();
         for n in &self.nets {
             *m.entry(n.layer).or_insert(0.0) += n.length_um;
         }

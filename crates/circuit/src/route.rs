@@ -68,11 +68,7 @@ impl Router {
             let mut demand = by_layer.get(&idx).copied().unwrap_or(0.0);
             if idx == layers.len() - 1 {
                 // Fold out-of-range nets into the top layer.
-                demand += by_layer
-                    .iter()
-                    .filter(|(&l, _)| l >= layers.len())
-                    .map(|(_, &v)| v)
-                    .sum::<f64>();
+                demand += by_layer.range(layers.len()..).map(|(_, &v)| v).sum::<f64>();
             }
             if demand == 0.0 {
                 continue;

@@ -920,6 +920,11 @@ impl<'a> OfflineRun<'a> {
                 return Err(BatchError::TokenOutOfVocabulary { seq });
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds only BatchRunReport::wall_s; the RoundPlans fix every token"
+        )]
+        let started = Instant::now();
         Ok(OfflineRun {
             engine,
             requests,
@@ -929,7 +934,7 @@ impl<'a> OfflineRun<'a> {
             per_sequence_comm: vec![CommCounters::default(); requests.len()],
             prefill: PrefillStats::default(),
             status: Ok(()),
-            started: Instant::now(),
+            started,
         })
     }
 

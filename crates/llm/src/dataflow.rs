@@ -404,7 +404,6 @@ impl Placement for Grid {
     /// shards and residuals are bit-equal for every chunking and every
     /// grouping. Each row's communication counters advance by the
     /// per-token schedule.
-    // analyze: hot
     fn panel_block(
         engine: &DataflowExecutor,
         layer: usize,
@@ -634,7 +633,6 @@ impl Placement for Grid {
 /// zeroed accumulator in chip order — the column all-reduce. The 4-way
 /// split and the in-order reduction are numerics, not scheduling: they fix
 /// every output bit whichever chip hosts a partition.
-// analyze: hot
 #[allow(clippy::too_many_arguments)]
 fn col_project_panel(
     xs: &[f32],
@@ -716,7 +714,6 @@ lane_arms! {
 /// # Safety
 ///
 /// The CPU must support `V`'s arm ([`Lanes`]).
-// analyze: hot
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn column_attention_lanes<'k, V: Lanes>(

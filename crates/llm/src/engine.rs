@@ -174,7 +174,6 @@ impl<P: Placement> Engine<P> {
     /// Allocation-free [`step`](Self::step): the logits land in
     /// `scratch.logits()`. A step is a batched step of one row whose
     /// logits buffer is the arena's own.
-    // analyze: hot
     pub fn step_with(&self, token: u32, state: &mut P::State, scratch: &mut Scratch) {
         let mut logits = std::mem::take(&mut scratch.logits);
         self.step_batch_with(&[token], &mut [state], scratch, &mut [&mut logits]);
@@ -199,7 +198,6 @@ impl<P: Placement> Engine<P> {
     ///
     /// Panics if the three slices differ in length, there are more than
     /// [`MAX_PREFILL_PANEL`] rows, or a token is out of vocabulary.
-    // analyze: hot
     pub fn step_batch_with(
         &self,
         tokens: &[u32],
@@ -232,7 +230,6 @@ impl<P: Placement> Engine<P> {
 
     /// Run one row per sequence through every layer and leave each row's
     /// final normalized hidden state in its row of `arena`'s `xnp` panel.
-    // analyze: hot
     fn hidden_rows(&self, tokens: &[u32], states: &mut [&mut P::State], arena: &mut Scratch) {
         assert_eq!(tokens.len(), states.len(), "one state per token");
         assert!(tokens.len() <= MAX_PREFILL_PANEL, "batch exceeds a panel");
@@ -249,7 +246,6 @@ impl<P: Placement> Engine<P> {
     /// hidden state (the representation text-embedding uses; replicated on
     /// all chips after the last all-reduce): it lands in
     /// `scratch.hidden()`, and no logits are computed.
-    // analyze: hot
     pub fn hidden_step_with(&self, token: u32, state: &mut P::State, scratch: &mut Scratch) {
         self.hidden_rows(&[token], &mut [state], scratch);
     }
@@ -326,7 +322,6 @@ impl<P: Placement> Engine<P> {
     /// # Panics
     ///
     /// Panics if `tokens` is empty or contains an out-of-vocabulary id.
-    // analyze: hot
     pub fn prefill_chunked(
         &self,
         tokens: &[u32],
@@ -345,7 +340,6 @@ impl<P: Placement> Engine<P> {
     /// [`prefill_chunked`](Self::prefill_chunked) in `arena`'s panel
     /// buffers, unembedding the prompt's last token into `logits` when
     /// given one.
-    // analyze: hot
     pub(crate) fn prefill_into(
         &self,
         tokens: &[u32],
@@ -389,7 +383,6 @@ impl<P: Placement> Engine<P> {
 
     /// Embed one token per row into `scratch.xp` and run the panel through
     /// every layer, appending each row's KV.
-    // analyze: hot
     fn run_panel(
         &self,
         tokens: &[u32],

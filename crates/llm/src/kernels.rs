@@ -444,6 +444,10 @@ mod half_units {
         }
         #[inline]
         #[target_feature(enable = "avx512f")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the half-unit chain is defined fused; every arm fuses the same chain"
+        )]
         unsafe fn mul_add(self, a: Self, b: Self) -> Self {
             _mm512_fmadd_ps(self, a, b)
         }
@@ -472,6 +476,10 @@ mod half_units {
         }
         #[inline]
         #[target_feature(enable = "avx2", enable = "fma")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the half-unit chain is defined fused; every arm fuses the same chain"
+        )]
         unsafe fn mul_add(self, a: Self, b: Self) -> Self {
             _mm256_fmadd_ps(self, a, b)
         }
@@ -739,6 +747,10 @@ mod tests {
     /// order, `acc = hu.mul_add(x, acc)` on the first `len − len % 16`
     /// columns and `acc += x · hu` on the rest; then `acc · 0.5·norm`.
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scalar definition of the fused chain the vector arms run"
+    )]
     fn half_unit_chain(
         xs: &[f32],
         x_stride: usize,

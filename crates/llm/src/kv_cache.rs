@@ -48,9 +48,8 @@ impl PageBuf {
         &self.data
     }
 
-    /// A zero-length placeholder page, for planning oracles that track
+    /// A zero-length placeholder page, for tests and benches that track
     /// tree shape without real KV storage.
-    // analyze: cold
     pub fn placeholder() -> PageRef {
         Arc::new(PageBuf {
             data: Box::default(),
@@ -94,7 +93,6 @@ pub struct KvCache {
 
 impl KvCache {
     /// An empty cache for `num_layers` layers of `kv_heads × head_dim`.
-    // analyze: cold
     pub fn new(num_layers: usize, kv_heads: usize, head_dim: usize) -> Self {
         KvCache {
             pages: Vec::new(),
@@ -253,7 +251,6 @@ impl KvCache {
     /// steady-state [`append`](Self::append) never allocates — the
     /// zero-allocation decode sentinel (`tests/tests/zero_alloc_decode.rs`)
     /// holds the engine to that.
-    // analyze: cold
     pub fn reserve(&mut self, positions: usize) {
         let pages = positions.div_ceil(PAGE_SLOTS);
         if pages > 0 {
@@ -316,7 +313,6 @@ impl KvCache {
     ///
     /// Panics if the cache is not empty, the fill does not lie within
     /// the attached pages, or a page has the wrong size.
-    // analyze: cold
     pub fn attach_shared(
         &mut self,
         full: &[PageRef],
@@ -369,7 +365,6 @@ impl KvCache {
     /// # Panics
     ///
     /// Panics if the page index is out of range.
-    // analyze: cold
     pub fn share_page(&mut self, page: usize) -> PageRef {
         debug_assert!(
             self.fill
@@ -393,7 +388,6 @@ impl KvCache {
 
     /// Slow path: extend the page table with zeroed owned pages through
     /// `page` (inclusive).
-    // analyze: cold
     fn grow_to(&mut self, page: usize) {
         let floats = self.page_floats();
         while self.pages.len() <= page {
@@ -404,7 +398,6 @@ impl KvCache {
 
     /// Copy-on-write: replace a shared page with a private copy before a
     /// divergent write lands in it.
-    // analyze: cold
     fn cow_page(&mut self, page: usize) {
         let copy: Box<[f32]> = self.pages[page].data().into();
         self.pages[page] = Page::Owned(copy);
@@ -439,7 +432,6 @@ pub struct PagePool {
 impl PagePool {
     /// Register a freshly committed page with one reference (the
     /// registrant's). Returns its pool id.
-    // analyze: cold
     pub fn register(&mut self, page: PageRef) -> u32 {
         self.stats.registered = self.stats.registered.saturating_add(1);
         self.live = self.live.saturating_add(1);
@@ -563,7 +555,6 @@ pub struct RadixTree {
 }
 
 impl Default for RadixTree {
-    // analyze: cold — built once per prefix cache.
     fn default() -> Self {
         RadixTree {
             nodes: vec![BlockNode {
@@ -588,7 +579,6 @@ impl RadixTree {
     /// path (including a final partially matched block, whose pages
     /// back the copy-on-write boundary). Touches matched nodes with
     /// `clock` for LRU ordering.
-    // analyze: cold — admission-time lookup, not the per-token path.
     pub fn descend(&mut self, prompt: &[u32], clock: u64) -> (usize, Vec<Box<[u32]>>) {
         let mut cur = ROOT;
         let mut depth = 0usize;
@@ -631,7 +621,6 @@ impl RadixTree {
 
     /// Insert a new block under `cur`, keeping children sorted by label
     /// so lookup order is insertion-order independent.
-    // analyze: cold
     fn add_child(&mut self, cur: u32, chunk: &[u32], pages: Box<[u32]>, clock: u64) -> u32 {
         let node = BlockNode {
             label: chunk.to_vec(),
@@ -662,7 +651,6 @@ impl RadixTree {
 
     /// Leaf ids currently eligible for eviction: no children and every
     /// page referenced only by the tree itself.
-    // analyze: cold — eviction-time scan, not the per-token path.
     fn evictable_leaves(&self, pool: &PagePool) -> Vec<u32> {
         let mut live = vec![false; self.nodes.len()];
         self.mark_live(ROOT, &mut live);
@@ -695,7 +683,6 @@ impl RadixTree {
     /// Evict leaf `id`: release its pages (each freed exactly once —
     /// the tree held the last reference) and unlink it. Returns pages
     /// released.
-    // analyze: cold
     pub fn evict(&mut self, id: u32, pool: &mut PagePool) -> u64 {
         let pages = std::mem::take(&mut self.nodes[id as usize].pages);
         let mut released = 0u64;
@@ -715,7 +702,6 @@ impl RadixTree {
     /// Drop every node's tree reference exactly once and reset to an
     /// empty tree (the chip-death path: residents release their grants
     /// first, so most pages free here). Returns pages released.
-    // analyze: cold
     pub fn flush(&mut self, pool: &mut PagePool) -> u64 {
         let mut released = 0u64;
         let mut stack = vec![ROOT];
@@ -798,7 +784,6 @@ pub struct PrefixCache {
 
 impl PrefixCache {
     /// An empty cache governed by `cfg`.
-    // analyze: cold
     pub fn new(cfg: PrefixCacheConfig) -> Self {
         PrefixCache {
             pool: PagePool::default(),
@@ -813,7 +798,6 @@ impl PrefixCache {
     /// match capped to `prompt.len() - 1` (the final token is always
     /// prefilled so the sequence produces logits, and the scheduler
     /// always has at least one prefill token to charge).
-    // analyze: cold
     pub fn match_prompt(&mut self, prompt: &[u32]) -> PrefixMatch {
         self.clock = self.clock.saturating_add(1);
         let (raw, mut blocks) = self.tree.descend(prompt, self.clock);
@@ -832,7 +816,6 @@ impl PrefixCache {
     /// sequence, recording them in `grant` for exactly-once release.
     /// The boundary block (if any) is copied at attach time, so it
     /// takes no reference.
-    // analyze: cold
     pub fn retain_match(&mut self, m: &PrefixMatch, grant: &mut Vec<u32>) {
         let full = m.matched / BLOCK_POSITIONS;
         for blk in m.blocks.iter().take(full) {
@@ -848,7 +831,6 @@ impl PrefixCache {
     /// block's pages (one per shard); blocks already in the tree are
     /// only touched. Newly registered pages also add one reference for
     /// the committing sequence, recorded in `grant`.
-    // analyze: cold
     pub fn commit<F>(&mut self, prompt: &[u32], mut supplier: F, grant: &mut Vec<u32>)
     where
         F: FnMut(usize) -> Vec<PageRef>,
@@ -879,7 +861,6 @@ impl PrefixCache {
 
     /// Release every reference in `grant` exactly once (drains it, so a
     /// double call is a no-op).
-    // analyze: cold
     pub fn release_grant(&mut self, grant: &mut Vec<u32>) {
         for id in grant.drain(..) {
             self.pool.release(id);
@@ -889,7 +870,6 @@ impl PrefixCache {
 
     /// Chip death: drop every tree reference exactly once and reset the
     /// tree. Residents must have released their grants first.
-    // analyze: cold
     pub fn flush(&mut self) {
         let released = self.tree.flush(&mut self.pool);
         self.stats.flushed_pages = self.stats.flushed_pages.saturating_add(released);
@@ -897,7 +877,6 @@ impl PrefixCache {
 
     /// Deterministic LRU eviction until the pool fits the budget or no
     /// cold, unreferenced leaf remains.
-    // analyze: cold
     fn enforce_budget(&mut self) {
         while self.pool.live() > self.cfg.page_budget {
             let Some(victim) = self.tree.coldest_evictable_leaf(&self.pool) else {

@@ -98,7 +98,6 @@ impl LoraAdapter {
     ///
     /// Allocating convenience wrapper — the decode hot path uses
     /// [`delta_into`](Self::delta_into) instead.
-    // analyze: cold
     pub fn apply(&self, hardwired: &[f32], x: &[f32]) -> Vec<f32> {
         let mut out = hardwired.to_vec();
         for (o, d) in out.iter_mut().zip(self.delta(x)) {

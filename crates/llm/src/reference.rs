@@ -78,7 +78,6 @@ impl Placement for SingleChip {
     /// runs per row in a fixed order against that row's own position and
     /// cache — so the KV entries and residuals are bit-equal for every
     /// chunking and every grouping.
-    // analyze: hot
     fn panel_block(
         engine: &Transformer,
         layer: usize,
@@ -203,7 +202,6 @@ impl Placement for SingleChip {
 /// they differ only in the order they then replay the staged outputs into
 /// each row's mixture, which is where placement shows. Its host time goes
 /// to the `ExpertMatmuls` and `SwiGlu` spans, a pair per touched expert.
-// analyze: hot
 pub(crate) fn stage_experts(
     w: &LayerWeights,
     c: &TransformerConfig,

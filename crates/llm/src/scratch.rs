@@ -50,7 +50,6 @@ impl RopeTable {
     /// # Panics
     ///
     /// Panics if `head_dim` is odd.
-    // analyze: cold — constructor; runs once per sequence, not per token.
     pub fn new(head_dim: usize) -> Self {
         assert!(head_dim.is_multiple_of(2), "rope needs an even head dim");
         let half = head_dim / 2;
@@ -165,8 +164,6 @@ pub struct Scratch {
 
 impl Scratch {
     /// An arena sized for panels of `config`'s architecture.
-    // analyze: cold — the arena is allocated once up front; every
-    // forward-pass fn reuses these buffers.
     pub fn new(config: &TransformerConfig) -> Self {
         let h = config.hidden_size;
         let qw = config.attention.q_width();

@@ -12,8 +12,9 @@
 //! The loop is a deterministic discrete-event simulation: time is a
 //! virtual clock advanced by [`BatchScheduler::round_s`] per pipeline
 //! round (idle gaps jump straight to the next arrival), and no wall-clock
-//! or ambient RNG exists anywhere on the path — the `hnlpu-analyze`
-//! determinism gate audits this module. The round policy is the
+//! or ambient RNG exists anywhere on the path — clippy's workspace-wide
+//! `disallowed_types` / `disallowed_methods` bans (`clippy.toml`) keep
+//! it so. The round policy is the
 //! stepper's, and the slots, prefix cache and execution of a round are the
 //! [`crate::batch`] slot pool's, both shared with the offline run, which
 //! plans the whole trace while it executes each round on its own pool: an

@@ -444,7 +444,6 @@ macro_rules! query_passes {
 /// Panics if `tile` is not a whole number of lane rows, a query or key is
 /// not `n` long, `positions` ends past `row`, or `out` is shorter than
 /// `(queries.len() - 1) × row + positions.end`.
-// analyze: hot
 #[inline(always)]
 pub(crate) unsafe fn score_lanes<'k, V: Lanes>(
     tile: &mut [f32],
@@ -511,7 +510,6 @@ pub(crate) unsafe fn score_lanes<'k, V: Lanes>(
 /// Panics if `acc` is not `sums.len()` whole rows, `positions` ends past
 /// `row`, `w` is shorter than `(sums.len() - 1) × row + positions.end`, or
 /// a value row is not `n` long.
-// analyze: hot
 #[inline(always)]
 pub(crate) unsafe fn weigh_lanes<'v, V: Lanes>(
     w: &[f32],
@@ -589,7 +587,6 @@ lane_arms! {
 /// # Safety
 ///
 /// The CPU must support `V`'s arm ([`Lanes`]).
-// analyze: hot
 #[inline(always)]
 unsafe fn unembed_lanes<V: Lanes>(
     embedding: &[f32],

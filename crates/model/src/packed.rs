@@ -52,7 +52,6 @@ impl PackedFp4Matrix {
     /// # Panics
     ///
     /// Panics if `codes.len() != rows * cols`.
-    // analyze: cold — packing happens once at model build time.
     pub fn from_codes(codes: &[Fp4], rows: usize, cols: usize, norm: f32) -> Self {
         assert_eq!(codes.len(), rows * cols, "shape mismatch");
         let stride = cols.div_ceil(2);
@@ -115,8 +114,6 @@ impl PackedFp4Matrix {
     /// Dequantize the whole matrix to dense row-major `f32` (including the
     /// norm) — byte-for-byte what `matrix_f32` used to materialize. Only the
     /// naive baseline path and tests pay this cost.
-    // analyze: cold — dense materialization is the naive baseline, never
-    // the serving path.
     pub fn to_f32(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.rows * self.cols);
         for r in 0..self.rows {

@@ -13,7 +13,7 @@ use crate::config::SimConfig;
 use crate::fabric::CollectiveKind;
 use crate::pipeline::{Group, LAYER_COLLECTIVES};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Chip identifier in the 4×4 grid (row-major: `id = row * 4 + col`).
 pub type ChipId = u8;
@@ -35,9 +35,9 @@ pub fn row_group(row: u8) -> [ChipId; 4] {
 /// dedicated point-to-point link with a busy-until time.
 #[derive(Debug, Clone, Default)]
 pub struct PacketFabric {
-    busy_until_ns: HashMap<(ChipId, ChipId), f64>,
+    busy_until_ns: BTreeMap<(ChipId, ChipId), f64>,
     /// Cumulative occupancy per link (for utilization reporting).
-    occupancy_ns: HashMap<(ChipId, ChipId), f64>,
+    occupancy_ns: BTreeMap<(ChipId, ChipId), f64>,
     /// Messages delivered so far.
     pub messages: u64,
     /// Payload bytes moved so far.

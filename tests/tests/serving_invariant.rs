@@ -41,7 +41,7 @@ use hnlpu::sim::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 /// The per-sequence executor every engine wraps (weights are deterministic).
@@ -86,7 +86,7 @@ fn scheduler(small: bool) -> BatchScheduler {
 /// The single-sequence stream and counters of `r`, computed once per
 /// (prompt, budget, sampler) for the whole file.
 fn solo(r: &SequenceRequest) -> (Vec<u32>, CommCounters) {
-    type Streams = Mutex<HashMap<String, (Vec<u32>, CommCounters)>>;
+    type Streams = Mutex<BTreeMap<String, (Vec<u32>, CommCounters)>>;
     static SOLO: OnceLock<Streams> = OnceLock::new();
     let streams = SOLO.get_or_init(Streams::default);
     let key = format!("{:?}", (&r.prompt, r.decode_tokens, &r.sampler));

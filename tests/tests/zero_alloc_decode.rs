@@ -1,19 +1,25 @@
-//! Zero-allocation decode sentinel: the dynamic twin of the static
-//! `hot-path-alloc` rule in `hnlpu-analyze`.
+//! Zero-allocation sentinel: the gate that the steady-state forward pass
+//! never touches the heap.
 //!
-//! The static analyzer proves no *allocation call* is reachable from the
-//! decode hot path; this test proves the *allocator* agrees. A counting
-//! `#[global_allocator]` wraps the system allocator, and after a warmup
-//! generation the steady-state `step_with` loop, the batched
-//! `step_batch_with` step over several sequences and a wide-panel prefill
-//! must each perform exactly zero heap allocations.
+//! The `Scratch` arena is the host twin of the paper's fixed on-chip
+//! buffers, so after warm-up a decode step, a batched decode round and a
+//! prefill panel must run in the buffers they were given. A counting
+//! `#[global_allocator]` wraps the system allocator, and each case below
+//! measures a window after warm-up that must perform exactly zero heap
+//! allocations: the grid's `step_with` loop, on private and on shared
+//! pages; a batched `step_batch_with` round with the per-round KV
+//! accounting; a wide-panel prefill; the single-chip reference's
+//! `step_with` and `hidden_step_with` through a LoRA adapter; and one
+//! direct 64-row panel of the portable region kernel, which hosts with
+//! vector units never dispatch.
 //!
 //! Run with: `cargo test -p hnlpu-integration --features count-alloc`
 
 #![cfg(feature = "count-alloc")]
 
 use hnlpu::llm::dataflow::DataflowState;
-use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig};
+use hnlpu::llm::kernels::region_matmul_block_into;
+use hnlpu::llm::{DataflowExecutor, LoraAdapter, PrefixCache, PrefixCacheConfig, Transformer};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -175,9 +181,11 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
 /// so their decode rows share lane blocks — advance by one
 /// `step_batch_with` per round in one shared arena, each row's logits
 /// landing in its own buffer, and the steady-state rounds perform exactly
-/// zero heap allocations. The row lists the serving layer builds per round
-/// are built once here, outside the measured window; the step itself runs
-/// in the worker's arena and allocates nothing.
+/// zero heap allocations. Each round also sums the rows' logical and owned
+/// KV bytes, the per-round accounting of the serving layer's peak KV
+/// figures. The row lists the serving layer builds per round are built
+/// once here, outside the measured window; the step itself runs in the
+/// worker's arena and allocates nothing.
 #[test]
 fn steady_state_batched_decode_performs_zero_allocations() {
     const ROWS: usize = 8;
@@ -220,11 +228,16 @@ fn steady_state_batched_decode_performs_zero_allocations() {
     let mut rows: Vec<&mut DataflowState> = states.iter_mut().collect();
     let mut outs: Vec<&mut [f32]> = logits.iter_mut().map(Vec::as_mut_slice).collect();
 
+    let (mut peak_logical, mut peak_owned) = (0u64, 0u64);
     let mut round = |tokens: &mut [u32]| {
         engine.step_batch_with(tokens, &mut rows, &mut arena, &mut outs);
         for (token, row_logits) in tokens.iter_mut().zip(outs.iter()) {
             *token = argmax(row_logits);
         }
+        let logical: u64 = rows.iter().map(|state| state.kv_bytes_fp16()).sum();
+        let owned: u64 = rows.iter().map(|state| state.kv_owned_bytes_fp16()).sum();
+        peak_logical = peak_logical.max(logical);
+        peak_owned = peak_owned.max(owned);
     };
     for _ in 0..WARMUP_STEPS {
         round(&mut tokens);
@@ -241,6 +254,7 @@ fn steady_state_batched_decode_performs_zero_allocations() {
         "batched decode allocated {} times over {MEASURED_STEPS} rounds of {ROWS} rows",
         after - before
     );
+    assert!(peak_logical > 0 && peak_owned > 0, "every row holds KV");
 
     cache.release_grant(&mut grant);
     cache.release_grant(&mut donor_grant);
@@ -279,6 +293,84 @@ fn prefill_panel_performs_zero_allocations() {
         after - before,
         0,
         "a {PROMPT_LEN}-token prefill in {PANEL}-row panels allocated {} times",
+        after - before
+    );
+}
+
+/// The single-chip reference, with a LoRA adapter on layer 0's query
+/// projection: after warm-up, `step_with` (logits) and `hidden_step_with`
+/// (the final normalized hidden state, read back from `scratch.hidden()`)
+/// alternate through the same `KvCache` and arena with exactly zero heap
+/// allocations.
+#[test]
+fn reference_decode_and_hidden_step_perform_zero_allocations() {
+    const PROMPT: &[u32] = &[3, 9, 27, 81];
+    const WARMUP_STEPS: usize = 4;
+    const MEASURED_STEPS: usize = 16;
+
+    let card = zoo::dataflow_test_model();
+    let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
+    let mut engine = Transformer::new(weights);
+    let (h, q_width) = (card.config.hidden_size, card.config.attention.q_width());
+    engine.set_q_adapter(0, LoraAdapter::seeded(h, q_width, 4, 0.5, 7));
+    let mut cache = engine.new_cache();
+    let mut scratch = engine.new_scratch();
+    let horizon = PROMPT.len() + WARMUP_STEPS + 2 * MEASURED_STEPS;
+    cache.reserve(horizon);
+    scratch.reserve_context(horizon);
+
+    let mut token = *PROMPT.last().expect("non-empty prompt");
+    for &t in PROMPT {
+        engine.step_with(t, &mut cache, &mut scratch);
+    }
+    let mut pooled = 0.0f32;
+    let mut decode = |token: &mut u32| {
+        engine.step_with(*token, &mut cache, &mut scratch);
+        *token = argmax(scratch.logits());
+        engine.hidden_step_with(*token, &mut cache, &mut scratch);
+        pooled += scratch.hidden().iter().sum::<f32>();
+    };
+    decode(&mut token);
+    decode(&mut token);
+
+    let before = allocations();
+    for _ in 0..MEASURED_STEPS {
+        decode(&mut token);
+    }
+    let after = allocations();
+
+    assert!(pooled.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "reference decode allocated {} times over {MEASURED_STEPS} step + hidden-step pairs",
+        after - before
+    );
+}
+
+/// The portable region kernel, called directly: one 64-row panel through
+/// `region_matmul_block_into`, the fallback arm the dispatcher takes only
+/// on hosts without AVX2, so the engine cases above never reach it there.
+#[test]
+fn portable_region_panel_performs_zero_allocations() {
+    const PANEL: usize = 64;
+
+    let card = zoo::dataflow_test_model();
+    let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
+    let wq = &weights.layers[0].wq;
+    let (rows, cols) = (wq.rows(), wq.cols());
+    let xs: Vec<f32> = (0..PANEL * rows).map(|i| (i % 13) as f32 - 6.0).collect();
+    let mut outs = vec![0.0f32; PANEL * cols];
+
+    let before = allocations();
+    region_matmul_block_into(&xs, rows, PANEL, wq, 0, rows, 0..cols, &mut outs, cols);
+    let after = allocations();
+
+    assert!(outs.iter().any(|&v| v != 0.0));
+    assert_eq!(
+        after - before,
+        0,
+        "a {PANEL}-row portable region panel allocated {} times",
         after - before
     );
 }
