@@ -70,26 +70,23 @@ impl Fp4 {
     }
 
     /// Round-to-nearest-even conversion from `f32`, saturating at ±6.
+    ///
+    /// Seven threshold compares on the magnitude, one per midpoint of the
+    /// lattice, with no branch: `>` at the midpoints whose lower neighbour
+    /// has the even code (0.25, 1.25, 2.5, 5.0) and `>=` where the upper
+    /// one does (0.75, 1.75, 3.5), so every tie goes to the even code. The
+    /// sign is the sign bit (−0 is code 8); NaN of either sign is code 0.
     pub fn from_f32(x: f32) -> Self {
-        if x.is_nan() {
-            return Fp4::ZERO;
-        }
-        let sign = if x.is_sign_negative() { 0b1000 } else { 0 };
-        let mag = x.abs();
-        // Find nearest magnitude; ties go to the even (lower mantissa) code.
-        let mut best = 0usize;
-        let mut best_err = f32::INFINITY;
-        for (i, &m) in MAGNITUDES.iter().enumerate() {
-            let err = (mag - m).abs();
-            if err < best_err || (err == best_err && i % 2 == 0) {
-                best_err = err;
-                best = i;
-            }
-        }
-        if mag >= MAGNITUDES[7] {
-            best = 7;
-        }
-        Fp4(sign | best as u8)
+        let m = x.abs();
+        let magnitude = u8::from(m > 0.25)
+            + u8::from(m >= 0.75)
+            + u8::from(m > 1.25)
+            + u8::from(m >= 1.75)
+            + u8::from(m > 2.5)
+            + u8::from(m >= 3.5)
+            + u8::from(m > 5.0);
+        let sign = u8::from(x.is_sign_negative() & !x.is_nan()) << 3;
+        Fp4(sign | magnitude)
     }
 
     /// Exact conversion to `f32`.
@@ -213,6 +210,106 @@ mod tests {
         assert_eq!(Fp4::from_f32(0.76).to_f32(), 1.0);
         assert_eq!(Fp4::from_f32(5.1).to_f32(), 6.0);
         assert_eq!(Fp4::from_f32(4.4).to_f32(), 4.0);
+    }
+
+    /// The conversion as it was first written: the nearest of the eight
+    /// magnitudes by linear search, ties to the even code, saturating at 6.
+    fn from_f32_search(x: f32) -> Fp4 {
+        if x.is_nan() {
+            return Fp4::ZERO;
+        }
+        let sign = if x.is_sign_negative() { 0b1000 } else { 0 };
+        let mag = x.abs();
+        let mut best = 0usize;
+        let mut best_err = f32::INFINITY;
+        for (i, &m) in MAGNITUDES.iter().enumerate() {
+            let err = (mag - m).abs();
+            if err < best_err || (err == best_err && i % 2 == 0) {
+                best_err = err;
+                best = i;
+            }
+        }
+        if mag >= MAGNITUDES[7] {
+            best = 7;
+        }
+        Fp4(sign | best as u8)
+    }
+
+    /// Each midpoint of the lattice, exactly and one ulp either side, with
+    /// both signs: `(midpoint, code below, code at, code above)`.
+    #[test]
+    fn ties_go_to_the_even_code() {
+        let midpoints = [
+            (0.25f32, 0u8, 0u8, 1u8),
+            (0.75, 1, 2, 2),
+            (1.25, 2, 2, 3),
+            (1.75, 3, 4, 4),
+            (2.5, 4, 4, 5),
+            (3.5, 5, 6, 6),
+            (5.0, 6, 6, 7),
+        ];
+        for (mid, below, at, above) in midpoints {
+            let bits = mid.to_bits();
+            for (x, code) in [
+                (f32::from_bits(bits - 1), below),
+                (mid, at),
+                (f32::from_bits(bits + 1), above),
+            ] {
+                assert_eq!(Fp4::from_f32(x).code(), code, "x = {x:e}");
+                assert_eq!(Fp4::from_f32(-x).code(), code | 0b1000, "x = {:e}", -x);
+                assert_eq!(Fp4::from_f32(x), from_f32_search(x), "x = {x:e}");
+                assert_eq!(Fp4::from_f32(-x), from_f32_search(-x), "x = {:e}", -x);
+            }
+        }
+    }
+
+    #[test]
+    fn zeros_infinities_subnormals_and_signed_nan() {
+        let largest_subnormal = f32::from_bits(0x007f_ffff);
+        let negative_nan = f32::from_bits(0xffc0_0000);
+        assert!(negative_nan.is_nan() && negative_nan.is_sign_negative());
+        for (x, code) in [
+            (0.0f32, 0u8),
+            (-0.0, 8),
+            (f32::INFINITY, 7),
+            (f32::NEG_INFINITY, 15),
+            (largest_subnormal, 0),
+            (-largest_subnormal, 8),
+            (f32::NAN, 0),
+            (negative_nan, 0),
+        ] {
+            assert_eq!(Fp4::from_f32(x).code(), code, "x = {x:e}");
+            assert_eq!(from_f32_search(x).code(), code, "x = {x:e}");
+        }
+    }
+
+    /// The compares against the search over every `f32` bit pattern,
+    /// dealt over the host's cores; prints the mismatch count.
+    /// `cargo test --release -p hnlpu-model from_f32_matches_the_search_exhaustive
+    /// -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn from_f32_matches_the_search_exhaustive() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let span = (1u64 << 32).div_ceil(workers);
+        let mismatches: u64 = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let (lo, hi) = (w * span, ((w + 1) * span).min(1 << 32));
+                        (lo..hi)
+                            .filter(|&bits| {
+                                let x = f32::from_bits(bits as u32);
+                                Fp4::from_f32(x) != from_f32_search(x)
+                            })
+                            .count() as u64
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        println!("from_f32: {mismatches} mismatches against the search over 2^32 inputs");
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -54,19 +54,35 @@ impl PackedFp4Matrix {
     /// Panics if `codes.len() != rows * cols`.
     pub fn from_codes(codes: &[Fp4], rows: usize, cols: usize, norm: f32) -> Self {
         assert_eq!(codes.len(), rows * cols, "shape mismatch");
+        let mut m = Self::zeroed(rows, cols, norm);
+        m.pack(codes.iter().copied());
+        m
+    }
+
+    /// An all-zero-code matrix of the given shape and norm.
+    pub(crate) fn zeroed(rows: usize, cols: usize, norm: f32) -> Self {
         let stride = cols.div_ceil(2);
-        let mut data = vec![0u8; rows * stride];
-        for r in 0..rows {
-            for c in 0..cols {
-                data[r * stride + c / 2] |= codes[r * cols + c].code() << ((c % 2) * 4);
-            }
-        }
         PackedFp4Matrix {
             rows,
             cols,
             stride,
             norm,
-            data,
+            data: vec![0u8; rows * stride],
+        }
+    }
+
+    /// Write a row-major code stream into the matrix, two codes per byte,
+    /// low nibble first, each byte once; the pad nibble of an odd-width row
+    /// is zero and codes past `rows * cols` are not drawn.
+    pub(crate) fn pack(&mut self, mut codes: impl Iterator<Item = Fp4>) {
+        let cols = self.cols;
+        for row in self.data.chunks_exact_mut(self.stride.max(1)) {
+            let mut row_codes = (&mut codes).take(cols).map(Fp4::code);
+            for byte in row {
+                let low = row_codes.next().unwrap_or(0);
+                let high = row_codes.next().unwrap_or(0);
+                *byte = low | high << 4;
+            }
         }
     }
 

@@ -8,6 +8,14 @@
 //!
 //! Generation is lazy and per-matrix: a full 120 B-parameter model does not
 //! fit in memory, and none of the analyses need it materialized at once.
+//! Each matrix is one seeded code stream — normal draws (Box–Muller),
+//! stretched, quantized to E2M1 — that feeds the code, histogram and
+//! packed APIs alike, so packing never holds a matrix of codes.
+//!
+//! [`ModelWeights::materialize`] fans out: the matrices are dealt across
+//! the host's cores, each written into its own preallocated buffer from its
+//! own stream, so the bytes do not depend on the worker count or on the
+//! order the workers take the matrices in.
 
 use crate::config::{TransformerConfig, WeightKind, WeightMatrix};
 use crate::fp4::{Fp4, NUM_CODES};
@@ -15,6 +23,11 @@ use crate::packed::PackedFp4Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr_normal::sample_standard_normal;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
+
+/// Stretch of the N(0, 1) draws over the FP4 lattice before quantizing.
+const STRETCH: f32 = 1.8;
 
 /// A tiny embedded normal sampler (Box–Muller) so we only depend on `rand`.
 mod rand_distr_normal {
@@ -85,21 +98,24 @@ impl WeightGenerator {
         StdRng::seed_from_u64(s)
     }
 
+    /// The one code stream of a matrix: its seeded normal draws, stretched
+    /// over the FP4 lattice and quantized, row-major. Every per-matrix API
+    /// reads it.
+    fn codes(&self, layer: usize, kind: WeightKind, len: usize) -> impl Iterator<Item = Fp4> {
+        let mut rng = self.rng_for(layer, kind);
+        (0..len).map(move |_| Fp4::from_f32(sample_standard_normal(&mut rng) * STRETCH))
+    }
+
     /// Generate the FP4 codes of one matrix (row-major).
     pub fn matrix(&self, layer: usize, m: &WeightMatrix) -> Vec<Fp4> {
-        let mut rng = self.rng_for(layer, m.kind);
-        let scale = 1.8; // stretch N(0,1) over the FP4 lattice
-        (0..m.len())
-            .map(|_| Fp4::from_f32(sample_standard_normal(&mut rng) * scale))
-            .collect()
+        self.codes(layer, m.kind, m.len()).collect()
     }
 
     /// Generate one matrix dequantized to `f32` and rescaled to a typical
     /// trained-weight magnitude (`1/sqrt(rows)`), for functional inference.
     pub fn matrix_f32(&self, layer: usize, m: &WeightMatrix) -> Vec<f32> {
-        let norm = Self::norm_for(m);
-        self.matrix(layer, m)
-            .into_iter()
+        let norm = Self::norm_for(m.rows);
+        self.codes(layer, m.kind, m.len())
             .map(|c| c.to_f32() * norm)
             .collect()
     }
@@ -108,20 +124,29 @@ impl WeightGenerator {
     /// the same `1/sqrt(rows)` norm [`matrix_f32`](Self::matrix_f32) would
     /// have applied — `packed.to_f32()` equals `matrix_f32` exactly.
     pub fn packed_matrix(&self, layer: usize, m: &WeightMatrix) -> PackedFp4Matrix {
-        PackedFp4Matrix::from_codes(&self.matrix(layer, m), m.rows, m.cols, Self::norm_for(m))
+        let mut packed = PackedFp4Matrix::zeroed(m.rows, m.cols, Self::norm_for(m.rows));
+        self.pack(layer, m.kind, &mut packed);
+        packed
     }
 
-    /// The dequantization scale for `m`: `1/sqrt(rows)` over the 1.8
-    /// generator stretch.
-    fn norm_for(m: &WeightMatrix) -> f32 {
-        1.0 / (m.rows as f32).sqrt() / 1.8
+    /// Write the code stream of `(layer, kind)` into `packed`, whose shape
+    /// sets how many codes are drawn.
+    fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix) {
+        let len = packed.rows() * packed.cols();
+        packed.pack(self.codes(layer, kind, len));
+    }
+
+    /// The dequantization scale of a matrix with `rows` rows:
+    /// `1/sqrt(rows)` over the 1.8 generator stretch.
+    fn norm_for(rows: usize) -> f32 {
+        1.0 / (rows as f32).sqrt() / STRETCH
     }
 
     /// Histogram of the 16 FP4 codes in one matrix, without retaining the
     /// matrix. Drives POPCNT-region slack sizing in the ME compiler.
     pub fn code_histogram(&self, layer: usize, m: &WeightMatrix) -> [u64; NUM_CODES] {
         let mut hist = [0u64; NUM_CODES];
-        for c in self.matrix(layer, m) {
+        for c in self.codes(layer, m.kind, m.len()) {
             hist[c.code() as usize] += 1;
         }
         hist
@@ -129,12 +154,18 @@ impl WeightGenerator {
 
     /// Generate an embedding table (`vocab × hidden`) in `f32`.
     pub fn embedding(&self, cfg: &TransformerConfig) -> Vec<f32> {
+        let mut table = vec![0.0; cfg.vocab_size * cfg.hidden_size];
+        self.fill_embedding(cfg, &mut table);
+        table
+    }
+
+    /// Write the embedding table of `cfg` into `table` (`vocab × hidden`).
+    fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32]) {
         let mut rng = self.rng_for(usize::MAX, WeightKind::Router);
-        let n = cfg.vocab_size * cfg.hidden_size;
         let norm = 1.0 / (cfg.hidden_size as f32).sqrt();
-        (0..n)
-            .map(|_| sample_standard_normal(&mut rng) * norm)
-            .collect()
+        for v in table {
+            *v = sample_standard_normal(&mut rng) * norm;
+        }
     }
 }
 
@@ -163,6 +194,62 @@ pub struct LayerWeights {
 }
 
 impl LayerWeights {
+    /// One layer of `cfg` with every tensor allocated, every code zero and
+    /// every norm set.
+    fn zeroed(cfg: &TransformerConfig) -> Self {
+        let h = cfg.hidden_size;
+        let q = cfg.attention.q_width();
+        let kv = cfg.attention.kv_width();
+        let i = cfg.moe.intermediate_size;
+        let e = cfg.moe.num_experts;
+        let blank =
+            |rows, cols| PackedFp4Matrix::zeroed(rows, cols, WeightGenerator::norm_for(rows));
+        let experts = |rows, cols| (0..e).map(|_| blank(rows, cols)).collect();
+        LayerWeights {
+            wq: blank(h, q),
+            wk: blank(h, kv),
+            wv: blank(h, kv),
+            wo: blank(q, h),
+            router: blank(h, e),
+            up: experts(h, i),
+            gate: experts(h, i),
+            down: experts(i, h),
+        }
+    }
+
+    /// Every tensor of the layer with the kind whose code stream fills it.
+    fn tensors_mut(&mut self) -> impl Iterator<Item = (WeightKind, &mut PackedFp4Matrix)> {
+        fn experts(
+            kind: fn(usize) -> WeightKind,
+            tensors: &mut [PackedFp4Matrix],
+        ) -> impl Iterator<Item = (WeightKind, &mut PackedFp4Matrix)> {
+            tensors
+                .iter_mut()
+                .enumerate()
+                .map(move |(x, m)| (kind(x), m))
+        }
+        [
+            (WeightKind::Query, &mut self.wq),
+            (WeightKind::Key, &mut self.wk),
+            (WeightKind::Value, &mut self.wv),
+            (WeightKind::Output, &mut self.wo),
+            (WeightKind::Router, &mut self.router),
+        ]
+        .into_iter()
+        .chain(experts(
+            |expert| WeightKind::ExpertUp { expert },
+            &mut self.up,
+        ))
+        .chain(experts(
+            |expert| WeightKind::ExpertGate { expert },
+            &mut self.gate,
+        ))
+        .chain(experts(
+            |expert| WeightKind::ExpertDown { expert },
+            &mut self.down,
+        ))
+    }
+
     /// Resident bytes of this layer's packed tensors.
     pub fn resident_bytes(&self) -> u64 {
         let experts: u64 = self
@@ -193,61 +280,64 @@ pub struct ModelWeights {
 }
 
 impl ModelWeights {
-    /// Materialize every weight of `cfg` from `gen`.
+    /// Materialize every weight of `cfg` from `gen`, on every core the host
+    /// offers (see [`materialize_on`](Self::materialize_on)).
     ///
     /// # Panics
     ///
     /// Panics if the model is unreasonably large to materialize
     /// (> 200 M parameters) — use the lazy [`WeightGenerator`] APIs instead.
     pub fn materialize(cfg: &TransformerConfig, gen: &WeightGenerator) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::materialize_on(cfg, gen, workers)
+    }
+
+    /// Materialize on `workers` threads: the calling thread allocates every
+    /// packed tensor and the embedding, then spawns `workers − 1` scoped
+    /// workers that take matrices from one shared queue; it fills the
+    /// embedding itself and then joins the queue. Each matrix is its own
+    /// seeded code stream written into its own buffer, so the bytes do not
+    /// depend on `workers` or on which thread takes which matrix, and no
+    /// worker allocates.
+    pub(crate) fn materialize_on(
+        cfg: &TransformerConfig,
+        gen: &WeightGenerator,
+        workers: usize,
+    ) -> Self {
         assert!(
             cfg.total_params() < 200_000_000,
             "refusing to materialize a {}-parameter model; use WeightGenerator lazily",
             cfg.total_params()
         );
-        let layers = (0..cfg.num_layers)
-            .map(|l| {
-                let h = cfg.hidden_size;
-                let q = cfg.attention.q_width();
-                let kv = cfg.attention.kv_width();
-                let i = cfg.moe.intermediate_size;
-                let e = cfg.moe.num_experts;
-                LayerWeights {
-                    wq: gen.packed_matrix(l, &WeightMatrix::new(WeightKind::Query, h, q)),
-                    wk: gen.packed_matrix(l, &WeightMatrix::new(WeightKind::Key, h, kv)),
-                    wv: gen.packed_matrix(l, &WeightMatrix::new(WeightKind::Value, h, kv)),
-                    wo: gen.packed_matrix(l, &WeightMatrix::new(WeightKind::Output, q, h)),
-                    router: gen.packed_matrix(l, &WeightMatrix::new(WeightKind::Router, h, e)),
-                    up: (0..e)
-                        .map(|x| {
-                            gen.packed_matrix(
-                                l,
-                                &WeightMatrix::expert(WeightKind::ExpertUp { expert: x }, h, i),
-                            )
-                        })
-                        .collect(),
-                    gate: (0..e)
-                        .map(|x| {
-                            gen.packed_matrix(
-                                l,
-                                &WeightMatrix::expert(WeightKind::ExpertGate { expert: x }, h, i),
-                            )
-                        })
-                        .collect(),
-                    down: (0..e)
-                        .map(|x| {
-                            gen.packed_matrix(
-                                l,
-                                &WeightMatrix::expert(WeightKind::ExpertDown { expert: x }, i, h),
-                            )
-                        })
-                        .collect(),
-                }
-            })
+        let mut layers: Vec<LayerWeights> = (0..cfg.num_layers)
+            .map(|_| LayerWeights::zeroed(cfg))
             .collect();
+        let mut embedding = vec![0.0; cfg.vocab_size * cfg.hidden_size];
+        let jobs: Vec<_> = layers
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(l, w)| w.tensors_mut().map(move |(kind, m)| (l, kind, m)))
+            .collect();
+        let queue = Mutex::new(jobs.into_iter());
+        let drain = || loop {
+            // The queue's one update is `next`, which leaves it valid even
+            // if a worker panicked; the scope re-raises that panic.
+            let job = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((layer, kind, packed)) = job else {
+                break;
+            };
+            gen.pack(layer, kind, packed);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(drain);
+            }
+            gen.fill_embedding(cfg, &mut embedding);
+            drain();
+        });
         ModelWeights {
             config: *cfg,
-            embedding: gen.embedding(cfg),
+            embedding,
             layers,
         }
     }
@@ -355,6 +445,79 @@ mod tests {
         assert_eq!(l.wq.rows(), cfg.hidden_size);
         assert_eq!(l.wq.cols(), cfg.attention.q_width());
         assert_eq!(l.up.len(), cfg.moe.num_experts);
+    }
+
+    /// The tensor of `layer` that holds `kind`, by name.
+    fn tensor(layer: &LayerWeights, kind: WeightKind) -> &PackedFp4Matrix {
+        match kind {
+            WeightKind::Query => &layer.wq,
+            WeightKind::Key => &layer.wk,
+            WeightKind::Value => &layer.wv,
+            WeightKind::Output => &layer.wo,
+            WeightKind::Router => &layer.router,
+            WeightKind::ExpertUp { expert } => &layer.up[expert],
+            WeightKind::ExpertGate { expert } => &layer.gate[expert],
+            WeightKind::ExpertDown { expert } => &layer.down[expert],
+        }
+    }
+
+    /// Odd widths everywhere, so every row of every tensor ends in a
+    /// half-filled byte.
+    fn odd_columns() -> TransformerConfig {
+        let mut cfg = small();
+        cfg.hidden_size = 33;
+        cfg.attention.num_query_heads = 3;
+        cfg.attention.num_kv_heads = 1;
+        cfg.attention.head_dim = 5;
+        cfg.moe.num_experts = 3;
+        cfg.moe.intermediate_size = 37;
+        cfg.vocab_size = 17;
+        cfg
+    }
+
+    #[test]
+    fn materialize_is_the_lazy_apis_at_every_worker_count() {
+        for cfg in [zoo::dataflow_test_model().config, odd_columns()] {
+            let gen = WeightGenerator::new(2026);
+            // The lazy side, once: packed tensors, their codes, and the
+            // histogram of those codes.
+            let lazy: Vec<Vec<(WeightMatrix, PackedFp4Matrix, Vec<Fp4>)>> = (0..cfg.num_layers)
+                .map(|l| {
+                    cfg.layer_matrices()
+                        .into_iter()
+                        .map(|m| {
+                            let codes = gen.matrix(l, &m);
+                            let mut hist = [0u64; NUM_CODES];
+                            for c in &codes {
+                                hist[c.code() as usize] += 1;
+                            }
+                            assert_eq!(gen.code_histogram(l, &m), hist, "{m:?}");
+                            (m, gen.packed_matrix(l, &m), codes)
+                        })
+                        .collect()
+                })
+                .collect();
+            let embedding = gen.embedding(&cfg);
+            for workers in [1, 2, 3, 5] {
+                let w = ModelWeights::materialize_on(&cfg, &gen, workers);
+                assert_eq!(w.embedding, embedding, "workers = {workers}");
+                assert_eq!(w.layers.len(), cfg.num_layers);
+                for (layer, lazy) in w.layers.iter().zip(&lazy) {
+                    for len in [layer.up.len(), layer.gate.len(), layer.down.len()] {
+                        assert_eq!(len, cfg.moe.num_experts);
+                    }
+                    for (m, packed, codes) in lazy {
+                        let t = tensor(layer, m.kind);
+                        assert_eq!(t, packed, "{m:?} at workers = {workers}");
+                        for r in 0..m.rows {
+                            for c in 0..m.cols {
+                                assert_eq!(t.get(r, c), codes[r * m.cols + c]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
