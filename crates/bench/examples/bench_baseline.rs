@@ -27,7 +27,8 @@ use criterion::Criterion;
 use hnlpu::llm::kernels;
 use hnlpu_bench::inference::{
     gate_point, inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP,
-    PREFILL_BENCH_EXPERTS, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES, TOKENS_PER_ITER,
+    EXPERT_MACS_PER_ROW, PREFILL_BENCH_EXPERTS, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES,
+    TOKENS_PER_ITER,
 };
 use serde_json::Value;
 
@@ -137,14 +138,20 @@ fn render_point(c: &Criterion, id: &str) -> Value {
         ));
     }
     // Host time for one gathered row to cross one expert (up, gate and
-    // down) at each group size. Recorded, never gated: raw ns move with
-    // the runner, and with `kernel_path` written above — the block height
-    // of the arm that ran is what shapes this curve.
+    // down) at each group size, and the kernel's multiply-accumulate rate
+    // there, to set against the core's FMA peak. Recorded, never gated:
+    // raw ns move with the runner, and with `kernel_path` written above —
+    // the block height of the arm that ran is what shapes this curve.
     for &rows in EXPERT_GROUP_SWEEP {
         let ns = ns_of(results, &format!("inference/expert_group/g{rows}"));
+        let ns_per_row = ns / (PREFILL_BENCH_EXPERTS * rows) as f64;
         fields.push((
             format!("expert_group_g{rows}_ns_per_row"),
-            Value::Number((ns / (PREFILL_BENCH_EXPERTS * rows) as f64).round()),
+            Value::Number(ns_per_row.round()),
+        ));
+        fields.push((
+            format!("expert_group_g{rows}_gmac_per_s"),
+            Value::Number((EXPERT_MACS_PER_ROW as f64 / ns_per_row * 100.0).round() / 100.0),
         ));
     }
     fields.push((

@@ -50,6 +50,23 @@ pub const EXPERT_GROUP_SWEEP: &[usize] = &[2, 6, 16, 64];
 /// iteration sends `PREFILL_BENCH_EXPERTS × G` rows through an expert.
 pub const PREFILL_BENCH_EXPERTS: usize = 16;
 
+/// Hidden size of [`prefill_bench_weights`].
+const PREFILL_BENCH_HIDDEN: usize = 256;
+
+/// Expert intermediate size of [`prefill_bench_weights`].
+const PREFILL_BENCH_INTERMEDIATE: usize = 512;
+
+/// Multiply-accumulates one gathered row costs crossing one expert of
+/// [`prefill_bench_weights`]: up and gate (`hidden × intermediate` each)
+/// and down (`intermediate × hidden`).
+pub const EXPERT_MACS_PER_ROW: usize = 3 * PREFILL_BENCH_HIDDEN * PREFILL_BENCH_INTERMEDIATE;
+
+/// Timed iterations per benchmark under [`QUICK_ENV`].
+const QUICK_SAMPLES: usize = 2;
+
+/// Timed iterations per benchmark otherwise.
+const FULL_SAMPLES: usize = 20;
+
 /// Rounds of the named shape each `round_deal` plan holds.
 pub const ROUND_DEAL_ROUNDS: usize = 3;
 
@@ -108,8 +125,14 @@ pub const PREFIX_PREFILL_SHARES: &[(&str, usize)] =
 
 const PREFIX: [u32; 4] = [1, 5, 9, 17];
 
-fn quick() -> bool {
-    std::env::var_os(QUICK_ENV).is_some()
+/// Timed iterations per benchmark of this run: [`QUICK_SAMPLES`] when
+/// [`QUICK_ENV`] is set, else [`FULL_SAMPLES`].
+fn samples() -> usize {
+    if std::env::var_os(QUICK_ENV).is_some() {
+        QUICK_SAMPLES
+    } else {
+        FULL_SAMPLES
+    }
 }
 
 /// The trajectory point `bench_baseline -- --check` gates a runner
@@ -138,7 +161,7 @@ pub fn bench_weights() -> ModelWeights {
 /// per-token bookkeeping.
 pub fn prefill_bench_weights() -> ModelWeights {
     let mut c = zoo::dataflow_test_model().config;
-    c.hidden_size = 256;
+    c.hidden_size = PREFILL_BENCH_HIDDEN;
     c.vocab_size = 2048;
     c.num_layers = 2;
     c.attention.head_dim = 32;
@@ -146,7 +169,7 @@ pub fn prefill_bench_weights() -> ModelWeights {
     c.attention.num_kv_heads = 4;
     c.moe.num_experts = PREFILL_BENCH_EXPERTS;
     c.moe.experts_per_token = 4;
-    c.moe.intermediate_size = 512;
+    c.moe.intermediate_size = PREFILL_BENCH_INTERMEDIATE;
     ModelWeights::materialize(&c, &WeightGenerator::new(2026))
 }
 
@@ -259,7 +282,7 @@ pub fn prefix_cache_effectiveness() -> (f64, u64) {
 /// panel sweep, the expert-group and batched-decode sweeps, the round
 /// deal, and the shared-prefix prefill sweep.
 pub fn inference_suite(c: &mut Criterion) {
-    let samples = if quick() { 2 } else { 20 };
+    let samples = samples();
     let w = bench_weights();
     let naive = NaiveTransformer::new(&w);
     let packed = Transformer::new(w.clone());
@@ -499,6 +522,39 @@ mod tests {
         assert!(labels.contains(&"inference/round_deal/skewed"));
         assert!(labels.contains(&"inference/round_deal/uniform"));
         assert!(c.results().iter().all(|&(_, ns)| ns > 0.0));
+    }
+
+    #[test]
+    fn quick_mode_shortens_runs_and_the_summary_carries_every_result() {
+        std::env::set_var(QUICK_ENV, "1");
+        assert_eq!(samples(), QUICK_SAMPLES);
+        const { assert!(QUICK_SAMPLES < FULL_SAMPLES) };
+        let mut c = Criterion::default();
+        c.sample_size(samples());
+        let mut calls = 0;
+        c.bench_function("lone", |b| b.iter(|| calls += 1));
+        // One untimed warm-up call, then the samples.
+        assert_eq!(calls, QUICK_SAMPLES + 1);
+        let mut g = c.benchmark_group("group");
+        g.sample_size(samples());
+        for id in ["zeta", "alpha", "mid"] {
+            g.bench_function(id, |b| b.iter(|| black_box(id.len())));
+        }
+        g.finish();
+        let Value::Object(summary) =
+            serde_json::from_str(&c.summary_json()).expect("summary parses")
+        else {
+            unreachable!("the summary is an object")
+        };
+        let labels: Vec<&str> = summary.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["lone", "group/zeta", "group/alpha", "group/mid"]);
+        for ((label, ns), (_, written)) in c.results().iter().zip(&summary) {
+            let written = written.as_f64().expect("a number");
+            assert!(
+                (written - ns).abs() <= 0.05 + 1e-9 * ns,
+                "{label}: {written} vs {ns}"
+            );
+        }
     }
 
     #[test]

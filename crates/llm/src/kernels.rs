@@ -15,7 +15,7 @@
 //! * **Half-unit kernel** (x86-64, AVX-512F or AVX2+FMA, selected at
 //!   runtime): the same 16 regions realized as the constant-multiplier
 //!   bank. Every FP4 value is an exact multiple of 0.5, so a 16-entry
-//!   `pshufb` lookup maps each nibble to its signed integer half-unit
+//!   lookup maps each nibble to its signed integer half-unit
 //!   ([`HALF_UNITS`]) — the per-region constant the hardware wires — and an
 //!   FMA accumulates `x_i · hu` with the trailing ×0.5 folded into the
 //!   norm. Associativity of the per-region grouping is the only difference
@@ -23,12 +23,22 @@
 //!   kernel to ~1e-5 relative, not bitwise.
 //!
 //! The half-unit kernel is written once, over a `tensor::Lanes` vector
-//! extended by the decode, the fused multiply-add and a multiply, and
-//! compiled per arm under `#[target_feature]`: `__m512` with token
-//! blocks of 8 activation rows × 32 columns, `__m256` with 4 × 16, so each
-//! packed byte is decoded once per block. A lone activation row has no
-//! decode to share, so it sweeps wider panels (eight vectors of columns),
-//! whose independent chains hide the FMA latency.
+//! extended by the decode, a lane-order restore, the fused multiply-add and
+//! a multiply, and compiled per arm under `#[target_feature]`: `__m512`
+//! with token blocks of 8 activation rows × 32 columns, `__m256` with
+//! 4 × 16, so each packed byte is decoded once per block. A lone activation
+//! row has no decode to share, so it sweeps wider panels (eight vectors of
+//! columns), whose independent chains hide the FMA latency.
+//!
+//! The decode is the arm's own. AVX2 looks each nibble half up with a
+//! `pshufb`, interleaves the halves back into column order and widens to
+//! floats. AVX-512 broadcasts a vector's 8 packed bytes to every qword,
+//! shifts each dword lane by a constant so that one nibble sits at its
+//! bottom, and `vpermps` reads that nibble as an index into the 16
+//! half-units as floats: two ALU micro-ops per 16 columns, with the lanes
+//! in a fixed column permutation that one `vpermps` per accumulator undoes
+//! at store time. The lookup is the wiring of the paper's region decoder;
+//! only the FMAs are arithmetic.
 //!
 //! Dispatch: [`matmul_block_into`] takes AVX-512 → AVX2 → scalar regions
 //! for a column range that starts on a byte boundary (odd starts, never
@@ -45,8 +55,9 @@
 //! by `0.5 · norm`, and the last `len % 16` columns take the same scalar
 //! chain (a multiply, then an add, per weight row) on every arm. A SIMD
 //! lane is one column and lanes never interact, so neither the vector
-//! width (how many columns advance together) nor the block height (how
-//! many activation rows share a decode) can reach a bit of any output.
+//! width (how many columns advance together), nor the lane order a decode
+//! leaves, nor the block height (how many activation rows share a decode)
+//! can reach a bit of any output.
 //!
 //! Both inference engines run every projection, router and expert product
 //! through the panel form ([`matmul_block_into`]) — a decode step is its
@@ -397,7 +408,7 @@ mod half_units {
     use crate::tensor::Lanes;
     use std::arch::x86_64::*;
 
-    /// A [`Lanes`] vector as a half-unit arm holds it: the three ops the
+    /// A [`Lanes`] vector as a half-unit arm holds it: the ops the
     /// constant-multiplier bank adds to the lane kernels'. Implemented for
     /// `__m512` (AVX-512F) and `__m256` (AVX2+FMA).
     ///
@@ -417,30 +428,52 @@ mod half_units {
         /// room for the decoded weights and the broadcasts.
         const TOKEN_BLOCK: usize;
         /// The signed half-units of the `K · WIDTH` columns packed at `row`
-        /// (two per byte, low nibble first), `WIDTH` columns per vector in
-        /// column order: the `pshufb` against [`HALF_UNITS`] is the
-        /// software image of the 16-region decoder.
+        /// (two per byte, low nibble first), `WIDTH` columns per vector,
+        /// vector `k` holding columns `k · WIDTH ..`, in the arm's lane
+        /// order: the lookup into [`HALF_UNITS`] is the software image of
+        /// the 16-region decoder.
         unsafe fn decode<const K: usize>(row: *const u8) -> [Self; K];
+        /// A vector in `decode`'s lane order, put back in column order.
+        /// The identity where `decode` already yields column order.
+        #[inline(always)]
+        unsafe fn columns(self) -> Self {
+            self
+        }
         /// `self · a + b`, rounded once.
         unsafe fn mul_add(self, a: Self, b: Self) -> Self;
         /// `self · a`.
         unsafe fn mul(self, a: Self) -> Self;
     }
 
-    /// Sixteen columns per zmm register.
+    /// Sixteen columns per zmm register, in a lane order of the decode's
+    /// choosing: lane `j` holds column `8 · (j mod 2) + j / 2`.
     impl HalfUnits for __m512 {
         const TOKEN_BLOCK: usize = 8;
+        /// Per 16 columns, the 8 packed bytes broadcast to every qword
+        /// lane, one variable shift that brings nibble `j / 2` of dword
+        /// `j mod 2` to the bottom of lane `j`, and one `vpermps` that
+        /// reads the low four bits as an index into the 16 half-units:
+        /// the region decoder as a table lookup, two ALU micro-ops.
         #[inline]
         #[target_feature(enable = "avx512f")]
         unsafe fn decode<const K: usize>(row: *const u8) -> [Self; K] {
+            // Integer half-units converted to floats, so code 8 is `+0.0`.
+            let table = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(_mm_loadu_si128(
+                HALF_UNITS.as_ptr().cast(),
+            )));
+            let shift = _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
             let mut w = [_mm512_setzero_ps(); K];
-            for (c, w) in w.chunks_mut(2).enumerate() {
-                let hu = nibbles(bytes(row.add(16 * c), 8 * w.len()));
-                for (w, hu) in w.iter_mut().zip(hu) {
-                    *w = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(hu));
-                }
+            for (k, w) in w.iter_mut().enumerate() {
+                let packed = _mm512_set1_epi64(row.add(8 * k).cast::<i64>().read_unaligned());
+                *w = _mm512_permutexvar_ps(_mm512_srlv_epi32(packed, shift), table);
             }
             w
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn columns(self) -> Self {
+            let lane = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+            _mm512_permutexvar_ps(lane, self)
         }
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -458,7 +491,8 @@ mod half_units {
         }
     }
 
-    /// Eight columns per ymm register.
+    /// Eight columns per ymm register, in column order: a `pshufb` per
+    /// nibble half, unpacked and widened.
     impl HalfUnits for __m256 {
         const TOKEN_BLOCK: usize = 4;
         #[inline]
@@ -507,8 +541,8 @@ mod half_units {
     ///
     /// # Safety
     ///
-    /// Register arithmetic only; the CPU must support SSSE3, which both
-    /// arms imply.
+    /// Register arithmetic only; the CPU must support SSSE3, which AVX2
+    /// implies.
     #[inline(always)]
     unsafe fn nibbles(bytes: __m128i) -> [__m128i; 2] {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr().cast());
@@ -659,7 +693,8 @@ mod half_units {
     /// each weight row's packed bytes are decoded **once** into `K` vectors
     /// of half-units and fused with `N` broadcast activations into `N · K`
     /// accumulators — per (row, column) one FMA chain over the weight rows
-    /// in ascending order — then each is multiplied by `0.5 · norm`.
+    /// in ascending order — then each is multiplied by `0.5 · norm` and put
+    /// back in column order.
     ///
     /// # Safety
     ///
@@ -681,6 +716,7 @@ mod half_units {
         for (n, acc) in acc.iter().enumerate() {
             for (k, a) in acc.iter().enumerate() {
                 a.mul(half_norm)
+                    .columns()
                     .store(outs.add(n * b.out_stride + k * V::WIDTH), V::WIDTH);
             }
         }
@@ -803,6 +839,64 @@ mod tests {
             println!("kernel arms called directly on this CPU: {names:?}");
         });
         arms
+    }
+
+    /// The AVX-512 decode, pinned lane by lane. Byte `o` of weight row `r`
+    /// is `(r + 37 · o) mod 256`, so over the 256 rows every byte value sits
+    /// at every byte offset of 16-, 32-, 64- and 128-column panels, and
+    /// neighbouring offsets differ. The activations are one-hot and
+    /// `0.5 · norm` is 1, so every output is the half-unit of one code as
+    /// `f32`, bit for bit, code 8 as `+0.0`. The 256 rows run as one block
+    /// (8-row token blocks) and one at a time (a lone row's wide panels).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_decode_is_every_half_unit_at_its_column() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            println!("avx512f absent on this CPU: the AVX-512 decode pin is skipped");
+            return;
+        }
+        const ROWS: usize = 256;
+        let byte = |r: usize, o: usize| ((r + 37 * o) % 256) as u8;
+        let onehot: Vec<f32> = (0..ROWS * ROWS)
+            .map(|i| if i / ROWS == i % ROWS { 1.0 } else { 0.0 })
+            .collect();
+        for cols in [16, 32, 64, 128] {
+            let codes: Vec<Fp4> = (0..ROWS * cols)
+                .map(|i| {
+                    let (r, c) = (i / cols, i % cols);
+                    Fp4::from_code((byte(r, c / 2) >> (c % 2 * 4)) & 0x0F)
+                })
+                .collect();
+            let m = PackedFp4Matrix::from_codes(&codes, ROWS, cols, 2.0);
+            let want: Vec<u32> = codes
+                .iter()
+                .map(|c| f32::from(HALF_UNITS[usize::from(c.code())]).to_bits())
+                .collect();
+            let mut block = vec![f32::NAN; ROWS * cols];
+            let b =
+                half_units::Block::new(&onehot, ROWS, ROWS, &m, 0, ROWS, 0..cols, &mut block, cols);
+            // SAFETY: avx512f was detected above; the block is non-empty,
+            // starts on column 0 and passes `matmul_block_into`'s asserts.
+            unsafe { half_units::avx512(&b) };
+            let mut lone = vec![f32::NAN; ROWS * cols];
+            for (r, out) in lone.chunks_mut(cols).enumerate() {
+                let x = &onehot[r * ROWS..][..ROWS];
+                let b = half_units::Block::new(x, ROWS, 1, &m, 0, ROWS, 0..cols, out, cols);
+                // SAFETY: as above, for one activation row.
+                unsafe { half_units::avx512(&b) };
+            }
+            for (run, outs) in [("block", &block), ("lone row", &lone)] {
+                for (i, (out, want)) in outs.iter().zip(&want).enumerate() {
+                    let (r, c) = (i / cols, i % cols);
+                    assert_eq!(
+                        out.to_bits(),
+                        *want,
+                        "{cols} columns, {run}: row {r} column {c} (byte {:#04x}) decoded {out}",
+                        byte(r, c / 2)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1014,8 +1108,10 @@ mod tests {
         /// two full 8-row blocks plus every remainder; column ranges up to
         /// 255 wide, so a lone row's 128- and 64-column panels, the 32- and
         /// 16-column panels and a 1–15 column tail all run; even non-zero
-        /// starts, row sub-blocks, strided panels. An arm the CPU lacks is
-        /// skipped, not failed.
+        /// starts, row sub-blocks, strided panels. A quarter of the
+        /// activations are `±0.0` and a quarter exact multiples of ±0.5, so
+        /// products of signed zeros and exactly cancelling sums occur. An
+        /// arm the CPU lacks is skipped, not failed.
         #[test]
         fn every_arm_is_bitwise_the_half_unit_chain(
             rows in 1usize..72,
@@ -1039,7 +1135,13 @@ mod tests {
             let xs: Vec<f32> = (0..(t - 1) * x_stride + rows)
                 .map(|i| {
                     let v = (i as u64).wrapping_mul(seed.wrapping_add(7)).wrapping_add(3) % 2000;
-                    v as f32 * 0.001 - 1.0
+                    match v % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => -0.5 * (v % 5) as f32,
+                        3 => 0.5 * (v % 5) as f32,
+                        _ => v as f32 * 0.001 - 1.0,
+                    }
                 })
                 .collect();
             let mut want = vec![0.0f32; (t - 1) * out_stride + len];

@@ -15,7 +15,8 @@
 //!   deadlines) × cancellations (none, or some) × queue (unbounded, or one
 //!   or two places in front of a two-slot machine — on the 216-slot
 //!   machine no trace this size ever waits, so a small queue alone would
-//!   change nothing);
+//!   change nothing), with half the paged cases under a page budget small
+//!   enough to evict;
 //! * named shapes that keep their fixed inputs: a skewed round, a mixed
 //!   prefill/decode round, a cancel mid-prefill, a deterministic chip
 //!   death, a heavy chaos replay, an empty fault plan, a zero-capacity
@@ -464,8 +465,10 @@ impl Axes {
     /// with the machine's round: arrivals stagger over ten rounds (all at
     /// zero otherwise), faults land within thirty, deadlines allow at
     /// least five, and a cancel hits its target on arrival or up to ten
-    /// rounds after.
-    fn sample(self, rng: &mut StdRng) -> Case {
+    /// rounds after. A `budgeted` paged case draws a page budget of 8 to
+    /// 63 pages (under four 16-page blocks), so its tree evicts; any other
+    /// paged case never evicts.
+    fn sample(self, rng: &mut StdRng, budgeted: bool) -> Case {
         let round_us = (scheduler(self.small_queue).round_s() * 1e6).max(1.0) as u64;
         let n = rng.gen_range(if self.faults || self.cancels { 2 } else { 1 }..6);
         let stagger = if self.staggered { 10 * round_us } else { 1 };
@@ -525,28 +528,44 @@ impl Axes {
             },
             small: self.small_queue,
         };
+        let page_budget = match (self.paged, budgeted) {
+            (false, _) => None,
+            (true, false) => Some(usize::MAX),
+            (true, true) => Some(rng.gen_range(8..64)),
+        };
         Case {
-            page_budget: self.paged.then_some(usize::MAX),
+            page_budget,
             online: self.online.then_some(online),
             requests,
         }
     }
 }
 
-/// Seeded cases per point of the product space.
+/// Seeded cases per point of the product space; the odd ones are budgeted.
 const CASES_PER_POINT: u64 = 2;
 
-/// [`check`] `CASES_PER_POINT` sampled cases at every point `keep` selects.
-fn product(keep: impl Fn(&Axes) -> bool) {
+/// [`check`] `CASES_PER_POINT` sampled cases at every point `keep` selects;
+/// returns the pages their runs evicted.
+fn product(keep: impl Fn(&Axes) -> bool) -> u64 {
+    let mut evicted = 0;
     for (point, axes) in Axes::all().into_iter().enumerate() {
         if !keep(&axes) {
             continue;
         }
         for i in 0..CASES_PER_POINT {
             let mut rng = StdRng::seed_from_u64((point as u64) << 8 | i);
-            checked(axes.sample(&mut rng));
+            evicted += match checked(axes.sample(&mut rng, i % 2 == 1)) {
+                Run::Offline { report, .. } => report.prefix.evicted_pages,
+                Run::Online { trace, .. } => trace.report.slo.prefix.evicted_pages,
+            };
         }
     }
+    evicted
+}
+
+/// [`product`] over a paged slice, which must evict in at least one case.
+fn paged_product(keep: impl Fn(&Axes) -> bool) {
+    assert!(product(keep) > 0, "no budgeted case of the slice evicted");
 }
 
 // One test per slice of the product; the slices partition `Axes::all`.
@@ -568,7 +587,7 @@ fn offline_dense_sampled_holds_the_invariant() {
 
 #[test]
 fn offline_paged_holds_the_invariant() {
-    product(|a| !a.online && a.paged);
+    paged_product(|a| !a.online && a.paged);
 }
 
 #[test]
@@ -593,12 +612,12 @@ fn online_dense_chaos_holds_the_invariant() {
 
 #[test]
 fn online_paged_serving_holds_the_invariant() {
-    product(|a| a.online && a.paged && !a.faults);
+    paged_product(|a| a.online && a.paged && !a.faults);
 }
 
 #[test]
 fn online_paged_chaos_holds_the_invariant() {
-    product(|a| a.online && a.paged && a.faults);
+    paged_product(|a| a.online && a.paged && a.faults);
 }
 
 proptest! {
