@@ -14,8 +14,9 @@
 //! keep their sequences in the crate-private `SlotPool`, where placement,
 //! vacating and the execution of one plan are written once.
 //!
-//! A round's work is dealt to the workers by cost (one `rayon` worker per
-//! core; with one, the round is a single chunk on the calling thread). An
+//! A round's work is dealt to the workers by cost (one worker per core,
+//! each chunk on a scoped thread of its own; with one worker, the round is
+//! a single chunk on the calling thread). An
 //! item's cost is the rows it pushes through the block this round — its
 //! prefill tokens, plus one if its sampled token steps back in — because
 //! every token, prompt or decoded, goes through the same one block, so a
@@ -30,9 +31,16 @@
 //! a sequence keeps only its KV, sampler, tokens and logits between
 //! rounds, as the paper's machine keeps only KV. The rows share each pass
 //! over the packed weights and the embedding table, but every row's
-//! arithmetic is its own accumulation chain against its own KV state, so
-//! streams, KV and counters are bit-identical for any deal, worker count
-//! and arena history — the deal moves host time and nothing else.
+//! arithmetic is its own accumulation chain against its own KV state.
+//!
+//! A long prefill's panels are causal, so its item cannot be split, and
+//! the deal alone leaves the other workers waiting at the join. They help
+//! instead: a worker whose share is done runs the expert groups that a
+//! still-running worker posts on the arenas' join board (`help`), the way
+//! the paper's sixteen chips run their experts at once. A group is the
+//! same matmuls over the same rows wherever it runs. So streams, KV and
+//! counters are bit-identical for any deal, worker count, helper and arena
+//! history: the deal and the help move host time and nothing else.
 
 #![cfg_attr(
     not(test),
@@ -48,6 +56,7 @@
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState};
 use crate::fault::CHIPS;
+use crate::help::Board;
 use crate::kv_cache::{PrefixCache, PrefixCacheConfig, PrefixStats};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
@@ -55,6 +64,7 @@ use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::telemetry::{self, Stage, StageNanos};
 use hnlpu_sim::scheduler::{BatchScheduler, PrefixOracle, Request, RoundPlan};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a batched run was rejected.
@@ -515,10 +525,7 @@ impl SlotPool {
             .filter_map(|(slot, action)| Some((slot.as_mut()?, action)))
             .collect();
         let workers = rayon::current_num_threads().min(work.len());
-        if self.arenas.len() < workers {
-            self.arenas
-                .resize_with(workers, || engine.inner.new_scratch());
-        }
+        engine.grow_arenas(&mut self.arenas, workers);
         engine.run_round(work, &mut self.arenas);
 
         let SlotPool {
@@ -769,10 +776,12 @@ impl BatchedDataflowExecutor {
     /// arena (at most one per item) by the rows each pushes through the
     /// block ([`deal_rows`]), and every worker runs its share as one chunk
     /// in its own arena, so a worker's decoders still share one batched
-    /// decode step. One worker runs the whole round as a single chunk on
-    /// the calling thread.
+    /// decode step. Each chunk has a thread of its own (the calling thread
+    /// runs the first), so a worker that finished its share can wait at
+    /// the join and run the expert groups the others post on the arenas'
+    /// [`Board`] without holding up a chunk behind it. One worker runs the
+    /// whole round as a single chunk on the calling thread.
     fn deal_round(&self, work: Vec<(&mut SeqSlot, Action)>, arenas: &mut [Scratch]) {
-        use rayon::prelude::*;
         let workers = arenas.len().min(work.len());
         debug_assert!(workers > 0 || work.is_empty(), "a round needs an arena");
         if workers <= 1 {
@@ -791,6 +800,8 @@ impl BatchedDataflowExecutor {
                 len_of(action.prefill).saturating_add(usize::from(steps_back))
             })
             .collect();
+        let board = arenas.first().and_then(|arena| arena.board.clone());
+        let board = board.as_deref();
         // Each worker's chunk travels with its arena: disjoint `&mut`s,
         // handed out before the fan-out.
         let mut chunks: Vec<(Vec<_>, &mut Scratch)> = (arenas.iter_mut().take(workers))
@@ -801,9 +812,50 @@ impl BatchedDataflowExecutor {
                 chunk.push(item);
             }
         }
-        chunks
-            .into_par_iter()
-            .for_each(|(chunk, arena)| self.advance_chunk(chunk, arena));
+        if let Some(board) = board {
+            board.open(workers);
+        }
+        std::thread::scope(|s| {
+            let mut chunks = chunks.into_iter();
+            let first = chunks.next();
+            for (chunk, arena) in chunks {
+                s.spawn(move || self.share(board, chunk, arena));
+            }
+            if let Some((chunk, arena)) = first {
+                self.share(board, chunk, arena);
+            }
+        });
+    }
+
+    /// One worker of a dealt round: its own chunk, then help at the join
+    /// until every worker's chunk is done.
+    fn share(
+        &self,
+        board: Option<&Board>,
+        chunk: Vec<(&mut SeqSlot, Action)>,
+        arena: &mut Scratch,
+    ) {
+        let share = board.map(Board::share);
+        self.advance_chunk(chunk, arena);
+        if let Some(share) = share {
+            share.help(&self.inner.weights, arena);
+        }
+    }
+
+    /// Grow `arenas` to `workers` worker arenas, every one on the first
+    /// arena's join board (allocated with the first arena).
+    fn grow_arenas(&self, arenas: &mut Vec<Scratch>, workers: usize) {
+        if arenas.len() >= workers {
+            return;
+        }
+        let board = match arenas.first() {
+            Some(first) => first.board.clone(),
+            None => Some(Arc::new(Board::new(self.inner.config()))),
+        };
+        arenas.resize_with(workers, || Scratch {
+            board: board.clone(),
+            ..self.inner.new_scratch()
+        });
     }
 
     /// One worker's share of a round, in any order and of any mix (the
@@ -1255,11 +1307,43 @@ mod tests {
         assert_eq!(report.prefill_max_panel, MAX_PREFILL_PANEL);
     }
 
-    /// The deal moves host time and nothing else: the skewed round and a
-    /// uniform decode round, run at 1 to 4 workers, leave every sequence's
-    /// stream, KV shards, position and counters (hence their sum) bitwise
-    /// what a per-sequence run leaves. One worker is the whole round as a
-    /// single chunk on the calling thread.
+    /// `requests` run through `plans` by `run_round` at `workers` worker
+    /// arenas on one join board: the slots and the arenas they leave.
+    fn run_rounds(
+        eng: &BatchedDataflowExecutor,
+        requests: &[SequenceRequest],
+        plans: &[RoundPlan],
+        workers: usize,
+    ) -> (Vec<SeqSlot>, Vec<Scratch>) {
+        let mut arenas = Vec::new();
+        eng.grow_arenas(&mut arenas, workers);
+        let mut slots: Vec<SeqSlot> = requests
+            .iter()
+            .enumerate()
+            .map(|(seq, r)| eng.new_slot(seq, r))
+            .collect();
+        for plan in plans {
+            let mut actions = vec![Action::default(); slots.len()];
+            for &(seq, n) in &plan.prefill {
+                actions[seq].prefill = n;
+            }
+            for &seq in &plan.decode {
+                actions[seq].decode = true;
+            }
+            let work = (slots.iter_mut().zip(actions))
+                .filter(|(_, action)| *action != Action::default())
+                .collect();
+            eng.run_round(work, &mut arenas);
+        }
+        (slots, arenas)
+    }
+
+    /// Neither the deal nor help at the join moves anything but host time:
+    /// the skewed round and a uniform decode round, run at 1 to 4 workers,
+    /// leave every sequence's stream, KV shards, position and counters
+    /// (hence their sum) bitwise what a per-sequence run leaves. One worker
+    /// is the whole round as a single chunk on the calling thread; at 3
+    /// and 4 on a 2-core host, more threads than cores wait at the join.
     #[test]
     fn rounds_are_bitwise_per_sequence_runs_at_every_worker_count() {
         use crate::dataflow::Grid;
@@ -1285,30 +1369,46 @@ mod tests {
                 })
                 .collect();
             for workers in 1..=4 {
-                let mut arenas: Vec<Scratch> =
-                    (0..workers).map(|_| machine.new_scratch()).collect();
-                let mut slots: Vec<SeqSlot> = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(seq, r)| eng.new_slot(seq, r))
-                    .collect();
-                for plan in &plans {
-                    let mut actions = vec![Action::default(); slots.len()];
-                    for &(seq, n) in &plan.prefill {
-                        actions[seq].prefill = n;
-                    }
-                    for &seq in &plan.decode {
-                        actions[seq].decode = true;
-                    }
-                    let work = (slots.iter_mut().zip(actions))
-                        .filter(|(_, action)| *action != Action::default())
-                        .collect();
-                    eng.run_round(work, &mut arenas);
-                }
+                let (slots, _) = run_rounds(&eng, &requests, &plans, workers);
                 for (slot, (out, state)) in slots.iter().zip(&solo) {
                     assert_eq!(&slot.out, out, "{workers} workers, seq {}", slot.seq);
                     assert_state_bitwise_equal::<Grid>(&slot.state, state);
                 }
+            }
+        }
+    }
+
+    /// The spans nest in every arena, helpers' included: the named stages
+    /// sum to at most the worker's share (which counts the groups it ran
+    /// for others), and that to at most the rounds it took part in.
+    #[test]
+    fn stage_spans_nest_in_every_arena_at_every_worker_count() {
+        let eng = engine();
+        let requests = skewed_round_requests();
+        let sim_reqs: Vec<Request> = requests
+            .iter()
+            .map(SequenceRequest::to_sim_request)
+            .collect();
+        let (_, plans) = scheduler().plan(&sim_reqs);
+        for workers in 2..=4 {
+            let (_, arenas) = run_rounds(&eng, &requests, &plans, workers);
+            assert_eq!(arenas.len(), workers);
+            for (i, arena) in arenas.iter().enumerate() {
+                let named: u64 = (Stage::ALL.iter())
+                    .filter(|&&stage| !matches!(stage, Stage::Worker | Stage::Round))
+                    .map(|&stage| arena.spans.get(stage))
+                    .sum();
+                let worker = arena.spans.get(Stage::Worker);
+                let round = arena.spans.get(Stage::Round);
+                assert!(named > 0, "{workers} workers, arena {i}: no spans");
+                assert!(
+                    named <= worker,
+                    "{workers} workers, arena {i}: {named} > {worker}"
+                );
+                assert!(
+                    worker <= round,
+                    "{workers} workers, arena {i}: {worker} > {round}"
+                );
             }
         }
     }

@@ -579,7 +579,7 @@ impl Placement for Grid {
         // (VII, VIII) Router (weights replicated on all chips, no
         // communication) and experts, grouped so the owning chip runs
         // three matmuls per touched expert.
-        stage_experts(w, &c, t, scratch);
+        stage_experts(&engine.weights, layer, t, scratch);
         let n_experts = c.moe.num_experts;
         let k_experts = c.moe.experts_per_token;
         let Scratch {

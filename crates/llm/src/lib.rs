@@ -30,7 +30,9 @@
 //!   [`DataflowExecutor`] is `Engine<Grid>`.
 //! * [`batch`] — the batched engine: a KV-slot pool with continuous-
 //!   batching admission/eviction executing `hnlpu-sim`'s round plans,
-//!   each round dealt across the host's cores (`rayon`).
+//!   each round dealt across the host's cores, one scoped thread per
+//!   worker; a worker done with its share runs expert groups the others
+//!   post (help at the join).
 //! * [`naive`] — the pre-optimization dense-`f32`, allocating decoder kept
 //!   as the decode calibration pair (the fixed side of the gated
 //!   packed-vs-naive decode ratio) plus test oracle.
@@ -72,6 +74,7 @@ pub mod batch;
 pub mod dataflow;
 mod engine;
 pub mod fault;
+mod help;
 pub mod kernels;
 pub mod kv_cache;
 pub mod lora;

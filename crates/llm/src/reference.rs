@@ -13,9 +13,10 @@ use crate::kernels::matmul_into;
 use crate::kv_cache::KvCache;
 use crate::ops::{rmsnorm_into, softmax_in_place, swiglu_in_place, topk_into};
 use crate::scratch::Scratch;
-use crate::telemetry::{self, Stage};
+use crate::telemetry::{self, Stage, StageNanos};
 use crate::tensor::{add_assign, dot};
-use hnlpu_model::{LayerWeights, TransformerConfig};
+use hnlpu_model::{LayerWeights, ModelWeights, TransformerConfig};
+use std::time::Instant;
 
 /// How a prompt was consumed by a panel-prefill call: how many matmul
 /// panels ran and the widest one. Aggregated into
@@ -167,7 +168,7 @@ impl Placement for SingleChip {
         }
 
         // --- MoE FFN ---
-        stage_experts(w, &c, t, scratch);
+        stage_experts(&engine.weights, layer, t, scratch);
         // Replay each token's expert mixture in its chosen order, the
         // accumulation order of a single device.
         let k_experts = c.moe.experts_per_token;
@@ -196,20 +197,22 @@ impl Placement for SingleChip {
 /// The MoE stage of a block, up to (not including) the mixture: normalize
 /// the post-attention residual panel `xop` into `xnp`, route every row
 /// (router logits → top-k → softmaxed weights into `chosenp` /
-/// `expertwp`), then per touched expert gather the rows routed to it, run
-/// up / gate / SwiGLU / down as one matmul each, and stage the down
-/// outputs per (row, chosen slot) in `stagep`. Both executors call this;
-/// they differ only in the order they then replay the staged outputs into
-/// each row's mixture, which is where placement shows. Its host time goes
-/// to the `ExpertMatmuls` and `SwiGlu` spans, a pair per touched expert.
-pub(crate) fn stage_experts(
-    w: &LayerWeights,
-    c: &TransformerConfig,
-    t: usize,
-    scratch: &mut Scratch,
-) {
+/// `expertwp`), then run every touched expert's group ([`expert_group`])
+/// and stage the down outputs per (row, chosen slot) in `stagep`. Both
+/// executors call this; they differ only in the order they then replay the
+/// staged outputs into each row's mixture, which is where placement shows.
+///
+/// When the arena sits on a batched pool's [`Board`](crate::help::Board) and some worker of
+/// the round is idle at the join, the routed panel is posted there and the
+/// idle workers claim groups from the top while this one claims them from
+/// the bottom; their down rows are copied into `stagep` before returning.
+/// Each group is the same matmuls over the same rows whichever thread runs
+/// it, so `stagep` is bitwise the same either way. Its host time goes to
+/// the `ExpertMatmuls` and `SwiGlu` spans, a pair per group run here.
+pub(crate) fn stage_experts(weights: &ModelWeights, layer: usize, t: usize, scratch: &mut Scratch) {
+    let c = &weights.config;
+    let w = &weights.layers[layer];
     let h = c.hidden_size;
-    let inter = c.moe.intermediate_size;
     let n_experts = c.moe.num_experts;
     let k_experts = c.moe.experts_per_token;
     let Scratch {
@@ -226,6 +229,7 @@ pub(crate) fn stage_experts(
         stagep,
         gidx,
         spans,
+        board,
         ..
     } = scratch;
     let mut span = telemetry::start();
@@ -242,31 +246,92 @@ pub(crate) fn stage_experts(
         chosenp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(chosen);
         expertwp[tt * k_experts..(tt + 1) * k_experts].copy_from_slice(expert_w);
     }
+    let (xnp, chosenp) = (&xnp[..t * h], &chosenp[..t * k_experts]);
+    let board = (board.as_deref()).filter(|board| board.post(layer, xnp, chosenp));
+    let mut group = Group {
+        gidx,
+        gatherp,
+        upp,
+        gatep,
+        spans,
+    };
     for e in 0..n_experts {
-        gidx.clear();
-        gidx.extend((0..t * k_experts).filter(|&slot| chosenp[slot] == e));
-        if gidx.is_empty() {
+        if board.is_some_and(|board| !board.claim(e)) {
             continue;
         }
-        let g = gidx.len();
-        for (gi, &slot) in gidx.iter().enumerate() {
-            let tt = slot / k_experts;
-            gatherp[gi * h..(gi + 1) * h].copy_from_slice(&xnp[tt * h..(tt + 1) * h]);
-        }
-        matmul_into(&gatherp[..g * h], h, g, &w.up[e], upp, inter);
-        matmul_into(&gatherp[..g * h], h, g, &w.gate[e], gatep, inter);
-        span = spans.close(Stage::ExpertMatmuls, span);
-        // The group's rows are contiguous: one call covers all of them.
-        swiglu_in_place(&mut gatep[..g * inter], &upp[..g * inter]);
-        span = spans.close(Stage::SwiGlu, span);
-        // The group's activations are no longer needed, so the down
-        // outputs overwrite `gatherp` before scattering to the stage.
-        matmul_into(&gatep[..g * inter], inter, g, &w.down[e], gatherp, h);
-        for (gi, &slot) in gidx.iter().enumerate() {
-            stagep[slot * h..(slot + 1) * h].copy_from_slice(&gatherp[gi * h..(gi + 1) * h]);
-        }
+        span = expert_group(w, c, e, xnp, chosenp, &mut group, span);
+        scatter(group.gidx, group.gatherp, h, stagep);
     }
-    spans.close(Stage::ExpertMatmuls, span);
+    group.spans.close(Stage::ExpertMatmuls, span);
+    if let Some(board) = board {
+        board.collect(chosenp, h, stagep);
+    }
+}
+
+/// The arena buffers one expert group runs in.
+pub(crate) struct Group<'a> {
+    /// The group's (row, chosen slot) ids.
+    pub(crate) gidx: &'a mut Vec<usize>,
+    /// The gathered rows; then the group's down rows.
+    pub(crate) gatherp: &'a mut [f32],
+    pub(crate) upp: &'a mut [f32],
+    pub(crate) gatep: &'a mut [f32],
+    pub(crate) spans: &'a mut StageNanos,
+}
+
+/// One expert group of a routed panel: gather the rows of `xnp` whose
+/// slots in `chosen` route to expert `e`, then run up / gate / SwiGLU /
+/// down as one matmul each. Leaves the slot ids in `group.gidx` and the
+/// down rows, in the same order, in `group.gatherp`; an untouched expert
+/// leaves `gidx` empty. Closes the `ExpertMatmuls` and `SwiGlu` spans of
+/// the chain opened at `span` and returns the open end.
+pub(crate) fn expert_group(
+    w: &LayerWeights,
+    c: &TransformerConfig,
+    e: usize,
+    xnp: &[f32],
+    chosen: &[usize],
+    group: &mut Group<'_>,
+    mut span: Instant,
+) -> Instant {
+    let h = c.hidden_size;
+    let inter = c.moe.intermediate_size;
+    let k_experts = c.moe.experts_per_token;
+    let Group {
+        gidx,
+        gatherp,
+        upp,
+        gatep,
+        spans,
+    } = group;
+    gidx.clear();
+    gidx.extend((0..chosen.len()).filter(|&slot| chosen[slot] == e));
+    if gidx.is_empty() {
+        return span;
+    }
+    let g = gidx.len();
+    for (gi, &slot) in gidx.iter().enumerate() {
+        let tt = slot / k_experts;
+        gatherp[gi * h..(gi + 1) * h].copy_from_slice(&xnp[tt * h..(tt + 1) * h]);
+    }
+    matmul_into(&gatherp[..g * h], h, g, &w.up[e], upp, inter);
+    matmul_into(&gatherp[..g * h], h, g, &w.gate[e], gatep, inter);
+    span = spans.close(Stage::ExpertMatmuls, span);
+    // The group's rows are contiguous: one call covers all of them.
+    swiglu_in_place(&mut gatep[..g * inter], &upp[..g * inter]);
+    span = spans.close(Stage::SwiGlu, span);
+    // The group's activations are no longer needed, so the down outputs
+    // overwrite `gatherp`.
+    matmul_into(&gatep[..g * inter], inter, g, &w.down[e], gatherp, h);
+    span
+}
+
+/// Copy a group's down rows (`down`, rows of `h`, in `gidx` order) to
+/// their (row, chosen slot) places in `stage`.
+pub(crate) fn scatter(gidx: &[usize], down: &[f32], h: usize, stage: &mut [f32]) {
+    for (gi, &slot) in gidx.iter().enumerate() {
+        stage[slot * h..(slot + 1) * h].copy_from_slice(&down[gi * h..(gi + 1) * h]);
+    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,11 @@
 //! each worker's panels the same arena whatever sequences they hold.
 
 use crate::dataflow::GRID;
+use crate::help::Board;
 use crate::telemetry::StageNanos;
 use crate::tensor::LANES;
 use hnlpu_model::TransformerConfig;
+use std::sync::Arc;
 
 /// Widest activation panel the block runs through the matmul kernels in
 /// one pass. Longer prompts are chunked into panels of at most this many
@@ -160,6 +162,9 @@ pub struct Scratch {
     pub(crate) gidx: Vec<usize>,
     /// Host nanoseconds per stage spent in this arena (`telemetry`).
     pub(crate) spans: StageNanos,
+    /// The join board this arena's worker shares with a batched pool's
+    /// other workers (`help`); `None` outside a pool.
+    pub(crate) board: Option<Arc<Board>>,
 }
 
 impl Scratch {
@@ -201,6 +206,7 @@ impl Scratch {
             stagep: vec![0.0; t * per_tok * h],
             gidx: Vec::with_capacity(t * per_tok),
             spans: StageNanos::default(),
+            board: None,
         }
     }
 

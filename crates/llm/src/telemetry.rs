@@ -5,8 +5,9 @@
 //! accumulator, so a span needs no atomic, lock or thread-local: the
 //! worker that runs a stage adds its elapsed nanoseconds to its own arena,
 //! and a reader sums the arenas. A span covers a whole stage once per call
-//! of the function that runs it (`panel_block`, `stage_experts` per
-//! touched expert, the unembedding, `advance_chunk`, `run_round`), never
+//! of the function that runs it (`panel_block`, `expert_group` per
+//! touched expert, on whichever worker runs the group, the unembedding,
+//! `advance_chunk`, a helped group, `run_round`), never
 //! once per head, chip or position. Spans are always on. Wall-clock time
 //! lands only in these counters: it never feeds scheduling, accumulation
 //! order or token selection.
@@ -29,7 +30,9 @@ pub enum Stage {
     /// The unembedding of the rows that need logits.
     Unembed,
     /// A worker's whole share of a round (`batch::advance_chunk`): every
-    /// stage above plus embedding, sampling and the round's bookkeeping.
+    /// stage above plus embedding, sampling and the round's bookkeeping,
+    /// and then the expert groups it ran for other workers while it waited
+    /// at the join (`help`). Waiting with nothing to run is not counted.
     Worker,
     /// A whole round (`batch::run_round`), fan-out to join, charged to
     /// every arena that took part: `1 − worker / round` is the workers'
