@@ -1,11 +1,12 @@
 //! The 4×4-chip HNLPU dataflow executor (Figure 10 / Appendix A).
 //!
 //! Every tensor is computed the way the machine computes it: chips hold
-//! weight *slices*, produce partial sums, and exchange them through explicit
-//! collectives whose invocations and byte counts are recorded. Attention
-//! follows the FlashAttention-style flow (§4.3): each chip reduces its
-//! quarter of the context with running max/sum statistics, and the column
-//! group combines the partials exactly. A block of up to 16 queries is
+//! weight *slices*, produce partial sums, and exchange them through the
+//! collectives of `hnlpu-sim`'s [`layer_collectives`], the one schedule the
+//! timing model prices and the [`CommCounters`] count. Attention follows
+//! the FlashAttention-style flow (§4.3): each chip reduces its quarter of
+//! the context with running max/sum statistics, and the column group
+//! combines the partials exactly. A block of up to 16 queries is
 //! scored against tiles of key positions (`tensor::score_lanes`), each key
 //! and value read once per block rather than once per query (a prefill
 //! panel's rows share their sequence's shards), and every score, and so
@@ -32,25 +33,43 @@ use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::telemetry::{self, Stage};
 use crate::tensor::{add_assign, lane_arms, score_lanes, weigh_lanes, Lanes, LANES};
 use hnlpu_model::{PackedFp4Matrix, TransformerConfig};
+pub use hnlpu_sim::pipeline::GRID;
+use hnlpu_sim::pipeline::{layer_collectives, Collective, Group};
+use hnlpu_sim::CollectiveKind;
 use std::array::from_fn;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
-/// Chip-grid dimension (the paper's 4×4 fabric).
-pub const GRID: usize = 4;
-
-/// Collective-communication counters, per executor run.
+/// Collective-communication counters, per executor run: each layer charges
+/// each row its [`layer_collectives`] once, counting a collective once per
+/// group instance ([`GRID`] for a column or row entry, one for all chips).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommCounters {
-    /// Column- or row-group all-reduces.
+    /// Column- or row-group all-reduce instances.
     pub all_reduces: u64,
     /// All-chip (16-way) all-reduces.
     pub all_chip_all_reduces: u64,
-    /// Reduces to a single chip.
-    pub reduces: u64,
-    /// All-gathers.
+    /// Column-group all-gather instances, plus one vocabulary gather per
+    /// unembedded row.
     pub all_gathers: u64,
-    /// Total payload bytes exchanged (fp32 accounting).
+    /// Payload bytes: each charged entry's per-chip fp16 payload as the
+    /// timing model prices it, plus each vocabulary gather's fp32 logits.
     pub bytes: u64,
+}
+
+impl CommCounters {
+    /// One row's charge for the entries of `schedule` that `stages` issue.
+    fn of(schedule: &[Collective], stages: RangeInclusive<u8>) -> Self {
+        let mut one = CommCounters::default();
+        for &(_, kind, group, bytes) in schedule.iter().filter(|c| stages.contains(&c.0)) {
+            match (group, kind) {
+                (Group::AllChips, _) => one.all_chip_all_reduces += 1,
+                (_, CollectiveKind::AllGather) => one.all_gathers += GRID as u64,
+                _ => one.all_reduces += GRID as u64,
+            }
+            one.bytes += bytes;
+        }
+        one
+    }
 }
 
 impl std::ops::Add for CommCounters {
@@ -66,7 +85,6 @@ impl std::ops::AddAssign for CommCounters {
     fn add_assign(&mut self, rhs: CommCounters) {
         self.all_reduces += rhs.all_reduces;
         self.all_chip_all_reduces += rhs.all_chip_all_reduces;
-        self.reduces += rhs.reduces;
         self.all_gathers += rhs.all_gathers;
         self.bytes += rhs.bytes;
     }
@@ -261,7 +279,7 @@ impl DataflowState {
 }
 
 impl PanelRows<'_, '_, DataflowState> {
-    /// Charge every row one instance of a collective.
+    /// Charge every row `one`.
     fn charge(&mut self, one: CommCounters) {
         for tt in 0..self.len() {
             self.state(tt).comm += one;
@@ -402,8 +420,8 @@ impl Placement for Grid {
     /// reductions add partials in chip order; RoPE/attention/MoE math runs
     /// per row against that row's own position and KV shards — so KV
     /// shards and residuals are bit-equal for every chunking and every
-    /// grouping. Each row's communication counters advance by the
-    /// per-token schedule.
+    /// grouping. Each row is charged the model's [`layer_collectives`], a
+    /// stage's entries where the block runs that stage.
     fn panel_block(
         engine: &DataflowExecutor,
         layer: usize,
@@ -424,6 +442,7 @@ impl Placement for Grid {
         let q_heads_per_col = c.attention.num_query_heads / GRID;
         let group = c.attention.group_size();
         let row_slice = h / GRID;
+        let schedule = layer_collectives(&c);
         let Scratch {
             scores,
             delta,
@@ -447,12 +466,10 @@ impl Placement for Grid {
         }
 
         // (II) Projections: chip (r, col) runs one T-wide matmul over its
-        // row slice of the panel; per token the column all-reduces the
-        // four partials in chip order.
+        // row slice of the panel, and the column adds the four partials in
+        // chip order — per token, one fused QKV all-reduce per column.
         for col in 0..GRID {
-            col_project_panel(
-                xnp, h, rows, &w.wq, col, q_per_col, row_slice, partp, qp, qw,
-            );
+            col_project_panel(xnp, h, t, &w.wq, col, q_per_col, row_slice, partp, qp, qw);
         }
         if let Some(adapter) = &engine.q_adapters[layer] {
             // Field-programmable side-channel: the rank-r delta is computed
@@ -464,23 +481,18 @@ impl Placement for Grid {
             }
         }
         for col in 0..GRID {
-            col_project_panel(
-                xnp, h, rows, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw,
-            );
-            col_project_panel(
-                xnp, h, rows, &w.wv, col, kv_per_col, row_slice, partp, vp, kvw,
-            );
+            col_project_panel(xnp, h, t, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw);
+            col_project_panel(xnp, h, t, &w.wv, col, kv_per_col, row_slice, partp, vp, kvw);
         }
+        rows.charge(CommCounters::of(&schedule, 0..=0));
 
         // (III) RoPE + KV landing: a row at `position` lands on chip
         // (position mod 4) of each column of its own sequence's shards.
         for tt in 0..t {
             let position = positions[tt];
-            let DataflowState { kv, comm } = rows.state(tt);
+            let kv = &mut rows.state(tt).kv;
             rope.prepare(position);
             for col in 0..GRID {
-                comm.reduces += 2;
-                comm.bytes += 2 * (kv_per_col as u64) * 4;
                 for head in 0..q_heads_per_col {
                     rope.apply(&mut qp[tt * qw + col * q_per_col + head * hd..][..hd]);
                 }
@@ -524,17 +536,13 @@ impl Placement for Grid {
                 );
             }
         }
-        // Per row, one all-reduce of its attention outputs per column.
-        rows.charge(CommCounters {
-            all_reduces: GRID as u64,
-            bytes: (GRID * q_per_col) as u64 * 4,
-            ..CommCounters::default()
-        });
+        // Each column combines its chips' flash partials: attention's two all-reduces.
+        rows.charge(CommCounters::of(&schedule, 1..=2));
 
         let span = spans.close(Stage::Attention, span);
 
-        // (VI) Output projection: per token, row all-reduces in chip
-        // order then a column all-gather — the per-token schedule × t.
+        // (VI) Output projection: per token, each grid row all-reduces its
+        // slice in column order, then each column all-gathers the slices.
         for r in 0..GRID {
             for tt in 0..t {
                 xop[tt * h + r * row_slice..][..row_slice].fill(0.0);
@@ -559,17 +567,8 @@ impl Placement for Grid {
                     );
                 }
             }
-            rows.charge(CommCounters {
-                all_reduces: 1,
-                bytes: row_slice as u64 * 4,
-                ..CommCounters::default()
-            });
         }
-        rows.charge(CommCounters {
-            all_gathers: 1,
-            bytes: h as u64 * 4,
-            ..CommCounters::default()
-        });
+        rows.charge(CommCounters::of(&schedule, 3..=3));
         for tt in 0..t {
             // first residual (local on every chip)
             add_assign(&mut xop[tt * h..(tt + 1) * h], &xp[tt * h..(tt + 1) * h]);
@@ -619,25 +618,22 @@ impl Placement for Grid {
             xp[tt * h..(tt + 1) * h].copy_from_slice(y);
         }
         spans.close(Stage::ExpertMatmuls, span);
-        rows.charge(CommCounters {
-            all_chip_all_reduces: 1,
-            bytes: h as u64 * 4,
-            ..CommCounters::default()
-        });
+        // (IX) is the all-chip Y all-reduce; the replicated router sends nothing.
+        rows.charge(CommCounters::of(&schedule, 4..=5));
     }
 }
 
 /// Column projection with partial sums: chip `(r, col)` runs one T-wide
-/// matmul over its row slice of the activation panel against its block of
-/// the packed matrix, and each token's four partial rows are summed into a
-/// zeroed accumulator in chip order — the column all-reduce. The 4-way
-/// split and the in-order reduction are numerics, not scheduling: they fix
-/// every output bit whichever chip hosts a partition.
+/// matmul over its row slice of the `t`-row panel against its block of the
+/// packed matrix, and each token's four partial rows are summed into a
+/// zeroed accumulator in chip order — the column's part of the fused QKV
+/// all-reduce. The 4-way split and the in-order reduction are numerics, not
+/// scheduling: they fix every output bit whichever chip hosts a partition.
 #[allow(clippy::too_many_arguments)]
 fn col_project_panel(
     xs: &[f32],
     x_stride: usize,
-    rows: &mut PanelRows<'_, '_, DataflowState>,
+    t: usize,
     m: &PackedFp4Matrix,
     col: usize,
     per_col: usize,
@@ -646,7 +642,6 @@ fn col_project_panel(
     outs: &mut [f32],
     out_stride: usize,
 ) {
-    let t = rows.len();
     for tt in 0..t {
         outs[tt * out_stride + col * per_col..tt * out_stride + (col + 1) * per_col].fill(0.0);
     }
@@ -670,11 +665,6 @@ fn col_project_panel(
             );
         }
     }
-    rows.charge(CommCounters {
-        all_reduces: 1,
-        bytes: per_col as u64 * 4,
-        ..CommCounters::default()
-    });
 }
 
 lane_arms! {
@@ -992,7 +982,6 @@ mod tests {
         flash_acc: &mut [f32],
         numer: &mut [f32],
         out: &mut [f32],
-        comm: &mut CommCounters,
     ) {
         let scale = 1.0 / (hd as f32).sqrt();
         for head in 0..q_heads_per_col {
@@ -1057,8 +1046,6 @@ mod tests {
                 *oo = n / denom;
             }
         }
-        comm.all_reduces += 1;
-        comm.bytes += (q_heads_per_col * hd) as u64 * 4;
     }
 
     /// Column shards holding positions `0..len`
@@ -1182,7 +1169,6 @@ mod tests {
             let mut want = vec![f32::NAN; t * stride];
             let mut scores = Vec::new();
             let (mut flash_acc, mut numer) = (vec![0.0; GRID * hd], vec![0.0; hd]);
-            let mut comm = CommCounters::default();
             for tt in 0..t {
                 oracle_column_attention(
                     &qs[tt * stride..][..q_heads * hd],
@@ -1196,7 +1182,6 @@ mod tests {
                     &mut flash_acc,
                     &mut numer,
                     &mut want[tt * stride..][..q_heads * hd],
-                    &mut comm,
                 );
             }
 
@@ -1285,19 +1270,54 @@ mod tests {
     #[test]
     fn comm_counters_match_dataflow_schedule() {
         let w = weights();
-        let layers = w.config.num_layers as u64;
         let hnlpu = DataflowExecutor::new(w);
         let (_, comm) = hnlpu.generate_with_report(&[1], 1, &mut Sampler::Greedy);
-        // One step: per layer per column group: 3 projection ARs + 1
-        // attention AR + (per row) 4 Wo row-ARs; 2 KV reduces per column;
-        // 1 Xo all-gather; 1 all-chip Y all-reduce; plus the final
-        // unembedding all-gather.
-        let per_layer_ar = 4 * 3 + 4 + 4; // 4 cols x (q,k,v) + 4 attn + 4 wo rows
-        assert_eq!(comm.all_reduces, layers * per_layer_ar);
-        assert_eq!(comm.reduces, layers * 8);
-        assert_eq!(comm.all_gathers, layers + 1);
-        assert_eq!(comm.all_chip_all_reduces, layers);
-        assert!(comm.bytes > 0);
+        // One token through the test model's 3 layers (h = 64, 8 query / 4
+        // KV heads of 16 dims; per chip Q 32, K 16 and V 16 values, 2 query
+        // heads, h / 4 = 16), then one unembedding. Per layer: a fused QKV
+        // all-reduce, two attention all-reduces and an Xo row all-reduce,
+        // 4 instances each; an Xo column all-gather, 4 instances; one
+        // all-chip Y all-reduce. Payloads, fp16 per chip: QKV 2 × 64 = 128,
+        // attention 2 × 32 + 2 × 2 × 2 stats = 72 and 64, Xo 32 and 32, Y
+        // 128; the vocabulary gather moves 128 fp32 logits.
+        assert_eq!(comm.all_reduces, 3 * 16);
+        assert_eq!(comm.all_gathers, 3 * 4 + 1);
+        assert_eq!(comm.all_chip_all_reduces, 3);
+        assert_eq!(comm.bytes, 3 * (128 + 72 + 64 + 32 + 32 + 128) + 128 * 4);
+    }
+
+    #[test]
+    fn every_row_is_charged_the_layer_schedule_once_per_layer() {
+        let hnlpu = DataflowExecutor::new(weights());
+        let c = *hnlpu.config();
+        let per_layer = CommCounters::of(&layer_collectives(&c), 0..=5);
+        let gather = CommCounters {
+            all_gathers: 1,
+            bytes: c.vocab_size as u64 * 4,
+            ..CommCounters::default()
+        };
+        let tokens = |n: usize| {
+            (0..n * c.num_layers)
+                .map(|_| per_layer)
+                .sum::<CommCounters>()
+        };
+
+        // A prefill panel: each of its 5 rows, then the last row's gather.
+        let mut prefilled = hnlpu.new_state();
+        let prompt = [3, 1, 4, 1, 5];
+        hnlpu.prefill_with(&prompt, &mut prefilled, &mut hnlpu.new_scratch(), true);
+        assert_eq!(prefilled.comm, tokens(prompt.len()) + gather);
+
+        // A batched decode step: each row of the panel once, on its own
+        // sequence's counters.
+        let mut states: Vec<DataflowState> = (0..3).map(|_| hnlpu.new_state()).collect();
+        let mut logits = vec![vec![0.0; c.vocab_size]; states.len()];
+        let mut refs: Vec<&mut DataflowState> = states.iter_mut().collect();
+        let mut outs: Vec<&mut [f32]> = logits.iter_mut().map(Vec::as_mut_slice).collect();
+        hnlpu.step_batch_with(&[7, 8, 9], &mut refs, &mut hnlpu.new_scratch(), &mut outs);
+        for state in &states {
+            assert_eq!(state.comm, tokens(1) + gather);
+        }
     }
 
     #[test]
@@ -1408,14 +1428,10 @@ mod tests {
             .collect();
         let per_col = w.cols() / GRID;
         let mut healthy = vec![0.0f32; per_col];
-        let mut state = hnlpu.new_state();
         col_project_panel(
             &x,
             rows,
-            &mut PanelRows::Prefill {
-                state: &mut state,
-                t: 1,
-            },
+            1,
             w,
             0,
             per_col,

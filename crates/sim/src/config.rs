@@ -1,6 +1,8 @@
-//! The simulated machine description.
+//! The simulated machine description: the paper's machine constants and
+//! the hardwired model's shape, from which the collectives and KV derive.
 
-use hnlpu_model::TransformerConfig;
+use crate::pipeline::{self, GRID};
+use hnlpu_model::{zoo, TransformerConfig};
 use serde::Serialize;
 
 /// CXL 3.0 link parameters (§4.2: <100 ns latency, 128 GB/s per ×16 link).
@@ -31,11 +33,9 @@ impl Default for CxlParams {
 pub struct SimConfig {
     /// Clock frequency, Hz.
     pub clock_hz: f64,
-    /// Chip-grid rows (4).
-    pub grid_rows: u32,
-    /// Chip-grid columns (4).
-    pub grid_cols: u32,
-    /// Transformer layers (36 for gpt-oss; sets pipeline depth).
+    /// The hardwired model's shape (collective payloads, KV geometry).
+    pub model: TransformerConfig,
+    /// Pipeline depth in layers (the model's layer count; tests shrink it).
     pub num_layers: u32,
     /// Pipeline stages per layer (6, Figure 11).
     pub stages_per_layer: u32,
@@ -70,18 +70,25 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's HNLPU for gpt-oss 120 B.
     pub fn paper_default() -> Self {
+        Self::for_model(&zoo::gpt_oss_120b().config, 135)
+    }
+
+    /// The paper's machine hardwiring `model` (pipeline depth and KV
+    /// geometry from `model`, projection cycles supplied by the array plan).
+    pub fn for_model(model: &TransformerConfig, projection_cycles: u64) -> Self {
         SimConfig {
             clock_hz: 1.0e9,
-            grid_rows: 4,
-            grid_cols: 4,
-            num_layers: 36,
+            model: *model,
+            num_layers: model.num_layers as u32,
             stages_per_layer: 6,
-            projection_cycles: 135,
+            projection_cycles,
             projections_per_layer: 5,
             nonlinear_cycles: 135,
             vex_kv_heads_per_cycle: 32,
             attention_overlap: 0.58,
-            kv_bytes_per_token_layer_chip: 256,
+            kv_bytes_per_token_layer_chip: (pipeline::kv_heads_per_col(model)
+                * model.attention.head_dim
+                * 2) as u64,
             buffer_bw_bytes_per_s: 80.0e12,
             buffer_bytes: 20_000 * 16 * 1024,
             hbm_bytes: 192 * 1024 * 1024 * 1024,
@@ -90,21 +97,9 @@ impl SimConfig {
         }
     }
 
-    /// Derive a config for an arbitrary model (layer count and KV geometry
-    /// from `cfg`, projection cycles supplied by the array plan).
-    pub fn for_model(cfg: &TransformerConfig, projection_cycles: u64) -> Self {
-        let mut c = Self::paper_default();
-        c.num_layers = cfg.num_layers as u32;
-        c.projection_cycles = projection_cycles;
-        let kv_heads_per_col = (cfg.attention.num_kv_heads as u32 / c.grid_cols).max(1);
-        c.kv_bytes_per_token_layer_chip =
-            (kv_heads_per_col as u64) * cfg.attention.head_dim as u64 * 2;
-        c
-    }
-
     /// Total chips.
     pub fn num_chips(&self) -> u32 {
-        self.grid_rows * self.grid_cols
+        (GRID * GRID) as u32
     }
 
     /// Pipeline slots = stages × layers (216 for gpt-oss: the paper's

@@ -11,7 +11,7 @@
 
 use crate::config::SimConfig;
 use crate::fabric::CollectiveKind;
-use crate::pipeline::{Group, LAYER_COLLECTIVES};
+use crate::pipeline::{layer_collectives, Group};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -36,8 +36,6 @@ pub fn row_group(row: u8) -> [ChipId; 4] {
 #[derive(Debug, Clone, Default)]
 pub struct PacketFabric {
     busy_until_ns: BTreeMap<(ChipId, ChipId), f64>,
-    /// Cumulative occupancy per link (for utilization reporting).
-    occupancy_ns: BTreeMap<(ChipId, ChipId), f64>,
     /// Messages delivered so far.
     pub messages: u64,
     /// Payload bytes moved so far.
@@ -81,7 +79,6 @@ impl PacketFabric {
         // lets 36 layers share 6 links — see EXPERIMENTS.md).
         let occupancy = bytes as f64 / cfg.cxl.bandwidth_bytes_per_s * 1e9;
         *link = start + occupancy;
-        *self.occupancy_ns.entry((src, dst)).or_insert(0.0) += occupancy;
         self.messages += 1;
         self.bytes += bytes;
         start + occupancy + cfg.cxl.protocol_ns + cfg.cxl.latency_ns
@@ -152,12 +149,6 @@ impl PacketFabric {
             done = done.max(self.broadcast(cfg, group, m, bytes_per_member, ready_ns));
         }
         done
-    }
-
-    /// Peak cumulative link occupancy, nanoseconds (the busiest link's
-    /// total serialization time).
-    pub fn peak_link_occupancy_ns(&self) -> f64 {
-        self.occupancy_ns.values().copied().fold(0.0, f64::max)
     }
 
     /// 16-chip all-reduce: row-group all-reduce then column-group
@@ -247,12 +238,13 @@ impl PacketSim {
         }
     }
 
-    /// Issue the stage's [`LAYER_COLLECTIVES`] on the fabric, each on every
-    /// instance of its group once the previous one completed; returns
-    /// completion.
+    /// Issue the stage's entries of the model's [`layer_collectives`] on
+    /// the fabric, each on every instance of its group once the previous
+    /// one completed; returns completion.
     fn stage_comm(&self, fabric: &mut PacketFabric, stage: u8, ready_ns: f64) -> f64 {
         let cfg = &self.cfg;
-        let stage_collectives = LAYER_COLLECTIVES.iter().filter(|c| c.0 == stage);
+        let schedule = layer_collectives(&cfg.model);
+        let stage_collectives = schedule.iter().filter(|c| c.0 == stage);
         stage_collectives.fold(ready_ns, |ready, &(_, kind, group, bytes)| {
             if group == Group::AllChips {
                 return fabric.all_chip_all_reduce(cfg, bytes, ready);

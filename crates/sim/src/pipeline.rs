@@ -10,7 +10,9 @@
 //! * Per layer, a token performs 13 collective rounds (QKV all-reduce,
 //!   two attention all-reduces, the Xo row-all-reduce + column-all-gather,
 //!   and the final 16-chip Y all-reduce) — ~4 µs of link occupancy, which
-//!   dominates at short contexts (Figure 14's 82.9% at 2 K).
+//!   dominates at short contexts (Figure 14's 82.9% at 2 K). That schedule
+//!   is [`layer_collectives`], derived from the model's shape: priced here,
+//!   issued by [`crate::packet::PacketSim`], counted by `hnlpu-llm`'s grid.
 //! * Attention streams the chip's KV slice through the VEX at 32 KV heads
 //!   per cycle; 58% of that streaming hides under the adjacent collectives,
 //!   so the breakdown exposes 42% of it.
@@ -21,6 +23,7 @@
 use crate::config::SimConfig;
 use crate::fabric::{all_chip_all_reduce_cycles, collective_cycles, CollectiveKind};
 use crate::hbm::KvCacheModel;
+use hnlpu_model::TransformerConfig;
 use serde::Serialize;
 use CollectiveKind::{AllGather, AllReduce};
 use Group::{AllChips, Column, Row};
@@ -58,33 +61,55 @@ impl LayerTiming {
     }
 }
 
+/// Chip-grid dimension: the 4×4 fabric's rows and columns.
+pub const GRID: usize = 4;
+
 /// The chips one instance of a per-layer collective spans: each column,
 /// each row, or all 16 (a row all-reduce, then a column all-reduce).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Group {
+pub enum Group {
+    /// One instance per grid column.
     Column,
+    /// One instance per grid row.
     Row,
+    /// One instance over all 16 chips.
     AllChips,
 }
 
-/// One layer's collectives (Figure 10/11) in issue order as (stage, kind,
-/// group, per-chip fp16 payload bytes) at the gpt-oss shapes (h = 2880):
-/// fused QKV partials, the two flash-attention partials, Xo (h / 4 per
-/// chip: row all-reduce, column all-gather) and the layer output Y. The
-/// replicated router (stage 4) communicates nothing.
-pub(crate) const LAYER_COLLECTIVES: [(u8, CollectiveKind, Group, u64); 6] = [
-    (0, AllReduce, Column, 2 * (1024 + 128 + 128)),
-    (1, AllReduce, Column, 2 * (2 * 8 * 64) + 64),
-    (2, AllReduce, Column, 2 * (2 * 8 * 64)),
-    (3, AllReduce, Row, 2 * (2880 / 4)),
-    (3, AllGather, Column, 2 * (2880 / 4)),
-    (5, AllReduce, AllChips, 2 * 2880),
-];
+/// A per-layer collective: (pipeline stage, kind, group, per-chip fp16 bytes).
+pub type Collective = (u8, CollectiveKind, Group, u64);
 
-/// The 13 collective rounds of one transformer layer: [`LAYER_COLLECTIVES`]
-/// priced in issue order.
+/// KV heads a column's chips hold: a quarter of `model`'s, at least one.
+pub fn kv_heads_per_col(model: &TransformerConfig) -> usize {
+    (model.attention.num_kv_heads / GRID).max(1)
+}
+
+/// One layer's collectives of `model` in issue order, with per-chip fp16
+/// payloads on the fixed 4×4 [`GRID`], whatever chip count a design plans:
+/// the fused QKV partials (K and V at [`kv_heads_per_col`] heads), the two
+/// flash-attention partials (the first with a max and a sum per query
+/// head), Xo (h / 4 per chip: row all-reduce, column all-gather) and the
+/// layer output Y. The replicated router (stage 4) communicates nothing.
+pub fn layer_collectives(model: &TransformerConfig) -> [Collective; 6] {
+    let fp16 = |values: usize| 2 * values as u64;
+    let q = fp16(model.attention.q_width() / GRID);
+    let kv = fp16(kv_heads_per_col(model) * model.attention.head_dim);
+    let stats = 2 * fp16(model.attention.num_query_heads / GRID);
+    let slice = fp16(model.hidden_size / GRID);
+    [
+        (0, AllReduce, Column, q + 2 * kv),
+        (1, AllReduce, Column, q + stats),
+        (2, AllReduce, Column, q),
+        (3, AllReduce, Row, slice),
+        (3, AllGather, Column, slice),
+        (5, AllReduce, AllChips, fp16(model.hidden_size)),
+    ]
+}
+
+/// The 13 collective rounds of one transformer layer: the model's
+/// [`layer_collectives`] priced in issue order.
 pub fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
-    LAYER_COLLECTIVES
+    layer_collectives(&cfg.model)
         .iter()
         .fold(0.0, |sum, &(_, kind, group, bytes)| {
             sum + match group {
@@ -95,12 +120,11 @@ pub fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
 }
 
 /// Raw (pre-overlap) VEX attention cycles for one token of one layer:
-/// the chip's context slice × its KV heads × two passes (QKᵀ and ZV),
-/// streamed at `vex_kv_heads_per_cycle`.
+/// the chip's context slice × its column's KV heads × two passes (QKᵀ
+/// and ZV), streamed at `vex_kv_heads_per_cycle`.
 pub fn attention_raw_cycles(cfg: &SimConfig, context: u64) -> f64 {
-    let per_chip_context = context as f64 / cfg.grid_cols as f64;
-    let kv_heads_per_col = 2.0; // gpt-oss: 8 KV heads over 4 columns
-    2.0 * per_chip_context * kv_heads_per_col / cfg.vex_kv_heads_per_cycle as f64
+    let per_chip_context = context as f64 / GRID as f64;
+    2.0 * per_chip_context * kv_heads_per_col(&cfg.model) as f64 / cfg.vex_kv_heads_per_cycle as f64
 }
 
 /// KV-spill stall cycles (see [`KvCacheModel`]).
@@ -318,6 +342,64 @@ mod tests {
         assert!(long > short);
         // A chat-size prompt answers in well under a second.
         assert!(short < 1.0, "TTFT = {short}");
+    }
+
+    #[test]
+    fn gpt_oss_schedule_is_the_thirteen_paper_rounds() {
+        // Figure 10/11's payloads worked by hand at gpt-oss shapes: h =
+        // 2880, 64 query / 8 KV heads of 64 dims, 4 columns.
+        let by_hand = [
+            (0, AllReduce, Column, 2 * (1024 + 128 + 128)),
+            (1, AllReduce, Column, 2 * (2 * 8 * 64) + 64),
+            (2, AllReduce, Column, 2 * (2 * 8 * 64)),
+            (3, AllReduce, Row, 2 * (2880 / 4)),
+            (3, AllGather, Column, 2 * (2880 / 4)),
+            (5, AllReduce, AllChips, 2 * 2880),
+        ];
+        let schedule = layer_collectives(&cfg().model);
+        assert_eq!(schedule, by_hand);
+        // An all-chip all-reduce is a row all-reduce, then a column one.
+        let rounds: u32 = schedule
+            .iter()
+            .map(|&(_, kind, group, _)| kind.rounds() * if group == AllChips { 2 } else { 1 })
+            .sum();
+        assert_eq!(rounds, 13);
+    }
+
+    #[test]
+    fn for_model_prices_the_models_own_payloads() {
+        let gpt_oss = per_layer_comm_cycles(&cfg());
+        let kimi = SimConfig::for_model(&hnlpu_model::zoo::kimi_k2().config, 135);
+        let got = per_layer_comm_cycles(&kimi);
+        // Kimi-K2 by hand: h = 7168, 64 query / 8 KV heads of 128 dims.
+        // Per chip: Q 2048 + K 256 + V 256 values, 16 query heads, h / 4 =
+        // 1792; fp16. A round is 100 ns PHY + 190 ns protocol + bytes at
+        // 128 GB/s, at 1 cycle per ns.
+        let round = |bytes: f64| 100.0 + 190.0 + bytes / 128.0;
+        let want = 2.0 * round(2.0 * 2560.0) // QKV all-reduce
+            + 2.0 * round(2.0 * 2048.0 + 64.0) // attention partials + stats
+            + 2.0 * round(2.0 * 2048.0) // attention partials
+            + 2.0 * round(2.0 * 1792.0) // Xo row all-reduce
+            + round(2.0 * 1792.0) // Xo column all-gather
+            + 4.0 * round(2.0 * 7168.0); // Y: row then column all-reduce
+        assert!(
+            (got - want).abs() < 1e-9,
+            "kimi-k2 {got} vs hand count {want}"
+        );
+        assert!(got > gpt_oss, "kimi-k2 {got} vs gpt-oss {gpt_oss}");
+
+        // test-tiny has 2 KV heads on 4 columns: each column holds one
+        // whole head of 16 dims, so K and V are 16 fp16 values apiece,
+        // the same head the KV-cache model stores per chip.
+        let tiny = SimConfig::for_model(&hnlpu_model::zoo::test_model().config, 135);
+        let (_, _, _, qkv) = layer_collectives(&tiny.model)[0];
+        assert_eq!(qkv, 2 * (16 + 16 + 16));
+        assert_eq!(qkv, 2 * 16 + 2 * tiny.kv_bytes_per_token_layer_chip);
+        for c in [cfg(), kimi] {
+            let (_, _, _, qkv) = layer_collectives(&c.model)[0];
+            let q = 2 * (c.model.attention.q_width() / GRID) as u64;
+            assert_eq!(qkv, q + 2 * c.kv_bytes_per_token_layer_chip);
+        }
     }
 
     #[test]

@@ -38,10 +38,9 @@ fn main() {
             if ok { "MATCH" } else { "MISMATCH" }
         );
         println!(
-            "  collectives: {} group all-reduces, {} all-chip all-reduces, {} reduces, {} all-gathers, {:.1} KB",
+            "  collectives: {} group all-reduces, {} all-chip all-reduces, {} all-gathers, {:.1} KB",
             comm.all_reduces,
             comm.all_chip_all_reduces,
-            comm.reduces,
             comm.all_gathers,
             comm.bytes as f64 / 1024.0
         );

@@ -30,7 +30,7 @@ fn main() {
         "        ({} tokens in, {} out; {} collectives on the 4x4 fabric)\n",
         tokens.len(),
         out.len(),
-        comm.all_reduces + comm.all_chip_all_reduces + comm.reduces + comm.all_gathers
+        comm.all_reduces + comm.all_chip_all_reduces + comm.all_gathers
     );
 
     // --- Program 2: sequence scoring (no new hardware, new "program") ---

@@ -135,11 +135,8 @@ fn measured_batched_run(cfg: &SimConfig) {
         report.rounds, report.prefill_tokens, report.decoded_tokens
     );
     println!(
-        "peak pooled KV: {} bytes fp16  |  collectives: {} ARs, {} reduces, {} AGs",
-        report.peak_kv_bytes_fp16,
-        report.comm.all_reduces,
-        report.comm.reduces,
-        report.comm.all_gathers
+        "peak pooled KV: {} bytes fp16  |  collectives: {} ARs, {} AGs",
+        report.peak_kv_bytes_fp16, report.comm.all_reduces, report.comm.all_gathers
     );
     println!(
         "measured (functional, this host): {:>10.0} decode tokens/s  ({:.0} incl. prefill)",
