@@ -49,39 +49,23 @@ pub fn plane_weight(b: u32, bits: u32) -> i32 {
     }
 }
 
-/// Reassemble serialized planes back into values (inverse of [`serialize`]).
-pub fn deserialize(planes: &[Vec<bool>], bits: u32) -> Vec<i32> {
-    assert_eq!(planes.len(), bits as usize, "plane count mismatch");
-    let n = planes.first().map_or(0, |p| p.len());
-    (0..n)
-        .map(|i| {
-            (0..bits)
-                .map(|b| plane_weight(b, bits) * planes[b as usize][i] as i32)
-                .sum()
-        })
-        .collect()
-}
-
-/// Minimum signed bit width that represents every value in `values`.
-pub fn required_bits(values: &[i32]) -> u32 {
-    values
-        .iter()
-        .map(|&v| {
-            if v >= 0 {
-                33 - (v as u32).leading_zeros().min(32)
-            } else {
-                33 - (!(v as u32)).leading_zeros().min(32)
-            }
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Reassemble serialized planes back into values (inverse of [`serialize`]).
+    fn deserialize(planes: &[Vec<bool>], bits: u32) -> Vec<i32> {
+        assert_eq!(planes.len(), bits as usize, "plane count mismatch");
+        let n = planes.first().map_or(0, |p| p.len());
+        (0..n)
+            .map(|i| {
+                (0..bits)
+                    .map(|b| plane_weight(b, bits) * planes[b as usize][i] as i32)
+                    .sum()
+            })
+            .collect()
+    }
 
     #[test]
     fn roundtrip_small() {
@@ -104,16 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn required_bits_examples() {
-        assert_eq!(required_bits(&[0]), 1);
-        assert_eq!(required_bits(&[1]), 2);
-        assert_eq!(required_bits(&[-1]), 1);
-        assert_eq!(required_bits(&[127]), 8);
-        assert_eq!(required_bits(&[-128]), 8);
-        assert_eq!(required_bits(&[255]), 9);
-    }
-
-    #[test]
     fn empty_values() {
         let planes = serialize(&[], 8);
         assert_eq!(planes.len(), 8);
@@ -125,19 +99,6 @@ mod tests {
         fn roundtrip_random(vals in prop::collection::vec(-(1i32<<11)..(1i32<<11)-1, 0..100)) {
             let planes = serialize(&vals, 12);
             prop_assert_eq!(deserialize(&planes, 12), vals);
-        }
-
-        #[test]
-        fn required_bits_is_sufficient_and_tight(vals in prop::collection::vec(-5000i32..5000, 1..50)) {
-            let b = required_bits(&vals);
-            let planes = serialize(&vals, b);
-            prop_assert_eq!(deserialize(&planes, b), vals.clone());
-            if b > 1 {
-                // One bit fewer must overflow for at least one value.
-                let lo = -(1i64 << (b - 2));
-                let hi = (1i64 << (b - 2)) - 1;
-                prop_assert!(vals.iter().any(|&v| (v as i64) < lo || (v as i64) > hi));
-            }
         }
     }
 }

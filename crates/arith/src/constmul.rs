@@ -8,7 +8,7 @@ use crate::gates::GateBudget;
 
 /// Canonical signed-digit recoding of a (non-negative) integer: returns the
 /// digits in `{-1, 0, +1}` LSB-first, guaranteeing no two adjacent nonzeros.
-pub fn csd_digits(mut n: u64) -> Vec<i8> {
+pub(crate) fn csd_digits(mut n: u64) -> Vec<i8> {
     let mut out = Vec::new();
     while n != 0 {
         if n & 1 == 1 {
@@ -62,11 +62,6 @@ impl ConstMultiplier {
             stages,
             budget,
         }
-    }
-
-    /// The hardwired constant.
-    pub fn constant(&self) -> i64 {
-        self.constant
     }
 
     /// Number of adder stages in the shift-add network.

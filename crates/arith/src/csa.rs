@@ -9,7 +9,7 @@ use crate::gates::GateBudget;
 
 /// Result of compressing one full-adder stage: `(sum, carry)` with the carry
 /// already shifted one binary place left.
-pub fn compress_3_2(a: i64, b: i64, c: i64) -> (i64, i64) {
+pub(crate) fn compress_3_2(a: i64, b: i64, c: i64) -> (i64, i64) {
     // Bitwise carry-save form: sum = a^b^c, carry = majority << 1.
     let sum = a ^ b ^ c;
     let carry = ((a & b) | (a & c) | (b & c)) << 1;
@@ -71,16 +71,6 @@ impl CsaTree {
             depth,
             budget,
         }
-    }
-
-    /// Number of operands this tree reduces.
-    pub fn operands(&self) -> usize {
-        self.operands
-    }
-
-    /// Input operand width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
     }
 
     /// Logic depth in adder stages (including the final carry-propagate add).

@@ -46,57 +46,49 @@ impl GateCircuit {
     }
 
     /// Declare the next primary input.
-    pub fn input(&mut self) -> Sig {
+    pub(crate) fn input(&mut self) -> Sig {
         let idx = self.num_inputs;
         self.num_inputs += 1;
         self.push(Node::Input(idx))
     }
 
     /// Declare `n` primary inputs.
-    pub fn inputs(&mut self, n: usize) -> Vec<Sig> {
+    pub(crate) fn inputs(&mut self, n: usize) -> Vec<Sig> {
         (0..n).map(|_| self.input()).collect()
     }
 
     /// A constant signal.
-    pub fn constant(&mut self, v: bool) -> Sig {
+    pub(crate) fn constant(&mut self, v: bool) -> Sig {
         self.push(Node::Const(v))
     }
 
     /// AND gate.
-    pub fn and(&mut self, a: Sig, b: Sig) -> Sig {
+    pub(crate) fn and(&mut self, a: Sig, b: Sig) -> Sig {
         self.push(Node::And(a, b))
     }
 
     /// OR gate.
-    pub fn or(&mut self, a: Sig, b: Sig) -> Sig {
+    pub(crate) fn or(&mut self, a: Sig, b: Sig) -> Sig {
         self.push(Node::Or(a, b))
     }
 
     /// XOR gate.
-    pub fn xor(&mut self, a: Sig, b: Sig) -> Sig {
+    pub(crate) fn xor(&mut self, a: Sig, b: Sig) -> Sig {
         self.push(Node::Xor(a, b))
     }
 
     /// Inverter.
-    pub fn not(&mut self, a: Sig) -> Sig {
+    pub(crate) fn not(&mut self, a: Sig) -> Sig {
         self.push(Node::Not(a))
     }
 
-    /// 2:1 mux built from basic gates: `sel ? a : b`.
-    pub fn mux(&mut self, sel: Sig, a: Sig, b: Sig) -> Sig {
-        let ns = self.not(sel);
-        let ta = self.and(sel, a);
-        let tb = self.and(ns, b);
-        self.or(ta, tb)
-    }
-
     /// D flip-flop (resets to 0).
-    pub fn dff(&mut self, d: Sig) -> Sig {
+    pub(crate) fn dff(&mut self, d: Sig) -> Sig {
         self.push(Node::Dff(d))
     }
 
     /// Full adder: returns `(sum, carry)`.
-    pub fn full_adder(&mut self, a: Sig, b: Sig, cin: Sig) -> (Sig, Sig) {
+    pub(crate) fn full_adder(&mut self, a: Sig, b: Sig, cin: Sig) -> (Sig, Sig) {
         let axb = self.xor(a, b);
         let sum = self.xor(axb, cin);
         let ab = self.and(a, b);
@@ -125,7 +117,7 @@ impl GateCircuit {
     }
 
     /// Mark `sigs` as the circuit outputs (in order).
-    pub fn set_outputs(&mut self, sigs: Vec<Sig>) {
+    pub(crate) fn set_outputs(&mut self, sigs: Vec<Sig>) {
         self.outputs = sigs;
     }
 
@@ -162,7 +154,7 @@ impl GateCircuit {
     }
 
     /// Create a fresh simulation state (all registers zero).
-    pub fn new_state(&self) -> SimState {
+    pub(crate) fn new_state(&self) -> SimState {
         SimState {
             values: vec![false; self.nodes.len()],
             regs: vec![false; self.nodes.len()],
@@ -175,7 +167,7 @@ impl GateCircuit {
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the declared input count.
-    pub fn step(&self, state: &mut SimState, inputs: &[bool]) -> Vec<bool> {
+    pub(crate) fn step(&self, state: &mut SimState, inputs: &[bool]) -> Vec<bool> {
         assert_eq!(inputs.len() as u32, self.num_inputs, "input count mismatch");
         // Nodes are created in topological order (builders only reference
         // existing signals), so a single forward pass settles combinational
@@ -265,7 +257,7 @@ pub struct SimState {
 
 /// Build a combinational population counter over `bits`, returning the
 /// count in little-endian binary.
-pub fn build_popcount(c: &mut GateCircuit, bits: &[Sig]) -> Vec<Sig> {
+pub(crate) fn build_popcount(c: &mut GateCircuit, bits: &[Sig]) -> Vec<Sig> {
     if bits.is_empty() {
         return vec![c.constant(false)];
     }
@@ -350,19 +342,6 @@ mod tests {
         assert_eq!(c.step(&mut st, &[true]), vec![false]); // not yet
         assert_eq!(c.step(&mut st, &[false]), vec![true]); // sampled 1
         assert_eq!(c.step(&mut st, &[false]), vec![false]);
-    }
-
-    #[test]
-    fn mux_selects() {
-        let mut c = GateCircuit::new();
-        let s = c.input();
-        let a = c.input();
-        let b = c.input();
-        let m = c.mux(s, a, b);
-        c.set_outputs(vec![m]);
-        let mut st = c.new_state();
-        assert_eq!(c.step(&mut st, &[true, true, false]), vec![true]);
-        assert_eq!(c.step(&mut st, &[false, true, false]), vec![false]);
     }
 
     #[test]

@@ -34,17 +34,17 @@ pub struct GateBudget {
 /// (Mirrored-adder FA = 28 T, HA = 14 T, DFF = 24 T, MUX2 = 12 T, NAND2 = 4 T.)
 pub mod transistors {
     /// Full adder.
-    pub const FULL_ADDER: u64 = 28;
+    pub(crate) const FULL_ADDER: u64 = 28;
     /// Half adder.
-    pub const HALF_ADDER: u64 = 14;
+    pub(crate) const HALF_ADDER: u64 = 14;
     /// D flip-flop.
     pub const DFF: u64 = 24;
     /// 2:1 mux.
-    pub const MUX2: u64 = 12;
+    pub(crate) const MUX2: u64 = 12;
     /// Generic 2-input gate.
-    pub const SIMPLE: u64 = 6;
+    pub(crate) const SIMPLE: u64 = 6;
     /// Pass-transistor scan port.
-    pub const SCAN_PORT: u64 = 3;
+    pub(crate) const SCAN_PORT: u64 = 3;
 }
 
 impl GateBudget {
@@ -62,7 +62,7 @@ impl GateBudget {
     }
 
     /// A budget of only flops.
-    pub fn dff(n: u64) -> Self {
+    pub(crate) fn dff(n: u64) -> Self {
         GateBudget {
             flops: n,
             ..Self::default()
@@ -77,21 +77,6 @@ impl GateBudget {
             + self.muxes * transistors::MUX2
             + self.simple_gates * transistors::SIMPLE
             + self.scan_ports * transistors::SCAN_PORT
-    }
-
-    /// Number of cell instances of any kind.
-    pub fn cell_count(&self) -> u64 {
-        self.full_adders
-            + self.half_adders
-            + self.flops
-            + self.muxes
-            + self.simple_gates
-            + self.scan_ports
-    }
-
-    /// True when nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.cell_count() == 0
     }
 }
 
@@ -153,7 +138,6 @@ mod tests {
             b.transistor_count(),
             2 * 28 + 14 + 3 * 24 + 12 + 5 * 6 + 10 * 3
         );
-        assert_eq!(b.cell_count(), 22);
     }
 
     #[test]
@@ -168,11 +152,5 @@ mod tests {
     fn sum_over_iterator() {
         let total: GateBudget = (0..4).map(|_| GateBudget::fa(5)).sum();
         assert_eq!(total.full_adders, 20);
-    }
-
-    #[test]
-    fn empty_budget() {
-        assert!(GateBudget::new().is_empty());
-        assert!(!GateBudget::fa(1).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! This crate implements — functionally, and with exact structural gate
 //! accounting — the arithmetic techniques of §3.1 of the paper:
 //!
-//! * [`gates`] — gate/cell budgets (full adders, flops, muxes…) that the
+//! * `gates` — gate/cell budgets (full adders, flops, muxes…) that the
 //!   circuit crate converts into area/power at a technology node.
 //! * [`csa`] — carry-save adder (3:2 compressor) trees for multi-operand
 //!   accumulation (Figure 3, right).
@@ -43,14 +43,12 @@
 pub mod bitserial;
 pub mod constmul;
 pub mod csa;
-pub mod gatelevel;
-pub mod gates;
-pub mod hn_rtl;
+mod gatelevel;
+mod gates;
+mod hn_rtl;
 pub mod neuron;
 pub mod popcount;
 
-pub use gatelevel::GateCircuit;
 pub use gates::GateBudget;
 pub use hn_rtl::GateHn;
-pub use neuron::{CellEmbeddingNeuron, HardwiredNeuron, MacArray, NeuronOutput};
 pub use popcount::PopcountTree;

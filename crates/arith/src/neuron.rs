@@ -32,13 +32,6 @@ pub struct NeuronOutput {
     pub cycles: u64,
 }
 
-impl NeuronOutput {
-    /// The dot product as `f32` (half-units → real value).
-    pub fn value(&self) -> f32 {
-        self.value_half_units as f32 * 0.5
-    }
-}
-
 /// Reference dot product in half-units: the ground truth all units match.
 pub fn reference_dot(weights: &[Fp4], activations: &[i32]) -> i64 {
     assert_eq!(weights.len(), activations.len(), "length mismatch");
@@ -64,7 +57,7 @@ pub struct HardwiredNeuron {
 
 /// Default activation bit-width for the HN array datapath (the VEX unit
 /// quantizes activations to 12-bit fixed point before serialization).
-pub const DEFAULT_ACTIVATION_BITS: u32 = 12;
+pub(crate) const DEFAULT_ACTIVATION_BITS: u32 = 12;
 
 impl HardwiredNeuron {
     /// Wire a neuron for `weights`, provisioning each POPCNT region with a
@@ -114,30 +107,6 @@ impl HardwiredNeuron {
             tree: CsaTree::new(NUM_CODES, activation_bits + 16),
             activation_bits,
         }
-    }
-
-    /// Fan-in (number of hardwired weights).
-    pub fn fan_in(&self) -> usize {
-        self.fan_in
-    }
-
-    /// Provisioning slack factor.
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
-
-    /// Activation bit-width the serializer feeds this neuron.
-    pub fn activation_bits(&self) -> u32 {
-        self.activation_bits
-    }
-
-    /// Inputs wired to each of the 16 regions.
-    pub fn region_sizes(&self) -> [usize; NUM_CODES] {
-        let mut out = [0; NUM_CODES];
-        for (o, r) in out.iter_mut().zip(self.regions.iter()) {
-            *o = r.len();
-        }
-        out
     }
 
     /// Evaluate the neuron on `activations`, exactly mirroring the hardware
@@ -213,12 +182,6 @@ impl HardwiredNeuron {
         };
         b
     }
-
-    /// Number of metal embedding wires (exactly one per weight — the whole
-    /// point of Metal-Embedding).
-    pub fn wire_count(&self) -> usize {
-        self.fan_in
-    }
 }
 
 /// A conventional Cell-Embedding neuron (Figure 4 ❶): one constant
@@ -251,7 +214,7 @@ impl CellEmbeddingNeuron {
     }
 
     /// Fan-in.
-    pub fn fan_in(&self) -> usize {
+    pub(crate) fn fan_in(&self) -> usize {
         self.multipliers.len()
     }
 
@@ -312,11 +275,6 @@ impl MacArray {
             lanes,
             activation_bits,
         }
-    }
-
-    /// Number of MAC lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Evaluate a dot product, `lanes` elements per cycle.
@@ -409,8 +367,9 @@ mod tests {
     fn region_sizes_partition_fan_in() {
         let (w, _) = random_case(3, 777);
         let hn = HardwiredNeuron::build(&w, 1.25);
-        assert_eq!(hn.region_sizes().iter().sum::<usize>(), 777);
-        assert_eq!(hn.wire_count(), 777);
+        assert_eq!(hn.regions.len(), NUM_CODES);
+        assert_eq!(hn.regions.iter().map(Vec::len).sum::<usize>(), 777);
+        assert_eq!(hn.fan_in, 777);
     }
 
     #[test]
@@ -451,15 +410,6 @@ mod tests {
         let slow = MacArray::new(8, 12).eval(&w, &x).cycles;
         let fast = MacArray::new(256, 12).eval(&w, &x).cycles;
         assert!(slow > 10 * fast / 2, "slow={slow} fast={fast}");
-    }
-
-    #[test]
-    fn value_helper_halves() {
-        let out = NeuronOutput {
-            value_half_units: 39,
-            cycles: 1,
-        };
-        assert_eq!(out.value(), 19.5);
     }
 
     #[test]

@@ -77,13 +77,8 @@ impl PopcountTree {
         }
     }
 
-    /// Maximum number of inputs.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Width of the count output in bits.
-    pub fn output_bits(&self) -> u32 {
+    pub(crate) fn output_bits(&self) -> u32 {
         self.out_bits
     }
 
@@ -124,7 +119,7 @@ mod tests {
     fn zero_capacity() {
         let p = PopcountTree::new(0);
         assert_eq!(p.count(&[]), 0);
-        assert_eq!(p.budget().cell_count(), 0);
+        assert_eq!(p.budget(), GateBudget::new());
         assert_eq!(p.depth(), 0);
     }
 

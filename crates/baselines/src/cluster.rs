@@ -36,13 +36,8 @@ impl H100Cluster {
         }
     }
 
-    /// GPUs needed to match `tokens_per_s` at the distributed per-GPU rate.
-    pub fn gpus_for_throughput(tokens_per_s: f64) -> u32 {
-        (tokens_per_s / H100::paper().distributed_tokens_per_s).ceil() as u32
-    }
-
     /// Node count.
-    pub fn nodes(&self) -> u32 {
+    pub(crate) fn nodes(&self) -> u32 {
         self.gpus.div_ceil(self.gpus_per_node)
     }
 
@@ -52,18 +47,13 @@ impl H100Cluster {
     }
 
     /// IT (critical) power, watts.
-    pub fn it_power_w(&self) -> f64 {
+    pub(crate) fn it_power_w(&self) -> f64 {
         self.nodes() as f64 * self.node_power_w
     }
 
     /// Facility power including PUE, watts.
     pub fn facility_power_w(&self) -> f64 {
         self.it_power_w() * self.pue
-    }
-
-    /// Aggregate decode throughput at the distributed per-GPU anchor.
-    pub fn throughput_tokens_per_s(&self) -> f64 {
-        self.gpus as f64 * self.device.distributed_tokens_per_s
     }
 }
 
@@ -75,8 +65,7 @@ mod tests {
     fn two_thousand_gpus_match_one_hnlpu() {
         // Appendix B note 1: one HNLPU (~2M tokens/s under the TCO
         // workload) ≙ ~2,000 H100s at 1.08K tokens/s each.
-        assert_eq!(H100Cluster::gpus_for_throughput(2.0e6), 1852);
-        assert_eq!(H100Cluster::gpus_for_throughput(2.16e6), 2000);
+        assert_eq!(2000.0 * H100::paper().distributed_tokens_per_s, 2.16e6);
     }
 
     #[test]
@@ -92,12 +81,5 @@ mod tests {
         // 250 nodes x $320K = $80M (Table 3 "H100 Node Price" low volume).
         let c = H100Cluster::new(2000);
         assert!((c.hardware_usd() - 80.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn throughput_scales_with_gpus() {
-        let small = H100Cluster::new(1000).throughput_tokens_per_s();
-        let big = H100Cluster::new(2000).throughput_tokens_per_s();
-        assert!((big / small - 2.0).abs() < 1e-9);
     }
 }

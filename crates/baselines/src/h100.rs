@@ -1,16 +1,10 @@
 //! The NVIDIA H100 baseline (§6.3: direct measurement, TensorRT-LLM).
 
-use crate::roofline::{decode_roofline_tokens_per_s, RooflineInput};
 use crate::SystemRow;
-use hnlpu_model::zoo::ModelCard;
 
 /// An H100 SXM device with its measured serving anchors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct H100 {
-    /// HBM3 bandwidth, bytes/s.
-    pub mem_bw_bytes_per_s: f64,
-    /// HBM capacity, bytes.
-    pub mem_bytes: u64,
     /// Die size, mm².
     pub die_mm2: f64,
     /// Board+host power under inference load, watts (the paper's Table 2
@@ -29,8 +23,6 @@ impl H100 {
     /// The paper's measured H100.
     pub fn paper() -> Self {
         H100 {
-            mem_bw_bytes_per_s: 3.35e12,
-            mem_bytes: 80 * 1024 * 1024 * 1024,
             die_mm2: 814.0,
             system_power_w: 1_300.0,
             measured_tokens_per_s: 45.0,
@@ -48,34 +40,6 @@ impl H100 {
             rack_units: 1.0,
         }
     }
-
-    /// Roofline throughput for `card` at `batch`, using the MBU implied by
-    /// the distributed measurement (what-if analysis; the Table 2 anchor is
-    /// `measured_tokens_per_s`).
-    pub fn roofline_tokens_per_s(&self, card: &ModelCard, batch: u32) -> f64 {
-        decode_roofline_tokens_per_s(
-            card,
-            RooflineInput {
-                mem_bw_bytes_per_s: self.mem_bw_bytes_per_s,
-                mbu: self.implied_distributed_mbu(card),
-                batch,
-            },
-        )
-    }
-
-    /// The achieved-bandwidth fraction implied by the distributed anchor
-    /// at concurrency 50.
-    pub fn implied_distributed_mbu(&self, card: &ModelCard) -> f64 {
-        let ideal = decode_roofline_tokens_per_s(
-            card,
-            RooflineInput {
-                mem_bw_bytes_per_s: self.mem_bw_bytes_per_s,
-                mbu: 1.0,
-                batch: 50,
-            },
-        );
-        (self.distributed_tokens_per_s / ideal).min(1.0)
-    }
 }
 
 impl Default for H100 {
@@ -87,7 +51,6 @@ impl Default for H100 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hnlpu_model::zoo;
 
     #[test]
     fn table2_row_anchors() {
@@ -95,20 +58,5 @@ mod tests {
         assert_eq!(r.throughput_tokens_per_s, 45.0);
         assert_eq!(r.silicon_mm2, 814.0);
         assert_eq!(r.power_w, 1300.0);
-    }
-
-    #[test]
-    fn implied_mbu_is_small_but_positive() {
-        // Interactive MoE serving achieves a few percent of the roofline —
-        // exactly the gap the paper's §7.3 narrative leans on.
-        let mbu = H100::paper().implied_distributed_mbu(&zoo::gpt_oss_120b());
-        assert!(mbu > 0.005 && mbu < 0.1, "mbu = {mbu}");
-    }
-
-    #[test]
-    fn roofline_reproduces_distributed_anchor() {
-        let h = H100::paper();
-        let t = h.roofline_tokens_per_s(&zoo::gpt_oss_120b(), 50);
-        assert!((t - h.distributed_tokens_per_s).abs() < 1.0);
     }
 }

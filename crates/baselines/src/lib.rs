@@ -2,27 +2,22 @@
 //!
 //! The paper's baselines are *measurements* — a TensorRT-LLM H100 server
 //! and the public Cerebras cloud — not systems under design. This crate
-//! models them the same way: measured anchors front and center, plus a
-//! memory-bandwidth roofline that explains where the anchors sit and lets
-//! the benches sweep what-if scenarios.
+//! models them the same way: each is its measured anchors.
 //!
-//! * [`roofline`] — autoregressive-decode roofline (weights traffic bound).
-//! * [`h100`] — NVIDIA H100 (80 GB, 3.35 TB/s) under TensorRT-LLM.
-//! * [`wse`] — Cerebras WSE-3 via the public inference cloud.
-//! * [`cluster`] — H100 cluster scaling used by the TCO comparison.
+//! * `h100` — NVIDIA H100 under TensorRT-LLM.
+//! * `wse` — Cerebras WSE-3 via the public inference cloud.
+//! * `cluster` — H100 cluster scaling used by the TCO comparison.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
-pub mod cluster;
-pub mod h100;
-pub mod roofline;
-pub mod wse;
+mod cluster;
+mod h100;
+mod wse;
 
 pub use cluster::H100Cluster;
 pub use h100::H100;
-pub use roofline::{decode_roofline_tokens_per_s, RooflineInput};
 pub use wse::Wse3;
 
 /// A Table-2 row: the characteristics every compared system reports.

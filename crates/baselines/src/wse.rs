@@ -40,12 +40,6 @@ impl Wse3 {
             rack_units: self.rack_units,
         }
     }
-
-    /// Whether the model's weights fit in on-wafer SRAM (the WSE's serving
-    /// premise).
-    pub fn weights_fit_on_wafer(&self, weight_bytes: u64) -> bool {
-        weight_bytes <= self.sram_bytes
-    }
 }
 
 impl Default for Wse3 {
@@ -71,7 +65,7 @@ mod tests {
         // 58.5 GB of FP4 weights vs 44 GB SRAM: the cloud shards across
         // wafers, which is part of why WSE trails HNLPU so far.
         let w = Wse3::paper();
-        assert!(!w.weights_fit_on_wafer(zoo::gpt_oss_120b().weight_bytes()));
-        assert!(w.weights_fit_on_wafer(zoo::llama3_8b().weight_bytes()));
+        assert!(zoo::gpt_oss_120b().weight_bytes() > w.sram_bytes);
+        assert!(zoo::llama3_8b().weight_bytes() <= w.sram_bytes);
     }
 }

@@ -23,13 +23,13 @@
 //! cargo run --release -p hnlpu-bench --example bench_baseline -- --check
 //! ```
 
-use criterion::Criterion;
 use hnlpu::llm::kernels;
 use hnlpu_bench::inference::{
     gate_point, inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP,
     EXPERT_MACS_PER_ROW, PREFILL_BENCH_EXPERTS, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES,
     TOKENS_PER_ITER,
 };
+use hnlpu_bench::Timings;
 use serde_json::Value;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
@@ -102,8 +102,8 @@ fn measured_ratio(results: &[(String, f64)], key: &str) -> Option<f64> {
 }
 
 /// One trajectory point rendered from a suite run.
-fn render_point(c: &Criterion, id: &str) -> Value {
-    let results = c.results();
+fn render_point(t: &Timings, id: &str) -> Value {
+    let results = t.results();
     let mut fields: Vec<(String, Value)> = vec![
         ("id".into(), Value::String(id.into())),
         (
@@ -253,8 +253,7 @@ fn check() {
         traj.len()
     );
 
-    let mut c = Criterion::default();
-    inference_suite(&mut c);
+    let t = inference_suite();
     let mut regressed = false;
     for &(key, _, _) in RATIOS {
         // Older points may predate a ratio; gate only on what the chosen
@@ -262,7 +261,7 @@ fn check() {
         let Some(committed) = point[key].as_f64() else {
             continue;
         };
-        let Some(measured) = measured_ratio(c.results(), key) else {
+        let Some(measured) = measured_ratio(t.results(), key) else {
             continue;
         };
         let floor = committed * TOLERANCE;
@@ -284,9 +283,8 @@ fn check() {
 }
 
 fn emit(id: &str) {
-    let mut c = Criterion::default();
-    inference_suite(&mut c);
-    let point = render_point(&c, id);
+    let t = inference_suite();
+    let point = render_point(&t, id);
     // Append-only: existing points are never rewritten, except a trailing
     // point with the same id, which this run refreshes.
     let mut traj = if std::path::Path::new(BASELINE_PATH).exists() {
@@ -300,8 +298,8 @@ fn emit(id: &str) {
     traj.push(point);
     write_trajectory(&traj);
     let decode =
-        measured_ratio(c.results(), "decode_speedup_packed_over_naive").unwrap_or(f64::NAN);
-    let prefill = measured_ratio(c.results(), "prefill_matmul_speedup_t16").unwrap_or(f64::NAN);
+        measured_ratio(t.results(), "decode_speedup_packed_over_naive").unwrap_or(f64::NAN);
+    let prefill = measured_ratio(t.results(), "prefill_matmul_speedup_t16").unwrap_or(f64::NAN);
     println!(
         "wrote {BASELINE_PATH}: point '{id}' ({} total), kernel_path={}, \
          decode {decode:.2}x, prefill t16 {prefill:.2}x",

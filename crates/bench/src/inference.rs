@@ -9,7 +9,7 @@
 //! CI on them. Set the [`QUICK_ENV`] environment variable to any value
 //! for a fast smoke-test configuration (CI uses this).
 
-use criterion::{black_box, Criterion};
+use crate::Timings;
 use hnlpu::llm::{
     kernels, BatchedDataflowExecutor, DataflowExecutor, NaiveTransformer, PageBuf, PrefixCache,
     PrefixCacheConfig, Sampler, SequenceRequest, Transformer,
@@ -17,6 +17,7 @@ use hnlpu::llm::{
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use hnlpu::sim::{BatchScheduler, RoundPlan, SimConfig};
 use serde_json::Value;
+use std::hint::black_box;
 
 /// Environment variable switching the suite to a fast smoke-test run.
 pub const QUICK_ENV: &str = "HNLPU_BENCH_QUICK";
@@ -278,11 +279,11 @@ pub fn prefix_cache_effectiveness() -> (f64, u64) {
     (hit_rate, cache.stats().evicted_pages)
 }
 
-/// Register the full suite on `c`: decode packed vs naive, the prefill
-/// panel sweep, the expert-group and batched-decode sweeps, the round
-/// deal, and the shared-prefix prefill sweep.
-pub fn inference_suite(c: &mut Criterion) {
-    let samples = samples();
+/// Run the full suite: decode packed vs naive, the prefill panel sweep,
+/// the expert-group and batched-decode sweeps, the round deal, and the
+/// shared-prefix prefill sweep.
+pub fn inference_suite() -> Timings {
+    let mut t = Timings::new(samples());
     let w = bench_weights();
     let naive = NaiveTransformer::new(&w);
     let packed = Transformer::new(w.clone());
@@ -307,31 +308,25 @@ pub fn inference_suite(c: &mut Criterion) {
     }
     let naive_seed_tok = Sampler::Greedy.sample(&naive_logits);
 
-    let mut g = c.benchmark_group("inference/decode");
-    g.sample_size(samples);
-    g.bench_function("packed", |b| {
-        b.iter(|| {
-            let mut cache = base.clone();
-            let mut tok = seed_tok;
-            for _ in 0..DECODE_TOKENS {
-                packed.step_with(black_box(tok), &mut cache, &mut scratch);
-                tok = Sampler::Greedy.sample(scratch.logits());
-            }
-            tok
-        })
+    let g = "inference/decode";
+    t.run(g, "packed", || {
+        let mut cache = base.clone();
+        let mut tok = seed_tok;
+        for _ in 0..DECODE_TOKENS {
+            packed.step_with(black_box(tok), &mut cache, &mut scratch);
+            tok = Sampler::Greedy.sample(scratch.logits());
+        }
+        tok
     });
-    g.bench_function("naive", |b| {
-        b.iter(|| {
-            let mut cache = naive_base.clone();
-            let mut tok = naive_seed_tok;
-            for _ in 0..DECODE_TOKENS {
-                let logits = naive.step(black_box(tok), &mut cache);
-                tok = Sampler::Greedy.sample(&logits);
-            }
-            tok
-        })
+    t.run(g, "naive", || {
+        let mut cache = naive_base.clone();
+        let mut tok = naive_seed_tok;
+        for _ in 0..DECODE_TOKENS {
+            let logits = naive.step(black_box(tok), &mut cache);
+            tok = Sampler::Greedy.sample(&logits);
+        }
+        tok
     });
-    g.finish();
 
     // Prefill-throughput sweep on the larger model: one full prompt per
     // iteration, either stepped token by token (T = 1 panels plus an
@@ -344,33 +339,27 @@ pub fn inference_suite(c: &mut Criterion) {
         .map(|i| (i * 7 + 1) % big_vocab)
         .collect();
     let mut scratch = big_model.new_scratch();
-    let mut g = c.benchmark_group("inference/prefill_matmul");
-    g.sample_size(samples);
-    g.bench_function("per_token", |b| {
-        b.iter(|| {
-            let mut cache = big_model.new_cache();
-            for &tok in &sweep_prompt {
-                big_model.step_with(black_box(tok), &mut cache, &mut scratch);
-            }
-            scratch.logits()[0]
-        })
+    let g = "inference/prefill_matmul";
+    t.run(g, "per_token", || {
+        let mut cache = big_model.new_cache();
+        for &tok in &sweep_prompt {
+            big_model.step_with(black_box(tok), &mut cache, &mut scratch);
+        }
+        scratch.logits()[0]
     });
     for &panel in PREFILL_PANEL_SWEEP {
-        g.bench_function(format!("t{panel}"), |b| {
-            b.iter(|| {
-                let mut cache = big_model.new_cache();
-                big_model.prefill_chunked(
-                    black_box(&sweep_prompt),
-                    &mut cache,
-                    &mut scratch,
-                    panel,
-                    true,
-                );
-                scratch.logits()[0]
-            })
+        t.run(g, format!("t{panel}"), || {
+            let mut cache = big_model.new_cache();
+            big_model.prefill_chunked(
+                black_box(&sweep_prompt),
+                &mut cache,
+                &mut scratch,
+                panel,
+                true,
+            );
+            scratch.logits()[0]
         });
     }
-    g.finish();
 
     // Expert-group sweep: the three matmuls of every expert of layer 0,
     // straight through the kernel at the group sizes routing produces.
@@ -387,22 +376,18 @@ pub fn inference_suite(c: &mut Criterion) {
     let mut upp = vec![0.0f32; max_group * inter];
     let mut gatep = vec![0.0f32; max_group * inter];
     let mut downp = vec![0.0f32; max_group * h];
-    let mut g = c.benchmark_group("inference/expert_group");
-    g.sample_size(samples);
+    let g = "inference/expert_group";
     for &rows in EXPERT_GROUP_SWEEP {
-        g.bench_function(format!("g{rows}"), |b| {
-            b.iter(|| {
-                let xs = black_box(&xs[..rows * h]);
-                for e in 0..experts.up.len() {
-                    kernels::matmul_into(xs, h, rows, &experts.up[e], &mut upp, inter);
-                    kernels::matmul_into(xs, h, rows, &experts.gate[e], &mut gatep, inter);
-                    kernels::matmul_into(&gatep, inter, rows, &experts.down[e], &mut downp, h);
-                }
-                downp[0]
-            })
+        t.run(g, format!("g{rows}"), || {
+            let xs = black_box(&xs[..rows * h]);
+            for e in 0..experts.up.len() {
+                kernels::matmul_into(xs, h, rows, &experts.up[e], &mut upp, inter);
+                kernels::matmul_into(xs, h, rows, &experts.gate[e], &mut gatep, inter);
+                kernels::matmul_into(&gatep, inter, rows, &experts.down[e], &mut downp, h);
+            }
+            downp[0]
         });
     }
-    g.finish();
 
     // Batched-decode sweep on the same larger model: B sequences at
     // different short contexts each take one decode step, either as B
@@ -431,52 +416,39 @@ pub fn inference_suite(c: &mut Criterion) {
         .collect();
     let mut arena = machine.new_scratch();
     let mut logits: Vec<Vec<f32>> = scratches.iter().map(|s| s.logits().to_vec()).collect();
-    let mut g = c.benchmark_group("inference/decode_batch");
-    g.sample_size(samples);
+    let g = "inference/decode_batch";
     for &batch in DECODE_BATCH_SWEEP {
-        g.bench_function(format!("step_b{batch}"), |b| {
-            b.iter(|| {
-                let mut states = base_states[..batch].to_vec();
-                for ((state, scratch), &tok) in states.iter_mut().zip(&mut scratches).zip(&next) {
-                    machine.step_with(black_box(tok), state, scratch);
-                }
-                scratches[batch - 1].logits()[0]
-            })
+        t.run(g, format!("step_b{batch}"), || {
+            let mut states = base_states[..batch].to_vec();
+            for ((state, scratch), &tok) in states.iter_mut().zip(&mut scratches).zip(&next) {
+                machine.step_with(black_box(tok), state, scratch);
+            }
+            scratches[batch - 1].logits()[0]
         });
-        g.bench_function(format!("batch_b{batch}"), |b| {
-            b.iter(|| {
-                let mut states = base_states[..batch].to_vec();
-                let mut rows: Vec<_> = states.iter_mut().collect();
-                let mut outs: Vec<_> = logits[..batch].iter_mut().map(Vec::as_mut_slice).collect();
-                machine.step_batch_with(
-                    black_box(&next[..batch]),
-                    &mut rows,
-                    &mut arena,
-                    &mut outs,
-                );
-                logits[batch - 1][0]
-            })
+        t.run(g, format!("batch_b{batch}"), || {
+            let mut states = base_states[..batch].to_vec();
+            let mut rows: Vec<_> = states.iter_mut().collect();
+            let mut outs: Vec<_> = logits[..batch].iter_mut().map(Vec::as_mut_slice).collect();
+            machine.step_batch_with(black_box(&next[..batch]), &mut rows, &mut arena, &mut outs);
+            logits[batch - 1][0]
         });
     }
-    g.finish();
 
     // Round deal: whole plans through `execute_plan` on the larger model,
     // so the time is the engine's own `run_round` dealing each round to
     // the workers. How far `skewed` sits below a serial replay depends on
     // the runner's core count, so neither point is a gated ratio.
     let engine = BatchedDataflowExecutor::new(machine.clone(), 216);
-    let mut g = c.benchmark_group("inference/round_deal");
-    g.sample_size(samples);
+    let g = "inference/round_deal";
     for &(label, decoders, chunks) in ROUND_DEAL_SHAPES {
         let (requests, plans) = round_deal_plan(big_vocab, decoders, chunks);
-        g.bench_function(label, |b| {
-            b.iter(|| match engine.execute_plan(black_box(&requests), &plans) {
+        t.run(g, label, || {
+            match engine.execute_plan(black_box(&requests), &plans) {
                 Ok(run) => run.decoded_tokens,
                 Err(e) => unreachable!("round_deal plan executes: {e:?}"),
-            })
+            }
         });
     }
-    g.finish();
 
     // Shared-prefix prefill sweep: the paged engine with the radix
     // prefix cache runs the same 512 submitted prompt tokens at three
@@ -486,20 +458,17 @@ pub fn inference_suite(c: &mut Criterion) {
     let paged = BatchedDataflowExecutor::new(DataflowExecutor::new(w.clone()), 216)
         .with_prefix_cache(PrefixCacheConfig::default());
     let sched = BatchScheduler::new(SimConfig::paper_default(), 2048);
-    let mut g = c.benchmark_group("inference/prefix_prefill");
-    g.sample_size(samples);
+    let g = "inference/prefix_prefill";
     for &(label, shared) in PREFIX_PREFILL_SHARES {
         let requests = prefix_prefill_requests(vocab, shared);
-        g.bench_function(label, |b| {
-            b.iter(
-                || match paged.run_with_scheduler(black_box(&requests), &sched) {
-                    Ok((run, _)) => run.prefill_tokens,
-                    Err(e) => unreachable!("prefix sweep workload executes: {e:?}"),
-                },
-            )
+        t.run(g, label, || {
+            match paged.run_with_scheduler(black_box(&requests), &sched) {
+                Ok((run, _)) => run.prefill_tokens,
+                Err(e) => unreachable!("prefix sweep workload executes: {e:?}"),
+            }
         });
     }
-    g.finish();
+    t
 }
 
 #[cfg(test)]
@@ -509,9 +478,8 @@ mod tests {
     #[test]
     fn suite_records_every_expected_label() {
         std::env::set_var(QUICK_ENV, "1");
-        let mut c = Criterion::default();
-        inference_suite(&mut c);
-        let labels: Vec<&str> = c.results().iter().map(|(l, _)| l.as_str()).collect();
+        let t = inference_suite();
+        let labels: Vec<&str> = t.results().iter().map(|(l, _)| l.as_str()).collect();
         for (expected, _) in TOKENS_PER_ITER {
             assert!(labels.contains(expected), "missing bench {expected}");
         }
@@ -521,7 +489,7 @@ mod tests {
         }
         assert!(labels.contains(&"inference/round_deal/skewed"));
         assert!(labels.contains(&"inference/round_deal/uniform"));
-        assert!(c.results().iter().all(|&(_, ns)| ns > 0.0));
+        assert!(t.results().iter().all(|&(_, ns)| ns > 0.0));
     }
 
     #[test]
@@ -529,32 +497,19 @@ mod tests {
         std::env::set_var(QUICK_ENV, "1");
         assert_eq!(samples(), QUICK_SAMPLES);
         const { assert!(QUICK_SAMPLES < FULL_SAMPLES) };
-        let mut c = Criterion::default();
-        c.sample_size(samples());
+        let mut t = Timings::new(samples());
         let mut calls = 0;
-        c.bench_function("lone", |b| b.iter(|| calls += 1));
+        t.run("group", "lone", || calls += 1);
         // One untimed warm-up call, then the samples.
         assert_eq!(calls, QUICK_SAMPLES + 1);
-        let mut g = c.benchmark_group("group");
-        g.sample_size(samples());
         for id in ["zeta", "alpha", "mid"] {
-            g.bench_function(id, |b| b.iter(|| black_box(id.len())));
+            t.run("group", id, || black_box(id.len()));
         }
-        g.finish();
-        let Value::Object(summary) =
-            serde_json::from_str(&c.summary_json()).expect("summary parses")
-        else {
-            unreachable!("the summary is an object")
-        };
-        let labels: Vec<&str> = summary.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["lone", "group/zeta", "group/alpha", "group/mid"]);
-        for ((label, ns), (_, written)) in c.results().iter().zip(&summary) {
-            let written = written.as_f64().expect("a number");
-            assert!(
-                (written - ns).abs() <= 0.05 + 1e-9 * ns,
-                "{label}: {written} vs {ns}"
-            );
-        }
+        let labels: Vec<&str> = t.results().iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["group/lone", "group/zeta", "group/alpha", "group/mid"]
+        );
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl SramMacro {
         bytes as f64 * tech.sram_read_pj_per_byte * 1e-12
     }
 
-    /// Peak bandwidth in bytes per second: every bank streams its port
-    /// width each cycle.
-    pub fn peak_bandwidth_bytes_per_s(&self, tech: &TechNode) -> f64 {
-        self.banks as f64 * (self.port_bits as f64 / 8.0) * tech.clock_hz
-    }
-
     /// Steady-state power at a sustained access rate of `bytes_per_s`:
     /// bank clock/periphery overhead plus array access energy.
     pub fn power_w(&self, bytes_per_s: f64, tech: &TechNode) -> f64 {
@@ -98,9 +92,10 @@ mod tests {
 
     #[test]
     fn attention_buffer_bandwidth_hits_80_tbps() {
-        // §7.1: the buffer sustains 80 TB/s.
+        // §7.1: the buffer sustains 80 TB/s: every bank streams its port
+        // width each cycle.
         let m = attention_buffer();
-        let bw = m.peak_bandwidth_bytes_per_s(&TechNode::n5());
+        let bw = m.banks as f64 * (m.port_bits as f64 / 8.0) * TechNode::n5().clock_hz;
         assert!(bw >= 79e12, "bw = {bw:.3e}");
     }
 

@@ -4,16 +4,16 @@
 //! Compiler, IC Compiler, PrimeTime PX, Memory Compiler) at 5 nm. This crate
 //! reproduces that flow's *outputs* with documented analytical models:
 //!
-//! * [`tech`] — technology-node calibration (density, energies, leakage,
+//! * `tech` — technology-node calibration (density, energies, leakage,
 //!   SRAM bit cells) anchored to public 5 nm figures and the paper's
 //!   published per-block results.
-//! * [`area`] — gate-budget → silicon-area conversion and SRAM macros.
+//! * `area` — gate-budget → silicon-area conversion and SRAM macros.
 //! * [`power`] — dynamic energy / leakage / power-density estimation.
 //! * [`netlist`] — a minimal cell/net graph used for metal-embedding wire
 //!   netlists.
-//! * [`metal`] — the M0–TM0 metal stack with per-layer half-pitch and
+//! * `metal` — the M0–TM0 metal stack with per-layer half-pitch and
 //!   lithography class (feeds both routing and photomask costing).
-//! * [`route`] — routing-demand and congestion estimation (the paper's
+//! * `route` — routing-demand and congestion estimation (the paper's
 //!   "<70% ME-layer density" check).
 //! * [`signoff`] — timing/power-density/parasitics sign-off checks
 //!   replicating §7.1.
@@ -23,22 +23,19 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
-pub mod area;
-pub mod metal;
+mod area;
+mod metal;
 pub mod netlist;
 pub mod power;
-pub mod route;
+mod route;
 pub mod signoff;
-pub mod tech;
+mod tech;
 pub mod thermal;
 pub mod yield_model;
 
-pub use area::{attention_buffer, logic_area_mm2, sram_macro, SramMacro};
-pub use metal::{LithoClass, MetalLayer, MetalStack};
-pub use netlist::{CellId, Net, NetId, Netlist};
-pub use power::{PowerEstimate, SwitchingActivity};
+pub use area::{attention_buffer, logic_area_mm2, sram_macro};
+pub use metal::MetalStack;
 pub use route::{RouteReport, Router};
-pub use signoff::{SignoffInput, SignoffReport};
 pub use tech::TechNode;
-pub use thermal::{evaluate as thermal_evaluate, ThermalReport, ThermalStack};
+pub use thermal::ThermalStack;
 pub use yield_model::{dies_per_wafer, murphy_yield};

@@ -26,7 +26,7 @@ impl LithoClass {
     /// ~6× a standard 193i reticle; multi-patterning uses multiple masks but
     /// each is a standard DUV reticle — the *count* is handled by
     /// `masks_per_layer`).
-    pub fn cost_weight(self) -> f64 {
+    pub(crate) fn cost_weight(self) -> f64 {
         match self {
             LithoClass::EuvSe => 6.0,
             _ => 1.0,
@@ -34,7 +34,7 @@ impl LithoClass {
     }
 
     /// Photomasks needed to pattern one such layer.
-    pub fn masks_per_layer(self) -> u32 {
+    pub(crate) fn masks_per_layer(self) -> u32 {
         match self {
             LithoClass::EuvSe => 1,
             LithoClass::Saqp193i => 4,
@@ -141,12 +141,12 @@ impl MetalStack {
     }
 
     /// The metal-embedding levels only.
-    pub fn embedding_layers(&self) -> impl Iterator<Item = &MetalLayer> {
+    pub(crate) fn embedding_layers(&self) -> impl Iterator<Item = &MetalLayer> {
         self.layers.iter().filter(|l| l.metal_embedding)
     }
 
     /// Total photomask count: FEOL + one per BEOL patterning exposure.
-    pub fn total_masks(&self) -> u32 {
+    pub(crate) fn total_masks(&self) -> u32 {
         self.feol_euv_masks
             + self.feol_duv_masks
             + self
@@ -157,7 +157,7 @@ impl MetalStack {
     }
 
     /// EUV photomask count (FEOL EUV + EUV-patterned metals).
-    pub fn euv_masks(&self) -> u32 {
+    pub(crate) fn euv_masks(&self) -> u32 {
         self.feol_euv_masks
             + self
                 .layers
@@ -168,7 +168,7 @@ impl MetalStack {
     }
 
     /// DUV photomask count.
-    pub fn duv_masks(&self) -> u32 {
+    pub(crate) fn duv_masks(&self) -> u32 {
         self.total_masks() - self.euv_masks()
     }
 
@@ -177,12 +177,6 @@ impl MetalStack {
         self.embedding_layers()
             .map(|l| l.litho.masks_per_layer())
             .sum()
-    }
-
-    /// Masks shared across chips under Sea-of-Neurons (everything except
-    /// the embedding levels).
-    pub fn homogeneous_masks(&self) -> u32 {
-        self.total_masks() - self.embedding_masks()
     }
 
     /// Total mask-set value in normalized DUV units (EUV weighted 6×).
@@ -208,7 +202,12 @@ mod tests {
     fn embedding_is_ten_duv_masks() {
         let s = MetalStack::n5();
         assert_eq!(s.embedding_masks(), 10);
-        assert_eq!(s.homogeneous_masks(), 60, "60 of 70 masks shared");
+        // Sea-of-Neurons shares everything but the embedding levels.
+        assert_eq!(
+            s.total_masks() - s.embedding_masks(),
+            60,
+            "60 of 70 masks shared"
+        );
         // All embedding masks are plain DUV (no EUV to re-spin).
         assert!(s.embedding_layers().all(|l| l.litho != LithoClass::EuvSe));
     }

@@ -34,7 +34,7 @@ pub struct Net {
 /// # Example
 ///
 /// ```
-/// use hnlpu_circuit::{Netlist, CellId};
+/// use hnlpu_circuit::netlist::{CellId, Netlist};
 /// let mut nl = Netlist::new();
 /// let n = nl.add_net(CellId(0), vec![CellId(1), CellId(2)], 9, 120.0);
 /// assert_eq!(nl.net(n).unwrap().sinks.len(), 2);
@@ -83,28 +83,18 @@ impl Netlist {
         self.nets.is_empty()
     }
 
-    /// Iterate nets.
-    pub fn iter(&self) -> impl Iterator<Item = &Net> {
-        self.nets.iter()
-    }
-
     /// Total routed wirelength.
     pub fn wirelength_um(&self) -> f64 {
         self.nets.iter().map(|n| n.length_um).sum()
     }
 
     /// Wirelength aggregated per layer index.
-    pub fn wirelength_by_layer(&self) -> BTreeMap<usize, f64> {
+    pub(crate) fn wirelength_by_layer(&self) -> BTreeMap<usize, f64> {
         let mut m = BTreeMap::new();
         for n in &self.nets {
             *m.entry(n.layer).or_insert(0.0) += n.length_um;
         }
         m
-    }
-
-    /// Largest sink count on any net.
-    pub fn max_fanout(&self) -> usize {
-        self.nets.iter().map(|n| n.sinks.len()).max().unwrap_or(0)
     }
 }
 
@@ -140,14 +130,6 @@ mod tests {
         let by = nl.wirelength_by_layer();
         assert_eq!(by[&8], 75.0);
         assert_eq!(by[&10], 100.0);
-    }
-
-    #[test]
-    fn fanout() {
-        let mut nl = Netlist::new();
-        assert_eq!(nl.max_fanout(), 0);
-        nl.add_net(CellId(0), vec![CellId(1), CellId(2), CellId(3)], 8, 1.0);
-        assert_eq!(nl.max_fanout(), 3);
     }
 
     #[test]

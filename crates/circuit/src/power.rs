@@ -27,7 +27,7 @@ impl SwitchingActivity {
     }
 
     /// Effective activity product.
-    pub fn effective(&self) -> f64 {
+    pub(crate) fn effective(&self) -> f64 {
         self.toggle_rate * self.active_fraction
     }
 }
@@ -75,15 +75,6 @@ pub fn block_power(
     }
 }
 
-/// Power density in W/mm² (the paper's thermal check: avg 0.3, peak 1.4,
-/// within 2.5D cooling limits).
-pub fn power_density_w_per_mm2(power_w: f64, area_mm2: f64) -> f64 {
-    if area_mm2 <= 0.0 {
-        return 0.0;
-    }
-    power_w / area_mm2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,12 +112,6 @@ mod tests {
         let p1 = block_power(&GateBudget::fa(1000), &t, SwitchingActivity::default());
         let p2 = block_power(&GateBudget::fa(2000), &t, SwitchingActivity::default());
         assert!((p2.leakage_w - 2.0 * p1.leakage_w).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_density() {
-        assert_eq!(power_density_w_per_mm2(300.0, 1000.0), 0.3);
-        assert_eq!(power_density_w_per_mm2(1.0, 0.0), 0.0);
     }
 
     #[test]

@@ -46,10 +46,10 @@ pub struct SignoffReport {
 
 /// Power-density cooling limit for cold-plate 2.5D assemblies, W/mm²
 /// (paper: avg 0.3, peak 1.4 observed, "well within" limits).
-pub const DLC_PEAK_LIMIT_W_PER_MM2: f64 = 2.0;
+pub(crate) const DLC_PEAK_LIMIT_W_PER_MM2: f64 = 2.0;
 
 /// Defect density used for Murphy yield, defects/cm² (paper: 0.11).
-pub const DEFECT_DENSITY_PER_CM2: f64 = 0.11;
+pub(crate) const DEFECT_DENSITY_PER_CM2: f64 = 0.11;
 
 /// Run all §7.1 checks.
 pub fn signoff(input: &SignoffInput, tech: &TechNode) -> SignoffReport {

@@ -86,39 +86,18 @@ impl TechNode {
         }
     }
 
-    /// A 7 nm-class node for scaling studies (lower density, higher energy).
-    pub fn n7() -> Self {
-        TechNode {
-            name: "N7",
-            mtr_per_mm2: 91.0,
-            sram_bit_um2: 0.068,
-            layout_efficiency: 0.62,
-            regular_fabric_density_boost: 2.05,
-            fa_energy_fj: 1.7,
-            dff_energy_fj: 2.6,
-            sram_read_pj_per_byte: 0.22,
-            sram_bank_overhead_w: 0.0055,
-            hbm_pj_per_byte: 30.0,
-            leakage_w_per_mtr: 1.4e-4,
-            clock_hz: 0.9e9,
-            stage_delay_ps: 28.0,
-            wire_ohm_per_um: 8.0,
-            wire_ff_per_um: 0.52,
-        }
-    }
-
     /// Clock period in picoseconds.
-    pub fn period_ps(&self) -> f64 {
+    pub(crate) fn period_ps(&self) -> f64 {
         1e12 / self.clock_hz
     }
 
     /// Effective placed density in transistors per mm² for random logic.
-    pub fn effective_tr_per_mm2(&self) -> f64 {
+    pub(crate) fn effective_tr_per_mm2(&self) -> f64 {
         self.mtr_per_mm2 * 1e6 * self.layout_efficiency
     }
 
     /// Effective placed density for regular bit-serial fabrics (HN arrays).
-    pub fn regular_fabric_tr_per_mm2(&self) -> f64 {
+    pub(crate) fn regular_fabric_tr_per_mm2(&self) -> f64 {
         self.effective_tr_per_mm2() * self.regular_fabric_density_boost
     }
 }
@@ -139,11 +118,6 @@ mod tests {
         assert_eq!(t.clock_hz, 1.0e9);
         assert_eq!(t.period_ps(), 1000.0);
         assert!(t.effective_tr_per_mm2() > 5e7);
-    }
-
-    #[test]
-    fn n7_is_less_dense_than_n5() {
-        assert!(TechNode::n7().mtr_per_mm2 < TechNode::n5().mtr_per_mm2);
     }
 
     #[test]

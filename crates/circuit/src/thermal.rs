@@ -36,38 +36,15 @@ impl ThermalStack {
         }
     }
 
-    /// An air-cooled heatsink stack for comparison (≈3× the convective
-    /// resistance).
-    pub fn air() -> Self {
-        ThermalStack {
-            coolant_c: 45.0, // inlet air in a hot aisle
-            r_junction_case: 8.0,
-            r_tim: 10.0,
-            r_cold_plate: 95.0,
-            t_junction_max_c: 105.0,
-        }
-    }
-
     /// Total stack resistance, °C·mm²/W.
-    pub fn total_r(&self) -> f64 {
+    pub(crate) fn total_r(&self) -> f64 {
         self.r_junction_case + self.r_tim + self.r_cold_plate
     }
 
     /// Steady-state junction temperature at a local power density,
     /// °C.
-    pub fn junction_c(&self, density_w_per_mm2: f64) -> f64 {
+    pub(crate) fn junction_c(&self, density_w_per_mm2: f64) -> f64 {
         self.coolant_c + density_w_per_mm2 * self.total_r()
-    }
-
-    /// Power density the stack can cool at the junction limit, W/mm².
-    pub fn max_density_w_per_mm2(&self) -> f64 {
-        (self.t_junction_max_c - self.coolant_c) / self.total_r()
-    }
-
-    /// Thermal margin (°C below the junction limit) at a power density;
-    /// negative means the part overheats.
-    pub fn margin_c(&self, density_w_per_mm2: f64) -> f64 {
-        self.t_junction_max_c - self.junction_c(density_w_per_mm2)
     }
 }
 
@@ -100,6 +77,18 @@ pub fn evaluate(avg_w_per_mm2: f64, peak_w_per_mm2: f64, stack: &ThermalStack) -
 mod tests {
     use super::*;
 
+    /// An air-cooled heatsink stack for comparison (≈3× the convective
+    /// resistance).
+    fn air() -> ThermalStack {
+        ThermalStack {
+            coolant_c: 45.0, // inlet air in a hot aisle
+            r_junction_case: 8.0,
+            r_tim: 10.0,
+            r_cold_plate: 95.0,
+            t_junction_max_c: 105.0,
+        }
+    }
+
     #[test]
     fn paper_densities_are_cool_under_dlc() {
         // §7.1: avg 0.3 W/mm², peak 1.4 W/mm² is "well within" DLC limits.
@@ -112,15 +101,15 @@ mod tests {
     #[test]
     fn dlc_cools_more_than_air() {
         let dlc = ThermalStack::dlc();
-        let air = ThermalStack::air();
-        assert!(dlc.max_density_w_per_mm2() > air.max_density_w_per_mm2());
+        let air = air();
+        assert!(dlc.junction_c(1.0) < air.junction_c(1.0));
     }
 
     #[test]
     fn gpu_class_hotspots_would_strain_air_cooling() {
         // An H100-class hotspot (~2 W/mm²) exceeds the air stack's limit
         // but stays coolable under DLC — the §4.2 motivation.
-        let air = evaluate(0.9, 2.0, &ThermalStack::air());
+        let air = evaluate(0.9, 2.0, &air());
         assert!(!air.ok);
         let dlc = evaluate(0.9, 2.0, &ThermalStack::dlc());
         assert!(dlc.ok);
@@ -137,7 +126,8 @@ mod tests {
     #[test]
     fn margin_goes_negative_past_limit() {
         let s = ThermalStack::dlc();
-        let over = s.max_density_w_per_mm2() * 1.2;
-        assert!(s.margin_c(over) < 0.0);
+        let limit = (s.t_junction_max_c - s.coolant_c) / s.total_r();
+        let rep = evaluate(limit * 0.9, limit * 1.2, &s);
+        assert!(rep.peak_margin_c < 0.0 && !rep.ok, "{rep:?}");
     }
 }

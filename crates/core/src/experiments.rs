@@ -2,14 +2,15 @@
 //!
 //! Every runner returns an [`ExperimentReport`] pairing the paper's
 //! published value with this reproduction's measured value, so
-//! EXPERIMENTS.md, the criterion benches, and the integration tests all
-//! draw from the same source of truth.
+//! EXPERIMENTS.md and the integration tests draw from the same source of
+//! truth. The ABL-* design sweeps compare against the paper's design point
+//! instead, which the 'paper' column then holds.
 
 use hnlpu_baselines::{Wse3, H100};
 use hnlpu_circuit::signoff::{signoff, SignoffInput};
 use hnlpu_circuit::TechNode;
-use hnlpu_embed::array::MeNeuronParams;
-use hnlpu_embed::{MeCompiler, TileComparison, TileMethod};
+use hnlpu_embed::array::{me_neuron_budget, MeNeuronParams};
+use hnlpu_embed::{precision_sweep, MeCompiler, TileComparison, TileMethod};
 use hnlpu_litho::nre::{model_nre_price, NreScenario, NreSummary};
 use hnlpu_litho::{SeaOfNeurons, WaferPricing};
 use hnlpu_model::zoo;
@@ -32,7 +33,7 @@ pub struct Metric {
 
 impl Metric {
     /// Build a metric row.
-    pub fn new(name: impl Into<String>, paper: f64, measured: f64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, paper: f64, measured: f64) -> Self {
         Metric {
             name: name.into(),
             paper,
@@ -41,7 +42,7 @@ impl Metric {
     }
 
     /// Relative deviation from the paper, percent.
-    pub fn deviation_pct(&self) -> f64 {
+    pub(crate) fn deviation_pct(&self) -> f64 {
         if self.paper == 0.0 {
             return if self.measured == 0.0 {
                 0.0
@@ -92,7 +93,7 @@ impl ExperimentReport {
 
 /// FIG1 — the concept figure: energy-per-token ladder from the GPU-era
 /// infrastructure (0.03 tokens/J) to the hardwired LPU (36 tokens/J).
-pub fn fig1() -> ExperimentReport {
+pub(crate) fn fig1() -> ExperimentReport {
     let system = HnlpuSystem::design(zoo::gpt_oss_120b());
     let h100 = H100::paper().table2_row();
     let hn = system.table2_row(2048);
@@ -112,7 +113,7 @@ pub fn fig1() -> ExperimentReport {
 
 /// FIG2 — the economics of hardwiring: mask amortization for GPUs vs the
 /// $6 B straightforward hardwired LLM.
-pub fn fig2() -> ExperimentReport {
+pub(crate) fn fig2() -> ExperimentReport {
     let son = SeaOfNeurons::n5();
     // GPU side: one $30M mask set amortized over 20,000 wafers at $18K,
     // 500,000 units -> $780/unit.
@@ -137,7 +138,7 @@ pub fn fig2() -> ExperimentReport {
 }
 
 /// FIG12 — tile area comparison (CE 14.3×, SRAM 1×, ME 0.95×).
-pub fn fig12() -> ExperimentReport {
+pub(crate) fn fig12() -> ExperimentReport {
     let cmp = TileComparison::paper_benchmark(&TechNode::n5());
     ExperimentReport {
         id: "FIG12",
@@ -163,7 +164,7 @@ pub fn fig12() -> ExperimentReport {
 }
 
 /// FIG13 — tile execution cycles and energy ordering.
-pub fn fig13() -> ExperimentReport {
+pub(crate) fn fig13() -> ExperimentReport {
     let cmp = TileComparison::paper_benchmark(&TechNode::n5());
     let ma = cmp.row(TileMethod::MacArray);
     let ce = cmp.row(TileMethod::CellEmbedding);
@@ -183,7 +184,7 @@ pub fn fig13() -> ExperimentReport {
 }
 
 /// TAB1 — single-chip area/power breakdown.
-pub fn tab1() -> ExperimentReport {
+pub(crate) fn tab1() -> ExperimentReport {
     let system = HnlpuSystem::design(zoo::gpt_oss_120b());
     let r = system.chip_report();
     #[expect(
@@ -328,7 +329,7 @@ pub fn fig14() -> ExperimentReport {
 }
 
 /// TAB3 — 3-year TCO and carbon.
-pub fn tab3() -> ExperimentReport {
+pub(crate) fn tab3() -> ExperimentReport {
     let low = Table3::paper(DeploymentScale::Low);
     let high = Table3::paper(DeploymentScale::High);
     let (adv_lo, adv_hi) = high.tco_advantage(UpdatePolicy::AnnualUpdates);
@@ -383,7 +384,7 @@ pub fn tab3() -> ExperimentReport {
 }
 
 /// TAB4 — chip NRE prices for other models.
-pub fn tab4() -> ExperimentReport {
+pub(crate) fn tab4() -> ExperimentReport {
     let quotes = [
         (zoo::kimi_k2(), 462.0),
         (zoo::deepseek_v3(), 353.0),
@@ -408,7 +409,7 @@ pub fn tab4() -> ExperimentReport {
 }
 
 /// TAB5 — HNLPU cost breakdown.
-pub fn tab5() -> ExperimentReport {
+pub(crate) fn tab5() -> ExperimentReport {
     let wafer = WaferPricing::n5().recurring_per_chip(827.08, 192.0);
     let one = NreSummary::price(NreScenario::gpt_oss(1));
     let fifty = NreSummary::price(NreScenario::gpt_oss(50));
@@ -545,7 +546,7 @@ pub fn signoff_report() -> ExperimentReport {
 
 /// SEC6.1 — cross-validation of the analytical pipeline model against the
 /// packet-level discrete-event fabric simulation (the paper's CNSim role).
-pub fn packet_validation() -> ExperimentReport {
+pub(crate) fn packet_validation() -> ExperimentReport {
     use hnlpu_sim::{pipeline, PacketSim, SimConfig};
     let cfg = SimConfig::paper_default();
     let short_analytical = pipeline::decode_throughput(&cfg, 2048);
@@ -559,6 +560,136 @@ pub fn packet_validation() -> ExperimentReport {
             Metric::new("2K decode tokens/s (DES vs analytical)", short_analytical, short_des),
             Metric::new("256K decode tokens/s (DES vs analytical)", long_analytical, long_des),
         ],
+    }
+}
+
+/// ABL-SLACK — POPCNT provisioning slack (§3.2): transistors per weight of
+/// a gpt-oss-fan-in ME neuron as the slice pool over-provisions its
+/// regions ('paper' column = the design point's slack of 1.25).
+pub(crate) fn slack_sweep() -> ExperimentReport {
+    let tr_per_weight = |slack: f64| {
+        let p = MeNeuronParams {
+            slack,
+            ..MeNeuronParams::array_default()
+        };
+        me_neuron_budget(2880, &p).transistor_count() as f64 / 2880.0
+    };
+    let design = tr_per_weight(MeNeuronParams::array_default().slack);
+    ExperimentReport {
+        id: "ABL-SLACK",
+        title: "POPCNT provisioning slack vs transistors per weight ('paper' column = slack 1.25)",
+        metrics: [1.0, 1.5, 2.0]
+            .map(|slack| {
+                Metric::new(
+                    format!("Tr per weight at slack {slack:.2}"),
+                    design,
+                    tr_per_weight(slack),
+                )
+            })
+            .to_vec(),
+    }
+}
+
+/// ABL-PRECISION — weight precision (§2.2): an ME neuron needs one POPCNT
+/// region per weight value, `2^bits` of them ('paper' column = FP4).
+pub(crate) fn precision_ablation() -> ExperimentReport {
+    let sweep = precision_sweep(&MeNeuronParams::array_default());
+    let fp4 = sweep
+        .iter()
+        .find(|pt| pt.weight_bits == 4)
+        .map_or(f64::NAN, |pt| pt.transistors_per_weight);
+    ExperimentReport {
+        id: "ABL-PRECISION",
+        title: "Weight precision vs transistors per weight ('paper' column = 4-bit weights)",
+        metrics: sweep
+            .iter()
+            .filter(|pt| pt.weight_bits != 4)
+            .map(|pt| {
+                Metric::new(
+                    format!(
+                        "Tr per weight at {}-bit weights ({} regions)",
+                        pt.weight_bits, pt.regions
+                    ),
+                    fp4,
+                    pt.transistors_per_weight,
+                )
+            })
+            .collect(),
+    }
+}
+
+/// ABL-KV — KV-cache precision (Figure 14): where the HBM stall sets in,
+/// and its share at 512K, with fp16 instead of the paper's fp8 KV
+/// ('paper' column = fp8).
+pub(crate) fn kv_precision_ablation() -> ExperimentReport {
+    use hnlpu_sim::{Breakdown, SimConfig};
+    let stall = |kv_bytes: u64, context: u64| {
+        let cfg = SimConfig {
+            kv_bytes_per_token_layer_chip: kv_bytes,
+            ..SimConfig::paper_default()
+        };
+        Breakdown::at(&cfg, context).shares[4]
+    };
+    // The shortest context that stalls: stall-free at 2K, stalled at 2M.
+    let onset = |kv_bytes: u64| {
+        let (mut lo, mut hi) = (2_048u64, 1u64 << 21);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if stall(kv_bytes, mid) > 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi as f64
+    };
+    ExperimentReport {
+        id: "ABL-KV",
+        title:
+            "KV precision vs HBM stall ('paper' column = fp8 KV, 256 B per token, layer and chip)",
+        metrics: vec![
+            Metric::new(
+                "stall onset context, fp16 KV (tokens)",
+                onset(256),
+                onset(512),
+            ),
+            Metric::new(
+                "stall share at 512K, fp16 KV (%)",
+                stall(256, 524_288),
+                stall(512, 524_288),
+            ),
+        ],
+    }
+}
+
+/// ABL-LINK — the interconnect (§8's wafer-scale discussion): 2K decode
+/// throughput under other link classes ('paper' column = CXL 3.0).
+pub(crate) fn interconnect_ablation() -> ExperimentReport {
+    use hnlpu_sim::{pipeline, SimConfig};
+    let throughput = |latency_ns: f64, protocol_ns: f64, bandwidth_bytes_per_s: f64| {
+        let mut cfg = SimConfig::paper_default();
+        cfg.cxl.latency_ns = latency_ns;
+        cfg.cxl.protocol_ns = protocol_ns;
+        cfg.cxl.bandwidth_bytes_per_s = bandwidth_bytes_per_s;
+        pipeline::decode_throughput(&cfg, 2048)
+    };
+    let cxl = pipeline::decode_throughput(&SimConfig::paper_default(), 2048);
+    ExperimentReport {
+        id: "ABL-LINK",
+        title: "Interconnect vs 2K decode tokens/s ('paper' column = CXL 3.0)",
+        metrics: [
+            ("NVLink-class", 50.0, 60.0, 450e9),
+            ("wafer-scale", 10.0, 10.0, 2e12),
+            ("ethernet-class", 1000.0, 2000.0, 50e9),
+        ]
+        .map(|(name, latency, protocol, bandwidth)| {
+            Metric::new(
+                format!("decode tokens/s, {name} link"),
+                cxl,
+                throughput(latency, protocol, bandwidth),
+            )
+        })
+        .to_vec(),
     }
 }
 
@@ -578,6 +709,10 @@ pub fn all() -> Vec<ExperimentReport> {
         claims(),
         signoff_report(),
         packet_validation(),
+        slack_sweep(),
+        precision_ablation(),
+        kv_precision_ablation(),
+        interconnect_ablation(),
     ]
 }
 
@@ -588,7 +723,7 @@ mod tests {
     #[test]
     fn all_experiments_run() {
         let reports = all();
-        assert_eq!(reports.len(), 13);
+        assert_eq!(reports.len(), 17);
         for r in &reports {
             assert!(!r.metrics.is_empty(), "{} is empty", r.id);
         }

@@ -29,7 +29,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`model`] | model zoo, FP4/MXFP4, parameter accounting, weights |
+//! | [`model`] | model zoo, FP4, parameter accounting, weights |
 //! | [`arith`] | CSA/popcount/bit-serial/constant-multiplier substrate |
 //! | [`circuit`] | technology node, area/power, metal stack, sign-off |
 //! | [`embed`] | MA/CE/ME designs, HN-array plan, ME compiler |
@@ -54,6 +54,6 @@ pub use hnlpu_sim as sim;
 pub use hnlpu_tco as tco;
 
 pub mod experiments;
-pub mod system;
+mod system;
 
 pub use system::HnlpuSystem;

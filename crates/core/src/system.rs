@@ -6,7 +6,6 @@ use hnlpu_embed::array::MeNeuronParams;
 use hnlpu_embed::{ChipReport, HnArrayPlan};
 use hnlpu_litho::nre::{chips_for_model, NreScenario, NreSummary};
 use hnlpu_model::zoo::ModelCard;
-use hnlpu_sim::power::SystemPowerModel;
 use hnlpu_sim::{Breakdown, HnlpuEngine, SimConfig};
 use hnlpu_tco::{DeploymentScale, Table3};
 
@@ -29,7 +28,7 @@ impl HnlpuSystem {
     }
 
     /// Design at an explicit technology node.
-    pub fn design_at(card: ModelCard, tech: TechNode) -> Self {
+    pub(crate) fn design_at(card: ModelCard, tech: TechNode) -> Self {
         let chips = chips_for_model(&card).max(16);
         let params = MeNeuronParams::array_default();
         let array = HnArrayPlan::plan(&card.config, chips, params);
@@ -92,7 +91,7 @@ impl HnlpuSystem {
     }
 
     /// The HNLPU row of Table 2.
-    pub fn table2_row(&self, context: u64) -> SystemRow {
+    pub(crate) fn table2_row(&self, context: u64) -> SystemRow {
         SystemRow {
             name: "HNLPU",
             throughput_tokens_per_s: self.decode_throughput(context),
@@ -114,14 +113,6 @@ impl HnlpuSystem {
     /// The Figure-14 breakdown sweep.
     pub fn figure14(&self) -> Vec<Breakdown> {
         self.engine.breakdown_sweep()
-    }
-
-    /// The system power model anchored on this design's Table 1 power.
-    pub fn power_model(&self) -> SystemPowerModel {
-        SystemPowerModel {
-            peak_w: self.system_power_w(),
-            idle_fraction: 0.35,
-        }
     }
 
     /// NRE pricing for building `systems` machines.
@@ -200,7 +191,7 @@ mod tests {
     #[test]
     fn power_model_reproduces_table2_efficiency() {
         let s = HnlpuSystem::design(zoo::gpt_oss_120b());
-        let tpj = s.power_model().tokens_per_joule(&s.engine().config, 2048);
+        let tpj = s.decode_throughput(2048) / s.system_power_w();
         assert!((tpj - 36.0).abs() < 2.5, "tokens/J = {tpj:.1}");
     }
 

@@ -46,7 +46,7 @@ impl MeNeuronParams {
     }
 
     /// The §6.3 benchmark-tile operating point (calibrated to Figure 12/13).
-    pub fn tile_default() -> Self {
+    pub(crate) fn tile_default() -> Self {
         MeNeuronParams {
             activation_bits: 8,
             slack: 1.25,
@@ -93,7 +93,7 @@ pub fn me_neuron_budget(fan_in: usize, p: &MeNeuronParams) -> GateBudget {
 
 /// Cycles for one ME dot product: one subcycle per scanned port group per
 /// bit-plane, plus pipeline drain.
-pub fn me_neuron_cycles(p: &MeNeuronParams, fan_in: usize) -> u64 {
+pub(crate) fn me_neuron_cycles(p: &MeNeuronParams, fan_in: usize) -> u64 {
     let capacity = (fan_in as f64 * p.slack).ceil() as usize;
     let compressor_width = capacity
         .div_ceil(NUM_CODES)
@@ -194,11 +194,6 @@ impl HnArrayPlan {
     pub fn projection_cycles(&self) -> u64 {
         me_neuron_cycles(&self.params, self.avg_fan_in)
     }
-
-    /// Metal-embedding wires on one chip (one per weight).
-    pub fn embedding_wires(&self) -> u64 {
-        self.weights_per_chip
-    }
 }
 
 #[cfg(test)]
@@ -262,12 +257,6 @@ mod tests {
         p.scan_factor = 1;
         let fast = HnArrayPlan::plan(&cfg, 16, p).projection_cycles();
         assert!(slow > 3 * fast, "slow={slow} fast={fast}");
-    }
-
-    #[test]
-    fn wires_equal_weights() {
-        let plan = gpt_oss_plan();
-        assert_eq!(plan.embedding_wires(), plan.weights_per_chip);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Weight-precision ablation for Metal-Embedding.
+//! Weight-precision model for Metal-Embedding (the ABL-PRECISION table).
 //!
 //! ME allocates one POPCNT region per *unique weight value*: `2^bits`
 //! regions. §2.2 notes gpt-oss "is already FP4" — this module quantifies
@@ -32,7 +32,7 @@ pub struct PrecisionPoint {
 /// Panics if `weight_bits` is outside `2..=8` (beyond that the region
 /// finalizer dwarfs everything and the comparison is meaningless) or
 /// `fan_in == 0`.
-pub fn me_neuron_budget_at_precision(
+pub(crate) fn me_neuron_budget_at_precision(
     fan_in: usize,
     weight_bits: u32,
     p: &MeNeuronParams,

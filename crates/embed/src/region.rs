@@ -31,7 +31,7 @@ impl SlicePool {
     /// # Panics
     ///
     /// Panics if `fan_in == 0`, `slice_inputs == 0` or `slack < 1.0`.
-    pub fn provision(fan_in: usize, slack: f64, slice_inputs: usize) -> Self {
+    pub(crate) fn provision(fan_in: usize, slack: f64, slice_inputs: usize) -> Self {
         assert!(fan_in > 0, "fan_in must be positive");
         assert!(slice_inputs > 0, "slice_inputs must be positive");
         assert!(slack >= 1.0, "slack must be >= 1.0");
@@ -46,11 +46,6 @@ impl SlicePool {
             slices,
             max_region_slices,
         }
-    }
-
-    /// Total countable inputs.
-    pub fn capacity(&self) -> usize {
-        self.slice_inputs * self.slices
     }
 }
 
@@ -73,24 +68,6 @@ pub enum RegionAllocError {
         /// Borrow limit per region.
         available: usize,
     },
-}
-
-impl RegionAllocError {
-    /// Slices demanded by the failing constraint.
-    pub fn demanded(&self) -> usize {
-        match *self {
-            RegionAllocError::PoolExhausted { demanded, .. }
-            | RegionAllocError::RegionOverflow { demanded, .. } => demanded,
-        }
-    }
-
-    /// Slices available under the failing constraint.
-    pub fn available(&self) -> usize {
-        match *self {
-            RegionAllocError::PoolExhausted { available, .. }
-            | RegionAllocError::RegionOverflow { available, .. } => available,
-        }
-    }
 }
 
 impl fmt::Display for RegionAllocError {
@@ -137,7 +114,7 @@ impl RegionAllocation {
     /// Returns [`RegionAllocError`] if the histogram's slice demand exceeds
     /// the pool — the weight vector is too imbalanced for the prefab
     /// provisioning and needs a larger `slack`.
-    pub fn allocate(
+    pub(crate) fn allocate(
         histogram: &[u64; NUM_CODES],
         pool: SlicePool,
     ) -> Result<Self, RegionAllocError> {
@@ -213,9 +190,8 @@ mod tests {
         let err = RegionAllocation::allocate(&h, pool).unwrap_err();
         assert!(matches!(
             err,
-            RegionAllocError::RegionOverflow { code: 3, .. }
+            RegionAllocError::RegionOverflow { code: 3, demanded, available } if demanded > available
         ));
-        assert!(err.demanded() > err.available());
         assert!(err.to_string().contains("slices"));
     }
 
@@ -246,7 +222,7 @@ mod tests {
     #[test]
     fn pool_capacity() {
         let pool = SlicePool::provision(1000, 1.25, 64);
-        assert!(pool.capacity() >= 1250);
+        assert!(pool.slice_inputs * pool.slices >= 1250);
         assert!(pool.slices >= NUM_CODES);
     }
 

@@ -26,22 +26,22 @@ pub struct BlockReport {
 mod ip {
     /// VEX area per KV-head processing lane, mm² (32 lanes ≙ 27.87 mm²:
     /// fp16 GEMV slice, nonlinear units, operand collectors).
-    pub const VEX_AREA_PER_LANE_MM2: f64 = 27.87 / 32.0;
+    pub(crate) const VEX_AREA_PER_LANE_MM2: f64 = 27.87 / 32.0;
     /// VEX power per lane at full streaming rate, W.
-    pub const VEX_POWER_PER_LANE_W: f64 = 33.09 / 32.0;
+    pub(crate) const VEX_POWER_PER_LANE_W: f64 = 33.09 / 32.0;
     /// Interconnect Engine area per CXL ×16 link, mm² (6 links per chip in
     /// the 4×4 row-column fabric).
-    pub const IE_AREA_PER_LINK_MM2: f64 = 37.92 / 6.0;
+    pub(crate) const IE_AREA_PER_LINK_MM2: f64 = 37.92 / 6.0;
     /// Interconnect Engine power per link, W.
-    pub const IE_POWER_PER_LINK_W: f64 = 49.65 / 6.0;
+    pub(crate) const IE_POWER_PER_LINK_W: f64 = 49.65 / 6.0;
     /// HBM PHY area per stack, mm² (8 stacks per module).
-    pub const HBM_PHY_AREA_PER_STACK_MM2: f64 = 52.0 / 8.0;
+    pub(crate) const HBM_PHY_AREA_PER_STACK_MM2: f64 = 52.0 / 8.0;
     /// HBM PHY power per stack, W.
-    pub const HBM_PHY_POWER_PER_STACK_W: f64 = 63.0 / 8.0;
+    pub(crate) const HBM_PHY_POWER_PER_STACK_W: f64 = 63.0 / 8.0;
     /// Control unit (scheduling + pipeline sequencing).
-    pub const CONTROL_AREA_MM2: f64 = 0.02;
+    pub(crate) const CONTROL_AREA_MM2: f64 = 0.02;
     /// Control unit power.
-    pub const CONTROL_POWER_W: f64 = 0.005;
+    pub(crate) const CONTROL_POWER_W: f64 = 0.005;
 }
 
 /// The full single-chip report.
@@ -103,24 +103,6 @@ impl ChipReport {
         ChipReport { blocks, num_chips }
     }
 
-    /// The paper's configuration: 16 chips, 32 KV lanes, 6 links, 8 stacks.
-    pub fn paper(cfg: &TransformerConfig, tech: &TechNode) -> Self {
-        Self::plan(cfg, 16, tech, 32, 6, 8)
-    }
-
-    /// The paper configuration plus the §8 LoRA field-programmable
-    /// side-channel at `rank`, as an extra block row.
-    pub fn paper_with_side_channel(cfg: &TransformerConfig, tech: &TechNode, rank: usize) -> Self {
-        let mut report = Self::paper(cfg, tech);
-        let sc = crate::field_programmable::SideChannelPlan::plan(cfg, report.num_chips, rank);
-        report.blocks.push(BlockReport {
-            name: "LoRA Side-Channel",
-            area_mm2: sc.area_mm2(tech),
-            power_w: sc.power_w(tech),
-        });
-        report
-    }
-
     /// Total chip area, mm².
     pub fn total_area_mm2(&self) -> f64 {
         self.blocks.iter().map(|b| b.area_mm2).sum()
@@ -154,7 +136,8 @@ mod tests {
     use hnlpu_model::zoo;
 
     fn paper_report() -> ChipReport {
-        ChipReport::paper(&zoo::gpt_oss_120b().config, &TechNode::n5())
+        // The paper's configuration: 16 chips, 32 KV lanes, 6 links, 8 stacks.
+        ChipReport::plan(&zoo::gpt_oss_120b().config, 16, &TechNode::n5(), 32, 6, 8)
     }
 
     #[test]
@@ -202,20 +185,6 @@ mod tests {
         let r = paper_report();
         assert!(r.block("VEX").is_some());
         assert!(r.block("GPU").is_none());
-    }
-
-    #[test]
-    fn side_channel_adds_under_one_percent() {
-        let cfg = zoo::gpt_oss_120b().config;
-        let t = TechNode::n5();
-        let base = ChipReport::paper(&cfg, &t);
-        let with = ChipReport::paper_with_side_channel(&cfg, &t, 16);
-        let overhead = with.total_area_mm2() / base.total_area_mm2() - 1.0;
-        assert!(
-            overhead > 0.0 && overhead < 0.01,
-            "overhead = {overhead:.4}"
-        );
-        assert!(with.block("LoRA Side-Channel").is_some());
     }
 
     #[test]

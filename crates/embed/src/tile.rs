@@ -30,17 +30,6 @@ pub enum TileMethod {
     MetalEmbedding,
 }
 
-impl TileMethod {
-    /// Short label as used in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            TileMethod::MacArray => "MA",
-            TileMethod::CellEmbedding => "CE",
-            TileMethod::MetalEmbedding => "ME",
-        }
-    }
-}
-
 /// A planned benchmark tile: `rows` inputs × `cols` output neurons.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileDesign {
@@ -73,13 +62,13 @@ impl TileDesign {
     }
 
     /// Weight storage of the tile in bytes (FP4).
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         (self.rows * self.cols) as u64 / 2
     }
 
     /// Aggregate gate budget of the compute fabric (excludes the MA's SRAM,
     /// which is modeled as a macro).
-    pub fn budget(&self) -> GateBudget {
+    pub(crate) fn budget(&self) -> GateBudget {
         match self.method {
             TileMethod::MacArray => MacArray::new(self.lanes, self.activation_bits).budget(),
             TileMethod::CellEmbedding => {
@@ -102,7 +91,7 @@ impl TileDesign {
     /// Tile area in mm². Per the paper's comparison, the MA tile is its
     /// 64 KB weight SRAM (the compute array is excluded as arbitrary-sized);
     /// CE and ME are their full compute fabrics.
-    pub fn area_mm2(&self, tech: &TechNode) -> f64 {
+    pub(crate) fn area_mm2(&self, tech: &TechNode) -> f64 {
         match self.method {
             TileMethod::MacArray => sram_macro(self.weight_bytes()).area_mm2(tech),
             _ => logic_area_mm2(&self.budget(), tech, true),
@@ -110,7 +99,7 @@ impl TileDesign {
     }
 
     /// Execution cycles for one full GEMV.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         match self.method {
             TileMethod::MacArray => (self.rows * self.cols) as u64 / self.lanes as u64 + 22,
             TileMethod::CellEmbedding => {
@@ -131,7 +120,7 @@ impl TileDesign {
     }
 
     /// Energy of one full GEMV in joules.
-    pub fn energy_j(&self, tech: &TechNode) -> f64 {
+    pub(crate) fn energy_j(&self, tech: &TechNode) -> f64 {
         match self.method {
             TileMethod::MacArray => {
                 // Fetch every weight byte from SRAM once, plus MAC dynamic

@@ -56,22 +56,6 @@ impl CostRange {
     pub fn mid(&self) -> f64 {
         (self.low + self.high) / 2.0
     }
-
-    /// Interval width.
-    pub fn spread(&self) -> f64 {
-        self.high - self.low
-    }
-
-    /// Elementwise ratio against another range: `(self.low / rhs.low,
-    /// self.high / rhs.high)` — how many times cheaper/more expensive.
-    pub fn ratio_to(&self, rhs: &CostRange) -> (f64, f64) {
-        (self.low / rhs.low, self.high / rhs.high)
-    }
-
-    /// True if the whole interval lies below `rhs`'s.
-    pub fn strictly_below(&self, rhs: &CostRange) -> bool {
-        self.high < rhs.low
-    }
 }
 
 impl Add for CostRange {
@@ -153,7 +137,6 @@ mod tests {
         assert_eq!(a * 2.0, CostRange::new(2.0, 4.0));
         assert_eq!(b / 2.0, CostRange::new(1.5, 2.5));
         assert_eq!(a.mid(), 1.5);
-        assert_eq!(b.spread(), 2.0);
     }
 
     #[test]
@@ -174,17 +157,6 @@ mod tests {
         assert_eq!(CostRange::exact(6.0e9).to_string(), "$6.000B");
         assert_eq!(CostRange::exact(629.0).to_string(), "$629");
         assert_eq!(CostRange::exact(16_988.0).to_string(), "$17.0K");
-    }
-
-    #[test]
-    fn comparisons() {
-        let cheap = CostRange::new(1.0, 2.0);
-        let dear = CostRange::new(10.0, 20.0);
-        assert!(cheap.strictly_below(&dear));
-        assert!(!dear.strictly_below(&cheap));
-        let (rl, rh) = dear.ratio_to(&cheap);
-        assert_eq!(rl, 10.0);
-        assert_eq!(rh, 10.0);
     }
 
     #[test]
@@ -222,7 +194,6 @@ mod tests {
             #[test]
             fn mid_is_between_bounds(a in range()) {
                 prop_assert!(a.low <= a.mid() && a.mid() <= a.high);
-                prop_assert!(a.spread() >= 0.0);
             }
 
             #[test]

@@ -3,13 +3,13 @@
 //! Reproduces the paper's §2.2 (economic challenge), §3.2 (Sea-of-Neurons
 //! mask sharing), Figure 2, Table 4, and Table 5:
 //!
-//! * [`cost`] — the `[optimistic, pessimistic]` cost-range arithmetic every
+//! * `cost` — the `[optimistic, pessimistic]` cost-range arithmetic every
 //!   estimate in the paper is quoted in.
-//! * [`mask_cost`] — photomask-set pricing over the normalized-DUV-unit
+//! * `mask_cost` — photomask-set pricing over the normalized-DUV-unit
 //!   model (EUV reticles weighted 6×; full 5 nm set $15 M–30 M).
-//! * [`wafer`] — wafer/packaging/HBM/system recurring costs per good die
+//! * `wafer` — wafer/packaging/HBM/system recurring costs per good die
 //!   (Murphy yield).
-//! * [`sea_of_neurons`] — mask-sharing accounting: homogeneous vs
+//! * `sea_of_neurons` — mask-sharing accounting: homogeneous vs
 //!   metal-embedding masks, initial vs re-spin, and the headline −86.5% /
 //!   −92.3% / 112× reductions.
 //! * [`nre`] — full NRE scenarios (Table 5) and per-model chip pricing
@@ -19,16 +19,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
-pub mod cost;
-pub mod mask_cost;
+mod cost;
+mod mask_cost;
 pub mod nre;
-pub mod respin_planner;
-pub mod sea_of_neurons;
-pub mod wafer;
+mod sea_of_neurons;
+mod wafer;
 
 pub use cost::CostRange;
-pub use mask_cost::MaskPricing;
-pub use nre::{DesignCosts, NreScenario, NreSummary};
-pub use respin_planner::{classify_update, update_cost, UpdateKind};
-pub use sea_of_neurons::{MaskPlan, SeaOfNeurons};
-pub use wafer::{RecurringCosts, WaferPricing};
+pub use sea_of_neurons::SeaOfNeurons;
+pub use wafer::WaferPricing;

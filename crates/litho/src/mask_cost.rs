@@ -15,7 +15,7 @@ pub struct MaskPricing {
 
 impl MaskPricing {
     /// The paper's 5 nm pricing.
-    pub fn n5() -> Self {
+    pub(crate) fn n5() -> Self {
         MaskPricing {
             full_set: CostRange::new(15.0e6, 30.0e6),
             stack: MetalStack::n5(),
@@ -23,25 +23,25 @@ impl MaskPricing {
     }
 
     /// Cost per normalized DUV unit.
-    pub fn per_duv_unit(&self) -> CostRange {
+    pub(crate) fn per_duv_unit(&self) -> CostRange {
         self.full_set / self.stack.normalized_duv_units()
     }
 
     /// Cost of the homogeneous (shared) portion of the set — everything
     /// except the metal-embedding masks.
-    pub fn homogeneous(&self) -> CostRange {
+    pub(crate) fn homogeneous(&self) -> CostRange {
         let units = self.stack.normalized_duv_units() - self.stack.embedding_masks() as f64;
         self.per_duv_unit() * units
     }
 
     /// Cost of one chip variant's metal-embedding masks (all plain DUV).
-    pub fn embedding_per_variant(&self) -> CostRange {
+    pub(crate) fn embedding_per_variant(&self) -> CostRange {
         self.per_duv_unit() * self.stack.embedding_masks() as f64
     }
 
     /// The single-number "full mask set" figure used in the paper's §2.2
     /// narrative ($30 M at 5 nm) — the pessimistic bound.
-    pub fn headline_full_set(&self) -> f64 {
+    pub(crate) fn headline_full_set(&self) -> f64 {
         self.full_set.high
     }
 }

@@ -9,7 +9,7 @@ use hnlpu_model::zoo::ModelCard;
 /// Design & development one-time costs (Appendix B: "derived from internal
 /// engineering data").
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesignCosts {
+pub(crate) struct DesignCosts {
     /// Architecture definition.
     pub architecture: CostRange,
     /// Functional/physical verification.
@@ -22,7 +22,7 @@ pub struct DesignCosts {
 
 impl DesignCosts {
     /// Table 5 values.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         DesignCosts {
             architecture: CostRange::new(1.87e6, 3.74e6),
             verification: CostRange::new(9.97e6, 19.93e6),
@@ -39,7 +39,7 @@ impl DesignCosts {
     /// Scale the effort-driven components for a system of `num_chips` chips
     /// (verification and physical design grow ~√chips relative to the
     /// 16-chip baseline; IP and architecture are size-independent).
-    pub fn scaled_for_chips(&self, num_chips: u32) -> Self {
+    pub(crate) fn scaled_for_chips(&self, num_chips: u32) -> Self {
         let s = (num_chips as f64 / 16.0).sqrt().max(0.5);
         DesignCosts {
             architecture: self.architecture,
@@ -81,12 +81,12 @@ impl NreScenario {
     }
 
     /// Die area in mm².
-    pub fn die_area_mm2(&self) -> f64 {
+    pub(crate) fn die_area_mm2(&self) -> f64 {
         self.die_area_mm2_x100 as f64 / 100.0
     }
 
     /// Total chips across all systems.
-    pub fn total_chips(&self) -> u32 {
+    pub(crate) fn total_chips(&self) -> u32 {
         self.chips_per_system * self.systems
     }
 }
@@ -118,7 +118,7 @@ impl NreSummary {
     }
 
     /// Price with explicit cost models.
-    pub fn price_with(
+    pub(crate) fn price_with(
         scenario: NreScenario,
         son: &SeaOfNeurons,
         wafer: &WaferPricing,

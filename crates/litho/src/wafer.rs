@@ -1,7 +1,7 @@
 //! Wafer-level recurring costs (Appendix B, Table 5 "Recurring Cost").
 
 use crate::cost::CostRange;
-use hnlpu_circuit::yield_model::{dies_per_wafer, good_dies_per_wafer, murphy_yield};
+use hnlpu_circuit::yield_model::good_dies_per_wafer;
 
 /// Wafer and assembly pricing for a node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,12 +34,12 @@ impl WaferPricing {
     }
 
     /// Good dies per wafer for a `die_area_mm2` die.
-    pub fn good_dies(&self, die_area_mm2: f64) -> u32 {
+    pub(crate) fn good_dies(&self, die_area_mm2: f64) -> u32 {
         good_dies_per_wafer(die_area_mm2, self.wafer_diameter_mm, self.d0_per_cm2)
     }
 
     /// Silicon cost per good die.
-    pub fn silicon_per_die(&self, die_area_mm2: f64) -> f64 {
+    pub(crate) fn silicon_per_die(&self, die_area_mm2: f64) -> f64 {
         self.wafer_usd / self.good_dies(die_area_mm2).max(1) as f64
     }
 
@@ -52,21 +52,6 @@ impl WaferPricing {
             hbm: self.hbm_per_gb * hbm_gb,
             system_integration: self.system_integration_per_chip,
         }
-    }
-
-    /// Wafers needed to harvest `chips` good dies.
-    pub fn wafers_for(&self, die_area_mm2: f64, chips: u32) -> u32 {
-        chips.div_ceil(self.good_dies(die_area_mm2).max(1))
-    }
-
-    /// Murphy yield at this pricing's defect density.
-    pub fn yield_for(&self, die_area_mm2: f64) -> f64 {
-        murphy_yield(die_area_mm2, self.d0_per_cm2)
-    }
-
-    /// Gross (pre-yield) dies per wafer.
-    pub fn gross_dies(&self, die_area_mm2: f64) -> u32 {
-        dies_per_wafer(die_area_mm2, self.wafer_diameter_mm)
     }
 }
 
@@ -99,6 +84,7 @@ impl RecurringCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hnlpu_circuit::yield_model::dies_per_wafer;
 
     /// The paper's chip: 827.08 mm², 192 GB HBM (8 × 24 GB).
     fn paper_chip() -> RecurringCosts {
@@ -143,20 +129,15 @@ mod tests {
     #[test]
     fn sixteen_chips_fit_one_wafer_by_gross_count() {
         let p = WaferPricing::n5();
-        assert!(p.gross_dies(827.08) >= 16);
-        // But after yield, one wafer gives ~27 good dies; a 16-chip system
-        // needs a single wafer.
-        assert_eq!(p.wafers_for(827.08, 16), 1);
-        assert_eq!(
-            p.wafers_for(827.08, 800),
-            800_u32.div_ceil(p.good_dies(827.08))
-        );
+        assert!(dies_per_wafer(827.08, p.wafer_diameter_mm) >= 16);
+        // After yield, one wafer still gives ~27 good dies: a 16-chip
+        // system needs a single wafer.
+        assert!(p.good_dies(827.08) >= 16);
     }
 
     #[test]
     fn yield_penalty_grows_with_die() {
         let p = WaferPricing::n5();
         assert!(p.silicon_per_die(200.0) < p.silicon_per_die(827.08));
-        assert!(p.yield_for(200.0) > p.yield_for(827.08));
     }
 }

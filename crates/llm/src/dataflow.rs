@@ -37,7 +37,7 @@ pub use hnlpu_sim::pipeline::GRID;
 use hnlpu_sim::pipeline::{layer_collectives, Collective, Group};
 use hnlpu_sim::CollectiveKind;
 use std::array::from_fn;
-use std::ops::{Range, RangeInclusive};
+use std::ops::Range;
 
 /// Collective-communication counters, per executor run: each layer charges
 /// each row its [`layer_collectives`] once, counting a collective once per
@@ -57,10 +57,10 @@ pub struct CommCounters {
 }
 
 impl CommCounters {
-    /// One row's charge for the entries of `schedule` that `stages` issue.
-    fn of(schedule: &[Collective], stages: RangeInclusive<u8>) -> Self {
+    /// One row's charge for the entries of `schedule`.
+    fn of(schedule: &[Collective]) -> Self {
         let mut one = CommCounters::default();
-        for &(_, kind, group, bytes) in schedule.iter().filter(|c| stages.contains(&c.0)) {
+        for &(_, kind, group, bytes) in schedule {
             match (group, kind) {
                 (Group::AllChips, _) => one.all_chip_all_reduces += 1,
                 (_, CollectiveKind::AllGather) => one.all_gathers += GRID as u64,
@@ -420,8 +420,8 @@ impl Placement for Grid {
     /// reductions add partials in chip order; RoPE/attention/MoE math runs
     /// per row against that row's own position and KV shards — so KV
     /// shards and residuals are bit-equal for every chunking and every
-    /// grouping. Each row is charged the model's [`layer_collectives`], a
-    /// stage's entries where the block runs that stage.
+    /// grouping. Each row is charged the model's [`layer_collectives`] once,
+    /// at the end of the block.
     fn panel_block(
         engine: &DataflowExecutor,
         layer: usize,
@@ -442,7 +442,6 @@ impl Placement for Grid {
         let q_heads_per_col = c.attention.num_query_heads / GRID;
         let group = c.attention.group_size();
         let row_slice = h / GRID;
-        let schedule = layer_collectives(&c);
         let Scratch {
             scores,
             delta,
@@ -484,7 +483,6 @@ impl Placement for Grid {
             col_project_panel(xnp, h, t, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw);
             col_project_panel(xnp, h, t, &w.wv, col, kv_per_col, row_slice, partp, vp, kvw);
         }
-        rows.charge(CommCounters::of(&schedule, 0..=0));
 
         // (III) RoPE + KV landing: a row at `position` lands on chip
         // (position mod 4) of each column of its own sequence's shards.
@@ -537,7 +535,6 @@ impl Placement for Grid {
             }
         }
         // Each column combines its chips' flash partials: attention's two all-reduces.
-        rows.charge(CommCounters::of(&schedule, 1..=2));
 
         let span = spans.close(Stage::Attention, span);
 
@@ -568,7 +565,6 @@ impl Placement for Grid {
                 }
             }
         }
-        rows.charge(CommCounters::of(&schedule, 3..=3));
         for tt in 0..t {
             // first residual (local on every chip)
             add_assign(&mut xop[tt * h..(tt + 1) * h], &xp[tt * h..(tt + 1) * h]);
@@ -618,8 +614,10 @@ impl Placement for Grid {
             xp[tt * h..(tt + 1) * h].copy_from_slice(y);
         }
         spans.close(Stage::ExpertMatmuls, span);
-        // (IX) is the all-chip Y all-reduce; the replicated router sends nothing.
-        rows.charge(CommCounters::of(&schedule, 4..=5));
+        // (IX) is the all-chip Y all-reduce; the replicated router sends
+        // nothing. Nothing reads a row's counters inside a block, so the
+        // layer's whole schedule is charged here, once per row.
+        rows.charge(CommCounters::of(&layer_collectives(&c)));
     }
 }
 
@@ -1290,7 +1288,7 @@ mod tests {
     fn every_row_is_charged_the_layer_schedule_once_per_layer() {
         let hnlpu = DataflowExecutor::new(weights());
         let c = *hnlpu.config();
-        let per_layer = CommCounters::of(&layer_collectives(&c), 0..=5);
+        let per_layer = CommCounters::of(&layer_collectives(&c));
         let gather = CommCounters {
             all_gathers: 1,
             bytes: c.vocab_size as u64 * 4,

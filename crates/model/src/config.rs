@@ -95,7 +95,7 @@ pub struct TransformerConfig {
 impl TransformerConfig {
     /// Parameters in a single layer's attention projections
     /// (`Wq`, `Wk`, `Wv`, `Wo`).
-    pub fn attention_params_per_layer(&self) -> u64 {
+    pub(crate) fn attention_params_per_layer(&self) -> u64 {
         let h = self.hidden_size as u64;
         let q = self.attention.q_width() as u64;
         let kv = self.attention.kv_width() as u64;
@@ -110,7 +110,7 @@ impl TransformerConfig {
 
     /// Parameters in a single layer's MoE FFN (all experts: up, gate, down)
     /// plus the replicated router.
-    pub fn moe_params_per_layer(&self) -> u64 {
+    pub(crate) fn moe_params_per_layer(&self) -> u64 {
         let h = self.hidden_size as u64;
         let i = self.moe.intermediate_size as u64;
         let e = self.moe.num_experts as u64;
@@ -131,20 +131,6 @@ impl TransformerConfig {
     /// Total parameter count.
     pub fn total_params(&self) -> u64 {
         self.attention_params() + self.moe_params() + self.embedding_params()
-    }
-
-    /// Parameters *touched* per decoded token: all attention weights, the
-    /// router, only `experts_per_token` experts, and the unembedding.
-    ///
-    /// This drives the GPU roofline baseline (a GPU must fetch exactly these
-    /// bytes every autoregressive step) and the HN-array activity factor.
-    pub fn active_params_per_token(&self) -> u64 {
-        let h = self.hidden_size as u64;
-        let i = self.moe.intermediate_size as u64;
-        let k = self.moe.experts_per_token as u64;
-        let router = h * self.moe.num_experts as u64;
-        let active_moe = (k * 3 * h * i + router) * self.num_layers as u64;
-        self.attention_params() + active_moe + self.vocab_size as u64 * h // unembedding
     }
 
     /// Enumerate every distinct hardwired weight matrix in one layer.
@@ -182,7 +168,8 @@ impl TransformerConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.hidden_size == 0 || self.num_layers == 0 || self.vocab_size == 0 {
             return Err("hidden_size, num_layers and vocab_size must be nonzero".into());
         }
@@ -238,7 +225,7 @@ pub enum WeightKind {
 
 impl WeightKind {
     /// True for the three expert projection kinds.
-    pub fn is_expert(&self) -> bool {
+    pub(crate) fn is_expert(&self) -> bool {
         matches!(
             self,
             WeightKind::ExpertUp { .. }
@@ -315,7 +302,18 @@ mod tests {
     #[test]
     fn active_params_much_smaller_than_total() {
         let cfg = zoo::gpt_oss_120b().config;
-        let active = cfg.active_params_per_token();
+        let layer = cfg.layer_matrices();
+        let params = |expert: bool| -> u64 {
+            layer
+                .iter()
+                .filter(|m| m.kind.is_expert() == expert)
+                .map(|m| m.len() as u64)
+                .sum()
+        };
+        let per_expert = params(true) / cfg.moe.num_experts as u64;
+        let per_layer = params(false) + cfg.moe.experts_per_token as u64 * per_expert;
+        let unembedding = cfg.embedding_params() / 2;
+        let active = per_layer * cfg.num_layers as u64 + unembedding;
         let total = cfg.total_params();
         // Top-4 of 128 experts: activity should be well under 10% of total.
         assert!(active * 10 < total, "active={active} total={total}");

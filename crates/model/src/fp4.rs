@@ -1,4 +1,4 @@
-//! The FP4 (E2M1) number format and MXFP4 block scaling.
+//! The FP4 (E2M1) number format.
 //!
 //! gpt-oss 120 B ships 4-bit weights. E2M1 has 1 sign bit, 2 exponent bits
 //! (bias 1) and 1 mantissa bit, yielding 16 encodings over 8 magnitudes:
@@ -6,17 +6,15 @@
 //! allocates one POPCNT accumulator region per *unique weight value*, so the
 //! 16-point value lattice here is exactly the "16 regions" of Figure 4.
 //!
-//! MXFP4 attaches a shared power-of-two scale (E8M0) to each block of 32
-//! elements; the scale multiplies the region outputs and does not change the
-//! wire topology, so the metal-embedding story is unaffected.
+//! gpt-oss stores them as MXFP4, which attaches a shared power-of-two scale
+//! (E8M0) to each block of 32 elements; the scale multiplies the region
+//! outputs and does not change the wire topology, so only the E2M1 codes
+//! are modelled.
 
 use std::fmt;
 
 /// Number of distinct FP4 encodings (and thus POPCNT regions per neuron).
 pub const NUM_CODES: usize = 16;
-
-/// Elements sharing one scale in an MXFP4 block.
-pub const MX_BLOCK: usize = 32;
 
 /// An FP4 (E2M1) value, stored as its 4-bit code.
 ///
@@ -99,16 +97,6 @@ impl Fp4 {
         }
     }
 
-    /// True when the magnitude is zero (either sign).
-    pub fn is_zero(self) -> bool {
-        self.0 & 0b0111 == 0
-    }
-
-    /// Iterator over all 16 codes.
-    pub fn all_codes() -> impl Iterator<Item = Fp4> {
-        (0u8..16).map(Fp4)
-    }
-
     /// The value as an exact multiple of 0.5 (range −12..=12), i.e. the
     /// integer the hardware multiplies by before the final ×0.5 shift.
     ///
@@ -131,49 +119,21 @@ impl From<Fp4> for f32 {
     }
 }
 
-/// An MXFP4 block: 32 FP4 codes sharing a power-of-two scale.
-///
-/// The scale exponent is E8M0 (an unbiased power of two in `[-127, 127]`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MxBlock {
-    /// Shared scale exponent: block value = `element * 2^scale_exp`.
-    pub scale_exp: i8,
-    /// The 32 FP4 elements.
-    pub elems: [Fp4; MX_BLOCK],
-}
-
-impl MxBlock {
-    /// Dequantize the whole block to `f32`.
-    pub fn to_f32(&self) -> [f32; MX_BLOCK] {
-        let s = (self.scale_exp as f32).exp2();
-        let mut out = [0.0; MX_BLOCK];
-        for (o, e) in out.iter_mut().zip(self.elems.iter()) {
-            *o = e.to_f32() * s;
-        }
-        out
-    }
-}
-
-impl Default for MxBlock {
-    fn default() -> Self {
-        MxBlock {
-            scale_exp: 0,
-            elems: [Fp4::ZERO; MX_BLOCK],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn all_codes() -> impl Iterator<Item = Fp4> {
+        (0u8..16).map(Fp4)
+    }
+
     #[test]
     fn all_sixteen_codes_roundtrip() {
-        for c in Fp4::all_codes() {
+        for c in all_codes() {
             let back = Fp4::from_f32(c.to_f32());
-            // -0 and +0 collapse to +0; everything else is exact.
-            if c.is_zero() {
-                assert!(back.is_zero());
+            // Both zeros come back as a zero; everything else is exact.
+            if c.to_f32() == 0.0 {
+                assert_eq!(back.to_f32(), 0.0);
             } else {
                 assert_eq!(back, c, "code {:#06b}", c.code());
             }
@@ -201,7 +161,7 @@ mod tests {
 
     #[test]
     fn nan_maps_to_zero() {
-        assert!(Fp4::from_f32(f32::NAN).is_zero());
+        assert_eq!(Fp4::from_f32(f32::NAN), Fp4::ZERO);
     }
 
     #[test]
@@ -314,7 +274,7 @@ mod tests {
 
     #[test]
     fn half_units_are_exact_integers() {
-        for c in Fp4::all_codes() {
+        for c in all_codes() {
             let hu = c.as_half_units();
             assert!((-12..=12).contains(&hu));
             assert!((hu as f32 * 0.5 - c.to_f32()).abs() < 1e-9);
@@ -323,26 +283,15 @@ mod tests {
 
     #[test]
     fn half_unit_table_matches_values() {
-        for c in Fp4::all_codes() {
+        for c in all_codes() {
             assert_eq!(i32::from(HALF_UNITS[c.code() as usize]), c.as_half_units());
             assert_eq!(f32::from(HALF_UNITS[c.code() as usize]) * 0.5, c.to_f32());
         }
     }
 
     #[test]
-    fn mx_block_scaling() {
-        let mut b = MxBlock {
-            scale_exp: 3,
-            ..MxBlock::default()
-        };
-        b.elems[0] = Fp4::from_f32(1.5);
-        let vals = b.to_f32();
-        assert_eq!(vals[0], 12.0);
-        assert_eq!(vals[1], 0.0);
-    }
-
-    #[test]
     fn num_codes_is_sixteen() {
-        assert_eq!(Fp4::all_codes().count(), NUM_CODES);
+        assert_eq!(NUM_CODES, 16);
+        assert_eq!(HALF_UNITS.len(), NUM_CODES);
     }
 }

@@ -5,12 +5,10 @@
 //! * [`config`] — transformer/MoE architecture descriptions (hidden size,
 //!   layer count, GQA geometry, expert counts, vocabulary) together with
 //!   exact parameter accounting per weight matrix.
-//! * [`fp4`] — the FP4 (E2M1) number format used by gpt-oss 120 B, plus the
-//!   MXFP4 block-scaled variant.
-//! * [`packed`] — row-major nibble-packed FP4 matrices, the resident format
+//! * [`fp4`] — the FP4 (E2M1) number format used by gpt-oss 120 B.
+//! * `packed` — row-major nibble-packed FP4 matrices, the resident format
 //!   of every hardwired tensor (8× smaller than dequantized `f32`).
-//! * [`quant`] — quantization from `f32` to FP4/MXFP4 and back.
-//! * [`weights`] — deterministic, seeded synthetic weight generation. The
+//! * `weights` — deterministic, seeded synthetic weight generation. The
 //!   paper hardwires released gpt-oss weights; every published result depends
 //!   only on tensor shapes and value distributions, so seeded synthetic
 //!   weights preserve the behaviour under study (see DESIGN.md).
@@ -36,16 +34,11 @@
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod config;
 pub mod fp4;
-pub mod import;
-pub mod packed;
-pub mod quant;
-pub mod weights;
+mod packed;
+mod weights;
 pub mod zoo;
 
 pub use config::{AttentionConfig, MoeConfig, TransformerConfig, WeightKind, WeightMatrix};
-pub use fp4::{Fp4, MxBlock};
-pub use import::from_hf_config_json;
+pub use fp4::Fp4;
 pub use packed::PackedFp4Matrix;
-pub use quant::{dequantize_mx, quantize_mx, QuantError};
 pub use weights::{LayerWeights, ModelWeights, WeightGenerator};
-pub use zoo::{ModelCard, Precision};

@@ -19,9 +19,8 @@ use crate::fp4::{Fp4, NUM_CODES};
 /// A row-major, nibble-packed FP4 matrix with its dequantization norm.
 ///
 /// `value(r, c) = get(r, c).to_f32() * norm()` — the norm is the
-/// `1/sqrt(rows)` (over the 1.8 generator stretch) scale that
-/// [`crate::WeightGenerator::matrix_f32`] applied at dequantization time,
-/// now carried by the matrix itself so nothing is dequantized up front.
+/// `1/sqrt(rows)` (over the 1.8 generator stretch) scale of a trained
+/// weight, carried by the matrix itself so nothing is dequantized up front.
 ///
 /// # Example
 ///
@@ -128,8 +127,7 @@ impl PackedFp4Matrix {
     }
 
     /// Dequantize the whole matrix to dense row-major `f32` (including the
-    /// norm) — byte-for-byte what `matrix_f32` used to materialize. Only the
-    /// naive baseline path and tests pay this cost.
+    /// norm). Only the naive baseline path and tests pay this cost.
     pub fn to_f32(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.rows * self.cols);
         for r in 0..self.rows {

@@ -34,7 +34,7 @@ mod rand_distr_normal {
     use rand::Rng;
 
     /// Draw one standard-normal sample.
-    pub fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
+    pub(crate) fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
         // Box–Muller transform; discard the second output for simplicity.
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
@@ -66,11 +66,6 @@ impl WeightGenerator {
     /// Create a generator rooted at `seed`.
     pub fn new(seed: u64) -> Self {
         Self { seed }
-    }
-
-    /// The root seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     fn rng_for(&self, layer: usize, kind: WeightKind) -> StdRng {
@@ -111,24 +106,6 @@ impl WeightGenerator {
         self.codes(layer, m.kind, m.len()).collect()
     }
 
-    /// Generate one matrix dequantized to `f32` and rescaled to a typical
-    /// trained-weight magnitude (`1/sqrt(rows)`), for functional inference.
-    pub fn matrix_f32(&self, layer: usize, m: &WeightMatrix) -> Vec<f32> {
-        let norm = Self::norm_for(m.rows);
-        self.codes(layer, m.kind, m.len())
-            .map(|c| c.to_f32() * norm)
-            .collect()
-    }
-
-    /// Generate one matrix in the resident nibble-packed format, carrying
-    /// the same `1/sqrt(rows)` norm [`matrix_f32`](Self::matrix_f32) would
-    /// have applied — `packed.to_f32()` equals `matrix_f32` exactly.
-    pub fn packed_matrix(&self, layer: usize, m: &WeightMatrix) -> PackedFp4Matrix {
-        let mut packed = PackedFp4Matrix::zeroed(m.rows, m.cols, Self::norm_for(m.rows));
-        self.pack(layer, m.kind, &mut packed);
-        packed
-    }
-
     /// Write the code stream of `(layer, kind)` into `packed`, whose shape
     /// sets how many codes are drawn.
     fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix) {
@@ -150,13 +127,6 @@ impl WeightGenerator {
             hist[c.code() as usize] += 1;
         }
         hist
-    }
-
-    /// Generate an embedding table (`vocab × hidden`) in `f32`.
-    pub fn embedding(&self, cfg: &TransformerConfig) -> Vec<f32> {
-        let mut table = vec![0.0; cfg.vocab_size * cfg.hidden_size];
-        self.fill_embedding(cfg, &mut table);
-        table
     }
 
     /// Write the embedding table of `cfg` into `table` (`vocab × hidden`).
@@ -251,7 +221,7 @@ impl LayerWeights {
     }
 
     /// Resident bytes of this layer's packed tensors.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         let experts: u64 = self
             .up
             .iter()
@@ -281,7 +251,7 @@ pub struct ModelWeights {
 
 impl ModelWeights {
     /// Materialize every weight of `cfg` from `gen`, on every core the host
-    /// offers (see [`materialize_on`](Self::materialize_on)).
+    /// offers (see `materialize_on`).
     ///
     /// # Panics
     ///
@@ -350,13 +320,34 @@ impl ModelWeights {
         let layers: u64 = self.layers.iter().map(LayerWeights::resident_bytes).sum();
         layers + (self.embedding.len() * std::mem::size_of::<f32>()) as u64
     }
+}
 
-    /// Bytes the same weights would occupy fully dequantized to `f32`, as
-    /// they were before the packed representation existed — the baseline of
-    /// the ≥4× residency claim.
-    pub fn dense_f32_weight_bytes(&self) -> u64 {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::zoo;
+
+    /// One matrix dequantized to `f32` with the `1/sqrt(rows)` norm: the
+    /// lazy oracle of the packed format.
+    fn matrix_f32(g: &WeightGenerator, layer: usize, m: &WeightMatrix) -> Vec<f32> {
+        let norm = WeightGenerator::norm_for(m.rows);
+        g.codes(layer, m.kind, m.len())
+            .map(|c| c.to_f32() * norm)
+            .collect()
+    }
+
+    /// One matrix packed on its own, outside `materialize`.
+    fn packed_matrix(g: &WeightGenerator, layer: usize, m: &WeightMatrix) -> PackedFp4Matrix {
+        let mut packed = PackedFp4Matrix::zeroed(m.rows, m.cols, WeightGenerator::norm_for(m.rows));
+        g.pack(layer, m.kind, &mut packed);
+        packed
+    }
+
+    /// Bytes the weights would occupy fully dequantized to `f32`: the
+    /// baseline of the ≥4× residency claim.
+    fn dense_f32_weight_bytes(w: &ModelWeights) -> u64 {
         let f = std::mem::size_of::<f32>() as u64;
-        let layers: u64 = self
+        let layers: u64 = w
             .layers
             .iter()
             .map(|l| {
@@ -373,14 +364,8 @@ impl ModelWeights {
                 (attn + experts) * f
             })
             .sum();
-        layers + self.embedding.len() as u64 * f
+        layers + w.embedding.len() as u64 * f
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::zoo;
 
     fn small() -> TransformerConfig {
         zoo::test_model().config
@@ -492,12 +477,13 @@ mod tests {
                                 hist[c.code() as usize] += 1;
                             }
                             assert_eq!(gen.code_histogram(l, &m), hist, "{m:?}");
-                            (m, gen.packed_matrix(l, &m), codes)
+                            (m, packed_matrix(&gen, l, &m), codes)
                         })
                         .collect()
                 })
                 .collect();
-            let embedding = gen.embedding(&cfg);
+            let mut embedding = vec![0.0; cfg.vocab_size * cfg.hidden_size];
+            gen.fill_embedding(&cfg, &mut embedding);
             for workers in [1, 2, 3, 5] {
                 let w = ModelWeights::materialize_on(&cfg, &gen, workers);
                 assert_eq!(w.embedding, embedding, "workers = {workers}");
@@ -524,7 +510,7 @@ mod tests {
     fn packed_matrix_dequantizes_to_matrix_f32() {
         let g = WeightGenerator::new(5);
         let m = WeightMatrix::new(WeightKind::Output, 96, 48);
-        assert_eq!(g.packed_matrix(2, &m).to_f32(), g.matrix_f32(2, &m));
+        assert_eq!(packed_matrix(&g, 2, &m).to_f32(), matrix_f32(&g, 2, &m));
     }
 
     #[test]
@@ -532,7 +518,7 @@ mod tests {
         let g = WeightGenerator::new(9);
         let m = WeightMatrix::new(WeightKind::Value, 64, 33);
         assert_eq!(
-            g.packed_matrix(1, &m).code_histogram(),
+            packed_matrix(&g, 1, &m).code_histogram(),
             g.code_histogram(1, &m)
         );
     }
@@ -544,7 +530,7 @@ mod tests {
         let cfg = crate::zoo::dataflow_test_model().config;
         let w = ModelWeights::materialize(&cfg, &WeightGenerator::new(2026));
         let packed = w.resident_weight_bytes();
-        let dense = w.dense_f32_weight_bytes();
+        let dense = dense_f32_weight_bytes(&w);
         assert!(
             packed * 4 <= dense,
             "packed {packed} B vs dense {dense} B: only {:.2}x",
@@ -563,7 +549,7 @@ mod tests {
     fn f32_weights_have_sane_scale() {
         let g = WeightGenerator::new(11);
         let m = WeightMatrix::new(WeightKind::Query, 256, 64);
-        let w = g.matrix_f32(0, &m);
+        let w = matrix_f32(&g, 0, &m);
         let rms = (w.iter().map(|x| x * x).sum::<f32>() / w.len() as f32).sqrt();
         assert!(rms > 0.01 && rms < 0.2, "rms={rms}");
     }

@@ -1,7 +1,7 @@
 //! The simulated machine description: the paper's machine constants and
 //! the hardwired model's shape, from which the collectives and KV derive.
 
-use crate::pipeline::{self, GRID};
+use crate::pipeline;
 use hnlpu_model::{zoo, TransformerConfig};
 use serde::Serialize;
 
@@ -97,11 +97,6 @@ impl SimConfig {
         }
     }
 
-    /// Total chips.
-    pub fn num_chips(&self) -> u32 {
-        (GRID * GRID) as u32
-    }
-
     /// Pipeline slots = stages × layers (216 for gpt-oss: the paper's
     /// maximum batch size).
     pub fn pipeline_slots(&self) -> u32 {
@@ -109,7 +104,7 @@ impl SimConfig {
     }
 
     /// Convert nanoseconds to clock cycles.
-    pub fn ns_to_cycles(&self, ns: f64) -> f64 {
+    pub(crate) fn ns_to_cycles(&self, ns: f64) -> f64 {
         ns * self.clock_hz / 1e9
     }
 }
@@ -126,13 +121,14 @@ mod tests {
     use hnlpu_model::zoo;
 
     #[test]
-    fn paper_slots_are_216() {
-        assert_eq!(SimConfig::paper_default().pipeline_slots(), 216);
+    fn sixteen_chips() {
+        // The paper default's collectives are priced on the 4×4 chip grid.
+        assert_eq!(crate::pipeline::GRID * crate::pipeline::GRID, 16);
     }
 
     #[test]
-    fn sixteen_chips() {
-        assert_eq!(SimConfig::paper_default().num_chips(), 16);
+    fn paper_slots_are_216() {
+        assert_eq!(SimConfig::paper_default().pipeline_slots(), 216);
     }
 
     #[test]

@@ -2,28 +2,12 @@
 
 use crate::config::SimConfig;
 use crate::pipeline::{self, Breakdown};
-use serde::Serialize;
 
 /// A simulated HNLPU system.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HnlpuEngine {
     /// Machine description.
     pub config: SimConfig,
-}
-
-/// Table-2-style performance summary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PerfSummary {
-    /// Context length evaluated.
-    pub context: u64,
-    /// Decode throughput, tokens/s.
-    pub throughput_tokens_per_s: f64,
-    /// Single-token latency through all layers, seconds.
-    pub token_latency_s: f64,
-    /// Maximum concurrent sequences (pipeline slots).
-    pub max_batch: u32,
-    /// Per-sequence decode rate at full batch, tokens/s.
-    pub per_sequence_tokens_per_s: f64,
 }
 
 impl HnlpuEngine {
@@ -44,37 +28,9 @@ impl HnlpuEngine {
         pipeline::decode_throughput(&self.config, context)
     }
 
-    /// Latency of one token through the whole model, seconds.
-    pub fn token_latency_s(&self, context: u64) -> f64 {
-        pipeline::token_latency_s(&self.config, context)
-    }
-
     /// Figure-14 breakdown sweep.
     pub fn breakdown_sweep(&self) -> Vec<Breakdown> {
         Breakdown::figure14(&self.config)
-    }
-
-    /// Performance summary at `context`.
-    pub fn summary(&self, context: u64) -> PerfSummary {
-        let tput = self.decode_throughput(context);
-        let slots = self.config.pipeline_slots();
-        PerfSummary {
-            context,
-            throughput_tokens_per_s: tput,
-            token_latency_s: self.token_latency_s(context),
-            max_batch: slots,
-            per_sequence_tokens_per_s: tput / slots as f64,
-        }
-    }
-
-    /// Energy efficiency in tokens per joule given the system power.
-    pub fn tokens_per_joule(&self, context: u64, system_power_w: f64) -> f64 {
-        self.decode_throughput(context) / system_power_w
-    }
-
-    /// Area efficiency in tokens/(s·mm²) given total silicon area.
-    pub fn tokens_per_s_mm2(&self, context: u64, silicon_mm2: f64) -> f64 {
-        self.decode_throughput(context) / silicon_mm2
     }
 }
 
@@ -85,17 +41,20 @@ mod tests {
     #[test]
     fn summary_at_2k() {
         let e = HnlpuEngine::paper_default();
-        let s = e.summary(2048);
-        assert_eq!(s.max_batch, 216);
-        assert!(s.throughput_tokens_per_s > 200_000.0);
-        assert!((s.per_sequence_tokens_per_s * 216.0 - s.throughput_tokens_per_s).abs() < 1.0);
+        let slots = e.config.pipeline_slots();
+        assert_eq!(slots, 216);
+        let tput = e.decode_throughput(2048);
+        assert!(tput > 200_000.0, "throughput = {tput:.0}");
+        // Each of the 216 in-flight sequences gets an equal share.
+        let per_sequence = tput / slots as f64;
+        assert!((per_sequence * 216.0 - tput).abs() < 1.0);
     }
 
     #[test]
     fn energy_efficiency_matches_table2() {
         // Table 2: 36,226 tokens/kJ at 6.9 kW total system power.
         let e = HnlpuEngine::paper_default();
-        let tpj = e.tokens_per_joule(2048, 6_900.0);
+        let tpj = e.decode_throughput(2048) / 6_900.0;
         assert!((tpj - 36.2).abs() / 36.2 < 0.06, "tokens/J = {tpj:.1}");
     }
 
@@ -103,7 +62,7 @@ mod tests {
     fn area_efficiency_matches_table2() {
         // Table 2: 18.89 tokens/(s·mm²) over 13,232 mm².
         let e = HnlpuEngine::paper_default();
-        let eff = e.tokens_per_s_mm2(2048, 13_232.0);
+        let eff = e.decode_throughput(2048) / 13_232.0;
         assert!((eff - 18.89).abs() / 18.89 < 0.06, "eff = {eff:.2}");
     }
 

@@ -25,7 +25,7 @@ pub enum CollectiveKind {
 impl CollectiveKind {
     /// Exchange rounds on a fully-connected group (direct links make each
     /// phase a single simultaneous exchange).
-    pub fn rounds(self) -> u32 {
+    pub(crate) fn rounds(self) -> u32 {
         match self {
             CollectiveKind::Broadcast
             | CollectiveKind::Reduce
@@ -41,19 +41,19 @@ impl CollectiveKind {
 /// `bytes` is the per-chip payload. In each round every chip streams its
 /// payload to the `group - 1` peers over independent links; serialization is
 /// therefore one payload per link.
-pub fn collective_ns(kind: CollectiveKind, bytes: u64, cxl: &CxlParams) -> f64 {
+pub(crate) fn collective_ns(kind: CollectiveKind, bytes: u64, cxl: &CxlParams) -> f64 {
     let per_round =
         cxl.latency_ns + cxl.protocol_ns + bytes as f64 / cxl.bandwidth_bytes_per_s * 1e9;
     kind.rounds() as f64 * per_round
 }
 
 /// Collective time in clock cycles.
-pub fn collective_cycles(kind: CollectiveKind, bytes: u64, cfg: &SimConfig) -> f64 {
+pub(crate) fn collective_cycles(kind: CollectiveKind, bytes: u64, cfg: &SimConfig) -> f64 {
     cfg.ns_to_cycles(collective_ns(kind, bytes, &cfg.cxl))
 }
 
 /// An all-chip (16-way) all-reduce = row all-reduce then column all-reduce.
-pub fn all_chip_all_reduce_cycles(bytes: u64, cfg: &SimConfig) -> f64 {
+pub(crate) fn all_chip_all_reduce_cycles(bytes: u64, cfg: &SimConfig) -> f64 {
     2.0 * collective_cycles(CollectiveKind::AllReduce, bytes, cfg)
 }
 
@@ -67,12 +67,6 @@ pub fn all_chip_all_reduce_cycles(bytes: u64, cfg: &SimConfig) -> f64 {
 /// to keep the factor finite for absurd plans.
 pub fn retry_round_factor(retries: u32) -> f64 {
     (1u64 << retries.min(32)) as f64
-}
-
-/// Collective time under `retries` link-layer retransmissions per round,
-/// nanoseconds: [`collective_ns`] stretched by [`retry_round_factor`].
-pub fn collective_retry_ns(kind: CollectiveKind, bytes: u64, retries: u32, cxl: &CxlParams) -> f64 {
-    collective_ns(kind, bytes, cxl) * retry_round_factor(retries)
 }
 
 #[cfg(test)]
@@ -116,11 +110,9 @@ mod tests {
     fn zero_retries_is_exactly_unity() {
         // The fault-free differential invariant: stretching by the retry
         // factor at 0 retries must be a bit-exact no-op.
-        assert_eq!(retry_round_factor(0), 1.0);
-        let cxl = CxlParams::default();
-        let plain = collective_ns(CollectiveKind::AllReduce, 2048, &cxl);
-        let faulted = collective_retry_ns(CollectiveKind::AllReduce, 2048, 0, &cxl);
-        assert_eq!(plain.to_bits(), faulted.to_bits());
+        assert_eq!(retry_round_factor(0).to_bits(), 1.0f64.to_bits());
+        let plain = collective_ns(CollectiveKind::AllReduce, 2048, &CxlParams::default());
+        assert_eq!((plain * retry_round_factor(0)).to_bits(), plain.to_bits());
     }
 
     #[test]
@@ -128,10 +120,6 @@ mod tests {
         assert_eq!(retry_round_factor(1), 2.0);
         assert_eq!(retry_round_factor(3), 8.0);
         assert_eq!(retry_round_factor(40), retry_round_factor(32));
-        let cxl = CxlParams::default();
-        let base = collective_ns(CollectiveKind::Reduce, 4096, &cxl);
-        let twice = collective_retry_ns(CollectiveKind::Reduce, 4096, 1, &cxl);
-        assert_eq!(twice, base * 2.0);
     }
 
     #[test]

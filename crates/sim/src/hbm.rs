@@ -11,7 +11,7 @@ use crate::config::SimConfig;
 
 /// KV-cache placement model for one chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KvCacheModel {
+pub(crate) struct KvCacheModel {
     buffer_bytes: u64,
     hbm_bytes: u64,
     kv_bytes_per_token: u64,
@@ -21,7 +21,7 @@ pub struct KvCacheModel {
 
 impl KvCacheModel {
     /// Build from a simulator config.
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         KvCacheModel {
             buffer_bytes: cfg.buffer_bytes,
             hbm_bytes: cfg.hbm_bytes,
@@ -32,30 +32,24 @@ impl KvCacheModel {
 
     /// Working-set bytes of one attention op at `context` (the chip's
     /// quarter of the sequence).
-    pub fn working_set_bytes(&self, context: u64) -> u64 {
+    pub(crate) fn working_set_bytes(&self, context: u64) -> u64 {
         context / 4 * self.kv_bytes_per_token
     }
 
     /// Bytes the staging horizon wants resident.
-    pub fn staging_bytes(&self, context: u64) -> u64 {
+    pub(crate) fn staging_bytes(&self, context: u64) -> u64 {
         self.staged_ops as u64 * self.working_set_bytes(context)
     }
 
     /// Fraction of attention traffic that must stream from HBM instead of
     /// the buffer (0 when staging fits).
-    pub fn spill_fraction(&self, context: u64) -> f64 {
+    pub(crate) fn spill_fraction(&self, context: u64) -> f64 {
         let staging = self.staging_bytes(context) as f64;
         if staging <= self.buffer_bytes as f64 {
             0.0
         } else {
             1.0 - self.buffer_bytes as f64 / staging
         }
-    }
-
-    /// Longest context whose full KV cache (for `batch` sequences across
-    /// `layers` layers) fits in HBM.
-    pub fn max_context_in_hbm(&self, batch: u64, layers: u64) -> u64 {
-        self.hbm_bytes / (batch * layers * self.kv_bytes_per_token).max(1)
     }
 }
 
@@ -89,17 +83,18 @@ mod tests {
     }
 
     #[test]
+    fn hbm_bounds_batch_times_context() {
+        let m = model();
+        // 216-sequence batch over 36 layers: HBM holds ~100K context.
+        let full_kv = |context: u64| 216 * 36 * context * m.kv_bytes_per_token;
+        assert!(full_kv(50_000) <= m.hbm_bytes);
+        assert!(full_kv(200_000) > m.hbm_bytes);
+    }
+
+    #[test]
     fn working_set_at_512k() {
         // 512K/4 tokens x 256 B = 33.6 MB per op.
         let ws = model().working_set_bytes(524_288);
         assert_eq!(ws, 524_288 / 4 * 256);
-    }
-
-    #[test]
-    fn hbm_bounds_batch_times_context() {
-        let m = model();
-        // 216-sequence batch over 36 layers: HBM holds ~100K context.
-        let max = m.max_context_in_hbm(216, 36);
-        assert!(max > 50_000 && max < 200_000, "max = {max}");
     }
 }

@@ -16,25 +16,25 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Chip identifier in the 4×4 grid (row-major: `id = row * 4 + col`).
-pub type ChipId = u8;
+pub(crate) type ChipId = u8;
 
 /// Grid dimension.
 const GRID: u8 = 4;
 
 /// Chips in `col`'s column group.
-pub fn column_group(col: u8) -> [ChipId; 4] {
+pub(crate) fn column_group(col: u8) -> [ChipId; 4] {
     [col, col + 4, col + 8, col + 12]
 }
 
 /// Chips in `row`'s row group.
-pub fn row_group(row: u8) -> [ChipId; 4] {
+pub(crate) fn row_group(row: u8) -> [ChipId; 4] {
     [row * 4, row * 4 + 1, row * 4 + 2, row * 4 + 3]
 }
 
 /// The link-level fabric: every ordered pair of row/column peers has a
 /// dedicated point-to-point link with a busy-until time.
 #[derive(Debug, Clone, Default)]
-pub struct PacketFabric {
+pub(crate) struct PacketFabric {
     busy_until_ns: BTreeMap<(ChipId, ChipId), f64>,
     /// Messages delivered so far.
     pub messages: u64,
@@ -44,12 +44,12 @@ pub struct PacketFabric {
 
 impl PacketFabric {
     /// A fresh, idle fabric.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether `src` and `dst` share a direct link (same row or column).
-    pub fn connected(src: ChipId, dst: ChipId) -> bool {
+    pub(crate) fn connected(src: ChipId, dst: ChipId) -> bool {
         src != dst && (src / GRID == dst / GRID || src % GRID == dst % GRID)
     }
 
@@ -60,7 +60,7 @@ impl PacketFabric {
     ///
     /// Panics if the chips are not directly connected (the router-less
     /// fabric never forwards).
-    pub fn send(
+    pub(crate) fn send(
         &mut self,
         cfg: &SimConfig,
         src: ChipId,
@@ -86,7 +86,7 @@ impl PacketFabric {
 
     /// Reduce-to-root over a fully-connected group: every member sends its
     /// payload directly to `root`; completion when the last arrives.
-    pub fn reduce(
+    pub(crate) fn reduce(
         &mut self,
         cfg: &SimConfig,
         group: &[ChipId],
@@ -104,7 +104,7 @@ impl PacketFabric {
     }
 
     /// Broadcast from `root` to the group over the direct links.
-    pub fn broadcast(
+    pub(crate) fn broadcast(
         &mut self,
         cfg: &SimConfig,
         group: &[ChipId],
@@ -123,7 +123,7 @@ impl PacketFabric {
 
     /// All-reduce = reduce round + broadcast round (the Interconnect
     /// Engine's §4.3 algorithm; matches the analytical 2-round model).
-    pub fn all_reduce(
+    pub(crate) fn all_reduce(
         &mut self,
         cfg: &SimConfig,
         group: &[ChipId],
@@ -137,7 +137,7 @@ impl PacketFabric {
 
     /// All-gather: every member broadcasts its fragment (1 round on the
     /// fully-connected group).
-    pub fn all_gather(
+    pub(crate) fn all_gather(
         &mut self,
         cfg: &SimConfig,
         group: &[ChipId],
@@ -153,7 +153,12 @@ impl PacketFabric {
 
     /// 16-chip all-reduce: row-group all-reduce then column-group
     /// all-reduce.
-    pub fn all_chip_all_reduce(&mut self, cfg: &SimConfig, bytes: u64, ready_ns: f64) -> f64 {
+    pub(crate) fn all_chip_all_reduce(
+        &mut self,
+        cfg: &SimConfig,
+        bytes: u64,
+        ready_ns: f64,
+    ) -> f64 {
         let mut after_rows = ready_ns;
         for r in 0..GRID {
             after_rows = after_rows.max(self.all_reduce(cfg, &row_group(r), bytes, ready_ns));

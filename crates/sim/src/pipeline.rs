@@ -80,13 +80,13 @@ pub enum Group {
 pub type Collective = (u8, CollectiveKind, Group, u64);
 
 /// KV heads a column's chips hold: a quarter of `model`'s, at least one.
-pub fn kv_heads_per_col(model: &TransformerConfig) -> usize {
+pub(crate) fn kv_heads_per_col(model: &TransformerConfig) -> usize {
     (model.attention.num_kv_heads / GRID).max(1)
 }
 
 /// One layer's collectives of `model` in issue order, with per-chip fp16
 /// payloads on the fixed 4×4 [`GRID`], whatever chip count a design plans:
-/// the fused QKV partials (K and V at [`kv_heads_per_col`] heads), the two
+/// the fused QKV partials (K and V at `kv_heads_per_col` heads), the two
 /// flash-attention partials (the first with a max and a sum per query
 /// head), Xo (h / 4 per chip: row all-reduce, column all-gather) and the
 /// layer output Y. The replicated router (stage 4) communicates nothing.
@@ -108,7 +108,7 @@ pub fn layer_collectives(model: &TransformerConfig) -> [Collective; 6] {
 
 /// The 13 collective rounds of one transformer layer: the model's
 /// [`layer_collectives`] priced in issue order.
-pub fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
+pub(crate) fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
     layer_collectives(&cfg.model)
         .iter()
         .fold(0.0, |sum, &(_, kind, group, bytes)| {
@@ -122,13 +122,13 @@ pub fn per_layer_comm_cycles(cfg: &SimConfig) -> f64 {
 /// Raw (pre-overlap) VEX attention cycles for one token of one layer:
 /// the chip's context slice × its column's KV heads × two passes (QKᵀ
 /// and ZV), streamed at `vex_kv_heads_per_cycle`.
-pub fn attention_raw_cycles(cfg: &SimConfig, context: u64) -> f64 {
+pub(crate) fn attention_raw_cycles(cfg: &SimConfig, context: u64) -> f64 {
     let per_chip_context = context as f64 / GRID as f64;
     2.0 * per_chip_context * kv_heads_per_col(&cfg.model) as f64 / cfg.vex_kv_heads_per_cycle as f64
 }
 
 /// KV-spill stall cycles (see [`KvCacheModel`]).
-pub fn stall_cycles(cfg: &SimConfig, context: u64) -> f64 {
+pub(crate) fn stall_cycles(cfg: &SimConfig, context: u64) -> f64 {
     let kv = KvCacheModel::new(cfg);
     let exposed = attention_raw_cycles(cfg, context) * (1.0 - cfg.attention_overlap);
     exposed * kv.spill_fraction(context)
@@ -164,7 +164,7 @@ impl Breakdown {
     }
 
     /// The paper's Figure-14 sweep: 2 K – 512 K.
-    pub fn figure14(cfg: &SimConfig) -> Vec<Breakdown> {
+    pub(crate) fn figure14(cfg: &SimConfig) -> Vec<Breakdown> {
         [2048u64, 8192, 65_536, 131_072, 262_144, 524_288]
             .into_iter()
             .map(|c| Breakdown::at(cfg, c))
@@ -194,7 +194,7 @@ impl Breakdown {
 }
 
 /// Pipeline advance interval in cycles: the most-occupied shared resource.
-pub fn advance_interval_cycles(cfg: &SimConfig, context: u64) -> f64 {
+pub(crate) fn advance_interval_cycles(cfg: &SimConfig, context: u64) -> f64 {
     let comm = per_layer_comm_cycles(cfg);
     // VEX attention engine: every layer contributes one token's raw
     // attention per interval.
@@ -212,21 +212,6 @@ pub fn advance_interval_cycles(cfg: &SimConfig, context: u64) -> f64 {
 /// Steady-state decode throughput, tokens per second, at full batch.
 pub fn decode_throughput(cfg: &SimConfig, context: u64) -> f64 {
     cfg.clock_hz / advance_interval_cycles(cfg, context)
-}
-
-/// Latency of one token through all layers (exposed time), seconds.
-pub fn token_latency_s(cfg: &SimConfig, context: u64) -> f64 {
-    cfg.num_layers as f64 * LayerTiming::compute(cfg, context).total() / cfg.clock_hz
-}
-
-/// Time to first token for a `prompt_len` prompt on an otherwise idle
-/// machine: the prompt prefills at pipeline width (216 tokens per advance
-/// interval), then the first decode token traverses the pipeline once.
-pub fn time_to_first_token_s(cfg: &SimConfig, prompt_len: u64) -> f64 {
-    let interval = advance_interval_cycles(cfg, prompt_len.max(1));
-    let prefill_rounds = prompt_len.div_ceil(cfg.pipeline_slots() as u64);
-    let prefill_s = prefill_rounds as f64 * cfg.pipeline_slots() as f64 * interval / cfg.clock_hz;
-    prefill_s + token_latency_s(cfg, prompt_len)
 }
 
 #[cfg(test)]
@@ -327,21 +312,12 @@ mod tests {
     #[test]
     fn latency_is_breakdown_times_layers() {
         let c = cfg();
-        let lat = token_latency_s(&c, 2048);
+        let b = Breakdown::at(&c, 2048);
+        let lat = c.num_layers as f64 * b.layer.total() / c.clock_hz;
         let per_layer = LayerTiming::compute(&c, 2048).total();
         assert!((lat - 36.0 * per_layer / 1e9).abs() < 1e-12);
         // ~170 µs per token through 36 layers at 2 K.
         assert!(lat > 50e-6 && lat < 500e-6, "latency = {lat}");
-    }
-
-    #[test]
-    fn ttft_grows_with_prompt_length() {
-        let c = cfg();
-        let short = time_to_first_token_s(&c, 128);
-        let long = time_to_first_token_s(&c, 16 * 1024);
-        assert!(long > short);
-        // A chat-size prompt answers in well under a second.
-        assert!(short < 1.0, "TTFT = {short}");
     }
 
     #[test]

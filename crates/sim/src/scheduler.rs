@@ -330,7 +330,7 @@ impl RoundStepper {
     }
 
     /// Residents that claim a decode slot at the start of the next round.
-    pub fn decoding(&self) -> usize {
+    pub(crate) fn decoding(&self) -> usize {
         self.rows.iter().filter(|r| r.decoding()).count()
     }
 
@@ -451,7 +451,7 @@ pub trait PrefixOracle {
 /// (BatchScheduler::plan) delegates through this, so dense scheduling is
 /// the `NoPrefix` special case.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefix;
+pub(crate) struct NoPrefix;
 
 impl PrefixOracle for NoPrefix {
     fn matched_on_admit(&mut self, _seq: usize, _req: &Request) -> u32 {

@@ -19,14 +19,14 @@ use serde::Serialize;
 /// Virtual seconds one simulated "day" is compressed into for
 /// [`WorkloadKind::DiurnalChat`]: the arrival rate completes one full
 /// peak → trough → peak cycle over this span.
-pub const DIURNAL_PERIOD_S: f64 = 120.0;
+pub(crate) const DIURNAL_PERIOD_S: f64 = 120.0;
 
 /// Distinct system prompts mixed by [`WorkloadKind::SharedPrefixChat`].
-pub const SHARED_PREFIX_GROUPS: usize = 4;
+pub(crate) const SHARED_PREFIX_GROUPS: usize = 4;
 
 /// Length in tokens of group `group`'s system prompt. Groups differ in
 /// length so the prefix cache sees a mixture of block counts.
-pub const fn shared_prefix_len(group: usize) -> u32 {
+pub(crate) const fn shared_prefix_len(group: usize) -> u32 {
     64 + 32 * (group % SHARED_PREFIX_GROUPS) as u32
 }
 
@@ -50,7 +50,7 @@ pub enum WorkloadKind {
     /// Chat-shaped requests whose Poisson rate follows a compressed
     /// diurnal cycle: `arrivals_per_s` is the *peak* rate, and the
     /// instantaneous rate swings sinusoidally down to 10% of it over
-    /// [`DIURNAL_PERIOD_S`].
+    /// `DIURNAL_PERIOD_S`.
     DiurnalChat,
     /// Long retrieval-augmented prompts, short decodes.
     RagLongContext,
@@ -58,7 +58,7 @@ pub enum WorkloadKind {
     /// (sequence scoring / embedding style).
     OfflineBatch,
     /// Chat arrivals whose prompts are a seeded mixture of
-    /// [`SHARED_PREFIX_GROUPS`] system prompts plus a short per-user
+    /// `SHARED_PREFIX_GROUPS` system prompts plus a short per-user
     /// suffix — the shared-prefix regime the paged radix KV cache
     /// deduplicates. Prompt length is `shared_prefix_len(group)` plus
     /// an 8–64 token suffix.
@@ -130,7 +130,7 @@ impl WorkloadSpec {
     }
 
     /// Instantaneous arrival rate at virtual time `t_s` (requests/s).
-    pub fn rate_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t_s: f64) -> f64 {
         match self.kind {
             WorkloadKind::DiurnalChat => {
                 // Peak at t = 0, trough (10% of peak) half a period later.

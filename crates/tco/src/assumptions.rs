@@ -52,17 +52,17 @@ impl Assumptions {
     }
 
     /// Hours in the full horizon.
-    pub fn horizon_hours(&self) -> f64 {
+    pub(crate) fn horizon_hours(&self) -> f64 {
         self.years * self.hours_per_year
     }
 
     /// Electricity cost of `facility_w` watts over the horizon, USD.
-    pub fn electricity_usd(&self, facility_w: f64) -> f64 {
+    pub(crate) fn electricity_usd(&self, facility_w: f64) -> f64 {
         facility_w / 1000.0 * self.horizon_hours() * self.electricity_usd_per_kwh
     }
 
     /// Operational carbon of `facility_w` watts over the horizon, tCO2e.
-    pub fn operational_tco2e(&self, facility_w: f64) -> f64 {
+    pub(crate) fn operational_tco2e(&self, facility_w: f64) -> f64 {
         facility_w / 1000.0 * self.horizon_hours() * self.grid_kg_per_kwh / 1000.0
     }
 }

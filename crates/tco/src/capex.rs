@@ -1,32 +1,22 @@
 //! Capital expenditure: nodes plus datacenter infrastructure.
 
 use crate::assumptions::Assumptions;
-use hnlpu_litho::CostRange;
 
 /// Datacenter infrastructure cost: inter-node networking (scaled per
 /// device) plus facility construction (scaled per MW of total datacenter
 /// power — the basis the paper's Table 3 numbers use).
-pub fn infrastructure_usd(devices: u32, facility_power_w: f64, a: &Assumptions) -> f64 {
+pub(crate) fn infrastructure_usd(devices: u32, facility_power_w: f64, a: &Assumptions) -> f64 {
     devices as f64 * a.network_usd_per_gpu + facility_power_w / 1e6 * a.facility_usd_per_mw
 }
 
 /// H100 cluster CapEx: hardware + infrastructure.
-pub fn h100_capex_usd(cluster: &hnlpu_baselines::H100Cluster, a: &Assumptions) -> (f64, f64) {
+pub(crate) fn h100_capex_usd(
+    cluster: &hnlpu_baselines::H100Cluster,
+    a: &Assumptions,
+) -> (f64, f64) {
     let hw = cluster.hardware_usd();
     let infra = infrastructure_usd(cluster.gpus, cluster.facility_power_w(), a);
     (hw, infra)
-}
-
-/// HNLPU CapEx given the node price (from the litho NRE model) and the
-/// chip count/power of the deployment.
-pub fn hnlpu_capex(
-    node_price: CostRange,
-    total_chips: u32,
-    it_power_w: f64,
-    a: &Assumptions,
-) -> (CostRange, f64) {
-    let infra = infrastructure_usd(total_chips, it_power_w, a);
-    (node_price, infra)
 }
 
 #[cfg(test)]

@@ -8,7 +8,12 @@ use crate::assumptions::Assumptions;
 /// `modules` counts H100 cards or HNLPU chip modules, including spares;
 /// `respin_modules` counts modules re-manufactured by weight-update
 /// re-spins under the dynamic policy.
-pub fn total_tco2e(facility_w: f64, modules: u32, respin_modules: u32, a: &Assumptions) -> f64 {
+pub(crate) fn total_tco2e(
+    facility_w: f64,
+    modules: u32,
+    respin_modules: u32,
+    a: &Assumptions,
+) -> f64 {
     let embodied = (modules + respin_modules) as f64 * a.embodied_kg_per_module / 1000.0;
     embodied + a.operational_tco2e(facility_w)
 }

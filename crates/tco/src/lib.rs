@@ -1,26 +1,23 @@
 //! Total Cost of Ownership and carbon-footprint analysis (Table 3,
 //! Appendix B).
 //!
-//! * [`assumptions`] — every Appendix-B constant in one place.
-//! * [`capex`] — node prices and datacenter infrastructure.
-//! * [`opex`] — electricity and maintenance & support.
-//! * [`carbon`] — embodied + operational tCO2e.
-//! * [`scenario`] — the full Table 3: low/high volume, static/dynamic
+//! * `assumptions` — every Appendix-B constant in one place.
+//! * `capex` — node prices and datacenter infrastructure.
+//! * `opex` — electricity and maintenance & support.
+//! * `carbon` — embodied + operational tCO2e.
+//! * `scenario` — the full Table 3: low/high volume, static/dynamic
 //!   model-update policies, HNLPU vs equivalently-provisioned H100 cluster.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
-pub mod assumptions;
-pub mod blue_green;
-pub mod capex;
-pub mod carbon;
-pub mod opex;
-pub mod scenario;
+mod assumptions;
+mod capex;
+mod carbon;
+mod opex;
+mod scenario;
 pub mod sensitivity;
 
 pub use assumptions::Assumptions;
-pub use blue_green::BlueGreenPlan;
-pub use scenario::{DeploymentScale, SystemTco, Table3, UpdatePolicy};
-pub use sensitivity::{sweep as sensitivity_sweep, Knob, SensitivityPoint};
+pub use scenario::{DeploymentScale, Table3, UpdatePolicy};

@@ -5,7 +5,7 @@ use hnlpu_litho::CostRange;
 
 /// H100 maintenance & support over the horizon: software licenses plus a
 /// fraction of total CapEx per year (Appendix B note 7).
-pub fn h100_maintenance_usd(gpus: u32, total_capex_usd: f64, a: &Assumptions) -> f64 {
+pub(crate) fn h100_maintenance_usd(gpus: u32, total_capex_usd: f64, a: &Assumptions) -> f64 {
     let sw = gpus as f64 * a.sw_license_usd_per_gpu_year * a.years;
     let hw = total_capex_usd * a.hw_maintenance_frac_per_year * a.years;
     sw + hw
@@ -13,7 +13,7 @@ pub fn h100_maintenance_usd(gpus: u32, total_capex_usd: f64, a: &Assumptions) ->
 
 /// HNLPU maintenance: spare nodes at the recurring per-chip cost
 /// (Appendix B note 7: 1 spare low-volume, 5 high-volume).
-pub fn hnlpu_maintenance(
+pub(crate) fn hnlpu_maintenance(
     spares: u32,
     chips_per_system: u32,
     recurring_per_chip: CostRange,

@@ -21,7 +21,7 @@ pub enum DeploymentScale {
 
 impl DeploymentScale {
     /// HNLPU systems at this scale.
-    pub fn hnlpu_systems(self) -> u32 {
+    pub(crate) fn hnlpu_systems(self) -> u32 {
         match self {
             DeploymentScale::Low => 1,
             DeploymentScale::High => 50,
@@ -29,7 +29,7 @@ impl DeploymentScale {
     }
 
     /// Equivalent-throughput H100 count (Appendix B note 1).
-    pub fn h100_gpus(self) -> u32 {
+    pub(crate) fn h100_gpus(self) -> u32 {
         match self {
             DeploymentScale::Low => 2_000,
             DeploymentScale::High => 100_000,
@@ -48,7 +48,7 @@ pub enum UpdatePolicy {
 
 impl UpdatePolicy {
     /// Re-spins incurred.
-    pub fn respins(self) -> u32 {
+    pub(crate) fn respins(self) -> u32 {
         match self {
             UpdatePolicy::Static => 0,
             UpdatePolicy::AnnualUpdates => 2,

@@ -32,7 +32,7 @@ fn design_and_evaluate_the_paper_machine() {
 #[test]
 fn every_experiment_regenerates() {
     let reports = experiments::all();
-    assert_eq!(reports.len(), 13);
+    assert_eq!(reports.len(), 17);
     for r in &reports {
         assert!(!r.metrics.is_empty(), "{} has no rows", r.id);
         let md = r.render_markdown();

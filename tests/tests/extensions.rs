@@ -1,32 +1,10 @@
 //! Integration coverage of the §8 future-work features across crates:
-//! LoRA side-channel (functional + physical), sequence scoring / text
-//! embedding, re-spin planning, blue-green updates, the packet-level
-//! fabric, and the workload-driven energy accounting.
+//! LoRA adapters, sequence scoring / text embedding, and the packet-level
+//! fabric.
 
-use hnlpu::embed::SideChannelPlan;
-use hnlpu::litho::{classify_update, update_cost, UpdateKind};
 use hnlpu::llm::{DataflowExecutor, LoraAdapter, Sampler, Transformer};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
-use hnlpu::sim::{
-    pipeline, BatchScheduler, PacketSim, SimConfig, SystemPowerModel, WorkloadKind, WorkloadSpec,
-};
-use hnlpu::tco::{Assumptions, BlueGreenPlan};
-
-#[test]
-fn lora_functional_and_physical_sides_agree_on_budget() {
-    // The functional adapter's parameter count must match what the
-    // side-channel plan provisions SRAM for.
-    let cfg = zoo::gpt_oss_120b().config;
-    let rank = 16;
-    let adapter = LoraAdapter::zeros(cfg.hidden_size, cfg.attention.q_width(), rank, 1.0);
-    let plan = SideChannelPlan::plan(&cfg, 16, rank);
-    let functional_total = adapter.params() * cfg.num_layers;
-    assert_eq!(
-        plan.adapter_params_per_chip * 16,
-        functional_total as u64,
-        "physical plan must store exactly the functional adapter weights"
-    );
-}
+use hnlpu::sim::{pipeline, PacketSim};
 
 #[test]
 fn lora_update_steers_both_machines_identically() {
@@ -69,19 +47,6 @@ fn scoring_and_embedding_tasks_work_on_the_16_chip_machine() {
 }
 
 #[test]
-fn respin_planning_flows_into_blue_green_costing() {
-    let old = zoo::gpt_oss_120b().config;
-    let mut new = old;
-    new.moe.num_experts = 112; // shrinks into the prefab
-    let kind = classify_update(&old, &new);
-    assert_eq!(kind, UpdateKind::HyperParameter);
-    let cost = update_cost(kind, 50);
-    let plan = BlueGreenPlan::plan(50, 14.0, 10_000.0, &Assumptions::paper());
-    // The blue-green respin cost is the same metal-mask respin.
-    assert_eq!(cost, plan.respin_cost);
-}
-
-#[test]
 fn packet_sim_and_analytical_agree_through_the_facade_config() {
     let system = hnlpu::HnlpuSystem::design(zoo::gpt_oss_120b());
     let cfg = system.engine().config.clone();
@@ -89,25 +54,6 @@ fn packet_sim_and_analytical_agree_through_the_facade_config() {
     let analytical = pipeline::decode_throughput(&cfg, 2048);
     let ratio = des / analytical;
     assert!((0.8..1.3).contains(&ratio), "ratio = {ratio:.3}");
-}
-
-#[test]
-fn workload_energy_end_to_end() {
-    let cfg = SimConfig::paper_default();
-    let spec = WorkloadSpec {
-        kind: WorkloadKind::Chat,
-        requests: 800,
-        arrivals_per_s: 1500.0,
-        seed: 3,
-    };
-    let report = BatchScheduler::new(cfg, spec.nominal_context()).run(&spec.generate());
-    let energy = SystemPowerModel::paper_default().workload_energy(&report);
-    // Near saturation, tokens cost close to the Table 2 1/36 J each.
-    assert!(
-        energy.joules_per_token > 0.01 && energy.joules_per_token < 0.1,
-        "J/token = {}",
-        energy.joules_per_token
-    );
 }
 
 #[test]
@@ -126,18 +72,4 @@ fn conditional_decoding_policies_run_on_both_machines() {
         let (b, _) = hnlpu.generate_with_report(&[5, 6, 7], 10, &mut s2);
         assert_eq!(a, b);
     }
-}
-
-#[test]
-fn imported_config_designs_a_machine() {
-    let json = r#"{
-        "hidden_size": 4096, "num_hidden_layers": 32,
-        "num_attention_heads": 32, "num_key_value_heads": 8,
-        "intermediate_size": 14336, "vocab_size": 128256,
-        "torch_dtype": "bfloat16"
-    }"#;
-    let card = hnlpu::model::from_hf_config_json(json, "imported-llama").unwrap();
-    let system = hnlpu::HnlpuSystem::design(card);
-    assert!(system.decode_throughput(2048) > 10_000.0);
-    assert!(system.nre(1).initial_build().mid() > 10.0e6);
 }
