@@ -1,7 +1,5 @@
 //! H100 cluster scaling for the TCO comparison (Appendix B).
 
-use crate::h100::H100;
-
 /// An H100 serving cluster of HGX nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct H100Cluster {
@@ -16,8 +14,6 @@ pub struct H100Cluster {
     pub node_power_w: f64,
     /// Facility power-usage effectiveness.
     pub pue: f64,
-    /// The device model.
-    pub device: H100,
 }
 
 impl H100Cluster {
@@ -32,7 +28,6 @@ impl H100Cluster {
             node_price_usd: 320_000.0,
             node_power_w: 10_400.0,
             pue: 1.4,
-            device: H100::paper(),
         }
     }
 
@@ -60,6 +55,7 @@ impl H100Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::h100::H100;
 
     #[test]
     fn two_thousand_gpus_match_one_hnlpu() {

@@ -6,10 +6,8 @@
 //! M8–M11 as the metal-embedding layers: cheap 193i DUV patterning, above
 //! the weight-independent prefabricated cells, below the power grid.
 
-use serde::Serialize;
-
 /// Lithographic patterning class of one mask layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LithoClass {
     /// Extreme ultraviolet, single exposure.
     EuvSe,
@@ -45,7 +43,7 @@ impl LithoClass {
 }
 
 /// One metal (or device/contact) patterning level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetalLayer {
     /// Name ("M8", "VIA7", …).
     pub name: &'static str,
@@ -65,7 +63,7 @@ impl MetalLayer {
 }
 
 /// The full per-chip mask stack.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetalStack {
     layers: Vec<MetalLayer>,
     feol_euv_masks: u32,

@@ -18,8 +18,6 @@ pub struct NetId(pub u32);
 /// A point-to-multipoint metal connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
-    /// Driving cell.
-    pub source: CellId,
     /// Driven cells.
     pub sinks: Vec<CellId>,
     /// Metal layer index (into the owning stack's layer list) this net is
@@ -36,7 +34,7 @@ pub struct Net {
 /// ```
 /// use hnlpu_circuit::netlist::{CellId, Netlist};
 /// let mut nl = Netlist::new();
-/// let n = nl.add_net(CellId(0), vec![CellId(1), CellId(2)], 9, 120.0);
+/// let n = nl.add_net(vec![CellId(1), CellId(2)], 9, 120.0);
 /// assert_eq!(nl.net(n).unwrap().sinks.len(), 2);
 /// assert_eq!(nl.wirelength_um(), 120.0);
 /// ```
@@ -52,15 +50,8 @@ impl Netlist {
     }
 
     /// Add a net; returns its id.
-    pub fn add_net(
-        &mut self,
-        source: CellId,
-        sinks: Vec<CellId>,
-        layer: usize,
-        length_um: f64,
-    ) -> NetId {
+    pub fn add_net(&mut self, sinks: Vec<CellId>, layer: usize, length_um: f64) -> NetId {
         self.nets.push(Net {
-            source,
             sinks,
             layer,
             length_um,
@@ -112,8 +103,8 @@ mod tests {
     fn add_and_query() {
         let mut nl = Netlist::new();
         assert!(nl.is_empty());
-        let a = nl.add_net(CellId(0), vec![CellId(1)], 8, 50.0);
-        let b = nl.add_net(CellId(2), vec![CellId(3), CellId(4)], 9, 70.0);
+        let a = nl.add_net(vec![CellId(1)], 8, 50.0);
+        let b = nl.add_net(vec![CellId(3), CellId(4)], 9, 70.0);
         assert_eq!(nl.len(), 2);
         assert_eq!(nl.net(a).unwrap().layer, 8);
         assert_eq!(nl.net(b).unwrap().sinks.len(), 2);
@@ -123,9 +114,9 @@ mod tests {
     #[test]
     fn wirelength_aggregation() {
         let mut nl = Netlist::new();
-        nl.add_net(CellId(0), vec![CellId(1)], 8, 50.0);
-        nl.add_net(CellId(2), vec![CellId(3)], 8, 25.0);
-        nl.add_net(CellId(4), vec![CellId(5)], 10, 100.0);
+        nl.add_net(vec![CellId(1)], 8, 50.0);
+        nl.add_net(vec![CellId(3)], 8, 25.0);
+        nl.add_net(vec![CellId(5)], 10, 100.0);
         assert_eq!(nl.wirelength_um(), 175.0);
         let by = nl.wirelength_by_layer();
         assert_eq!(by[&8], 75.0);
@@ -136,7 +127,6 @@ mod tests {
     fn extend_trait() {
         let mut nl = Netlist::new();
         nl.extend(vec![Net {
-            source: CellId(0),
             sinks: vec![CellId(1)],
             layer: 9,
             length_um: 3.0,

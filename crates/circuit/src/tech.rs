@@ -5,8 +5,6 @@
 //! published post-layout results (Table 1, Figure 12). EXPERIMENTS.md lists
 //! the anchors next to measured outputs.
 
-use serde::Serialize;
-
 /// A semiconductor technology node with the constants the modeling flow
 /// needs.
 ///
@@ -18,7 +16,7 @@ use serde::Serialize;
 /// assert_eq!(n5.name, "N5");
 /// assert!((n5.mtr_per_mm2 - 138.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechNode {
     /// Human-readable name ("N5").
     pub name: &'static str,
@@ -48,8 +46,6 @@ pub struct TechNode {
     /// Static + clock overhead per active SRAM bank, watts (calibrated so
     /// the 20,000-bank Attention Buffer reproduces Table 1's 85.73 W).
     pub sram_bank_overhead_w: f64,
-    /// HBM access energy per byte, picojoules (~3.5 pJ/bit ≈ 28 pJ/B).
-    pub hbm_pj_per_byte: f64,
     /// Leakage power per million transistors, watts.
     pub leakage_w_per_mtr: f64,
     /// Nominal clock frequency, Hz (1.0 GHz signoff per §7.1).
@@ -77,7 +73,6 @@ impl TechNode {
             dff_energy_fj: 1.8,
             sram_read_pj_per_byte: 0.15,
             sram_bank_overhead_w: 0.00422,
-            hbm_pj_per_byte: 28.0,
             leakage_w_per_mtr: 1.1e-4,
             clock_hz: 1.0e9,
             stage_delay_ps: 22.0,

@@ -6,10 +6,8 @@
 //! temperatures; §7.1's claim is that 0.3 W/mm² average / 1.4 W/mm² peak
 //! stays "well within the cooling limits".
 
-use serde::Serialize;
-
 /// The thermal stack of one cooled module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalStack {
     /// Coolant supply temperature, °C (facility water loop).
     pub coolant_c: f64,
@@ -49,12 +47,10 @@ impl ThermalStack {
 }
 
 /// Thermal verdict for one chip's power map.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalReport {
     /// Junction temperature at the average density, °C.
     pub t_avg_c: f64,
-    /// Junction temperature at the peak density, °C.
-    pub t_peak_c: f64,
     /// Margin at the peak, °C.
     pub peak_margin_c: f64,
     /// Whether the whole die stays under the junction limit.
@@ -67,7 +63,6 @@ pub fn evaluate(avg_w_per_mm2: f64, peak_w_per_mm2: f64, stack: &ThermalStack) -
     let t_peak = stack.junction_c(peak_w_per_mm2);
     ThermalReport {
         t_avg_c: t_avg,
-        t_peak_c: t_peak,
         peak_margin_c: stack.t_junction_max_c - t_peak,
         ok: t_peak <= stack.t_junction_max_c,
     }

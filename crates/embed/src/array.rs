@@ -109,8 +109,6 @@ pub(crate) fn me_neuron_cycles(p: &MeNeuronParams, fan_in: usize) -> u64 {
 pub struct HnArrayPlan {
     /// Weights hardwired on this chip.
     pub weights_per_chip: u64,
-    /// Output neurons instantiated on this chip.
-    pub neurons_per_chip: u64,
     /// Average neuron fan-in.
     pub avg_fan_in: usize,
     /// Neuron physical parameters.
@@ -162,7 +160,6 @@ impl HnArrayPlan {
         let active_fraction = active / (attn + moe) as f64;
         HnArrayPlan {
             weights_per_chip: weights,
-            neurons_per_chip: neurons,
             avg_fan_in: (weights / neurons.max(1)) as usize,
             params,
             budget,

@@ -68,8 +68,6 @@ pub struct CompiledMatrix {
     pub route: RouteReport,
     /// Array footprint, mm².
     pub footprint_mm2: f64,
-    /// A sampled netlist of the first neuron (for inspection/tests).
-    pub sample_netlist: Netlist,
     /// Average embedding-net length, µm.
     pub avg_net_length_um: f64,
 }
@@ -106,9 +104,6 @@ pub struct MeCompiler {
     pub tech: TechNode,
     /// Metal stack (layer indices and routing supply).
     pub stack: MetalStack,
-    /// Average tap length in µm (paper-calibrated: taps select adjacent
-    /// region lanes).
-    pub tap_length_um: f64,
 }
 
 impl MeCompiler {
@@ -118,7 +113,6 @@ impl MeCompiler {
             params,
             tech: TechNode::n5(),
             stack: MetalStack::n5(),
-            tap_length_um: 1.2,
         }
     }
 
@@ -175,8 +169,7 @@ impl MeCompiler {
         let footprint_mm2 = logic_area_mm2(&budget, &self.tech, true);
         let side = footprint_mm2.sqrt().max(1e-3);
 
-        // Wire demand: one tap per weight, round-robin across the four ME
-        // wire layers weighted toward the denser lower pair.
+        // Wire demand: one tap per weight on the ME wire layers.
         let me_wire_layers: Vec<usize> = self
             .stack
             .layers()
@@ -185,24 +178,12 @@ impl MeCompiler {
             .filter(|(_, l)| l.metal_embedding && l.name.starts_with('M'))
             .map(|(i, _)| i)
             .collect();
-        let mut netlist = Netlist::new();
         let wires = matrix.len() as u64;
         let mut total_len = 0.0f64;
-        for (i, w) in weights.iter().enumerate() {
+        for i in 0..wires {
             // Deterministic tap-length jitter in [0.4, 2.0) µm.
-            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            let len = 0.4 + (h % 1000) as f64 / 1000.0 * 1.6;
-            total_len += len;
-            if i % matrix.cols == 0 && i / matrix.cols < 64 {
-                // Sample the first neuron's nets for inspection.
-                let layer = me_wire_layers[i % me_wire_layers.len()];
-                netlist.add_net(
-                    CellId(i as u32),
-                    vec![CellId((matrix.len() + w.code() as usize) as u32)],
-                    layer,
-                    len,
-                );
-            }
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            total_len += 0.4 + (h % 1000) as f64 / 1000.0 * 1.6;
         }
         // A real global router balances utilization: spread aggregate demand
         // across the ME wire layers proportionally to their track capacity.
@@ -213,12 +194,7 @@ impl MeCompiler {
         let cap_total: f64 = capacities.iter().sum();
         let mut demand = Netlist::new();
         for (&layer, &cap) in me_wire_layers.iter().zip(capacities.iter()) {
-            demand.add_net(
-                CellId(0),
-                vec![CellId(1)],
-                layer,
-                total_len * cap / cap_total,
-            );
+            demand.add_net(vec![CellId(1)], layer, total_len * cap / cap_total);
         }
 
         let router = Router::new(side, side);
@@ -233,7 +209,6 @@ impl MeCompiler {
             allocations,
             route,
             footprint_mm2,
-            sample_netlist: netlist,
             avg_net_length_um: total_len / wires.max(1) as f64,
         })
     }

@@ -10,10 +10,9 @@ use crate::array::MeNeuronParams;
 use hnlpu_arith::csa::CsaTree;
 use hnlpu_arith::popcount::PopcountTree;
 use hnlpu_arith::GateBudget;
-use serde::Serialize;
 
 /// One precision point of the ablation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionPoint {
     /// Weight bits.
     pub weight_bits: u32,
@@ -21,8 +20,6 @@ pub struct PrecisionPoint {
     pub regions: u32,
     /// Transistors per weight at gpt-oss fan-in.
     pub transistors_per_weight: f64,
-    /// Serial cycles per projection.
-    pub cycles: u64,
 }
 
 /// Structural cost of a generalized ME neuron with `2^weight_bits` regions.
@@ -79,7 +76,6 @@ pub fn precision_sweep(p: &MeNeuronParams) -> Vec<PrecisionPoint> {
                 weight_bits: bits,
                 regions: 1 << bits,
                 transistors_per_weight: budget.transistor_count() as f64 / 2880.0,
-                cycles: p.activation_bits as u64 * p.scan_factor as u64 + 20,
             }
         })
         .collect()

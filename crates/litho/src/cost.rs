@@ -4,7 +4,6 @@
 //! account for assumption sensitivity; this newtype keeps that range intact
 //! through sums, scalings, and comparisons.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -20,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let total = masks + per_chip;
 /// assert!(total.low > 32.0e6 && total.high < 65.0e6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostRange {
     /// Optimistic estimate, USD.
     pub low: f64,

@@ -94,8 +94,6 @@ impl NreScenario {
 /// Priced scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NreSummary {
-    /// The scenario priced.
-    pub scenario: NreScenario,
     /// Shared (homogeneous) photomasks.
     pub homogeneous_mask: CostRange,
     /// Metal-embedding photomasks (all chip variants).
@@ -129,7 +127,6 @@ impl NreSummary {
             .recurring_per_chip(scenario.die_area_mm2(), scenario.hbm_gb as f64)
             .total();
         NreSummary {
-            scenario,
             homogeneous_mask: plan.homogeneous,
             embedding_mask: plan.embedding,
             design: design.scaled_for_chips(scenario.chips_per_system).total(),

@@ -574,7 +574,7 @@ impl PrefixOracle for SlotPool {
 ///
 /// Pure and deterministic: the same `rows` always deal the same way, so a
 /// round's chunking — which no output depends on anyway — repeats exactly.
-pub fn deal_rows(rows: &[usize], workers: usize) -> Vec<usize> {
+pub(crate) fn deal_rows(rows: &[usize], workers: usize) -> Vec<usize> {
     let mut longest_first: Vec<(usize, usize)> = rows.iter().copied().enumerate().collect();
     longest_first.sort_by_key(|&(item, cost)| (std::cmp::Reverse(cost), item));
     let mut load = vec![0usize; workers.max(1)];
@@ -633,7 +633,7 @@ impl BatchedDataflowExecutor {
     }
 
     /// The prefix-reuse configuration, when enabled.
-    pub fn prefix_config(&self) -> Option<PrefixCacheConfig> {
+    pub(crate) fn prefix_config(&self) -> Option<PrefixCacheConfig> {
         self.prefix
     }
 
@@ -643,7 +643,7 @@ impl BatchedDataflowExecutor {
     }
 
     /// Sequence-slot capacity.
-    pub fn max_slots(&self) -> usize {
+    pub(crate) fn max_slots(&self) -> usize {
         self.max_slots
     }
 
@@ -657,7 +657,7 @@ impl BatchedDataflowExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`BatchError::SlotsExceedCapacity`] when the scheduler's
+    /// Returns `BatchError::SlotsExceedCapacity` when the scheduler's
     /// slot count exceeds this engine's capacity, or any error listed for
     /// [`execute_plan`](Self::execute_plan).
     pub fn run_with_scheduler(
@@ -688,7 +688,7 @@ impl BatchedDataflowExecutor {
     ///
     /// # Errors
     ///
-    /// Returns a [`BatchError`] when a prompt is empty or holds a token
+    /// Returns a `BatchError` when a prompt is empty or holds a token
     /// outside the vocabulary, a plan refers to a
     /// sequence out of range, asks for more work than a sequence has left,
     /// decodes a sequence before its prefill finished, overflows the slot

@@ -17,7 +17,7 @@
 //! [`DataflowState`], the block body with its partial sums and fixed-order
 //! reductions, the [`CommCounters`] it charges, and the [`GridHealth`]
 //! survivor set. Weight slices stay in their resident packed-FP4 form: a
-//! chip's partial product is a [`crate::kernels::matmul_block_into`] over
+//! chip's partial product is a `kernels::matmul_block_into` over
 //! its block of the packed matrix, so nothing is ever dequantized.
 //!
 //! The executor is verified token-for-token against
@@ -100,7 +100,7 @@ impl std::iter::Sum for CommCounters {
 /// is bit `r * GRID + c`). Hardwired chips cannot be repaired, so bits
 /// only ever clear.
 ///
-/// A dead chip costs capacity ([`effective_slots`](Self::effective_slots)),
+/// A dead chip costs capacity (`effective_slots`),
 /// never numerics: whichever survivor computes a row-partition, the column
 /// projection reduces the four logical partials in fixed logical block
 /// order, so a degraded grid's projections are bit-identical to the
@@ -112,13 +112,13 @@ pub struct GridHealth {
 
 impl GridHealth {
     /// All 16 chips alive.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         GridHealth { alive: u16::MAX }
     }
 
     /// Mark `chip` dead. Returns `true` when this changed the grid
     /// (false for an already-dead or out-of-range chip).
-    pub fn fail(&mut self, chip: usize) -> bool {
+    pub(crate) fn fail(&mut self, chip: usize) -> bool {
         if chip >= GRID * GRID || !self.is_alive(chip) {
             return false;
         }
@@ -127,24 +127,24 @@ impl GridHealth {
     }
 
     /// Is `chip` alive? Out-of-range chips are dead.
-    pub fn is_alive(&self, chip: usize) -> bool {
+    pub(crate) fn is_alive(&self, chip: usize) -> bool {
         chip < GRID * GRID && self.alive & (1u16 << chip) != 0
     }
 
     /// Live chips remaining.
-    pub fn survivors(&self) -> usize {
+    pub(crate) fn survivors(&self) -> usize {
         self.alive.count_ones() as usize
     }
 
     /// True once any chip has died.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.alive != u16::MAX
     }
 
     /// Concurrent-sequence capacity of a `slots`-slot machine scaled to the
     /// surviving compute: `slots * survivors / 16`, floored, but never
     /// below one (a single surviving chip still serves, slowly).
-    pub fn effective_slots(&self, slots: usize) -> usize {
+    pub(crate) fn effective_slots(&self, slots: usize) -> usize {
         (slots * self.survivors() / (GRID * GRID)).max(1)
     }
 }
@@ -187,7 +187,7 @@ impl DataflowState {
     /// evicted sequence's history into the same buffers. Communication
     /// counters are zeroed too; the caller harvests them before the
     /// reset.
-    pub fn reset_context(&mut self) {
+    pub(crate) fn reset_context(&mut self) {
         for col in &mut self.kv {
             for shard in col {
                 shard.clear();
@@ -210,7 +210,7 @@ impl DataflowState {
     }
 
     /// Physically private KV bytes across all shards — pages shared
-    /// through a [`PagePool`] are charged once to the pool, so the gap
+    /// through a `PagePool` are charged once to the pool, so the gap
     /// between this and [`kv_bytes_fp16`](Self::kv_bytes_fp16) is the
     /// effective capacity gained by prefix reuse.
     pub fn kv_owned_bytes_fp16(&self) -> u64 {
@@ -444,8 +444,6 @@ impl Placement for Grid {
         let row_slice = h / GRID;
         let Scratch {
             scores,
-            delta,
-            lora_hidden,
             rope,
             xp,
             xnp,
@@ -469,15 +467,6 @@ impl Placement for Grid {
         // chip order — per token, one fused QKV all-reduce per column.
         for col in 0..GRID {
             col_project_panel(xnp, h, t, &w.wq, col, q_per_col, row_slice, partp, qp, qw);
-        }
-        if let Some(adapter) = &engine.q_adapters[layer] {
-            // Field-programmable side-channel: the rank-r delta is computed
-            // once per token (every chip would hold the identical value)
-            // and each column adds its slice — no extra communication.
-            for tt in 0..t {
-                adapter.delta_into(&xnp[tt * h..(tt + 1) * h], lora_hidden, delta);
-                add_assign(&mut qp[tt * qw..(tt + 1) * qw], delta);
-            }
         }
         for col in 0..GRID {
             col_project_panel(xnp, h, t, &w.wk, col, kv_per_col, row_slice, partp, kp, kvw);
@@ -1364,23 +1353,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn lora_adapted_machines_agree() {
-        use crate::lora::LoraAdapter;
-        let w = weights();
-        let c = w.config;
-        let adapter = LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 6.0, 5);
-        let mut reference = Transformer::new(w.clone());
-        let mut hnlpu = DataflowExecutor::new(w);
-        for layer in 0..c.num_layers {
-            reference.set_q_adapter(layer, adapter.clone());
-            hnlpu.set_q_adapter(layer, adapter.clone());
-        }
-        let a = reference.generate_greedy(&[7, 11], 10);
-        let b = hnlpu.generate_greedy(&[7, 11], 10);
-        assert_eq!(a, b, "LoRA-adapted machines must still agree");
     }
 
     #[test]

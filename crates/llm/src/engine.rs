@@ -15,7 +15,6 @@
 //! `reference` ↔ `dataflow` stays a chain of three separately written
 //! blocks checked against each other.
 
-use crate::lora::LoraAdapter;
 use crate::ops::{rmsnorm_into, softmax};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
@@ -33,7 +32,7 @@ const _: () = assert!(
 
 /// Where the model's weights and a sequence's KV live, and therefore how a
 /// transformer block runs. Sealed: `PanelRows` cannot be named outside
-/// this crate, which implements it for [`crate::reference::SingleChip`]
+/// this crate, which implements it for `reference::SingleChip`
 /// and [`crate::dataflow::Grid`].
 pub trait Placement: Sized {
     /// Mutable per-sequence execution state: the sequence's KV, plus
@@ -106,10 +105,6 @@ impl<S> PanelRows<'_, '_, S> {
 #[derive(Debug, Clone)]
 pub struct Engine<P: Placement> {
     pub(crate) weights: ModelWeights,
-    /// Optional LoRA side-channel adapters on the query projection
-    /// (field-programmable HNs beside the hardwired array), one slot per
-    /// layer (§8 future work 4).
-    pub(crate) q_adapters: Vec<Option<LoraAdapter>>,
     placement: PhantomData<P>,
 }
 
@@ -124,27 +119,10 @@ impl<P: Placement> Engine<P> {
     /// [`hnlpu_model::zoo::dataflow_test_model`] for tests).
     pub fn new(weights: ModelWeights) -> Self {
         P::validate(&weights.config);
-        let layers = weights.config.num_layers;
         Engine {
             weights,
-            q_adapters: vec![None; layers],
             placement: PhantomData,
         }
-    }
-
-    /// Install a LoRA adapter on `layer`'s query projection. The delta is
-    /// computed once per row; on the grid each column adds its slice, with
-    /// no extra communication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adapter shape does not match `Wq` or the layer index
-    /// is out of range.
-    pub fn set_q_adapter(&mut self, layer: usize, adapter: LoraAdapter) {
-        let c = self.config();
-        assert_eq!(adapter.rows, c.hidden_size, "adapter rows");
-        assert_eq!(adapter.cols, c.attention.q_width(), "adapter cols");
-        self.q_adapters[layer] = Some(adapter);
     }
 
     /// The architecture.
@@ -165,15 +143,17 @@ impl<P: Placement> Engine<P> {
 
     /// Run one decode step: consume `token` at the state's current
     /// position, append its KV, and return the next-token logits.
-    pub fn step(&self, token: u32, state: &mut P::State) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn step(&self, token: u32, state: &mut P::State) -> Vec<f32> {
         let mut scratch = self.new_scratch();
         self.step_with(token, state, &mut scratch);
         scratch.logits
     }
 
-    /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`. A step is a batched step of one row whose
-    /// logits buffer is the arena's own.
+    /// Run one decode step in `scratch`: consume `token` at the state's
+    /// current position and append its KV; the next-token logits land in
+    /// `scratch.logits()`. A step is a batched step of one row whose logits
+    /// buffer is the arena's own.
     pub fn step_with(&self, token: u32, state: &mut P::State, scratch: &mut Scratch) {
         let mut logits = std::mem::take(&mut scratch.logits);
         self.step_batch_with(&[token], &mut [state], scratch, &mut [&mut logits]);
@@ -296,7 +276,7 @@ impl<P: Placement> Engine<P> {
     /// kernels, chunked into panels of at most [`MAX_PREFILL_PANEL`]
     /// tokens. Appends every token's KV exactly as a
     /// [`step_with`](Self::step_with) loop would — **bit-identically**, see
-    /// [`crate::kernels::matmul_block_into`] — but reads each packed weight
+    /// `kernels::matmul_block_into` — but reads each packed weight
     /// byte once per panel instead of once per token, and computes logits
     /// (into `scratch.logits()`) only for the final token, and only when
     /// `want_logits` is set: one vocabulary all-gather per prefill instead
@@ -511,11 +491,6 @@ pub(crate) mod tests {
             }
 
             #[test]
-            fn panel_prefill_respects_lora_adapter() {
-                crate::engine::tests::panel_prefill_respects_lora_adapter::<$placement>();
-            }
-
-            #[test]
             fn prefill_is_chunking_invariant() {
                 crate::engine::tests::prefill_is_chunking_invariant::<$placement>();
             }
@@ -534,14 +509,6 @@ pub(crate) mod tests {
 
     fn prompt(len: u32) -> Vec<u32> {
         (0..len).map(|i| (i * 7 + 1) % 48).collect()
-    }
-
-    fn with_q_adapter<P: Probe>(mut engine: Engine<P>) -> Engine<P> {
-        let c = *engine.config();
-        let adapter =
-            crate::lora::LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 6.0, 5);
-        engine.set_q_adapter(1, adapter);
-        engine
     }
 
     /// `a` and `b` sit at the same position with the same counters and
@@ -615,15 +582,7 @@ pub(crate) mod tests {
     /// same KV and ends on the same logits as one wide panel, bit for bit;
     /// one unembedding per extra step is the whole difference in counters.
     pub(crate) fn panel_prefill_is_bitwise_per_token_loop<P: Probe>() {
-        panel_matches_step_loop(&P::engine());
-    }
-
-    /// As above with a LoRA adapter on layer 1's query projection.
-    pub(crate) fn panel_prefill_respects_lora_adapter<P: Probe>() {
-        panel_matches_step_loop(&with_q_adapter(P::engine()));
-    }
-
-    fn panel_matches_step_loop<P: Probe>(m: &Engine<P>) {
+        let m = P::engine();
         let prompt = prompt(23);
         let (mut loop_state, mut loop_scratch) = (m.new_state(), m.new_scratch());
         for &t in &prompt {
@@ -683,12 +642,12 @@ pub(crate) mod tests {
     /// at different positions — every other row of the first twelve built
     /// by [`Probe::shared_states`] at one of six depths (on the grid, rows
     /// reading the same shared pages, on and off a block boundary), the
-    /// rest fresh; layer 1 carrying a LoRA `q_adapter` — leaves every row's
+    /// rest fresh — leaves every row's
     /// logits, hidden state, KV, position and counters bitwise equal to B
     /// independent `step_with` calls, however the rows are grouped into
     /// calls sharing one arena.
     pub(crate) fn batched_step_is_bitwise_independent_steps<P: Probe>(seed: u64) {
-        let m = with_q_adapter(P::engine());
+        let m = P::engine();
         let mut rng = StdRng::seed_from_u64(seed);
         let tokens = |rng: &mut StdRng, n: usize| -> Vec<u32> {
             (0..n).map(|_| rng.gen_range(0..48)).collect()

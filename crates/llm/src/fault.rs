@@ -13,7 +13,7 @@
 //! (`tests/tests/serving_invariant.rs`).
 //!
 //! Plans are either hand-built or drawn from a seeded RNG via
-//! [`FaultPlan::seeded`]; both go through [`FaultPlan::validate`] before
+//! [`FaultPlan::seeded`]; both go through `FaultPlan::validate` before
 //! a server will accept them, so malformed chaos input surfaces as a
 //! typed [`FaultError`] instead of a panic mid-run.
 //!
@@ -45,13 +45,13 @@ use serde::Serialize;
 use std::fmt;
 
 /// Chips in the grid (the paper's 4×4 fabric).
-pub const CHIPS: usize = GRID * GRID;
+pub(crate) const CHIPS: usize = GRID * GRID;
 
 /// Largest modeled link-retransmission count per collective.
-pub const MAX_LINK_RETRIES: u32 = 6;
+pub(crate) const MAX_LINK_RETRIES: u32 = 6;
 
 /// Largest accepted straggler slowdown factor.
-pub const MAX_SLOWDOWN: f64 = 64.0;
+pub(crate) const MAX_SLOWDOWN: f64 = 64.0;
 
 /// A permanent chip death at a point in virtual time. Hardwired chips
 /// cannot be repaired or re-flashed, so failures never heal.
@@ -296,7 +296,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// The first violated rule, as a typed [`FaultError`].
-    pub fn validate(&self) -> Result<(), FaultError> {
+    pub(crate) fn validate(&self) -> Result<(), FaultError> {
         let mut failed: Vec<usize> = Vec::new();
         for fail in &self.chip_failures {
             if fail.chip >= CHIPS {
@@ -352,7 +352,7 @@ impl FaultPlan {
     /// pace the grid), or `1.0` when none is active. The multiply by
     /// `1.0` on the fault-free path is exact in IEEE arithmetic, so an
     /// empty plan changes no timestamp bit.
-    pub fn slowdown_at<F: Fn(usize) -> bool>(&self, t_s: f64, is_alive: F) -> f64 {
+    pub(crate) fn slowdown_at<F: Fn(usize) -> bool>(&self, t_s: f64, is_alive: F) -> f64 {
         self.stragglers
             .iter()
             .filter(|s| is_alive(s.chip))
@@ -363,7 +363,7 @@ impl FaultPlan {
 
     /// Link retransmissions per collective at virtual time `t_s` (the
     /// largest active window), or 0 when the fabric is clean.
-    pub fn link_retries_at(&self, t_s: f64) -> u32 {
+    pub(crate) fn link_retries_at(&self, t_s: f64) -> u32 {
         self.link_faults
             .iter()
             .filter(|l| micros_to_s(l.from_micros) <= t_s && t_s < micros_to_s(l.until_micros))
@@ -372,7 +372,7 @@ impl FaultPlan {
     }
 
     /// The deadline of submission `submission`, if any.
-    pub fn deadline_of(&self, submission: usize) -> Option<u64> {
+    pub(crate) fn deadline_of(&self, submission: usize) -> Option<u64> {
         self.deadlines
             .iter()
             .find(|d| d.submission == submission)

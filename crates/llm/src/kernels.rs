@@ -7,8 +7,9 @@
 //! directly on [`PackedFp4Matrix`] codes the same way — no dequantized
 //! tensor ever exists — in two realizations:
 //!
-//! * **Scalar region kernel** ([`region_matmul_block_into`], one row at a
-//!   time [`region_matvec_block_into`]): the textbook form. Per output
+//! * **Scalar region kernel** ([`region_matmul_block_into`]; its one-row
+//!   form `region_matvec_block_into` is the tests' reference): the
+//!   textbook form. Per output
 //!   column, bucket `x_i` by the stored 4-bit code, then combine buckets
 //!   with [`MAGNITUDES`] and the per-matrix norm. This is the semantic
 //!   ground truth (and the portable fallback).
@@ -40,11 +41,11 @@
 //! at store time. The lookup is the wiring of the paper's region decoder;
 //! only the FMAs are arithmetic.
 //!
-//! Dispatch: [`matmul_block_into`] takes AVX-512 → AVX2 → scalar regions
+//! Dispatch: `matmul_block_into` takes AVX-512 → AVX2 → scalar regions
 //! for a column range that starts on a byte boundary (odd starts, never
 //! produced by the engines, take the scalar kernel), and
-//! [`matvec_block_into`] is its one-row case. The CPU is the only selector
-//! ([`arm`]), and the lane kernels (`tensor::Lanes`, under the unembedding
+//! `matvec_block_into` is its one-row case. The CPU is the only selector
+//! (`arm`), and the lane kernels (`tensor::Lanes`, under the unembedding
 //! and the column attention) take their arm from the same one, so
 //! [`kernel_path`] names both.
 //!
@@ -60,7 +61,7 @@
 //! can reach a bit of any output.
 //!
 //! Both inference engines run every projection, router and expert product
-//! through the panel form ([`matmul_block_into`]) — a decode step is its
+//! through the panel form (`matmul_block_into`) — a decode step is its
 //! one-row case — so within one process they see one arithmetic: the
 //! engines' token streams stay in lockstep exactly as they did on the dense
 //! `f32` path.
@@ -93,7 +94,7 @@ pub fn matvec_into(x: &[f32], m: &PackedFp4Matrix, out: &mut [f32]) {
 ///
 /// Panics if the addressed block exceeds the matrix shape, `col_range` is
 /// reversed, or `out.len() != col_range.len()`.
-pub fn matvec_block_into(
+pub(crate) fn matvec_block_into(
     x: &[f32],
     m: &PackedFp4Matrix,
     row_offset: usize,
@@ -113,7 +114,8 @@ pub fn matvec_block_into(
 /// # Panics
 ///
 /// Panics on the same conditions as [`matvec_block_into`].
-pub fn region_matvec_block_into(
+#[cfg(test)]
+pub(crate) fn region_matvec_block_into(
     x: &[f32],
     m: &PackedFp4Matrix,
     row_offset: usize,
@@ -144,11 +146,11 @@ pub fn region_matvec_block_into(
 /// panel (starting at `outs[tt * out_stride]`, `m.cols()` wide).
 ///
 /// Each output row is **bit-identical** to `matvec_into` on the same
-/// activation row — see [`matmul_block_into`].
+/// activation row — see `matmul_block_into`.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch (see [`matmul_block_into`]).
+/// Panics on shape mismatch (see `matmul_block_into`).
 pub fn matmul_into(
     xs: &[f32],
     x_stride: usize,
@@ -195,7 +197,7 @@ pub fn matmul_into(
 /// Panics if the addressed block exceeds the matrix shape, `col_range` is
 /// reversed, or `xs`/`outs` are too short for `t` strided rows.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_block_into(
+pub(crate) fn matmul_block_into(
     xs: &[f32],
     x_stride: usize,
     t: usize,
@@ -263,16 +265,16 @@ pub fn matmul_block_into(
 /// The scalar multi-token region-accumulation kernel: per output column,
 /// read each packed byte **once** and route the corresponding `x_i` of
 /// every activation row in the token block into that row's 16 buckets —
-/// the Figure-4 region pass amortized over up to [`SCALAR_TOKEN_BLOCK`]
+/// the Figure-4 region pass amortized over up to `SCALAR_TOKEN_BLOCK`
 /// tokens — then combine each row's buckets with the magnitude lattice.
 ///
 /// Per activation row this performs exactly the bucket-accumulation chain
-/// of [`region_matvec_block_into`] (rows ascending, one add per weight),
+/// of `region_matvec_block_into` (rows ascending, one add per weight),
 /// so each output row is bit-identical to the per-token kernel.
 ///
 /// # Panics
 ///
-/// Panics on the same conditions as [`matmul_block_into`].
+/// Panics on the same conditions as `matmul_block_into`.
 #[allow(clippy::too_many_arguments)]
 pub fn region_matmul_block_into(
     xs: &[f32],
@@ -325,13 +327,14 @@ pub fn region_matmul_block_into(
 
 /// The 16 per-region input sums for one output column of `x · W` — what a
 /// Hardwired Neuron's POPCNT accumulator regions hold right before the
-/// magnitude combine. Exposed for tests and analyses: with `x = 1⃗`, region
-/// `k` equals the column's occupancy count of code `k`.
+/// magnitude combine. With `x = 1⃗`, region `k` equals the column's
+/// occupancy count of code `k`.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != m.rows()` or `col >= m.cols()`.
-pub fn region_sums(x: &[f32], m: &PackedFp4Matrix, col: usize) -> [f32; NUM_CODES] {
+#[cfg(test)]
+pub(crate) fn region_sums(x: &[f32], m: &PackedFp4Matrix, col: usize) -> [f32; NUM_CODES] {
     assert_eq!(x.len(), m.rows(), "input length mismatch");
     assert!(col < m.cols(), "col out of bounds");
     let stride = m.stride();
@@ -386,7 +389,7 @@ pub(crate) fn arm() -> Arm {
     Arm::Portable
 }
 
-/// Which kernel realization [`matmul_block_into`] — and with it the lane
+/// Which kernel realization `matmul_block_into` — and with it the lane
 /// arm of `tensor::lane_arms` — takes in this process:
 /// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
 /// Recorded on every `BENCH_inference.json` point (and keys which point

@@ -29,12 +29,12 @@ use std::sync::Arc;
 
 /// Local positions per KV page: one page holds this many cached
 /// positions (across all layers) of one shard.
-pub const PAGE_SLOTS: usize = 4;
+pub(crate) const PAGE_SLOTS: usize = 4;
 
 /// Global positions per shared block: with the 4×4 grid's `p % 4`
 /// sharding, one 16-position span maps to exactly one local page in
 /// every shard, so a block is the natural unit of prefix sharing.
-pub const BLOCK_POSITIONS: usize = 16;
+pub(crate) const BLOCK_POSITIONS: usize = 16;
 
 /// Immutable page payload shared between sequences.
 #[derive(Debug)]
@@ -43,11 +43,6 @@ pub struct PageBuf {
 }
 
 impl PageBuf {
-    /// The raw page storage (layout is owned by [`KvCache`]).
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
     /// A zero-length placeholder page, for tests and benches that track
     /// tree shape without real KV storage.
     pub fn placeholder() -> PageRef {
@@ -58,7 +53,7 @@ impl PageBuf {
 }
 
 /// Shared handle to a committed, immutable page.
-pub type PageRef = Arc<PageBuf>;
+pub(crate) type PageRef = Arc<PageBuf>;
 
 /// One entry of a sequence's page table.
 #[derive(Debug, Clone)]
@@ -105,12 +100,12 @@ impl KvCache {
 
     /// Cached positions (context length), reported from layer 0 like the
     /// dense predecessor.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fill.first().copied().unwrap_or(0)
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -233,17 +228,20 @@ impl KvCache {
     }
 
     /// KV heads per cached position.
-    pub fn kv_heads(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn kv_heads(&self) -> usize {
         self.kv_heads
     }
 
     /// Head dimension.
-    pub fn head_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn head_dim(&self) -> usize {
         self.head_dim
     }
 
     /// Number of layers this cache covers.
-    pub fn num_layers(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_layers(&self) -> usize {
         self.num_layers
     }
 
@@ -262,7 +260,7 @@ impl KvCache {
     /// to the front of the table) so a recovering sequence re-prefills
     /// into warm buffers; shared pages are released back to their
     /// owners.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.pages.retain(|p| matches!(p, Page::Owned(_)));
         for f in &mut self.fill {
             *f = 0;
@@ -273,7 +271,7 @@ impl KvCache {
     /// the *logical* footprint — what a dense cache of the same fill
     /// would occupy; see [`owned_bytes_fp16`](Self::owned_bytes_fp16)
     /// for the physically private share.
-    pub fn bytes_fp16(&self) -> u64 {
+    pub(crate) fn bytes_fp16(&self) -> u64 {
         let width = self.width() as u64;
         self.fill.iter().fold(0u64, |acc, &f| {
             let floats = (f as u64).saturating_mul(width).saturating_mul(2);
@@ -284,7 +282,7 @@ impl KvCache {
     /// Physically private bytes at fp16: full pages this cache owns
     /// exclusively. Shared pages are charged once to the pool, which is
     /// where paged prefix reuse turns into effective extra capacity.
-    pub fn owned_bytes_fp16(&self) -> u64 {
+    pub(crate) fn owned_bytes_fp16(&self) -> u64 {
         let per_page = (self.page_floats() as u64).saturating_mul(2);
         let owned = self
             .pages
@@ -313,7 +311,7 @@ impl KvCache {
     ///
     /// Panics if the cache is not empty, the fill does not lie within
     /// the attached pages, or a page has the wrong size.
-    pub fn attach_shared(
+    pub(crate) fn attach_shared(
         &mut self,
         full: &[PageRef],
         boundary: Option<&PageRef>,
@@ -365,7 +363,7 @@ impl KvCache {
     /// # Panics
     ///
     /// Panics if the page index is out of range.
-    pub fn share_page(&mut self, page: usize) -> PageRef {
+    pub(crate) fn share_page(&mut self, page: usize) -> PageRef {
         debug_assert!(
             self.fill
                 .iter()
@@ -432,7 +430,7 @@ pub struct PagePool {
 impl PagePool {
     /// Register a freshly committed page with one reference (the
     /// registrant's). Returns its pool id.
-    pub fn register(&mut self, page: PageRef) -> u32 {
+    pub(crate) fn register(&mut self, page: PageRef) -> u32 {
         self.stats.registered = self.stats.registered.saturating_add(1);
         self.live = self.live.saturating_add(1);
         match self.free.pop() {
@@ -455,7 +453,7 @@ impl PagePool {
     /// # Panics
     ///
     /// Panics on a freed or unknown id — a refcounting bug upstream.
-    pub fn retain(&mut self, id: u32) {
+    pub(crate) fn retain(&mut self, id: u32) {
         assert!(
             self.entries[id as usize].is_some(),
             "retain of freed page {id}"
@@ -470,7 +468,7 @@ impl PagePool {
     /// # Panics
     ///
     /// Panics on a freed or unknown id, or a refcount underflow.
-    pub fn release(&mut self, id: u32) -> bool {
+    pub(crate) fn release(&mut self, id: u32) -> bool {
         let i = id as usize;
         assert!(self.entries[i].is_some(), "release of freed page {id}");
         assert!(self.refs[i] > 0, "refcount underflow on page {id}");
@@ -491,7 +489,7 @@ impl PagePool {
     /// # Panics
     ///
     /// Panics on a freed or unknown id.
-    pub fn page(&self, id: u32) -> &PageRef {
+    pub(crate) fn page(&self, id: u32) -> &PageRef {
         let entry = self.entries[id as usize].as_ref();
         assert!(entry.is_some(), "page {id} already freed");
         let Some(page) = entry else {
@@ -501,7 +499,7 @@ impl PagePool {
     }
 
     /// Current refcount of a live page.
-    pub fn ref_count(&self, id: u32) -> u32 {
+    pub(crate) fn ref_count(&self, id: u32) -> u32 {
         self.refs[id as usize]
     }
 
@@ -549,7 +547,7 @@ struct BlockNode {
 /// with the longest common prefix (ties broken by sorted label order,
 /// which makes matching independent of insertion order).
 #[derive(Debug)]
-pub struct RadixTree {
+pub(crate) struct RadixTree {
     nodes: Vec<BlockNode>,
     free_nodes: Vec<u32>,
 }
@@ -579,7 +577,7 @@ impl RadixTree {
     /// path (including a final partially matched block, whose pages
     /// back the copy-on-write boundary). Touches matched nodes with
     /// `clock` for LRU ordering.
-    pub fn descend(&mut self, prompt: &[u32], clock: u64) -> (usize, Vec<Box<[u32]>>) {
+    pub(crate) fn descend(&mut self, prompt: &[u32], clock: u64) -> (usize, Vec<Box<[u32]>>) {
         let mut cur = ROOT;
         let mut depth = 0usize;
         let mut out: Vec<Box<[u32]>> = Vec::new();
@@ -674,7 +672,7 @@ impl RadixTree {
     }
 
     /// The coldest evictable leaf by `(last_touch, node id)`, if any.
-    pub fn coldest_evictable_leaf(&self, pool: &PagePool) -> Option<u32> {
+    pub(crate) fn coldest_evictable_leaf(&self, pool: &PagePool) -> Option<u32> {
         self.evictable_leaves(pool)
             .into_iter()
             .min_by_key(|&id| (self.nodes[id as usize].last_touch, id))
@@ -683,7 +681,7 @@ impl RadixTree {
     /// Evict leaf `id`: release its pages (each freed exactly once —
     /// the tree held the last reference) and unlink it. Returns pages
     /// released.
-    pub fn evict(&mut self, id: u32, pool: &mut PagePool) -> u64 {
+    pub(crate) fn evict(&mut self, id: u32, pool: &mut PagePool) -> u64 {
         let pages = std::mem::take(&mut self.nodes[id as usize].pages);
         let mut released = 0u64;
         for &p in pages.iter() {
@@ -702,7 +700,7 @@ impl RadixTree {
     /// Drop every node's tree reference exactly once and reset to an
     /// empty tree (the chip-death path: residents release their grants
     /// first, so most pages free here). Returns pages released.
-    pub fn flush(&mut self, pool: &mut PagePool) -> u64 {
+    pub(crate) fn flush(&mut self, pool: &mut PagePool) -> u64 {
         let mut released = 0u64;
         let mut stack = vec![ROOT];
         while let Some(id) = stack.pop() {

@@ -9,51 +9,53 @@
 //! * [`kernels`] — region-accumulation matvec kernels computing directly
 //!   on packed FP4 codes (Figure 4's 16 POPCNT regions in software); both
 //!   engines route every projection through them.
-//! * [`tensor`] — minimal dense row-major matrix/vector kernels (the naive
-//!   baseline path, LoRA, and dot products).
-//! * [`ops`] — the repo's own exponential (scalar and at lane width),
-//!   RMSNorm, softmax, SwiGLU, rotary embedding, top-k.
+//! * [`tensor`] — dense row-major kernels: the naive baseline's
+//!   matrix/vector products, dot products, and the lane kernels behind the
+//!   unembedding and the attention.
+//! * `ops` — the repo's own exponential (scalar and at lane width),
+//!   RMSNorm, softmax, SwiGLU, rotary embedding, top-k routing.
 //! * [`scratch`] — the [`Scratch`] activation arena (one per
 //!   single-sequence caller, one per worker in the batched engine) +
 //!   rotary table that make the steady-state decode step allocation-free.
-//! * [`kv_cache`] — paged per-layer KV storage, and the radix-tree prefix
-//!   cache whose committed pages sequences share by reference.
-//! * [`sampler`] — greedy and seeded-multinomial logit sampling.
+//! * `kv_cache` — paged per-layer KV storage ([`KvCache`]), and the
+//!   radix-tree [`PrefixCache`] whose committed pages sequences share by
+//!   reference.
+//! * [`sampler`] — greedy, seeded-multinomial and nucleus (top-p) logit
+//!   sampling.
 //! * [`Engine`] — the one driver both machines share (embedding gather,
 //!   layer loop, panel prefill, single and batched decode step,
 //!   unembedding, scoring, generation), generic over a [`Placement`] that
 //!   supplies the per-sequence state and the transformer block.
-//! * [`mod@reference`] — the single-device placement (GQA + MoE,
-//!   pre-norm): [`Transformer`] is `Engine<SingleChip>`.
+//! * `reference` — the single-device placement (GQA + MoE, pre-norm):
+//!   [`Transformer`] is `Engine<SingleChip>`.
 //! * [`dataflow`] — the 4×4-chip placement with explicit partial sums and
 //!   collectives mirroring Figure 10, plus communication counters:
 //!   [`DataflowExecutor`] is `Engine<Grid>`.
-//! * [`batch`] — the batched engine: a KV-slot pool with continuous-
-//!   batching admission/eviction executing `hnlpu-sim`'s round plans,
-//!   each round dealt across the host's cores, one scoped thread per
-//!   worker; a worker done with its share runs expert groups the others
-//!   post (help at the join).
-//! * [`naive`] — the pre-optimization dense-`f32`, allocating decoder kept
-//!   as the decode calibration pair (the fixed side of the gated
-//!   packed-vs-naive decode ratio) plus test oracle.
+//! * `batch` — the batched engine, [`BatchedDataflowExecutor`]: a KV-slot
+//!   pool with continuous-batching admission/eviction executing
+//!   `hnlpu-sim`'s round plans, each round dealt across the host's cores,
+//!   one scoped thread per worker; a worker done with its share runs
+//!   expert groups the others post (help at the join).
+//! * `naive` — [`NaiveTransformer`], the pre-optimization dense-`f32`,
+//!   allocating decoder kept as the decode calibration pair (the fixed
+//!   side of the gated packed-vs-naive decode ratio) plus test oracle.
 //! * [`serve`] — the online serving frontend: bounded-queue admission,
 //!   incremental prefill/decode scheduling on a virtual clock, per-token
 //!   streaming, cancellation, and p50/p99 TTFT/TPOT SLO reporting —
 //!   bit-identical to offline plan replay by construction.
 //! * `telemetry` — in-program stage spans: one [`StageNanos`] accumulator
 //!   per worker arena, read through [`OnlineServer::stage_nanos`].
-//! * [`fault`] — deterministic chaos: seeded [`fault::FaultPlan`]s (chip
-//!   kills, stragglers, link faults, request deadlines) that the server
-//!   consumes on its virtual clock, making every degraded-mode run exactly
+//! * [`fault`] — deterministic chaos: seeded [`FaultPlan`]s (chip kills,
+//!   stragglers, link faults, request deadlines) that the server consumes
+//!   on its virtual clock, making every degraded-mode run exactly
 //!   reproducible; hardwired chips cannot be re-flashed, so a dead chip is
-//!   survived, not repaired: capacity shrinks to the survivor share
-//!   ([`GridHealth::effective_slots`]) and evicted sequences re-prefill.
+//!   survived, not repaired: capacity shrinks to the survivors' share of
+//!   the slots ([`GridHealth`]) and evicted sequences re-prefill.
 //!
 //! # Example
 //!
 //! ```
-//! use hnlpu_llm::reference::Transformer;
-//! use hnlpu_llm::dataflow::DataflowExecutor;
+//! use hnlpu_llm::{DataflowExecutor, Transformer};
 //! use hnlpu_model::{zoo, ModelWeights, WeightGenerator};
 //!
 //! let card = zoo::dataflow_test_model();
@@ -70,33 +72,28 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
-pub mod batch;
+mod batch;
 pub mod dataflow;
 mod engine;
 pub mod fault;
 mod help;
 pub mod kernels;
-pub mod kv_cache;
-pub mod lora;
-pub mod naive;
-pub mod ops;
-pub mod reference;
+mod kv_cache;
+mod naive;
+mod ops;
+mod reference;
 pub mod sampler;
 pub mod scratch;
 pub mod serve;
 mod telemetry;
 pub mod tensor;
-pub mod tokenizer;
+mod tokenizer;
 
 pub use batch::{BatchRunReport, BatchedDataflowExecutor, SequenceRequest};
 pub use dataflow::{CommCounters, DataflowExecutor, GridHealth};
 pub use engine::{Engine, Placement};
 pub use fault::{ChaosSpec, FaultError, FaultPlan, RecoveryStats};
-pub use kv_cache::{
-    KvCache, PageBuf, PagePool, PageRef, PrefixCache, PrefixCacheConfig, PrefixMatch, PrefixStats,
-    BLOCK_POSITIONS, PAGE_SLOTS,
-};
-pub use lora::LoraAdapter;
+pub use kv_cache::{KvCache, PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
 pub use naive::NaiveTransformer;
 pub use reference::Transformer;
 pub use sampler::Sampler;

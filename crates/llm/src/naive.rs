@@ -16,7 +16,6 @@
 
 use crate::kv_cache::KvCache;
 use crate::ops::{rmsnorm, rope, softmax, swiglu, topk};
-use crate::sampler::Sampler;
 use crate::tensor::{add_assign, dot, vec_mat};
 use hnlpu_model::{ModelWeights, TransformerConfig};
 
@@ -64,11 +63,6 @@ impl NaiveTransformer {
         }
     }
 
-    /// The architecture.
-    pub fn config(&self) -> &TransformerConfig {
-        &self.config
-    }
-
     /// An empty KV cache for this model.
     pub fn new_cache(&self) -> KvCache {
         let c = &self.config;
@@ -76,7 +70,8 @@ impl NaiveTransformer {
     }
 
     /// Resident weight bytes of the dense representation.
-    pub fn resident_weight_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_weight_bytes(&self) -> usize {
         let layer_bytes: usize = self
             .layers
             .iter()
@@ -179,7 +174,8 @@ impl NaiveTransformer {
     /// # Panics
     ///
     /// Panics if `prompt` is empty.
-    pub fn generate_greedy(&self, prompt: &[u32], n: usize) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn generate_greedy(&self, prompt: &[u32], n: usize) -> Vec<u32> {
         assert!(!prompt.is_empty(), "prompt must contain at least one token");
         let mut cache = self.new_cache();
         let mut logits = Vec::new();
@@ -188,7 +184,7 @@ impl NaiveTransformer {
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let next = Sampler::Greedy.sample(&logits);
+            let next = crate::sampler::Sampler::Greedy.sample(&logits);
             out.push(next);
             if out.len() == n {
                 break;

@@ -50,7 +50,7 @@ const EXP_HI: f32 = 89.0;
 /// results in the subnormal range included, where the ulp is 2^-149).
 /// Inputs below ≈ −103.97 give `+0`, inputs above ≈ 88.72 give `+∞`.
 #[inline(always)]
-pub fn exp(x: f32) -> f32 {
+pub(crate) fn exp(x: f32) -> f32 {
     // Two selects; NaN fails both comparisons and flows through as NaN.
     let x = if x < EXP_LO { EXP_LO } else { x };
     let x = if x > EXP_HI { EXP_HI } else { x };
@@ -85,7 +85,7 @@ lane_arms! {
     /// lanes at a time under AVX-512 and 8 under AVX2; there is no
     /// intrinsic and no fused multiply-add, so every element is the scalar
     /// function's bits by construction.
-    pub fn exp_lanes<>(xs: &mut [f32]) => exp_each, exp_lanes_avx512, exp_lanes_avx2
+    pub(crate) fn exp_lanes<>(xs: &mut [f32]) => exp_each, exp_lanes_avx512, exp_lanes_avx2
 }
 
 /// The loop every arm compiles; `V` only names the arm.
@@ -102,7 +102,7 @@ unsafe fn exp_each<V: Lanes>(xs: &mut [f32]) {
 
 /// Root-mean-square normalization (no learned scale in this reproduction;
 /// synthetic weights make a learned gain redundant).
-pub fn rmsnorm(x: &[f32]) -> Vec<f32> {
+pub(crate) fn rmsnorm(x: &[f32]) -> Vec<f32> {
     let mut out = x.to_vec();
     rmsnorm_into(x, &mut out);
     out
@@ -113,7 +113,7 @@ pub fn rmsnorm(x: &[f32]) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn rmsnorm_into(x: &[f32], out: &mut [f32]) {
+pub(crate) fn rmsnorm_into(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "length mismatch");
     let eps = 1e-5f32;
     let ms = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
@@ -124,14 +124,14 @@ pub fn rmsnorm_into(x: &[f32], out: &mut [f32]) {
 }
 
 /// Numerically-stable softmax.
-pub fn softmax(x: &[f32]) -> Vec<f32> {
+pub(crate) fn softmax(x: &[f32]) -> Vec<f32> {
     let mut out = x.to_vec();
     softmax_in_place(&mut out);
     out
 }
 
 /// Allocation-free [`softmax`]: replace `x` with its softmax.
-pub fn softmax_in_place(x: &mut [f32]) {
+pub(crate) fn softmax_in_place(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
@@ -146,17 +146,12 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// SiLU (swish) activation.
-pub fn silu(x: f32) -> f32 {
-    x / (1.0 + exp(-x))
-}
-
 /// SwiGLU combine: `silu(gate) ⊙ up`.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn swiglu(gate: &[f32], up: &[f32]) -> Vec<f32> {
+pub(crate) fn swiglu(gate: &[f32], up: &[f32]) -> Vec<f32> {
     let mut out = gate.to_vec();
     swiglu_in_place(&mut out, up);
     out
@@ -167,7 +162,7 @@ pub fn swiglu(gate: &[f32], up: &[f32]) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn swiglu_in_place(gate: &mut [f32], up: &[f32]) {
+pub(crate) fn swiglu_in_place(gate: &mut [f32], up: &[f32]) {
     assert_eq!(gate.len(), up.len(), "length mismatch");
     // `silu` with its `exp` at lane width, a stack chunk at a time.
     let mut e = [0.0f32; 256];
@@ -189,7 +184,7 @@ pub fn swiglu_in_place(gate: &mut [f32], up: &[f32]) {
 /// # Panics
 ///
 /// Panics if the head dimension is odd.
-pub fn rope(head: &mut [f32], position: usize) {
+pub(crate) fn rope(head: &mut [f32], position: usize) {
     assert!(head.len().is_multiple_of(2), "rope needs an even head dim");
     let d = head.len();
     for i in 0..d / 2 {
@@ -210,7 +205,7 @@ pub fn rope(head: &mut [f32], position: usize) {
 /// sort of the survivors instead of sorting all `n` candidates; the
 /// comparator (NaN last, then value, then index) is a total order, so the
 /// selected set and its order are identical to a full sort.
-pub fn topk(x: &[f32], k: usize) -> Vec<usize> {
+pub(crate) fn topk(x: &[f32], k: usize) -> Vec<usize> {
     let mut idx = Vec::new();
     topk_into(x, k, &mut idx);
     idx
@@ -218,7 +213,7 @@ pub fn topk(x: &[f32], k: usize) -> Vec<usize> {
 
 /// Allocation-free [`topk`]: fill `idx` with the winners, reusing its
 /// storage (the router calls this every layer of every step).
-pub fn topk_into(x: &[f32], k: usize, idx: &mut Vec<usize>) {
+pub(crate) fn topk_into(x: &[f32], k: usize, idx: &mut Vec<usize>) {
     idx.clear();
     if k == 0 {
         return;
@@ -419,11 +414,24 @@ mod tests {
         assert!((p[0] - 0.5).abs() < 1e-6);
     }
 
+    /// SiLU, scalar: what `swiglu_in_place` applies to the gate at lane
+    /// width.
+    fn silu(x: f32) -> f32 {
+        x / (1.0 + exp(-x))
+    }
+
     #[test]
     fn silu_properties() {
         assert_eq!(silu(0.0), 0.0);
         assert!(silu(10.0) > 9.9);
         assert!(silu(-10.0) > -0.01 && silu(-10.0) < 0.0);
+        // SwiGLU is `silu(gate) ⊙ up`, element by element.
+        let (gate, up) = (
+            [-3.0f32, -0.5, 0.0, 0.7, 9.0],
+            [2.0f32, -1.0, 4.0, 0.5, 1.0],
+        );
+        let want: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
+        assert_eq!(swiglu(&gate, &up), want);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct PrefillStats {
 
 impl PrefillStats {
     /// Fold another chunk run into this one.
-    pub fn merge(&mut self, other: PrefillStats) {
+    pub(crate) fn merge(&mut self, other: PrefillStats) {
         self.panels += other.panels;
         self.max_panel = self.max_panel.max(other.max_panel);
     }
@@ -100,8 +100,6 @@ impl Placement for SingleChip {
         let group = c.attention.group_size();
         let Scratch {
             scores,
-            delta,
-            lora_hidden,
             rope,
             xp,
             xnp,
@@ -118,12 +116,6 @@ impl Placement for SingleChip {
             rmsnorm_into(&xp[tt * h..(tt + 1) * h], &mut xnp[tt * h..(tt + 1) * h]);
         }
         matmul_into(xnp, h, t, &w.wq, qp, qw);
-        if let Some(adapter) = &engine.q_adapters[layer] {
-            for tt in 0..t {
-                adapter.delta_into(&xnp[tt * h..(tt + 1) * h], lora_hidden, delta);
-                add_assign(&mut qp[tt * qw..(tt + 1) * qw], delta);
-            }
-        }
         matmul_into(xnp, h, t, &w.wk, kp, kvw);
         matmul_into(xnp, h, t, &w.wv, vp, kvw);
         for tt in 0..t {
@@ -443,33 +435,6 @@ mod tests {
         // Pooled RMS-normalized states have bounded magnitude.
         let rms = (a.iter().map(|v| v * v).sum::<f32>() / a.len() as f32).sqrt();
         assert!(rms < 2.0, "rms = {rms}");
-    }
-
-    #[test]
-    fn lora_adapter_changes_generation() {
-        use crate::lora::LoraAdapter;
-        let mut m = model();
-        let before = m.generate_greedy(&[1, 2, 3], 6);
-        let c = *m.config();
-        m.set_q_adapter(
-            0,
-            LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 4, 8.0, 3),
-        );
-        let after = m.generate_greedy(&[1, 2, 3], 6);
-        assert_ne!(before, after, "a strong adapter must steer decoding");
-    }
-
-    #[test]
-    fn zero_lora_adapter_is_identity() {
-        use crate::lora::LoraAdapter;
-        let mut m = model();
-        let before = m.generate_greedy(&[1, 2, 3], 6);
-        let c = *m.config();
-        m.set_q_adapter(
-            1,
-            LoraAdapter::zeros(c.hidden_size, c.attention.q_width(), 4, 1.0),
-        );
-        assert_eq!(m.generate_greedy(&[1, 2, 3], 6), before);
     }
 
     #[test]

@@ -18,15 +18,6 @@ pub enum Sampler {
         /// Deterministic RNG state.
         rng: StdRng,
     },
-    /// Multinomial restricted to the `k` most likely tokens.
-    TopK {
-        /// Candidate count.
-        k: usize,
-        /// Softmax temperature (> 0).
-        temperature: f32,
-        /// Deterministic RNG state.
-        rng: StdRng,
-    },
     /// Nucleus sampling: the smallest candidate set with cumulative
     /// probability >= `p`.
     TopP {
@@ -48,21 +39,6 @@ impl Sampler {
     pub fn multinomial(temperature: f32, seed: u64) -> Self {
         assert!(temperature > 0.0, "temperature must be positive");
         Sampler::Multinomial {
-            temperature,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// A seeded top-k sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temperature <= 0` or `k == 0`.
-    pub fn top_k(k: usize, temperature: f32, seed: u64) -> Self {
-        assert!(temperature > 0.0, "temperature must be positive");
-        assert!(k > 0, "k must be positive");
-        Sampler::TopK {
-            k,
             temperature,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -96,17 +72,6 @@ impl Sampler {
                 let scaled: Vec<f32> = logits.iter().map(|&l| l / *temperature).collect();
                 let probs = softmax(&scaled);
                 draw(&probs, rng) as u32
-            }
-            Sampler::TopK {
-                k,
-                temperature,
-                rng,
-            } => {
-                let scaled: Vec<f32> = logits.iter().map(|&l| l / *temperature).collect();
-                let candidates = crate::ops::topk(&scaled, (*k).min(scaled.len()));
-                let cand_logits: Vec<f32> = candidates.iter().map(|&i| scaled[i]).collect();
-                let probs = softmax(&cand_logits);
-                candidates[draw(&probs, rng)] as u32
             }
             Sampler::TopP {
                 p,
@@ -189,26 +154,6 @@ mod tests {
     fn low_temperature_approaches_greedy() {
         let logits = [0.0, 3.0, 1.0];
         let mut s = Sampler::multinomial(0.01, 3);
-        for _ in 0..20 {
-            assert_eq!(s.sample(&logits), 1);
-        }
-    }
-
-    #[test]
-    fn top_k_restricts_support() {
-        // With k=2 only the two best tokens can ever be produced.
-        let logits = [0.0f32, 5.0, 4.0, -1.0];
-        let mut s = Sampler::top_k(2, 1.0, 11);
-        for _ in 0..200 {
-            let t = s.sample(&logits);
-            assert!(t == 1 || t == 2, "sampled {t}");
-        }
-    }
-
-    #[test]
-    fn top_k_one_is_greedy() {
-        let logits = [0.3f32, 2.0, 1.0];
-        let mut s = Sampler::top_k(1, 1.0, 5);
         for _ in 0..20 {
             assert_eq!(s.sample(&logits), 1);
         }

@@ -37,7 +37,7 @@ pub const MAX_PREFILL_PANEL: usize = 64;
 /// as [`crate::ops::rope`], so rotation stays bit-identical to the seed
 /// formula.
 #[derive(Debug, Clone)]
-pub struct RopeTable {
+pub(crate) struct RopeTable {
     /// `10000^(2i/d)` for `i in 0..d/2`.
     freq: Vec<f32>,
     sin: Vec<f32>,
@@ -52,7 +52,7 @@ impl RopeTable {
     /// # Panics
     ///
     /// Panics if `head_dim` is odd.
-    pub fn new(head_dim: usize) -> Self {
+    pub(crate) fn new(head_dim: usize) -> Self {
         assert!(head_dim.is_multiple_of(2), "rope needs an even head dim");
         let half = head_dim / 2;
         RopeTable {
@@ -66,7 +66,7 @@ impl RopeTable {
     }
 
     /// Fill the sin/cos rows for `position` (no-op when already there).
-    pub fn prepare(&mut self, position: usize) {
+    pub(crate) fn prepare(&mut self, position: usize) {
         if self.position == Some(position) {
             return;
         }
@@ -85,7 +85,7 @@ impl RopeTable {
     ///
     /// Panics if `head` does not match the table's head dimension or
     /// [`prepare`](Self::prepare) was never called.
-    pub fn apply(&self, head: &mut [f32]) {
+    pub(crate) fn apply(&self, head: &mut [f32]) {
         assert_eq!(head.len(), 2 * self.freq.len(), "head dimension");
         assert!(self.position.is_some(), "prepare() before apply()");
         for i in 0..self.freq.len() {
@@ -114,10 +114,6 @@ pub struct Scratch {
     pub(crate) chosen: Vec<usize>,
     /// One row's softmaxed expert weights (experts_per_token).
     pub(crate) expert_w: Vec<f32>,
-    /// LoRA side-channel delta (q_width).
-    pub(crate) delta: Vec<f32>,
-    /// LoRA rank-r intermediate (resized to the adapter's rank on use).
-    pub(crate) lora_hidden: Vec<f32>,
     /// Shared rotary table.
     pub(crate) rope: RopeTable,
     /// Next-token logits of the most recent single-sequence step
@@ -169,7 +165,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// An arena sized for panels of `config`'s architecture.
-    pub fn new(config: &TransformerConfig) -> Self {
+    pub(crate) fn new(config: &TransformerConfig) -> Self {
         let h = config.hidden_size;
         let qw = config.attention.q_width();
         let kvw = config.attention.kv_width();
@@ -185,8 +181,6 @@ impl Scratch {
             scores: Vec::new(),
             chosen: Vec::with_capacity(per_tok),
             expert_w: Vec::with_capacity(per_tok),
-            delta: vec![0.0; qw],
-            lora_hidden: Vec::new(),
             rope: RopeTable::new(hd),
             logits: vec![0.0; config.vocab_size],
             xp: vec![0.0; t * h],
@@ -214,7 +208,7 @@ impl Scratch {
     /// `positions` tokens, so steady-state decode and panel prefill stay
     /// reallocation-free (held by the zero-allocation sentinel in
     /// `tests/tests/zero_alloc_decode.rs`): the scores of a full lane
-    /// block, [`LANES`] rows of at most `ceil(positions / GRID)` positions
+    /// block, `LANES` rows of at most `ceil(positions / GRID)` positions
     /// on each of the [`GRID`] chips, rounded up to whole vectors, which
     /// also covers one row's `positions` scores on a single chip.
     pub fn reserve_context(&mut self, positions: usize) {

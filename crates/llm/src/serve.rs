@@ -16,7 +16,7 @@
 //! `disallowed_types` / `disallowed_methods` bans (`clippy.toml`) keep
 //! it so. The round policy is the
 //! stepper's, and the slots, prefix cache and execution of a round are the
-//! [`crate::batch`] slot pool's, both shared with the offline run, which
+//! `batch` slot pool's, both shared with the offline run, which
 //! plans the whole trace while it executes each round on its own pool: an
 //! online run yields the streams and [`RoundPlan`]s of the offline run —
 //! and, under any page budget, the same prefix matches and evictions —
@@ -40,10 +40,10 @@
 //! repaired. Because the KV cache shards every resident sequence across
 //! all 16 chips (`position % 4` per column), a chip death evicts every
 //! resident sequence; capacity shrinks to the survivor share
-//! ([`crate::GridHealth::effective_slots`]), evicted sequences park their
+//! (`GridHealth::effective_slots`), evicted sequences park their
 //! slots and re-admit with bounded exponential backoff (re-prefilling
 //! `prompt ++ emitted` token-exactly — see
-//! [`BatchedDataflowExecutor::recover_slot`]), queued requests are shed
+//! `BatchedDataflowExecutor::recover_slot`), queued requests are shed
 //! before admitted ones when the backlog overflows, and expired deadlines
 //! retire sequences with typed [`ServeError::Deadline`] outcomes.
 //! Stragglers and link faults stretch round time
@@ -73,7 +73,6 @@
 )]
 
 use crate::batch::{BatchedDataflowExecutor, SeqSlot, SequenceRequest, SlotPool};
-use crate::dataflow::CommCounters;
 use crate::fault::{FaultError, FaultPlan, FaultPolicy, RecoveryStats};
 use crate::kv_cache::{PrefixCache, PrefixStats};
 use crate::telemetry::StageNanos;
@@ -358,7 +357,6 @@ struct SeqRecord {
     finish_s: Option<f64>,
     /// Tokens streamed so far (grown one per decode round).
     tokens: Vec<u32>,
-    comm: CommCounters,
     /// Times this sequence's KV slot was released — exactly once per
     /// admission (`slot_frees == admissions` always holds at the end), 0
     /// for queue-only lifetimes.
@@ -412,8 +410,6 @@ pub struct SequenceOutcome {
     pub finish_s: Option<f64>,
     /// The streamed token ids, in emission order.
     pub tokens: Vec<u32>,
-    /// Collective-communication counters accumulated while resident.
-    pub comm: CommCounters,
     /// KV-slot releases (exactly once per admission; see tests).
     pub slot_frees: u32,
     /// Times the sequence took a KV slot (1 + recoveries; equals
@@ -475,22 +471,22 @@ pub struct SloReport {
     /// 99th-percentile time-to-first-token, seconds.
     pub ttft_p99_s: f64,
     /// Mean time-to-first-token, seconds.
-    pub ttft_mean_s: f64,
+    pub(crate) ttft_mean_s: f64,
     /// Median inter-token gap (time per output token), seconds.
     pub tpot_p50_s: f64,
     /// 99th-percentile inter-token gap, seconds.
     pub tpot_p99_s: f64,
     /// Mean inter-token gap, seconds.
-    pub tpot_mean_s: f64,
+    pub(crate) tpot_mean_s: f64,
     /// Median TTFT over degraded-mode samples (degraded round, or the
     /// sequence was ever evicted). `0.0` when no degraded sample exists.
     pub ttft_degraded_p50_s: f64,
     /// 99th-percentile degraded-mode TTFT, seconds.
     pub ttft_degraded_p99_s: f64,
     /// Median degraded-mode inter-token gap, seconds.
-    pub tpot_degraded_p50_s: f64,
+    pub(crate) tpot_degraded_p50_s: f64,
     /// 99th-percentile degraded-mode inter-token gap, seconds.
-    pub tpot_degraded_p99_s: f64,
+    pub(crate) tpot_degraded_p99_s: f64,
 }
 
 /// Full result of an online run: SLO summary, per-sequence outcomes, and
@@ -619,7 +615,7 @@ impl OnlineServer {
     /// Recovery re-admission attempts before an evicted sequence is
     /// abandoned as [`SeqState::ChipLost`]. Backoff is exponential in
     /// round time, so the last attempt waits `2^6 = 64` rounds.
-    pub const MAX_RECOVERY_RETRIES: u32 = 6;
+    pub(crate) const MAX_RECOVERY_RETRIES: u32 = 6;
 
     /// The survivor set of the 4×4 chip grid.
     #[cfg(test)]
@@ -628,27 +624,26 @@ impl OnlineServer {
     }
 
     /// Concurrent-sequence capacity under the current survivor set.
-    pub fn effective_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn effective_slots(&self) -> usize {
         self.stepper.slots()
     }
 
-    /// Current virtual time, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
     /// Requests waiting in the admission queue.
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
         self.waiting.len()
     }
 
     /// Sequences currently holding a KV slot.
-    pub fn resident(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> usize {
         self.stepper.seqs().count()
     }
 
     /// Evicted sequences awaiting recovery re-admission.
-    pub fn recovering(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn recovering(&self) -> usize {
         self.recovering.len()
     }
 
@@ -730,7 +725,6 @@ impl OnlineServer {
             prev_token_s: None,
             finish_s: None,
             tokens: Vec::new(),
-            comm: CommCounters::default(),
             slot_frees: 0,
             admissions: 0,
             deadline: self.faults.deadline_of(attempt),
@@ -751,7 +745,7 @@ impl OnlineServer {
     /// [`ServeError::UnknownSequence`] for a handle never issued,
     /// [`ServeError::AlreadyRetired`] when the sequence already finished
     /// or was cancelled.
-    pub fn cancel(&mut self, id: SeqId) -> Result<(), ServeError> {
+    pub(crate) fn cancel(&mut self, id: SeqId) -> Result<(), ServeError> {
         let Some(state) = self.state_of(id) else {
             return Err(ServeError::UnknownSequence { id });
         };
@@ -900,21 +894,14 @@ impl OnlineServer {
         }
     }
 
-    /// Free `id`'s KV slot, if it holds one: its row leaves the stepper,
-    /// the pool drops its page references, its record takes the counters.
-    /// Finish, cancel, deadline and eviction all leave residency here, so
-    /// `slot_frees == admissions` is this function's property.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "CommCounters' `+=` adds collective counts that grow by a few per layer per round, far below u64::MAX"
-    )]
+    /// Free `id`'s KV slot, if it holds one: its row leaves the stepper and
+    /// the pool drops its page references. Finish, cancel, deadline and
+    /// eviction all leave residency here, so `slot_frees == admissions` is
+    /// this function's property.
     fn release_slot(&mut self, id: SeqId) -> Option<SeqSlot> {
         self.stepper.remove(id.0);
         let gone = self.pool.vacate(id.0)?;
         if let Some(rec) = self.seqs.get_mut(id.0) {
-            // `+=`: a recovered sequence's pre-eviction counters were
-            // harvested at eviction time.
-            rec.comm += gone.state.comm;
             rec.slot_frees = rec.slot_frees.saturating_add(1);
         }
         Some(gone)
@@ -1140,7 +1127,7 @@ impl OnlineServer {
     }
 
     /// Aggregate SLO statistics so far.
-    pub fn slo_report(&self) -> SloReport {
+    pub(crate) fn slo_report(&self) -> SloReport {
         let (healthy, degraded) = &self.latency;
         let sorted = |v: &Vec<f64>| {
             let mut sorted = v.clone();
@@ -1211,7 +1198,7 @@ impl OnlineServer {
     }
 
     /// The full report: SLO summary, per-sequence outcomes, round log.
-    pub fn report(&self) -> ServeReport {
+    pub(crate) fn report(&self) -> ServeReport {
         let outcomes = self
             .seqs
             .iter()
@@ -1224,7 +1211,6 @@ impl OnlineServer {
                 ttft_s: r.first_token_s.map(|t| t - r.arrival_s),
                 finish_s: r.finish_s,
                 tokens: r.tokens.clone(),
-                comm: r.comm,
                 slot_frees: r.slot_frees,
                 admissions: r.admissions,
                 error: r.error,

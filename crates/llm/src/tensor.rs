@@ -5,9 +5,9 @@
 //! `score_lanes` runs many chains side by side with a tile of table rows
 //! (key positions, or vocabulary rows) in the SIMD lanes and each query
 //! broadcast across them; `weigh_lanes` weighs value rows with the head
-//! dimension in the lanes. Both are written once over [`Lanes`], the
-//! arm-specific vector, and [`lane_arms`] compiles their callers once per
-//! arm: [`unembed_into`] here, the grid's column attention in
+//! dimension in the lanes. Both are written once over `Lanes`, the
+//! arm-specific vector, and `lane_arms` compiles their callers once per
+//! arm: `unembed_into` here, the grid's column attention in
 //! `dataflow`.
 
 use std::ops::Range;
@@ -17,28 +17,19 @@ use std::ops::Range;
 /// # Panics
 ///
 /// Panics if `x.len() * cols != w.len()`.
-pub fn vec_mat(x: &[f32], w: &[f32], cols: usize) -> Vec<f32> {
-    assert_eq!(x.len() * cols, w.len(), "shape mismatch");
+pub(crate) fn vec_mat(x: &[f32], w: &[f32], cols: usize) -> Vec<f32> {
     let mut y = vec![0.0f32; cols];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &w[i * cols..(i + 1) * cols];
-        for (yj, &wij) in y.iter_mut().zip(row.iter()) {
-            *yj += xi * wij;
-        }
-    }
+    vec_mat_into(x, w, cols, &mut y);
     y
 }
 
-/// Allocation-free [`vec_mat`]: overwrite `y` with `x · W`. Same zero-skip
-/// accumulation order, so results are bit-identical.
+/// Allocation-free [`vec_mat`]: overwrite `y` with `x · W`, skipping zero
+/// inputs.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() * cols != w.len()` or `y.len() != cols`.
-pub fn vec_mat_into(x: &[f32], w: &[f32], cols: usize, y: &mut [f32]) {
+pub(crate) fn vec_mat_into(x: &[f32], w: &[f32], cols: usize, y: &mut [f32]) {
     assert_eq!(x.len() * cols, w.len(), "shape mismatch");
     assert_eq!(y.len(), cols, "output length mismatch");
     y.fill(0.0);
@@ -88,7 +79,7 @@ pub(crate) fn vec_mat_block(
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn add_assign(a: &mut [f32], b: &[f32]) {
+pub(crate) fn add_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "length mismatch");
     for (x, y) in a.iter_mut().zip(b.iter()) {
         *x += y;
@@ -558,7 +549,7 @@ pub(crate) unsafe fn weigh_lanes<'v, V: Lanes>(
 }
 
 /// Hidden rows one [`unembed_into`] call may carry.
-pub const UNEMBED_MAX_ROWS: usize = 64;
+pub(crate) const UNEMBED_MAX_ROWS: usize = 64;
 
 lane_arms! {
     /// Weight-tied unembedding of `xs.len() / h` normalized hidden rows
@@ -578,7 +569,7 @@ lane_arms! {
     /// Panics if `xs` or `embedding` is not a whole number of `h`-wide
     /// rows, there are no or more than [`UNEMBED_MAX_ROWS`] hidden rows,
     /// or `lanes` is too short.
-    pub fn unembed_into<>(embedding: &[f32], h: usize, xs: &[f32], lanes: &mut [f32],
+    pub(crate) fn unembed_into<>(embedding: &[f32], h: usize, xs: &[f32], lanes: &mut [f32],
         emit: impl FnMut(usize, &[f32])) => unembed_lanes, unembed_avx512, unembed_avx2
 }
 
@@ -622,13 +613,6 @@ unsafe fn unembed_lanes<V: Lanes>(
     }
 }
 
-/// Scale in place.
-pub fn scale(a: &mut [f32], k: f32) {
-    for x in a.iter_mut() {
-        *x *= k;
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -661,11 +645,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dot_and_scale() {
+    fn dot_sums_products() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut a = [2.0f32, 4.0];
-        scale(&mut a, 0.5);
-        assert_eq!(a, [1.0, 2.0]);
     }
 
     #[test]

@@ -6,13 +6,11 @@
 //! described here, so this module is deliberately precise about which
 //! matrices exist and how large each one is.
 
-use serde::{Deserialize, Serialize};
-
 /// Grouped-Query Attention geometry.
 ///
 /// gpt-oss 120 B uses 64 query heads and 8 KV heads of dimension 64: every
 /// group of 8 query heads shares one KV head (Appendix A of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AttentionConfig {
     /// Number of query heads.
     pub num_query_heads: usize,
@@ -51,7 +49,7 @@ impl AttentionConfig {
 }
 
 /// Mixture-of-Experts geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MoeConfig {
     /// Total expert count per layer (128 for gpt-oss 120 B).
     pub num_experts: usize,
@@ -78,7 +76,7 @@ impl MoeConfig {
 /// // The FFN-with-MoE dominates the parameter budget.
 /// assert!(cfg.moe_params() > cfg.attention_params());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransformerConfig {
     /// Model (residual-stream) width. 2 880 for gpt-oss 120 B.
     pub hidden_size: usize,
@@ -194,7 +192,7 @@ impl TransformerConfig {
 }
 
 /// Identity of a hardwired weight matrix within one transformer layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightKind {
     /// Query projection `Wq`.
     Query,
@@ -237,7 +235,7 @@ impl WeightKind {
 
 /// A weight matrix: a kind plus its `(rows, cols)` shape, where `rows` is the
 /// input dimension (activations enter along rows) and `cols` the output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WeightMatrix {
     /// Which matrix this is.
     pub kind: WeightKind,

@@ -7,10 +7,9 @@
 //! ships in.
 
 use crate::config::{AttentionConfig, MoeConfig, TransformerConfig};
-use serde::{Deserialize, Serialize};
 
 /// Storage precision of a model's weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 4-bit (E2M1 / MXFP4).
     Fp4,
@@ -33,7 +32,7 @@ impl Precision {
 
 /// A named model: architecture, shipped precision, and the headline
 /// parameter count used in the paper's tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelCard {
     /// Human-readable name.
     pub name: &'static str,

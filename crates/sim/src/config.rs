@@ -3,10 +3,9 @@
 
 use crate::pipeline;
 use hnlpu_model::{zoo, TransformerConfig};
-use serde::Serialize;
 
 /// CXL 3.0 link parameters (§4.2: <100 ns latency, 128 GB/s per ×16 link).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CxlParams {
     /// Port-to-port PHY latency, nanoseconds.
     pub latency_ns: f64,
@@ -29,7 +28,7 @@ impl Default for CxlParams {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Clock frequency, Hz.
     pub clock_hz: f64,
@@ -55,14 +54,10 @@ pub struct SimConfig {
     /// KV bytes per token per layer per chip (2 KV heads × 64 dims ×
     /// (K + V) × fp8 = 256 B for gpt-oss on 4 columns).
     pub kv_bytes_per_token_layer_chip: u64,
-    /// Attention-buffer sustained bandwidth, bytes/s (§7.1: 80 TB/s).
-    pub buffer_bw_bytes_per_s: f64,
     /// Attention-buffer capacity, bytes (320 MB).
     pub buffer_bytes: u64,
     /// HBM capacity per module, bytes (192 GB).
     pub hbm_bytes: u64,
-    /// HBM sustained bandwidth, bytes/s (8 stacks HBM3 ≈ 6.4 TB/s).
-    pub hbm_bw_bytes_per_s: f64,
     /// Link parameters.
     pub cxl: CxlParams,
 }
@@ -89,10 +84,8 @@ impl SimConfig {
             kv_bytes_per_token_layer_chip: (pipeline::kv_heads_per_col(model)
                 * model.attention.head_dim
                 * 2) as u64,
-            buffer_bw_bytes_per_s: 80.0e12,
             buffer_bytes: 20_000 * 16 * 1024,
             hbm_bytes: 192 * 1024 * 1024 * 1024,
-            hbm_bw_bytes_per_s: 6.4e12,
             cxl: CxlParams::default(),
         }
     }

@@ -201,8 +201,6 @@ impl PartialOrd for Event {
 /// Result of a packet-level pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketSimReport {
-    /// Tokens fully retired.
-    pub tokens_retired: u32,
     /// Simulated time, nanoseconds.
     pub elapsed_ns: f64,
     /// Steady-state throughput, tokens/s (measured over the second half of
@@ -363,7 +361,6 @@ impl PacketSim {
             tokens as f64 / elapsed * 1e9
         };
         PacketSimReport {
-            tokens_retired: tokens,
             elapsed_ns: elapsed,
             throughput_tokens_per_s: throughput,
             messages: fabric.messages,

@@ -24,12 +24,11 @@ use crate::config::SimConfig;
 use crate::fabric::{all_chip_all_reduce_cycles, collective_cycles, CollectiveKind};
 use crate::hbm::KvCacheModel;
 use hnlpu_model::TransformerConfig;
-use serde::Serialize;
 use CollectiveKind::{AllGather, AllReduce};
 use Group::{AllChips, Column, Row};
 
 /// Per-token, per-layer execution-time components, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerTiming {
     /// Inter-chip CXL communication.
     pub comm: f64,
@@ -135,7 +134,7 @@ pub(crate) fn stall_cycles(cfg: &SimConfig, context: u64) -> f64 {
 }
 
 /// The Figure-14 per-token breakdown at one context length.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Breakdown {
     /// Context length in tokens.
     pub context: u64,

@@ -27,11 +27,10 @@
 
 use crate::config::SimConfig;
 use crate::pipeline::advance_interval_cycles;
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// One inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Arrival time in microseconds (integral, so arrival order is exact).
     pub arrival_s_micros: u64,
@@ -53,7 +52,7 @@ impl Request {
 }
 
 /// Per-request completion record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// The request.
     pub request: Request,
@@ -64,7 +63,7 @@ pub struct Completion {
 }
 
 /// Aggregate scheduler statistics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerReport {
     /// All completions, in finish order.
     pub completions: Vec<Completion>,
@@ -86,7 +85,7 @@ pub struct SchedulerReport {
 /// Sequence ids index the *input order* of the request slice handed to
 /// [`BatchScheduler::plan`], so a functional engine holding the real
 /// token streams can replay exactly the schedule the timing model priced.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RoundPlan {
     /// Sequences emitting one decode token this round (autoregressive), in
     /// admission order. A sequence whose prefill completes this round

@@ -14,7 +14,6 @@
 use crate::scheduler::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Virtual seconds one simulated "day" is compressed into for
 /// [`WorkloadKind::DiurnalChat`]: the arrival rate completes one full
@@ -43,7 +42,7 @@ pub fn shared_prefix_tokens(seed: u64, group: usize, vocab: u32) -> Vec<u32> {
 }
 
 /// A named request mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Short prompts, short-to-medium decodes, Poisson arrivals.
     Chat,
@@ -66,7 +65,7 @@ pub enum WorkloadKind {
 }
 
 /// Workload generator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Mix.
     pub kind: WorkloadKind,

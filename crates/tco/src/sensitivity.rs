@@ -8,10 +8,9 @@
 
 use crate::assumptions::Assumptions;
 use crate::scenario::{DeploymentScale, Table3, UpdatePolicy};
-use serde::Serialize;
 
 /// One sensitivity sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityPoint {
     /// Parameter label.
     pub parameter: String,
@@ -23,7 +22,7 @@ pub struct SensitivityPoint {
 }
 
 /// Which assumption a sweep perturbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
     /// $/kWh.
     ElectricityPrice,

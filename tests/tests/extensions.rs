@@ -1,26 +1,10 @@
 //! Integration coverage of the §8 future-work features across crates:
-//! LoRA adapters, sequence scoring / text embedding, and the packet-level
-//! fabric.
+//! sequence scoring / text embedding, conditional decoding, and the
+//! packet-level fabric.
 
-use hnlpu::llm::{DataflowExecutor, LoraAdapter, Sampler, Transformer};
+use hnlpu::llm::{DataflowExecutor, Sampler, Transformer};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use hnlpu::sim::{pipeline, PacketSim};
-
-#[test]
-fn lora_update_steers_both_machines_identically() {
-    let card = zoo::dataflow_test_model();
-    let w = ModelWeights::materialize(&card.config, &WeightGenerator::new(404));
-    let c = card.config;
-    let adapter = LoraAdapter::seeded(c.hidden_size, c.attention.q_width(), 2, 4.0, 1);
-    let mut reference = Transformer::new(w.clone());
-    let mut hnlpu = DataflowExecutor::new(w);
-    reference.set_q_adapter(1, adapter.clone());
-    hnlpu.set_q_adapter(1, adapter);
-    assert_eq!(
-        reference.generate_greedy(&[9, 4], 8),
-        hnlpu.generate_greedy(&[9, 4], 8)
-    );
-}
 
 #[test]
 fn scoring_and_embedding_tasks_work_on_the_16_chip_machine() {
@@ -62,14 +46,9 @@ fn conditional_decoding_policies_run_on_both_machines() {
     let w = ModelWeights::materialize(&card.config, &WeightGenerator::new(11));
     let reference = Transformer::new(w.clone());
     let hnlpu = DataflowExecutor::new(w);
-    for mk in [
-        || Sampler::top_k(4, 0.9, 1234),
-        || Sampler::top_p(0.9, 0.9, 1234),
-    ] {
-        let mut s1 = mk();
-        let mut s2 = mk();
-        let a = reference.generate(&[5, 6, 7], 10, &mut s1);
-        let (b, _) = hnlpu.generate_with_report(&[5, 6, 7], 10, &mut s2);
-        assert_eq!(a, b);
-    }
+    let mut s1 = Sampler::top_p(0.9, 0.9, 1234);
+    let mut s2 = Sampler::top_p(0.9, 0.9, 1234);
+    let a = reference.generate(&[5, 6, 7], 10, &mut s1);
+    let (b, _) = hnlpu.generate_with_report(&[5, 6, 7], 10, &mut s2);
+    assert_eq!(a, b);
 }

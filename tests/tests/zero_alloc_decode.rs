@@ -9,7 +9,7 @@
 //! allocations: the grid's `step_with` loop, on private and on shared
 //! pages; a batched `step_batch_with` round with the per-round KV
 //! accounting; a wide-panel prefill; the single-chip reference's
-//! `step_with` and `hidden_step_with` through a LoRA adapter; and one
+//! `step_with` and `hidden_step_with`; and one
 //! direct 64-row panel of the portable region kernel, which hosts with
 //! vector units never dispatch.
 //!
@@ -19,7 +19,7 @@
 
 use hnlpu::llm::dataflow::DataflowState;
 use hnlpu::llm::kernels::region_matmul_block_into;
-use hnlpu::llm::{DataflowExecutor, LoraAdapter, PrefixCache, PrefixCacheConfig, Transformer};
+use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig, Transformer};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,7 +84,7 @@ fn steady_state_decode_performs_zero_allocations() {
     scratch.reserve_context(horizon);
 
     // Prefill plus warmup decode: first touches of lazily-sized buffers
-    // (rope table growth, lora scratch, kernel dispatch init) land here.
+    // (rope table growth, kernel dispatch init) land here.
     let mut token = *PROMPT.last().expect("non-empty prompt");
     for &t in PROMPT {
         engine.step_with(t, &mut state, &mut scratch);
@@ -297,8 +297,7 @@ fn prefill_panel_performs_zero_allocations() {
     );
 }
 
-/// The single-chip reference, with a LoRA adapter on layer 0's query
-/// projection: after warm-up, `step_with` (logits) and `hidden_step_with`
+/// The single-chip reference: after warm-up, `step_with` (logits) and `hidden_step_with`
 /// (the final normalized hidden state, read back from `scratch.hidden()`)
 /// alternate through the same `KvCache` and arena with exactly zero heap
 /// allocations.
@@ -310,9 +309,7 @@ fn reference_decode_and_hidden_step_perform_zero_allocations() {
 
     let card = zoo::dataflow_test_model();
     let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
-    let mut engine = Transformer::new(weights);
-    let (h, q_width) = (card.config.hidden_size, card.config.attention.q_width());
-    engine.set_q_adapter(0, LoraAdapter::seeded(h, q_width, 4, 0.5, 7));
+    let engine = Transformer::new(weights);
     let mut cache = engine.new_cache();
     let mut scratch = engine.new_scratch();
     let horizon = PROMPT.len() + WARMUP_STEPS + 2 * MEASURED_STEPS;
