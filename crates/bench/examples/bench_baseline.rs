@@ -1,192 +1,95 @@
 //! Emit (or gate on) the committed inference benchmark trajectory.
 //!
 //! `BENCH_inference.json` holds an append-only **trajectory**: one point
-//! per landed performance PR, each with per-benchmark ns/op, tokens/s
-//! where the benchmark has a token interpretation, the realized kernel
-//! path, and the headline speedup ratios. Default mode runs the full
-//! `hnlpu_bench::inference` suite and appends a new point tagged with
-//! `--id <tag>` (default `local`); earlier points are never rewritten —
-//! only a trailing point with the *same* id is refreshed, so iterating
-//! on one PR does not duplicate its point.
+//! per landed performance PR. A schema-v3 point records the kernel path,
+//! raw ns/iter of every bench, the FMA loop's rate, each expert group's
+//! multiply-accumulate rate and `peak_share` (its share of the loop's),
+//! the group floors (`peak_share_floor`), and the amortisation ratios.
+//! The v2 points before them, gated on seven ratios against a naive
+//! decoder, are kept as history.
 //!
-//! `--check` is the CI regression gate: it validates the committed
-//! trajectory's shape, re-runs the suite (honoring `HNLPU_BENCH_QUICK`),
-//! prints every bench line, and fails (exit 1) when a measured headline
-//! ratio falls below [`TOLERANCE`] × the ratio of the latest committed
-//! point on the runner's own `kernel_path` ([`gate_point`]). Ratios are
-//! machine-relative, so the gate holds across runner generations where
-//! raw ns/op would not; they are not arm-relative, so a runner with no
-//! point for its arm fails instead of borrowing another arm's.
+//! Default mode runs the suite ([`FULL_SAMPLES`] per benchmark, or
+//! [`QUICK_SAMPLES`] under `HNLPU_BENCH_QUICK`) and appends a point tagged
+//! `--id <tag>` (default `local`), refreshing a trailing point of the same
+//! id; its floors come from [`BAND_RUNS`] further quick runs.
+//!
+//! `--check` is the CI regression gate: it validates the file, re-runs the
+//! suite, prints every bench line, and fails (exit 1) unless every group
+//! banded by the latest floored point of the runner's own `kernel_path`
+//! reads a `peak_share` at or above its floor. A missing, zero or NaN
+//! reading fails, and so does an arm with no floored point. The floors
+//! hold for the host they were recorded on; a share of the FMA peak
+//! depends on the microarchitecture, so another CPU of the same arm needs
+//! a point of its own before its verdicts mean anything.
 //!
 //! ```text
-//! cargo run --release -p hnlpu-bench --example bench_baseline -- --id pr7
-//! cargo run --release -p hnlpu-bench --example bench_baseline -- --check
+//! cargo run --release -p hnlpu-bench --example bench_baseline -- --id peak-share
+//! HNLPU_BENCH_QUICK=1 cargo run --release -p hnlpu-bench --example bench_baseline -- --check
 //! ```
 
 use hnlpu::llm::kernels;
 use hnlpu_bench::inference::{
-    gate_point, inference_suite, prefix_cache_effectiveness, EXPERT_GROUP_SWEEP,
-    EXPERT_MACS_PER_ROW, PREFILL_BENCH_EXPERTS, ROUND_DEAL_ROUNDS, ROUND_DEAL_SHAPES,
-    TOKENS_PER_ITER,
+    amortisation, bands, expert_group_gmac_per_s, fma_peak_gmac_per_s, gate_point, inference_suite,
+    passes, peak_shares, reading, EXPERT_GROUP_SWEEP, FLOOR_KEY, FULL_SAMPLES, QUICK_SAMPLES,
 };
 use hnlpu_bench::Timings;
 use serde_json::Value;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
-const SCHEMA: &str = "hnlpu-bench/inference/v2";
-/// `--check` band: a measured ratio must stay above this share of the
-/// committed one.
-const TOLERANCE: f64 = 0.5;
+const SCHEMA: &str = "hnlpu-bench/inference/v3";
 
-/// The headline ratios the trajectory records and `--check` gates on:
-/// `(json key, numerator label, denominator label)` — each ratio is
-/// `ns(numerator) / ns(denominator)`, i.e. the denominator's speedup.
-const RATIOS: &[(&str, &str, &str)] = &[
-    (
-        "decode_speedup_packed_over_naive",
-        "inference/decode/naive",
-        "inference/decode/packed",
-    ),
-    (
-        "prefill_matmul_speedup_t16",
-        "inference/prefill_matmul/per_token",
-        "inference/prefill_matmul/t16",
-    ),
-    (
-        "prefill_matmul_speedup_t64",
-        "inference/prefill_matmul/per_token",
-        "inference/prefill_matmul/t64",
-    ),
-    (
-        "decode_batch_speedup_b4",
-        "inference/decode_batch/step_b4",
-        "inference/decode_batch/batch_b4",
-    ),
-    (
-        "decode_batch_speedup_b16",
-        "inference/decode_batch/step_b16",
-        "inference/decode_batch/batch_b16",
-    ),
-    (
-        "decode_batch_speedup_b64",
-        "inference/decode_batch/step_b64",
-        "inference/decode_batch/batch_b64",
-    ),
-    (
-        "prefix_prefill_speedup_share90",
-        "inference/prefix_prefill/share0",
-        "inference/prefix_prefill/share90",
-    ),
-];
+/// Quick suite runs a recorded point's floors come from.
+const BAND_RUNS: usize = 10;
 
-fn tokens_per_iter(label: &str) -> Option<f64> {
-    TOKENS_PER_ITER
-        .iter()
-        .find(|(l, _)| *l == label)
-        .map(|&(_, t)| t as f64)
+/// A group's floor is this share of its lowest `peak_share` over the
+/// [`BAND_RUNS`] quick runs, rounded down. The regression to catch is an
+/// arm running at half its width, at about half the healthy share; 0.7 is
+/// near the geometric midpoint (1/√2) of the two, so each side keeps about
+/// the same relative margin against host noise.
+const FLOOR_SHARE: f64 = 0.7;
+
+/// `x` rounded to `1 / scale`.
+fn round(x: f64, scale: f64) -> Value {
+    Value::Number((x * scale).round() / scale)
 }
 
-fn ns_of(results: &[(String, f64)], label: &str) -> f64 {
-    results
-        .iter()
-        .find(|(l, _)| l == label)
-        .map(|&(_, ns)| ns)
-        .unwrap_or(f64::NAN)
-}
-
-fn measured_ratio(results: &[(String, f64)], key: &str) -> Option<f64> {
-    RATIOS
-        .iter()
-        .find(|(k, _, _)| *k == key)
-        .map(|&(_, num, den)| ns_of(results, num) / ns_of(results, den))
-}
-
-/// One trajectory point rendered from a suite run.
-fn render_point(t: &Timings, id: &str) -> Value {
+/// One trajectory point rendered from a suite run and the `peak_share`
+/// readings of the quick runs behind its floors.
+fn render_point(t: &Timings, id: &str, quick: &[Vec<(String, f64)>]) -> Value {
     let results = t.results();
-    let mut fields: Vec<(String, Value)> = vec![
-        ("id".into(), Value::String(id.into())),
-        (
-            "kernel_path".into(),
-            Value::String(kernels::kernel_path().into()),
-        ),
-    ];
-    for &(key, num, den) in RATIOS {
-        let ratio = ns_of(results, num) / ns_of(results, den);
-        fields.push((key.into(), Value::Number((ratio * 1e3).round() / 1e3)));
+    let (arm, peak) = (kernels::kernel_path(), fma_peak_gmac_per_s(results));
+    let mut fields = Vec::new();
+    let mut field = |key: String, value: Value| fields.push((key, value));
+    field("id".into(), Value::String(id.into()));
+    field("kernel_path".into(), Value::String(arm.into()));
+    field("fma_peak_gmac_per_s".into(), round(peak, 100.0));
+    // Each expert group's multiply-accumulate rate, its share of the FMA
+    // loop's (the gated figure), and its floor.
+    let mut floors = Vec::new();
+    for ((group, share), &rows) in peak_shares(results).into_iter().zip(EXPERT_GROUP_SWEEP) {
+        let gmac = expert_group_gmac_per_s(results, rows);
+        let key = |stat| format!("expert_group_{group}_{stat}");
+        field(key("gmac_per_s"), round(gmac, 100.0));
+        field(key("peak_share"), round(share, 1e3));
+        let min = quick
+            .iter()
+            .map(|run| reading(run, &group))
+            .fold(f64::INFINITY, f64::min);
+        let floor = (FLOOR_SHARE * min * 1e3).floor() / 1e3;
+        floors.push((group, Value::Number(floor)));
     }
-    // Cache-effectiveness companions to the prefix-reuse ratio: both are
-    // deterministic functions of the workload, not timing measurements.
-    let (hit_rate, evicted) = prefix_cache_effectiveness();
-    fields.push((
-        "prefix_hit_rate".into(),
-        Value::Number((hit_rate * 1e3).round() / 1e3),
-    ));
-    fields.push(("prefix_pages_evicted".into(), Value::Number(evicted as f64)));
-    // Host time per round of each `round_deal` shape (the plan's time
-    // over its named rounds; the rounds that admit the decoders and emit
-    // their last token are inside it). Recorded, never gated: how far
-    // `skewed` drops depends on how many cores the runner deals across,
-    // which is written beside it.
+    let runs = Value::Number(quick.len() as f64);
+    field("peak_share_quick_runs".into(), runs);
+    field(FLOOR_KEY.into(), Value::Object(floors));
+    for (key, ratio) in amortisation(results) {
+        field(key.into(), round(ratio, 1e3));
+    }
+    // Recorded beside the raw `round_deal` times: how far `skewed` drops
+    // depends on how many cores the runner deals across.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    fields.push(("round_deal_threads".into(), Value::Number(threads as f64)));
-    for &(shape, _, _) in ROUND_DEAL_SHAPES {
-        let ns = ns_of(results, &format!("inference/round_deal/{shape}"));
-        fields.push((
-            format!("round_deal_{shape}_ns_per_round"),
-            Value::Number((ns / ROUND_DEAL_ROUNDS as f64).round()),
-        ));
-    }
-    // Host time for one gathered row to cross one expert (up, gate and
-    // down) at each group size, and the kernel's multiply-accumulate rate
-    // there, to set against the core's FMA peak. Recorded, never gated:
-    // raw ns move with the runner, and with `kernel_path` written above —
-    // the block height of the arm that ran is what shapes this curve.
-    for &rows in EXPERT_GROUP_SWEEP {
-        let ns = ns_of(results, &format!("inference/expert_group/g{rows}"));
-        let ns_per_row = ns / (PREFILL_BENCH_EXPERTS * rows) as f64;
-        fields.push((
-            format!("expert_group_g{rows}_ns_per_row"),
-            Value::Number(ns_per_row.round()),
-        ));
-        fields.push((
-            format!("expert_group_g{rows}_gmac_per_s"),
-            Value::Number((EXPERT_MACS_PER_ROW as f64 / ns_per_row * 100.0).round() / 100.0),
-        ));
-    }
-    fields.push((
-        "raw_ns_per_iter".into(),
-        Value::Object(
-            results
-                .iter()
-                .map(|(l, ns)| (l.clone(), Value::Number((ns * 10.0).round() / 10.0)))
-                .collect(),
-        ),
-    ));
-    let benches: Vec<(String, Value)> = results
-        .iter()
-        .map(|(label, ns)| {
-            let mut entry: Vec<(String, Value)> = Vec::new();
-            match tokens_per_iter(label) {
-                Some(toks) => {
-                    entry.push((
-                        "ns_per_op".into(),
-                        Value::Number((ns / toks * 10.0).round() / 10.0),
-                    ));
-                    entry.push((
-                        "tokens_per_s".into(),
-                        Value::Number((toks / (ns * 1e-9) * 10.0).round() / 10.0),
-                    ));
-                }
-                None => entry.push((
-                    "ns_per_op".into(),
-                    Value::Number((ns * 10.0).round() / 10.0),
-                )),
-            }
-            (label.clone(), Value::Object(entry))
-        })
-        .collect();
-    fields.push(("benches".into(), Value::Object(benches)));
+    field("round_deal_threads".into(), Value::Number(threads as f64));
+    let raw = results.iter().map(|(l, ns)| (l.clone(), round(*ns, 10.0)));
+    field("raw_ns_per_iter".into(), Value::Object(raw.collect()));
     Value::Object(fields)
 }
 
@@ -202,47 +105,28 @@ fn load_trajectory() -> Vec<Value> {
     assert!(!traj.is_empty(), "trajectory must not be empty");
     for point in traj {
         let id = point["id"].as_str().expect("every point needs an id");
-        assert!(
-            point["kernel_path"].as_str().is_some(),
-            "point {id}: kernel_path must be a string"
-        );
-        assert!(
-            point["decode_speedup_packed_over_naive"].as_f64().is_some(),
-            "point {id}: decode speedup must be a number"
-        );
-        let Some(Value::Object(benches)) = point.get("benches") else {
-            panic!("point {id}: benches must be an object");
+        let arm = point["kernel_path"].as_str();
+        assert!(arm.is_some(), "point {id}: kernel_path must be a string");
+        let Some(Value::Object(raw)) = point.get("raw_ns_per_iter") else {
+            panic!("point {id}: raw_ns_per_iter must be an object");
         };
-        assert!(!benches.is_empty(), "point {id}: benches must not be empty");
-        for (label, entry) in benches {
-            assert!(
-                entry["ns_per_op"].as_f64().is_some_and(|ns| ns > 0.0),
-                "point {id}: bench {label} needs a positive ns_per_op"
-            );
-        }
+        let positive = raw
+            .iter()
+            .all(|(_, ns)| ns.as_f64().is_some_and(|ns| ns > 0.0));
+        assert!(positive, "point {id}: every raw ns/iter must be positive");
     }
     traj.clone()
 }
 
-fn write_trajectory(traj: &[Value]) {
-    let doc = Value::Object(vec![
-        ("schema".into(), Value::String(SCHEMA.into())),
-        ("trajectory".into(), Value::Array(traj.to_vec())),
-    ]);
-    let mut text = doc.render_pretty();
-    text.push('\n');
-    std::fs::write(BASELINE_PATH, text)
-        .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));
-}
-
-/// CI gate: structural validation, then measure and compare the headline
-/// ratios against the latest committed point of the runner's arm.
-fn check() {
+/// CI gate: structural validation, then measure each expert group's
+/// `peak_share` and hold it to the floors of the latest floored point of
+/// the runner's arm.
+fn check(samples: usize) {
     let traj = load_trajectory();
     let arm = kernels::kernel_path();
     let Some(point) = gate_point(&traj, arm) else {
         eprintln!(
-            "BENCH_inference.json has no trajectory point for kernel_path '{arm}': \
+            "BENCH_inference.json has no point with {FLOOR_KEY} for kernel_path '{arm}': \
              record one on a runner of that arm with `bench_baseline -- --id <tag>`"
         );
         std::process::exit(1);
@@ -253,38 +137,33 @@ fn check() {
         traj.len()
     );
 
-    let t = inference_suite();
-    let mut regressed = false;
-    for &(key, _, _) in RATIOS {
-        // Older points may predate a ratio; gate only on what the chosen
-        // committed point actually recorded.
-        let Some(committed) = point[key].as_f64() else {
-            continue;
-        };
-        let Some(measured) = measured_ratio(t.results(), key) else {
-            continue;
-        };
-        let floor = committed * TOLERANCE;
-        let verdict = if measured.is_nan() || measured < floor {
-            regressed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
+    let t = inference_suite(samples);
+    let results = t.results();
+    println!("  fma loop: {:.2} GMAC/s", fma_peak_gmac_per_s(results));
+    let bands = bands(point, &peak_shares(results));
+    for band in &bands {
+        let verdict = if band.holds() { "ok" } else { "REGRESSION" };
         println!(
-            "  {key}: measured {measured:.2}x vs committed {committed:.2}x (floor {floor:.2}x) {verdict}"
+            "  {}: peak_share {:.3} (floor {:.3}) {verdict}",
+            band.group, band.share, band.floor
         );
     }
-    if regressed {
-        eprintln!("bench regression beyond tolerance {TOLERANCE} against trajectory point '{id}'");
+    for (key, ratio) in amortisation(results) {
+        println!("  {key}: {ratio:.2}x (recorded, not gated)");
+    }
+    if !passes(&bands) {
+        eprintln!("bench regression: a peak_share below its floor in trajectory point '{id}'");
         std::process::exit(1);
     }
-    println!("bench check passed (tolerance {TOLERANCE})");
+    println!("bench check passed");
 }
 
-fn emit(id: &str) {
-    let t = inference_suite();
-    let point = render_point(&t, id);
+fn emit(id: &str, samples: usize) {
+    let t = inference_suite(samples);
+    let quick: Vec<Vec<(String, f64)>> = (0..BAND_RUNS)
+        .map(|_| peak_shares(inference_suite(QUICK_SAMPLES).results()))
+        .collect();
+    let point = render_point(&t, id, &quick);
     // Append-only: existing points are never rewritten, except a trailing
     // point with the same id, which this run refreshes.
     let mut traj = if std::path::Path::new(BASELINE_PATH).exists() {
@@ -295,23 +174,32 @@ fn emit(id: &str) {
     if traj.last().is_some_and(|p| p["id"].as_str() == Some(id)) {
         traj.pop();
     }
+    let floors = point[FLOOR_KEY].render();
     traj.push(point);
-    write_trajectory(&traj);
-    let decode =
-        measured_ratio(t.results(), "decode_speedup_packed_over_naive").unwrap_or(f64::NAN);
-    let prefill = measured_ratio(t.results(), "prefill_matmul_speedup_t16").unwrap_or(f64::NAN);
+    let doc = Value::Object(vec![
+        ("schema".into(), Value::String(SCHEMA.into())),
+        ("trajectory".into(), Value::Array(traj)),
+    ]);
+    let mut text = doc.render_pretty();
+    text.push('\n');
+    std::fs::write(BASELINE_PATH, text)
+        .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));
     println!(
-        "wrote {BASELINE_PATH}: point '{id}' ({} total), kernel_path={}, \
-         decode {decode:.2}x, prefill t16 {prefill:.2}x",
-        traj.len(),
-        kernels::kernel_path(),
+        "wrote {BASELINE_PATH}: point '{id}' on {}, {FLOOR_KEY} {floors}",
+        kernels::kernel_path()
     );
 }
 
 fn main() {
+    // The suite's only setting, read once here.
+    let samples = if std::env::var_os("HNLPU_BENCH_QUICK").is_some() {
+        QUICK_SAMPLES
+    } else {
+        FULL_SAMPLES
+    };
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--check") {
-        check();
+        check(samples);
         return;
     }
     let id = args
@@ -320,5 +208,5 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
         .unwrap_or("local");
-    emit(id);
+    emit(id, samples);
 }

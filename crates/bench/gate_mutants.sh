@@ -1,0 +1,50 @@
+#!/bin/sh
+# `sh crates/bench/gate_mutants.sh`: plant each kernel mutant the inference
+# gate must catch in a copy of the working tree and expect three quick
+# `bench_baseline --check` runs of each to exit 1; the unplanted copy, on
+# both arms, must pass first. Each mutant is a release build, so this is
+# not a CI step. Exits 1 if any run ends otherwise than expected.
+set -eu
+repo=$(cd "$(dirname "$0")/../.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+tar -C "$repo" --exclude=./target --exclude=./.git --exclude=./.bench_build \
+    --exclude=./benchmark/target -cf - . | tar -C "$work" -xf -
+kernels="$work/crates/llm/src/kernels.rs"
+cp "$kernels" "$work/kernels.rs.orig"
+
+# Literal seds on kernels.rs: the AVX-512 arm of matmul_block_into runs
+# the AVX2 body; the half-unit branch is skipped, so every matmul is
+# scalar; arm()'s AVX-512 return is deleted, so the process runs (and
+# gates) as an AVX2 runner.
+avx2_body='s/Arm::Avx512 => return unsafe { half_units::avx512(&block) }/Arm::Avx512 => return unsafe { half_units::avx2(\&block) }/'
+scalar='s/    if col_range.start.is_multiple_of(2) {/    if false \&\& col_range.start.is_multiple_of(2) {/'
+no_avx512='/            return Arm::Avx512;/d'
+
+status=0
+run() { # <name> <expected exit> <sed script>...
+    name=$1 want=$2
+    shift 2
+    cp "$work/kernels.rs.orig" "$kernels"
+    for script in "$@"; do
+        cp "$kernels" "$work/before.rs"
+        sed -i "$script" "$kernels"
+        cmp -s "$kernels" "$work/before.rs" && { echo "$name: '$script' matched nothing" >&2; exit 1; }
+    done
+    (cd "$work" && cargo build --release --offline --quiet -p hnlpu-bench --example bench_baseline)
+    for i in 1 2 3; do
+        got=0
+        HNLPU_BENCH_QUICK=1 "$work/target/release/examples/bench_baseline" --check \
+            > "$work/out.txt" 2>&1 || got=$?
+        [ "$got" -eq "$want" ] && verdict=ok || { verdict=UNEXPECTED; status=1; }
+        bands=$(grep -E '^  (fma loop|g[0-9]+):' "$work/out.txt" | tr -s ' ' | tr '\n' ';')
+        echo "$name run $i: exit $got (want $want) $verdict:$bands"
+    done
+}
+
+run unplanted 0
+run unplanted-on-avx2 0 "$no_avx512"
+run avx2-body 1 "$avx2_body"
+run scalar 1 "$scalar"
+run scalar-on-avx2 1 "$scalar" "$no_avx512"
+exit "$status"

@@ -9,8 +9,8 @@
 //!   published per-block results.
 //! * `area` — gate-budget → silicon-area conversion and SRAM macros.
 //! * [`power`] — dynamic energy / leakage / power-density estimation.
-//! * [`netlist`] — a minimal cell/net graph used for metal-embedding wire
-//!   netlists.
+//! * [`netlist`] — the metal-embedding compiler's wire demand per metal
+//!   layer, which `route` checks.
 //! * `metal` — the M0–TM0 metal stack with per-layer half-pitch and
 //!   lithography class (feeds both routing and photomask costing).
 //! * `route` — routing-demand and congestion estimation (the paper's

@@ -1,30 +1,19 @@
-//! A minimal cell/net graph.
+//! A minimal wire list.
 //!
-//! The metal-embedding compiler emits one net per hardwired weight
-//! (input signal → POPCNT region port). This module stores that netlist and
-//! answers the structural questions sign-off needs: wire counts per layer,
-//! total wirelength, fan-out distributions.
+//! The metal-embedding compiler records its wire demand here, one net per
+//! metal layer, and the router reads it back as wirelength per layer: the
+//! one structural question the paper's "<70% ME-layer density" check asks.
 
 use std::collections::BTreeMap;
 
-/// Identifier of a cell (port) in the netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellId(pub u32);
-
-/// Identifier of a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NetId(pub u32);
-
-/// A point-to-multipoint metal connection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Net {
-    /// Driven cells.
-    pub sinks: Vec<CellId>,
+/// One routed metal connection.
+#[derive(Debug)]
+struct Net {
     /// Metal layer index (into the owning stack's layer list) this net is
     /// routed on.
-    pub layer: usize,
+    layer: usize,
     /// Estimated routed length in micrometres.
-    pub length_um: f64,
+    length_um: f64,
 }
 
 /// A growing netlist.
@@ -32,13 +21,15 @@ pub struct Net {
 /// # Example
 ///
 /// ```
-/// use hnlpu_circuit::netlist::{CellId, Netlist};
+/// use hnlpu_circuit::netlist::Netlist;
+/// use hnlpu_circuit::{MetalStack, Router};
 /// let mut nl = Netlist::new();
-/// let n = nl.add_net(vec![CellId(1), CellId(2)], 9, 120.0);
-/// assert_eq!(nl.net(n).unwrap().sinks.len(), 2);
-/// assert_eq!(nl.wirelength_um(), 120.0);
+/// nl.add_net(9, 120.0);
+/// let report = Router::new(1.0, 1.0).route(&nl, &MetalStack::n5());
+/// assert_eq!(report.utilization.len(), 1);
+/// assert!(report.congestion_free);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct Netlist {
     nets: Vec<Net>,
 }
@@ -49,34 +40,9 @@ impl Netlist {
         Self::default()
     }
 
-    /// Add a net; returns its id.
-    pub fn add_net(&mut self, sinks: Vec<CellId>, layer: usize, length_um: f64) -> NetId {
-        self.nets.push(Net {
-            sinks,
-            layer,
-            length_um,
-        });
-        NetId(self.nets.len() as u32 - 1)
-    }
-
-    /// Look up a net.
-    pub fn net(&self, id: NetId) -> Option<&Net> {
-        self.nets.get(id.0 as usize)
-    }
-
-    /// Number of nets.
-    pub fn len(&self) -> usize {
-        self.nets.len()
-    }
-
-    /// True when no nets exist.
-    pub fn is_empty(&self) -> bool {
-        self.nets.is_empty()
-    }
-
-    /// Total routed wirelength.
-    pub fn wirelength_um(&self) -> f64 {
-        self.nets.iter().map(|n| n.length_um).sum()
+    /// Add a net of `length_um` micrometres on metal layer `layer`.
+    pub fn add_net(&mut self, layer: usize, length_um: f64) {
+        self.nets.push(Net { layer, length_um });
     }
 
     /// Wirelength aggregated per layer index.
@@ -89,48 +55,20 @@ impl Netlist {
     }
 }
 
-impl Extend<Net> for Netlist {
-    fn extend<T: IntoIterator<Item = Net>>(&mut self, iter: T) {
-        self.nets.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn add_and_query() {
-        let mut nl = Netlist::new();
-        assert!(nl.is_empty());
-        let a = nl.add_net(vec![CellId(1)], 8, 50.0);
-        let b = nl.add_net(vec![CellId(3), CellId(4)], 9, 70.0);
-        assert_eq!(nl.len(), 2);
-        assert_eq!(nl.net(a).unwrap().layer, 8);
-        assert_eq!(nl.net(b).unwrap().sinks.len(), 2);
-        assert!(nl.net(NetId(99)).is_none());
-    }
-
-    #[test]
     fn wirelength_aggregation() {
         let mut nl = Netlist::new();
-        nl.add_net(vec![CellId(1)], 8, 50.0);
-        nl.add_net(vec![CellId(3)], 8, 25.0);
-        nl.add_net(vec![CellId(5)], 10, 100.0);
-        assert_eq!(nl.wirelength_um(), 175.0);
+        assert!(nl.wirelength_by_layer().is_empty());
+        nl.add_net(8, 50.0);
+        nl.add_net(8, 25.0);
+        nl.add_net(10, 100.0);
         let by = nl.wirelength_by_layer();
+        assert_eq!(by.len(), 2);
         assert_eq!(by[&8], 75.0);
         assert_eq!(by[&10], 100.0);
-    }
-
-    #[test]
-    fn extend_trait() {
-        let mut nl = Netlist::new();
-        nl.extend(vec![Net {
-            sinks: vec![CellId(1)],
-            layer: 9,
-            length_um: 3.0,
-        }]);
-        assert_eq!(nl.len(), 1);
     }
 }

@@ -92,7 +92,6 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::CellId;
 
     fn me_layer_index(stack: &MetalStack, name: &str) -> usize {
         stack
@@ -118,8 +117,8 @@ mod tests {
         let mut nl = Netlist::new();
         // 1M wires of 1mm each on M8: demand 1e9 um; supply at 40nm hp:
         // 12,500 tracks/mm * 28 * 29.5 * 1000 um ≈ 1.03e10 um -> ~10%.
-        for i in 0..1000 {
-            nl.add_net(vec![CellId(i + 1_000_000)], m8, 1_000_000.0);
+        for _ in 0..1000 {
+            nl.add_net(m8, 1_000_000.0);
         }
         let rep = r.route(&nl, &stack);
         assert!(rep.congestion_free, "peak={}", rep.peak_utilization);
@@ -133,7 +132,7 @@ mod tests {
         let m10 = me_layer_index(&stack, "M10");
         let mut nl = Netlist::new();
         // Supply on 1mm² M10: 8333 tracks * 1mm = 8.3e6 um.
-        nl.add_net(vec![CellId(1)], m10, 9.0e6);
+        nl.add_net(m10, 9.0e6);
         let rep = r.route(&nl, &stack);
         assert!(!rep.congestion_free);
         assert_eq!(rep.overflows, vec!["M10"]);
@@ -144,7 +143,7 @@ mod tests {
         let stack = MetalStack::n5();
         let r = Router::new(10.0, 10.0);
         let mut nl = Netlist::new();
-        nl.add_net(vec![CellId(1)], 999, 100.0);
+        nl.add_net(999, 100.0);
         let rep = r.route(&nl, &stack);
         assert_eq!(rep.utilization.len(), 1);
     }

@@ -12,7 +12,7 @@
 
 use crate::array::{me_neuron_budget, MeNeuronParams};
 use crate::region::{RegionAllocError, RegionAllocation, SlicePool};
-use hnlpu_circuit::netlist::{CellId, Netlist};
+use hnlpu_circuit::netlist::Netlist;
 use hnlpu_circuit::{logic_area_mm2, MetalStack, RouteReport, Router, TechNode};
 use hnlpu_model::fp4::NUM_CODES;
 use hnlpu_model::{Fp4, WeightGenerator, WeightMatrix};
@@ -194,7 +194,7 @@ impl MeCompiler {
         let cap_total: f64 = capacities.iter().sum();
         let mut demand = Netlist::new();
         for (&layer, &cap) in me_wire_layers.iter().zip(capacities.iter()) {
-            demand.add_net(vec![CellId(1)], layer, total_len * cap / cap_total);
+            demand.add_net(layer, total_len * cap / cap_total);
         }
 
         let router = Router::new(side, side);

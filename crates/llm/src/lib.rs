@@ -9,8 +9,7 @@
 //! * [`kernels`] — region-accumulation matvec kernels computing directly
 //!   on packed FP4 codes (Figure 4's 16 POPCNT regions in software); both
 //!   engines route every projection through them.
-//! * [`tensor`] — dense row-major kernels: the naive baseline's
-//!   matrix/vector products, dot products, and the lane kernels behind the
+//! * [`tensor`] — dot products and the lane kernels behind the
 //!   unembedding and the attention.
 //! * `ops` — the repo's own exponential (scalar and at lane width),
 //!   RMSNorm, softmax, SwiGLU, rotary embedding, top-k routing.
@@ -36,9 +35,9 @@
 //!   `hnlpu-sim`'s round plans, each round dealt across the host's cores,
 //!   one scoped thread per worker; a worker done with its share runs
 //!   expert groups the others post (help at the join).
-//! * `naive` — [`NaiveTransformer`], the pre-optimization dense-`f32`,
-//!   allocating decoder kept as the decode calibration pair (the fixed
-//!   side of the gated packed-vs-naive decode ratio) plus test oracle.
+//! * `naive` (tests only) — the pre-optimization dense-`f32`, allocating
+//!   decoder: an independent oracle the packed engines' logits and greedy
+//!   tokens are held to.
 //! * [`serve`] — the online serving frontend: bounded-queue admission,
 //!   incremental prefill/decode scheduling on a virtual clock, per-token
 //!   streaming, cancellation, and p50/p99 TTFT/TPOT SLO reporting —
@@ -79,6 +78,7 @@ pub mod fault;
 mod help;
 pub mod kernels;
 mod kv_cache;
+#[cfg(test)]
 mod naive;
 mod ops;
 mod reference;
@@ -94,7 +94,6 @@ pub use dataflow::{CommCounters, DataflowExecutor, GridHealth};
 pub use engine::{Engine, Placement};
 pub use fault::{ChaosSpec, FaultError, FaultPlan, RecoveryStats};
 pub use kv_cache::{KvCache, PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
-pub use naive::NaiveTransformer;
 pub use reference::Transformer;
 pub use sampler::Sampler;
 pub use scratch::Scratch;

@@ -1,18 +1,8 @@
-//! The pre-optimization baseline: a dense-`f32`, allocation-per-op decoder.
-//!
-//! [`NaiveTransformer`] dequantizes every packed matrix up front
-//! ([`hnlpu_model::PackedFp4Matrix::to_f32`]) and runs the seed's original
-//! hot path — fresh `Vec`s for every intermediate, [`crate::tensor::vec_mat`]
-//! over dense `f32` weights, `powf`-per-element rotary embedding. It exists
-//! for two jobs:
-//!
-//! * the fixed side of the decode calibration pair: `hnlpu-bench`'s gated
-//!   `decode_speedup_packed_over_naive` ratio divides its decode time by
-//!   the packed engine's, so a packed kernel that silently slows down
-//!   shows there (`BENCH_inference.json`);
-//! * a semantic cross-check: its logits must agree with the optimized
-//!   [`crate::reference::Transformer`] within quantization-noise tolerance,
-//!   since both compute the same function from the same codes.
+//! The seed's dense-`f32`, allocation-per-op decoder, kept as a test
+//! oracle: [`NaiveTransformer`] dequantizes every packed matrix up front and
+//! shares no kernel with the packed engines, so its logits are an
+//! independent cross-check of [`crate::reference::Transformer`] (equal
+//! within quantization-noise tolerance, and the same greedy tokens).
 
 use crate::kv_cache::KvCache;
 use crate::ops::{rmsnorm, rope, softmax, swiglu, topk};
@@ -20,7 +10,6 @@ use crate::tensor::{add_assign, dot, vec_mat};
 use hnlpu_model::{ModelWeights, TransformerConfig};
 
 /// Dense `f32` weights of one layer (the memory layout the seed carried).
-#[derive(Debug, Clone)]
 struct DenseLayer {
     wq: Vec<f32>,
     wk: Vec<f32>,
@@ -33,8 +22,7 @@ struct DenseLayer {
 }
 
 /// The dense-`f32` baseline decoder. See the module docs.
-#[derive(Debug, Clone)]
-pub struct NaiveTransformer {
+pub(crate) struct NaiveTransformer {
     config: TransformerConfig,
     embedding: Vec<f32>,
     layers: Vec<DenseLayer>,
@@ -42,7 +30,7 @@ pub struct NaiveTransformer {
 
 impl NaiveTransformer {
     /// Dequantize `weights` into resident dense `f32` tensors.
-    pub fn new(weights: &ModelWeights) -> Self {
+    pub(crate) fn new(weights: &ModelWeights) -> Self {
         NaiveTransformer {
             config: weights.config,
             embedding: weights.embedding.clone(),
@@ -64,13 +52,12 @@ impl NaiveTransformer {
     }
 
     /// An empty KV cache for this model.
-    pub fn new_cache(&self) -> KvCache {
+    pub(crate) fn new_cache(&self) -> KvCache {
         let c = &self.config;
         KvCache::new(c.num_layers, c.attention.num_kv_heads, c.attention.head_dim)
     }
 
     /// Resident weight bytes of the dense representation.
-    #[cfg(test)]
     pub(crate) fn resident_weight_bytes(&self) -> usize {
         let layer_bytes: usize = self
             .layers
@@ -91,7 +78,7 @@ impl NaiveTransformer {
     }
 
     /// One decode step, exactly the seed's allocating code path.
-    pub fn step(&self, token: u32, cache: &mut KvCache) -> Vec<f32> {
+    pub(crate) fn step(&self, token: u32, cache: &mut KvCache) -> Vec<f32> {
         let c = self.config;
         let h = c.hidden_size;
         assert!((token as usize) < c.vocab_size, "token out of vocabulary");
@@ -174,7 +161,6 @@ impl NaiveTransformer {
     /// # Panics
     ///
     /// Panics if `prompt` is empty.
-    #[cfg(test)]
     pub(crate) fn generate_greedy(&self, prompt: &[u32], n: usize) -> Vec<u32> {
         assert!(!prompt.is_empty(), "prompt must contain at least one token");
         let mut cache = self.new_cache();

@@ -100,15 +100,16 @@ unsafe fn exp_each<V: Lanes>(xs: &mut [f32]) {
     }
 }
 
-/// Root-mean-square normalization (no learned scale in this reproduction;
-/// synthetic weights make a learned gain redundant).
+/// Allocating [`rmsnorm_into`], the test oracles' form.
+#[cfg(test)]
 pub(crate) fn rmsnorm(x: &[f32]) -> Vec<f32> {
     let mut out = x.to_vec();
     rmsnorm_into(x, &mut out);
     out
 }
 
-/// Allocation-free [`rmsnorm`]: normalize `x` into `out`.
+/// Root-mean-square normalization of `x` into `out` (no learned scale in
+/// this reproduction; synthetic weights make a learned gain redundant).
 ///
 /// # Panics
 ///
@@ -146,18 +147,15 @@ pub(crate) fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// SwiGLU combine: `silu(gate) ⊙ up`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
+/// Allocating [`swiglu_in_place`], the test oracles' form.
+#[cfg(test)]
 pub(crate) fn swiglu(gate: &[f32], up: &[f32]) -> Vec<f32> {
     let mut out = gate.to_vec();
     swiglu_in_place(&mut out, up);
     out
 }
 
-/// Allocation-free [`swiglu`]: overwrite `gate` with `silu(gate) ⊙ up`.
+/// SwiGLU combine: overwrite `gate` with `silu(gate) ⊙ up`.
 ///
 /// # Panics
 ///
@@ -179,11 +177,12 @@ pub(crate) fn swiglu_in_place(gate: &mut [f32], up: &[f32]) {
 }
 
 /// Apply rotary position embedding in place to a head vector of even
-/// dimension at `position`.
+/// dimension at `position` (the oracle of the engines' `RopeTable`).
 ///
 /// # Panics
 ///
 /// Panics if the head dimension is odd.
+#[cfg(test)]
 pub(crate) fn rope(head: &mut [f32], position: usize) {
     assert!(head.len().is_multiple_of(2), "rope needs an even head dim");
     let d = head.len();

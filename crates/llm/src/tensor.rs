@@ -17,31 +17,10 @@ use std::ops::Range;
 /// # Panics
 ///
 /// Panics if `x.len() * cols != w.len()`.
+#[cfg(test)]
 pub(crate) fn vec_mat(x: &[f32], w: &[f32], cols: usize) -> Vec<f32> {
-    let mut y = vec![0.0f32; cols];
-    vec_mat_into(x, w, cols, &mut y);
-    y
-}
-
-/// Allocation-free [`vec_mat`]: overwrite `y` with `x · W`, skipping zero
-/// inputs.
-///
-/// # Panics
-///
-/// Panics if `x.len() * cols != w.len()` or `y.len() != cols`.
-pub(crate) fn vec_mat_into(x: &[f32], w: &[f32], cols: usize, y: &mut [f32]) {
     assert_eq!(x.len() * cols, w.len(), "shape mismatch");
-    assert_eq!(y.len(), cols, "output length mismatch");
-    y.fill(0.0);
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &w[i * cols..(i + 1) * cols];
-        for (yj, &wij) in y.iter_mut().zip(row.iter()) {
-            *yj += xi * wij;
-        }
-    }
+    vec_mat_block(x, w, cols, 0..x.len(), 0..cols)
 }
 
 /// `y = x · W[row_range, col_range]` — a partial product over a sub-block
@@ -647,15 +626,6 @@ pub(crate) mod tests {
     #[test]
     fn dot_sums_products() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-    }
-
-    #[test]
-    fn vec_mat_into_matches_vec_mat() {
-        let x = [0.5f32, 0.0, -2.0];
-        let w: Vec<f32> = (0..3 * 4).map(|i| (i as f32).cos()).collect();
-        let mut y = [9.0f32; 4];
-        vec_mat_into(&x, &w, 4, &mut y);
-        assert_eq!(y.to_vec(), vec_mat(&x, &w, 4));
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl PackedFp4Matrix {
     }
 
     /// Dequantize the whole matrix to dense row-major `f32` (including the
-    /// norm). Only the naive baseline path and tests pay this cost.
+    /// norm). Only tests pay this cost (the dense naive oracle among them).
     pub fn to_f32(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.rows * self.cols);
         for r in 0..self.rows {
