@@ -350,8 +350,13 @@ fn round_deal_plan(
 /// two FMA loop runs, the batched-decode sweep, the round deal, and the
 /// shared-prefix prefill sweep.
 pub fn inference_suite(samples: usize) -> Timings {
+    suite(samples, bench_weights(), prefill_bench_weights())
+}
+
+/// [`inference_suite`] over `w` (decode, shared-prefix prefill) and `big`
+/// (every other sweep).
+fn suite(samples: usize, w: ModelWeights, big: ModelWeights) -> Timings {
     let mut t = Timings::new(samples);
-    let w = bench_weights();
     let packed = Transformer::new(w.clone());
     let vocab = w.config.vocab_size as u32;
 
@@ -377,7 +382,6 @@ pub fn inference_suite(samples: usize) -> Timings {
     // iteration, either stepped token by token (T = 1 panels plus an
     // unembed per token) or panelled through the matmul kernels at width
     // T. All five produce bit-identical KV and logits.
-    let big = prefill_bench_weights();
     let big_model = Transformer::new(big.clone());
     let big_vocab = big_model.config().vocab_size as u32;
     let sweep_prompt: Vec<u32> = (0..PREFILL_MATMUL_TOKENS as u32)
@@ -635,8 +639,18 @@ mod tests {
     #[test]
     fn suite_records_every_expected_label() {
         const { assert!(QUICK_SAMPLES < FULL_SAMPLES) };
-        // One sample is enough to see the labels.
-        let t = inference_suite(1);
+        // One sample on a one-layer model the grid maps, in both seats, is
+        // enough to see the labels: the sweeps set them, not the model.
+        let mut c = zoo::dataflow_test_model().config;
+        c.hidden_size = 32;
+        c.num_layers = 1;
+        c.attention.head_dim = 8;
+        c.attention.num_query_heads = 4;
+        c.moe.experts_per_token = 1;
+        c.moe.intermediate_size = 8;
+        c.vocab_size = 64;
+        let w = ModelWeights::materialize(&c, &WeightGenerator::new(2026));
+        let t = suite(1, w.clone(), w);
         let labels: Vec<&str> = t.results().iter().map(|(l, _)| l.as_str()).collect();
         let fma = fma_loop(kernels::kernel_path()).is_some();
         assert_eq!(labels, expected_labels(fma));

@@ -236,6 +236,10 @@ impl<P: Placement> Engine<P> {
     /// # Panics
     ///
     /// Panics if `tokens` has fewer than two entries.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a reported score, never a served token: its f64 `ln` stays on the host libm"
+    )]
     pub fn score_sequence(&self, tokens: &[u32]) -> f64 {
         assert!(tokens.len() >= 2, "need at least two tokens to score");
         let mut state = self.new_state();

@@ -935,6 +935,10 @@ mod tests {
     fn block_partials_sum_to_full() {
         let codes: Vec<u8> = (0..64 * 48).map(|i| ((i * 11 + 5) % 16) as u8).collect();
         let m = packed_from(&codes, 64, 48);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test input: both sides read the same values"
+        )]
         let x: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut full = vec![0.0f32; 48];
         matvec_into(&x, &m, &mut full);
@@ -1191,6 +1195,7 @@ mod tests {
         ) {
             let codes: Vec<u8> = (0..rows * cols).map(|i| ((i * 5 + 2) % 16) as u8).collect();
             let m = packed_from(&codes, rows, cols);
+            #[expect(clippy::disallowed_methods, reason = "test input: both sides read the same values")]
             let x: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.13).cos()).collect();
             let r0 = fr * rows / 8;
             let r1 = rows - fr * rows / 8;

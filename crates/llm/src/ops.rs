@@ -5,8 +5,11 @@
 //! [`exp`] is the repo's own: every softmax, SiLU and attention weight
 //! goes through it, so no output bit depends on the host's libm, and
 //! [`exp_lanes`] runs the same operation sequence many lanes at a time.
+//! The rotary embedding's frequencies ([`rope_inv_freq`]) and angles
+//! ([`rope_sin_cos`]) are owned too, over `hnlpu_model::math::sin_cos`.
 
 use crate::tensor::{lane_arms, Lanes};
+use hnlpu_model::math::sin_cos;
 
 /// `log2(e)`, rounded to `f32`.
 const LOG2E: f32 = std::f32::consts::LOG2_E;
@@ -176,6 +179,44 @@ pub(crate) fn swiglu_in_place(gate: &mut [f32], up: &[f32]) {
     }
 }
 
+/// `ln 10000`, the log of the rotary base, rounded to `f64`.
+const LN_ROPE_BASE: f64 = 9.210_340_371_976_184;
+/// `1.5 × 2⁵²`: adding it rounds any `|v| < 2⁵¹` to an integer.
+const ROUND_F64: f64 = 6_755_399_441_055_744.0;
+/// Cody–Waite split of `ln 2` in `f64` (fdlibm's `ln2HI` / `ln2LO`):
+/// `n × LN2_HI_F64` is exact for every `|n| < 2¹¹`.
+const LN2_HI_F64: f64 = 6.931_471_803_691_238e-1;
+const LN2_LO_F64: f64 = 1.908_214_929_270_587_7e-10;
+
+/// `e^x` in `f64` basic operations, for the rotary table's exponents
+/// `x ∈ [−ln 10000, 0]`: `x = n ln 2 + r` with `|r| ≤ ln 2 / 2`, the Taylor
+/// series of `e^r` to degree 13 in Horner form (its tail is below 2⁻⁵⁷),
+/// and `2^n` from exponent bits. Valid while `2^n` is a normal `f64`.
+fn exp_f64(x: f64) -> f64 {
+    let n = x * std::f64::consts::LOG2_E + ROUND_F64 - ROUND_F64;
+    let r = x - n * LN2_HI_F64 - n * LN2_LO_F64;
+    let mut p = 1.0;
+    for k in (1..=13u8).rev() {
+        p = 1.0 + p * r / f64::from(k);
+    }
+    p * f64::from_bits(((n as i64 + 1023) as u64) << 52)
+}
+
+/// The rotary inverse frequency `10000^(−2i/d)` of pair `i` of a head of
+/// dimension `d`, rounded to `f32`: the value `f32` rounding of the exact
+/// power gives on every `(i, d)` with `d ≤ 1024`
+/// (`rope_inv_freq_is_the_rounded_power`).
+pub(crate) fn rope_inv_freq(i: usize, head_dim: usize) -> f32 {
+    exp_f64(-((2 * i) as f64) / head_dim as f64 * LN_ROPE_BASE) as f32
+}
+
+/// `(sin, cos)` of the rotary angle `position × inv_freq`. The product is
+/// exact in `f64` (a 24-bit significand times a position below 2²⁹), and
+/// `hnlpu_model::math::sin_cos` reduces it by `π/2` in `f64`.
+pub(crate) fn rope_sin_cos(position: usize, inv_freq: f32) -> (f32, f32) {
+    sin_cos(position as f64 * f64::from(inv_freq))
+}
+
 /// Apply rotary position embedding in place to a head vector of even
 /// dimension at `position` (the oracle of the engines' `RopeTable`).
 ///
@@ -187,8 +228,7 @@ pub(crate) fn rope(head: &mut [f32], position: usize) {
     assert!(head.len().is_multiple_of(2), "rope needs an even head dim");
     let d = head.len();
     for i in 0..d / 2 {
-        let theta = position as f32 / 10_000f32.powf(2.0 * i as f32 / d as f32);
-        let (sin, cos) = theta.sin_cos();
+        let (sin, cos) = rope_sin_cos(position, rope_inv_freq(i, d));
         let (a, b) = (head[2 * i], head[2 * i + 1]);
         head[2 * i] = a * cos - b * sin;
         head[2 * i + 1] = a * sin + b * cos;
@@ -239,12 +279,12 @@ mod tests {
 
     /// `|exp(x) − e^x|` in units of the last place of `e^x`'s `f32`
     /// binade (2^-149 below the normal range); 0 when both overflow.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the f64 libm oracle ops::exp is held to"
+    )]
     fn ulp_error(x: f32) -> f64 {
         let got = exp(x);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the f64 libm oracle ops::exp is held to"
-        )]
         let want = (x as f64).exp();
         if want as f32 == f32::INFINITY {
             return if got == f32::INFINITY {
@@ -334,6 +374,110 @@ mod tests {
         });
         println!("exp: max error {:.4} ulp at x = {:e}", worst.0, worst.1);
         assert!(worst.0 <= MAX_ULP, "{} ulp at x = {:e}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn rope_exp_constants_are_fdlibms() {
+        assert_eq!(
+            [LN2_HI_F64, LN2_LO_F64].map(f64::to_bits),
+            [0x3FE6_2E42_FEE0_0000, 0x3DEA_39EF_3579_3C76]
+        );
+    }
+
+    /// Every `(i, d)` with `d` even up to 1024: the owned frequency is the
+    /// `f32` rounding of the `f64` libm power, bit for bit.
+    #[test]
+    fn rope_inv_freq_is_the_rounded_power() {
+        for d in (2..=1024).step_by(2) {
+            for i in 0..d / 2 {
+                #[expect(clippy::disallowed_methods, reason = "the f64 libm oracle")]
+                let want = 10_000f64.powf(-((2 * i) as f64) / d as f64) as f32;
+                assert_eq!(
+                    rope_inv_freq(i, d).to_bits(),
+                    want.to_bits(),
+                    "i = {i}, d = {d}"
+                );
+            }
+        }
+    }
+
+    /// Head dimensions of every model the engines run: 64 and 128 in the
+    /// zoo, 16 in the test models, 32 in the benchmark's bench-256.
+    const ROPE_HEAD_DIMS: [usize; 4] = [16, 32, 64, 128];
+
+    /// The longest context the repo prices (Figure 14's 512 K): the
+    /// rotary angles are checked at every position up to it.
+    const ROPE_CONTEXT: usize = 1 << 19;
+
+    /// The accuracy bound of [`rope_sin_cos`] against `f64` libm `sin` and
+    /// `cos` of the exact angle, in `f32` ulps.
+    const ROPE_MAX_ULP: f64 = 2.0;
+
+    /// The worst ulp error of [`rope_sin_cos`] at `positions`, over every
+    /// frequency of [`ROPE_HEAD_DIMS`], dealt over the host's cores:
+    /// `(ulps, position, inv_freq)`.
+    #[expect(clippy::disallowed_methods, reason = "the f64 libm oracle")]
+    fn rope_worst(positions: &[usize]) -> (f64, usize, f32) {
+        let freqs: Vec<f32> = ROPE_HEAD_DIMS
+            .iter()
+            .flat_map(|&d| (0..d / 2).map(move |i| rope_inv_freq(i, d)))
+            .collect();
+        let ulps = |got: f32, want: f64| {
+            let binade = want.abs().max(f64::from(f32::MIN_POSITIVE)).log2().floor();
+            (f64::from(got) - want).abs() / (binade - 23.0).exp2()
+        };
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let worst_of = |chunk: &[usize]| {
+            let mut worst = (0.0, 0, 0.0);
+            for &p in chunk {
+                for &f in &freqs {
+                    let (sin, cos) = rope_sin_cos(p, f);
+                    let (want_sin, want_cos) = (p as f64 * f as f64).sin_cos();
+                    let e = ulps(sin, want_sin).max(ulps(cos, want_cos));
+                    if e > worst.0 {
+                        worst = (e, p, f);
+                    }
+                }
+            }
+            worst
+        };
+        std::thread::scope(|s| {
+            let handles: Vec<_> = positions
+                .chunks(positions.len().div_ceil(workers).max(1))
+                .map(|chunk| s.spawn(move || worst_of(chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold((0.0, 0, 0.0), |a, b| if b.0 > a.0 { b } else { a })
+        })
+    }
+
+    /// Every 61st position up to [`ROPE_CONTEXT`], and the first 64.
+    #[test]
+    fn rope_angles_are_accurate_sampled() {
+        let positions: Vec<usize> = (0..64).chain((64..=ROPE_CONTEXT).step_by(61)).collect();
+        let (worst, p, f) = rope_worst(&positions);
+        assert!(
+            worst <= ROPE_MAX_ULP,
+            "{worst} ulp at position {p}, inv_freq {f:e}"
+        );
+    }
+
+    /// Every position up to [`ROPE_CONTEXT`] at every frequency of
+    /// [`ROPE_HEAD_DIMS`] (63 M angles); prints the worst error.
+    /// `cargo test --release -p hnlpu-llm rope_angles_are_accurate_exhaustive
+    /// -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "exhaustive over 2^19 positions; run in release"]
+    fn rope_angles_are_accurate_exhaustive() {
+        let positions: Vec<usize> = (0..=ROPE_CONTEXT).collect();
+        let (worst, p, f) = rope_worst(&positions);
+        println!("rope_sin_cos: {worst:.4} ulp at worst (position {p}, inv_freq {f:e})");
+        assert!(
+            worst <= ROPE_MAX_ULP,
+            "{worst} ulp at position {p}, inv_freq {f:e}"
+        );
     }
 
     /// Inputs for the arm tests: the edges, both signed zeros, NaN, and a

@@ -15,6 +15,7 @@
 
 use crate::dataflow::GRID;
 use crate::help::Board;
+use crate::ops::{rope_inv_freq, rope_sin_cos};
 use crate::telemetry::StageNanos;
 use crate::tensor::LANES;
 use hnlpu_model::TransformerConfig;
@@ -29,17 +30,16 @@ pub const MAX_PREFILL_PANEL: usize = 64;
 
 /// Precomputed rotary-embedding table for one sequence.
 ///
-/// The seed path recomputed `10000^(2i/d)` with `powf` for every head of
-/// every layer of every step. The frequencies depend only on the head
+/// The inverse frequencies `10000^(−2i/d)` depend only on the head
 /// dimension, so they are computed once; per step the `d/2` sin/cos pairs
-/// for the current position are computed once and shared by all heads. The
-/// angles are produced by the *same* `position / 10000^(2i/d)` expression
-/// as [`crate::ops::rope`], so rotation stays bit-identical to the seed
-/// formula.
+/// for the current position are computed once and shared by all heads.
+/// Both come from the owned functions [`crate::ops::rope`] uses
+/// (`ops::rope_inv_freq`, `ops::rope_sin_cos`), so rotation is the
+/// oracle's bits and no host libm's.
 #[derive(Debug, Clone)]
 pub(crate) struct RopeTable {
-    /// `10000^(2i/d)` for `i in 0..d/2`.
-    freq: Vec<f32>,
+    /// `10000^(−2i/d)` for `i in 0..d/2`.
+    inv_freq: Vec<f32>,
     sin: Vec<f32>,
     cos: Vec<f32>,
     /// Position the sin/cos rows currently hold.
@@ -56,9 +56,7 @@ impl RopeTable {
         assert!(head_dim.is_multiple_of(2), "rope needs an even head dim");
         let half = head_dim / 2;
         RopeTable {
-            freq: (0..half)
-                .map(|i| 10_000f32.powf(2.0 * i as f32 / head_dim as f32))
-                .collect(),
+            inv_freq: (0..half).map(|i| rope_inv_freq(i, head_dim)).collect(),
             sin: vec![0.0; half],
             cos: vec![0.0; half],
             position: None,
@@ -70,9 +68,8 @@ impl RopeTable {
         if self.position == Some(position) {
             return;
         }
-        for i in 0..self.freq.len() {
-            let theta = position as f32 / self.freq[i];
-            let (s, c) = theta.sin_cos();
+        for i in 0..self.inv_freq.len() {
+            let (s, c) = rope_sin_cos(position, self.inv_freq[i]);
             self.sin[i] = s;
             self.cos[i] = c;
         }
@@ -86,9 +83,9 @@ impl RopeTable {
     /// Panics if `head` does not match the table's head dimension or
     /// [`prepare`](Self::prepare) was never called.
     pub(crate) fn apply(&self, head: &mut [f32]) {
-        assert_eq!(head.len(), 2 * self.freq.len(), "head dimension");
+        assert_eq!(head.len(), 2 * self.inv_freq.len(), "head dimension");
         assert!(self.position.is_some(), "prepare() before apply()");
-        for i in 0..self.freq.len() {
+        for i in 0..self.inv_freq.len() {
             let (sin, cos) = (self.sin[i], self.cos[i]);
             let (a, b) = (head[2 * i], head[2 * i + 1]);
             head[2 * i] = a * cos - b * sin;
@@ -240,6 +237,10 @@ mod tests {
         let mut table = RopeTable::new(16);
         for position in [0usize, 1, 7, 100, 4096] {
             table.prepare(position);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test input: both sides read the same values"
+            )]
             let mut a: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).sin()).collect();
             let mut b = a.clone();
             table.apply(&mut a);

@@ -1821,6 +1821,9 @@ mod tests {
     /// 9 stretches rounds until chip 9 itself dies inside the window,
     /// re-evicting sequences already recovered once; seq 19's deadline
     /// expires while it is still queued; a link window doubles three rounds.
+    /// The token ids were rebased once, when the synthetic weights and the
+    /// rotary angles stopped calling the host libm; no time, count or
+    /// ledger entry moved.
     #[test]
     fn chaos_event_log_matches_the_pre_policy_golden() {
         let sched = BatchScheduler::new(
@@ -1977,34 +1980,34 @@ mod tests {
                 ("Admitted", 5, 0, 0, 0, 0),
                 ("Admitted", 6, 0, 0, 0, 0),
                 ("Admitted", 7, 0, 0, 0, 0),
-                ("Token", 0, 0, 117, 0, 4539951968751297787),
-                ("Token", 1, 0, 16, 0, 4539951968751297787),
-                ("Token", 0, 1, 117, 0, 4544455568378668283),
-                ("Token", 1, 1, 50, 0, 4544455568378668283),
-                ("Token", 2, 0, 90, 0, 4544455568378668283),
-                ("Token", 3, 0, 118, 0, 4544455568378668283),
-                ("Token", 0, 2, 117, 0, 4546869140373272440),
-                ("Token", 1, 2, 88, 0, 4546869140373272440),
-                ("Token", 2, 1, 90, 0, 4546869140373272440),
-                ("Token", 3, 1, 67, 0, 4546869140373272440),
-                ("Token", 4, 0, 29, 0, 4546869140373272440),
-                ("Token", 5, 0, 26, 0, 4546869140373272440),
+                ("Token", 0, 0, 121, 0, 4539951968751297787),
+                ("Token", 1, 0, 118, 0, 4539951968751297787),
+                ("Token", 0, 1, 7, 0, 4544455568378668283),
+                ("Token", 1, 1, 22, 0, 4544455568378668283),
+                ("Token", 2, 0, 42, 0, 4544455568378668283),
+                ("Token", 3, 0, 81, 0, 4544455568378668283),
+                ("Token", 0, 2, 7, 0, 4546869140373272440),
+                ("Token", 1, 2, 22, 0, 4546869140373272440),
+                ("Token", 2, 1, 42, 0, 4546869140373272440),
+                ("Token", 3, 1, 81, 0, 4546869140373272440),
+                ("Token", 4, 0, 55, 0, 4546869140373272440),
+                ("Token", 5, 0, 70, 0, 4546869140373272440),
                 ("Finished", 0, 0, 0, 0, 4546869140373272440),
                 ("Admitted", 8, 0, 0, 0, 4546869140373272440),
-                ("Token", 1, 3, 96, 0, 4548959168006038779),
-                ("Token", 2, 2, 32, 0, 4548959168006038779),
-                ("Token", 3, 2, 67, 0, 4548959168006038779),
-                ("Token", 4, 1, 105, 0, 4548959168006038779),
-                ("Token", 5, 1, 26, 0, 4548959168006038779),
-                ("Token", 6, 0, 36, 0, 4548959168006038779),
+                ("Token", 1, 3, 22, 0, 4548959168006038779),
+                ("Token", 2, 2, 42, 0, 4548959168006038779),
+                ("Token", 3, 2, 81, 0, 4548959168006038779),
+                ("Token", 4, 1, 55, 0, 4548959168006038779),
+                ("Token", 5, 1, 70, 0, 4548959168006038779),
+                ("Token", 6, 0, 0, 0, 4548959168006038779),
                 ("DeadlineMissed", 1, 0, 0, 0, 4548959168006038779),
                 ("Admitted", 9, 0, 0, 0, 4548959168006038779),
-                ("Token", 2, 3, 90, 0, 4552579525997945015),
-                ("Token", 3, 3, 109, 0, 4552579525997945015),
-                ("Token", 4, 2, 105, 0, 4552579525997945015),
-                ("Token", 5, 2, 26, 0, 4552579525997945015),
-                ("Token", 6, 1, 36, 0, 4552579525997945015),
-                ("Token", 7, 0, 62, 0, 4552579525997945015),
+                ("Token", 2, 3, 42, 0, 4552579525997945015),
+                ("Token", 3, 3, 81, 0, 4552579525997945015),
+                ("Token", 4, 2, 55, 0, 4552579525997945015),
+                ("Token", 5, 2, 70, 0, 4552579525997945015),
+                ("Token", 6, 1, 0, 0, 4552579525997945015),
+                ("Token", 7, 0, 0, 0, 4552579525997945015),
                 ("Finished", 4, 0, 0, 0, 4552579525997945015),
                 ("ChipFailed", 0, 0, 0, 5, 4552579525997945015),
                 ("Evicted", 2, 0, 0, 5, 4552579525997945015),
@@ -2028,11 +2031,11 @@ mod tests {
                 ("Recovered", 7, 0, 0, 0, 4552579525997945015),
                 ("Recovered", 8, 0, 0, 0, 4552579525997945015),
                 ("Cancelled", 9, 0, 0, 0, 4554669553630711354),
-                ("Token", 2, 4, 32, 0, 4556479732626664472),
+                ("Token", 2, 4, 42, 0, 4556479732626664472),
                 ("Finished", 2, 0, 0, 0, 4556479732626664472),
                 ("DeadlineMissed", 19, 0, 0, 0, 4556479732626664472),
                 ("Admitted", 10, 0, 0, 0, 4556479732626664472),
-                ("Token", 3, 4, 109, 0, 4557966367260779771),
+                ("Token", 3, 4, 81, 0, 4557966367260779771),
                 ("ChipFailed", 0, 0, 0, 9, 4557966367260779771),
                 ("Evicted", 3, 0, 0, 9, 4557966367260779771),
                 ("Evicted", 5, 0, 0, 9, 4557966367260779771),
@@ -2047,63 +2050,63 @@ mod tests {
                 ("Recovered", 7, 0, 0, 0, 4557966367260779771),
                 ("Recovered", 8, 0, 0, 0, 4557966367260779771),
                 ("Recovered", 10, 0, 0, 0, 4557966367260779771),
-                ("Token", 3, 5, 109, 0, 4558569760259430811),
+                ("Token", 3, 5, 81, 0, 4558569760259430811),
                 ("Finished", 3, 0, 0, 0, 4558569760259430811),
                 ("Admitted", 16, 0, 0, 0, 4558569760259430811),
-                ("Token", 5, 3, 26, 0, 4558871456758756331),
+                ("Token", 5, 3, 70, 0, 4558871456758756331),
                 ("Finished", 5, 0, 0, 0, 4558871456758756331),
                 ("Admitted", 17, 0, 0, 0, 4558871456758756331),
-                ("Token", 6, 2, 65, 0, 4559474849757407370),
-                ("Token", 7, 1, 62, 0, 4559474849757407370),
-                ("Token", 6, 3, 105, 0, 4560078242756058409),
-                ("Token", 7, 2, 62, 0, 4560078242756058409),
-                ("Token", 8, 0, 37, 0, 4560078242756058409),
-                ("Token", 6, 4, 109, 0, 4560681635754709448),
-                ("Token", 7, 3, 62, 0, 4560681635754709448),
-                ("Token", 8, 1, 29, 0, 4560681635754709448),
-                ("Token", 10, 0, 67, 0, 4560681635754709448),
+                ("Token", 6, 2, 0, 0, 4559474849757407370),
+                ("Token", 7, 1, 0, 0, 4559474849757407370),
+                ("Token", 6, 3, 0, 0, 4560078242756058409),
+                ("Token", 7, 2, 0, 0, 4560078242756058409),
+                ("Token", 8, 0, 9, 0, 4560078242756058409),
+                ("Token", 6, 4, 0, 0, 4560681635754709448),
+                ("Token", 7, 3, 0, 0, 4560681635754709448),
+                ("Token", 8, 1, 9, 0, 4560681635754709448),
+                ("Token", 10, 0, 22, 0, 4560681635754709448),
                 ("Finished", 6, 0, 0, 0, 4560681635754709448),
-                ("Token", 7, 4, 94, 0, 4560983332254034968),
-                ("Token", 8, 2, 29, 0, 4560983332254034968),
-                ("Token", 10, 1, 67, 0, 4560983332254034968),
-                ("Token", 16, 0, 109, 0, 4560983332254034968),
+                ("Token", 7, 4, 0, 0, 4560983332254034968),
+                ("Token", 8, 2, 9, 0, 4560983332254034968),
+                ("Token", 10, 1, 22, 0, 4560983332254034968),
+                ("Token", 16, 0, 81, 0, 4560983332254034968),
                 ("Finished", 8, 0, 0, 0, 4560983332254034968),
-                ("Token", 7, 5, 94, 0, 4561285028753360488),
-                ("Token", 10, 2, 46, 0, 4561285028753360488),
-                ("Token", 16, 1, 109, 0, 4561285028753360488),
-                ("Token", 17, 0, 106, 0, 4561285028753360488),
+                ("Token", 7, 5, 0, 0, 4561285028753360488),
+                ("Token", 10, 2, 22, 0, 4561285028753360488),
+                ("Token", 16, 1, 81, 0, 4561285028753360488),
+                ("Token", 17, 0, 121, 0, 4561285028753360488),
                 ("Finished", 7, 0, 0, 0, 4561285028753360488),
-                ("Token", 10, 3, 46, 0, 4561586725252686008),
-                ("Token", 16, 2, 105, 0, 4561586725252686008),
-                ("Token", 17, 1, 89, 0, 4561586725252686008),
-                ("Token", 10, 4, 46, 0, 4561888421752011528),
-                ("Token", 16, 3, 96, 0, 4561888421752011528),
-                ("Token", 17, 2, 122, 0, 4561888421752011528),
+                ("Token", 10, 3, 22, 0, 4561586725252686008),
+                ("Token", 16, 2, 90, 0, 4561586725252686008),
+                ("Token", 17, 1, 121, 0, 4561586725252686008),
+                ("Token", 10, 4, 22, 0, 4561888421752011528),
+                ("Token", 16, 3, 93, 0, 4561888421752011528),
+                ("Token", 17, 2, 121, 0, 4561888421752011528),
                 ("Finished", 10, 0, 0, 0, 4561888421752011528),
                 ("Finished", 16, 0, 0, 0, 4561888421752011528),
-                ("Token", 17, 3, 122, 0, 4562168270388824748),
-                ("Token", 17, 4, 107, 0, 4562319118638487508),
+                ("Token", 17, 3, 121, 0, 4562168270388824748),
+                ("Token", 17, 4, 121, 0, 4562319118638487508),
                 ("Finished", 17, 0, 0, 0, 4562319118638487508),
                 ("Admitted", 20, 0, 0, 0, 4562319118638487508),
                 ("Admitted", 21, 0, 0, 0, 4562319118638487508),
                 ("Admitted", 22, 0, 0, 0, 4562319118638487508),
-                ("Token", 20, 0, 94, 0, 4562469966888150268),
-                ("Token", 21, 0, 67, 0, 4562469966888150268),
-                ("Token", 20, 1, 109, 0, 4562620815137813028),
-                ("Token", 21, 1, 67, 0, 4562620815137813028),
-                ("Token", 22, 0, 42, 0, 4562620815137813028),
-                ("Token", 20, 2, 109, 0, 4562771663387475788),
-                ("Token", 21, 2, 67, 0, 4562771663387475788),
-                ("Token", 22, 1, 42, 0, 4562771663387475788),
-                ("Token", 20, 3, 109, 0, 4562922511637138548),
-                ("Token", 21, 3, 67, 0, 4562922511637138548),
-                ("Token", 22, 2, 42, 0, 4562922511637138548),
+                ("Token", 20, 0, 64, 0, 4562469966888150268),
+                ("Token", 21, 0, 116, 0, 4562469966888150268),
+                ("Token", 20, 1, 64, 0, 4562620815137813028),
+                ("Token", 21, 1, 116, 0, 4562620815137813028),
+                ("Token", 22, 0, 125, 0, 4562620815137813028),
+                ("Token", 20, 2, 40, 0, 4562771663387475788),
+                ("Token", 21, 2, 62, 0, 4562771663387475788),
+                ("Token", 22, 1, 107, 0, 4562771663387475788),
+                ("Token", 20, 3, 40, 0, 4562922511637138548),
+                ("Token", 21, 3, 62, 0, 4562922511637138548),
+                ("Token", 22, 2, 98, 0, 4562922511637138548),
                 ("Finished", 20, 0, 0, 0, 4562922511637138548),
-                ("Token", 21, 4, 67, 0, 4563073359886801308),
-                ("Token", 22, 3, 46, 0, 4563073359886801308),
+                ("Token", 21, 4, 62, 0, 4563073359886801308),
+                ("Token", 22, 3, 26, 0, 4563073359886801308),
                 ("Finished", 21, 0, 0, 0, 4563073359886801308),
-                ("Token", 22, 4, 71, 0, 4563224208136464068),
-                ("Token", 22, 5, 71, 0, 4563375056386126828),
+                ("Token", 22, 4, 26, 0, 4563224208136464068),
+                ("Token", 22, 5, 26, 0, 4563375056386126828),
                 ("Finished", 22, 0, 0, 0, 4563375056386126828),
             ]
         );

@@ -6,6 +6,9 @@
 //!   layer count, GQA geometry, expert counts, vocabulary) together with
 //!   exact parameter accounting per weight matrix.
 //! * [`fp4`] — the FP4 (E2M1) number format used by gpt-oss 120 B.
+//! * [`math`] — `ln`, `sin` and `cos` from IEEE basic operations, so the
+//!   synthetic weights and the rotary angles do not depend on the host's
+//!   libm.
 //! * `packed` — row-major nibble-packed FP4 matrices, the resident format
 //!   of every hardwired tensor (8× smaller than dequantized `f32`).
 //! * `weights` — deterministic, seeded synthetic weight generation. The
@@ -34,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 pub mod config;
 pub mod fp4;
+pub mod math;
 mod packed;
 mod weights;
 pub mod zoo;

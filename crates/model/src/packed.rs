@@ -85,6 +85,11 @@ impl PackedFp4Matrix {
         }
     }
 
+    /// The packed code bytes, for a writer that fills whole rows at once.
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
     /// Number of rows (the input dimension of `x · W`).
     pub fn rows(&self) -> usize {
         self.rows

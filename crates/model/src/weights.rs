@@ -4,13 +4,16 @@
 //! results depend on tensor *shapes* and on the *distribution* of FP4 codes
 //! (which sets POPCNT region sizing slack), not on the trained values, so a
 //! seeded synthetic checkpoint preserves every behaviour under study while
-//! remaining reproducible byte-for-byte across runs.
+//! remaining reproducible byte-for-byte across runs and hosts.
 //!
 //! Generation is lazy and per-matrix: a full 120 B-parameter model does not
 //! fit in memory, and none of the analyses need it materialized at once.
-//! Each matrix is one seeded code stream — normal draws (Box–Muller),
-//! stretched, quantized to E2M1 — that feeds the code, histogram and
-//! packed APIs alike, so packing never holds a matrix of codes.
+//! Each matrix is one seeded stream of standard normals, drawn 32 at a
+//! time by `Normals::block` — both Box–Muller outputs of every uniform
+//! pair, with `ln`, `sin` and `cos` from [`crate::math`] — then stretched
+//! and quantized to E2M1. The code, histogram and packed
+//! APIs all read that one stream, so packing never holds a matrix of
+//! codes; the embedding table is the same stream unquantized.
 //!
 //! [`ModelWeights::materialize`] fans out: the matrices are dealt across
 //! the host's cores, each written into its own preallocated buffer from its
@@ -19,26 +22,67 @@
 
 use crate::config::{TransformerConfig, WeightKind, WeightMatrix};
 use crate::fp4::{Fp4, NUM_CODES};
+use crate::math::{ln, sin_cos_turn};
 use crate::packed::PackedFp4Matrix;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr_normal::sample_standard_normal;
+use rand::{RngCore, SeedableRng};
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, PoisonError};
 
 /// Stretch of the N(0, 1) draws over the FP4 lattice before quantizing.
 const STRETCH: f32 = 1.8;
 
-/// A tiny embedded normal sampler (Box–Muller) so we only depend on `rand`.
-mod rand_distr_normal {
-    use rand::Rng;
+/// Uniform pairs per block of normals: a block is `2 × PAIRS` normals,
+/// `PAIRS` packed code bytes.
+const PAIRS: usize = 16;
 
-    /// Draw one standard-normal sample.
-    pub(crate) fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
-        // Box–Muller transform; discard the second output for simplicity.
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+/// 2⁻²⁴, the step of the 24-bit uniforms.
+const STEP: f32 = 1.0 / 16_777_216.0;
+
+/// One seeded stream of standard normals, drawn a block at a time. Pair
+/// `i` of a block is stream positions `2i` (the cosine output) and `2i + 1`
+/// (the sine output).
+struct Normals(StdRng);
+
+impl Normals {
+    /// The next `2 × PAIRS` standard normals, by Box–Muller, as the
+    /// cosine and the sine outputs of `PAIRS` pairs. Each generator word is
+    /// split into two 24-bit uniforms, `u1 = (a + 1) · 2⁻²⁴ ∈ (0, 1]` and
+    /// the angle `b · 2⁻²⁴` of a turn, and both `√(−2 ln u1) · cos` and
+    /// `√(−2 ln u1) · sin` are kept. The lanes are fixed-size arrays and
+    /// every operation is an IEEE basic one, so the compiler vectorises
+    /// the loop and each lane holds the scalar sequence's bits.
+    #[inline]
+    fn block(&mut self) -> ([f32; PAIRS], [f32; PAIRS]) {
+        let mut a = [0u32; PAIRS];
+        let mut b = [0u32; PAIRS];
+        for (a, b) in a.iter_mut().zip(&mut b) {
+            let w = self.0.next_u64();
+            *a = (w >> 40) as u32;
+            *b = (w >> 16) as u32 & 0x00FF_FFFF;
+        }
+        let mut cos = [0.0; PAIRS];
+        let mut sin = [0.0; PAIRS];
+        for (((&a, &b), c), s) in a.iter().zip(&b).zip(&mut cos).zip(&mut sin) {
+            let radius = (-2.0 * ln((a + 1) as f32 * STEP)).sqrt();
+            let (sin_b, cos_b) = sin_cos_turn(b);
+            *c = radius * cos_b;
+            *s = radius * sin_b;
+        }
+        (cos, sin)
+    }
+
+    /// The next block stretched over the FP4 lattice, quantized and packed
+    /// as a matrix row packs its codes: pair `i`'s cosine code in the low
+    /// nibble of byte `i`, its sine code in the high nibble.
+    #[inline]
+    fn packed_codes(&mut self) -> [u8; PAIRS] {
+        let (cos, sin) = self.block();
+        let mut bytes = [0u8; PAIRS];
+        for ((byte, c), s) in bytes.iter_mut().zip(cos).zip(sin) {
+            *byte = Fp4::from_f32(c * STRETCH).code() | Fp4::from_f32(s * STRETCH).code() << 4;
+        }
+        bytes
     }
 }
 
@@ -68,7 +112,8 @@ impl WeightGenerator {
         Self { seed }
     }
 
-    fn rng_for(&self, layer: usize, kind: WeightKind) -> StdRng {
+    /// The normal stream of one matrix.
+    fn normals(&self, layer: usize, kind: WeightKind) -> Normals {
         // Mix (seed, layer, kind-tag, expert) into a per-matrix stream.
         let (tag, expert) = match kind {
             WeightKind::Query => (1u64, 0u64),
@@ -90,15 +135,19 @@ impl WeightGenerator {
             s = s.wrapping_mul(0x94D0_49BB_1331_11EB);
             s ^= s >> 31;
         }
-        StdRng::seed_from_u64(s)
+        Normals(StdRng::seed_from_u64(s))
     }
 
-    /// The one code stream of a matrix: its seeded normal draws, stretched
-    /// over the FP4 lattice and quantized, row-major. Every per-matrix API
-    /// reads it.
+    /// The one code stream of a matrix: its normals, stretched over the FP4
+    /// lattice and quantized, row-major, read from the packed blocks. Every
+    /// per-matrix API reads it.
     fn codes(&self, layer: usize, kind: WeightKind, len: usize) -> impl Iterator<Item = Fp4> {
-        let mut rng = self.rng_for(layer, kind);
-        (0..len).map(move |_| Fp4::from_f32(sample_standard_normal(&mut rng) * STRETCH))
+        let mut normals = self.normals(layer, kind);
+        std::iter::repeat_with(move || normals.packed_codes())
+            .flatten()
+            .flat_map(|byte| [byte & 0x0F, byte >> 4])
+            .take(len)
+            .map(Fp4::from_code)
     }
 
     /// Generate the FP4 codes of one matrix (row-major).
@@ -107,10 +156,20 @@ impl WeightGenerator {
     }
 
     /// Write the code stream of `(layer, kind)` into `packed`, whose shape
-    /// sets how many codes are drawn.
+    /// sets how many codes are drawn. With an even width every row is whole
+    /// bytes, so the packed blocks are copied straight into the matrix; an
+    /// odd width pads each row's last byte, and the codes go through the
+    /// row packer.
     fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix) {
-        let len = packed.rows() * packed.cols();
-        packed.pack(self.codes(layer, kind, len));
+        if packed.cols().is_multiple_of(2) {
+            let mut normals = self.normals(layer, kind);
+            for chunk in packed.data_mut().chunks_mut(PAIRS) {
+                chunk.copy_from_slice(&normals.packed_codes()[..chunk.len()]);
+            }
+        } else {
+            let len = packed.rows() * packed.cols();
+            packed.pack(self.codes(layer, kind, len));
+        }
     }
 
     /// The dequantization scale of a matrix with `rows` rows:
@@ -131,10 +190,14 @@ impl WeightGenerator {
 
     /// Write the embedding table of `cfg` into `table` (`vocab × hidden`).
     fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32]) {
-        let mut rng = self.rng_for(usize::MAX, WeightKind::Router);
         let norm = 1.0 / (cfg.hidden_size as f32).sqrt();
-        for v in table {
-            *v = sample_standard_normal(&mut rng) * norm;
+        let mut normals = self.normals(usize::MAX, WeightKind::Router);
+        for chunk in table.chunks_mut(2 * PAIRS) {
+            let (cos, sin) = normals.block();
+            let pairs = cos.iter().zip(&sin).flat_map(|(&c, &s)| [c, s]);
+            for (v, z) in chunk.iter_mut().zip(pairs) {
+                *v = z * norm;
+            }
         }
     }
 }
@@ -543,6 +606,32 @@ mod tests {
     fn materialize_refuses_huge_models() {
         let cfg = zoo::gpt_oss_120b().config;
         let _ = ModelWeights::materialize(&cfg, &WeightGenerator::new(0));
+    }
+
+    /// Both Box–Muller outputs are standard normals and uncorrelated:
+    /// over 2¹⁶ pairs each half's mean is within 0.02 of 0 and its variance
+    /// within 0.03 of 1 (about 5 standard errors), and the two halves'
+    /// correlation is within 0.02 of 0.
+    #[test]
+    fn both_outputs_are_standard_normals() {
+        let mut normals = WeightGenerator::new(3).normals(0, WeightKind::Query);
+        let (mut cos, mut sin) = (Vec::new(), Vec::new());
+        for _ in 0..(1 << 16) / PAIRS {
+            let (c, s) = normals.block();
+            cos.extend(c.map(f64::from));
+            sin.extend(s.map(f64::from));
+        }
+        let n = cos.len() as f64;
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / n;
+        for xs in [&cos, &sin] {
+            let (m, v) = (mean(xs), xs.iter().map(|x| x * x).sum::<f64>() / n);
+            assert!(
+                m.abs() < 0.02 && (v - 1.0).abs() < 0.03,
+                "mean {m}, variance {v}"
+            );
+        }
+        let corr = cos.iter().zip(&sin).map(|(c, s)| c * s).sum::<f64>() / n;
+        assert!(corr.abs() < 0.02, "correlation {corr}");
     }
 
     #[test]

@@ -98,6 +98,10 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if `arrivals_per_s <= 0` for an online mix.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "arrival gaps stay on the host libm's `ln`: an owned one moves every benchmark trace and `sim_*` value, a rebase of its own"
+    )]
     pub fn generate_with_seed(&self, seed: u64) -> Vec<Request> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t_micros = 0u64;
@@ -129,6 +133,10 @@ impl WorkloadSpec {
     }
 
     /// Instantaneous arrival rate at virtual time `t_s` (requests/s).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the diurnal rate stays on the host libm's `cos`: an owned one moves every benchmark trace and `sim_*` value, a rebase of its own"
+    )]
     pub(crate) fn rate_at(&self, t_s: f64) -> f64 {
         match self.kind {
             WorkloadKind::DiurnalChat => {
