@@ -11,25 +11,30 @@ trap 'rm -rf "$work"' EXIT
 tar -C "$repo" --exclude=./target --exclude=./.git --exclude=./.bench_build \
     --exclude=./benchmark/target -cf - . | tar -C "$work" -xf -
 kernels="$work/crates/llm/src/kernels.rs"
+arm="$work/crates/model/src/arm.rs"
 cp "$kernels" "$work/kernels.rs.orig"
+cp "$arm" "$work/arm.rs.orig"
 
-# Literal seds on kernels.rs: the AVX-512 arm of matmul_block_into runs
-# the AVX2 body; the half-unit branch is skipped, so every matmul is
-# scalar; arm()'s AVX-512 return is deleted, so the process runs (and
-# gates) as an AVX2 runner.
+# Literal seds: on kernels.rs, the AVX-512 arm of matmul_block_into runs
+# the AVX2 body, or the half-unit branch is skipped, so every matmul is
+# scalar; on arm.rs, arm()'s AVX-512 return is deleted, so the process
+# runs (and gates) as an AVX2 runner.
 avx2_body='s/Arm::Avx512 => return unsafe { half_units::avx512(&block) }/Arm::Avx512 => return unsafe { half_units::avx2(\&block) }/'
 scalar='s/    if col_range.start.is_multiple_of(2) {/    if false \&\& col_range.start.is_multiple_of(2) {/'
 no_avx512='/            return Arm::Avx512;/d'
 
 status=0
-run() { # <name> <expected exit> <sed script>...
+run() { # <name> <expected exit> [<file> <sed script>]...
     name=$1 want=$2
     shift 2
     cp "$work/kernels.rs.orig" "$kernels"
-    for script in "$@"; do
-        cp "$kernels" "$work/before.rs"
-        sed -i "$script" "$kernels"
-        cmp -s "$kernels" "$work/before.rs" && { echo "$name: '$script' matched nothing" >&2; exit 1; }
+    cp "$work/arm.rs.orig" "$arm"
+    while [ $# -gt 0 ]; do
+        file=$1 script=$2
+        shift 2
+        cp "$file" "$work/before.rs"
+        sed -i "$script" "$file"
+        cmp -s "$file" "$work/before.rs" && { echo "$name: '$script' matched nothing" >&2; exit 1; }
     done
     (cd "$work" && cargo build --release --offline --quiet -p hnlpu-bench --example bench_baseline)
     for i in 1 2 3; do
@@ -43,8 +48,8 @@ run() { # <name> <expected exit> <sed script>...
 }
 
 run unplanted 0
-run unplanted-on-avx2 0 "$no_avx512"
-run avx2-body 1 "$avx2_body"
-run scalar 1 "$scalar"
-run scalar-on-avx2 1 "$scalar" "$no_avx512"
+run unplanted-on-avx2 0 "$arm" "$no_avx512"
+run avx2-body 1 "$kernels" "$avx2_body"
+run scalar 1 "$kernels" "$scalar"
+run scalar-on-avx2 1 "$kernels" "$scalar" "$arm" "$no_avx512"
 exit "$status"

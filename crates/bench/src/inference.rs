@@ -636,11 +636,9 @@ mod tests {
         labels.iter().map(|l| format!("inference/{l}")).collect()
     }
 
-    #[test]
-    fn suite_records_every_expected_label() {
-        const { assert!(QUICK_SAMPLES < FULL_SAMPLES) };
-        // One sample on a one-layer model the grid maps, in both seats, is
-        // enough to see the labels: the sweeps set them, not the model.
+    /// A one-layer model the grid maps, small enough that the debug
+    /// profile runs the whole suite on it in a moment.
+    fn one_layer_weights() -> ModelWeights {
         let mut c = zoo::dataflow_test_model().config;
         c.hidden_size = 32;
         c.num_layers = 1;
@@ -649,7 +647,15 @@ mod tests {
         c.moe.experts_per_token = 1;
         c.moe.intermediate_size = 8;
         c.vocab_size = 64;
-        let w = ModelWeights::materialize(&c, &WeightGenerator::new(2026));
+        ModelWeights::materialize(&c, &WeightGenerator::new(2026))
+    }
+
+    #[test]
+    fn suite_records_every_expected_label() {
+        const { assert!(QUICK_SAMPLES < FULL_SAMPLES) };
+        // One sample on a one-layer model the grid maps, in both seats, is
+        // enough to see the labels: the sweeps set them, not the model.
+        let w = one_layer_weights();
         let t = suite(1, w.clone(), w);
         let labels: Vec<&str> = t.results().iter().map(|(l, _)| l.as_str()).collect();
         let fma = fma_loop(kernels::kernel_path()).is_some();
@@ -792,8 +798,11 @@ mod tests {
     #[test]
     fn prefill_sweep_paths_agree_bitwise() {
         // Every point of the sweep is the same computation: the panelled
-        // prefill must reproduce the per-token loop's logits exactly.
-        let m = Transformer::new(prefill_bench_weights());
+        // prefill must reproduce the per-token loop's logits exactly. The
+        // sweep's prompt and panel widths on a small model show it; the
+        // engine's `prefill_is_chunking_invariant` checks the property on
+        // both placements.
+        let m = Transformer::new(one_layer_weights());
         let vocab = m.config().vocab_size as u32;
         let prompt: Vec<u32> = (0..PREFILL_MATMUL_TOKENS as u32)
             .map(|i| (i * 7 + 1) % vocab)

@@ -13,7 +13,7 @@
 //!   column, bucket `x_i` by the stored 4-bit code, then combine buckets
 //!   with [`MAGNITUDES`] and the per-matrix norm. This is the semantic
 //!   ground truth (and the portable fallback).
-//! * **Half-unit kernel** (x86-64, AVX-512F or AVX2+FMA, selected at
+//! * **Half-unit kernel** (x86-64, AVX-512 or AVX2+FMA, selected at
 //!   runtime): the same 16 regions realized as the constant-multiplier
 //!   bank. Every FP4 value is an exact multiple of 0.5, so a 16-entry
 //!   lookup maps each nibble to its signed integer half-unit
@@ -45,9 +45,10 @@
 //! for a column range that starts on a byte boundary (odd starts, never
 //! produced by the engines, take the scalar kernel), and
 //! `matvec_block_into` is its one-row case. The CPU is the only selector
-//! (`arm`), and the lane kernels (`tensor::Lanes`, under the unembedding
-//! and the column attention) take their arm from the same one, so
-//! [`kernel_path`] names both.
+//! ([`hnlpu_model::arm::arm`]). The lane kernels (`tensor::Lanes`, under
+//! the unembedding and the column attention) and the synthetic weights'
+//! sampler take their arm from the same one, so [`kernel_path`] names all
+//! three.
 //!
 //! The two half-unit arms are **bit-identical** to each other, not merely
 //! close: every (activation row, column) output of a block's first
@@ -66,6 +67,7 @@
 //! engines' token streams stay in lockstep exactly as they did on the dense
 //! `f32` path.
 
+use hnlpu_model::arm::{arm, Arm};
 use hnlpu_model::fp4::{HALF_UNITS, MAGNITUDES, NUM_CODES};
 use hnlpu_model::PackedFp4Matrix;
 use std::ops::Range;
@@ -358,40 +360,11 @@ fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
     acc
 }
 
-/// The vector arm this CPU runs: one selector for [`matmul_block_into`]'s
-/// half-unit kernel and the lane kernels' vectors
-/// ([`crate::tensor::Lanes`]), so [`kernel_path`] names both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-pub(crate) enum Arm {
-    /// AVX-512F, on a CPU that also reports AVX2+FMA.
-    Avx512,
-    /// AVX2+FMA.
-    Avx2,
-    /// Neither: the scalar region kernels and portable lane loops.
-    Portable,
-}
-
-/// The arm [`matmul_block_into`] and [`crate::tensor::lane_arms`] take in
-/// this process (the CPU's answers are cached by `std`).
-pub(crate) fn arm() -> Arm {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::is_x86_feature_detected as has;
-        let avx2 = has!("avx2") && has!("fma");
-        if avx2 && has!("avx512f") {
-            return Arm::Avx512;
-        }
-        if avx2 {
-            return Arm::Avx2;
-        }
-    }
-    Arm::Portable
-}
-
-/// Which kernel realization `matmul_block_into` — and with it the lane
-/// arm of `tensor::lane_arms` — takes in this process:
-/// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`.
+/// Which kernel realization `matmul_block_into` takes in this process:
+/// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`. The
+/// one arm ([`hnlpu_model::arm::arm`]) behind it also sets the lane width
+/// of `tensor::lane_arms` and of the weight sampler behind
+/// `ModelWeights::materialize`, so the name stands for all three.
 /// Recorded on every `BENCH_inference.json` point (and keys which point
 /// `bench_baseline -- --check` gates against) and in the serving
 /// benchmark's host fingerprint.

@@ -308,7 +308,7 @@ mod x86 {
 }
 
 /// Define `$name` to run `$body::<V>` with `V` this CPU's lane arm, the
-/// one the panel matmul takes ([`crate::kernels::arm`]): the body, with
+/// one the panel matmul takes ([`hnlpu_model::arm::arm`]): the body, with
 /// every [`Lanes`] op inlined, is compiled once under `#[target_feature]`
 /// per x86 arm (`$avx512` with `__m512`, `$avx2` with `__m256`) and once
 /// as scalar loops (`f32`) for any other CPU.
@@ -321,12 +321,12 @@ macro_rules! lane_arms {
         $(#[$attr])*
         $vis fn $name<$($lt),*>($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
-            match crate::kernels::arm() {
+            match hnlpu_model::arm::arm() {
                 // SAFETY: this arm implies AVX-512F.
-                crate::kernels::Arm::Avx512 => return unsafe { $avx512($($arg),*) },
+                hnlpu_model::arm::Arm::Avx512 => return unsafe { $avx512($($arg),*) },
                 // SAFETY: this arm implies AVX2.
-                crate::kernels::Arm::Avx2 => return unsafe { $avx2($($arg),*) },
-                crate::kernels::Arm::Portable => {}
+                hnlpu_model::arm::Arm::Avx2 => return unsafe { $avx2($($arg),*) },
+                hnlpu_model::arm::Arm::Portable => {}
             }
             // SAFETY: one-lane `f32` ops need no CPU feature.
             unsafe { $body::<f32>($($arg),*) }

@@ -74,6 +74,7 @@ impl Fp4 {
     /// has the even code (0.25, 1.25, 2.5, 5.0) and `>=` where the upper
     /// one does (0.75, 1.75, 3.5), so every tie goes to the even code. The
     /// sign is the sign bit (−0 is code 8); NaN of either sign is code 0.
+    #[inline(always)]
     pub fn from_f32(x: f32) -> Self {
         let m = x.abs();
         let magnitude = u8::from(m > 0.25)

@@ -2,6 +2,8 @@
 //!
 //! This crate owns everything about the *neural network being hardwired*:
 //!
+//! * [`arm`] — the one CPU selector: the vector arm this process runs, for
+//!   the sampler here and `hnlpu-llm`'s kernels alike.
 //! * [`config`] — transformer/MoE architecture descriptions (hidden size,
 //!   layer count, GQA geometry, expert counts, vocabulary) together with
 //!   exact parameter accounting per weight matrix.
@@ -35,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+pub mod arm;
 pub mod config;
 pub mod fp4;
 pub mod math;

@@ -4,10 +4,11 @@
 //! cosine, and the rotary embedding a sine and a cosine. The host's libm
 //! rounds those differently on glibc, musl, macOS and aarch64, so they are
 //! written here as fixed sequences of `+ − × ÷ √` and exact integer ↔ float
-//! conversions: no fused multiply-add, no libm call, no runtime dispatch.
-//! Every bit is a property of the source, on any host and at any vector
-//! width the compiler runs a loop of them at. (`hnlpu-llm`'s `ops::exp` is
-//! the exponential in the same style.)
+//! conversions: no fused multiply-add and no libm call. Every bit is a
+//! property of the source, on any host. The weight sampler inlines them
+//! into a loop compiled once per lane arm of [`crate::arm::arm`]; the arm
+//! changes only how many lanes the loop runs at a time, never a bit.
+//! (`hnlpu-llm`'s `ops::exp` is the exponential in the same style.)
 //!
 //! The polynomials are the classic single-precision ones: the logarithm's
 //! from Sun's fdlibm `e_logf.c`, the sine's and cosine's from Moshier's

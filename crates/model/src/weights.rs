@@ -15,11 +15,19 @@
 //! APIs all read that one stream, so packing never holds a matrix of
 //! codes; the embedding table is the same stream unquantized.
 //!
+//! Every reader runs the stream through one block loop, compiled once per
+//! lane arm (AVX-512, AVX2 and portable) and entered once per matrix at the
+//! arm of [`crate::arm::arm`], the selector `hnlpu-llm`'s kernels take
+//! too. The arm sets how many of a block's 16 pairs advance together; each
+//! is an IEEE basic operation with nothing fused or reassociated, so every
+//! arm writes the same bytes.
+//!
 //! [`ModelWeights::materialize`] fans out: the matrices are dealt across
 //! the host's cores, each written into its own preallocated buffer from its
 //! own stream, so the bytes do not depend on the worker count or on the
 //! order the workers take the matrices in.
 
+use crate::arm::{arm, Arm};
 use crate::config::{TransformerConfig, WeightKind, WeightMatrix};
 use crate::fp4::{Fp4, NUM_CODES};
 use crate::math::{ln, sin_cos_turn};
@@ -51,8 +59,9 @@ impl Normals {
     /// the angle `b · 2⁻²⁴` of a turn, and both `√(−2 ln u1) · cos` and
     /// `√(−2 ln u1) · sin` are kept. The lanes are fixed-size arrays and
     /// every operation is an IEEE basic one, so the compiler vectorises
-    /// the loop and each lane holds the scalar sequence's bits.
-    #[inline]
+    /// the loop at the width of the arm it is inlined into (see
+    /// [`Width`]) and each lane holds the scalar sequence's bits.
+    #[inline(always)]
     fn block(&mut self) -> ([f32; PAIRS], [f32; PAIRS]) {
         let mut a = [0u32; PAIRS];
         let mut b = [0u32; PAIRS];
@@ -75,7 +84,7 @@ impl Normals {
     /// The next block stretched over the FP4 lattice, quantized and packed
     /// as a matrix row packs its codes: pair `i`'s cosine code in the low
     /// nibble of byte `i`, its sine code in the high nibble.
-    #[inline]
+    #[inline(always)]
     fn packed_codes(&mut self) -> [u8; PAIRS] {
         let (cos, sin) = self.block();
         let mut bytes = [0u8; PAIRS];
@@ -84,6 +93,103 @@ impl Normals {
         }
         bytes
     }
+}
+
+/// One block of a stream as a reader takes it.
+trait Draw {
+    /// The next block of `normals`.
+    fn draw(normals: &mut Normals) -> Self;
+}
+
+/// Quantized and packed: [`Normals::packed_codes`].
+impl Draw for [u8; PAIRS] {
+    #[inline(always)]
+    fn draw(normals: &mut Normals) -> Self {
+        normals.packed_codes()
+    }
+}
+
+/// The cosine and the sine outputs: [`Normals::block`].
+impl Draw for ([f32; PAIRS], [f32; PAIRS]) {
+    #[inline(always)]
+    fn draw(normals: &mut Normals) -> Self {
+        normals.block()
+    }
+}
+
+/// The lane width the sampler's block loop runs at: an [`Arm`] this CPU
+/// runs. Only [`Width::cpu`] (and the tests' `every_width`) make one, so
+/// holding a `Width` means the CPU has its arm's features.
+#[derive(Debug, Clone, Copy)]
+struct Width(Arm);
+
+impl Width {
+    /// The arm of this process, the one `hnlpu-llm`'s kernels take.
+    fn cpu() -> Self {
+        Width(arm())
+    }
+
+    /// Hand one block of `normals` to `sink` per target, in order, with
+    /// [`Draw::draw`] inlined into a loop compiled at this width.
+    fn each_block<T, B: Draw>(
+        self,
+        normals: &mut Normals,
+        targets: impl Iterator<Item = T>,
+        sink: impl FnMut(T, B),
+    ) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a `Width` holds an arm this CPU runs, and `arm()`
+            // says `Avx512` only for AVX-512 F, BW, DQ and VL.
+            Arm::Avx512 => unsafe { blocks_avx512(normals, targets, sink) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; `Avx2` implies AVX2.
+            Arm::Avx2 => unsafe { blocks_avx2(normals, targets, sink) },
+            _ => blocks(normals, targets, sink),
+        }
+    }
+}
+
+/// The block loop every width compiles.
+#[inline(always)]
+fn blocks<T, B: Draw>(
+    normals: &mut Normals,
+    targets: impl Iterator<Item = T>,
+    mut sink: impl FnMut(T, B),
+) {
+    for target in targets {
+        sink(target, B::draw(normals));
+    }
+}
+
+/// [`blocks`] on AVX-512 lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512 F, BW, DQ and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+unsafe fn blocks_avx512<T, B: Draw>(
+    normals: &mut Normals,
+    targets: impl Iterator<Item = T>,
+    sink: impl FnMut(T, B),
+) {
+    blocks(normals, targets, sink);
+}
+
+/// [`blocks`] on AVX2 lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn blocks_avx2<T, B: Draw>(
+    normals: &mut Normals,
+    targets: impl Iterator<Item = T>,
+    sink: impl FnMut(T, B),
+) {
+    blocks(normals, targets, sink);
 }
 
 /// Deterministic weight generator.
@@ -138,37 +244,67 @@ impl WeightGenerator {
         Normals(StdRng::seed_from_u64(s))
     }
 
-    /// The one code stream of a matrix: its normals, stretched over the FP4
-    /// lattice and quantized, row-major, read from the packed blocks. Every
+    /// Hand the first `len` codes of the one code stream of a matrix to
+    /// `f`: its normals, stretched over the FP4 lattice and quantized,
+    /// row-major, read from the packed blocks at `width`. Every
     /// per-matrix API reads it.
-    fn codes(&self, layer: usize, kind: WeightKind, len: usize) -> impl Iterator<Item = Fp4> {
-        let mut normals = self.normals(layer, kind);
-        std::iter::repeat_with(move || normals.packed_codes())
-            .flatten()
-            .flat_map(|byte| [byte & 0x0F, byte >> 4])
-            .take(len)
-            .map(Fp4::from_code)
+    fn each_code(
+        &self,
+        layer: usize,
+        kind: WeightKind,
+        len: usize,
+        width: Width,
+        mut f: impl FnMut(Fp4),
+    ) {
+        let mut left = len;
+        let blocks = 0..len.div_ceil(2 * PAIRS);
+        width.each_block(
+            &mut self.normals(layer, kind),
+            blocks,
+            |_, bytes: [u8; PAIRS]| {
+                let codes = bytes.iter().flat_map(|byte| [byte & 0x0F, byte >> 4]);
+                for code in codes.take(left) {
+                    f(Fp4::from_code(code));
+                }
+                left = left.saturating_sub(2 * PAIRS);
+            },
+        );
     }
 
     /// Generate the FP4 codes of one matrix (row-major).
     pub fn matrix(&self, layer: usize, m: &WeightMatrix) -> Vec<Fp4> {
-        self.codes(layer, m.kind, m.len()).collect()
+        let mut codes = Vec::with_capacity(m.len());
+        self.each_code(layer, m.kind, m.len(), Width::cpu(), |c| codes.push(c));
+        codes
     }
 
-    /// Write the code stream of `(layer, kind)` into `packed`, whose shape
-    /// sets how many codes are drawn. With an even width every row is whole
-    /// bytes, so the packed blocks are copied straight into the matrix; an
-    /// odd width pads each row's last byte, and the codes go through the
-    /// row packer.
-    fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix) {
-        if packed.cols().is_multiple_of(2) {
-            let mut normals = self.normals(layer, kind);
-            for chunk in packed.data_mut().chunks_mut(PAIRS) {
-                chunk.copy_from_slice(&normals.packed_codes()[..chunk.len()]);
-            }
+    /// Write the code stream of `(layer, kind)` into `packed` at `width`;
+    /// the matrix's shape sets how many codes are drawn. With an even width
+    /// every row is whole bytes, so the packed blocks are copied straight
+    /// into the matrix; an odd width pads each row's last byte with a zero
+    /// nibble, and the codes go in one at a time.
+    fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix, width: Width) {
+        let cols = packed.cols();
+        if cols.is_multiple_of(2) {
+            width.each_block(
+                &mut self.normals(layer, kind),
+                packed.data_mut().chunks_mut(PAIRS),
+                |chunk: &mut [u8], bytes: [u8; PAIRS]| {
+                    chunk.copy_from_slice(&bytes[..chunk.len()]);
+                },
+            );
         } else {
-            let len = packed.rows() * packed.cols();
-            packed.pack(self.codes(layer, kind, len));
+            let len = packed.rows() * cols;
+            let data = packed.data_mut();
+            data.fill(0);
+            let mut k = 0;
+            self.each_code(layer, kind, len, width, |code| {
+                // Code `k` follows the pad nibbles of the `k / cols` rows
+                // before its own.
+                let nibble = k + k / cols;
+                data[nibble / 2] |= code.code() << (nibble % 2 * 4);
+                k += 1;
+            });
         }
     }
 
@@ -181,24 +317,32 @@ impl WeightGenerator {
     /// Histogram of the 16 FP4 codes in one matrix, without retaining the
     /// matrix. Drives POPCNT-region slack sizing in the ME compiler.
     pub fn code_histogram(&self, layer: usize, m: &WeightMatrix) -> [u64; NUM_CODES] {
+        self.histogram(layer, m, Width::cpu())
+    }
+
+    /// [`WeightGenerator::code_histogram`] at `width`.
+    fn histogram(&self, layer: usize, m: &WeightMatrix, width: Width) -> [u64; NUM_CODES] {
         let mut hist = [0u64; NUM_CODES];
-        for c in self.codes(layer, m.kind, m.len()) {
+        self.each_code(layer, m.kind, m.len(), width, |c| {
             hist[c.code() as usize] += 1;
-        }
+        });
         hist
     }
 
-    /// Write the embedding table of `cfg` into `table` (`vocab × hidden`).
-    fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32]) {
+    /// Write the embedding table of `cfg` into `table` (`vocab × hidden`)
+    /// at `width`.
+    fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32], width: Width) {
         let norm = 1.0 / (cfg.hidden_size as f32).sqrt();
-        let mut normals = self.normals(usize::MAX, WeightKind::Router);
-        for chunk in table.chunks_mut(2 * PAIRS) {
-            let (cos, sin) = normals.block();
-            let pairs = cos.iter().zip(&sin).flat_map(|(&c, &s)| [c, s]);
-            for (v, z) in chunk.iter_mut().zip(pairs) {
-                *v = z * norm;
-            }
-        }
+        width.each_block(
+            &mut self.normals(usize::MAX, WeightKind::Router),
+            table.chunks_mut(2 * PAIRS),
+            |chunk: &mut [f32], (cos, sin): ([f32; PAIRS], [f32; PAIRS])| {
+                let pairs = cos.iter().zip(&sin).flat_map(|(&c, &s)| [c, s]);
+                for (v, z) in chunk.iter_mut().zip(pairs) {
+                    *v = z * norm;
+                }
+            },
+        );
     }
 }
 
@@ -314,7 +458,9 @@ pub struct ModelWeights {
 
 impl ModelWeights {
     /// Materialize every weight of `cfg` from `gen`, on every core the host
-    /// offers (see `materialize_on`).
+    /// offers (see `materialize_on`), with the sampler at the lane width of
+    /// [`crate::arm::arm`]: AVX-512 or AVX2 where the CPU has it. The
+    /// bytes are the same at every width and worker count.
     ///
     /// # Panics
     ///
@@ -322,20 +468,22 @@ impl ModelWeights {
     /// (> 200 M parameters) — use the lazy [`WeightGenerator`] APIs instead.
     pub fn materialize(cfg: &TransformerConfig, gen: &WeightGenerator) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::materialize_on(cfg, gen, workers)
+        Self::materialize_on(cfg, gen, workers, Width::cpu())
     }
 
-    /// Materialize on `workers` threads: the calling thread allocates every
-    /// packed tensor and the embedding, then spawns `workers − 1` scoped
-    /// workers that take matrices from one shared queue; it fills the
-    /// embedding itself and then joins the queue. Each matrix is its own
+    /// Materialize on `workers` threads with the sampler at `width`, each
+    /// matrix one entry into its block loop: the calling thread allocates
+    /// every packed tensor and the embedding, then spawns `workers − 1`
+    /// scoped workers that take matrices from one shared queue; it fills
+    /// the embedding itself and then joins the queue. Each matrix is its own
     /// seeded code stream written into its own buffer, so the bytes do not
     /// depend on `workers` or on which thread takes which matrix, and no
     /// worker allocates.
-    pub(crate) fn materialize_on(
+    fn materialize_on(
         cfg: &TransformerConfig,
         gen: &WeightGenerator,
         workers: usize,
+        width: Width,
     ) -> Self {
         assert!(
             cfg.total_params() < 200_000_000,
@@ -359,13 +507,13 @@ impl ModelWeights {
             let Some((layer, kind, packed)) = job else {
                 break;
             };
-            gen.pack(layer, kind, packed);
+            gen.pack(layer, kind, packed, width);
         };
         std::thread::scope(|s| {
             for _ in 1..workers {
                 s.spawn(drain);
             }
-            gen.fill_embedding(cfg, &mut embedding);
+            gen.fill_embedding(cfg, &mut embedding, width);
             drain();
         });
         ModelWeights {
@@ -394,15 +542,21 @@ mod tests {
     /// lazy oracle of the packed format.
     fn matrix_f32(g: &WeightGenerator, layer: usize, m: &WeightMatrix) -> Vec<f32> {
         let norm = WeightGenerator::norm_for(m.rows);
-        g.codes(layer, m.kind, m.len())
+        g.matrix(layer, m)
+            .into_iter()
             .map(|c| c.to_f32() * norm)
             .collect()
     }
 
-    /// One matrix packed on its own, outside `materialize`.
-    fn packed_matrix(g: &WeightGenerator, layer: usize, m: &WeightMatrix) -> PackedFp4Matrix {
+    /// One matrix packed on its own at `width`, outside `materialize`.
+    fn packed_matrix(
+        g: &WeightGenerator,
+        layer: usize,
+        m: &WeightMatrix,
+        width: Width,
+    ) -> PackedFp4Matrix {
         let mut packed = PackedFp4Matrix::zeroed(m.rows, m.cols, WeightGenerator::norm_for(m.rows));
-        g.pack(layer, m.kind, &mut packed);
+        g.pack(layer, m.kind, &mut packed, width);
         packed
     }
 
@@ -540,15 +694,15 @@ mod tests {
                                 hist[c.code() as usize] += 1;
                             }
                             assert_eq!(gen.code_histogram(l, &m), hist, "{m:?}");
-                            (m, packed_matrix(&gen, l, &m), codes)
+                            (m, packed_matrix(&gen, l, &m, Width::cpu()), codes)
                         })
                         .collect()
                 })
                 .collect();
             let mut embedding = vec![0.0; cfg.vocab_size * cfg.hidden_size];
-            gen.fill_embedding(&cfg, &mut embedding);
+            gen.fill_embedding(&cfg, &mut embedding, Width::cpu());
             for workers in [1, 2, 3, 5] {
-                let w = ModelWeights::materialize_on(&cfg, &gen, workers);
+                let w = ModelWeights::materialize_on(&cfg, &gen, workers, Width::cpu());
                 assert_eq!(w.embedding, embedding, "workers = {workers}");
                 assert_eq!(w.layers.len(), cfg.num_layers);
                 for (layer, lazy) in w.layers.iter().zip(&lazy) {
@@ -569,11 +723,90 @@ mod tests {
         }
     }
 
+    /// Every sampler arm this CPU runs, narrowest first (each arm's
+    /// features include the narrower ones'); says once per process which
+    /// ones those are.
+    fn every_width() -> Vec<Width> {
+        let arms = [Arm::Portable, Arm::Avx2, Arm::Avx512];
+        let widest = arms.iter().position(|&a| a == arm()).unwrap_or(0);
+        static SAY: std::sync::Once = std::sync::Once::new();
+        SAY.call_once(|| {
+            println!(
+                "sampler arms called directly on this CPU: {:?}",
+                &arms[..=widest]
+            );
+        });
+        arms[..=widest].iter().map(|&a| Width(a)).collect()
+    }
+
+    /// The benchmark's bench-256 model: hidden 256, two layers, 16 experts
+    /// of intermediate 512, a 2048-entry vocabulary.
+    fn bench_256() -> TransformerConfig {
+        let mut cfg = zoo::dataflow_test_model().config;
+        cfg.hidden_size = 256;
+        cfg.num_layers = 2;
+        cfg.attention.num_query_heads = 8;
+        cfg.attention.num_kv_heads = 4;
+        cfg.attention.head_dim = 32;
+        cfg.moe.num_experts = 16;
+        cfg.moe.experts_per_token = 4;
+        cfg.moe.intermediate_size = 512;
+        cfg.vocab_size = 2048;
+        cfg
+    }
+
+    /// Each arm is called directly (the dispatcher reaches only the widest
+    /// one the CPU has) and must write the portable body's bits: every
+    /// packed byte and every embedding float of a whole materialize of the
+    /// bench-256 and test-dataflow shapes, an odd-width matrix, and a code
+    /// histogram.
+    #[test]
+    fn every_sampler_arm_writes_the_portable_stream() {
+        let gen = WeightGenerator::new(2026);
+        let portable = Width(Arm::Portable);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let odd = WeightMatrix::new(WeightKind::Value, 64, 33);
+        let square = WeightMatrix::new(WeightKind::Query, 256, 256);
+        for cfg in [bench_256(), zoo::dataflow_test_model().config] {
+            let want = ModelWeights::materialize_on(&cfg, &gen, 2, portable);
+            for width in every_width() {
+                let got = ModelWeights::materialize_on(&cfg, &gen, 2, width);
+                assert!(
+                    bits(&got.embedding) == bits(&want.embedding),
+                    "{width:?} embedding"
+                );
+                for (l, (got, want)) in got.layers.iter().zip(&want.layers).enumerate() {
+                    for m in cfg.layer_matrices() {
+                        let (g, w) = (tensor(got, m.kind), tensor(want, m.kind));
+                        assert!(g == w, "{width:?} layer {l} {:?}", m.kind);
+                    }
+                }
+            }
+        }
+        for width in every_width() {
+            assert_eq!(
+                packed_matrix(&gen, 1, &odd, width),
+                packed_matrix(&gen, 1, &odd, portable),
+                "{width:?} odd width"
+            );
+            for m in [&odd, &square] {
+                assert_eq!(
+                    gen.histogram(0, m, width),
+                    gen.histogram(0, m, portable),
+                    "{width:?} histogram of {m:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn packed_matrix_dequantizes_to_matrix_f32() {
         let g = WeightGenerator::new(5);
         let m = WeightMatrix::new(WeightKind::Output, 96, 48);
-        assert_eq!(packed_matrix(&g, 2, &m).to_f32(), matrix_f32(&g, 2, &m));
+        assert_eq!(
+            packed_matrix(&g, 2, &m, Width::cpu()).to_f32(),
+            matrix_f32(&g, 2, &m)
+        );
     }
 
     #[test]
@@ -581,7 +814,7 @@ mod tests {
         let g = WeightGenerator::new(9);
         let m = WeightMatrix::new(WeightKind::Value, 64, 33);
         assert_eq!(
-            packed_matrix(&g, 1, &m).code_histogram(),
+            packed_matrix(&g, 1, &m, Width::cpu()).code_histogram(),
             g.code_histogram(1, &m)
         );
     }
