@@ -15,12 +15,12 @@ arm="$work/crates/model/src/arm.rs"
 cp "$kernels" "$work/kernels.rs.orig"
 cp "$arm" "$work/arm.rs.orig"
 
-# Literal seds: on kernels.rs, the AVX-512 arm of matmul_block_into runs
-# the AVX2 body, or the half-unit branch is skipped, so every matmul is
-# scalar; on arm.rs, arm()'s AVX-512 return is deleted, so the process
-# runs (and gates) as an AVX2 runner.
-avx2_body='s/Arm::Avx512 => return unsafe { half_units::avx512(&block) }/Arm::Avx512 => return unsafe { half_units::avx2(\&block) }/'
-scalar='s/    if col_range.start.is_multiple_of(2) {/    if false \&\& col_range.start.is_multiple_of(2) {/'
+# Literal seds: on arm.rs, the AVX-512 instance of per_arm! runs its body
+# on the AVX2 lane vector, or arm()'s AVX-512 return is deleted, so the
+# process runs (and gates) as an AVX2 runner; on kernels.rs, every matmul
+# runs on the portable arm.
+avx2_body='s/type \$lane = ::core::arch::x86_64::__m512;/type $lane = ::core::arch::x86_64::__m256;/'
+portable='s/half_units::sweep_on(arm, &block);/half_units::sweep_on(Arm::Portable, \&block);/'
 no_avx512='/            return Arm::Avx512;/d'
 
 status=0
@@ -49,7 +49,7 @@ run() { # <name> <expected exit> [<file> <sed script>]...
 
 run unplanted 0
 run unplanted-on-avx2 0 "$arm" "$no_avx512"
-run avx2-body 1 "$kernels" "$avx2_body"
-run scalar 1 "$kernels" "$scalar"
-run scalar-on-avx2 1 "$kernels" "$scalar" "$arm" "$no_avx512"
+run avx2-body 1 "$arm" "$avx2_body"
+run portable 1 "$kernels" "$portable"
+run portable-on-avx2 1 "$kernels" "$portable" "$arm" "$no_avx512"
 exit "$status"

@@ -31,7 +31,7 @@ use crate::reference::stage_experts;
 use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::telemetry::{self, Stage};
-use crate::tensor::{add_assign, lane_arms, score_lanes, weigh_lanes, Lanes, LANES};
+use crate::tensor::{add_assign, score_lanes, weigh_lanes, Lanes, LANES};
 use hnlpu_model::{PackedFp4Matrix, TransformerConfig};
 pub use hnlpu_sim::pipeline::GRID;
 use hnlpu_sim::pipeline::{layer_collectives, Collective, Group};
@@ -365,6 +365,13 @@ impl Placement for Grid {
             c.hidden_size.is_multiple_of(GRID),
             "hidden size must split 4 ways"
         );
+        // Every chip's column group (a quarter of the hidden, query or KV
+        // width) starts on a whole packed byte, as the matmul requires.
+        let widths = [c.hidden_size, c.attention.q_width(), c.attention.kv_width()];
+        assert!(
+            widths.iter().all(|w| w.is_multiple_of(2 * GRID)),
+            "column groups must start on a packed byte"
+        );
         assert!(
             c.attention.num_kv_heads.is_multiple_of(GRID),
             "KV heads must split across 4 columns"
@@ -654,7 +661,7 @@ fn col_project_panel(
     }
 }
 
-lane_arms! {
+hnlpu_model::arm::per_arm! {
     /// Flash-style column attention for the panel rows `rows`, row `tt`
     /// reading the column's shards `kv(tt)`: each chip reduces its quarter
     /// of a row's context with max/sum statistics into a flash accumulator,
@@ -679,11 +686,16 @@ lane_arms! {
     /// `exp` (one [`exp_lanes`] pass over the block's rows, one more for
     /// the combine's chip weights), sum and value accumulation in position
     /// order over its own positions only. Compiled once per lane arm.
-    #[allow(clippy::too_many_arguments)]
-    fn column_attention<'k>(q: &[f32], out: &mut [f32], stride: usize, rows: &[usize],
-        positions: &[usize], kv: impl Fn(usize) -> &'k [KvCache], layer: usize,
-        heads: (usize, usize, usize), lanes: &mut [f32], scores: &mut Vec<f32>,
-    ) => column_attention_lanes, column_attention_avx512, column_attention_avx2
+    fn column_attention, column_attention_on<V>['k](q: &[f32], out: &mut [f32], stride: usize,
+        rows: &[usize], positions: &[usize], kv: impl Fn(usize) -> &'k [KvCache], layer: usize,
+        heads: (usize, usize, usize), lanes: &mut [f32], scores: &mut Vec<f32>) {
+        // SAFETY: `V` is the lane vector of the arm this body runs on.
+        unsafe {
+            column_attention_lanes::<V>(
+                q, out, stride, rows, positions, kv, layer, heads, lanes, scores,
+            )
+        }
+    }
 }
 
 /// The body of [`column_attention`].
@@ -1183,38 +1195,22 @@ mod tests {
                 }
                 _ => vec![(0..t).collect()],
             };
-            for arm in crate::tensor::tests::available_arms() {
+            for &arm in hnlpu_model::arm::available() {
                 let mut lanes = vec![f32::NAN; (1 + GRID) * LANES * hd];
                 let mut got = vec![f32::NAN; t * stride];
                 for rows in &calls {
                     let (o, heads, l, s) = (&mut got, (q_heads, group, hd), &mut lanes, &mut scores);
-                    match arm {
-                        // SAFETY: one lane needs no CPU feature.
-                        "portable" => unsafe {
-                            column_attention_lanes::<f32>(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
-                        },
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `available_arms` checked AVX2.
-                        "avx2" => unsafe {
-                            column_attention_avx2(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
-                        },
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `available_arms` checked AVX-512F.
-                        "avx512" => unsafe {
-                            column_attention_avx512(&qs, o, stride, rows, &positions, kv, layer, heads, l, s)
-                        },
-                        _ => unreachable!("unknown arm {arm}"),
-                    }
+                    column_attention_on(arm, &qs, o, stride, rows, &positions, kv, layer, heads, l, s);
                 }
                 for tt in 0..t {
                     for i in 0..q_heads * hd {
                         let (g, w) = (got[tt * stride + i], want[tt * stride + i]);
                         proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
-                            "{} row {} (position {}) head {} element {}: {} vs {}",
+                            "{:?} row {} (position {}) head {} element {}: {} vs {}",
                             arm, tt, positions[tt], i / hd, i % hd, g, w);
                     }
                     proptest::prop_assert!(got[tt * stride + q_heads * hd..][..5].iter().all(|v| v.is_nan()),
-                        "{} row {} wrote into the row padding", arm, tt);
+                        "{:?} row {} wrote into the row padding", arm, tt);
                 }
             }
         }
@@ -1327,6 +1323,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "KV heads must split")]
     fn unmappable_model_rejected() {
+        // Hidden 36 splits 4 ways, but grid rows 1 and 3 of the output
+        // projection would start on odd columns.
+        let mut odd = zoo::dataflow_test_model().config;
+        odd.hidden_size = 36;
+        let w = ModelWeights::materialize(&odd, &WeightGenerator::new(1));
+        let panic = std::panic::catch_unwind(|| DataflowExecutor::new(w)).err();
+        let message = panic.as_ref().and_then(|p| p.downcast_ref::<&str>());
+        assert_eq!(
+            message,
+            Some(&"column groups must start on a packed byte"),
+            "hidden 36"
+        );
         let card = zoo::test_model(); // 2 KV heads: not divisible by 4
         let w = ModelWeights::materialize(&card.config, &WeightGenerator::new(1));
         DataflowExecutor::new(w);

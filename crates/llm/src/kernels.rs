@@ -4,32 +4,25 @@
 //! routed into one of 16 POPCNT accumulator regions keyed by its FP4 weight
 //! code, the 16 per-region sums are weighted by the E2M1 magnitude lattice,
 //! and a final shift applies the scale. These kernels compute `x · W`
-//! directly on [`PackedFp4Matrix`] codes the same way — no dequantized
-//! tensor ever exists — in two realizations:
-//!
-//! * **Scalar region kernel** ([`region_matmul_block_into`]; its one-row
-//!   form `region_matvec_block_into` is the tests' reference): the
-//!   textbook form. Per output
-//!   column, bucket `x_i` by the stored 4-bit code, then combine buckets
-//!   with [`MAGNITUDES`] and the per-matrix norm. This is the semantic
-//!   ground truth (and the portable fallback).
-//! * **Half-unit kernel** (x86-64, AVX-512 or AVX2+FMA, selected at
-//!   runtime): the same 16 regions realized as the constant-multiplier
-//!   bank. Every FP4 value is an exact multiple of 0.5, so a 16-entry
-//!   lookup maps each nibble to its signed integer half-unit
-//!   ([`HALF_UNITS`]) — the per-region constant the hardware wires — and an
-//!   FMA accumulates `x_i · hu` with the trailing ×0.5 folded into the
-//!   norm. Associativity of the per-region grouping is the only difference
-//!   (float sums reorder), which is why it agrees with the scalar region
-//!   kernel to ~1e-5 relative, not bitwise.
+//! directly on [`PackedFp4Matrix`] codes — no dequantized tensor ever
+//! exists — with the 16 regions realized as the constant-multiplier bank.
+//! Every FP4 value is an exact multiple of 0.5, so a 16-entry lookup maps
+//! each nibble to its signed integer half-unit ([`HALF_UNITS`]) — the
+//! per-region constant the hardware wires — and a fused multiply-add
+//! accumulates `x_i · hu` with the trailing ×0.5 folded into the norm. The
+//! textbook region form (bucket `x_i` by code, combine the buckets with
+//! the magnitude lattice, `hnlpu_model::fp4::MAGNITUDES`) stays as the
+//! tests' Figure-4 oracle; the two group the same sum differently, so they
+//! agree to ~1e-5 relative, not bitwise.
 //!
 //! The half-unit kernel is written once, over a `tensor::Lanes` vector
 //! extended by the decode, a lane-order restore, the fused multiply-add and
-//! a multiply, and compiled per arm under `#[target_feature]`: `__m512`
-//! with token blocks of 8 activation rows × 32 columns, `__m256` with
-//! 4 × 16, so each packed byte is decoded once per block. A lone activation
-//! row has no decode to share, so it sweeps wider panels (eight vectors of
-//! columns), whose independent chains hide the FMA latency.
+//! a multiply, and compiled per arm by [`hnlpu_model::arm::per_arm!`]:
+//! `__m512` with token blocks of 8 activation rows × 32 columns, `__m256`
+//! with 4 × 16 and one-lane `f32` with 4 × 2, so each packed byte is
+//! decoded once per block. A lone activation row has no decode to share,
+//! so it sweeps wider panels (eight vectors of columns), whose independent
+//! chains hide the FMA latency.
 //!
 //! The decode is the arm's own. AVX2 looks each nibble half up with a
 //! `pshufb`, interleaves the halves back into column order and widens to
@@ -38,44 +31,38 @@
 //! bottom, and `vpermps` reads that nibble as an index into the 16
 //! half-units as floats: two ALU micro-ops per 16 columns, with the lanes
 //! in a fixed column permutation that one `vpermps` per accumulator undoes
-//! at store time. The lookup is the wiring of the paper's region decoder;
-//! only the FMAs are arithmetic.
+//! at store time. The portable arm indexes [`HALF_UNITS`] per nibble. The
+//! lookup is the wiring of the paper's region decoder; only the FMAs are
+//! arithmetic.
 //!
-//! Dispatch: `matmul_block_into` takes AVX-512 → AVX2 → scalar regions
-//! for a column range that starts on a byte boundary (odd starts, never
-//! produced by the engines, take the scalar kernel), and
-//! `matvec_block_into` is its one-row case. The CPU is the only selector
-//! ([`hnlpu_model::arm::arm`]). The lane kernels (`tensor::Lanes`, under
-//! the unembedding and the column attention) and the synthetic weights'
-//! sampler take their arm from the same one, so [`kernel_path`] names all
-//! three.
+//! Dispatch: `matmul_block_into` runs the arm the CPU alone selects
+//! ([`hnlpu_model::arm::arm`]) on a column range that starts on a byte
+//! boundary (the grid's column groups all do: `Grid::validate` rejects a
+//! shape whose groups would not), and `matvec_block_into` is its one-row
+//! case. The lane kernels (`tensor::Lanes`, under the unembedding and the
+//! column attention) and the synthetic weights' sampler take their arm
+//! from the same one, so [`kernel_path`] names all three.
 //!
-//! The two half-unit arms are **bit-identical** to each other, not merely
-//! close: every (activation row, column) output of a block's first
-//! `len − len % 16` columns is one FMA chain over the weight rows in
-//! ascending order on the same decoded half-units, followed by one multiply
-//! by `0.5 · norm`, and the last `len % 16` columns take the same scalar
-//! chain (a multiply, then an add, per weight row) on every arm. A SIMD
-//! lane is one column and lanes never interact, so neither the vector
-//! width (how many columns advance together), nor the lane order a decode
-//! leaves, nor the block height (how many activation rows share a decode)
-//! can reach a bit of any output.
+//! Every arm is **bit-identical** to every other, not merely close: every
+//! (activation row, column) output of a block's first `len − len % 16`
+//! columns is one FMA chain over the weight rows in ascending order on the
+//! same decoded half-units, followed by one multiply by `0.5 · norm`, and
+//! the last `len % 16` columns take the same scalar chain (a multiply, then
+//! an add, per weight row) on every arm. A lane is one column and lanes
+//! never interact, so neither the vector width (how many columns advance
+//! together), nor the lane order a decode leaves, nor the block height (how
+//! many activation rows share a decode) can reach a bit of any output.
 //!
 //! Both inference engines run every projection, router and expert product
 //! through the panel form (`matmul_block_into`) — a decode step is its
-//! one-row case — so within one process they see one arithmetic: the
-//! engines' token streams stay in lockstep exactly as they did on the dense
-//! `f32` path.
+//! one-row case — so they see one arithmetic on every host: the engines'
+//! token streams stay in lockstep exactly as they did on the dense `f32`
+//! path.
 
 use hnlpu_model::arm::{arm, Arm};
-use hnlpu_model::fp4::{HALF_UNITS, MAGNITUDES, NUM_CODES};
+use hnlpu_model::fp4::HALF_UNITS;
 use hnlpu_model::PackedFp4Matrix;
 use std::ops::Range;
-
-/// Activation vectors processed together per scalar token block of the
-/// matmul kernels (one pass over a column's packed bytes serves this many
-/// tokens before the next pass).
-const SCALAR_TOKEN_BLOCK: usize = 8;
 
 /// `out = x · W` over the whole packed matrix (`x.len() == rows`,
 /// `out.len() == cols`).
@@ -95,7 +82,7 @@ pub fn matvec_into(x: &[f32], m: &PackedFp4Matrix, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if the addressed block exceeds the matrix shape, `col_range` is
-/// reversed, or `out.len() != col_range.len()`.
+/// reversed or starts on an odd column, or `out.len() != col_range.len()`.
 pub(crate) fn matvec_block_into(
     x: &[f32],
     m: &PackedFp4Matrix,
@@ -106,40 +93,6 @@ pub(crate) fn matvec_block_into(
     assert_eq!(out.len(), col_range.len(), "output length mismatch");
     let len = out.len();
     matmul_block_into(x, x.len(), 1, m, row_offset, x.len(), col_range, out, len);
-}
-
-/// The scalar region-accumulation kernel (semantic reference and portable
-/// fallback): per output column, accumulate each `x_i` into one of 16
-/// buckets indexed by the stored code — one add per weight, no multiply —
-/// then combine the buckets with the magnitude lattice and the norm.
-///
-/// # Panics
-///
-/// Panics on the same conditions as [`matvec_block_into`].
-#[cfg(test)]
-pub(crate) fn region_matvec_block_into(
-    x: &[f32],
-    m: &PackedFp4Matrix,
-    row_offset: usize,
-    col_range: Range<usize>,
-    out: &mut [f32],
-) {
-    assert!(row_offset + x.len() <= m.rows(), "row block out of bounds");
-    assert!(col_range.end <= m.cols(), "col range out of bounds");
-    assert_eq!(out.len(), col_range.len(), "output length mismatch");
-    let stride = m.stride();
-    let data = m.data();
-    let norm = m.norm();
-    for (o, j) in out.iter_mut().zip(col_range) {
-        let shift = (j % 2) * 4;
-        let col = j / 2;
-        let mut buckets = [0.0f32; NUM_CODES];
-        for (i, &xi) in x.iter().enumerate() {
-            let byte = data[(row_offset + i) * stride + col];
-            buckets[((byte >> shift) & 0x0F) as usize] += xi;
-        }
-        *o = combine_regions(&buckets) * norm;
-    }
 }
 
 /// `outs = Xs · W` for a panel of `t` activation vectors over the whole
@@ -161,17 +114,27 @@ pub fn matmul_into(
     outs: &mut [f32],
     out_stride: usize,
 ) {
-    matmul_block_into(
-        xs,
-        x_stride,
-        t,
-        m,
-        0,
-        m.rows(),
-        0..m.cols(),
-        outs,
-        out_stride,
-    );
+    matmul_into_on(arm(), xs, x_stride, t, m, outs, out_stride);
+}
+
+/// [`matmul_into`] on `arm`, which writes the same bits on every arm:
+/// the entry that reaches an arm the dispatcher passes over on this CPU.
+///
+/// # Panics
+///
+/// Panics on shape mismatch, or unless this CPU runs `arm`
+/// ([`hnlpu_model::arm::available`]).
+pub fn matmul_into_on(
+    arm: Arm,
+    xs: &[f32],
+    x_stride: usize,
+    t: usize,
+    m: &PackedFp4Matrix,
+    outs: &mut [f32],
+    out_stride: usize,
+) {
+    let cols = 0..m.cols();
+    matmul_block_into_on(arm, xs, x_stride, t, m, 0, m.rows(), cols, outs, out_stride);
 }
 
 /// Panel partial product: for each of `t` activation rows, compute
@@ -187,17 +150,18 @@ pub fn matmul_into(
 ///
 /// **Bit-identity contract:** every output row equals
 /// `matvec_block_into(xs_row, m, row_offset, col_range, outs_row)` bit for
-/// bit, in both realizations. The per-column accumulation chain depends
-/// only on the row iteration order (ascending) and the accumulation
-/// operation (scalar bucket adds / vector FMAs, then the scalar tail),
-/// neither of which changes with the panel width or with the rows beside
-/// it — so prefill results are independent of how a prompt is chunked into
-/// panels, and the differential harnesses stay token-exact.
+/// bit, on every arm. The per-column accumulation chain depends only on the
+/// row iteration order (ascending) and the accumulation operation (fused
+/// multiply-adds, then the scalar tail), neither of which changes with the
+/// panel width or with the rows beside it — so prefill results are
+/// independent of how a prompt is chunked into panels, and the
+/// differential harnesses stay token-exact.
 ///
 /// # Panics
 ///
 /// Panics if the addressed block exceeds the matrix shape, `col_range` is
-/// reversed, or `xs`/`outs` are too short for `t` strided rows.
+/// reversed or starts on an odd column, or `xs`/`outs` are too short for
+/// `t` strided rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_block_into(
     xs: &[f32],
@@ -210,75 +174,20 @@ pub(crate) fn matmul_block_into(
     outs: &mut [f32],
     out_stride: usize,
 ) {
-    if t == 0 {
-        return;
-    }
-    assert!(row_offset + rows <= m.rows(), "row block out of bounds");
-    assert!(col_range.start <= col_range.end, "col range reversed");
-    assert!(col_range.end <= m.cols(), "col range out of bounds");
-    assert!(
-        xs.len() >= (t - 1) * x_stride + rows,
-        "activation panel too short"
-    );
-    assert!(
-        outs.len() >= (t - 1) * out_stride + col_range.len(),
-        "output panel too short"
-    );
-    // An empty block is an empty sum. Answering it here keeps the
-    // half-unit arms from offsetting a pointer to a block that holds no
-    // byte (`row_offset == m.rows()`), which may lie past the allocation.
-    if rows == 0 || col_range.is_empty() {
-        for tt in 0..t {
-            outs[tt * out_stride..][..col_range.len()].fill(0.0);
-        }
-        return;
-    }
-    // The half-unit arms walk packed bytes from the first addressed
-    // column, so they need the range to start on a byte boundary; odd
-    // starts (never produced by the engines) take the scalar kernel.
-    #[cfg(target_arch = "x86_64")]
-    if col_range.start.is_multiple_of(2) {
-        let block = half_units::Block::new(
-            xs,
-            x_stride,
-            t,
-            m,
-            row_offset,
-            rows,
-            col_range.start..col_range.end,
-            outs,
-            out_stride,
-        );
-        match arm() {
-            // SAFETY: this arm means AVX-512F was detected at runtime, and
-            // the asserts above bound the non-empty block for `t` rows.
-            Arm::Avx512 => return unsafe { half_units::avx512(&block) },
-            // SAFETY: this arm means AVX2+FMA were detected at runtime;
-            // the block is bounded as above.
-            Arm::Avx2 => return unsafe { half_units::avx2(&block) },
-            Arm::Portable => {}
-        }
-    }
-    region_matmul_block_into(
-        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
+    let arm = arm();
+    matmul_block_into_on(
+        arm, xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
     );
 }
 
-/// The scalar multi-token region-accumulation kernel: per output column,
-/// read each packed byte **once** and route the corresponding `x_i` of
-/// every activation row in the token block into that row's 16 buckets —
-/// the Figure-4 region pass amortized over up to `SCALAR_TOKEN_BLOCK`
-/// tokens — then combine each row's buckets with the magnitude lattice.
-///
-/// Per activation row this performs exactly the bucket-accumulation chain
-/// of `region_matvec_block_into` (rows ascending, one add per weight),
-/// so each output row is bit-identical to the per-token kernel.
+/// [`matmul_block_into`] on `arm`.
 ///
 /// # Panics
 ///
-/// Panics on the same conditions as `matmul_block_into`.
+/// As [`matmul_block_into`], or unless this CPU runs `arm`.
 #[allow(clippy::too_many_arguments)]
-pub fn region_matmul_block_into(
+fn matmul_block_into_on(
+    arm: Arm,
     xs: &[f32],
     x_stride: usize,
     t: usize,
@@ -289,82 +198,26 @@ pub fn region_matmul_block_into(
     outs: &mut [f32],
     out_stride: usize,
 ) {
-    if t == 0 {
-        return;
-    }
-    assert!(row_offset + rows <= m.rows(), "row block out of bounds");
-    assert!(col_range.end <= m.cols(), "col range out of bounds");
-    assert!(
-        xs.len() >= (t - 1) * x_stride + rows,
-        "activation panel too short"
+    let len = col_range.len();
+    let block = half_units::Block::new(
+        xs, x_stride, t, m, row_offset, rows, col_range, outs, out_stride,
     );
-    assert!(
-        outs.len() >= (t - 1) * out_stride + col_range.len(),
-        "output panel too short"
-    );
-    let stride = m.stride();
-    let data = m.data();
-    let norm = m.norm();
-    let mut tb = 0;
-    while tb < t {
-        let bt = (t - tb).min(SCALAR_TOKEN_BLOCK);
-        for j in col_range.start..col_range.end {
-            let shift = (j % 2) * 4;
-            let col = j / 2;
-            let mut buckets = [[0.0f32; NUM_CODES]; SCALAR_TOKEN_BLOCK];
-            for i in 0..rows {
-                let byte = data[(row_offset + i) * stride + col];
-                let code = ((byte >> shift) & 0x0F) as usize;
-                for (tt, b) in buckets[..bt].iter_mut().enumerate() {
-                    b[code] += xs[(tb + tt) * x_stride + i];
-                }
-            }
-            for (tt, b) in buckets[..bt].iter_mut().enumerate() {
-                outs[(tb + tt) * out_stride + (j - col_range.start)] = combine_regions(b) * norm;
-            }
+    if let Some(block) = block {
+        half_units::sweep_on(arm, &block);
+    } else {
+        // An empty block is an empty sum.
+        for tt in 0..t {
+            outs[tt * out_stride..][..len].fill(0.0);
         }
-        tb += bt;
     }
 }
 
-/// The 16 per-region input sums for one output column of `x · W` — what a
-/// Hardwired Neuron's POPCNT accumulator regions hold right before the
-/// magnitude combine. With `x = 1⃗`, region `k` equals the column's
-/// occupancy count of code `k`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != m.rows()` or `col >= m.cols()`.
-#[cfg(test)]
-pub(crate) fn region_sums(x: &[f32], m: &PackedFp4Matrix, col: usize) -> [f32; NUM_CODES] {
-    assert_eq!(x.len(), m.rows(), "input length mismatch");
-    assert!(col < m.cols(), "col out of bounds");
-    let stride = m.stride();
-    let data = m.data();
-    let shift = (col % 2) * 4;
-    let mut buckets = [0.0f32; NUM_CODES];
-    for (i, &xi) in x.iter().enumerate() {
-        let byte = data[i * stride + col / 2];
-        buckets[((byte >> shift) & 0x0F) as usize] += xi;
-    }
-    buckets
-}
-
-/// Magnitude-lattice combine: positive region `k` minus its sign twin
-/// `k | 8`, weighted by `MAGNITUDES[k]`. Region 0 (±0) contributes nothing.
-fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
-    let mut acc = 0.0f32;
-    for k in 1..8 {
-        acc += MAGNITUDES[k] * (buckets[k] - buckets[k | 8]);
-    }
-    acc
-}
-
-/// Which kernel realization `matmul_block_into` takes in this process:
-/// `"avx512-half-units"`, `"avx2-half-units"` or `"scalar-regions"`. The
-/// one arm ([`hnlpu_model::arm::arm`]) behind it also sets the lane width
-/// of `tensor::lane_arms` and of the weight sampler behind
-/// `ModelWeights::materialize`, so the name stands for all three.
+/// Which arm `matmul_block_into` runs in this process:
+/// `"avx512-half-units"`, `"avx2-half-units"` or `"portable-half-units"`.
+/// The one arm ([`hnlpu_model::arm::arm`]) behind it also sets the lane
+/// width of the unembedding, the column attention and the weight sampler
+/// behind `ModelWeights::materialize`, so the name stands for all of them.
+/// Every arm writes the same bits, so the name matters to host times only.
 /// Recorded on every `BENCH_inference.json` point (and keys which point
 /// `bench_baseline -- --check` gates against) and in the serving
 /// benchmark's host fingerprint.
@@ -372,27 +225,28 @@ pub fn kernel_path() -> &'static str {
     match arm() {
         Arm::Avx512 => "avx512-half-units",
         Arm::Avx2 => "avx2-half-units",
-        Arm::Portable => "scalar-regions",
+        Arm::Portable => "portable-half-units",
     }
 }
 
-/// The half-unit kernel (x86-64 only): one body over [`HalfUnits`],
-/// compiled once per arm.
-#[cfg(target_arch = "x86_64")]
+/// The half-unit kernel: one body over [`HalfUnits`], compiled once per
+/// arm.
 mod half_units {
     use super::{PackedFp4Matrix, Range, HALF_UNITS};
     use crate::tensor::Lanes;
+    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+    use std::marker::PhantomData;
 
     /// A [`Lanes`] vector as a half-unit arm holds it: the ops the
     /// constant-multiplier bank adds to the lane kernels'. Implemented for
-    /// `__m512` (AVX-512F) and `__m256` (AVX2+FMA).
+    /// `__m512` (AVX-512F), `__m256` (AVX2+FMA) and `f32` (one lane).
     ///
     /// # Safety
     ///
     /// Every method needs the CPU to support its implementor's target
     /// features, under which it is compiled to be inlined into the arms;
-    /// `decode` needs `K · WIDTH / 2` bytes readable at `row`.
+    /// `decode` needs `⌈K · WIDTH / 2⌉` bytes readable at `row`.
     #[expect(
         clippy::missing_safety_doc,
         reason = "one contract for every method, stated above"
@@ -421,8 +275,39 @@ mod half_units {
         unsafe fn mul(self, a: Self) -> Self;
     }
 
+    /// One column per "vector": the portable arm, the half-unit table
+    /// indexed per nibble and `f32::mul_add` (one rounding, as the vector
+    /// arms' FMA) as the fused step.
+    impl HalfUnits for f32 {
+        /// Eight accumulators at two columns a row, in the 16 scalar
+        /// registers of baseline x86-64.
+        const TOKEN_BLOCK: usize = 4;
+        #[inline(always)]
+        unsafe fn decode<const K: usize>(row: *const u8) -> [f32; K] {
+            let mut w = [0.0; K];
+            for (k, w) in w.iter_mut().enumerate() {
+                let code = (*row.add(k / 2) >> (k % 2 * 4)) & 0x0F;
+                *w = f32::from(HALF_UNITS[usize::from(code)]);
+            }
+            w
+        }
+        #[inline(always)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the half-unit chain is defined fused; every arm fuses the same chain"
+        )]
+        unsafe fn mul_add(self, a: f32, b: f32) -> f32 {
+            f32::mul_add(self, a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, a: f32) -> f32 {
+            self * a
+        }
+    }
+
     /// Sixteen columns per zmm register, in a lane order of the decode's
     /// choosing: lane `j` holds column `8 · (j mod 2) + j / 2`.
+    #[cfg(target_arch = "x86_64")]
     impl HalfUnits for __m512 {
         const TOKEN_BLOCK: usize = 8;
         /// Per 16 columns, the 8 packed bytes broadcast to every qword
@@ -469,6 +354,7 @@ mod half_units {
 
     /// Eight columns per ymm register, in column order: a `pshufb` per
     /// nibble half, unpacked and widened.
+    #[cfg(target_arch = "x86_64")]
     impl HalfUnits for __m256 {
         const TOKEN_BLOCK: usize = 4;
         #[inline]
@@ -505,6 +391,7 @@ mod half_units {
     /// # Safety
     ///
     /// `n` bytes must be readable at `p`.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     unsafe fn bytes(p: *const u8, n: usize) -> __m128i {
         let mut b = [0u8; 16];
@@ -519,6 +406,7 @@ mod half_units {
     ///
     /// Register arithmetic only; the CPU must support SSSE3, which AVX2
     /// implies.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     unsafe fn nibbles(bytes: __m128i) -> [__m128i; 2] {
         let lut = _mm_loadu_si128(HALF_UNITS.as_ptr().cast());
@@ -533,8 +421,9 @@ mod half_units {
     /// activation rows of `rows` floats at `xs`, `x_stride` apart; `rows`
     /// weight rows of packed codes at `data` (the byte of the block's
     /// first column), `stride` apart; `t` output rows of `cols` floats at
-    /// `outs`, `out_stride` apart.
-    pub(super) struct Block {
+    /// `outs`, `out_stride` apart. Only [`Block::new`] makes one, so every
+    /// one holds at least one row and one column, all in bounds.
+    pub(super) struct Block<'a> {
         xs: *const f32,
         x_stride: usize,
         t: usize,
@@ -545,28 +434,53 @@ mod half_units {
         half_norm: f32,
         outs: *mut f32,
         out_stride: usize,
+        borrows: PhantomData<(&'a [f32], &'a [u8], &'a mut [f32])>,
     }
 
-    impl Block {
-        /// The block `matmul_block_into` addresses with these arguments.
+    impl<'a> Block<'a> {
+        /// The block `matmul_block_into` addresses with these arguments,
+        /// or `None` if it holds no activation row, weight row or column.
         ///
         /// # Panics
         ///
-        /// Panics if the block's first byte lies past the matrix.
+        /// Panics if the block exceeds the matrix shape, `col_range` is
+        /// reversed or starts on an odd column, or `xs`/`outs` are too
+        /// short for `t` strided rows.
         #[allow(clippy::too_many_arguments)]
         pub(super) fn new(
-            xs: &[f32],
+            xs: &'a [f32],
             x_stride: usize,
             t: usize,
-            m: &PackedFp4Matrix,
+            m: &'a PackedFp4Matrix,
             row_offset: usize,
             rows: usize,
             col_range: Range<usize>,
-            outs: &mut [f32],
+            outs: &'a mut [f32],
             out_stride: usize,
-        ) -> Block {
+        ) -> Option<Self> {
+            let last = t.checked_sub(1)?;
+            assert!(row_offset + rows <= m.rows(), "row block out of bounds");
+            assert!(col_range.start <= col_range.end, "col range reversed");
+            assert!(col_range.end <= m.cols(), "col range out of bounds");
+            assert!(
+                col_range.start.is_multiple_of(2),
+                "col range must start on a packed byte"
+            );
+            assert!(
+                xs.len() >= last * x_stride + rows,
+                "activation panel too short"
+            );
+            assert!(
+                outs.len() >= last * out_stride + col_range.len(),
+                "output panel too short"
+            );
+            // A block with no byte may sit at `row_offset == m.rows()`,
+            // past the matrix: it addresses nothing.
+            if rows == 0 || col_range.is_empty() {
+                return None;
+            }
             let data = &m.data()[row_offset * m.stride() + col_range.start / 2..];
-            Block {
+            Some(Block {
                 xs: xs.as_ptr(),
                 x_stride,
                 t,
@@ -577,30 +491,18 @@ mod half_units {
                 half_norm: 0.5 * m.norm(),
                 outs: outs.as_mut_ptr(),
                 out_stride,
-            }
+                borrows: PhantomData,
+            })
         }
     }
 
-    /// The AVX-512 arm: [`sweep`] over `__m512`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F; `b` must come from [`Block::new`]
-    /// with arguments that pass `matmul_block_into`'s asserts, at least one
-    /// row and one column, and an even `col_range.start`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn avx512(b: &Block) {
-        sweep::<__m512>(b);
-    }
-
-    /// The AVX2 arm: [`sweep`] over `__m256`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA; `b` as for [`avx512`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn avx2(b: &Block) {
-        sweep::<__m256>(b);
+    hnlpu_model::arm::per_arm! {
+        /// The whole block on `arm`: [`sweep`] over the arm's lane vector.
+        pub(super) fn sweep_on<V>(b: &Block<'_>) {
+            // SAFETY: `Block::new` bounds every row and column of `b`, and
+            // `V` is the lane vector of the arm this body is compiled for.
+            unsafe { sweep::<V>(b) }
+        }
     }
 
     /// The whole block: full token blocks of `V::TOKEN_BLOCK` rows, the
@@ -609,7 +511,7 @@ mod half_units {
     ///
     /// # Safety
     ///
-    /// As [`avx512`], on `V`'s arm.
+    /// The CPU must support `V`'s arm; `b` comes from [`Block::new`].
     #[inline(always)]
     unsafe fn sweep<V: HalfUnits>(b: &Block) {
         const { assert!(V::TOKEN_BLOCK <= 8) };
@@ -674,7 +576,7 @@ mod half_units {
     ///
     /// # Safety
     ///
-    /// As [`rows`], with `c + K · V::WIDTH ≤ b.cols`.
+    /// As [`rows`], with `c` even and `c + K · V::WIDTH ≤ b.cols`.
     #[inline(always)]
     unsafe fn panel<V: HalfUnits, const N: usize, const K: usize>(b: &Block, tt: usize, c: usize) {
         let (xs, data) = (b.xs.add(tt * b.x_stride), b.data.add(c / 2));
@@ -726,8 +628,123 @@ mod half_units {
 mod tests {
     use super::*;
     use crate::tensor::{add_assign, vec_mat};
+    use hnlpu_model::arm::available;
+    use hnlpu_model::fp4::{MAGNITUDES, NUM_CODES};
     use hnlpu_model::Fp4;
     use proptest::prelude::*;
+
+    /// The scalar multi-token region-accumulation kernel, the Figure-4 oracle:
+    /// per output column, read each packed byte **once** and route the
+    /// corresponding `x_i` of every activation row in a block of 8 into that
+    /// row's 16 buckets — one add per weight, no multiply — then combine each
+    /// row's buckets with the magnitude lattice and the norm. Per activation
+    /// row this is exactly the bucket chain of `region_matvec_block_into`
+    /// (rows ascending), so each output row is bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the addressed block exceeds the matrix shape or `xs`/`outs`
+    /// are too short for `t` strided rows.
+    #[allow(clippy::too_many_arguments)]
+    fn region_matmul_block_into(
+        xs: &[f32],
+        x_stride: usize,
+        t: usize,
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        rows: usize,
+        col_range: Range<usize>,
+        outs: &mut [f32],
+        out_stride: usize,
+    ) {
+        const TOKEN_BLOCK: usize = 8;
+        if t == 0 {
+            return;
+        }
+        assert!(row_offset + rows <= m.rows(), "row block out of bounds");
+        assert!(col_range.end <= m.cols(), "col range out of bounds");
+        assert!(
+            xs.len() >= (t - 1) * x_stride + rows,
+            "activation panel too short"
+        );
+        assert!(
+            outs.len() >= (t - 1) * out_stride + col_range.len(),
+            "output panel too short"
+        );
+        let stride = m.stride();
+        let data = m.data();
+        let norm = m.norm();
+        let mut tb = 0;
+        while tb < t {
+            let bt = (t - tb).min(TOKEN_BLOCK);
+            for j in col_range.start..col_range.end {
+                let shift = (j % 2) * 4;
+                let col = j / 2;
+                let mut buckets = [[0.0f32; NUM_CODES]; TOKEN_BLOCK];
+                for i in 0..rows {
+                    let byte = data[(row_offset + i) * stride + col];
+                    let code = ((byte >> shift) & 0x0F) as usize;
+                    for (tt, b) in buckets[..bt].iter_mut().enumerate() {
+                        b[code] += xs[(tb + tt) * x_stride + i];
+                    }
+                }
+                for (tt, b) in buckets[..bt].iter_mut().enumerate() {
+                    outs[(tb + tt) * out_stride + (j - col_range.start)] =
+                        combine_regions(b) * norm;
+                }
+            }
+            tb += bt;
+        }
+    }
+
+    /// The one-row form of [`region_matmul_block_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`matvec_block_into`].
+    fn region_matvec_block_into(
+        x: &[f32],
+        m: &PackedFp4Matrix,
+        row_offset: usize,
+        col_range: Range<usize>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), col_range.len(), "output length mismatch");
+        let len = out.len();
+        region_matmul_block_into(x, x.len(), 1, m, row_offset, x.len(), col_range, out, len);
+    }
+
+    /// The 16 per-region input sums for one output column of `x · W` — what a
+    /// Hardwired Neuron's POPCNT accumulator regions hold right before the
+    /// magnitude combine. With `x = 1⃗`, region `k` equals the column's
+    /// occupancy count of code `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != m.rows()` or `col >= m.cols()`.
+    fn region_sums(x: &[f32], m: &PackedFp4Matrix, col: usize) -> [f32; NUM_CODES] {
+        assert_eq!(x.len(), m.rows(), "input length mismatch");
+        assert!(col < m.cols(), "col out of bounds");
+        let stride = m.stride();
+        let data = m.data();
+        let shift = (col % 2) * 4;
+        let mut buckets = [0.0f32; NUM_CODES];
+        for (i, &xi) in x.iter().enumerate() {
+            let byte = data[i * stride + col / 2];
+            buckets[((byte >> shift) & 0x0F) as usize] += xi;
+        }
+        buckets
+    }
+
+    /// Magnitude-lattice combine: positive region `k` minus its sign twin
+    /// `k | 8`, weighted by `MAGNITUDES[k]`. Region 0 (±0) contributes nothing.
+    fn combine_regions(buckets: &[f32; NUM_CODES]) -> f32 {
+        let mut acc = 0.0f32;
+        for k in 1..8 {
+            acc += MAGNITUDES[k] * (buckets[k] - buckets[k | 8]);
+        }
+        acc
+    }
 
     fn packed_from(codes: &[u8], rows: usize, cols: usize) -> PackedFp4Matrix {
         let codes: Vec<Fp4> = codes.iter().map(|&c| Fp4::from_code(c)).collect();
@@ -793,30 +810,6 @@ mod tests {
         }
     }
 
-    /// Signature of `half_units::avx2` / `half_units::avx512`.
-    #[cfg(target_arch = "x86_64")]
-    type HalfUnitArm = unsafe fn(&half_units::Block);
-
-    /// The half-unit arms this CPU can run, by name; says once per process
-    /// which ones those are.
-    #[cfg(target_arch = "x86_64")]
-    fn available_arms() -> Vec<(&'static str, HalfUnitArm)> {
-        use std::arch::is_x86_feature_detected as has;
-        let mut arms: Vec<(&'static str, HalfUnitArm)> = Vec::new();
-        if has!("avx2") && has!("fma") {
-            arms.push(("avx2", half_units::avx2));
-        }
-        if has!("avx512f") {
-            arms.push(("avx512", half_units::avx512));
-        }
-        static SAY: std::sync::Once = std::sync::Once::new();
-        SAY.call_once(|| {
-            let names: Vec<&str> = arms.iter().map(|&(name, _)| name).collect();
-            println!("kernel arms called directly on this CPU: {names:?}");
-        });
-        arms
-    }
-
     /// The AVX-512 decode, pinned lane by lane. Byte `o` of weight row `r`
     /// is `(r + 37 · o) mod 256`, so over the 256 rows every byte value sits
     /// at every byte offset of 16-, 32-, 64- and 128-column panels, and
@@ -824,11 +817,10 @@ mod tests {
     /// `0.5 · norm` is 1, so every output is the half-unit of one code as
     /// `f32`, bit for bit, code 8 as `+0.0`. The 256 rows run as one block
     /// (8-row token blocks) and one at a time (a lone row's wide panels).
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_decode_is_every_half_unit_at_its_column() {
-        if !std::arch::is_x86_feature_detected!("avx512f") {
-            println!("avx512f absent on this CPU: the AVX-512 decode pin is skipped");
+        if !available().contains(&Arm::Avx512) {
+            println!("no AVX-512 arm on this CPU: the AVX-512 decode pin is skipped");
             return;
         }
         const ROWS: usize = 256;
@@ -849,17 +841,11 @@ mod tests {
                 .map(|c| f32::from(HALF_UNITS[usize::from(c.code())]).to_bits())
                 .collect();
             let mut block = vec![f32::NAN; ROWS * cols];
-            let b =
-                half_units::Block::new(&onehot, ROWS, ROWS, &m, 0, ROWS, 0..cols, &mut block, cols);
-            // SAFETY: avx512f was detected above; the block is non-empty,
-            // starts on column 0 and passes `matmul_block_into`'s asserts.
-            unsafe { half_units::avx512(&b) };
+            matmul_into_on(Arm::Avx512, &onehot, ROWS, ROWS, &m, &mut block, cols);
             let mut lone = vec![f32::NAN; ROWS * cols];
             for (r, out) in lone.chunks_mut(cols).enumerate() {
                 let x = &onehot[r * ROWS..][..ROWS];
-                let b = half_units::Block::new(x, ROWS, 1, &m, 0, ROWS, 0..cols, out, cols);
-                // SAFETY: as above, for one activation row.
-                unsafe { half_units::avx512(&b) };
+                matmul_into_on(Arm::Avx512, x, ROWS, 1, &m, out, cols);
             }
             for (run, outs) in [("block", &block), ("lone row", &lone)] {
                 for (i, (out, want)) in outs.iter().zip(&want).enumerate() {
@@ -945,7 +931,19 @@ mod tests {
 
     #[test]
     fn kernel_path_names_a_realization() {
-        assert!(["avx512-half-units", "avx2-half-units", "scalar-regions"].contains(&kernel_path()));
+        let paths = [
+            "avx512-half-units",
+            "avx2-half-units",
+            "portable-half-units",
+        ];
+        assert!(paths.contains(&kernel_path()));
+    }
+
+    #[test]
+    #[should_panic(expected = "col range must start on a packed byte")]
+    fn odd_col_start_rejected() {
+        let m = packed_from(&[0; 32], 4, 8);
+        matvec_block_into(&[1.0; 4], &m, 0, 1..8, &mut [0.0; 7]);
     }
 
     #[test]
@@ -1037,9 +1035,10 @@ mod tests {
         /// `matvec_block_into` calls **bit for bit** — a row's bits depend
         /// neither on the rows beside it nor on the block height that ran
         /// it — over ragged token counts (two full blocks of the widest
-        /// arm plus every remainder), odd column ranges (scalar-dispatch
-        /// path + scalar tails), strided activation and output panels, and
-        /// row sub-blocks; and the same of the scalar region kernels.
+        /// arm plus every remainder), column ranges of every length from
+        /// even starts (scalar tails included), strided activation and
+        /// output panels, and row sub-blocks; and the same of the region
+        /// oracle, from any start.
         #[test]
         fn matmul_is_bitwise_loop_of_matvecs(
             rows in 1usize..72,
@@ -1065,16 +1064,19 @@ mod tests {
                     v as f32 * 0.001 - 1.0
                 })
                 .collect();
-            let mut outs = vec![0.0f32; (t - 1) * out_stride + len];
-            matmul_block_into(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride);
+            // The kernel's start is the even column at or below `cs`.
+            let (ks, klen) = (cs & !1, ce - (cs & !1));
+            let k_stride = klen + opad;
+            let mut outs = vec![0.0f32; (t - 1) * k_stride + klen];
+            matmul_block_into(&xs, x_stride, t, &m, r0, rows, ks..ce, &mut outs, k_stride);
             let mut regions = vec![0.0f32; (t - 1) * out_stride + len];
             region_matmul_block_into(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut regions, out_stride);
-            let mut want = vec![0.0f32; len];
+            let mut want = vec![0.0f32; klen];
             let mut want_regions = vec![0.0f32; len];
             for tt in 0..t {
                 let x = &xs[tt * x_stride..][..rows];
-                matvec_block_into(x, &m, r0, cs..ce, &mut want);
-                prop_assert_eq!(&outs[tt * out_stride..][..len], want.as_slice(),
+                matvec_block_into(x, &m, r0, ks..ce, &mut want);
+                prop_assert_eq!(&outs[tt * k_stride..][..klen], want.as_slice(),
                     "dispatched row {} differs", tt);
                 region_matvec_block_into(x, &m, r0, cs..ce, &mut want_regions);
                 prop_assert_eq!(&regions[tt * out_stride..][..len], want_regions.as_slice(),
@@ -1082,16 +1084,17 @@ mod tests {
             }
         }
 
-        /// Every half-unit arm this CPU has, called directly — the
+        /// Every arm this CPU has, through `matmul_block_into_on` — the
         /// dispatcher only ever reaches the widest one — and the dispatcher
-        /// itself on a vector CPU, against [`half_unit_chain`] bit for bit:
+        /// itself, against [`half_unit_chain`] bit for bit:
         /// two full 8-row blocks plus every remainder; column ranges up to
         /// 255 wide, so a lone row's 128- and 64-column panels, the 32- and
         /// 16-column panels and a 1–15 column tail all run; even non-zero
         /// starts, row sub-blocks, strided panels. A quarter of the
         /// activations are `±0.0` and a quarter exact multiples of ±0.5, so
         /// products of signed zeros and exactly cancelling sums occur. An
-        /// arm the CPU lacks is skipped, not failed.
+        /// arm the CPU lacks is skipped, not failed; the portable arm runs
+        /// everywhere.
         #[test]
         fn every_arm_is_bitwise_the_half_unit_chain(
             rows in 1usize..72,
@@ -1128,23 +1131,13 @@ mod tests {
             half_unit_chain(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut want, out_stride);
             // NaN marks every cell a kernel must overwrite; the padding
             // between strided rows must come back untouched.
-            let mut runs = Vec::new();
-            if arm() != Arm::Portable {
+            let mut outs = vec![f32::NAN; want.len()];
+            matmul_block_into(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride);
+            let mut runs = vec![("dispatched".to_string(), outs)];
+            for &arm in available() {
                 let mut outs = vec![f32::NAN; want.len()];
-                matmul_block_into(&xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride);
-                runs.push(("dispatched", outs));
-            }
-            #[cfg(target_arch = "x86_64")]
-            for (arm, run) in available_arms() {
-                let mut outs = vec![f32::NAN; want.len()];
-                let block = half_units::Block::new(
-                    &xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride,
-                );
-                // SAFETY: `available_arms` checked the arm's CPU features;
-                // the block is non-empty, starts on an even column and
-                // passes `matmul_block_into`'s asserts.
-                unsafe { run(&block) };
-                runs.push((arm, outs));
+                matmul_block_into_on(arm, &xs, x_stride, t, &m, r0, rows, cs..ce, &mut outs, out_stride);
+                runs.push((format!("{arm:?}"), outs));
             }
             let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
             for (arm, outs) in runs {
@@ -1158,7 +1151,8 @@ mod tests {
             }
         }
 
-        /// Arbitrary sub-blocks match the dense `vec_mat_block` partials.
+        /// Arbitrary sub-blocks from an even column match the dense
+        /// `vec_mat_block` partials.
         #[test]
         fn block_matches_naive_block(
             rows in 8usize..64,
@@ -1172,7 +1166,7 @@ mod tests {
             let x: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.13).cos()).collect();
             let r0 = fr * rows / 8;
             let r1 = rows - fr * rows / 8;
-            let c0 = fc * cols / 8;
+            let c0 = (fc * cols / 8) & !1;
             let c1 = cols - fc * cols / 8;
             let dense = m.to_f32();
             let naive = crate::tensor::vec_mat_block(&x, &dense, cols, r0..r1, c0..c1);

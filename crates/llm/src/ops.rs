@@ -8,7 +8,6 @@
 //! The rotary embedding's frequencies ([`rope_inv_freq`]) and angles
 //! ([`rope_sin_cos`]) are owned too, over `hnlpu_model::math::sin_cos`.
 
-use crate::tensor::{lane_arms, Lanes};
 use hnlpu_model::math::sin_cos;
 
 /// `log2(e)`, rounded to `f32`.
@@ -80,26 +79,18 @@ fn pow2(e: i32) -> f32 {
     f32::from_bits((e.wrapping_add(127) as u32) << 23)
 }
 
-lane_arms! {
+hnlpu_model::arm::per_arm! {
     /// [`exp`] of every element of `xs`, in place: [`exp`] inlined into
-    /// one loop, compiled once per [`crate::kernels::kernel_path`] arm by
-    /// [`lane_arms`], the arm picked by the CPU alone with the panel
-    /// matmul's selector. The compiler runs the operation sequence 16
-    /// lanes at a time under AVX-512 and 8 under AVX2; there is no
-    /// intrinsic and no fused multiply-add, so every element is the scalar
-    /// function's bits by construction.
-    pub(crate) fn exp_lanes<>(xs: &mut [f32]) => exp_each, exp_lanes_avx512, exp_lanes_avx2
-}
-
-/// The loop every arm compiles; `V` only names the arm.
-///
-/// # Safety
-///
-/// None beyond the arm's: the loop itself is safe.
-#[inline(always)]
-unsafe fn exp_each<V: Lanes>(xs: &mut [f32]) {
-    for x in xs {
-        *x = exp(*x);
+    /// one loop, compiled once per [`crate::kernels::kernel_path`] arm, the
+    /// arm picked by the CPU alone with the panel matmul's selector. The
+    /// compiler runs the operation sequence 16 lanes at a time under
+    /// AVX-512 and 8 under AVX2; there is no intrinsic and no fused
+    /// multiply-add, so every element is the scalar function's bits by
+    /// construction.
+    pub(crate) fn exp_lanes, exp_lanes_on(xs: &mut [f32]) {
+        for x in xs {
+            *x = exp(*x);
+        }
     }
 }
 
@@ -501,31 +492,24 @@ mod tests {
         xs
     }
 
-    /// The lane contract, per arm: every arm this CPU has, called directly
-    /// (the dispatcher only ever reaches the widest), gives [`exp`]'s bits
-    /// for every element, whole vectors and the loop's remainder alike.
+    /// The lane contract, per arm: every arm this CPU has (the dispatcher
+    /// only ever reaches the widest) gives [`exp`]'s bits for every
+    /// element, whole vectors and the loop's remainder alike. Prints the
+    /// arms it ran.
     #[test]
     fn exp_lanes_every_arm_is_bitwise_exp() {
         let xs = exp_inputs();
-        for arm in crate::tensor::tests::available_arms() {
+        let arms = hnlpu_model::arm::available();
+        println!("lane arms on this CPU: {arms:?}");
+        for &arm in arms {
             for len in [xs.len(), 5, 16, 23] {
                 let mut got = xs[..len].to_vec();
-                match arm {
-                    // SAFETY: one lane needs no CPU feature.
-                    "portable" => unsafe { exp_each::<f32>(&mut got) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX2.
-                    "avx2" => unsafe { exp_lanes_avx2(&mut got) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX-512F.
-                    "avx512" => unsafe { exp_lanes_avx512(&mut got) },
-                    _ => unreachable!("unknown arm {arm}"),
-                }
+                exp_lanes_on(arm, &mut got);
                 for (&x, &g) in xs.iter().zip(&got) {
                     let want = exp(x);
                     assert!(
                         g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
-                        "{arm}: exp({x:e}) = {g:e}, scalar {want:e}"
+                        "{arm:?}: exp({x:e}) = {g:e}, scalar {want:e}"
                     );
                 }
             }

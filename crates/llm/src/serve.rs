@@ -1756,10 +1756,16 @@ mod tests {
         )
         .expect("valid plan");
         // 15 dead chips leave effective_slots = max(216/16, 1) = 13; far
-        // fewer than 20 long sequences, so some recoveries starve through
-        // the whole ~126-round backoff ladder and exhaust their retries.
+        // fewer than 20 sequences. Each decodes for the whole backoff
+        // ladder (2 + 4 + … + 2^MAX_RECOVERY_RETRIES rounds) plus one more
+        // top rung, which covers the 12 tokens decoded before the chips
+        // die: the 13 re-admitted first still hold every slot when the
+        // other 7 exhaust their retries (at 126 decodes none does).
+        let retries = OnlineServer::MAX_RECOVERY_RETRIES;
+        let ladder: u32 = (1..=retries).map(|retry| 1 << retry).sum();
+        let decodes = ladder + (1 << retries);
         let requests: Vec<SequenceRequest> = (0..20)
-            .map(|i| SequenceRequest::greedy(0, vec![1 + i as u32], 400))
+            .map(|i| SequenceRequest::greedy(0, vec![1 + i as u32], decodes))
             .collect();
         let outcome = chaos.run_trace(&requests, &[]);
         assert_eq!(chaos.effective_slots(), 216 / 16);
@@ -1771,6 +1777,7 @@ mod tests {
             .iter()
             .filter(|o| o.state == SeqState::ChipLost)
             .collect();
+        assert!(slo.chip_lost > 0, "no recovery exhausted its retries");
         assert_eq!(lost.len(), slo.chip_lost);
         assert_eq!(slo.recovery.failed, slo.chip_lost as u64);
         for o in &lost {

@@ -6,9 +6,9 @@
 //! (key positions, or vocabulary rows) in the SIMD lanes and each query
 //! broadcast across them; `weigh_lanes` weighs value rows with the head
 //! dimension in the lanes. Both are written once over `Lanes`, the
-//! arm-specific vector, and `lane_arms` compiles their callers once per
-//! arm: `unembed_into` here, the grid's column attention in
-//! `dataflow`.
+//! arm-specific vector, and their callers are compiled once per arm by
+//! [`hnlpu_model::arm::per_arm!`]: `unembed_into` here, the grid's column
+//! attention in `dataflow`.
 
 use std::ops::Range;
 
@@ -103,9 +103,9 @@ fn table_row<'t>(table: &impl Fn(usize) -> &'t [f32], r: usize, n: usize) -> &'t
 /// # Safety
 ///
 /// Every method needs the CPU to support its implementor's target
-/// feature, under which it is compiled to be inlined into [`lane_arms`]'
-/// arms; `load` and `store` need `m` in `1..=WIDTH` and that many floats
-/// valid at `p`.
+/// feature, under which it is compiled to be inlined into the arms of
+/// [`hnlpu_model::arm::per_arm!`]; `load` and `store` need `m` in
+/// `1..=WIDTH` and that many floats valid at `p`.
 #[expect(
     clippy::missing_safety_doc,
     reason = "one contract for every method, stated above"
@@ -307,58 +307,6 @@ mod x86 {
     }
 }
 
-/// Define `$name` to run `$body::<V>` with `V` this CPU's lane arm, the
-/// one the panel matmul takes ([`hnlpu_model::arm::arm`]): the body, with
-/// every [`Lanes`] op inlined, is compiled once under `#[target_feature]`
-/// per x86 arm (`$avx512` with `__m512`, `$avx2` with `__m256`) and once
-/// as scalar loops (`f32`) for any other CPU.
-macro_rules! lane_arms {
-    (
-        $(#[$attr:meta])*
-        $vis:vis fn $name:ident<$($lt:lifetime),*>($($arg:ident: $ty:ty),* $(,)?)
-            => $body:ident, $avx512:ident, $avx2:ident
-    ) => {
-        $(#[$attr])*
-        $vis fn $name<$($lt),*>($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            match hnlpu_model::arm::arm() {
-                // SAFETY: this arm implies AVX-512F.
-                hnlpu_model::arm::Arm::Avx512 => return unsafe { $avx512($($arg),*) },
-                // SAFETY: this arm implies AVX2.
-                hnlpu_model::arm::Arm::Avx2 => return unsafe { $avx2($($arg),*) },
-                hnlpu_model::arm::Arm::Portable => {}
-            }
-            // SAFETY: one-lane `f32` ops need no CPU feature.
-            unsafe { $body::<f32>($($arg),*) }
-        }
-
-        /// The AVX-512 arm.
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512<$($lt),*>($($arg: $ty),*) {
-            $body::<std::arch::x86_64::__m512>($($arg),*)
-        }
-
-        /// The AVX2 arm.
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX2.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2<$($lt),*>($($arg: $ty),*) {
-            $body::<std::arch::x86_64::__m256>($($arg),*)
-        }
-    };
-}
-pub(crate) use lane_arms;
-
 /// Queries `0..count` in passes of 16 (when `wide`) or 8, then the rest
 /// in passes of 4, 2 and 1: `|N, j| pass` runs queries `j .. j + N` with
 /// `N` a constant, so a pass's chains are a compile-time array of vector
@@ -530,7 +478,7 @@ pub(crate) unsafe fn weigh_lanes<'v, V: Lanes>(
 /// Hidden rows one [`unembed_into`] call may carry.
 pub(crate) const UNEMBED_MAX_ROWS: usize = 64;
 
-lane_arms! {
+hnlpu_model::arm::per_arm! {
     /// Weight-tied unembedding of `xs.len() / h` normalized hidden rows
     /// (`xs` row-major, `h` wide) against the `vocab × h` row-major
     /// `embedding` table, in **one pass over the table**: for each
@@ -548,8 +496,11 @@ lane_arms! {
     /// Panics if `xs` or `embedding` is not a whole number of `h`-wide
     /// rows, there are no or more than [`UNEMBED_MAX_ROWS`] hidden rows,
     /// or `lanes` is too short.
-    pub(crate) fn unembed_into<>(embedding: &[f32], h: usize, xs: &[f32], lanes: &mut [f32],
-        emit: impl FnMut(usize, &[f32])) => unembed_lanes, unembed_avx512, unembed_avx2
+    pub(crate) fn unembed_into, unembed_into_on<V>(embedding: &[f32], h: usize, xs: &[f32],
+        lanes: &mut [f32], emit: impl FnMut(usize, &[f32])) {
+        // SAFETY: `V` is the lane vector of the arm this body runs on.
+        unsafe { unembed_lanes::<V>(embedding, h, xs, lanes, emit) }
+    }
 }
 
 /// The body of [`unembed_into`].
@@ -595,6 +546,7 @@ unsafe fn unembed_lanes<V: Lanes>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use hnlpu_model::arm::available;
 
     #[test]
     fn vec_mat_identity() {
@@ -646,27 +598,29 @@ pub(crate) mod tests {
         }
     }
 
-    /// The lane arms this CPU can run, by name; says once per process
-    /// which ones those are.
-    pub(crate) fn available_arms() -> Vec<&'static str> {
-        #[allow(unused_mut)]
-        let mut arms = vec!["portable"];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                arms.push("avx2");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                arms.push("avx512");
-            }
+    hnlpu_model::arm::per_arm! {
+        /// [`score_lanes`] on `arm`'s lane vector.
+        fn score_on<V>(tile: &mut [f32], keys: &[Vec<f32>], positions: Range<usize>,
+            queries: &[&[f32]], out: &mut [f32], row: usize) {
+            let key = |p: usize| keys[p].as_slice();
+            // SAFETY: `V` is this arm's lane vector.
+            unsafe { score_lanes::<V>(tile, key, positions, queries, out, row) }
         }
-        static SAY: std::sync::Once = std::sync::Once::new();
-        SAY.call_once(|| println!("lane arms called directly on this CPU: {arms:?}"));
-        arms
+    }
+
+    hnlpu_model::arm::per_arm! {
+        /// [`weigh_lanes`] on `arm`'s lane vector.
+        fn weigh_on<V>(w: &[f32], row: usize, positions: Range<usize>, values: &[Vec<f32>],
+            sums: &mut [f32], acc: &mut [f32]) {
+            let value = |p: usize| values[p].as_slice();
+            // SAFETY: `V` is this arm's lane vector.
+            unsafe { weigh_lanes::<V>(w, row, positions, value, sums, acc) }
+        }
     }
 
     proptest::proptest! {
-        /// The unembedding contract: whatever the row count, every logit is
+        /// The unembedding contract: whatever the row count, on every arm
+        /// this CPU has and through the dispatcher, every logit is
         /// bit-for-bit `dot(hidden row, table row)` — including signed
         /// zeros, which expose a wrong seed value or a fused multiply-add.
         #[test]
@@ -681,16 +635,20 @@ pub(crate) mod tests {
             let xs: Vec<f32> = (0..rows * h).map(&value).collect();
             let mut lanes = vec![f32::NAN; rows.div_ceil(LANES) * LANES * h];
             let mut seen = 0;
-            unembed_into(&embedding, h, &xs, &mut lanes, |token, logits| {
-                assert_eq!(token, seen, "tokens arrive in table order");
+            let mut check = |token: usize, logits: &[f32]| {
+                assert_eq!(token, seen % vocab, "tokens arrive in table order");
                 seen += 1;
                 assert_eq!(logits.len(), rows);
                 for (r, got) in logits.iter().enumerate() {
                     let want = dot(&xs[r * h..(r + 1) * h], &embedding[token * h..(token + 1) * h]);
                     assert_eq!(got.to_bits(), want.to_bits(), "row {r} token {token}");
                 }
-            });
-            proptest::prop_assert_eq!(seen, vocab);
+            };
+            unembed_into(&embedding, h, &xs, &mut lanes, &mut check);
+            for &arm in available() {
+                unembed_into_on(arm, &embedding, h, &xs, &mut lanes, &mut check);
+            }
+            proptest::prop_assert_eq!(seen, vocab * (1 + available().len()));
         }
 
         /// The score contract, per arm: `score_lanes` as each arm this CPU
@@ -717,29 +675,18 @@ pub(crate) mod tests {
             let qs: Vec<Vec<f32>> = (0..queries).map(|j| vector(10_000 + j)).collect();
             let qs: Vec<&[f32]> = qs.iter().map(Vec::as_slice).collect();
             let row = positions.end + 3;
-            for arm in available_arms() {
+            for &arm in available() {
                 let mut tile = vec![f32::NAN; LANES * n];
                 let mut out = vec![f32::NAN; queries * row];
-                let (p, o) = (positions.clone(), &mut out);
-                match arm {
-                    // SAFETY: one lane needs no CPU feature.
-                    "portable" => unsafe { score_lanes::<f32>(&mut tile, |p| &keys[p], p, &qs, o, row) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX2.
-                    "avx2" => unsafe { avx2_lanes::score(&mut tile, &keys, p, &qs, o, row) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX-512F.
-                    "avx512" => unsafe { avx512_lanes::score(&mut tile, &keys, p, &qs, o, row) },
-                    _ => unreachable!("unknown arm {arm}"),
-                }
+                score_on(arm, &mut tile, &keys, positions.clone(), &qs, &mut out, row);
                 for (j, q) in qs.iter().enumerate() {
                     for (p, got) in out[j * row..][..row].iter().enumerate() {
                         if positions.contains(&p) {
                             let want = dot(q, &keys[p]);
                             proptest::prop_assert_eq!(got.to_bits(), want.to_bits(),
-                                "{} query {} position {}", arm, j, p);
+                                "{:?} query {} position {}", arm, j, p);
                         } else {
-                            proptest::prop_assert!(got.is_nan(), "{} wrote query {} position {}", arm, j, p);
+                            proptest::prop_assert!(got.is_nan(), "{:?} wrote query {} position {}", arm, j, p);
                         }
                     }
                 }
@@ -784,73 +731,17 @@ pub(crate) mod tests {
                     }
                 }
             }
-            for arm in available_arms() {
+            for &arm in available() {
                 let (mut sums, mut acc) = (sums0.clone(), acc0.clone());
-                let (p, s, a) = (positions.clone(), &mut sums, &mut acc);
-                match arm {
-                    // SAFETY: one lane needs no CPU feature.
-                    "portable" => unsafe { weigh_lanes::<f32>(&w, row, p, |p| &values[p], s, a) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX2.
-                    "avx2" => unsafe { avx2_lanes::weigh(&w, row, p, &values, s, a) },
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `available_arms` checked AVX-512F.
-                    "avx512" => unsafe { avx512_lanes::weigh(&w, row, p, &values, s, a) },
-                    _ => unreachable!("unknown arm {arm}"),
-                }
+                weigh_on(arm, &w, row, positions.clone(), &values, &mut sums, &mut acc);
                 for (j, (g, w)) in sums.iter().zip(&want_sums).enumerate() {
-                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{} sum of query {}", arm, j);
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} sum of query {}", arm, j);
                 }
                 for (i, (g, w)) in acc.iter().zip(&want_acc).enumerate() {
                     proptest::prop_assert_eq!(g.to_bits(), w.to_bits(),
-                        "{} query {} element {}", arm, i / n, i % n);
+                        "{:?} query {} element {}", arm, i / n, i % n);
                 }
             }
         }
     }
-
-    /// `score_lanes` and `weigh_lanes` compiled as an x86 lane arm
-    /// compiles them: inlined under its `#[target_feature]`.
-    macro_rules! lane_arm {
-        ($arm:ident, $lanes:ty, $feature:literal) => {
-            #[cfg(target_arch = "x86_64")]
-            mod $arm {
-                use super::super::{score_lanes, weigh_lanes};
-                use std::ops::Range;
-
-                /// # Safety
-                ///
-                /// The CPU must support the arm's feature.
-                #[target_feature(enable = $feature)]
-                pub(super) unsafe fn score(
-                    tile: &mut [f32],
-                    keys: &[Vec<f32>],
-                    positions: Range<usize>,
-                    queries: &[&[f32]],
-                    out: &mut [f32],
-                    row: usize,
-                ) {
-                    let key = |p: usize| keys[p].as_slice();
-                    score_lanes::<$lanes>(tile, key, positions, queries, out, row);
-                }
-
-                /// # Safety
-                ///
-                /// The CPU must support the arm's feature.
-                #[target_feature(enable = $feature)]
-                pub(super) unsafe fn weigh(
-                    w: &[f32],
-                    row: usize,
-                    positions: Range<usize>,
-                    values: &[Vec<f32>],
-                    sums: &mut [f32],
-                    acc: &mut [f32],
-                ) {
-                    weigh_lanes::<$lanes>(w, row, positions, |p| &values[p], sums, acc);
-                }
-            }
-        };
-    }
-    lane_arm!(avx512_lanes, std::arch::x86_64::__m512, "avx512f");
-    lane_arm!(avx2_lanes, std::arch::x86_64::__m256, "avx2");
 }

@@ -16,11 +16,11 @@
 //! codes; the embedding table is the same stream unquantized.
 //!
 //! Every reader runs the stream through one block loop, compiled once per
-//! lane arm (AVX-512, AVX2 and portable) and entered once per matrix at the
-//! arm of [`crate::arm::arm`], the selector `hnlpu-llm`'s kernels take
-//! too. The arm sets how many of a block's 16 pairs advance together; each
-//! is an IEEE basic operation with nothing fused or reassociated, so every
-//! arm writes the same bytes.
+//! lane arm (AVX-512, AVX2 and portable) by [`crate::arm::per_arm!`] and
+//! entered once per matrix on the arm of [`crate::arm::arm`], the selector
+//! `hnlpu-llm`'s kernels take too. The arm sets how many of a block's 16
+//! pairs advance together; each is an IEEE basic operation with nothing
+//! fused or reassociated, so every arm writes the same bytes.
 //!
 //! [`ModelWeights::materialize`] fans out: the matrices are dealt across
 //! the host's cores, each written into its own preallocated buffer from its
@@ -60,7 +60,7 @@ impl Normals {
     /// `√(−2 ln u1) · sin` are kept. The lanes are fixed-size arrays and
     /// every operation is an IEEE basic one, so the compiler vectorises
     /// the loop at the width of the arm it is inlined into (see
-    /// [`Width`]) and each lane holds the scalar sequence's bits.
+    /// `each_block_on`) and each lane holds the scalar sequence's bits.
     #[inline(always)]
     fn block(&mut self) -> ([f32; PAIRS], [f32; PAIRS]) {
         let mut a = [0u32; PAIRS];
@@ -117,79 +117,19 @@ impl Draw for ([f32; PAIRS], [f32; PAIRS]) {
     }
 }
 
-/// The lane width the sampler's block loop runs at: an [`Arm`] this CPU
-/// runs. Only [`Width::cpu`] (and the tests' `every_width`) make one, so
-/// holding a `Width` means the CPU has its arm's features.
-#[derive(Debug, Clone, Copy)]
-struct Width(Arm);
-
-impl Width {
-    /// The arm of this process, the one `hnlpu-llm`'s kernels take.
-    fn cpu() -> Self {
-        Width(arm())
-    }
-
+crate::arm::per_arm! {
     /// Hand one block of `normals` to `sink` per target, in order, with
-    /// [`Draw::draw`] inlined into a loop compiled at this width.
-    fn each_block<T, B: Draw>(
-        self,
+    /// [`Draw::draw`] inlined into a loop compiled at the width of `arm`.
+    fn each_block_on[T, B: Draw](
         normals: &mut Normals,
         targets: impl Iterator<Item = T>,
         sink: impl FnMut(T, B),
     ) {
-        match self.0 {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: a `Width` holds an arm this CPU runs, and `arm()`
-            // says `Avx512` only for AVX-512 F, BW, DQ and VL.
-            Arm::Avx512 => unsafe { blocks_avx512(normals, targets, sink) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; `Avx2` implies AVX2.
-            Arm::Avx2 => unsafe { blocks_avx2(normals, targets, sink) },
-            _ => blocks(normals, targets, sink),
+        let mut sink = sink;
+        for target in targets {
+            sink(target, B::draw(normals));
         }
     }
-}
-
-/// The block loop every width compiles.
-#[inline(always)]
-fn blocks<T, B: Draw>(
-    normals: &mut Normals,
-    targets: impl Iterator<Item = T>,
-    mut sink: impl FnMut(T, B),
-) {
-    for target in targets {
-        sink(target, B::draw(normals));
-    }
-}
-
-/// [`blocks`] on AVX-512 lanes.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512 F, BW, DQ and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn blocks_avx512<T, B: Draw>(
-    normals: &mut Normals,
-    targets: impl Iterator<Item = T>,
-    sink: impl FnMut(T, B),
-) {
-    blocks(normals, targets, sink);
-}
-
-/// [`blocks`] on AVX2 lanes.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn blocks_avx2<T, B: Draw>(
-    normals: &mut Normals,
-    targets: impl Iterator<Item = T>,
-    sink: impl FnMut(T, B),
-) {
-    blocks(normals, targets, sink);
 }
 
 /// Deterministic weight generator.
@@ -246,19 +186,20 @@ impl WeightGenerator {
 
     /// Hand the first `len` codes of the one code stream of a matrix to
     /// `f`: its normals, stretched over the FP4 lattice and quantized,
-    /// row-major, read from the packed blocks at `width`. Every
+    /// row-major, read from the packed blocks on `arm`. Every
     /// per-matrix API reads it.
     fn each_code(
         &self,
         layer: usize,
         kind: WeightKind,
         len: usize,
-        width: Width,
+        arm: Arm,
         mut f: impl FnMut(Fp4),
     ) {
         let mut left = len;
         let blocks = 0..len.div_ceil(2 * PAIRS);
-        width.each_block(
+        each_block_on(
+            arm,
             &mut self.normals(layer, kind),
             blocks,
             |_, bytes: [u8; PAIRS]| {
@@ -274,19 +215,20 @@ impl WeightGenerator {
     /// Generate the FP4 codes of one matrix (row-major).
     pub fn matrix(&self, layer: usize, m: &WeightMatrix) -> Vec<Fp4> {
         let mut codes = Vec::with_capacity(m.len());
-        self.each_code(layer, m.kind, m.len(), Width::cpu(), |c| codes.push(c));
+        self.each_code(layer, m.kind, m.len(), arm(), |c| codes.push(c));
         codes
     }
 
-    /// Write the code stream of `(layer, kind)` into `packed` at `width`;
+    /// Write the code stream of `(layer, kind)` into `packed` on `arm`;
     /// the matrix's shape sets how many codes are drawn. With an even width
     /// every row is whole bytes, so the packed blocks are copied straight
     /// into the matrix; an odd width pads each row's last byte with a zero
     /// nibble, and the codes go in one at a time.
-    fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix, width: Width) {
+    fn pack(&self, layer: usize, kind: WeightKind, packed: &mut PackedFp4Matrix, arm: Arm) {
         let cols = packed.cols();
         if cols.is_multiple_of(2) {
-            width.each_block(
+            each_block_on(
+                arm,
                 &mut self.normals(layer, kind),
                 packed.data_mut().chunks_mut(PAIRS),
                 |chunk: &mut [u8], bytes: [u8; PAIRS]| {
@@ -298,7 +240,7 @@ impl WeightGenerator {
             let data = packed.data_mut();
             data.fill(0);
             let mut k = 0;
-            self.each_code(layer, kind, len, width, |code| {
+            self.each_code(layer, kind, len, arm, |code| {
                 // Code `k` follows the pad nibbles of the `k / cols` rows
                 // before its own.
                 let nibble = k + k / cols;
@@ -317,23 +259,24 @@ impl WeightGenerator {
     /// Histogram of the 16 FP4 codes in one matrix, without retaining the
     /// matrix. Drives POPCNT-region slack sizing in the ME compiler.
     pub fn code_histogram(&self, layer: usize, m: &WeightMatrix) -> [u64; NUM_CODES] {
-        self.histogram(layer, m, Width::cpu())
+        self.histogram(layer, m, arm())
     }
 
-    /// [`WeightGenerator::code_histogram`] at `width`.
-    fn histogram(&self, layer: usize, m: &WeightMatrix, width: Width) -> [u64; NUM_CODES] {
+    /// [`WeightGenerator::code_histogram`] on `arm`.
+    fn histogram(&self, layer: usize, m: &WeightMatrix, arm: Arm) -> [u64; NUM_CODES] {
         let mut hist = [0u64; NUM_CODES];
-        self.each_code(layer, m.kind, m.len(), width, |c| {
+        self.each_code(layer, m.kind, m.len(), arm, |c| {
             hist[c.code() as usize] += 1;
         });
         hist
     }
 
     /// Write the embedding table of `cfg` into `table` (`vocab × hidden`)
-    /// at `width`.
-    fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32], width: Width) {
+    /// on `arm`.
+    fn fill_embedding(&self, cfg: &TransformerConfig, table: &mut [f32], arm: Arm) {
         let norm = 1.0 / (cfg.hidden_size as f32).sqrt();
-        width.each_block(
+        each_block_on(
+            arm,
             &mut self.normals(usize::MAX, WeightKind::Router),
             table.chunks_mut(2 * PAIRS),
             |chunk: &mut [f32], (cos, sin): ([f32; PAIRS], [f32; PAIRS])| {
@@ -468,10 +411,10 @@ impl ModelWeights {
     /// (> 200 M parameters) — use the lazy [`WeightGenerator`] APIs instead.
     pub fn materialize(cfg: &TransformerConfig, gen: &WeightGenerator) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::materialize_on(cfg, gen, workers, Width::cpu())
+        Self::materialize_on(cfg, gen, workers, arm())
     }
 
-    /// Materialize on `workers` threads with the sampler at `width`, each
+    /// Materialize on `workers` threads with the sampler on `arm`, each
     /// matrix one entry into its block loop: the calling thread allocates
     /// every packed tensor and the embedding, then spawns `workers − 1`
     /// scoped workers that take matrices from one shared queue; it fills
@@ -483,7 +426,7 @@ impl ModelWeights {
         cfg: &TransformerConfig,
         gen: &WeightGenerator,
         workers: usize,
-        width: Width,
+        arm: Arm,
     ) -> Self {
         assert!(
             cfg.total_params() < 200_000_000,
@@ -507,13 +450,13 @@ impl ModelWeights {
             let Some((layer, kind, packed)) = job else {
                 break;
             };
-            gen.pack(layer, kind, packed, width);
+            gen.pack(layer, kind, packed, arm);
         };
         std::thread::scope(|s| {
             for _ in 1..workers {
                 s.spawn(drain);
             }
-            gen.fill_embedding(cfg, &mut embedding, width);
+            gen.fill_embedding(cfg, &mut embedding, arm);
             drain();
         });
         ModelWeights {
@@ -548,15 +491,15 @@ mod tests {
             .collect()
     }
 
-    /// One matrix packed on its own at `width`, outside `materialize`.
+    /// One matrix packed on its own on `arm`, outside `materialize`.
     fn packed_matrix(
         g: &WeightGenerator,
         layer: usize,
         m: &WeightMatrix,
-        width: Width,
+        arm: Arm,
     ) -> PackedFp4Matrix {
         let mut packed = PackedFp4Matrix::zeroed(m.rows, m.cols, WeightGenerator::norm_for(m.rows));
-        g.pack(layer, m.kind, &mut packed, width);
+        g.pack(layer, m.kind, &mut packed, arm);
         packed
     }
 
@@ -694,15 +637,15 @@ mod tests {
                                 hist[c.code() as usize] += 1;
                             }
                             assert_eq!(gen.code_histogram(l, &m), hist, "{m:?}");
-                            (m, packed_matrix(&gen, l, &m, Width::cpu()), codes)
+                            (m, packed_matrix(&gen, l, &m, arm()), codes)
                         })
                         .collect()
                 })
                 .collect();
             let mut embedding = vec![0.0; cfg.vocab_size * cfg.hidden_size];
-            gen.fill_embedding(&cfg, &mut embedding, Width::cpu());
+            gen.fill_embedding(&cfg, &mut embedding, arm());
             for workers in [1, 2, 3, 5] {
-                let w = ModelWeights::materialize_on(&cfg, &gen, workers, Width::cpu());
+                let w = ModelWeights::materialize_on(&cfg, &gen, workers, arm());
                 assert_eq!(w.embedding, embedding, "workers = {workers}");
                 assert_eq!(w.layers.len(), cfg.num_layers);
                 for (layer, lazy) in w.layers.iter().zip(&lazy) {
@@ -723,22 +666,6 @@ mod tests {
         }
     }
 
-    /// Every sampler arm this CPU runs, narrowest first (each arm's
-    /// features include the narrower ones'); says once per process which
-    /// ones those are.
-    fn every_width() -> Vec<Width> {
-        let arms = [Arm::Portable, Arm::Avx2, Arm::Avx512];
-        let widest = arms.iter().position(|&a| a == arm()).unwrap_or(0);
-        static SAY: std::sync::Once = std::sync::Once::new();
-        SAY.call_once(|| {
-            println!(
-                "sampler arms called directly on this CPU: {:?}",
-                &arms[..=widest]
-            );
-        });
-        arms[..=widest].iter().map(|&a| Width(a)).collect()
-    }
-
     /// The benchmark's bench-256 model: hidden 256, two layers, 16 experts
     /// of intermediate 512, a 2048-entry vocabulary.
     fn bench_256() -> TransformerConfig {
@@ -755,45 +682,46 @@ mod tests {
         cfg
     }
 
-    /// Each arm is called directly (the dispatcher reaches only the widest
-    /// one the CPU has) and must write the portable body's bits: every
+    /// Each arm of `arm::available()` (the dispatcher reaches only the
+    /// widest) must write the portable arm's bits: every
     /// packed byte and every embedding float of a whole materialize of the
     /// bench-256 and test-dataflow shapes, an odd-width matrix, and a code
     /// histogram.
     #[test]
     fn every_sampler_arm_writes_the_portable_stream() {
         let gen = WeightGenerator::new(2026);
-        let portable = Width(Arm::Portable);
+        let portable = Arm::Portable;
+        println!("sampler arms on this CPU: {:?}", crate::arm::available());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let odd = WeightMatrix::new(WeightKind::Value, 64, 33);
         let square = WeightMatrix::new(WeightKind::Query, 256, 256);
         for cfg in [bench_256(), zoo::dataflow_test_model().config] {
             let want = ModelWeights::materialize_on(&cfg, &gen, 2, portable);
-            for width in every_width() {
-                let got = ModelWeights::materialize_on(&cfg, &gen, 2, width);
+            for &arm in crate::arm::available() {
+                let got = ModelWeights::materialize_on(&cfg, &gen, 2, arm);
                 assert!(
                     bits(&got.embedding) == bits(&want.embedding),
-                    "{width:?} embedding"
+                    "{arm:?} embedding"
                 );
                 for (l, (got, want)) in got.layers.iter().zip(&want.layers).enumerate() {
                     for m in cfg.layer_matrices() {
                         let (g, w) = (tensor(got, m.kind), tensor(want, m.kind));
-                        assert!(g == w, "{width:?} layer {l} {:?}", m.kind);
+                        assert!(g == w, "{arm:?} layer {l} {:?}", m.kind);
                     }
                 }
             }
         }
-        for width in every_width() {
+        for &arm in crate::arm::available() {
             assert_eq!(
-                packed_matrix(&gen, 1, &odd, width),
+                packed_matrix(&gen, 1, &odd, arm),
                 packed_matrix(&gen, 1, &odd, portable),
-                "{width:?} odd width"
+                "{arm:?} odd width"
             );
             for m in [&odd, &square] {
                 assert_eq!(
-                    gen.histogram(0, m, width),
+                    gen.histogram(0, m, arm),
                     gen.histogram(0, m, portable),
-                    "{width:?} histogram of {m:?}"
+                    "{arm:?} histogram of {m:?}"
                 );
             }
         }
@@ -804,7 +732,7 @@ mod tests {
         let g = WeightGenerator::new(5);
         let m = WeightMatrix::new(WeightKind::Output, 96, 48);
         assert_eq!(
-            packed_matrix(&g, 2, &m, Width::cpu()).to_f32(),
+            packed_matrix(&g, 2, &m, arm()).to_f32(),
             matrix_f32(&g, 2, &m)
         );
     }
@@ -814,7 +742,7 @@ mod tests {
         let g = WeightGenerator::new(9);
         let m = WeightMatrix::new(WeightKind::Value, 64, 33);
         assert_eq!(
-            packed_matrix(&g, 1, &m, Width::cpu()).code_histogram(),
+            packed_matrix(&g, 1, &m, arm()).code_histogram(),
             g.code_histogram(1, &m)
         );
     }

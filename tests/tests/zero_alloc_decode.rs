@@ -10,7 +10,7 @@
 //! pages; a batched `step_batch_with` round with the per-round KV
 //! accounting; a wide-panel prefill; the single-chip reference's
 //! `step_with` and `hidden_step_with`; and one
-//! direct 64-row panel of the portable region kernel, which hosts with
+//! direct 64-row panel on the portable half-unit arm, which hosts with
 //! vector units never dispatch.
 //!
 //! Run with: `cargo test -p hnlpu-integration --features count-alloc`
@@ -18,8 +18,9 @@
 #![cfg(feature = "count-alloc")]
 
 use hnlpu::llm::dataflow::DataflowState;
-use hnlpu::llm::kernels::region_matmul_block_into;
+use hnlpu::llm::kernels::matmul_into_on;
 use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig, Transformer};
+use hnlpu::model::arm::Arm;
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -345,11 +346,11 @@ fn reference_decode_and_hidden_step_perform_zero_allocations() {
     );
 }
 
-/// The portable region kernel, called directly: one 64-row panel through
-/// `region_matmul_block_into`, the fallback arm the dispatcher takes only
+/// The portable half-unit arm, called directly: one 64-row panel through
+/// `matmul_into_on(Arm::Portable, ..)`, the arm the dispatcher takes only
 /// on hosts without AVX2, so the engine cases above never reach it there.
 #[test]
-fn portable_region_panel_performs_zero_allocations() {
+fn portable_half_unit_panel_performs_zero_allocations() {
     const PANEL: usize = 64;
 
     let card = zoo::dataflow_test_model();
@@ -360,14 +361,14 @@ fn portable_region_panel_performs_zero_allocations() {
     let mut outs = vec![0.0f32; PANEL * cols];
 
     let before = allocations();
-    region_matmul_block_into(&xs, rows, PANEL, wq, 0, rows, 0..cols, &mut outs, cols);
+    matmul_into_on(Arm::Portable, &xs, rows, PANEL, wq, &mut outs, cols);
     let after = allocations();
 
     assert!(outs.iter().any(|&v| v != 0.0));
     assert_eq!(
         after - before,
         0,
-        "a {PANEL}-row portable region panel allocated {} times",
+        "a {PANEL}-row portable half-unit panel allocated {} times",
         after - before
     );
 }
